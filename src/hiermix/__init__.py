@@ -16,8 +16,8 @@ from .dsl import (
 )
 from .estimator import MixedModel, fit_model
 from .families import register_user_family
-from .integrate import GhRule, HaltonSet, ReKernel, adapt_locations, gh_rule, halton, kernel_draws
-from .likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, marginal_logl, mci_logl
+from .integrate import GhRule, HaltonSet, ReKernel, gh_rule, halton, kernel_draws
+from .likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, marginal_logl
 from .optim import FitResult, fd_gradient, fd_hessian, initial_values, maximize
 from .predictor import compile_program
 from .simulate import simulate
@@ -54,13 +54,11 @@ __all__ = [
     "gh_rule",
     "halton",
     "kernel_draws",
-    "adapt_locations",
     "IntegrationPlan",
     "LevelPlan",
     "LikelihoodEvaluator",
     "default_plan",
     "marginal_logl",
-    "mci_logl",
     "FitResult",
     "fd_gradient",
     "fd_hessian",

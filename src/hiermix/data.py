@@ -127,15 +127,6 @@ class Hierarchy:
     def n_units(self, level: int) -> int:
         return len(self.unit_ids[level])
 
-    def children(self, level: int) -> list[np.ndarray]:
-        """Unit ordinals at ``level`` grouped by parent ordinal."""
-        if level == 0:
-            return [np.arange(self.n_units(0))]
-        out: list[list[int]] = [[] for _ in range(self.n_units(level - 1))]
-        for u, p in enumerate(self.parent[level]):
-            out[p].append(u)
-        return [np.asarray(v, dtype=int) for v in out]
-
     def describe(self) -> str:
         parts = [f"{name}: {self.n_units(i)} units" for i, name in enumerate(self.levels)]
         return "; ".join(parts)

@@ -19,7 +19,6 @@ __all__ = [
     "GhRule",
     "HaltonSet",
     "ReKernel",
-    "AdaptResult",
     "gh_rule",
     "gh_grid",
     "halton",
@@ -215,14 +214,6 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet, chol: np.ndarray | None 
     return z @ chol.T
 
 
-@dataclass
-class AdaptResult:
-    shift: np.ndarray  # (dim,)
-    chol: np.ndarray  # (dim, dim) posterior scale factor
-    iterations: int
-    flagged: bool = False
-
-
 def _std_normal_logpdf(a: np.ndarray) -> np.ndarray:
     return -0.5 * a.shape[-1] * _LOG_2PI - 0.5 * np.sum(a * a, axis=-1)
 
@@ -232,43 +223,78 @@ def adapt_locations(
     kernel: ReKernel,
     chol: np.ndarray,
     rule: GhRule,
+    active: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20,
-) -> AdaptResult:
-    """Iteratively recentre/rescale a Gauss-Hermite grid on the posterior
-    of one cluster's random effects.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
+    grid to the posterior of every cell's random effects at once.
 
-    ``log_conditional`` maps node locations (M, dim) to the cluster's
-    conditional log-likelihood (M,). Non-finite posterior moments fall
-    back to (0, prior scale) with ``flagged`` set.
+    A cell is one cluster, or one cluster at one combination of outer
+    nodes. ``log_conditional`` maps node locations (K, M, dim) to the
+    conditional log-likelihood (K, M) of each cell; cells not marked in
+    ``active`` keep the prior. The scale may shrink at most 4x per step
+    in any direction, so a posterior sharper than the grid's spacing
+    cannot collapse the rule onto one node. Cells whose posterior moments are not finite fall
+    back to (0, prior scale) and are flagged.
+
+    Returns the shifts (K, dim), scale factors (K, dim, dim), iteration
+    counts (K,) and fallback flags (K,).
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
-    r = kernel.dim
-    nodes, logw = gh_grid(rule, r)
-    mu = np.zeros(r)
-    lam = np.array(chol, dtype=float)
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = mu + nodes @ lam.T
-        with np.errstate(invalid="ignore", over="ignore"):
-            logpost = logw + log_conditional(x) + kernel.log_density(x, chol) - _std_normal_logpdf(nodes)
-        if not np.any(np.isfinite(logpost)):
-            return AdaptResult(np.zeros(r), np.array(chol, dtype=float), it, flagged=True)
-        top = np.max(logpost[np.isfinite(logpost)])
-        w = np.exp(np.where(np.isfinite(logpost), logpost - top, -np.inf))
-        w /= w.sum()
-        mu_new = w @ x
-        centred = x - mu_new
-        cov = (w[:, None] * centred).T @ centred
-        if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(cov))):
-            return AdaptResult(np.zeros(r), np.array(chol, dtype=float), it, flagged=True)
-        try:
-            lam_new = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            return AdaptResult(np.zeros(r), np.array(chol, dtype=float), it, flagged=True)
-        delta = max(np.max(np.abs(mu_new - mu)), np.max(np.abs(lam_new - lam)))
-        mu, lam = mu_new, lam_new
-        if delta < tol:
+    nodes, logw = gh_grid(rule, kernel.dim)
+    log_std = _std_normal_logpdf(nodes)
+    k, r = len(active), kernel.dim
+    mu = np.zeros((k, r))
+    lam = np.broadcast_to(chol[None], (k, r, r)).copy()
+    iters = np.zeros(k, dtype=int)
+    flagged = np.zeros(k, dtype=bool)
+    active = np.array(active, dtype=bool)
+    for _ in range(max_iter):
+        if not np.any(active):
             break
-    return AdaptResult(mu, lam, it)
+        x = mu[:, None, :] + np.einsum("mr,usr->ums", nodes, lam)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logpost = logw[None] + log_conditional(x) + kernel.log_density(x, chol) - log_std[None]
+        finite_top = np.max(np.where(np.isfinite(logpost), logpost, -np.inf), axis=1)
+        bad = ~np.isfinite(finite_top)
+        w = np.exp(logpost - np.where(bad, 0.0, finite_top)[:, None])
+        w = np.where(np.isfinite(w), w, 0.0)
+        norm = w.sum(axis=1)
+        bad |= norm <= 0
+        w = w / np.where(norm > 0, norm, 1.0)[:, None]
+        mu_new = np.einsum("um,umr->ur", w, x)
+        centred = x - mu_new[:, None, :]
+        cov = np.einsum("um,umr,ums->urs", w, centred, centred)
+        ok = np.flatnonzero(active & ~bad)
+        # in the old scale's coordinates, floor the new covariance's
+        # eigenvalues at 1/16: no direction shrinks more than 4x per step
+        fin = ok[np.all(np.isfinite(cov[ok]), axis=(1, 2))]
+        rel = np.linalg.solve(lam[fin], np.linalg.solve(lam[fin], cov[fin]).transpose(0, 2, 1))
+        e, u = np.linalg.eigh(rel)
+        low = e.min(axis=1) < 1.0 / 16.0
+        shrunk = fin[low]
+        floored = (u[low] * np.maximum(e[low], 1.0 / 16.0)[:, None, :]) @ u[low].transpose(0, 2, 1)
+        cov[shrunk] = lam[shrunk] @ floored @ lam[shrunk].transpose(0, 2, 1)
+        lam_new = lam.copy()
+        try:
+            lam_new[ok] = np.linalg.cholesky(cov[ok])
+        except np.linalg.LinAlgError:
+            for g in ok:
+                try:
+                    lam_new[g] = np.linalg.cholesky(cov[g])
+                except np.linalg.LinAlgError:
+                    bad[g] = True
+        newly_bad = bad & active
+        if np.any(newly_bad):
+            mu_new[newly_bad] = 0.0
+            lam_new[newly_bad] = chol
+            flagged |= newly_bad
+            active &= ~newly_bad
+        delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
+        mu = np.where(active[:, None], mu_new, mu)
+        lam = np.where(active[:, None, None], lam_new, lam)
+        iters[active] += 1
+        active &= delta >= tol
+    return mu, lam, iters, flagged

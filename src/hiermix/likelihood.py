@@ -3,8 +3,10 @@
 Random effects are integrated level by level, inner levels conditional
 on outer node values, with a per-level choice of adaptive Gauss-Hermite
 quadrature or quasi-Monte Carlo draws from a normal or multivariate-t
-kernel. Models with a single latent level run on a fully vectorized
-path; deeper hierarchies recurse per unit.
+kernel. One vectorized path serves any depth: each level is evaluated
+for all of its units at every combination of outer-level nodes at once,
+reduced over its own nodes, and summed into the parent units (the
+recursive nested quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .integrate import GhRule, HaltonSet, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, OutcomeView, Program, outcome_logl
+from .predictor import EvalContext, Program, outcome_logl
 
 __all__ = [
     "LevelPlan",
@@ -25,7 +27,6 @@ __all__ = [
     "default_plan",
     "LikelihoodEvaluator",
     "marginal_logl",
-    "mci_logl",
     "profile_report",
 ]
 
@@ -122,9 +123,13 @@ def default_plan(
 
 
 class _LevelState:
-    """Frozen integration inputs for one latent level."""
+    """Frozen integration inputs for one latent level, and where its units
+    sit: ``parent`` maps each unit to its ordinal one latent level out,
+    composed through hierarchy levels without latent effects. A cell is
+    one unit at one combination of outer-level nodes, ordered unit-major.
+    """
 
-    def __init__(self, info, plan: LevelPlan, skip: int, structure: str):
+    def __init__(self, info, plan: LevelPlan, skip: int, structure: str, hierarchy, outer: _LevelState | None):
         self.info = info
         self.plan = plan
         self.kernel = ReKernel(info.dim, plan.dist, plan.df, structure=structure)
@@ -141,10 +146,26 @@ class _LevelState:
             self.nodes = None
             self.logw = None
             self.log_std = None
+        self.adaptive = plan.method == "aghq" and plan.adaptive
+        self.n_units = hierarchy.n_units(info.lidx)
+        self.n_combos = 1 if outer is None else outer.n_combos * outer.m
+        self.n_cells = self.n_units * self.n_combos
+        if outer is not None:
+            up = np.arange(self.n_units)
+            for lvl in range(info.lidx, outer.info.lidx, -1):
+                up = hierarchy.parent[lvl][up]
+            self.parent = up
+            self.parent_starts = np.flatnonzero(np.diff(np.sort(up), prepend=-1))
+        self.active: np.ndarray | None = None  # units with rows anywhere below them
+
+
+# cells x nodes x rows evaluated at once at the innermost level; more
+# outer-node combinations than fit are taken in blocks
+_BLOCK_VALUES = 1 << 21
 
 
 class LikelihoodEvaluator:
-    """Compiled program plus frozen rules/draws and per-cluster adaptive
+    """Compiled program plus frozen rules/draws and per-cell adaptive
     transforms. Transforms are refreshed once per outer optimizer
     iteration, keeping the objective smooth between refreshes.
     """
@@ -154,13 +175,14 @@ class LikelihoodEvaluator:
         self.program = program
         self.plan = plan
         structure = program.spec.covariance
-        self.level_states: list[_LevelState] = [
-            _LevelState(li, plan.levels[li.name], plan.skip, structure) for li in program.levels if li.dim > 0
-        ]
+        h = program.hierarchy
+        self.level_states: list[_LevelState] = []
+        for li in program.levels:
+            if li.dim > 0:
+                outer = self.level_states[-1] if self.level_states else None
+                self.level_states.append(_LevelState(li, plan.levels[li.name], plan.skip, structure, h, outer))
         self._prepare_segments()
-        self.adapt_store: dict = {}
-        self.adapt_iters: dict = {}
-        self.adapt_flags: list = []
+        self.adapted: dict[int, tuple] = {}  # level position -> adapt_locations result
         self.n_calls = 0
         self.cond_evals = 0
         self.wall_time = 0.0
@@ -168,114 +190,42 @@ class LikelihoodEvaluator:
     # -- structural precomputation ------------------------------------
 
     def _prepare_segments(self) -> None:
+        """Row segments per innermost unit for every outcome, and which
+        units at each level have rows below them.
+        """
         program = self.program
-        h = program.hierarchy
-        self.inner: _LevelState | None = self.level_states[-1] if self.level_states else None
-        if self.inner is None:
+        if not self.level_states:
             return
-        inner_name = self.inner.info.name
-        n_units = h.n_units(self.inner.info.lidx)
-        self.n_inner_units = n_units
+        inner = self.level_states[-1]
         self.segments: list = []  # per outcome: (reduceat starts, unit ordinal per segment)
-        self.unit_views: list = []  # per outcome: dict unit ordinal -> OutcomeView
-        has_rows = np.zeros(n_units, dtype=bool)
+        has_rows = np.zeros(inner.n_units, dtype=bool)
         for co in program.outcomes:
             if co.rows.size == 0:
                 self.segments.append(None)
-                self.unit_views.append({})
                 continue
-            ordinals = program.unit_index[inner_name][co.rows]
+            ordinals = program.unit_index[inner.info.name][co.rows]
             starts = np.concatenate(([0], np.flatnonzero(np.diff(ordinals) != 0) + 1))
-            stops = np.concatenate((starts[1:], [len(ordinals)]))
-            seg_units = ordinals[starts]
-            self.segments.append((starts, seg_units))
-            views = {}
-            for s, e, u in zip(starts, stops, seg_units):
-                views[int(u)] = OutcomeView(co, slice(int(s), int(e)))
-            self.unit_views.append(views)
-            has_rows[seg_units] = True
-        self.has_rows_mask = has_rows
-        self.active_units = np.flatnonzero(has_rows)
-        # children of each unit one integration level up, composed through
-        # intermediate hierarchy levels that carry no latent effects
-        self.children: list[list[np.ndarray]] = []
-        for pos in range(1, len(self.level_states)):
-            hi, lo = self.level_states[pos - 1].info.lidx, self.level_states[pos].info.lidx
-            up = np.arange(h.n_units(lo))
-            lvl = lo
-            while lvl > hi:
-                up = h.parent[lvl][up]
-                lvl -= 1
-            groups: list[list[int]] = [[] for _ in range(h.n_units(hi))]
-            for child, par in enumerate(up):
-                groups[par].append(child)
-            self.children.append([np.asarray(g, dtype=int) for g in groups])
-        # which units have any rows anywhere in their subtree
-        self.subtree_rows: list[np.ndarray] = [None] * len(self.level_states)
-        self.subtree_rows[-1] = has_rows
-        for pos in range(len(self.level_states) - 2, -1, -1):
-            mask = np.zeros(h.n_units(self.level_states[pos].info.lidx), dtype=bool)
-            for par, kids in enumerate(self.children[pos]):
-                mask[par] = bool(np.any(self.subtree_rows[pos + 1][kids])) if kids.size else False
-            self.subtree_rows[pos] = mask
-
-    def _n_units_at(self, st: _LevelState) -> int:
-        return self.program.hierarchy.n_units(st.info.lidx)
+            self.segments.append((starts, ordinals[starts]))
+            has_rows[ordinals[starts]] = True
+        self.n_rows = sum(co.rows.size for co in program.outcomes)
+        inner.active = has_rows
+        for pos in range(len(self.level_states) - 1, 0, -1):
+            st, outer = self.level_states[pos], self.level_states[pos - 1]
+            outer.active = np.zeros(outer.n_units, dtype=bool)
+            outer.active[st.parent[st.active]] = True
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
 
-    # -- conditional log-likelihood of rows, grouped by inner unit ------
-
-    def _unit_matrix(self, theta, latent_values: dict, b: int) -> np.ndarray:
-        """Sum of conditional row log-likelihoods per inner-level unit,
-        over all outcomes: (n_inner_units, b).
-        """
-        program = self.program
-        ctx = EvalContext(program, theta, latent_values)
-        out = np.zeros((self.n_inner_units, b))
-        for k, co in enumerate(program.outcomes):
-            if self.segments[k] is None:
-                continue
-            ll = outcome_logl(ctx, k)
-            ll = np.where(np.isnan(ll), -np.inf, ll)
-            starts, seg_units = self.segments[k]
-            sums = np.add.reduceat(np.broadcast_to(ll, (ll.shape[0], b)), starts, axis=0)
-            out[seg_units] += sums
-        self.cond_evals += len(self.active_units) * b
-        return out
-
-    def _single_unit_vector(self, theta, latent_values: dict, b: int, unit: int) -> np.ndarray:
-        """Conditional log-likelihood of one inner unit's rows: (b,)."""
-        ctx = EvalContext(self.program, theta, latent_values)
-        out = np.zeros(b)
-        for k in range(len(self.program.outcomes)):
-            view = self.unit_views[k].get(unit)
-            if view is None:
-                continue
-            ll = outcome_logl(ctx, k, view)
-            ll = np.where(np.isnan(ll), -np.inf, ll)
-            out += np.broadcast_to(ll, (view.n, b)).sum(axis=0)
-        self.cond_evals += b
-        return out
-
     # -- public entry points --------------------------------------------
 
     def refresh(self, theta: np.ndarray) -> None:
-        """Recompute the per-cluster adaptive transforms at theta."""
+        """Recompute the per-cell adaptive transforms at theta."""
         theta = np.asarray(theta, dtype=float)
-        self.adapt_store.clear()
-        self.adapt_iters.clear()
-        self.adapt_flags = []
-        if not self.level_states:
-            return
-        if len(self.level_states) == 1:
-            st = self.level_states[0]
-            if st.plan.method == "aghq" and st.plan.adaptive:
-                self._refresh_two_level(theta)
-            return
-        if any(st.plan.method == "aghq" and st.plan.adaptive for st in self.level_states):
-            self._nested_total(theta, refresh=True)
+        self.adapted.clear()
+        if any(st.adaptive for st in self.level_states):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                self._adapt(theta, 0, [])
 
     def logl(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -294,175 +244,146 @@ class LikelihoodEvaluator:
                         return -np.inf
                     total += math.fsum(ll[:, 0].tolist())
                 return total
-            if len(self.level_states) == 1:
-                return self._logl_two_level(theta)
-            return self._nested_total(theta, refresh=False)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                per_unit = self._integrate(theta, 0, [])[:, 0]
+            act = per_unit[self.level_states[0].active]
+            if not np.all(np.isfinite(act)):
+                return -np.inf
+            return math.fsum(act.tolist())
         finally:
             self.wall_time += time.perf_counter() - t_start
 
-    # -- single latent level: vectorized across units --------------------
+    # -- level-by-level integration ---------------------------------------
+    #
+    # Level ``pos`` is integrated for all of its cells at once, given the
+    # node locations of every level outside it (``outer``: one array per
+    # outer level, (n_units, n_combos * m, dim)). The integral over a cell
+    # is logsumexp over its nodes of (weight correction + conditional
+    # log-likelihood), and the conditional at a node of an outer level is
+    # the sum of its child units' integrals.
 
-    def _node_values(self, st: _LevelState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node locations (U, M, r) and log-corrections (U, M) such that
-        a unit's marginal is logsumexp(corr + conditional).
+    def _nodes(self, pos: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node locations (K, M, r) and log-corrections (K, M) of every
+        cell of level ``pos``, such that a cell's integral is
+        logsumexp(corr + conditional).
         """
-        u = self.n_inner_units
+        st = self.level_states[pos]
+        k, r = st.n_cells, st.info.dim
         chol = self.level_chol(st, theta)
-        r = st.info.dim
         if st.plan.method == "qmc":
             draws = kernel_draws(st.kernel, st.uniforms, chol)  # (M, r)
-            x = np.broadcast_to(draws[None], (u, st.m, r))
-            corr = np.full((u, st.m), -math.log(st.m))
-            return x, corr
+            return np.broadcast_to(draws[None], (k, st.m, r)), np.broadcast_to(-math.log(st.m), (k, st.m))
         a, logw = st.nodes, st.logw
-        if st.plan.adaptive and self.adapt_store:
-            mu = self.adapt_store[("mu", 0)]
-            lam = self.adapt_store[("lam", 0)]
+        if st.adaptive:
+            mu, lam = self.adapted[pos][:2]
             x = mu[:, None, :] + np.einsum("mr,usr->ums", a, lam)
             logdet = np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)
             corr = logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet[:, None]
             return x, corr
-        x = np.broadcast_to((a @ chol.T)[None], (u, st.m, r))
+        x = a @ chol.T
         if st.plan.dist == "normal":
-            corr = np.broadcast_to(logw[None], (u, st.m))
+            corr = logw
         else:
             logdet = float(np.log(np.diag(chol)).sum())
-            corr = logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet
-        return x, corr
+            corr = logw + st.kernel.log_density(x, chol) - st.log_std + logdet
+        return np.broadcast_to(x[None], (k, st.m, r)), np.broadcast_to(corr[None], (k, st.m))
 
-    def _logl_two_level(self, theta: np.ndarray) -> float:
-        st = self.level_states[0]
-        if st.plan.method == "aghq" and st.plan.adaptive and not self.adapt_store:
-            self.refresh(theta)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, corr = self._node_values(st, theta)
-            vals = {name: x[:, :, j] for j, name in enumerate(st.info.latent_names)}
-            ll = self._unit_matrix(theta, vals, st.m)
-            per_unit = logsumexp(corr + ll, axis=1)
-        act = per_unit[self.active_units]
-        if not np.all(np.isfinite(act)):
-            return -np.inf
-        return math.fsum(act.tolist())
-
-    def _refresh_two_level(self, theta: np.ndarray) -> None:
-        st = self.level_states[0]
-        u, r, mg = self.n_inner_units, st.info.dim, st.m
-        chol = self.level_chol(st, theta)
-        a, logw = st.nodes, st.logw
-        mu = np.zeros((u, r))
-        lam = np.broadcast_to(chol[None], (u, r, r)).copy()
-        iters = np.zeros(u, dtype=int)
-        flagged = np.zeros(u, dtype=bool)
-        active = self.has_rows_mask.copy()
-        for _ in range(20):
-            if not np.any(active):
-                break
-            x = mu[:, None, :] + np.einsum("mr,usr->ums", a, lam)
-            vals = {name: x[:, :, j] for j, name in enumerate(st.info.latent_names)}
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ll = self._unit_matrix(theta, vals, mg)
-                logpost = logw[None] + ll + st.kernel.log_density(x, chol) - st.log_std[None]
-            finite_top = np.max(np.where(np.isfinite(logpost), logpost, -np.inf), axis=1)
-            bad = ~np.isfinite(finite_top)
-            w = np.exp(logpost - np.where(bad, 0.0, finite_top)[:, None])
-            w = np.where(np.isfinite(w), w, 0.0)
-            norm = w.sum(axis=1)
-            bad |= norm <= 0
-            w = w / np.where(norm > 0, norm, 1.0)[:, None]
-            mu_new = np.einsum("um,umr->ur", w, x)
-            centred = x - mu_new[:, None, :]
-            cov = np.einsum("um,umr,ums->urs", w, centred, centred)
-            lam_new = lam.copy()
-            for g in np.flatnonzero(active & ~bad):
-                try:
-                    lam_new[g] = np.linalg.cholesky(cov[g])
-                except np.linalg.LinAlgError:
-                    bad[g] = True
-            newly_bad = bad & active
-            if np.any(newly_bad):
-                mu_new[newly_bad] = 0.0
-                lam_new[newly_bad] = chol
-                flagged |= newly_bad
-                active &= ~newly_bad
-            delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
-            mu = np.where(active[:, None], mu_new, mu)
-            lam = np.where(active[:, None, None], lam_new, lam)
-            iters[active] += 1
-            active &= delta >= 1e-8
-        self.adapt_store[("mu", 0)] = mu
-        self.adapt_store[("lam", 0)] = lam
-        self.adapt_iters = {int(g): int(iters[g]) for g in self.active_units}
-        self.adapt_flags = [int(g) for g in np.flatnonzero(flagged)]
-
-    # -- general nested path ---------------------------------------------
-
-    def _nested_total(self, theta: np.ndarray, refresh: bool) -> float:
-        top = self.level_states[0]
-        n_top = self._n_units_at(top)
-        out = []
-        for unit in range(n_top):
-            if not self.subtree_rows[0][unit]:
-                continue  # no observations anywhere below: the integral is 1
-            out.append(self._nested_unit(theta, 0, unit, {}, (), refresh))
-        if not np.all(np.isfinite(out)):
-            return -np.inf
-        return math.fsum(out)
-
-    def _nested_unit(self, theta, pos: int, unit: int, outer_vals: dict, outer_key: tuple, refresh: bool) -> float:
+    def _adapt(self, theta: np.ndarray, pos: int, outer: list) -> None:
+        """Adapt level ``pos`` at the given outer nodes, re-adapting the
+        levels inside it at each trial location, then once more at the
+        final one.
+        """
         st = self.level_states[pos]
-        chol = self.level_chol(st, theta)
-        n_units = self._n_units_at(st)
-        innermost = pos == len(self.level_states) - 1
+        if st.adaptive:
+            self.adapted[pos] = adapt_locations(
+                lambda x: self._conditional(theta, pos, outer, x, refresh=True),
+                st.kernel,
+                self.level_chol(st, theta),
+                st.rule,
+                np.repeat(st.active, st.n_combos),
+            )
+        if pos + 1 < len(self.level_states):
+            self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])])
 
-        def with_own(x: np.ndarray) -> dict:
-            vals = dict(outer_vals)
+    def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
+        st = self.level_states[pos]
+        return x.reshape(st.n_units, st.n_combos * st.m, st.info.dim)
+
+    def _conditional(self, theta, pos: int, outer: list, x: np.ndarray, refresh: bool = False) -> np.ndarray:
+        """Conditional log-likelihood (K, M) of everything inside each cell
+        of level ``pos``, at its node locations ``x``.
+        """
+        st = self.level_states[pos]
+        if pos + 1 == len(self.level_states):
+            blocks = [ll for _, _, ll in self._row_blocks(theta, outer, x)]
+            return np.concatenate(blocks, axis=1).reshape(st.n_cells, st.m)
+        inner_outer = outer + [self._as_outer(pos, x)]
+        if refresh:
+            self._adapt(theta, pos + 1, inner_outer)
+        child = self._integrate(theta, pos + 1, inner_outer)
+        return self._into_parents(pos + 1, child).reshape(st.n_cells, st.m)
+
+    def _integrate(self, theta, pos: int, outer: list) -> np.ndarray:
+        """Log integral over level ``pos`` and every level inside it, per
+        unit and outer-node combination: (n_units, n_combos). Units with
+        no rows below them integrate to exactly 0.
+        """
+        st = self.level_states[pos]
+        if st.adaptive and pos not in self.adapted:
+            self._adapt(theta, pos, outer)
+        x, corr = self._nodes(pos, theta)
+        if pos + 1 == len(self.level_states):
+            corr3 = corr.reshape(st.n_units, st.n_combos, st.m)
+            parts = [
+                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m), axis=1).reshape(st.n_units, c1 - c0)
+                for c0, c1, ll in self._row_blocks(theta, outer, x)
+            ]
+            per_cell = np.concatenate(parts, axis=1)
+        else:
+            per_cell = logsumexp(corr + self._conditional(theta, pos, outer, x), axis=1).reshape(st.n_units, st.n_combos)
+        return np.where(st.active[:, None], per_cell, 0.0)
+
+    def _row_blocks(self, theta, outer: list, x: np.ndarray):
+        """Yield (c0, c1, ll) over blocks of outer-node combinations, with
+        ll (n_units, c1 - c0, M) the summed conditional row log-likelihood
+        of each innermost unit at each of its nodes.
+        """
+        program = self.program
+        st = self.level_states[-1]
+        step = max(1, _BLOCK_VALUES // max(1, self.n_rows * st.m))
+        cells = x.reshape(st.n_units, st.n_combos, st.m, st.info.dim)
+        for c0 in range(0, st.n_combos, step):
+            c1 = min(c0 + step, st.n_combos)
+            b = (c1 - c0) * st.m
+            vals = {}
+            for ost, xo in zip(self.level_states, outer):
+                # node of the outer level at each combination of the block
+                idx = np.arange(c0, c1) // (st.n_combos // xo.shape[1])
+                for j, name in enumerate(ost.info.latent_names):
+                    vals[name] = np.repeat(xo[:, idx, j], st.m, axis=1)
             for j, name in enumerate(st.info.latent_names):
-                col = np.zeros((n_units, x.shape[0]))
-                col[unit] = x[:, j]
-                vals[name] = col
-            return vals
+                vals[name] = cells[:, c0:c1, :, j].reshape(st.n_units, b)
+            ctx = EvalContext(program, theta, vals)
+            out = np.zeros((st.n_units, b))
+            for k, co in enumerate(program.outcomes):
+                if self.segments[k] is None:
+                    continue
+                ll = outcome_logl(ctx, k)
+                ll = np.where(np.isnan(ll), -np.inf, ll)
+                starts, seg_units = self.segments[k]
+                sums = np.add.reduceat(np.broadcast_to(ll, (ll.shape[0], b)), starts, axis=0)
+                out[seg_units] += sums
+            self.cond_evals += int(st.active.sum()) * b
+            yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
 
-        def conditional(x: np.ndarray) -> np.ndarray:
-            mg = x.shape[0]
-            if innermost:
-                if self.has_rows_mask[unit]:
-                    return self._single_unit_vector(theta, with_own(x), mg, unit)
-                return np.zeros(mg)
-            kids = self.children[pos][unit]
-            kids = kids[self.subtree_rows[pos + 1][kids]] if kids.size else kids
-            out = np.zeros(mg)
-            for m in range(mg):
-                vals_m = with_own(x[m : m + 1, :])
-                out[m] = math.fsum(
-                    self._nested_unit(theta, pos + 1, int(c), vals_m, outer_key + (unit, m), refresh) for c in kids
-                )
-            return out
-
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if st.plan.method == "qmc":
-                draws = kernel_draws(st.kernel, st.uniforms, chol)
-                s = conditional(draws)
-                return float(logsumexp(s) - math.log(st.m))
-            a, logw = st.nodes, st.logw
-            if st.plan.adaptive:
-                key = (pos, unit, outer_key)
-                if refresh or key not in self.adapt_store:
-                    res = adapt_locations(lambda x: np.asarray(conditional(x), dtype=float), st.kernel, chol, st.rule)
-                    self.adapt_store[key] = res
-                    self.adapt_iters[key] = res.iterations
-                    if res.flagged:
-                        self.adapt_flags.append(key)
-                res = self.adapt_store[key]
-                x = res.shift + a @ res.chol.T
-                logdet = float(np.log(np.diag(res.chol)).sum())
-                corr = logw + st.kernel.log_density(x, chol) - st.log_std + logdet
-                return float(logsumexp(corr + conditional(x)))
-            x = a @ chol.T
-            if st.plan.dist == "normal":
-                corr = logw
-            else:
-                corr = logw + st.kernel.log_density(x, chol) - st.log_std + float(np.log(np.diag(chol)).sum())
-            return float(logsumexp(corr + conditional(x)))
+    def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:
+        """Sum per-unit values (n_units, n) of level ``pos`` into its
+        parent units. Children are added in order of value, so the sums do
+        not depend on how units are labelled.
+        """
+        st = self.level_states[pos]
+        order = np.lexsort((vals, np.broadcast_to(st.parent[:, None], vals.shape)), axis=0)
+        return np.add.reduceat(np.take_along_axis(vals, order, axis=0), st.parent_starts, axis=0)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -476,13 +397,22 @@ class LikelihoodEvaluator:
                 "nodes": st.m,
             }
         per_call = self.cond_evals / self.n_calls if self.n_calls else 0
+        # keyed by (level, unit ordinal, outer-node combination)
+        iterations, fallbacks = {}, []
+        for pos, (_, _, iters, flagged) in sorted(self.adapted.items()):
+            st = self.level_states[pos]
+            for cell in np.flatnonzero(np.repeat(st.active, st.n_combos)):
+                key = (st.info.name, *divmod(int(cell), st.n_combos))
+                iterations[key] = int(iters[cell])
+                if flagged[cell]:
+                    fallbacks.append(key)
         return {
             "levels": levels,
             "likelihood_calls": self.n_calls,
             "conditional_evaluations": self.cond_evals,
             "conditional_evaluations_per_call": per_call,
-            "adaptation_iterations": dict(self.adapt_iters),
-            "adaptation_fallbacks": list(self.adapt_flags),
+            "adaptation_iterations": iterations,
+            "adaptation_fallbacks": fallbacks,
             "wall_time_s": self.wall_time,
         }
 
@@ -497,15 +427,6 @@ def marginal_logl(program: Program, plan: IntegrationPlan, theta) -> float:
     ev = LikelihoodEvaluator(program, plan)
     ev.refresh(np.asarray(theta, dtype=float))
     return ev.logl(theta)
-
-
-def mci_logl(program: Program, plan: IntegrationPlan, theta) -> float:
-    """Marginal log-likelihood where at least one level integrates by
-    Monte Carlo over frozen Halton draws.
-    """
-    if not any(lp.method == "qmc" for lp in plan.levels.values()):
-        raise ValueError("plan has no qmc level")
-    return marginal_logl(program, plan, theta)
 
 
 def profile_report(program: Program, plan: IntegrationPlan, theta) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from . import families as fam_mod
 from .basis import FpBasis, RcsBasis, default_knots, rcs_deriv, rcs_eval
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
-from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn
+from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, _time_indexed
 from .families import Family, gauss_legendre, make_family
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EvalContext",
     "OutcomeView",
     "compile_program",
-    "eval_linpred",
     "eval_ev",
     "outcome_logl",
 ]
@@ -69,19 +68,17 @@ class LevelInfo:
 
 
 class OutcomeView:
-    """Stable views of one outcome's row data (all rows, or one inner
-    cluster's rows). Object identity keys the evaluation caches.
+    """Stable views of one outcome's row data. Object identity keys the
+    evaluation caches.
     """
 
     __slots__ = ("rows", "response", "event", "entry", "entry_mask", "bhaz", "times", "tgrid", "rp_logstep", "n")
 
-    def __init__(self, co, sl: slice | None = None):
-        sl = sl if sl is not None else slice(None)
-        self.rows = co.rows[sl]
+    def __init__(self, co):
+        self.rows = co.rows
         self.n = len(self.rows)
         for name in ("response", "event", "entry", "entry_mask", "bhaz", "times", "tgrid", "rp_logstep"):
-            v = getattr(co, name)
-            setattr(self, name, None if v is None else v[sl])
+            setattr(self, name, getattr(co, name))
 
 
 class _CompiledComponent:
@@ -130,6 +127,7 @@ class _CompiledOutcome:
         self.spline_basis: RcsBasis | None = None
         self.spline_slots: list[int] = []
         self.has_time = False  # any time-dependent element in eta
+        self.time_indexed = False  # expected value depends on time (directly or through EV links)
         self.needs_grid = False  # survival likelihood requires hazard quadrature
         self.tgrid: np.ndarray | None = None
         self.entry_mask: np.ndarray | None = None
@@ -243,6 +241,7 @@ def compile_program(
     for k, outcome in enumerate(spec.outcomes):
         family = make_family(outcome.family)
         co = _CompiledOutcome(k, outcome, family, labels[k], rows_list[k])
+        co.time_indexed = _time_indexed(spec, k)
         program.outcomes.append(co)
         if co.response is not None and not family.is_survival:
             family.validate_response(co.response, f"outcome {k + 1} ({labels[k]})")
@@ -267,14 +266,14 @@ def compile_program(
                     texts.append(el.name)
                 elif isinstance(el, EVLink):
                     j = spec.ev_target_index(el)
-                    if el.kind in ("dEV", "d2EV", "iEV") and not _is_time_indexed(spec, j):
+                    if el.kind in ("dEV", "d2EV", "iEV") and not program.outcomes[j].time_indexed:
                         raise CompileError(
                             f"outcome {k + 1}, component {c + 1}: {el.kind}[{el.target}] needs a time-indexed "
                             "target (the target has no timevar or time function)"
                         )
                     cc.evlinks.append((el.kind, j))
                     texts.append(f"{el.kind}[{el.target}]")
-                    if _is_time_indexed(spec, j):
+                    if program.outcomes[j].time_indexed:
                         co.has_time = True
                 elif isinstance(el, TimeFn):
                     if cc.timefn is not None:
@@ -342,15 +341,6 @@ def compile_program(
                         info.re_slots.append(program._add_slot(Slot(f"chol({a},{b})", kind="re", level=lname)))
         program.levels.append(info)
     return program
-
-
-def _is_time_indexed(spec: ModelSpec, k: int, seen=frozenset()) -> bool:
-    if k in seen:
-        return False
-    o = spec.outcomes[k]
-    if o.has_timefn:
-        return True
-    return any(_is_time_indexed(spec, spec.ev_target_index(ev), seen | {k}) for ev in o.ev_targets)
 
 
 def _timefn_text(el: TimeFn) -> str:
@@ -521,19 +511,13 @@ def eval_eta(ctx: EvalContext, k: int, rows: np.ndarray, t: np.ndarray | None = 
     return total
 
 
-def eval_linpred(ctx: EvalContext, k: int, rows: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Public alias of the linear-predictor evaluation."""
-    return eval_eta(ctx, k, rows, t)
-
-
 def eval_ev(ctx: EvalContext, kind: str, j: int, rows: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     """Expected value of outcome j (or its time derivative/integral) at
     the given rows and an (n, A) time grid.
     """
     program = ctx.program
     target = program.outcomes[j]
-    time_indexed = _is_time_indexed(program.spec, j)
-    if time_indexed and t is None:
+    if target.time_indexed and t is None:
         raise ValueError(f"EV[{target.label}] is time-indexed: evaluation times are required")
 
     def ev_at(times):
@@ -541,7 +525,7 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, rows: np.ndarray, t: np.ndarray
         return target.family.inverse_link(eta)
 
     if kind == "EV":
-        return ev_at(t if time_indexed else None)
+        return ev_at(t if target.time_indexed else None)
     if kind in ("dEV", "d2EV"):
         scale = 1e-5 if kind == "dEV" else 1e-4
         h = scale * np.maximum(1.0, np.abs(t))
@@ -620,17 +604,16 @@ class FamilyContext:
         return self._ctx.theta[co.anc_slots[j - 1]]
 
 
-def outcome_logl(ctx: EvalContext, k: int, view: OutcomeView | None = None) -> np.ndarray:
-    """Conditional log-likelihood of outcome k's rows (or a row view),
-    one column per latent node: shape (n_rows, B).
+def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
+    """Conditional log-likelihood of outcome k's rows, one column per
+    latent node: shape (n_rows, B).
     """
     program = ctx.program
     co = program.outcomes[k]
     fam = co.family
     if fam.is_null or co.rows.size == 0:
         return np.zeros((0, 1))
-    if view is None:
-        view = co.view
+    view = co.view
     theta = ctx.theta
     anc = fam.natural_anc(theta[co.anc_slots]) if co.anc_slots else []
 

@@ -146,40 +146,95 @@ class TestKernelDraws:
         np.testing.assert_allclose(kern.log_density(b, chol)[0], expected, rtol=1e-12)
 
 
+def adapt_one(logcond, kern, chol, q):
+    """Adapt a single cell: ``logcond`` maps nodes (M, dim) to (M,)."""
+    mu, lam, iters, flagged = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, gh_rule(q), np.ones(1, bool))
+    return mu[0], lam[0], iters[0], flagged[0]
+
+
+def conjugate(y, s2, sb2):
+    """Log conditional of y_j ~ N(b, s2) and the closed-form posterior
+    mean and sd of b under b ~ N(0, sb2).
+    """
+    post_var = 1.0 / (len(y) / s2 + 1.0 / sb2)
+
+    def logcond(b):
+        return np.sum(-0.5 * np.log(2 * np.pi * s2) - 0.5 * (y[None, :] - b) ** 2 / s2, axis=1)
+
+    return logcond, post_var * np.sum(y) / s2, np.sqrt(post_var)
+
+
 class TestAdaptLocations:
     def test_conjugate_gaussian_posterior(self):
-        # y_j ~ N(b, s2), b ~ N(0, sb2): posterior mean/var in closed form
         rng = np.random.default_rng(11)
-        y = rng.normal(1.2, 0.5, size=8)
-        s2, sb2 = 0.25, 1.44
-        post_var = 1.0 / (len(y) / s2 + 1.0 / sb2)
-        post_mean = post_var * y.sum() / s2
+        logcond, mean, sd = conjugate(rng.normal(1.2, 0.5, size=8), 0.25, 1.44)
+        mu, lam, _, flagged = adapt_one(logcond, ReKernel(1), np.array([[1.2]]), 9)
+        assert not flagged
+        assert abs(mu[0] - mean) < 1e-8
+        assert abs(lam[0, 0] - sd) < 1e-8
+
+    def test_sharp_posterior_does_not_collapse(self):
+        # the prior-scaled 5-point grid puts almost all posterior weight on
+        # the node at 2.0; an unlimited covariance update shrinks the rule
+        # to ~0 there and reports convergence
+        logcond, mean, sd = conjugate(np.full(4, 3.0), 0.09, 0.49)
+        mu, lam, iters, flagged = adapt_one(logcond, ReKernel(1), np.array([[0.7]]), 5)
+        assert not flagged and iters < 20
+        assert abs(mu[0] - mean) < 1e-8
+        assert abs(lam[0, 0] - sd) < 1e-8
+
+    def test_sharp_two_dimensional_posterior(self):
+        # y_j ~ N(b1 + b2 t_j, s2): with many times the posterior is sharp
+        # and strongly correlated, far narrower than the prior in one
+        # direction only
+        rng = np.random.default_rng(13)
+        t = np.linspace(0.0, 4.0, 30)
+        Z = np.column_stack([np.ones_like(t), t])
+        s2, prior = 0.04, np.diag([0.8, 0.5])
+        y = Z @ np.array([0.6, -0.3]) + rng.normal(0, 0.2, t.size)
+        cov = np.linalg.inv(Z.T @ Z / s2 + np.linalg.inv(prior @ prior.T))
+        mean = cov @ Z.T @ y / s2
 
         def logcond(b):
-            return np.sum(-0.5 * np.log(2 * np.pi * s2) - 0.5 * (y[None, :] - b) ** 2 / s2, axis=1)
+            return np.sum(-0.5 * (y[None, :] - b @ Z.T) ** 2 / s2, axis=1)
 
-        kern = ReKernel(1)
-        res = adapt_locations(logcond, kern, np.array([[np.sqrt(sb2)]]), gh_rule(9))
-        assert not res.flagged
-        assert abs(res.shift[0] - post_mean) < 1e-8
-        assert abs(res.chol[0, 0] - np.sqrt(post_var)) < 1e-8
+        mu, lam, iters, flagged = adapt_one(logcond, ReKernel(2), prior, 5)
+        assert not flagged and iters < 20
+        np.testing.assert_allclose(mu, mean, atol=1e-8)
+        np.testing.assert_allclose(lam @ lam.T, cov, atol=1e-8)
+
+    def test_cells_adapt_independently(self):
+        rng = np.random.default_rng(12)
+        ys = [rng.normal(m, 0.5, size=6) for m in (-1.0, 0.3, 2.0)]
+        parts = [conjugate(y, 0.25, 1.0) for y in ys]
+        mu, lam, _, flagged = adapt_locations(
+            lambda x: np.stack([p[0](x[g]) for g, p in enumerate(parts)]),
+            ReKernel(1),
+            np.eye(1),
+            gh_rule(7),
+            np.array([True, False, True]),
+        )
+        assert not flagged.any()
+        for g in (0, 2):
+            assert abs(mu[g, 0] - parts[g][1]) < 1e-8
+            assert abs(lam[g, 0, 0] - parts[g][2]) < 1e-8
+        # an inactive cell keeps the prior
+        np.testing.assert_array_equal(mu[1], [0.0])
+        np.testing.assert_array_equal(lam[1], np.eye(1))
 
     def test_flat_likelihood_keeps_prior(self):
-        kern = ReKernel(1)
-        chol = np.array([[0.8]])
-        res = adapt_locations(lambda x: np.zeros(len(x)), kern, chol, gh_rule(9))
-        assert abs(res.shift[0]) < 1e-8
-        assert abs(res.chol[0, 0] - 0.8) < 1e-6
+        mu, lam, _, _ = adapt_one(lambda x: np.zeros(len(x)), ReKernel(1), np.array([[0.8]]), 9)
+        assert abs(mu[0]) < 1e-8
+        assert abs(lam[0, 0] - 0.8) < 1e-6
 
     def test_nonfinite_integrand_flags_fallback(self):
-        kern = ReKernel(1)
         chol = np.array([[1.0]])
-        res = adapt_locations(lambda x: np.full(len(x), -np.inf), kern, chol, gh_rule(7))
-        assert res.flagged
-        np.testing.assert_array_equal(res.shift, [0.0])
-        np.testing.assert_array_equal(res.chol, chol)
+        mu, lam, _, flagged = adapt_one(lambda x: np.full(len(x), -np.inf), ReKernel(1), chol, 7)
+        assert flagged
+        np.testing.assert_array_equal(mu, [0.0])
+        np.testing.assert_array_equal(lam, chol)
 
     def test_t_kernel_requires_df_above_two(self):
         kern = ReKernel(1, dist="t", df=2)
         with pytest.raises(ValueError):
-            adapt_locations(lambda x: np.zeros(len(x)), kern, np.eye(1), gh_rule(5))
+            adapt_one(lambda x: np.zeros(len(x)), kern, np.eye(1), 5)

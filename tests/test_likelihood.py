@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hiermix as hm
-from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, marginal_logl, mci_logl, profile_report
+from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, marginal_logl, profile_report
 from hiermix.predictor import compile_program
 
 
@@ -31,6 +31,45 @@ def mvn_marginal(data, theta):
         X = np.column_stack([np.asarray(data["x"])[m], np.ones(m.sum())])
         V = sb**2 * np.ones((m.sum(), m.sum())) + s**2 * np.eye(m.sum())
         r = yy - X @ beta
+        _, ld = np.linalg.slogdet(V)
+        total += -0.5 * (m.sum() * math.log(2 * math.pi) + ld + r @ np.linalg.solve(V, r))
+    return total
+
+
+def three_level_data(trials, patients, reps, sd, seed):
+    """y = 1 + 0.5 x + u[trial] + v[pat] + e with trial and patient effects
+    set to standardized normal scores in shuffled order, so that their
+    spread is exactly ``sd[0]`` and ``sd[1]``; residual sd ``sd[2]``.
+    """
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(seed)
+
+    def scores(n):
+        z = ndtri((np.arange(n) + 0.5) / n)
+        return z / z.std()
+
+    u = sd[0] * rng.permutation(scores(trials))
+    v = sd[1] * np.concatenate([rng.permutation(scores(patients)) for _ in range(trials)])
+    trial = np.repeat(np.arange(trials), patients * reps)
+    pat = np.repeat(np.arange(trials * patients), reps)
+    x = rng.normal(size=trial.size)
+    y = 1.0 + 0.5 * x + u[trial] + v[pat] + sd[2] * rng.normal(size=x.size)
+    return {"trial": trial + 1.0, "pat": pat + 1.0, "x": x, "y": y}
+
+
+def lmm3_marginal(data, beta, sd_resid, sd_trial, sd_pat):
+    """Closed-form marginal of the 3-level random-intercept model: per
+    trial y ~ N(X beta, sd_trial^2 J + sd_pat^2 Z Z' + sd_resid^2 I), Z
+    mapping rows to patients.
+    """
+    total = 0.0
+    for t in np.unique(data["trial"]):
+        m = data["trial"] == t
+        X = np.column_stack([data["x"][m], np.ones(m.sum())])
+        same_pat = (data["pat"][m][:, None] == data["pat"][m][None, :]).astype(float)
+        V = sd_trial**2 + sd_pat**2 * same_pat + sd_resid**2 * np.eye(m.sum())
+        r = data["y"][m] - X @ beta
         _, ld = np.linalg.slogdet(V)
         total += -0.5 * (m.sum() * math.log(2 * math.pi) + ld + r @ np.linalg.solve(V, r))
     return total
@@ -86,14 +125,14 @@ class TestMarginalLogl:
             }
         )
         la = marginal_logl(prog, plan_a, theta)
-        lb = mci_logl(prog, plan_b, theta)
+        lb = marginal_logl(prog, plan_b, theta)
         assert abs(la - lb) / abs(la) < 1e-3
 
     def test_single_zero_draw_equals_conditional_at_zero(self):
         data = gaussian_cluster_data(g=6, n=3)
         prog = make(data, "(y x M1[id], family(gaussian))")
         plan = IntegrationPlan(levels={"id": LevelPlan(method="qmc", m=1)}, skip=0)
-        got = mci_logl(prog, plan, THETA)
+        got = marginal_logl(prog, plan, THETA)
         # first Halton point is 1/2, i.e. the zero draw; conditional at
         # b = 0 is the fixed-effects Gaussian likelihood
         from hiermix.families import logl_gaussian
@@ -106,7 +145,7 @@ class TestMarginalLogl:
         data = gaussian_cluster_data(g=15, n=5, seed=7)
         prog = make(data, "(y x M1[id], family(gaussian))")
         plan = default_plan(prog, method="qmc", draws=5000)
-        got = mci_logl(prog, plan, THETA)
+        got = marginal_logl(prog, plan, THETA)
         exact = mvn_marginal(data, THETA)
         assert abs(got - exact) / abs(exact) < 1e-3
 
@@ -121,7 +160,7 @@ class TestMarginalLogl:
             exact = mvn_marginal(data, THETA)
             for m in sizes:
                 plan = default_plan(prog, method="qmc", draws=m)
-                errors[m].append(abs(mci_logl(prog, plan, THETA) - exact))
+                errors[m].append(abs(marginal_logl(prog, plan, THETA) - exact))
         med = [np.median(errors[m]) for m in sizes]
         assert med[0] > med[1] > med[2]
 
@@ -137,8 +176,34 @@ class TestMarginalLogl:
             prog2 = make(shuffled, "(y x M1[id], family(gaussian))")
             got = marginal_logl(prog2, default_plan(prog2, points=9), THETA)
             assert abs(got - base) < 1e-12
+        # three levels: shuffled rows and relabelled trial and patient ids
+        # give the same value bit for bit
+        d3 = three_level_data(trials=3, patients=6, reps=2, sd=(0.8, 0.7, 0.5), seed=9)
+        text = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+        theta3 = np.array([0.3, 1.0, math.log(0.5), math.log(0.8), math.log(0.7)])
+        prog3 = make(d3, text)
+        base3 = marginal_logl(prog3, default_plan(prog3, points=5), theta3)
+        for _ in range(3):
+            perm = rng.permutation(len(d3["y"]))
+            shuffled = {k: np.asarray(v)[perm] for k, v in d3.items()}
+            for level in ("trial", "pat"):
+                ids = np.unique(shuffled[level])
+                relabel = dict(zip(ids, 1000.0 + rng.permutation(ids.size)))
+                shuffled[level] = np.array([relabel[v] for v in shuffled[level]])
+            prog4 = make(shuffled, text)
+            assert marginal_logl(prog4, default_plan(prog4, points=5), theta3) == base3
 
-    def test_nesting_consistency_with_degenerate_outer_level(self):
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            LevelPlan(q=9),
+            LevelPlan(q=9, adaptive=False),
+            LevelPlan(method="qmc", m=2000),
+            LevelPlan(q=9, dist="t", df=5),
+        ],
+        ids=["aghq", "aghq-nonadaptive", "qmc", "aghq-t5"],
+    )
+    def test_nesting_consistency_with_degenerate_outer_level(self, inner):
         rng = np.random.default_rng(6)
         trial = np.repeat([1.0, 2.0, 3.0, 4.0], 9)
         pat = np.repeat(np.arange(12) + 1.0, 3)
@@ -148,9 +213,29 @@ class TestMarginalLogl:
         p2 = make(d3, "(y M2[pat], family(gaussian))")
         theta3 = np.array([0.4, math.log(0.6), -20.0, math.log(0.8)])
         theta2 = np.array([0.4, math.log(0.6), math.log(0.8)])
-        l3 = marginal_logl(p3, default_plan(p3, points=9), theta3)
-        l2 = marginal_logl(p2, default_plan(p2, points=9), theta2)
+        l3 = marginal_logl(p3, IntegrationPlan(levels={"trial": LevelPlan(q=9), "pat": inner}), theta3)
+        l2 = marginal_logl(p2, IntegrationPlan(levels={"pat": inner}), theta2)
         assert abs(l3 - l2) < 1e-6
+
+    @pytest.mark.parametrize("points", [5, 9])
+    def test_nested_aghq_exact_for_sharp_posteriors(self, points):
+        # 4 rows per patient with residual sd 0.3 make each patient's
+        # posterior far narrower than the prior-scaled grid; nested
+        # adaptive quadrature is still exact for a Gaussian model
+        from scipy.optimize import minimize
+
+        data = three_level_data(trials=3, patients=2, reps=4, sd=(1.0, 0.7, 0.3), seed=1)
+        prog = make(data, "(y x M1[trial] M2[trial>pat], family(gaussian))")
+        X = np.column_stack([data["x"], np.ones(data["x"].size)])
+        start = np.r_[np.linalg.lstsq(X, data["y"], rcond=None)[0], np.full(3, math.log(0.5))]
+        opt = minimize(lambda p: -lmm3_marginal(data, p[:2], *np.exp(p[2:])), start, method="BFGS", options={"gtol": 1e-9})
+        theta = opt.x  # x, _cons, ln_sd, ln_sd(M1), ln_sd(M2): the closed-form maximum
+        exact = lmm3_marginal(data, theta[:2], *np.exp(theta[2:]))
+        plan = default_plan(prog, points=points)
+        assert abs(marginal_logl(prog, plan, theta) - exact) < 1e-8 * abs(exact)
+        rep = profile_report(prog, plan, theta)
+        assert not rep["adaptation_fallbacks"]
+        assert max(n for key, n in rep["adaptation_iterations"].items() if key[0] == "trial") < 10
 
     def test_aghq_convergence_toward_high_q(self):
         # non-adaptive quadrature so the Q-sequence has real error to shed
@@ -230,12 +315,6 @@ class TestPlans:
         prog = make(data, "(y x M1[id], family(gaussian))")
         with pytest.raises(ValueError, match="df > 2"):
             default_plan(prog, method="aghq", redistribution="t", t_df=2)
-
-    def test_mci_logl_requires_qmc_level(self):
-        data = gaussian_cluster_data(g=4, n=2)
-        prog = make(data, "(y x M1[id], family(gaussian))")
-        with pytest.raises(ValueError, match="qmc"):
-            mci_logl(prog, default_plan(prog), THETA)
 
 
 class TestProfileReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hiermix as hm
-from hiermix.predictor import CompileError, EvalContext, compile_program, eval_ev, eval_linpred
+from hiermix.predictor import CompileError, EvalContext, compile_program, eval_eta, eval_ev
 
 
 def make_program(spec_text, data):
@@ -88,7 +88,7 @@ class TestEvalLinpred:
         theta = np.zeros(prog.n_params)
         theta[prog.slot_index("b")] = 3.0
         ctx = EvalContext(prog, theta, {})
-        eta = eval_linpred(ctx, 0, prog.outcomes[0].view.rows)
+        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows)
         np.testing.assert_allclose(eta[:, 0, 0], [6.0, 15.0])
 
     def test_latent_interaction(self):
@@ -97,7 +97,7 @@ class TestEvalLinpred:
         theta = np.zeros(prog.n_params)
         vals = {"M1": np.array([[0.4], [9.9]])}
         ctx = EvalContext(prog, theta, vals)
-        eta = eval_linpred(ctx, 0, prog.outcomes[0].view.rows)
+        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows)
         # row of unit 1: trt=1 so 0.4 added; unit 2 has trt=0
         np.testing.assert_allclose(sorted(eta[:, 0, 0]), [0.0, 0.4])
 
@@ -108,7 +108,7 @@ class TestEvalLinpred:
         theta[prog.slot_index("phi")] = 2.0
         ctx = EvalContext(prog, theta, {})
         t = np.array([[math.e]])
-        eta = eval_linpred(ctx, 0, prog.outcomes[0].view.rows, t)
+        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows, t)
         np.testing.assert_allclose(eta[0, 0, 0], 2.0, rtol=1e-12)
 
     def test_linear_in_each_coefficient(self):
@@ -123,8 +123,8 @@ class TestEvalLinpred:
                 t1 = np.zeros(prog.n_params)
                 t2 = t1.copy()
                 t2[i] = delta
-                e1 = eval_linpred(EvalContext(prog, t1, {}), 0, rows)
-                e2 = eval_linpred(EvalContext(prog, t2, {}), 0, rows)
+                e1 = eval_eta(EvalContext(prog, t1, {}), 0, rows)
+                e2 = eval_eta(EvalContext(prog, t2, {}), 0, rows)
                 slopes.append((e2 - e1)[:, 0, 0] / delta)
             np.testing.assert_allclose(slopes[0], slopes[1], atol=1e-10)
             np.testing.assert_allclose(slopes[1], slopes[2], atol=1e-10)
@@ -135,21 +135,21 @@ class TestEvalLinpred:
         p1 = make_program("(y a#b, family(gaussian))", data)
         p2 = make_program("(y b#a, family(gaussian))", data)
         theta = np.array([0.7, 0.1, 0.0])
-        e1 = eval_linpred(EvalContext(p1, theta, {}), 0, p1.outcomes[0].view.rows)
-        e2 = eval_linpred(EvalContext(p2, theta, {}), 0, p2.outcomes[0].view.rows)
+        e1 = eval_eta(EvalContext(p1, theta, {}), 0, p1.outcomes[0].view.rows)
+        e2 = eval_eta(EvalContext(p2, theta, {}), 0, p2.outcomes[0].view.rows)
         np.testing.assert_allclose(e1, e2)
 
     def test_missing_latent_assignment_raises(self):
         prog = make_program("(y M1[id], family(gaussian))", {"id": [1.0], "y": [0.5]})
         ctx = EvalContext(prog, np.zeros(prog.n_params), {})
         with pytest.raises(ValueError, match="M1"):
-            eval_linpred(ctx, 0, prog.outcomes[0].view.rows)
+            eval_eta(ctx, 0, prog.outcomes[0].view.rows)
 
     def test_missing_time_raises(self):
         prog = make_program("(y fp(1)@a, family(gaussian) timevar(t))", {"y": [1.0], "t": [0.5]})
         ctx = EvalContext(prog, np.zeros(prog.n_params), {})
         with pytest.raises(ValueError, match="time"):
-            eval_linpred(ctx, 0, prog.outcomes[0].view.rows, None)
+            eval_eta(ctx, 0, prog.outcomes[0].view.rows, None)
 
 
 class TestEvalEv:
@@ -181,7 +181,7 @@ class TestEvalEv:
         rows = prog.outcomes[0].view.rows
         t = np.full((len(rows), 1), 2.0)
         ev = eval_ev(ctx, "EV", 1, rows, t)
-        eta = eval_linpred(ctx, 1, rows, t)
+        eta = eval_eta(ctx, 1, rows, t)
         np.testing.assert_allclose(ev, eta)
         # linear trajectory: a + b t with the unit's intercept shift
         expect = 1.0 + 0.5 * 2.0 + vals["M1"][prog.unit_index["id"][rows], 0]
