@@ -127,10 +127,6 @@ class Hierarchy:
     def n_units(self, level: int) -> int:
         return len(self.unit_ids[level])
 
-    def describe(self) -> str:
-        parts = [f"{name}: {self.n_units(i)} units" for i, name in enumerate(self.levels)]
-        return "; ".join(parts)
-
 
 def build_hierarchy(frame: DataFrame, level_columns: list[str]) -> Hierarchy:
     """Group rows by nested cluster ids, outermost level first.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DataFrame, build_hierarchy, split_outcome_rows
+from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
 
 __all__ = [
     "SpecSyntaxError",
@@ -462,6 +462,13 @@ def _check_family(fam: FamilySpec, pos: int) -> None:
 _GLOBAL_KEYS = ("covariance", "redistribution", "df")
 
 
+def _global_option(key: str, val: str, pos: int) -> tuple:
+    """(value, position) of a spec-wide option, given at the outcome or
+    the specification level.
+    """
+    return (_parse_int(val, pos, "t df") if key == "df" else val.strip()), pos
+
+
 def _parse_outcome(body: str, pos: int) -> tuple[OutcomeSpec, dict]:
     parts = _split_depth0(body, pos, ",")
     element_text, element_pos = parts[0]
@@ -482,12 +489,8 @@ def _parse_outcome(body: str, pos: int) -> tuple[OutcomeSpec, dict]:
                 noconstant = True
             elif key == "np":
                 n_anc_opt = _parse_int(val, p, "np")
-            elif key == "covariance":
-                overrides["covariance"] = (val.strip(), p)
-            elif key == "redistribution":
-                overrides["redistribution"] = (val.strip(), p)
-            elif key == "df":
-                overrides["df"] = (_parse_int(val, p, "t df"), p)
+            elif key in _GLOBAL_KEYS:
+                overrides[key] = _global_option(key, val, p)
             else:
                 raise SpecSyntaxError(f"unknown outcome option {key!r}", p)
     if family is None:
@@ -562,14 +565,9 @@ def parse_model_spec(text: str) -> ModelSpec:
     spec_level: dict = {}
     if tail.strip():
         for key, val, p in _parse_options(tail, tail_pos):
-            if key == "covariance":
-                spec_level["covariance"] = (val.strip(), p)
-            elif key == "redistribution":
-                spec_level["redistribution"] = (val.strip(), p)
-            elif key == "df":
-                spec_level["df"] = (_parse_int(val, p, "t df"), p)
-            else:
+            if key not in _GLOBAL_KEYS:
                 raise SpecSyntaxError(f"unknown specification option {key!r}", p)
+            spec_level[key] = _global_option(key, val, p)
     for key, v in spec_level.items():
         merged.setdefault(key, v)
 
@@ -884,6 +882,15 @@ def load_spec_file(path) -> ModelSpec:
     return parse_model_spec(text)
 
 
+def _as_spec(spec) -> ModelSpec:
+    """A ModelSpec as given, from its dict form, or parsed from text."""
+    if isinstance(spec, ModelSpec):
+        return spec
+    if isinstance(spec, dict):
+        return spec_from_dict(spec)
+    return parse_model_spec(str(spec))
+
+
 def save_spec_file(spec: ModelSpec, path) -> None:
     with open(path, "w") as fh:
         json.dump(spec_to_dict(spec), fh, indent=2)
@@ -900,6 +907,9 @@ class ValidationReport:
     errors: list[str]
     levels: list[tuple[str, int]]  # (level name, unit count), outermost first
     n_latents: int
+    # built while checking; compile_program reuses them for a passing report
+    hierarchy: Hierarchy | None = None
+    outcome_rows: list[OutcomeRows] | None = None
 
     @property
     def ok(self) -> bool:
@@ -971,7 +981,7 @@ def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
             if np.any(t0[mask] >= y[mask]):
                 errors.append(f"outcome {k + 1}: entry times in {fam.ltrunc!r} must precede the event times")
 
-    hierarchy = None
+    hierarchy = rows_list = None
     try:
         hierarchy = build_hierarchy(frame, list(spec.levels))
         if not errors:
@@ -992,4 +1002,4 @@ def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
     levels = []
     if hierarchy is not None:
         levels = [(name, hierarchy.n_units(i)) for i, name in enumerate(hierarchy.levels)]
-    return ValidationReport(errors, levels, len(spec.latents))
+    return ValidationReport(errors, levels, len(spec.latents), hierarchy, rows_list)

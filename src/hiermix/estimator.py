@@ -11,20 +11,12 @@ from dataclasses import replace
 import numpy as np
 
 from .data import as_frame
-from .dsl import ModelSpec, SpecValidationError, parse_model_spec, spec_from_dict, validate_spec
+from .dsl import SpecValidationError, _as_spec, validate_spec
 from .likelihood import LikelihoodEvaluator, default_plan
 from .optim import FitResult, build_fit_result, initial_values, maximize
 from .predictor import compile_program
 
 __all__ = ["fit_model", "MixedModel"]
-
-
-def _as_spec(spec) -> ModelSpec:
-    if isinstance(spec, ModelSpec):
-        return spec
-    if isinstance(spec, dict):
-        return spec_from_dict(spec)
-    return parse_model_spec(str(spec))
 
 
 def fit_model(
@@ -57,7 +49,7 @@ def fit_model(
     report = validate_spec(model_spec, frame)
     if not report.ok:
         raise SpecValidationError("; ".join(report.errors))
-    program = compile_program(model_spec, frame, gl_points=gl_points)
+    program = compile_program(model_spec, frame, report, gl_points=gl_points)
     plan = default_plan(
         program,
         points=points,
@@ -186,24 +178,8 @@ class MixedModel:
         return self
 
     def fit(self, data, init=None, fixed=None, verbose: bool = False) -> "MixedModel":
-        result = fit_model(
-            self.spec,
-            data,
-            points=self.points,
-            draws=self.draws,
-            method=self.method,
-            redistribution=self.redistribution,
-            t_df=self.t_df,
-            covariance=self.covariance,
-            adaptive=self.adaptive,
-            skip=self.skip,
-            gl_points=self.gl_points,
-            max_iter=self.max_iter,
-            threads=self.threads,
-            init=init,
-            fixed=fixed,
-            verbose=verbose,
-        )
+        params = self.get_params()
+        result = fit_model(params.pop("spec"), data, init=init, fixed=fixed, verbose=verbose, **params)
         self.result_ = result
         self.names_ = list(result.names)
         self.theta_ = result.theta.copy()

@@ -1,5 +1,5 @@
 """Per-observation log-likelihoods for the built-in outcome families,
-hazard quadrature for general survival models, and the user-extension
+Gauss-Legendre nodes for hazard quadrature, and the user-extension
 hooks.
 
 All functions broadcast over numpy arrays; the fitting engine calls
@@ -23,9 +23,8 @@ __all__ = [
     "logl_binomial",
     "logl_beta",
     "logl_negbin",
-    "surv_logl",
-    "hazard_quadrature_logl",
     "gauss_legendre",
+    "RpColumns",
     "rp_logl",
     "register_user_family",
     "user_family_hooks",
@@ -155,26 +154,6 @@ def _surv_cum_hazard(name, t, eta, anc):
     raise ValueError(f"no closed-form cumulative hazard for family {name!r}")
 
 
-def surv_logl(y, d, family, eta, anc=None, t0=0.0):
-    """Survival log-likelihood d*log h(y) - H(y) + H(t0) for a family
-    with closed-form hazards. ``anc`` is the shape/scale on the natural
-    scale (Weibull/Gompertz/log-logistic gamma, log-normal sigma).
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("survival times must be positive")
-    t0 = np.asarray(t0, dtype=float)
-    if np.any(t0 >= y):
-        raise ValueError("entry times must precede event times")
-    d = np.asarray(d, dtype=float)
-    out = -_surv_cum_hazard(family, y, eta, anc)
-    out = out + np.where(t0 > 0, _surv_cum_hazard(family, np.maximum(t0, 1e-300), eta, anc), 0.0)
-    event = d != 0
-    if np.any(event):
-        out = out + np.where(event, d * _surv_log_hazard(family, y, eta, anc), 0.0)
-    return out
-
-
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (-1, 1)."""
     if q < 1:
@@ -182,96 +161,75 @@ def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(q)
 
 
-def hazard_quadrature_logl(y, d, log_hazard, t0=0.0, q_gl: int = 30):
-    """d*log h(y) minus the Gauss-Legendre approximation of the
-    cumulative hazard over (0, y], plus the entry-time correction over
-    (0, t0]. ``log_hazard(t)`` must broadcast over an array of times.
-    """
-    y = float(y)
-    if y <= 0:
-        raise ValueError("survival time must be positive")
-    if t0 >= y:
-        raise ValueError("entry time must precede the event time")
-    nodes, weights = gauss_legendre(q_gl)
-
-    def cumhaz(upper: float) -> float:
-        if upper <= 0:
-            return 0.0
-        t = 0.5 * upper * (nodes + 1.0)
-        h = np.exp(np.asarray(log_hazard(t), dtype=float))
-        if not np.all(np.isfinite(h)):
-            raise ValueError("hazard is not finite at a quadrature node")
-        return 0.5 * upper * float(weights @ h)
-
-    out = -cumhaz(y) + cumhaz(t0)
-    if d:
-        lh = float(np.asarray(log_hazard(np.asarray([y])), dtype=float).ravel()[0])
-        out += d * lh
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spline-on-log-cumulative-hazard survival model
 # ---------------------------------------------------------------------------
 
 
-def rp_logl(
-    y,
-    d,
-    basis: RcsBasis,
-    coefs,
-    eta,
-    t0=0.0,
-    bhaz=0.0,
-    eta_plus=None,
-    eta_minus=None,
-    eta_entry=None,
-    log_step=None,
-):
+class RpColumns:
+    """Spline columns of the log cumulative-hazard model at fixed times:
+    s(log y) and its derivative; with a ``log_step``, s at
+    log y +/- log_step for a time-dependent eta; s(log t0) where there
+    is delayed entry (t0 > 0). Built once per data set, so that
+    ``rp_logl`` only multiplies them by the coefficients.
+    """
+
+    def __init__(self, basis: RcsBasis, y, t0=0.0, log_step=None):
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0):
+            raise ValueError("survival times must be positive")
+        t0 = np.asarray(t0, dtype=float)
+        x = np.log(y)
+        self.y = y
+        self.at_y = rcs_eval(basis, x)
+        self.deriv_at_y = rcs_deriv(basis, x)
+        self.log_step = None if log_step is None else np.asarray(log_step, dtype=float)
+        if self.log_step is not None:
+            self.at_plus = rcs_eval(basis, x + self.log_step)
+            self.at_minus = rcs_eval(basis, x - self.log_step)
+        self.entry = t0 > 0
+        self.at_t0 = rcs_eval(basis, np.log(np.where(self.entry, t0, 1.0))) if np.any(self.entry) else None
+
+
+def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=None, eta_entry=None):
     """Survival log-likelihood on the log cumulative-hazard scale:
-    log H(y) = s(log y) + eta with s a restricted cubic spline.
+    log H(y) = s(log y) + eta with s a restricted cubic spline, whose
+    columns at the data's times are in ``cols``.
 
     With a time-constant eta the hazard uses the analytic spline
     derivative. For a time-dependent eta, pass eta evaluated at
     y*exp(+/-log_step) via ``eta_plus``/``eta_minus`` (and at the entry
-    time via ``eta_entry``); the log-time derivative is then a central
-    difference. ``bhaz`` is an expected reference hazard added to the
-    event hazard (zero when not modelling excess hazard).
+    time via ``eta_entry``), with ``cols`` built for that log_step; the
+    log-time derivative is then a central difference. ``bhaz`` is an
+    expected reference hazard added to the event hazard (zero when not
+    modelling excess hazard).
 
     Returns -inf where the total hazard at an event time is
     non-positive, so an optimizer can reject the step.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("survival times must be positive")
     d = np.asarray(d, dtype=float)
-    t0 = np.asarray(t0, dtype=float)
     coefs = np.asarray(coefs, dtype=float)
-    x = np.log(y)
-    s_x = rcs_eval(basis, x) @ coefs
-    log_H = s_x + eta
+    log_H = cols.at_y @ coefs + eta
     with np.errstate(over="ignore"):
         H = np.exp(log_H)
     if eta_plus is not None:
-        if log_step is None:
-            raise ValueError("time-dependent eta needs the log_step used for eta_plus/eta_minus")
-        h_ = np.asarray(log_step, dtype=float)
-        f_plus = rcs_eval(basis, x + h_) @ coefs + eta_plus
-        f_minus = rcs_eval(basis, x - h_) @ coefs + eta_minus
-        dF = (f_plus - f_minus) / (2.0 * h_)
+        if cols.log_step is None:
+            raise ValueError("time-dependent eta needs spline columns built with a log_step")
+        f_plus = cols.at_plus @ coefs + eta_plus
+        f_minus = cols.at_minus @ coefs + eta_minus
+        dF = (f_plus - f_minus) / (2.0 * cols.log_step)
     else:
-        dF = rcs_deriv(basis, x) @ coefs
+        dF = cols.deriv_at_y @ coefs
     # hazard h(y) = H(y) * dF/dlog(y) / y
     with np.errstate(over="ignore", invalid="ignore"):
-        hazard = H * dF / y
+        hazard = H * dF / cols.y
         total = hazard + bhaz
         event_term = np.where(total > 0, np.log(np.maximum(total, 1e-300)), -np.inf)
     out = np.where(d != 0, d * event_term, 0.0) - H
-    entry_eta = eta if eta_entry is None else eta_entry
-    if np.any(t0 > 0):
-        s_t0 = rcs_eval(basis, np.log(np.where(t0 > 0, t0, 1.0))) @ coefs
+    if cols.at_t0 is not None:
+        entry_eta = eta if eta_entry is None else eta_entry
         with np.errstate(over="ignore"):
-            out = out + np.where(t0 > 0, np.exp(s_t0 + entry_eta), 0.0)
+            out = out + np.where(cols.entry, np.exp(cols.at_t0 @ coefs + entry_eta), 0.0)
     return out
 
 

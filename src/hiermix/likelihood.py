@@ -203,7 +203,7 @@ class LikelihoodEvaluator:
             if co.rows.size == 0:
                 self.segments.append(None)
                 continue
-            ordinals = program.unit_index[inner.info.name][co.rows]
+            ordinals = co.units[inner.info.name]
             starts = np.concatenate(([0], np.flatnonzero(np.diff(ordinals) != 0) + 1))
             self.segments.append((starts, ordinals[starts]))
             has_rows[ordinals[starts]] = True

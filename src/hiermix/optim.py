@@ -321,18 +321,15 @@ def _initial_design(program, co):
     indices, column names).
     """
     cols, slots, names = [], [], []
-    n = co.view.n
+    n = co.rows.size
     for cc in co.components:
         if cc.slots is None or cc.latents or cc.evlinks:
             continue
-        base = cc.cov_product(program.frame, co.view.rows)
-        base = np.ones(n) if base is None else base[:, 0, 0]
+        base = cc.cov[co.index][:, 0, 0] if cc.cov_names else np.ones(n)
         if cc.timefn is not None:
-            if co.times is None:
+            if co.grid is None:
                 continue
-            el, basis, log_scale = cc.timefn
-            t = co.view.times.reshape(-1, 1)
-            b = program.basis_at(basis, t, log_scale)[:, 0, :]
+            b = co.grid.cols[cc.key][:, 0, :]
             for j, slot in enumerate(cc.slots):
                 cols.append(base * b[:, j])
                 slots.append(slot)
@@ -362,9 +359,9 @@ def initial_values(program) -> np.ndarray:
         if fam.is_null or co.rows.size == 0:
             continue
         if fam.is_survival:
-            y = co.view.response
-            d = co.view.event
-            t0 = co.view.entry
+            y = co.response
+            d = co.event
+            t0 = co.entry
             exposure = float(np.sum(y - t0))
             events = float(np.sum(d))
             base_rate = math.log(max(events, 0.5) / max(exposure, 1e-12))
@@ -388,14 +385,14 @@ def initial_values(program) -> np.ndarray:
             x, slots, names = _initial_design(program, co)
             if x is not None:
                 _check_design(x, names, co.label)
-                beta = _glm_irls(x, co.view.response, "identity")
+                beta = _glm_irls(x, co.response, "identity")
                 theta[slots] = beta
             continue
         x, slots, names = _initial_design(program, co)
         if x is None:
             continue
         _check_design(x, names, co.label)
-        y = co.view.response
+        y = co.response
         beta = _glm_irls(x, y, fam.link)
         theta[slots] = beta
         if fam.name == "gaussian":

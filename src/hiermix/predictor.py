@@ -3,9 +3,14 @@ predictors and per-observation log-likelihoods.
 
 Evaluation is vectorized over a canonical three-axis shape
 (rows, times, integration nodes); arrays carry singleton axes where a
-dimension is unused and combine by broadcasting. Caches key on array
-object identity and hold a reference to the keyed array, so keys stay
-valid for the lifetime of the cache.
+dimension is unused and combine by broadcasting. ``compile_program``
+computes everything that is fixed once the data are bound: each
+outcome's rows in canonical order with their unit ordinals and
+evaluation grid, covariate products at the rows of every outcome that
+evaluates them, time-function columns at compiled grids, and the spline
+columns of the ``rp`` baseline. An objective call computes only what
+depends on the parameters or on grids it builds itself, and keeps
+nothing beyond its own ``EvalContext``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam_mod
-from .basis import FpBasis, RcsBasis, default_knots, rcs_deriv, rcs_eval
+from .basis import FpBasis, RcsBasis, default_knots, rcs_eval
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
-from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, _time_indexed
+from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, ValidationReport, _time_indexed
 from .families import Family, gauss_legendre, make_family
 
 __all__ = [
@@ -26,7 +31,7 @@ __all__ = [
     "LevelInfo",
     "Program",
     "EvalContext",
-    "OutcomeView",
+    "Grid",
     "compile_program",
     "eval_ev",
     "outcome_logl",
@@ -67,46 +72,28 @@ class LevelInfo:
         return len(self.latent_names)
 
 
-class OutcomeView:
-    """Stable views of one outcome's row data. Object identity keys the
-    evaluation caches.
+@dataclass(eq=False)
+class Grid:
+    """Evaluation times (n, A) at the rows of one outcome, with the
+    time-function columns of the components evaluated there, keyed by
+    (outcome, component). Grids built during a call carry no columns.
     """
 
-    __slots__ = ("rows", "response", "event", "entry", "entry_mask", "bhaz", "times", "tgrid", "rp_logstep", "n")
-
-    def __init__(self, co):
-        self.rows = co.rows
-        self.n = len(self.rows)
-        for name in ("response", "event", "entry", "entry_mask", "bhaz", "times", "tgrid", "rp_logstep"):
-            setattr(self, name, getattr(co, name))
+    t: np.ndarray
+    cols: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
 
 class _CompiledComponent:
-    def __init__(self, program, outcome_idx: int, comp_idx: int, comp):
+    def __init__(self, outcome_idx: int, comp_idx: int, comp):
         self.spec = comp
         self.key = (outcome_idx, comp_idx)
         self.cov_names: list[str] = []
+        self.cov: dict[int, np.ndarray] = {}  # outcome r -> covariate product (n_r, 1, 1) at r's rows
         self.latents: list = []
         self.timefn = None  # (TimeFn, basis object, log_scale)
         self.evlinks: list[tuple[str, int]] = []
         self.slots: list[int] | None = None
         self.ncols = 1
-        self._program = program
-
-    def cov_product(self, frame: DataFrame, rows: np.ndarray) -> np.ndarray | None:
-        if not self.cov_names:
-            return None
-        cache = self._program._row_cache
-        key = ("cov", self.key, id(rows))
-        hit = cache.get(key)
-        if hit is not None and hit[0] is rows:
-            return hit[1]
-        out = frame.col(self.cov_names[0])[rows]
-        for name in self.cov_names[1:]:
-            out = out * frame.col(name)[rows]
-        out = out.reshape(-1, 1, 1)
-        cache[key] = (rows, out)
-        return out
 
 
 class _CompiledOutcome:
@@ -121,6 +108,7 @@ class _CompiledOutcome:
         self.entry = orows.entry
         self.bhaz = orows.bhaz
         self.times = orows.times
+        self.units: dict[str, np.ndarray] = {}  # level -> unit ordinal of each row
         self.components: list[_CompiledComponent] = []
         self.cons_slot: int | None = None
         self.anc_slots: list[int] = []
@@ -128,11 +116,12 @@ class _CompiledOutcome:
         self.spline_slots: list[int] = []
         self.has_time = False  # any time-dependent element in eta
         self.time_indexed = False  # expected value depends on time (directly or through EV links)
-        self.needs_grid = False  # survival likelihood requires hazard quadrature
-        self.tgrid: np.ndarray | None = None
+        # own evaluation times: (n, 1) measurement times, or the survival
+        # grid [y | y-nodes | entry-nodes], or [y | y e^step | y e^-step | t0]
+        self.grid: Grid | None = None
         self.entry_mask: np.ndarray | None = None
-        self.rp_logstep: np.ndarray | None = None
-        self.view: OutcomeView | None = None  # all rows, built after ordering
+        self.log_step: np.ndarray | None = None  # (n, 1, 1) log-time difference step
+        self.rp: fam_mod.RpColumns | None = None
 
 
 class Program:
@@ -149,10 +138,7 @@ class Program:
         self.slots: list[Slot] = []
         self.outcomes: list[_CompiledOutcome] = []
         self.levels: list[LevelInfo] = []
-        self.unit_index: dict[str, np.ndarray] = {}
         self.knots: dict[str, tuple[float, ...]] = {}
-        self._row_cache: dict = {}
-        self._basis_cache: dict = {}
 
     @property
     def n_params(self) -> int:
@@ -176,20 +162,6 @@ class Program:
     def _add_slot(self, slot: Slot) -> int:
         self.slots.append(slot)
         return len(self.slots) - 1
-
-    def basis_at(self, basis, t: np.ndarray, log_scale: bool, deriv: bool = False) -> np.ndarray:
-        """Basis columns at a time grid, cached per grid object."""
-        key = (id(basis), id(t), log_scale, deriv)
-        hit = self._basis_cache.get(key)
-        if hit is not None and hit[0] is t:
-            return hit[1]
-        if isinstance(basis, FpBasis):
-            cols = _fp_eval_relaxed(basis, t)
-        else:
-            x = np.log(t) if log_scale else t
-            cols = rcs_deriv(basis, x) if deriv else rcs_eval(basis, x)
-        self._basis_cache[key] = (t, cols)
-        return cols
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +192,20 @@ def _fp_eval_relaxed(basis: FpBasis, t: np.ndarray) -> np.ndarray:
 
 
 def compile_program(
-    spec: ModelSpec, frame: DataFrame, hierarchy: Hierarchy | None = None, gl_points: int = 30
+    spec: ModelSpec, frame: DataFrame, report: ValidationReport | None = None, gl_points: int = 30
 ) -> Program:
     """Resolve every element to an evaluator, fix the parameter layout,
-    and precompute the survival-time evaluation grids.
+    and compute every evaluation input that does not depend on the
+    parameters. A passing ``validate_spec`` report of the same spec and
+    frame lends its hierarchy and outcome rows instead of building them
+    again.
     """
-    if hierarchy is None:
-        hierarchy = build_hierarchy(frame, list(spec.levels))
+    if report is None:
+        hierarchy, rows_list = build_hierarchy(frame, list(spec.levels)), split_outcome_rows(frame, spec)
+    else:
+        hierarchy, rows_list = report.hierarchy, report.outcome_rows
     program = Program(spec, frame, hierarchy, gl_points)
-    for i, name in enumerate(hierarchy.levels):
-        program.unit_index[name] = hierarchy.row_unit[i]
 
-    rows_list = split_outcome_rows(frame, spec)
     labels = _unique_labels(spec)
     multi = len(spec.outcomes) > 1
 
@@ -250,7 +224,7 @@ def compile_program(
         co = program.outcomes[k]
         label = labels[k]
         for c, comp in enumerate(outcome.components):
-            cc = _CompiledComponent(program, k, c, comp)
+            cc = _CompiledComponent(k, c, comp)
             texts = []
             for el in comp.elements:
                 if isinstance(el, Covariate):
@@ -309,17 +283,16 @@ def compile_program(
             ]
         if not outcome.noconstant:
             co.cons_slot = program._add_slot(Slot(pname(label, "_cons"), kind="cons", outcome=k))
-        for anc_name, transform, report in co.family.anc_info:
+        for anc_name, transform, shown in co.family.anc_info:
             co.anc_slots.append(
                 program._add_slot(
-                    Slot(pname(label, anc_name), transform=transform, report=pname(label, report), kind="anc", outcome=k)
+                    Slot(pname(label, anc_name), transform=transform, report=pname(label, shown), kind="anc", outcome=k)
                 )
             )
-        co.needs_grid = co.family.is_survival and (
-            co.has_time or co.family.user_hazard is not None or co.family.user_cumhazard is not None
-        )
         _order_rows(program, co)
-        co.view = OutcomeView(co)
+
+    for r, co in enumerate(program.outcomes):
+        _precompute_at_rows(program, r)
 
     for lidx, lname in enumerate(hierarchy.levels):
         info = LevelInfo(lname, lidx, [li.name for li in spec.latents_at(lname)])
@@ -388,6 +361,8 @@ def _order_rows(program: Program, co: _CompiledOutcome) -> None:
     (outermost level most significant), then the row's own data values
     as tie-breakers, so any input row permutation evaluates identically.
     """
+    levels = program.hierarchy.levels
+    co.units = {lname: program.hierarchy.row_unit[i][co.rows] for i, lname in enumerate(levels)}
     if co.rows.size == 0:
         return
     keys = []
@@ -397,40 +372,97 @@ def _order_rows(program: Program, co: _CompiledOutcome) -> None:
     for arr in (co.times, co.entry, co.event, co.response):
         if arr is not None:
             keys.append(arr)
-    for lname in reversed(program.hierarchy.levels):
-        keys.append(program.unit_index[lname][co.rows])
+    for lname in reversed(levels):
+        keys.append(co.units[lname])
     order = np.lexsort(keys) if keys else np.arange(co.rows.size)
     co.rows = co.rows[order]
+    co.units = {lname: units[order] for lname, units in co.units.items()}
     for attr in ("response", "event", "entry", "bhaz", "times"):
         v = getattr(co, attr)
         if v is not None:
             setattr(co, attr, v[order])
     if co.family.is_survival:
         _build_grids(program, co)
+    elif co.times is not None:
+        co.grid = Grid(co.times.reshape(-1, 1))
 
 
 def _build_grids(program: Program, co: _CompiledOutcome) -> None:
-    """Precompute time grids for survival evaluation: the event time,
-    Gauss-Legendre nodes over (0, y], nodes over (0, t0], and for the
-    spline model the log-time difference points.
+    """Time grids for survival evaluation. Hazard quadrature takes the
+    event time, Gauss-Legendre nodes over (0, y] and nodes over (0, t0].
+    The spline model with a time-dependent eta, and a user cumulative
+    hazard without a hazard, take the event time, y shifted by +/- a
+    log-time step, and the entry time. The spline model's basis columns
+    at those times are computed here too.
     """
     y = co.response
-    t0 = co.entry if co.entry is not None else np.zeros_like(y)
+    t0 = co.entry
     co.entry_mask = t0 > 0
-    if co.spec.family.name == "rp":
+    t0_safe = np.where(co.entry_mask, t0, 1.0)
+    fam = co.family
+    rp = co.spec.family.name == "rp"
+    if rp or (fam.user_cumhazard is not None and fam.user_hazard is None):
         step = 1e-5 * np.maximum(1.0, np.abs(np.log(y)))
-        co.rp_logstep = step.reshape(-1, 1, 1)
-        if co.has_time:
-            t0_safe = np.where(co.entry_mask, t0, 1.0)
-            co.tgrid = np.stack([y, y * np.exp(step), y * np.exp(-step), t0_safe], axis=1)
+        co.log_step = step.reshape(-1, 1, 1)
+        if not rp or co.has_time:
+            co.grid = Grid(np.stack([y, y * np.exp(step), y * np.exp(-step), t0_safe], axis=1))
+        if rp:
+            t03 = np.where(co.entry_mask.reshape(-1, 1, 1), t0.reshape(-1, 1, 1), 0.0)
+            log_step = co.log_step if co.has_time else None
+            co.rp = fam_mod.RpColumns(co.spline_basis, y.reshape(-1, 1, 1), t0=t03, log_step=log_step)
         return
-    if not co.needs_grid:
-        return
+    if not (co.has_time or fam.user_hazard is not None):
+        return  # closed-form hazards
     u = program.gl_nodes
     ynodes = 0.5 * y[:, None] * (u[None, :] + 1.0)
-    t0_safe = np.where(co.entry_mask, t0, 1.0)
     enodes = 0.5 * t0_safe[:, None] * (u[None, :] + 1.0)
-    co.tgrid = np.concatenate([y[:, None], ynodes, enodes], axis=1)  # (n, 1 + 2q)
+    co.grid = Grid(np.concatenate([y[:, None], ynodes, enodes], axis=1))  # (n, 1 + 2q)
+
+
+def _evaluated_at(program: Program, r: int, kinds: tuple[str, ...]) -> list[int]:
+    """Outcomes whose linear predictor is evaluated at outcome r's rows:
+    r and, transitively, the targets of its expected-value links of the
+    given kinds. A user family's hooks may evaluate any outcome.
+    """
+    if program.outcomes[r].family.name == "user":
+        return list(range(len(program.outcomes)))
+    seen, todo = {r}, [r]
+    while todo:
+        for cc in program.outcomes[todo.pop()].components:
+            for kind, j in cc.evlinks:
+                if kind in kinds and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return sorted(seen)
+
+
+def _precompute_at_rows(program: Program, r: int) -> None:
+    """The covariate products of every component evaluated at outcome r's
+    rows, and the time-function columns of every component evaluated at
+    r's own grid: r's own components and those reached through EV[]
+    links, which pass the grid on unchanged.
+    """
+    co = program.outcomes[r]
+    for j in _evaluated_at(program, r, ("EV", "dEV", "d2EV", "iEV")):
+        for cc in program.outcomes[j].components:
+            if cc.cov_names:
+                cov = program.frame.col(cc.cov_names[0])[co.rows]
+                for name in cc.cov_names[1:]:
+                    cov = cov * program.frame.col(name)[co.rows]
+                cc.cov[r] = cov.reshape(-1, 1, 1)
+    if co.grid is not None:
+        for j in _evaluated_at(program, r, ("EV",)):
+            for cc in program.outcomes[j].components:
+                if cc.timefn is not None:
+                    co.grid.cols[cc.key] = _time_columns(cc.timefn, co.grid.t)
+
+
+def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
+    """Columns of a component's time function at an (n, A) grid."""
+    _, basis, log_scale = timefn
+    if isinstance(basis, FpBasis):
+        return _fp_eval_relaxed(basis, t)
+    return rcs_eval(basis, np.log(t) if log_scale else t)
 
 
 # ---------------------------------------------------------------------------
@@ -449,29 +481,40 @@ class EvalContext:
         self.latent_values = latent_values or {}
         self.memo: dict = {}
 
-    def latent_at_rows(self, info, rows: np.ndarray) -> np.ndarray:
+    def latent_at_rows(self, info, r: int) -> np.ndarray:
+        """Latent values at the rows of outcome r: (n, 1, B)."""
         vals = self.latent_values.get(info.name)
         if vals is None:
             raise ValueError(f"no value assigned to latent effect {info.name}")
-        ordinals = self.program.unit_index[info.level][rows]
-        return vals[ordinals][:, None, :]  # (n, 1, B)
+        return vals[self.program.outcomes[r].units[info.level]][:, None, :]
 
 
-def eval_eta(ctx: EvalContext, k: int, rows: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Linear predictor of outcome k at the given frame rows, shape
-    broadcastable to (n, A, B). ``t`` is None or an (n,) / (n, A) time
-    grid; pass the same grid object to benefit from memoization.
+def _as_grid(t) -> Grid | None:
+    """None, a compiled Grid, or an (n,) / (n, A) array of times, which
+    becomes a grid without precomputed columns.
     """
-    if t is not None and t.ndim != 2:
-        t = t.reshape(-1, 1)
-    key = (k, id(rows), id(t))
+    if t is None or isinstance(t, Grid):
+        return t
+    t = np.asarray(t, dtype=float)
+    return Grid(t if t.ndim == 2 else t.reshape(-1, 1))
+
+
+def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
+    """Linear predictor of outcome k at the rows of outcome r, shape
+    broadcastable to (n, A, B). ``t`` is None, a Grid or an array of
+    times (see ``_as_grid``); results are memoized per call by the
+    identity of ``t``.
+    """
+    key = (k, r, id(t))
     hit = ctx.memo.get(key)
-    if hit is not None and hit[0] is rows and hit[1] is t:
-        return hit[2]
+    if hit is not None and hit[0] is t:
+        return hit[1]
+    grid = _as_grid(t)
     program = ctx.program
     co = program.outcomes[k]
     theta = ctx.theta
-    total = np.zeros((len(rows), 1, 1))
+    n = program.outcomes[r].rows.size
+    total = np.zeros((n, 1, 1))
     if co.cons_slot is not None:
         total = total + theta[co.cons_slot]
     for cc in co.components:
@@ -481,19 +524,19 @@ def eval_eta(ctx: EvalContext, k: int, rows: np.ndarray, t: np.ndarray | None = 
             nonlocal factor
             factor = x if factor is None else factor * x
 
-        cov = cc.cov_product(program.frame, rows)
-        if cov is not None:
-            mul(cov)
+        if cc.cov_names:
+            mul(cc.cov[r])
         for info in cc.latents:
-            mul(ctx.latent_at_rows(info, rows))
+            mul(ctx.latent_at_rows(info, r))
         for kind, j in cc.evlinks:
-            mul(eval_ev(ctx, kind, j, rows, t))
+            mul(eval_ev(ctx, kind, j, r, grid))
         block = None
         if cc.timefn is not None:
-            el, basis, log_scale = cc.timefn
-            if t is None:
+            if grid is None:
                 raise ValueError(f"outcome {k + 1} ({co.label}): time function needs evaluation times")
-            cols = program.basis_at(basis, t, log_scale)
+            cols = grid.cols.get(cc.key)
+            if cols is None:
+                cols = _time_columns(cc.timefn, grid.t)
             if cc.ncols == 1:
                 mul(cols[..., 0][:, :, None])
             else:
@@ -505,27 +548,28 @@ def eval_eta(ctx: EvalContext, k: int, rows: np.ndarray, t: np.ndarray | None = 
             else:
                 mul(coefs[0])
         if factor is None:
-            factor = np.ones((len(rows), 1, 1))
+            factor = np.ones((n, 1, 1))
         total = total + factor
-    ctx.memo[key] = (rows, t, total)
+    ctx.memo[key] = (t, total)
     return total
 
 
-def eval_ev(ctx: EvalContext, kind: str, j: int, rows: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
     """Expected value of outcome j (or its time derivative/integral) at
-    the given rows and an (n, A) time grid.
+    the rows of outcome r and an (n, A) time grid.
     """
     program = ctx.program
     target = program.outcomes[j]
-    if target.time_indexed and t is None:
+    grid = _as_grid(t)
+    if target.time_indexed and grid is None:
         raise ValueError(f"EV[{target.label}] is time-indexed: evaluation times are required")
 
     def ev_at(times):
-        eta = eval_eta(ctx, j, rows, times)
-        return target.family.inverse_link(eta)
+        return target.family.inverse_link(eval_eta(ctx, j, r, times))
 
     if kind == "EV":
-        return ev_at(t if target.time_indexed else None)
+        return ev_at(grid if target.time_indexed else None)
+    t = grid.t
     if kind in ("dEV", "d2EV"):
         scale = 1e-5 if kind == "dEV" else 1e-4
         h = scale * np.maximum(1.0, np.abs(t))
@@ -535,14 +579,14 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, rows: np.ndarray, t: np.ndarray
         dn = ev_at(t - h)
         if kind == "dEV":
             return (up - dn) / (2.0 * h3)
-        mid = ev_at(t)
+        mid = ev_at(grid)
         return (up - 2.0 * mid + dn) / (h3 * h3)
     if kind == "iEV":
         nodes, weights = program.gl_nodes, program.gl_weights
         n, a = t.shape
         qn = len(nodes)
-        grid = 0.5 * t[:, :, None] * (nodes[None, None, :] + 1.0)  # (n, A, Q)
-        safe = np.where(grid > 0, grid, 1.0)  # the integral over (0, 0] is zero
+        pts = 0.5 * t[:, :, None] * (nodes[None, None, :] + 1.0)  # (n, A, Q)
+        safe = np.where(pts > 0, pts, 1.0)  # the integral over (0, 0] is zero
         vals = ev_at(safe.reshape(n, a * qn))  # (n, A*Q, B)
         vals = np.broadcast_to(vals, (n, a * qn, vals.shape[-1])).reshape(n, a, qn, -1)
         integ = 0.5 * t[:, :, None] * np.einsum("q,naqb->nab", weights, vals)
@@ -560,18 +604,17 @@ class FamilyContext:
     predictor, ancillary slots, and the measurement times.
     """
 
-    def __init__(self, ctx: EvalContext, k: int, view: OutcomeView, times: np.ndarray | None):
+    def __init__(self, ctx: EvalContext, k: int, times: Grid | None):
         self._ctx = ctx
         self._k = k
-        self._view = view
         self._times = times
 
     def response(self):
-        r = self._view.response
+        r = self._ctx.program.outcomes[self._k].response
         return None if r is None else r.reshape(-1, 1, 1)
 
     def times(self):
-        return None if self._times is None else self._times[:, :, None]
+        return None if self._times is None else self._times.t[:, :, None]
 
     def linpred(self, t=None):
         return self._eval(self._k, t)
@@ -590,12 +633,10 @@ class FamilyContext:
 
     def _eval(self, j, t):
         if t is None:
-            times = self._times
+            t = self._times
         elif np.ndim(t) == 3:
-            times = t[..., 0]
-        else:
-            times = np.asarray(t, dtype=float)
-        return eval_eta(self._ctx, j, self._view.rows, times)
+            t = t[..., 0]
+        return eval_eta(self._ctx, j, self._k, t)
 
     def ancillary(self, j: int):
         co = self._ctx.program.outcomes[self._k]
@@ -611,26 +652,22 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
     program = ctx.program
     co = program.outcomes[k]
     fam = co.family
-    if fam.is_null or co.rows.size == 0:
+    n = co.rows.size
+    if fam.is_null or n == 0:
         return np.zeros((0, 1))
-    view = co.view
     theta = ctx.theta
     anc = fam.natural_anc(theta[co.anc_slots]) if co.anc_slots else []
 
     if fam.user_loglf is not None and not fam.is_survival:
-        times = None if view.times is None else view.times.reshape(-1, 1)
-        fctx = FamilyContext(ctx, k, view, times)
-        out = np.asarray(fam.user_loglf(fctx), dtype=float)
-        return _collapse(out, view.n)
+        out = np.asarray(fam.user_loglf(FamilyContext(ctx, k, co.grid)), dtype=float)
+        return _collapse(out, n)
 
     if not fam.is_survival:
-        y = view.response.reshape(-1, 1, 1)
-        times = None if view.times is None else view.times.reshape(-1, 1)
-        eta = eval_eta(ctx, k, view.rows, times)
-        ll = fam.logl(y, eta, anc)
-        return _collapse(ll, view.n)
+        eta = eval_eta(ctx, k, k, co.grid)
+        ll = fam.logl(co.response.reshape(-1, 1, 1), eta, anc)
+        return _collapse(ll, n)
 
-    return _survival_logl(ctx, k, view, anc)
+    return _survival_logl(ctx, k, anc)
 
 
 def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
@@ -644,49 +681,36 @@ def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
     return np.broadcast_to(out, (n, out.shape[-1])) if out.shape[0] != n else out
 
 
-def _survival_logl(ctx: EvalContext, k: int, view: OutcomeView, anc) -> np.ndarray:
+def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     program = ctx.program
     co = program.outcomes[k]
     fam = co.family
     theta = ctx.theta
-    y = view.response
-    d = view.event.reshape(-1, 1, 1)
-    t0 = view.entry
-    emask = view.entry_mask.reshape(-1, 1, 1)
-    bh = None if view.bhaz is None else view.bhaz.reshape(-1, 1, 1)
-    n = view.n
+    y3 = co.response.reshape(-1, 1, 1)
+    d = co.event.reshape(-1, 1, 1)
+    t03 = co.entry.reshape(-1, 1, 1)
+    emask = co.entry_mask.reshape(-1, 1, 1)
+    bh = None if co.bhaz is None else co.bhaz.reshape(-1, 1, 1)
+    n = co.rows.size
     q = program.gl_points
     w = program.gl_weights
 
-    if co.spec.family.name == "rp":
+    if co.rp is not None:
         coefs = theta[co.spline_slots]
-        y3 = y.reshape(-1, 1, 1)
-        t03 = np.where(emask, t0.reshape(-1, 1, 1), 0.0)
-        if co.has_time:
-            eta_all = eval_eta(ctx, k, view.rows, view.tgrid)
-            eta_all = np.broadcast_to(eta_all, (n, 4, eta_all.shape[-1]))
-            ll = fam_mod.rp_logl(
-                y3,
-                d,
-                co.spline_basis,
-                coefs,
-                eta_all[:, 0:1, :],
-                t0=t03,
-                bhaz=0.0 if bh is None else bh,
-                eta_plus=eta_all[:, 1:2, :],
-                eta_minus=eta_all[:, 2:3, :],
-                eta_entry=eta_all[:, 3:4, :],
-                log_step=view.rp_logstep,
-            )
-        else:
-            eta = eval_eta(ctx, k, view.rows, None)
-            ll = fam_mod.rp_logl(y3, d, co.spline_basis, coefs, eta, t0=t03, bhaz=0.0 if bh is None else bh)
+        bhaz = 0.0 if bh is None else bh
+        eta = eval_eta(ctx, k, k, co.grid)
+        if co.grid is None:
+            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bhaz=bhaz), n)
+        # grid columns are [y | y e^step | y e^-step | t0]
+        eta = np.broadcast_to(eta, (n, 4, eta.shape[-1]))
+        ll = fam_mod.rp_logl(
+            co.rp, d, coefs, eta[:, 0:1], bhaz=bhaz, eta_plus=eta[:, 1:2], eta_minus=eta[:, 2:3], eta_entry=eta[:, 3:4]
+        )
         return _collapse(ll, n)
 
-    if not co.needs_grid:
+    if co.grid is None:
         # time-constant linear predictor, closed-form hazards
-        eta = eval_eta(ctx, k, view.rows, None)
-        y3 = y.reshape(-1, 1, 1)
+        eta = eval_eta(ctx, k, k)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             log_h = fam.log_hazard(y3, eta, anc)
             cum = fam.cum_hazard(y3, eta, anc)
@@ -696,31 +720,35 @@ def _survival_logl(ctx: EvalContext, k: int, view: OutcomeView, anc) -> np.ndarr
                 event = np.where(d != 0, log_h, 0.0)
             ll = np.where(d != 0, event, 0.0) - cum
             if emask.any():
-                t03 = t0.reshape(-1, 1, 1)
                 ll = ll + np.where(emask, fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc), 0.0)
         return _collapse(ll, n)
 
-    # hazard-quadrature path: grid columns are [y | y-nodes | entry-nodes]
-    fctx = FamilyContext(ctx, k, view, None)
+    fctx = FamilyContext(ctx, k, None)
+    tgrid = co.grid.t
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if fam.user_cumhazard is not None and fam.user_hazard is None:
-            return _user_cumhazard_logl(ctx, co, view, fctx)
+            # grid columns are [y | y e^step | y e^-step | t0]; the hazard is
+            # a central difference on log time: h = (dH/dlog t)/t
+            ch = np.asarray(fam.user_cumhazard(fctx, tgrid[:, :, None]), dtype=float)
+            ch = np.broadcast_to(ch, (n, 4, ch.shape[-1]))
+            hazard = (ch[:, 1:2, :] - ch[:, 2:3, :]) / (2.0 * co.log_step) / y3
+            event = np.where(d != 0, np.log(np.maximum(hazard, 1e-300)), 0.0)
+            return _collapse(event - ch[:, 0:1, :] + np.where(emask, ch[:, 3:4, :], 0.0), n)
+        # hazard quadrature: grid columns are [y | y-nodes | entry-nodes]
         if fam.user_hazard is not None:
-            haz = np.asarray(fam.user_hazard(fctx, view.tgrid[:, :, None]), dtype=float)
+            haz = np.asarray(fam.user_hazard(fctx, tgrid[:, :, None]), dtype=float)
             haz = np.broadcast_to(haz, (n, 1 + 2 * q, haz.shape[-1]))
             log_h_event = np.log(np.maximum(haz[:, 0:1, :], 1e-300))
             h_body = haz[:, 1 : 1 + q, :]
             h_entry = haz[:, 1 + q :, :]
         else:
-            eta_all = eval_eta(ctx, k, view.rows, view.tgrid)
-            base = fam.base_log_hazard(view.tgrid, anc)[:, :, None]
+            eta_all = eval_eta(ctx, k, k, co.grid)
+            base = fam.base_log_hazard(tgrid, anc)[:, :, None]
             log_h = eta_all + base
             log_h = np.broadcast_to(log_h, (n, 1 + 2 * q, log_h.shape[-1]))
             log_h_event = log_h[:, 0:1, :]
             h_body = np.exp(log_h[:, 1 : 1 + q, :])
             h_entry = np.exp(log_h[:, 1 + q :, :])
-        y3 = y.reshape(-1, 1, 1)
-        t03 = t0.reshape(-1, 1, 1)
         cum = 0.5 * y3 * np.einsum("q,nqb->nb", w, h_body)[:, None, :]
         cum0 = np.where(emask, 0.5 * t03 * np.einsum("q,nqb->nb", w, h_entry)[:, None, :], 0.0)
         if bh is not None:
@@ -730,23 +758,3 @@ def _survival_logl(ctx: EvalContext, k: int, view: OutcomeView, anc) -> np.ndarr
         ll = np.where(d != 0, event, 0.0) - cum + cum0
     return _collapse(ll, n)
 
-
-def _user_cumhazard_logl(ctx: EvalContext, co, view: OutcomeView, fctx) -> np.ndarray:
-    y = view.response
-    d = view.event.reshape(-1, 1, 1)
-    emask = view.entry_mask.reshape(-1, 1, 1)
-    n = view.n
-    delta = 1e-5 * np.maximum(1.0, np.abs(np.log(y)))
-    t0 = view.entry
-    tgrid = np.stack([y, y * np.exp(delta), y * np.exp(-delta), np.where(t0 > 0, t0, 1.0)], axis=1)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ch = np.asarray(co.family.user_cumhazard(fctx, tgrid[:, :, None]), dtype=float)
-        ch = np.broadcast_to(ch, (n, 4, ch.shape[-1]))
-        cum = ch[:, 0:1, :]
-        # hazard via a central difference on log time: h = (dH/dlog t)/t
-        dH = (ch[:, 1:2, :] - ch[:, 2:3, :]) / (2.0 * delta.reshape(-1, 1, 1))
-        hazard = dH / y.reshape(-1, 1, 1)
-        event = np.where(d != 0, np.log(np.maximum(hazard, 1e-300)), 0.0)
-        cum0 = np.where(emask, ch[:, 3:4, :], 0.0)
-        ll = np.where(d != 0, event, 0.0) - cum + cum0
-    return _collapse(ll, n)

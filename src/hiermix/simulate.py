@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import DataFrame
-from .dsl import ModelSpec, parse_model_spec, spec_from_dict
+from .dsl import _as_spec
 from .integrate import ReKernel
 from .predictor import EvalContext, Program, compile_program, eval_eta
 
@@ -25,14 +25,6 @@ _BISECT_TOL = 1e-10
 
 class SimulationError(ValueError):
     pass
-
-
-def _as_spec(spec) -> ModelSpec:
-    if isinstance(spec, ModelSpec):
-        return spec
-    if isinstance(spec, dict):
-        return spec_from_dict(spec)
-    return parse_model_spec(str(spec))
 
 
 def simulate(
@@ -221,9 +213,8 @@ def simulate(
             continue
         co = program.outcomes[k]
         fam = co.family
-        rows = co.view.rows
-        times = None if co.view.times is None else co.view.times.reshape(-1, 1)
-        eta = eval_eta(ctx, k, rows, times)
+        rows = co.rows
+        eta = eval_eta(ctx, k, k, co.grid)
         mu = fam.inverse_link(eta)[:, 0, 0]
         anc = fam.natural_anc(theta[co.anc_slots]) if co.anc_slots else []
         if fam.name == "gaussian":
@@ -254,11 +245,11 @@ def simulate(
         cfg = outcome_cfg[k]
         censor = cfg.get("censoring")
         co = program.outcomes[k]
-        rows = co.view.rows
+        rows = co.rows
         n = len(rows)
         target = -np.log(rng.random(n))  # unit exponential draws
         anc = co.family.natural_anc(theta[co.anc_slots]) if co.anc_slots else []
-        times = _invert_survival(program, ctx, k, rows, target, anc, censor)
+        times = _invert_survival(program, ctx, k, target, anc, censor)
         if censor is not None:
             event = (times < censor).astype(float)
             times = np.minimum(times, censor)
@@ -274,7 +265,7 @@ def simulate(
     return frame
 
 
-def _invert_survival(program: Program, ctx: EvalContext, k: int, rows, target, anc, censor):
+def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, censor):
     """Solve H(t) = target per row. Closed forms for the standard
     families with a time-constant linear predictor; otherwise bisection
     on the quadrature cumulative hazard up to the censoring time.
@@ -282,8 +273,8 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, rows, target, a
     co = program.outcomes[k]
     fam = co.family
     name = fam.name
-    if not co.needs_grid and name != "rp":
-        eta = eval_eta(ctx, k, rows, None)[:, 0, 0]
+    if co.grid is None and name != "rp":
+        eta = eval_eta(ctx, k, k)[:, 0, 0]
         lam = np.exp(eta)
         if name == "exponential":
             return target / lam
@@ -318,18 +309,18 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, rows, target, a
 
             safe_t = np.maximum(upper, 1e-300)
             if co.has_time:
-                eta = eval_eta(ctx, k, rows, safe_t.reshape(-1, 1))[:, 0, 0]
+                eta = eval_eta(ctx, k, k, safe_t.reshape(-1, 1))[:, 0, 0]
             else:
-                eta = eval_eta(ctx, k, rows, None)[:, 0, 0]
+                eta = eval_eta(ctx, k, k)[:, 0, 0]
             s = rcs_eval(co.spline_basis, np.log(safe_t)) @ coefs
             return np.exp(s + eta)
-        eta = eval_eta(ctx, k, rows, grid)
+        eta = eval_eta(ctx, k, k, grid)
         if eta.shape[1] == 1:
             eta = np.broadcast_to(eta, (len(upper), grid.shape[1], eta.shape[2]))
         if fam.user_hazard is not None:
             from .predictor import FamilyContext
 
-            fctx = FamilyContext(ctx, k, co.view, None)
+            fctx = FamilyContext(ctx, k, None)
             h = np.asarray(fam.user_hazard(fctx, grid[:, :, None]), dtype=float)
             h = np.broadcast_to(h, (len(upper), grid.shape[1], h.shape[-1]))[:, :, 0]
         else:

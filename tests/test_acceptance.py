@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hiermix as hm
-from hiermix.families import surv_logl
+from oracles import hazard_quadrature_logl, surv_logl
 from hiermix.integrate import gh_rule
 from hiermix.likelihood import LikelihoodEvaluator, default_plan
 from hiermix.optim import fd_gradient
@@ -110,8 +110,6 @@ def test_criterion_3_cumulative_hazard_quadrature():
     # 30-node rule integrates exactly under the contractual linear node
     # map. Fractional shapes have t^(shape-1) endpoint singularities for
     # which fixed-node accuracy is limited (see the families tests).
-    from hiermix.families import hazard_quadrature_logl
-
     rng = np.random.default_rng(3)
     worst = 0.0
     for rep in range(1000):

@@ -40,6 +40,22 @@ class TestEstimatorApi:
         assert m.loglik_ == m.result_.logl
         assert len(m.theta_) == len(m.names_)
 
+    def test_fit_builds_hierarchy_and_rows_once(self, monkeypatch):
+        import hiermix.dsl
+        import hiermix.predictor
+
+        calls = []
+        for name in ("build_hierarchy", "split_outcome_rows"):
+
+            def counting(*args, _name=name, _original=getattr(hiermix.dsl, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in (hiermix.dsl, hiermix.predictor):
+                monkeypatch.setattr(module, name, counting)
+        fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=3)
+        assert sorted(calls) == ["build_hierarchy", "split_outcome_rows"]
+
     def test_unfitted_access_raises(self):
         m = MixedModel("(y x, family(gaussian))")
         with pytest.raises(RuntimeError, match="not fitted"):

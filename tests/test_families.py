@@ -6,7 +6,7 @@ from scipy import stats
 
 from hiermix.basis import RcsBasis
 from hiermix.families import (
-    hazard_quadrature_logl,
+    RpColumns,
     logl_bernoulli,
     logl_beta,
     logl_binomial,
@@ -15,8 +15,8 @@ from hiermix.families import (
     logl_poisson,
     register_user_family,
     rp_logl,
-    surv_logl,
 )
+from oracles import hazard_quadrature_logl, surv_logl
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -201,7 +201,7 @@ class TestRpLogl:
     def test_unit_spline_event(self):
         # s(x) = x, eta = 0, y = 1: H = 1, h = 1
         basis = RcsBasis((-2.0, 2.0))
-        np.testing.assert_allclose(rp_logl(1.0, 1, basis, [1.0], 0.0), -1.0)
+        np.testing.assert_allclose(rp_logl(RpColumns(basis, 1.0), 1, [1.0], 0.0), -1.0)
 
     def test_equals_weibull(self):
         # log H = g*log t + c is a Weibull with rate exp(c), shape g
@@ -212,33 +212,33 @@ class TestRpLogl:
             d = int(rng.random() < 0.5)
             g, c = rng.uniform(0.5, 2.5), rng.normal()
             t0 = rng.uniform(0, y / 2) if rng.random() < 0.3 else 0.0
-            a = rp_logl(y, d, basis, [g], c, t0=t0)
+            a = rp_logl(RpColumns(basis, y, t0=t0), d, [g], c)
             b = surv_logl(y, d, "weibull", c, g, t0=t0)
             np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_censored_ignores_reference_hazard(self):
         basis = RcsBasis((-2.0, 0.0, 2.0))
         coefs = [1.1, 0.05]
-        a = rp_logl(2.0, 0, basis, coefs, 0.3, bhaz=0.0)
-        b = rp_logl(2.0, 0, basis, coefs, 0.3, bhaz=5.0)
+        a = rp_logl(RpColumns(basis, 2.0), 0, coefs, 0.3, bhaz=0.0)
+        b = rp_logl(RpColumns(basis, 2.0), 0, coefs, 0.3, bhaz=5.0)
         np.testing.assert_allclose(a, b)
 
     def test_zero_reference_hazard_is_plain_model(self):
         basis = RcsBasis((-2.0, 0.0, 2.0))
         coefs = [1.1, 0.05]
-        a = rp_logl(1.7, 1, basis, coefs, -0.2)
-        b = rp_logl(1.7, 1, basis, coefs, -0.2, bhaz=0.0)
+        a = rp_logl(RpColumns(basis, 1.7), 1, coefs, -0.2)
+        b = rp_logl(RpColumns(basis, 1.7), 1, coefs, -0.2, bhaz=0.0)
         assert a == b
 
     def test_reference_hazard_adds_to_event_hazard(self):
         basis = RcsBasis((-2.0, 2.0))
         # h = 1 at y=1 with s(x)=x, eta=0; bhaz 0.5 makes the event term log(1.5)
-        v = rp_logl(1.0, 1, basis, [1.0], 0.0, bhaz=0.5)
+        v = rp_logl(RpColumns(basis, 1.0), 1, [1.0], 0.0, bhaz=0.5)
         np.testing.assert_allclose(v, math.log(1.5) - 1.0)
 
     def test_negative_total_hazard_rejected_softly(self):
         basis = RcsBasis((-2.0, 2.0))
-        v = rp_logl(1.0, 1, basis, [-1.0], 0.0)  # decreasing log H: negative hazard
+        v = rp_logl(RpColumns(basis, 1.0), 1, [-1.0], 0.0)  # decreasing log H: negative hazard
         assert v == -np.inf
 
     def test_time_dependent_matches_analytic_when_constant(self):
@@ -250,8 +250,8 @@ class TestRpLogl:
         d = np.array([1.0, 0.0, 1.0])
         eta = 0.25
         h = 1e-5 * np.maximum(1.0, np.abs(np.log(y)))
-        a = rp_logl(y, d, basis, coefs, eta)
-        b = rp_logl(y, d, basis, coefs, eta, eta_plus=eta, eta_minus=eta, log_step=h)
+        a = rp_logl(RpColumns(basis, y), d, coefs, eta)
+        b = rp_logl(RpColumns(basis, y, log_step=h), d, coefs, eta, eta_plus=eta, eta_minus=eta)
         np.testing.assert_allclose(a, b, rtol=1e-6)
 
 

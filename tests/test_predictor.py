@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hiermix as hm
+from hiermix.families import RpColumns, rp_logl
+from hiermix.likelihood import LikelihoodEvaluator, default_plan, marginal_logl
 from hiermix.predictor import CompileError, EvalContext, compile_program, eval_eta, eval_ev
 
 
@@ -88,7 +91,7 @@ class TestEvalLinpred:
         theta = np.zeros(prog.n_params)
         theta[prog.slot_index("b")] = 3.0
         ctx = EvalContext(prog, theta, {})
-        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows)
+        eta = eval_eta(ctx, 0, 0)
         np.testing.assert_allclose(eta[:, 0, 0], [6.0, 15.0])
 
     def test_latent_interaction(self):
@@ -97,7 +100,7 @@ class TestEvalLinpred:
         theta = np.zeros(prog.n_params)
         vals = {"M1": np.array([[0.4], [9.9]])}
         ctx = EvalContext(prog, theta, vals)
-        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows)
+        eta = eval_eta(ctx, 0, 0)
         # row of unit 1: trt=1 so 0.4 added; unit 2 has trt=0
         np.testing.assert_allclose(sorted(eta[:, 0, 0]), [0.0, 0.4])
 
@@ -108,14 +111,13 @@ class TestEvalLinpred:
         theta[prog.slot_index("phi")] = 2.0
         ctx = EvalContext(prog, theta, {})
         t = np.array([[math.e]])
-        eta = eval_eta(ctx, 0, prog.outcomes[0].view.rows, t)
+        eta = eval_eta(ctx, 0, 0, t)
         np.testing.assert_allclose(eta[0, 0, 0], 2.0, rtol=1e-12)
 
     def test_linear_in_each_coefficient(self):
         rng = np.random.default_rng(3)
         data = {"y": rng.normal(size=6), "x": rng.normal(size=6), "w": rng.normal(size=6)}
         prog = make_program("(y x@a w@b x#w@c, family(gaussian))", data)
-        rows = prog.outcomes[0].view.rows
         for name in ("a", "b", "c"):
             i = prog.slot_index(name)
             slopes = []
@@ -123,8 +125,8 @@ class TestEvalLinpred:
                 t1 = np.zeros(prog.n_params)
                 t2 = t1.copy()
                 t2[i] = delta
-                e1 = eval_eta(EvalContext(prog, t1, {}), 0, rows)
-                e2 = eval_eta(EvalContext(prog, t2, {}), 0, rows)
+                e1 = eval_eta(EvalContext(prog, t1, {}), 0, 0)
+                e2 = eval_eta(EvalContext(prog, t2, {}), 0, 0)
                 slopes.append((e2 - e1)[:, 0, 0] / delta)
             np.testing.assert_allclose(slopes[0], slopes[1], atol=1e-10)
             np.testing.assert_allclose(slopes[1], slopes[2], atol=1e-10)
@@ -135,21 +137,21 @@ class TestEvalLinpred:
         p1 = make_program("(y a#b, family(gaussian))", data)
         p2 = make_program("(y b#a, family(gaussian))", data)
         theta = np.array([0.7, 0.1, 0.0])
-        e1 = eval_eta(EvalContext(p1, theta, {}), 0, p1.outcomes[0].view.rows)
-        e2 = eval_eta(EvalContext(p2, theta, {}), 0, p2.outcomes[0].view.rows)
+        e1 = eval_eta(EvalContext(p1, theta, {}), 0, 0)
+        e2 = eval_eta(EvalContext(p2, theta, {}), 0, 0)
         np.testing.assert_allclose(e1, e2)
 
     def test_missing_latent_assignment_raises(self):
         prog = make_program("(y M1[id], family(gaussian))", {"id": [1.0], "y": [0.5]})
         ctx = EvalContext(prog, np.zeros(prog.n_params), {})
         with pytest.raises(ValueError, match="M1"):
-            eval_eta(ctx, 0, prog.outcomes[0].view.rows)
+            eval_eta(ctx, 0, 0)
 
     def test_missing_time_raises(self):
         prog = make_program("(y fp(1)@a, family(gaussian) timevar(t))", {"y": [1.0], "t": [0.5]})
         ctx = EvalContext(prog, np.zeros(prog.n_params), {})
         with pytest.raises(ValueError, match="time"):
-            eval_eta(ctx, 0, prog.outcomes[0].view.rows, None)
+            eval_eta(ctx, 0, 0, None)
 
 
 class TestEvalEv:
@@ -178,22 +180,22 @@ class TestEvalEv:
         theta = self.theta_for(prog, **{"slope": 0.5, "logb:_cons": 1.0})
         vals = {"M1": np.array([[0.3], [-0.2]])}
         ctx = EvalContext(prog, theta, vals)
-        rows = prog.outcomes[0].view.rows
+        rows = prog.outcomes[0].rows
         t = np.full((len(rows), 1), 2.0)
-        ev = eval_ev(ctx, "EV", 1, rows, t)
-        eta = eval_eta(ctx, 1, rows, t)
+        ev = eval_ev(ctx, "EV", 1, 0, t)
+        eta = eval_eta(ctx, 1, 0, t)
         np.testing.assert_allclose(ev, eta)
         # linear trajectory: a + b t with the unit's intercept shift
-        expect = 1.0 + 0.5 * 2.0 + vals["M1"][prog.unit_index["id"][rows], 0]
+        expect = 1.0 + 0.5 * 2.0 + vals["M1"][prog.outcomes[0].units["id"], 0]
         np.testing.assert_allclose(ev[:, 0, 0], expect)
 
     def test_dev_is_slope(self):
         prog = self.joint_program()
         theta = self.theta_for(prog, **{"slope": 0.5, "logb:_cons": 1.0})
         ctx = EvalContext(prog, theta, {"M1": np.zeros((2, 1))})
-        rows = prog.outcomes[0].view.rows
+        rows = prog.outcomes[0].rows
         t = np.full((len(rows), 1), 1.7)
-        dev = eval_ev(ctx, "dEV", 1, rows, t)
+        dev = eval_ev(ctx, "dEV", 1, 0, t)
         np.testing.assert_allclose(dev[:, 0, 0], 0.5, atol=1e-6)
 
     def test_iev_quadratic_exact(self):
@@ -202,9 +204,9 @@ class TestEvalEv:
         a, b = 1.0, 0.5
         theta = self.theta_for(prog, **{"slope": b, "logb:_cons": a})
         ctx = EvalContext(prog, theta, {"M1": np.zeros((2, 1))})
-        rows = prog.outcomes[0].view.rows
+        rows = prog.outcomes[0].rows
         t = np.full((len(rows), 1), 2.0)
-        iev = eval_ev(ctx, "iEV", 1, rows, t)
+        iev = eval_ev(ctx, "iEV", 1, 0, t)
         np.testing.assert_allclose(iev[:, 0, 0], a * 2.0 + b * 2.0**2 / 2, rtol=1e-12)
 
     def test_d2ev_quadratic_exact(self):
@@ -224,10 +226,9 @@ class TestEvalEv:
         theta[prog.slot_index("q1")] = 0.7
         theta[prog.slot_index("q2")] = 0.3
         ctx = EvalContext(prog, theta, {"M1": np.zeros((1, 1))})
-        rows = prog.outcomes[0].view.rows
         t = np.full((1, 1), 1.5)
-        dev = eval_ev(ctx, "dEV", 1, rows, t)
-        d2ev = eval_ev(ctx, "d2EV", 1, rows, t)
+        dev = eval_ev(ctx, "dEV", 1, 0, t)
+        d2ev = eval_ev(ctx, "d2EV", 1, 0, t)
         np.testing.assert_allclose(dev[0, 0, 0], 0.7 + 2 * 0.3 * 1.5, rtol=1e-6)
         np.testing.assert_allclose(d2ev[0, 0, 0], 2 * 0.3, rtol=1e-6)
 
@@ -243,5 +244,99 @@ class TestEvalEv:
             data,
         )
         ctx = EvalContext(prog, np.zeros(prog.n_params), {"M1": np.zeros((2, 1))})
-        ev = eval_ev(ctx, "EV", 1, prog.outcomes[0].view.rows, None)
+        ev = eval_ev(ctx, "EV", 1, 0, None)
         np.testing.assert_allclose(ev[:, 0, 0], 0.5)
+
+
+IEV_SPEC = (
+    "(stime trt iEV[logb]@a1, family(weibull, failure(died)))"
+    " (logb fp(1)@slope M1[id], family(gaussian) timevar(time))"
+)
+IEV_TRUTH = {
+    "stime:trt": -0.5,
+    "a1": 0.2,
+    "stime:_cons": -2.0,
+    "stime:ln_gamma": 0.2,
+    "slope": 0.2,
+    "logb:_cons": 1.0,
+    "logb:ln_sd": -1.0,
+    "ln_sd(M1)": -0.5,
+}
+FP_SPEC = "(y x fp(1)@slope M1[id], family(gaussian) timevar(time))"
+FP_TRUTH = {"x": 0.5, "slope": 0.3, "_cons": 1.0, "ln_sd": -0.7, "ln_sd(M1)": -0.5}
+
+
+def theta_by_name(prog, values):
+    theta = np.zeros(prog.n_params)
+    for name, v in values.items():
+        theta[prog.slot_index(name)] = v
+    return theta
+
+
+class TestCompiledInputs:
+    """Values fixed once the data are bound are computed at compile time:
+    objective calls keep nothing, and the spline-baseline paths agree with
+    the direct family computations.
+    """
+
+    @pytest.mark.parametrize(
+        "spec,truth,ids,outcomes",
+        [
+            (IEV_SPEC, IEV_TRUTH, 20, [{"censoring": 5.0}, {"times": [0, 1, 2, 3]}]),
+            (FP_SPEC, FP_TRUTH, 200, [{"times": [0, 1, 2, 3]}]),
+        ],
+        ids=["iev", "fp"],
+    )
+    def test_objective_calls_retain_no_memory(self, spec, truth, ids, outcomes):
+        data = hm.simulate(spec, truth, levels={"id": ids}, outcomes=outcomes, seed=2)
+        prog = make_program(spec, data)
+        ev = LikelihoodEvaluator(prog, default_plan(prog, points=5))
+        theta = theta_by_name(prog, truth)
+        ev.refresh(theta)
+        for _ in range(5):
+            ev.logl(theta)
+        tracemalloc.start()
+        try:
+            for _ in range(45):
+                ev.logl(theta)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
+    @staticmethod
+    def rp_data(seed=3):
+        return hm.simulate(
+            "(t trt M1[id], family(weibull, failure(d)))",
+            {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+            levels={"id": 30},
+            covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+            outcomes=[{"censoring": 5.0, "records": 2}],
+            seed=seed,
+        )
+
+    def test_rp_zero_time_effect_equals_model_without_it(self):
+        data = self.rp_data()
+        values = {"trt": 0.4, "rcs1": 1.2, "rcs2": 0.05, "rcs3": -0.02, "_cons": -0.8, "ln_sd(M1)": -0.5, "phi": 0.0}
+        lls = []
+        for extra in ("", " trt#fp(0)@phi"):
+            prog = make_program(f"(t trt{extra} M1[id], family(rp, failure(d) df(3)))", data)
+            theta = theta_by_name(prog, {k: v for k, v in values.items() if k != "phi" or extra})
+            lls.append(marginal_logl(prog, default_plan(prog), theta))
+        # the time-dependent path differentiates on log time numerically
+        np.testing.assert_allclose(lls[1], lls[0], rtol=1e-9)
+
+    def test_rp_left_truncation_equals_direct_family_logl(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        y = rng.uniform(0.5, 5.0, n)
+        t0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 0.5, n) * y, 0.0)
+        data = {"y": y, "d": (rng.random(n) < 0.7).astype(float), "t0": t0, "trt": (rng.random(n) < 0.5).astype(float)}
+        prog = make_program("(y trt, family(rp, failure(d) ltrunc(t0) df(2)))", data)
+        theta = theta_by_name(prog, {"trt": 0.3, "rcs1": 1.1, "rcs2": 0.04, "_cons": -0.6})
+        engine = marginal_logl(prog, default_plan(prog), theta)
+        coefs = theta[[prog.slot_index("rcs1"), prog.slot_index("rcs2")]]
+        eta = theta[prog.slot_index("_cons")] + data["trt"].reshape(-1, 1, 1) * theta[prog.slot_index("trt")]
+        cols = RpColumns(prog.outcomes[0].spline_basis, y.reshape(-1, 1, 1), t0=t0.reshape(-1, 1, 1))
+        direct = rp_logl(cols, data["d"].reshape(-1, 1, 1), coefs, eta)
+        assert engine == math.fsum(direct.ravel().tolist())
