@@ -2,6 +2,11 @@
 maximum marginal likelihood.
 """
 
+# imported first, at a shallow stack depth: imported at the end of a chain
+# of package imports, scipy.special's own import took some 15 ms longer
+# (CPython 3.11, x86-64 Linux), with about 1500 more page faults
+import scipy.special  # noqa: F401
+
 from .basis import FpBasis, RcsBasis, default_knots, fp_eval, rcs_deriv, rcs_eval
 from .data import DataFrame, Hierarchy, as_frame, build_hierarchy, load_csv, split_outcome_rows
 from .dsl import (

@@ -197,7 +197,8 @@ class ReKernel:
 
 
 def kernel_draws(kernel: ReKernel, uniforms: HaltonSet, chol: np.ndarray | None = None) -> np.ndarray:
-    """Transform uniform draws into mean-zero kernel draws (M, dim).
+    """Transform uniform draws into mean-zero kernel draws (M, dim),
+    scaled by ``chol`` (unit scale when it is None).
 
     Normal kernels consume dim columns; t kernels one extra column that
     drives the chi-squared mixing variable.
@@ -205,13 +206,11 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet, chol: np.ndarray | None 
     need = kernel.dim + (1 if kernel.dist == "t" else 0)
     if uniforms.r < need:
         raise ValueError(f"{kernel.dist} kernel in {kernel.dim} dims needs {need} uniform columns, got {uniforms.r}")
-    if chol is None:
-        chol = np.eye(kernel.dim)
     z = ndtri(uniforms.values[:, : kernel.dim])
     if kernel.dist == "t":
         w = chdtri(kernel.df, 1.0 - uniforms.values[:, kernel.dim])
         z = z * np.sqrt(kernel.df / w)[:, None]
-    return z @ chol.T
+    return z if chol is None else z @ chol.T
 
 
 def _std_normal_logpdf(a: np.ndarray) -> np.ndarray:

@@ -7,6 +7,18 @@ kernel. One vectorized path serves any depth: each level is evaluated
 for all of its units at every combination of outer-level nodes at once,
 reduced over its own nodes, and summed into the parent units (the
 recursive nested quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
+
+At the innermost level the conditional log-likelihood is a rows x
+columns array, one column per (outer-node combination, node). Outer-node
+combinations are taken in blocks of about ``_BLOCK_VALUES`` rows x
+nodes, and each block's columns are evaluated in chunks of about
+``_CHUNK_VALUES`` (2^16) rows x columns, so that the temporaries of one
+evaluation stay cache-sized however many draws a level has; a model
+whose rows x columns fit the budget runs as one chunk. Every operation
+acts on each column alone, so the chunking never changes a result.
+Node axes are reduced with ``logsumexp``, which repeats the arithmetic
+of ``scipy.special.logsumexp`` for real input without its generic
+array-API overhead.
 """
 
 from __future__ import annotations
@@ -16,9 +28,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .integrate import GhRule, HaltonSet, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
+from .integrate import GhRule, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
 from .predictor import EvalContext, Program, outcome_logl
 
 __all__ = [
@@ -31,6 +42,25 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D real array, operation for
+    operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
+    is taken out, its m ties contribute log(m), the rest log1p(s / m),
+    and rows whose result is not finite fall back to the direct formula.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        ties = a == a_max
+        m = np.sum(ties, axis=1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
 
 
 @dataclass
@@ -137,11 +167,12 @@ class _LevelState:
             self.rule: GhRule = gh_rule(plan.q)
             self.nodes, self.logw = gh_grid(self.rule, info.dim)
             self.m = len(self.logw)
-            self.uniforms: HaltonSet | None = None
+            self.std_draws: np.ndarray | None = None
             self.log_std = -0.5 * info.dim * _LOG_2PI - 0.5 * (self.nodes * self.nodes).sum(axis=1)
         else:
             need = info.dim + (1 if plan.dist == "t" else 0)
-            self.uniforms = halton(plan.m, need, skip)
+            # draws at unit scale; a call only multiplies them by the scale factor
+            self.std_draws = kernel_draws(self.kernel, halton(plan.m, need, skip))
             self.m = plan.m
             self.nodes = None
             self.logw = None
@@ -159,9 +190,10 @@ class _LevelState:
         self.active: np.ndarray | None = None  # units with rows anywhere below them
 
 
-# cells x nodes x rows evaluated at once at the innermost level; more
-# outer-node combinations than fit are taken in blocks
+# rows x nodes of the outer-node combinations taken in one block at the
+# innermost level, and rows x columns of one conditional evaluation
 _BLOCK_VALUES = 1 << 21
+_CHUNK_VALUES = 1 << 16
 
 
 class LikelihoodEvaluator:
@@ -219,13 +251,18 @@ class LikelihoodEvaluator:
 
     # -- public entry points --------------------------------------------
 
-    def refresh(self, theta: np.ndarray) -> None:
-        """Recompute the per-cell adaptive transforms at theta."""
+    def refresh(self, theta: np.ndarray) -> bool:
+        """Recompute the per-cell adaptive transforms at theta. Returns
+        whether any level is adaptive, i.e. whether the objective may
+        have changed.
+        """
         theta = np.asarray(theta, dtype=float)
         self.adapted.clear()
-        if any(st.adaptive for st in self.level_states):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                self._adapt(theta, 0, [])
+        if not any(st.adaptive for st in self.level_states):
+            return False
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self._adapt(theta, 0, [])
+        return True
 
     def logl(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -271,7 +308,7 @@ class LikelihoodEvaluator:
         k, r = st.n_cells, st.info.dim
         chol = self.level_chol(st, theta)
         if st.plan.method == "qmc":
-            draws = kernel_draws(st.kernel, st.uniforms, chol)  # (M, r)
+            draws = st.std_draws @ chol.T  # (M, r)
             return np.broadcast_to(draws[None], (k, st.m, r)), np.broadcast_to(-math.log(st.m), (k, st.m))
         a, logw = st.nodes, st.logw
         if st.adaptive:
@@ -335,22 +372,26 @@ class LikelihoodEvaluator:
         if pos + 1 == len(self.level_states):
             corr3 = corr.reshape(st.n_units, st.n_combos, st.m)
             parts = [
-                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m), axis=1).reshape(st.n_units, c1 - c0)
+                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m)).reshape(st.n_units, c1 - c0)
                 for c0, c1, ll in self._row_blocks(theta, outer, x)
             ]
             per_cell = np.concatenate(parts, axis=1)
         else:
-            per_cell = logsumexp(corr + self._conditional(theta, pos, outer, x), axis=1).reshape(st.n_units, st.n_combos)
+            per_cell = logsumexp(corr + self._conditional(theta, pos, outer, x)).reshape(st.n_units, st.n_combos)
         return np.where(st.active[:, None], per_cell, 0.0)
 
     def _row_blocks(self, theta, outer: list, x: np.ndarray):
         """Yield (c0, c1, ll) over blocks of outer-node combinations, with
         ll (n_units, c1 - c0, M) the summed conditional row log-likelihood
-        of each innermost unit at each of its nodes.
+        of each innermost unit at each of its nodes. A block's columns are
+        evaluated in chunks of about _CHUNK_VALUES rows x columns, never
+        one column wide unless the block is: numpy sums a single column's
+        hazard or iEV nodes (``einsum``) in another order.
         """
         program = self.program
         st = self.level_states[-1]
         step = max(1, _BLOCK_VALUES // max(1, self.n_rows * st.m))
+        width = max(2, _CHUNK_VALUES // max(1, self.n_rows))
         cells = x.reshape(st.n_units, st.n_combos, st.m, st.info.dim)
         for c0 in range(0, st.n_combos, step):
             c1 = min(c0 + step, st.n_combos)
@@ -363,16 +404,20 @@ class LikelihoodEvaluator:
                     vals[name] = np.repeat(xo[:, idx, j], st.m, axis=1)
             for j, name in enumerate(st.info.latent_names):
                 vals[name] = cells[:, c0:c1, :, j].reshape(st.n_units, b)
-            ctx = EvalContext(program, theta, vals)
             out = np.zeros((st.n_units, b))
-            for k, co in enumerate(program.outcomes):
-                if self.segments[k] is None:
-                    continue
-                ll = outcome_logl(ctx, k)
-                ll = np.where(np.isnan(ll), -np.inf, ll)
-                starts, seg_units = self.segments[k]
-                sums = np.add.reduceat(np.broadcast_to(ll, (ll.shape[0], b)), starts, axis=0)
-                out[seg_units] += sums
+            edges = list(range(width, b - 1, width))  # the last chunk has at least two columns
+            for j0, j1 in zip([0, *edges], [*edges, b]):
+                ctx = EvalContext(program, theta, {name: v[:, j0:j1] for name, v in vals.items()})
+                for k, segments in enumerate(self.segments):
+                    if segments is None:
+                        continue
+                    ll = outcome_logl(ctx, k)
+                    nan = np.isnan(ll)
+                    if nan.any():  # rare; copying every chunk costs more than the test
+                        ll = np.where(nan, -np.inf, ll)
+                    starts, seg_units = segments
+                    sums = np.add.reduceat(np.broadcast_to(ll, (ll.shape[0], j1 - j0)), starts, axis=0)
+                    out[seg_units, j0:j1] += sums
             self.cond_evals += int(st.active.sum()) * b
             yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
 

@@ -187,10 +187,13 @@ def maximize(
 
     ``refresh`` (e.g. quadrature re-adaptation) runs once per iteration,
     not per objective call, keeping the objective smooth within one
-    iteration. Convergence needs the relative objective change below
-    ``logl_tol`` and max_i |g_i|*max(|theta_i|, 1) below ``grad_tol``;
-    the final Hessian must additionally be negative definite for the
-    optimum to be flagged as verified.
+    iteration; it returns whether it changed the objective, and only then
+    is the objective re-evaluated at the new point. Convergence needs the
+    relative objective change below ``logl_tol`` and
+    max_i |g_i|*max(|theta_i|, 1) below ``grad_tol``; the final Hessian
+    must additionally be negative definite for the optimum to be flagged
+    as verified. The final gradient and Hessian are reused from the last
+    iteration when it computed them at the returned point.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     p = len(theta)
@@ -207,7 +210,7 @@ def maximize(
     converged = False
     message = "maximum iterations reached"
     it = 0
-    grad = np.zeros(p)
+    grad = hess = None  # derivatives at theta, when the loop has them
     for it in range(1, max_iter + 1):
         grad = fd_gradient(objective, theta, pool=pool)
         scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
@@ -241,17 +244,17 @@ def maximize(
                 message = "no ascent step found"
             break
         rel_change = abs(f_new - f) / max(abs(f_new), 1.0)
-        theta = theta_new
-        if refresh is not None:
-            refresh(theta)
+        theta, f = theta_new, f_new
+        grad = hess = None
+        if refresh is not None and refresh(theta):
             f = objective(theta)
-        else:
-            f = f_new
         trace.append((it, f, scaled, halvings))
         if monitor is not None:
             monitor(it, f, scaled, halvings)
-    grad = fd_gradient(objective, theta, pool=pool)
-    hess = fd_hessian(objective, theta, f0=f, pool=pool)
+    if grad is None:
+        grad = fd_gradient(objective, theta, pool=pool)
+    if hess is None:
+        hess = fd_hessian(objective, theta, f0=f, pool=pool)
     verified = True
     try:
         np.linalg.cholesky(-hess[np.ix_(free, free)])

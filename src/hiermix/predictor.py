@@ -718,7 +718,7 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
                 event = np.where(d != 0, np.log(np.exp(log_h) + bh), 0.0)
             else:
                 event = np.where(d != 0, log_h, 0.0)
-            ll = np.where(d != 0, event, 0.0) - cum
+            ll = event - cum
             if emask.any():
                 ll = ll + np.where(emask, fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc), 0.0)
         return _collapse(ll, n)
@@ -755,6 +755,6 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
             event = np.where(d != 0, np.log(np.maximum(np.exp(log_h_event) + bh, 1e-300)), 0.0)
         else:
             event = np.where(d != 0, log_h_event, 0.0)
-        ll = np.where(d != 0, event, 0.0) - cum + cum0
+        ll = event - cum + cum0
     return _collapse(ll, n)
 

@@ -1,10 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 import hiermix as hm
-from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, marginal_logl, profile_report
+import hiermix.likelihood as likelihood
+from hiermix.likelihood import (
+    IntegrationPlan,
+    LevelPlan,
+    LikelihoodEvaluator,
+    default_plan,
+    logsumexp,
+    marginal_logl,
+    profile_report,
+)
 from hiermix.predictor import compile_program
 
 
@@ -83,6 +94,33 @@ def make(data, text):
 THETA = np.array([0.45, 0.9, math.log(0.65), math.log(0.75)])
 
 
+def cross_method_model():
+    """10 trials x 5 patients x 3 rows, random intercepts per trial and
+    patient, with its parameter vector and quadrature and QMC plans.
+    """
+    rng = np.random.default_rng(4)
+    trial = np.repeat(np.arange(10) + 1.0, 15)
+    pat = np.repeat(np.arange(50) + 1.0, 3)
+    y = (
+        1.0
+        + np.repeat(rng.normal(0, 0.5, 10), 15)
+        + np.repeat(rng.normal(0, 0.7, 50), 3)
+        + rng.normal(0, 0.5, 150)
+    )
+    data = {"trial": trial, "pat": pat, "y": y}
+    prog = make(data, "(y M1[trial] M2[trial>pat], family(gaussian))")
+    theta = np.array([1.0, math.log(0.5), math.log(0.5), math.log(0.7)])
+    plan_a = default_plan(prog, points=15)
+    # level-specific techniques: quadrature at the top, draws inside
+    plan_b = IntegrationPlan(
+        levels={
+            "trial": LevelPlan(method="aghq", q=15),
+            "pat": LevelPlan(method="qmc", m=20_000),
+        }
+    )
+    return prog, theta, plan_a, plan_b
+
+
 class TestMarginalLogl:
     def test_no_latents_is_plain_sum(self):
         rng = np.random.default_rng(2)
@@ -104,26 +142,7 @@ class TestMarginalLogl:
         assert abs(got - mvn_marginal(data, THETA)) < 1e-8
 
     def test_three_level_cross_method(self):
-        rng = np.random.default_rng(4)
-        trial = np.repeat(np.arange(10) + 1.0, 15)
-        pat = np.repeat(np.arange(50) + 1.0, 3)
-        y = (
-            1.0
-            + np.repeat(rng.normal(0, 0.5, 10), 15)
-            + np.repeat(rng.normal(0, 0.7, 50), 3)
-            + rng.normal(0, 0.5, 150)
-        )
-        data = {"trial": trial, "pat": pat, "y": y}
-        prog = make(data, "(y M1[trial] M2[trial>pat], family(gaussian))")
-        theta = np.array([1.0, math.log(0.5), math.log(0.5), math.log(0.7)])
-        plan_a = default_plan(prog, points=15)
-        # level-specific techniques: quadrature at the top, draws inside
-        plan_b = IntegrationPlan(
-            levels={
-                "trial": LevelPlan(method="aghq", q=15),
-                "pat": LevelPlan(method="qmc", m=20_000),
-            }
-        )
+        prog, theta, plan_a, plan_b = cross_method_model()
         la = marginal_logl(prog, plan_a, theta)
         lb = marginal_logl(prog, plan_b, theta)
         assert abs(la - lb) / abs(la) < 1e-3
@@ -349,3 +368,147 @@ class TestProfileReport:
         plan = default_plan(prog, method="qmc", draws=500)
         rep = profile_report(prog, plan, THETA)
         assert rep["levels"]["id"]["nodes"] == 500
+
+
+class TestLogsumexp:
+    """The module's logsumexp repeats scipy's real-input arithmetic."""
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(21)
+        for shape in [(40, 1), (40, 5), (300, 200)]:
+            a = rng.normal(0.0, 30.0, shape)
+            assert logsumexp(a).tobytes() == scipy.special.logsumexp(a, axis=1).tobytes()
+
+    def test_edge_rows(self):
+        inf, nan = np.inf, np.nan
+        a = np.array(
+            [
+                [-inf, -inf, -inf, -inf],  # all -inf
+                [1.0, inf, 2.0, -inf],  # +inf
+                [1.0, nan, 2.0, 3.0],  # nan
+                [2.5, 2.5, -1.0, 2.5],  # ties at the max
+                [-800.0, -800.0, -801.0, -900.0],  # exp underflows
+                [700.0, 710.0, 705.0, 0.0],  # exp overflows
+                [inf, inf, 0.0, 0.0],
+                [-inf, 3.0, -inf, -inf],
+            ]
+        )
+        with np.errstate(all="ignore"):
+            expect = scipy.special.logsumexp(a, axis=1)
+        assert logsumexp(a).tobytes() == expect.tobytes()
+        one = np.array([[-inf], [inf], [nan], [-3.25]])
+        with np.errstate(all="ignore"):
+            expect = scipy.special.logsumexp(one, axis=1)
+        assert logsumexp(one).tobytes() == expect.tobytes()
+
+
+def _frailty_t5():
+    data = hm.simulate(
+        "(t trt M1[id], family(weibull, failure(d))), redistribution(t) df(5)",
+        {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+        levels={"id": 40},
+        covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+        outcomes=[{"censoring": 5.0, "records": 3}],
+        seed=3,
+    )
+    prog = make({n: data.col(n) for n in data.names}, "(t trt M1[id], family(weibull, failure(d)))")
+    return prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=301)
+
+
+def _rp():
+    data = hm.simulate(
+        "(t trt M1[id], family(weibull, failure(d)))",
+        {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+        levels={"id": 40},
+        covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+        outcomes=[{"censoring": 5.0, "records": 3}],
+        seed=4,
+    )
+    prog = make({n: data.col(n) for n in data.names}, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))")
+    return prog, default_plan(prog, points=9)
+
+
+def _nested_qmc():
+    prog, _, _, _ = cross_method_model()
+    plan = IntegrationPlan(levels={"trial": LevelPlan(method="aghq", q=5), "pat": LevelPlan(method="qmc", m=303)})
+    return prog, plan
+
+
+def _joint(link):
+    spec = (
+        f"(stime trt {link}[logb]@a1, family(weibull, failure(died)))"
+        " (logb fp(1)@slope fp(1)#M2[id] M1[id], family(gaussian) timevar(time))"
+    )
+    truth = {
+        "stime:trt": -0.3,
+        "a1": 0.4,
+        "stime:_cons": -1.6,
+        "stime:ln_gamma": math.log(1.2),
+        "slope": 0.3,
+        "logb:_cons": 1.0,
+        "logb:ln_sd": math.log(0.3),
+        "ln_sd(M1)": math.log(0.8),
+        "ln_sd(M2)": math.log(0.3),
+    }
+    data = hm.simulate(
+        spec,
+        truth,
+        levels={"id": 20},
+        covariates={"trt": {"dist": "bernoulli"}},
+        outcomes=[{"censoring": 5.0}, {"times": [0.0, 0.5, 1.0, 2.0]}],
+        seed=2,
+    )
+    prog = make({n: data.col(n) for n in data.names}, spec)
+    return prog, default_plan(prog, method="qmc", draws=51)
+
+
+class TestChunkedEvaluation:
+    """Evaluating the innermost level in column chunks changes no bit."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_frailty_t5, _nested_qmc, _rp, lambda: _joint("EV"), lambda: _joint("iEV")],
+        ids=["frailty_t5_qmc", "nested_qmc_inner", "rp", "joint_ev", "joint_iev"],
+    )
+    def test_chunked_equals_one_chunk(self, build, monkeypatch):
+        prog, plan = build()
+        theta = hm.initial_values(prog)
+
+        def values():
+            ev = LikelihoodEvaluator(prog, plan)
+            out = []
+            for shift in (0.0, 0.02):
+                ev.refresh(theta + shift)
+                out.append(ev.logl(theta + shift))
+            return out
+
+        monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1 << 40)
+        whole = values()
+        assert np.all(np.isfinite(whole))
+        # two-column chunks, then seven-column ones
+        rows = sum(co.rows.size for co in prog.outcomes)
+        for budget in (1, 7 * rows):
+            monkeypatch.setattr(likelihood, "_CHUNK_VALUES", budget)
+            assert values() == whole
+
+    def test_one_call_peak_memory(self):
+        # 50 patients x 20 000 draws at each of 15 trial nodes: 139 MiB on
+        # one-combination blocks, 34 MiB with column chunks
+        prog, theta, _, plan = cross_method_model()
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta)
+        tracemalloc.start()
+        try:
+            value = ev.logl(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 64 * 2**20
+
+    def test_refresh_reports_adaptation(self):
+        data = gaussian_cluster_data(g=5, n=2)
+        prog = make(data, "(y x M1[id], family(gaussian))")
+        assert LikelihoodEvaluator(prog, default_plan(prog)).refresh(THETA) is True
+        assert LikelihoodEvaluator(prog, default_plan(prog, adaptive=False)).refresh(THETA) is False
+        assert LikelihoodEvaluator(prog, default_plan(prog, method="qmc")).refresh(THETA) is False

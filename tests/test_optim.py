@@ -149,6 +149,50 @@ class TestMaximize:
         est = res.estimate("sd(resid)")
         np.testing.assert_allclose(res.se("sd(resid)"), est * se_log, rtol=1e-10)
 
+    @staticmethod
+    def counted(f):
+        """f with a list of the points it was called at."""
+        points = []
+
+        def objective(th):
+            points.append(th.copy())
+            return f(th)
+
+        return objective, points
+
+    def test_converged_fit_reuses_final_gradient(self):
+        p = 2
+        objective, points = self.counted(lambda th: -((th[0] - 1.5) ** 2) - 2.0 * (th[1] + 0.5) ** 4 - th[0] * th[1])
+        res = maximize(objective, np.zeros(p))
+        assert res.converged
+        # start + per accepted step a gradient, a Hessian and the line
+        # search + the stopping iteration's gradient + the final Hessian
+        steps = sum(2 * p + 2 * p * p + halvings + 1 for _, _, _, halvings in res.trace)
+        assert len(points) == 1 + steps + 2 * p + 2 * p * p
+        np.testing.assert_array_equal(res.grad, fd_gradient(objective, res.theta))
+
+    def test_failed_fit_reuses_final_derivatives(self):
+        # a kink at 0 where the right slope is -1 and the left one 2: the
+        # central-difference slope 0.5 points uphill into a descent
+        objective, points = self.counted(lambda th: (-th[0] if th[0] > 0 else 2.0 * th[0]) - th[1] ** 2)
+        res = maximize(objective, np.zeros(2))
+        assert res.message == "no ascent step found" and not res.converged
+        # start + gradient + Hessian + 17 line-search points, nothing after
+        assert len(points) == 1 + 4 + 8 + 17
+        np.testing.assert_array_equal(res.grad, fd_gradient(objective, res.theta))
+        np.testing.assert_array_equal(res.hessian, fd_hessian(objective, res.theta))
+
+    def test_objective_reevaluated_only_after_a_changing_refresh(self):
+        f = lambda th: -((th[0] - 1.5) ** 2) - 2.0 * (th[1] + 0.5) ** 4
+        runs = {}
+        for changed in (False, True):
+            objective, points = self.counted(f)
+            res = maximize(objective, np.zeros(2), refresh=lambda th: changed)
+            runs[changed] = (res, len(points))
+        (still, n_still), (moved, n_moved) = runs[False], runs[True]
+        assert n_moved - n_still == len(moved.trace) > 0
+        assert still.theta.tobytes() == moved.theta.tobytes() and still.logl == moved.logl
+
     def test_starting_point_must_be_finite(self):
         with pytest.raises(FitError, match="starting"):
             maximize(lambda th: np.nan, np.array([0.0]))
