@@ -934,8 +934,8 @@ def _referenced_columns(spec: ModelSpec, outcome: OutcomeSpec) -> list[str]:
 def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
     """Check a parsed specification against a data frame: referenced
     columns exist, event indicators are 0/1, entry times precede event
-    times, covariates are complete on each outcome's rows. Reports the
-    level tree.
+    times, every survival outcome has an event, covariates are complete
+    on each outcome's rows. Reports the level tree.
     """
     errors: list[str] = []
 
@@ -987,6 +987,11 @@ def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
         if not errors:
             rows_list = split_outcome_rows(frame, spec)
             for k, (outcome, orows) in enumerate(zip(spec.outcomes, rows_list)):
+                if outcome.family.is_survival and not np.any(orows.event > 0):
+                    errors.append(
+                        f"outcome {k + 1}: no events in {outcome.family.failure!r} on its {orows.rows.size} rows; "
+                        "a survival model needs at least one uncensored time"
+                    )
                 for c, comp in enumerate(outcome.components):
                     for el in comp.elements:
                         if isinstance(el, Covariate):

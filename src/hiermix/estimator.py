@@ -92,25 +92,17 @@ def fit_model(
         def monitor(it, logl, scaled, halvings):
             print(f"iteration {it}: logl {logl:.8f}, max scaled gradient {scaled:.3e}, halvings {halvings}", file=sys.stderr)
 
-    pool = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        maxres = maximize(
-            evaluator.logl,
-            theta0,
-            refresh=evaluator.refresh,
-            max_iter=max_iter,
-            free_mask=free,
-            clamp=clamp,
-            monitor=monitor,
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    maxres = maximize(
+        evaluator.logl,
+        theta0,
+        refresh=evaluator.refresh,
+        max_iter=max_iter,
+        free_mask=free,
+        clamp=clamp,
+        monitor=monitor,
+        threads=threads,
+        stacked=True,
+    )
     result = build_fit_result(program, plan, maxres, evaluator)
     result.program = program  # kept for downstream tooling (reruns, checks)
     result.plan = plan

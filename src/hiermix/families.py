@@ -204,22 +204,33 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
     expected reference hazard added to the event hazard (zero when not
     modelling excess hazard).
 
+    ``coefs`` is the coefficient vector, or a function that maps spline
+    columns to their product with it (the engine lays the products of
+    several parameter vectors over their node columns).
+
     Returns -inf where the total hazard at an event time is
     non-positive, so an optimizer can reject the step.
     """
     d = np.asarray(d, dtype=float)
-    coefs = np.asarray(coefs, dtype=float)
-    log_H = cols.at_y @ coefs + eta
+    if callable(coefs):
+        times = coefs
+    else:
+        coefs = np.asarray(coefs, dtype=float)
+
+        def times(a):
+            return a @ coefs
+
+    log_H = times(cols.at_y) + eta
     with np.errstate(over="ignore"):
         H = np.exp(log_H)
     if eta_plus is not None:
         if cols.log_step is None:
             raise ValueError("time-dependent eta needs spline columns built with a log_step")
-        f_plus = cols.at_plus @ coefs + eta_plus
-        f_minus = cols.at_minus @ coefs + eta_minus
+        f_plus = times(cols.at_plus) + eta_plus
+        f_minus = times(cols.at_minus) + eta_minus
         dF = (f_plus - f_minus) / (2.0 * cols.log_step)
     else:
-        dF = cols.deriv_at_y @ coefs
+        dF = times(cols.deriv_at_y)
     # hazard h(y) = H(y) * dF/dlog(y) / y
     with np.errstate(over="ignore", invalid="ignore"):
         hazard = H * dF / cols.y
@@ -229,7 +240,7 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
     if cols.at_t0 is not None:
         entry_eta = eta if eta_entry is None else eta_entry
         with np.errstate(over="ignore"):
-            out = out + np.where(cols.entry, np.exp(cols.at_t0 @ coefs + entry_eta), 0.0)
+            out = out + np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
     return out
 
 

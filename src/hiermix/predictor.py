@@ -10,7 +10,10 @@ evaluation grid, covariate products at the rows of every outcome that
 evaluates them, time-function columns at compiled grids, and the spline
 columns of the ``rp`` baseline. An objective call computes only what
 depends on the parameters or on grids it builds itself, and keeps
-nothing beyond its own ``EvalContext``.
+nothing beyond its own ``EvalContext``. The node axis may hold the
+columns of several parameter vectors side by side; parameter values
+then vary by column (``EvalContext.param``), and every node sum runs in
+node order whatever the number of columns (``_node_sum``).
 """
 
 from __future__ import annotations
@@ -473,13 +476,36 @@ def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
 class EvalContext:
     """One likelihood evaluation: parameter vector plus latent-effect
     value arrays, (n_units_at_level, n_nodes) per latent name.
+
+    ``theta`` may instead be a (K, p) stack of parameter vectors, with
+    ``columns`` the number of node columns of each, in order: the node
+    axis is then their columns side by side, and every value that
+    depends on the parameters is read through ``param``.
     """
 
-    def __init__(self, program: Program, theta: np.ndarray, latent_values: dict[str, np.ndarray] | None = None):
+    def __init__(
+        self,
+        program: Program,
+        theta: np.ndarray,
+        latent_values: dict[str, np.ndarray] | None = None,
+        columns: np.ndarray | None = None,
+    ):
         self.program = program
         self.theta = np.asarray(theta, dtype=float)
         self.latent_values = latent_values or {}
+        self.columns = columns
         self.memo: dict = {}
+
+    def param(self, fn):
+        """``fn(theta)``, a value that depends on the parameters alone: a
+        scalar, an (..., 1) array, or a list of such values. For a stack,
+        fn of each vector, repeated over that vector's node columns along
+        the last axis.
+        """
+        if self.columns is None:
+            return fn(self.theta)
+        keep = self.columns > 0
+        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep])
 
     def latent_at_rows(self, info, r: int) -> np.ndarray:
         """Latent values at the rows of outcome r: (n, 1, B)."""
@@ -487,6 +513,14 @@ class EvalContext:
         if vals is None:
             raise ValueError(f"no value assigned to latent effect {info.name}")
         return vals[self.program.outcomes[r].units[info.level]][:, None, :]
+
+
+def _over_columns(values: list, counts: np.ndarray):
+    """Per-vector values laid over their node columns (see ``param``)."""
+    if isinstance(values[0], list):
+        return [_over_columns(list(v), counts) for v in zip(*values)]
+    parts = [np.reshape(v, (1, 1, 1)) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
+    return np.repeat(np.concatenate(parts, axis=-1), counts, axis=-1)
 
 
 def _as_grid(t) -> Grid | None:
@@ -512,11 +546,10 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     grid = _as_grid(t)
     program = ctx.program
     co = program.outcomes[k]
-    theta = ctx.theta
     n = program.outcomes[r].rows.size
     total = np.zeros((n, 1, 1))
     if co.cons_slot is not None:
-        total = total + theta[co.cons_slot]
+        total = total + ctx.param(lambda th: th[co.cons_slot])
     for cc in co.components:
         factor = None
 
@@ -542,16 +575,28 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
             else:
                 block = cols
         if cc.slots is not None:
-            coefs = theta[cc.slots]
             if block is not None:
-                mul((block @ coefs)[:, :, None])
+                mul(ctx.param(lambda th: (block @ th[cc.slots])[:, :, None]))
             else:
-                mul(coefs[0])
+                mul(ctx.param(lambda th: th[cc.slots[0]]))
         if factor is None:
             factor = np.ones((n, 1, 1))
         total = total + factor
     ctx.memo[key] = (t, total)
     return total
+
+
+def _node_sum(subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, weights, vals)`` over a quadrature axis,
+    summed in node order for every node column. einsum sums a node axis
+    of one column, or a broadcast one, in another order; such input is
+    summed as one column widened to two, and the sum broadcast back.
+    """
+    if vals.shape[-1] > 1 and vals.strides[-1] != 0:
+        return np.einsum(subscripts, weights, vals)
+    one = vals[..., :1]
+    out = np.einsum(subscripts, weights, np.concatenate([one, one], axis=-1))[..., :1]
+    return np.broadcast_to(out, out.shape[:-1] + vals.shape[-1:])
 
 
 def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
@@ -589,7 +634,7 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         safe = np.where(pts > 0, pts, 1.0)  # the integral over (0, 0] is zero
         vals = ev_at(safe.reshape(n, a * qn))  # (n, A*Q, B)
         vals = np.broadcast_to(vals, (n, a * qn, vals.shape[-1])).reshape(n, a, qn, -1)
-        integ = 0.5 * t[:, :, None] * np.einsum("q,naqb->nab", weights, vals)
+        integ = 0.5 * t[:, :, None] * _node_sum("q,naqb->nab", weights, vals)
         return np.where(t[:, :, None] > 0, integ, 0.0)
     raise ValueError(f"unknown expected-value kind {kind!r}")
 
@@ -642,7 +687,7 @@ class FamilyContext:
         co = self._ctx.program.outcomes[self._k]
         if not 1 <= j <= len(co.anc_slots):
             raise ValueError(f"outcome {self._k + 1} has {len(co.anc_slots)} ancillary parameters, asked for {j}")
-        return self._ctx.theta[co.anc_slots[j - 1]]
+        return self._ctx.param(lambda th: th[co.anc_slots[j - 1]])
 
 
 def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
@@ -655,8 +700,7 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
     n = co.rows.size
     if fam.is_null or n == 0:
         return np.zeros((0, 1))
-    theta = ctx.theta
-    anc = fam.natural_anc(theta[co.anc_slots]) if co.anc_slots else []
+    anc = ctx.param(lambda th: fam.natural_anc(th[co.anc_slots])) if co.anc_slots else []
 
     if fam.user_loglf is not None and not fam.is_survival:
         out = np.asarray(fam.user_loglf(FamilyContext(ctx, k, co.grid)), dtype=float)
@@ -685,7 +729,6 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     program = ctx.program
     co = program.outcomes[k]
     fam = co.family
-    theta = ctx.theta
     y3 = co.response.reshape(-1, 1, 1)
     d = co.event.reshape(-1, 1, 1)
     t03 = co.entry.reshape(-1, 1, 1)
@@ -696,7 +739,10 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     w = program.gl_weights
 
     if co.rp is not None:
-        coefs = theta[co.spline_slots]
+
+        def coefs(cols):  # the spline columns times their coefficients
+            return ctx.param(lambda th: cols @ th[co.spline_slots])
+
         bhaz = 0.0 if bh is None else bh
         eta = eval_eta(ctx, k, k, co.grid)
         if co.grid is None:
@@ -743,14 +789,14 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
             h_entry = haz[:, 1 + q :, :]
         else:
             eta_all = eval_eta(ctx, k, k, co.grid)
-            base = fam.base_log_hazard(tgrid, anc)[:, :, None]
+            base = fam.base_log_hazard(tgrid[:, :, None], anc)
             log_h = eta_all + base
             log_h = np.broadcast_to(log_h, (n, 1 + 2 * q, log_h.shape[-1]))
             log_h_event = log_h[:, 0:1, :]
             h_body = np.exp(log_h[:, 1 : 1 + q, :])
             h_entry = np.exp(log_h[:, 1 + q :, :])
-        cum = 0.5 * y3 * np.einsum("q,nqb->nb", w, h_body)[:, None, :]
-        cum0 = np.where(emask, 0.5 * t03 * np.einsum("q,nqb->nb", w, h_entry)[:, None, :], 0.0)
+        cum = 0.5 * y3 * _node_sum("q,nqb->nb", w, h_body)[:, None, :]
+        cum0 = np.where(emask, 0.5 * t03 * _node_sum("q,nqb->nb", w, h_entry)[:, None, :], 0.0)
         if bh is not None:
             event = np.where(d != 0, np.log(np.maximum(np.exp(log_h_event) + bh, 1e-300)), 0.0)
         else:

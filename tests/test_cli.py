@@ -73,6 +73,17 @@ class TestFit:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--draws", "60"]], ids=["aghq", "qmc"])
+    def test_thread_count_byte_identical(self, frailty_csv, tmp_path, flags):
+        # threads split each batch of derivative probes into sub-stacks
+        docs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.txt"
+            argv = ["fit", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out), "--threads", threads]
+            assert main(argv + flags) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+
     def test_per_level_flag_syntax(self, frailty_csv, tmp_path):
         code = main(
             ["fit", "--spec", SPEC, "--data", str(frailty_csv), "--points", "id=9", "--out", str(tmp_path / "o")]
@@ -165,6 +176,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
+
+    def test_all_censored_survival_exits_3(self, tmp_path, capsys):
+        # 30 clusters x 4 Weibull rows, every one censored
+        rng = np.random.default_rng(5)
+        lines = ["id,y,d,trt"]
+        for i in range(30):
+            for _ in range(4):
+                lines.append(f"{i + 1},{rng.uniform(0.5, 4.0):.6g},0,{i % 2}")
+        path = tmp_path / "censored.csv"
+        path.write_text("\n".join(lines) + "\n")
+        spec = "(y trt M1[id], family(weibull, failure(d)))"
+        code = main(["fit", "--spec", spec, "--data", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "no events" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCheckCommand:

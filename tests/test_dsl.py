@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hiermix as hm
 from hiermix.data import as_frame
 from hiermix.dsl import (
     Covariate,
@@ -247,3 +248,14 @@ class TestValidateSpec:
         spec = parse_model_spec("(time age M1[patient], family(weibull, failure(infect)))")
         report = validate_spec(spec, frame)
         assert any("infect" in e for e in report.errors)
+
+    def test_survival_outcome_without_events_rejected(self):
+        # all rows censored: the model is not identified
+        frame = self.make_frame()
+        frame.columns["infect"][:] = 0.0
+        spec = parse_model_spec("(time age M1[patient], family(weibull, failure(infect)))")
+        report = validate_spec(spec, frame)
+        assert not report.ok
+        assert any("no events" in e and "infect" in e for e in report.errors)
+        with pytest.raises(SpecValidationError, match="no events"):
+            hm.fit_model(spec, frame)

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 
 import hiermix as hm
+import hiermix.estimator as estimator
 import hiermix.likelihood as likelihood
 from hiermix.likelihood import (
     IntegrationPlan,
@@ -16,6 +17,7 @@ from hiermix.likelihood import (
     marginal_logl,
     profile_report,
 )
+from hiermix.optim import FitError, fd_gradient, fd_hessian
 from hiermix.predictor import compile_program
 
 
@@ -485,7 +487,7 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1 << 40)
         whole = values()
         assert np.all(np.isfinite(whole))
-        # two-column chunks, then seven-column ones
+        # one-column chunks, then seven-column ones
         rows = sum(co.rows.size for co in prog.outcomes)
         for budget in (1, 7 * rows):
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", budget)
@@ -512,3 +514,182 @@ class TestChunkedEvaluation:
         assert LikelihoodEvaluator(prog, default_plan(prog)).refresh(THETA) is True
         assert LikelihoodEvaluator(prog, default_plan(prog, adaptive=False)).refresh(THETA) is False
         assert LikelihoodEvaluator(prog, default_plan(prog, method="qmc")).refresh(THETA) is False
+
+
+def _nested_aghq():
+    prog, _, _, _ = cross_method_model()
+    return prog, default_plan(prog, points=5)
+
+
+def _user_ancillary():
+    def batch_gauss(ctx):
+        sd = np.exp(ctx.ancillary(1))
+        return -0.5 * np.log(2 * np.pi) - np.log(sd) - 0.5 * ((ctx.response() - ctx.linpred()) / sd) ** 2
+
+    hm.register_user_family(loglf=batch_gauss, n_anc=1)
+    prog = make(gaussian_cluster_data(g=15, n=3), "(y x M1[id], family(user, loglf(batch_gauss)) np(1))")
+    return prog, default_plan(prog, points=7)
+
+
+def _no_latent_hazard_quadrature():
+    # a time-dependent effect without random effects: the hazard
+    # quadrature sums one node column per call
+    prog, _ = _rp()
+    data = {n: prog.frame.col(n) for n in ("t", "d", "trt")}
+    prog = make(data, "(t trt fp(1)#trt, family(weibull, failure(d)))")
+    return prog, IntegrationPlan()
+
+
+def _probe_stack(theta):
+    """Derivative-style probes around theta: the base point, each
+    coordinate moved up and down, and one pair moved together."""
+    p = len(theta)
+    stack = [theta.copy()]
+    for i in range(p):
+        for s in (0.01, -0.01):
+            x = theta.copy()
+            x[i] += s
+            stack.append(x)
+    x = theta.copy()
+    x[0] += 0.01
+    x[p - 1] -= 0.01
+    stack.append(x)
+    return np.array(stack)
+
+
+def _stackable(f):
+    """A one-point objective that also maps a (K, p) stack to K values."""
+
+    def objective(th):
+        th = np.asarray(th)
+        return f(th) if th.ndim == 1 else np.array([f(x) for x in th])
+
+    return objective
+
+
+class TestBatchedEvaluation:
+    """A (K, p) stack of parameter vectors evaluates, bit for bit, to the
+    K single-vector calls."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _frailty_t5,
+            _nested_qmc,
+            _nested_aghq,
+            _rp,
+            lambda: _joint("EV"),
+            lambda: _joint("iEV"),
+            _user_ancillary,
+            _no_latent_hazard_quadrature,
+        ],
+        ids=[
+            "frailty_t5_qmc",
+            "nested_qmc_inner",
+            "nested_aghq",
+            "rp",
+            "joint_ev",
+            "joint_iev",
+            "user_anc",
+            "no_latent",
+        ],
+    )
+    def test_stack_equals_single_calls(self, build, monkeypatch):
+        prog, plan = build()
+        theta = hm.initial_values(prog)
+        stack = _probe_stack(theta)
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta + 0.02)
+        single = np.array([ev.logl(x) for x in stack])
+        assert np.all(np.isfinite(single))
+        rows = sum(co.rows.size for co in prog.outcomes)
+        inner = ev.level_states[-1] if ev.level_states else None
+        nodes = inner.m if inner else 1
+        columns = inner.n_combos * nodes if inner else 1  # innermost columns of one vector
+        one = ev.n_values * columns
+        default = (likelihood._GROUP_VALUES, likelihood._CHUNK_VALUES, likelihood._BLOCK_VALUES)
+        budgets = [
+            (1 << 40, 1 << 40, default[2]),  # one group, one chunk
+            (int(2.5 * one), 1 << 40, default[2]),  # groups of two
+            (int(3.3 * one), int(1.5 * rows * columns), default[2]),  # groups of three, chunks across vectors
+            (int(3.3 * one), int(1.5 * rows * columns), 3 * rows * nodes),  # and blocks of three combinations
+            (7 * one, 7 * rows * columns, 1),  # groups of seven, one combination per block
+            default,
+        ]
+        for group, chunk, block in budgets:
+            monkeypatch.setattr(likelihood, "_GROUP_VALUES", group)
+            monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
+            monkeypatch.setattr(likelihood, "_BLOCK_VALUES", block)
+            batch = ev.logl(stack)
+            assert batch.shape == (len(stack),)
+            assert batch.tobytes() == single.tobytes(), (group, chunk, block)
+
+    def test_stack_adapts_at_its_first_vector(self, monkeypatch):
+        # without a refresh, the first vector adapts, as in single calls
+        monkeypatch.setattr(likelihood, "_GROUP_VALUES", 1 << 40)
+        prog, plan = _nested_aghq()
+        stack = _probe_stack(hm.initial_values(prog))
+        one = LikelihoodEvaluator(prog, plan)
+        single = np.array([one.logl(x) for x in stack])
+        assert LikelihoodEvaluator(prog, plan).logl(stack).tobytes() == single.tobytes()
+
+    def test_nonfinite_vectors_stay_alone(self):
+        prog, plan = _rp()
+        theta = hm.initial_values(prog)
+        stack = _probe_stack(theta)
+        stack[2, prog.slot_index("rcs1")] = -50.0  # a negative hazard at every event time
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta)
+        values = ev.logl(stack)
+        assert values[2] == -np.inf
+        assert values.tobytes() == np.array([ev.logl(x) for x in stack]).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_fd_derivatives_batched_equal_pointwise(self, threads):
+        prog, plan = _nested_aghq()
+        theta = hm.initial_values(prog)
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta)
+        g = fd_gradient(ev.logl, theta)
+        h = fd_hessian(ev.logl, theta)
+        calls = ev.n_calls
+        assert fd_gradient(ev.logl, theta, threads, stacked=True).tobytes() == g.tobytes()
+        assert fd_hessian(ev.logl, theta, None, threads, stacked=True).tobytes() == h.tobytes()
+        # a gradient, a Hessian and its centre point: one call per thread each
+        assert ev.n_calls - calls == 2 * threads + 1
+
+    def test_fd_shrink_cases_batched_equal_pointwise(self):
+        def edge(th):
+            return float(th[0]) if th[0] < 1.0000001 else np.nan
+
+        def bowl(th):
+            return -((th[0] - 1.0) ** 2) if th[0] < 1.0001 else np.nan
+
+        theta = np.array([1.0])
+        for f in (edge, bowl):
+            g = fd_gradient(f, theta)
+            assert fd_gradient(_stackable(f), theta, stacked=True).tobytes() == g.tobytes()
+        h = fd_hessian(bowl, theta)
+        np.testing.assert_allclose(h, [[-2.0]], rtol=1e-4)
+        assert fd_hessian(_stackable(bowl), theta, stacked=True).tobytes() == h.tobytes()
+        with pytest.raises(FitError):
+            fd_hessian(_stackable(lambda th: np.nan if th[0] != 0.5 else 0.0), np.array([0.5]), stacked=True)
+
+    def test_fixed_fit_equals_pointwise_fit(self, monkeypatch):
+        data = gaussian_cluster_data(g=10, n=3)
+        spec = "(y x M1[id], family(gaussian))"
+        batched = hm.fit_model(spec, data, points=5, fixed={"x": 0.5})
+        maximize = estimator.maximize
+        monkeypatch.setattr(estimator, "maximize", lambda *a, **k: maximize(*a, **{**k, "stacked": False}))
+        pointwise = hm.fit_model(spec, data, points=5, fixed={"x": 0.5})
+        assert batched.theta[pointwise.names.index("x")] == 0.5
+        assert batched.theta.tobytes() == pointwise.theta.tobytes()
+        assert batched.cov.tobytes() == pointwise.cov.tobytes()
+        assert (batched.logl, batched.message, batched.iterations) == (
+            pointwise.logl,
+            pointwise.message,
+            pointwise.iterations,
+        )
+        assert pointwise.profile["objective_points"] == pointwise.profile["likelihood_calls"]
+        assert batched.profile["objective_points"] == pointwise.profile["objective_points"]
+        assert batched.profile["likelihood_calls"] < pointwise.profile["likelihood_calls"]
