@@ -45,15 +45,30 @@ def _check_counts(y, what: str, upper=None):
     return y
 
 
-def logl_gaussian(y, mu, sigma):
+def _result(out, *operands):
+    """``out``, or a new array of the broadcast shape of the operands
+    that are not None: the array an in-place form writes its result to.
+    """
+    if out is not None:
+        return out
+    return np.empty(np.broadcast(*(v for v in operands if v is not None)).shape)
+
+
+def logl_gaussian(y, mu, sigma, out=None):
     """Non-positive sigma yields -inf rather than raising, so an
     optimizer probing a degenerate scale simply rejects the step.
+    Written into ``out`` when it is given (the result's shape).
     """
     sigma = np.asarray(sigma, dtype=float)
+    out = _result(out, y, mu, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (np.asarray(y, dtype=float) - mu) / sigma
-        out = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z * z
-    return np.where(sigma > 0, out, -np.inf)
+        z = np.divide(np.subtract(y, mu, out=out), sigma, out=out)
+        half = np.multiply(0.5, z, out=np.empty_like(out))  # 0.5 * z * z needs z and 0.5 z at once
+        np.multiply(half, z, out=half)
+        np.subtract(-0.5 * _LOG_2PI - np.log(sigma), half, out=out)
+    if not (sigma > 0).all():
+        np.copyto(out, -np.inf, where=~(sigma > 0))
+    return out
 
 
 def logl_poisson(y, mu):
@@ -61,11 +76,18 @@ def logl_poisson(y, mu):
     return -np.asarray(mu, dtype=float) + y * np.log(mu) - gammaln(y + 1.0)
 
 
-def logl_bernoulli(y, mu):
+def logl_bernoulli(y, mu, out=None):
+    """Written into ``out`` when it is given (the result's shape), which
+    may be ``mu`` itself.
+    """
     y = _check_counts(y, "bernoulli", upper=1)
     mu = np.asarray(mu, dtype=float)
+    out = _result(out, y, mu)
     with np.errstate(divide="ignore"):
-        return y * np.log(mu) + (1.0 - y) * np.log1p(-mu)
+        term = np.log(mu, out=np.empty_like(out))
+        np.multiply(y, term, out=term)
+        np.log1p(np.negative(mu, out=out), out=out)
+        return np.add(term, np.multiply(1.0 - y, out, out=out), out=out)
 
 
 def logl_binomial(y, mu, k):
@@ -118,14 +140,19 @@ def _gompertz_scaled_expm1(gamma, t):
     return np.where(small, series, exact)
 
 
-def _surv_log_hazard(name, t, eta, anc):
+# exponential, weibull and gompertz write into ``out`` when it is given
+# (the result's shape); the other families return new arrays
+
+
+def _surv_log_hazard(name, t, eta, anc, out=None):
     t = np.asarray(t, dtype=float)
     if name == "exponential":
-        return eta + np.zeros_like(t * np.ones_like(eta))
+        return np.add(eta, 0.0, out=_result(out, t, eta))
     if name == "weibull":
-        return eta + np.log(anc) + (anc - 1.0) * np.log(t)
+        out = np.add(eta, np.log(anc), out=_result(out, t, eta, anc))
+        return np.add(out, (anc - 1.0) * np.log(t), out=out)
     if name == "gompertz":
-        return eta + anc * t
+        return np.add(eta, anc * t, out=_result(out, t, eta, anc))
     if name == "lognormal":
         z = (np.log(t) - eta) / anc
         log_pdf = -0.5 * _LOG_2PI - 0.5 * z * z - np.log(anc) - np.log(t)
@@ -137,15 +164,18 @@ def _surv_log_hazard(name, t, eta, anc):
     raise ValueError(f"no closed-form hazard for family {name!r}")
 
 
-def _surv_cum_hazard(name, t, eta, anc):
+def _surv_cum_hazard(name, t, eta, anc, out=None):
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if name == "exponential":
-            return np.exp(eta) * t
+            out = np.exp(eta, out=_result(out, t, eta))
+            return np.multiply(out, t, out=out)
         if name == "weibull":
-            return np.exp(eta) * t**anc
+            out = np.exp(eta, out=_result(out, t, eta, anc))
+            return np.multiply(out, t**anc, out=out)
         if name == "gompertz":
-            return np.exp(eta) * _gompertz_scaled_expm1(anc, t)
+            out = np.exp(eta, out=_result(out, t, eta, anc))
+            return np.multiply(out, _gompertz_scaled_expm1(anc, t), out=out)
         if name == "lognormal":
             out = np.where(t > 0, -log_ndtr(-(np.log(np.maximum(t, 1e-300)) - eta) / anc), 0.0)
             return out
@@ -328,8 +358,20 @@ class Family:
     def n_anc(self) -> int:
         return len(self.anc_info)
 
-    def inverse_link(self, eta):
-        return INVERSE_LINKS[self.link](eta)
+    @property
+    def in_place(self) -> bool:
+        """Whether ``logl``, or ``log_hazard`` and ``cum_hazard``, write
+        into an ``out`` array; other families return new arrays.
+        """
+        return self.name in _IN_PLACE
+
+    def inverse_link(self, eta, out=None):
+        """The mean at linear predictor eta, written into ``out`` when it
+        is given, except for the identity link, which returns eta itself.
+        """
+        if out is None or self.link == "identity":
+            return INVERSE_LINKS[self.link](eta)
+        return INVERSE_LINKS[self.link](eta, out=out)
 
     def natural_anc(self, anc_est: np.ndarray) -> list:
         out = []
@@ -351,18 +393,22 @@ class Family:
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
 
-    def logl(self, y, eta, anc):
+    def logl(self, y, eta, anc, out=None):
         """Log-likelihood for non-survival families given the linear
-        predictor; ``anc`` on the natural scale.
+        predictor; ``anc`` on the natural scale. Families that are
+        ``in_place`` write it into ``out`` when it is given (the result's
+        shape).
         """
-        mu = self.inverse_link(eta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.name == "gaussian":
-                return logl_gaussian(y, mu, anc[0])
+            if self.name == "gaussian":  # identity link: the mean is eta
+                return logl_gaussian(y, eta, anc[0], out)
             if self.name == "poisson":
-                return -mu + y * eta - gammaln(y + 1.0)
+                mu = np.exp(eta, out=_result(out, y, eta))
+                return np.subtract(np.add(np.negative(mu, out=mu), y * eta, out=mu), gammaln(y + 1.0), out=mu)
             if self.name == "bernoulli":
-                return logl_bernoulli(y, mu)
+                mu = expit(eta, out=_result(out, y, eta))
+                return logl_bernoulli(y, mu, out=mu)
+            mu = self.inverse_link(eta)
             if self.name == "binomial":
                 return logl_binomial(y, mu, self.k)
             if self.name == "beta":
@@ -372,11 +418,11 @@ class Family:
         raise ValueError(f"family {self.name!r} has no direct log-likelihood")
 
     # survival pieces (closed forms, time-constant linear predictor)
-    def log_hazard(self, t, eta, anc):
-        return _surv_log_hazard(self.name, t, eta, anc[0] if anc else None)
+    def log_hazard(self, t, eta, anc, out=None):
+        return _surv_log_hazard(self.name, t, eta, anc[0] if anc else None, out)
 
-    def cum_hazard(self, t, eta, anc):
-        return _surv_cum_hazard(self.name, t, eta, anc[0] if anc else None)
+    def cum_hazard(self, t, eta, anc, out=None):
+        return _surv_cum_hazard(self.name, t, eta, anc[0] if anc else None, out)
 
     def base_log_hazard(self, t, anc):
         """log h(t) - eta for proportional-hazards families, used when a
@@ -397,6 +443,7 @@ class Family:
 
 
 _NO_TD = ("lognormal", "loglogistic")
+_IN_PLACE = ("exponential", "weibull", "gompertz", "gaussian", "poisson", "bernoulli")
 
 
 def make_family(fam_spec) -> Family:

@@ -20,6 +20,17 @@ Node axes are reduced with ``logsumexp``, which repeats the arithmetic
 of ``scipy.special.logsumexp`` for real input without its generic
 array-API overhead.
 
+The block, chunk and group shapes are fixed when the evaluator is built.
+Each thread that evaluates gets its own ``predictor.Workspace``: the
+block's latent-value arrays and row sums, every array a chunk's
+evaluation writes (latent values at the rows, linear predictors, family
+terms) and the node reduction's temporaries are its buffers, allocated
+at the first chunk and reused by every chunk and call after it, so an
+evaluation no longer asks the system for fresh pages. The buffers are
+written in place with the operations, in the order, that would have
+built new arrays, so no value changes; none of them outlives the chunk
+or block that wrote it, and none is returned.
+
 ``LikelihoodEvaluator.logl`` also takes a (K, p) stack of parameter
 vectors, such as the finite-difference probes of one Newton iteration,
 and evaluates as many of them together as keep the values of the
@@ -36,13 +47,14 @@ exceeds the budget is evaluated alone.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .integrate import GhRule, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, outcome_logl
+from .predictor import EvalContext, Program, Workspace, outcome_logl
 
 __all__ = [
     "LevelPlan",
@@ -56,17 +68,24 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
+def logsumexp(a: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of a 2-D real array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
+    The two temporaries as large as ``a`` come from ``ws`` when given.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_max = np.max(a, axis=1, keepdims=True)
-        ties = a == a_max
-        m = np.sum(ties, axis=1, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=1, keepdims=True)
+        a_max = a.max(axis=1, keepdims=True)
+        ties = np.equal(a, a_max, out=None if ws is None else ws.named("lse.ties", a.shape, bool))
+        m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
+        if ws is None:
+            e = np.where(ties, -np.inf, a)
+        else:
+            e = ws.named("lse.exp", a.shape)
+            np.copyto(e, a)
+            np.copyto(e, -np.inf, where=ties)
+        s = np.exp(np.subtract(e, a_max, out=e), out=e).sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         bad = ~np.isfinite(out)
@@ -235,6 +254,8 @@ class LikelihoodEvaluator:
                 outer = self.level_states[-1] if self.level_states else None
                 self.level_states.append(_LevelState(li, plan.levels[li.name], plan.skip, structure, h, outer))
         self._prepare_segments()
+        self._plan_chunks()
+        self._local = threading.local()  # .workspace: the calling thread's buffers
         self.adapted: dict[int, tuple] = {}  # level position -> adapt_locations result
         self.n_calls = 0
         self.n_points = 0
@@ -268,8 +289,11 @@ class LikelihoodEvaluator:
                 continue
             ordinals = co.units[inner.info.name]
             starts = np.concatenate(([0], np.flatnonzero(np.diff(ordinals) != 0) + 1))
-            self.segments.append((starts, ordinals[starts]))
-            has_rows[ordinals[starts]] = True
+            units = ordinals[starts]
+            # a slice where the segments are the units in order, so sums add into a view
+            in_order = np.array_equal(units, np.arange(inner.n_units))
+            self.segments.append((starts, slice(None) if in_order else units))
+            has_rows[units] = True
         inner.active = has_rows
         for pos in range(len(self.level_states) - 1, 0, -1):
             st, outer = self.level_states[pos], self.level_states[pos - 1]
@@ -292,21 +316,35 @@ class LikelihoodEvaluator:
             out.append(done[key])
         return out
 
-    def _context(self, thetas: np.ndarray, latent_values: dict, columns: np.ndarray) -> EvalContext:
-        if len(thetas) == 1:
-            return EvalContext(self.program, thetas[0], latent_values)
-        return EvalContext(self.program, thetas, latent_values, columns)
-
-    def _group_size(self) -> int:
-        """Parameter vectors evaluated together: as many as keep the
-        values of their innermost evaluation (``n_values`` x columns)
-        within _GROUP_VALUES, at least one.
+    def _plan_chunks(self) -> None:
+        """The fixed shapes of the innermost evaluation: parameter vectors
+        per group, as many as keep the values of their innermost
+        evaluation (``n_values`` x columns) within _GROUP_VALUES; outer-node
+        combinations per block, within _BLOCK_VALUES rows x nodes; and
+        columns per chunk, within _CHUNK_VALUES rows x columns. Each is at
+        least one.
         """
-        columns = 1
+        columns, nodes = 1, 1
         if self.level_states:
             inner = self.level_states[-1]
-            columns = inner.n_combos * inner.m
-        return max(1, _GROUP_VALUES // max(1, self.n_values * columns))
+            columns, nodes = inner.n_combos * inner.m, inner.m
+        self.group_size = max(1, _GROUP_VALUES // max(1, self.n_values * columns))
+        self.block_combos = max(1, _BLOCK_VALUES // max(1, self.n_rows * nodes))
+        self.chunk_columns = max(1, _CHUNK_VALUES // max(1, self.n_rows))
+
+    def _workspace(self) -> Workspace:
+        """The calling thread's buffers: threads evaluating at once never
+        share one.
+        """
+        ws = getattr(self._local, "workspace", None)
+        if ws is None:
+            ws = self._local.workspace = Workspace()
+        return ws
+
+    def _context(self, thetas: np.ndarray, latent_values: dict, columns: np.ndarray, ws=None) -> EvalContext:
+        if len(thetas) == 1:
+            return EvalContext(self.program, thetas[0], latent_values, workspace=ws)
+        return EvalContext(self.program, thetas, latent_values, columns, ws)
 
     # -- public entry points --------------------------------------------
 
@@ -327,7 +365,7 @@ class LikelihoodEvaluator:
         """Marginal log-likelihood at one parameter vector (a float), or
         at each row of a (K, p) stack (K values). Each value equals, bit
         for bit, the call with that vector alone. A stack is evaluated in
-        groups of ``_group_size`` vectors; a level that still has to adapt
+        groups of ``group_size`` vectors; a level that still has to adapt
         adapts at the first vector, as K single calls would.
         """
         theta = np.asarray(theta, dtype=float)
@@ -341,9 +379,8 @@ class LikelihoodEvaluator:
             values = []
             if any(st.adaptive and pos not in self.adapted for pos, st in enumerate(self.level_states)):
                 values, theta = self._logl_group(theta[:1]), theta[1:]
-            size = self._group_size()
-            for g0 in range(0, len(theta), size):
-                values += self._logl_group(theta[g0 : g0 + size])
+            for g0 in range(0, len(theta), self.group_size):
+                values += self._logl_group(theta[g0 : g0 + self.group_size])
             return np.asarray(values)
         finally:
             self.wall_time += time.perf_counter() - t_start
@@ -463,8 +500,11 @@ class LikelihoodEvaluator:
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
-            blocks = [ll for _, _, ll in self._row_blocks(thetas, outer, x)]
-            return np.concatenate(blocks, axis=1).reshape(-1, st.m)
+            # a new array: the next block reuses the buffer ``ll`` is in
+            cond = np.empty((st.n_units, len(thetas) * st.n_combos, st.m))
+            for c0, c1, ll in self._row_blocks(thetas, outer, x):
+                cond[:, c0:c1] = ll
+            return cond.reshape(-1, st.m)
         inner_outer = outer + [self._as_outer(pos, x)]
         if refresh:
             self._adapt(thetas, pos + 1, inner_outer)
@@ -482,8 +522,9 @@ class LikelihoodEvaluator:
         x, corr = self._nodes(pos, thetas)
         if pos + 1 == len(self.level_states):
             corr3 = corr.reshape(st.n_units, -1, st.m)
+            ws = self._workspace()
             parts = [
-                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m)).reshape(st.n_units, c1 - c0)
+                logsumexp(np.add(corr3[:, c0:c1], ll, out=ll).reshape(-1, st.m), ws).reshape(st.n_units, c1 - c0)
                 for c0, c1, ll in self._row_blocks(thetas, outer, x)
             ]
             per_cell = np.concatenate(parts, axis=1)
@@ -492,45 +533,60 @@ class LikelihoodEvaluator:
         return np.where(st.active[:, None], per_cell, 0.0)
 
     def _row_blocks(self, thetas, outer: list, x: np.ndarray):
-        """Yield (c0, c1, ll) over blocks of outer-node combinations, with
-        ll (n_units, c1 - c0, M) the summed conditional row log-likelihood
-        of each innermost unit at each of its nodes. A block's columns are
-        evaluated in chunks of about _CHUNK_VALUES rows x columns, each
-        with the parameter vectors of its columns.
+        """Yield (c0, c1, ll) over blocks of ``block_combos`` outer-node
+        combinations, with ll (n_units, c1 - c0, M) the summed conditional
+        row log-likelihood of each innermost unit at each of its nodes. A
+        block's columns are evaluated in chunks of ``chunk_columns``, each
+        with the parameter vectors of its columns. The block's arrays and
+        every array of a chunk's evaluation are the thread's workspace
+        buffers: ll is overwritten by the next block, and the caller may
+        overwrite it.
         """
         st = self.level_states[-1]
+        ws = self._workspace()
         combos = len(thetas) * st.n_combos
-        step = max(1, _BLOCK_VALUES // max(1, self.n_rows * st.m))
-        width = max(1, _CHUNK_VALUES // max(1, self.n_rows))
+        width = self.chunk_columns
         cells = x.reshape(st.n_units, combos, st.m, st.info.dim)
-        for c0 in range(0, combos, step):
-            c1 = min(c0 + step, combos)
+        n_active = int(st.active.sum())
+        for c0 in range(0, combos, self.block_combos):
+            c1 = min(c0 + self.block_combos, combos)
             b = (c1 - c0) * st.m
             vals = {}
             for ost, xo in zip(self.level_states, outer):
                 # node of the outer level at each combination of the block
                 idx = np.arange(c0, c1) // (combos // xo.shape[1])
                 for j, name in enumerate(ost.info.latent_names):
-                    vals[name] = np.repeat(xo[:, idx, j], st.m, axis=1)
+                    vals[name] = ws.named(name, (xo.shape[0], b))
+                    np.copyto(vals[name].reshape(xo.shape[0], c1 - c0, st.m), xo[:, idx, j][:, :, None])
             for j, name in enumerate(st.info.latent_names):
-                vals[name] = cells[:, c0:c1, :, j].reshape(st.n_units, b)
-            vector = np.arange(c0 * st.m, c1 * st.m) // (st.n_combos * st.m)  # parameter vector of each column
-            out = np.zeros((st.n_units, b))
+                vals[name] = ws.named(name, (st.n_units, b))
+                np.copyto(vals[name].reshape(st.n_units, c1 - c0, st.m), cells[:, c0:c1, :, j])
+            if len(thetas) > 1:
+                vector = np.arange(c0 * st.m, c1 * st.m) // (st.n_combos * st.m)  # parameter vector of each column
+            out = ws.named("block.out", (st.n_units, b))
+            out.fill(0.0)
             edges = list(range(width, b, width))
             for j0, j1 in zip([0, *edges], [*edges, b]):
-                columns = np.bincount(vector[j0:j1], minlength=len(thetas))
-                ctx = self._context(thetas, {name: v[:, j0:j1] for name, v in vals.items()}, columns)
+                ws.reset()
+                columns = np.bincount(vector[j0:j1], minlength=len(thetas)) if len(thetas) > 1 else None
+                ctx = self._context(thetas, {name: v[:, j0:j1] for name, v in vals.items()}, columns, ws)
                 for k, segments in enumerate(self.segments):
                     if segments is None:
                         continue
                     ll = outcome_logl(ctx, k)
-                    nan = np.isnan(ll)
+                    nan = np.isnan(ll, out=ws.take(ll.shape, bool))
                     if nan.any():  # rare; copying every chunk costs more than the test
                         ll = np.where(nan, -np.inf, ll)
                     starts, seg_units = segments
-                    sums = np.add.reduceat(np.broadcast_to(ll, (ll.shape[0], j1 - j0)), starts, axis=0)
-                    out[seg_units, j0:j1] += sums
-            self.cond_evals += int(st.active.sum()) * b
+                    if ll.shape[1] != j1 - j0:  # the same in every column
+                        ll = np.broadcast_to(ll, (ll.shape[0], j1 - j0))
+                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, j1 - j0)))
+                    if isinstance(seg_units, slice):
+                        dest = out[:, j0:j1]
+                        np.add(dest, sums, out=dest)
+                    else:
+                        out[seg_units, j0:j1] += sums
+            self.cond_evals += n_active * b
             yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
 
     def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:

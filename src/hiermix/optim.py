@@ -318,15 +318,24 @@ def maximize(
 # ---------------------------------------------------------------------------
 
 
+# largest |eta| an IRLS start may reach: a logit mean within 3.1e-7 of 0
+# or 1, a log mean of 1.1e13
+_IRLS_ETA_BOUND = {"logit": 15.0, "log": 30.0}
+
+
 def _glm_irls(x, y, link: str, max_iter: int = 25):
     """Small iteratively reweighted least squares for the log/logit/identity
-    links, enough for starting values.
+    links, enough for starting values. A step that would take any |eta|
+    past ``_IRLS_ETA_BOUND`` is halved until it does not: where the data
+    separate, the estimates diverge, and the start then stops at finite,
+    bounded values instead of overflowing.
     """
     n, p = x.shape
     beta = np.zeros(p)
     if link == "identity":
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
         return beta
+    bound = _IRLS_ETA_BOUND[link]
     mu = np.clip((y + np.mean(y)) / 2.0, 1e-3, None)
     if link == "logit":
         mu = np.clip(mu, 1e-3, 1.0 - 1e-3)
@@ -348,11 +357,19 @@ def _glm_irls(x, y, link: str, max_iter: int = 25):
             break
         if not np.all(np.isfinite(beta_new)):
             break
+        eta_new = x @ beta_new
+        halvings = 0
+        while np.max(np.abs(eta_new)) > bound and halvings < 60:
+            beta_new = beta + 0.5 * (beta_new - beta)
+            eta_new = x @ beta_new
+            halvings += 1
+        if np.max(np.abs(eta_new)) > bound:
+            break
         if np.max(np.abs(beta_new - beta)) < 1e-8:
             beta = beta_new
             break
         beta = beta_new
-        eta = x @ beta
+        eta = eta_new
     return beta
 
 

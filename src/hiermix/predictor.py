@@ -14,10 +14,20 @@ nothing beyond its own ``EvalContext``. The node axis may hold the
 columns of several parameter vectors side by side; parameter values
 then vary by column (``EvalContext.param``), and every node sum runs in
 node order whatever the number of columns (``_node_sum``).
+
+An evaluation writes its arrays into ``EvalContext.empty``: new arrays,
+or the buffers of a ``Workspace`` that the likelihood evaluator keeps
+per thread and resets between chunks of a fixed shape. Latent values
+are gathered into them, ``eval_eta`` sums its components into an array
+it owns, and families that can (``Family.in_place``) write their
+log-likelihood or hazard terms into an ``out`` array, each with the
+operations, in the order, of the new-array form, so every value is the
+same bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -473,6 +483,58 @@ def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class Workspace:
+    """Reusable arrays for the evaluations of one thread.
+
+    ``take`` hands out the arrays of one chunk in order of request: the
+    i-th request after ``reset`` always gets the i-th buffer, grown only
+    when a request is larger than any before it. The evaluation of a
+    chunk makes the same requests in the same order every time, so after
+    the first chunk of the largest shape nothing is allocated, and the
+    arrays of one chunk never share memory. ``reset`` starts the next
+    chunk: nothing taken before it may still be read. ``named`` arrays
+    are kept by key and outlive ``reset``. Every array is a C-contiguous
+    view at the start of a flat buffer.
+    """
+
+    def __init__(self):
+        self._slots: list[list] = []  # [flat buffer, shape, dtype, view]
+        self._next = 0
+        self._named: dict = {}
+
+    def reset(self) -> None:
+        self._next = 0
+
+    def take(self, shape: tuple, dtype=float) -> np.ndarray:
+        i = self._next
+        self._next = i + 1
+        if i == len(self._slots):
+            self._slots.append([np.empty(0, dtype), None, None, None])
+        slot = self._slots[i]
+        if slot[1] == shape and slot[2] is dtype:
+            return slot[3]
+        return _view(slot, shape, dtype)
+
+    def named(self, key, shape: tuple, dtype=float) -> np.ndarray:
+        slot = self._named.get(key)
+        if slot is None:
+            slot = self._named[key] = [np.empty(0, dtype), None, None, None]
+        return _view(slot, shape, dtype)
+
+
+def _view(slot: list, shape: tuple, dtype) -> np.ndarray:
+    """The array of ``shape`` at the start of the slot's buffer, which is
+    replaced when it is too small or of another dtype.
+    """
+    if slot[1] == shape and slot[2] is dtype:
+        return slot[3]
+    size = math.prod(shape)
+    if slot[0].size < size or slot[0].dtype != dtype:
+        slot[0] = np.empty(size, dtype)
+    slot[1:] = shape, dtype, slot[0][:size].reshape(shape)
+    return slot[3]
+
+
 class EvalContext:
     """One likelihood evaluation: parameter vector plus latent-effect
     value arrays, (n_units_at_level, n_nodes) per latent name.
@@ -481,6 +543,9 @@ class EvalContext:
     ``columns`` the number of node columns of each, in order: the node
     axis is then their columns side by side, and every value that
     depends on the parameters is read through ``param``.
+
+    With a ``workspace``, the arrays the evaluation writes come from it
+    (``empty``); the caller resets it between evaluations.
     """
 
     def __init__(
@@ -489,12 +554,20 @@ class EvalContext:
         theta: np.ndarray,
         latent_values: dict[str, np.ndarray] | None = None,
         columns: np.ndarray | None = None,
+        workspace: Workspace | None = None,
     ):
         self.program = program
         self.theta = np.asarray(theta, dtype=float)
         self.latent_values = latent_values or {}
         self.columns = columns
+        self.workspace = workspace
         self.memo: dict = {}
+
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialized array for this evaluation to write."""
+        if self.workspace is None:
+            return np.empty(shape, dtype)
+        return self.workspace.take(shape, dtype)
 
     def param(self, fn):
         """``fn(theta)``, a value that depends on the parameters alone: a
@@ -512,7 +585,26 @@ class EvalContext:
         vals = self.latent_values.get(info.name)
         if vals is None:
             raise ValueError(f"no value assigned to latent effect {info.name}")
-        return vals[self.program.outcomes[r].units[info.level]][:, None, :]
+        units = self.program.outcomes[r].units[info.level]
+        # an (n, 1, B) array of its own: later steps write into it, and a
+        # view with a zero stride would slow every operation on it
+        out = self.empty((units.size, 1, vals.shape[-1]))
+        # mode="clip": with the default, np.take copies through a buffer of its own
+        vals.take(units, axis=0, out=out[:, 0, :], mode="clip")
+        return out
+
+
+def _apply(ctx: EvalContext, ufunc, a, b, *owned):
+    """``ufunc(a, b)`` written into the first of ``owned`` (arrays of this
+    evaluation that the caller no longer needs) that has the result's
+    shape, or else into a new array of the context.
+    """
+    a_shape, b_shape = a.shape, getattr(b, "shape", ())
+    shape = a_shape if a_shape == b_shape or not b_shape else np.broadcast(a, b).shape
+    for out in owned:
+        if out is not None and out.shape == shape:
+            return ufunc(a, b, out=out)
+    return ufunc(a, b, out=ctx.empty(shape))
 
 
 def _over_columns(values: list, counts: np.ndarray):
@@ -547,20 +639,25 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     program = ctx.program
     co = program.outcomes[k]
     n = program.outcomes[r].rows.size
+    # components are summed into ``total`` and factors multiplied into
+    # ``factor`` in place wherever they are this call's own arrays
     total = np.zeros((n, 1, 1))
     if co.cons_slot is not None:
-        total = total + ctx.param(lambda th: th[co.cons_slot])
+        total = _apply(ctx, np.add, total, ctx.param(lambda th: th[co.cons_slot]), total)
     for cc in co.components:
-        factor = None
+        factor = own = None
 
-        def mul(x):
-            nonlocal factor
-            factor = x if factor is None else factor * x
+        def mul(x, owned=False):
+            nonlocal factor, own
+            if factor is None:
+                factor, own = x, (x if owned else None)
+            else:
+                factor = own = _apply(ctx, np.multiply, factor, x, own, x if owned else None)
 
         if cc.cov_names:
             mul(cc.cov[r])
         for info in cc.latents:
-            mul(ctx.latent_at_rows(info, r))
+            mul(ctx.latent_at_rows(info, r), owned=True)
         for kind, j in cc.evlinks:
             mul(eval_ev(ctx, kind, j, r, grid))
         block = None
@@ -580,23 +677,27 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
             else:
                 mul(ctx.param(lambda th: th[cc.slots[0]]))
         if factor is None:
-            factor = np.ones((n, 1, 1))
-        total = total + factor
+            factor = own = np.ones((n, 1, 1))
+        total = _apply(ctx, np.add, total, factor, total, own)
     ctx.memo[key] = (t, total)
     return total
 
 
-def _node_sum(subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _node_sum(ctx: EvalContext, subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, weights, vals)`` over a quadrature axis,
     summed in node order for every node column. einsum sums a node axis
     of one column, or a broadcast one, in another order; such input is
-    summed as one column widened to two, and the sum broadcast back.
+    summed as one column widened to two, and the sum broadcast back. The
+    result is a new array, which the caller may overwrite.
     """
     if vals.shape[-1] > 1 and vals.strides[-1] != 0:
         return np.einsum(subscripts, weights, vals)
-    one = vals[..., :1]
-    out = np.einsum(subscripts, weights, np.concatenate([one, one], axis=-1))[..., :1]
-    return np.broadcast_to(out, out.shape[:-1] + vals.shape[-1:])
+    wide = ctx.empty(vals.shape[:-1] + (2,))
+    np.copyto(wide, vals[..., :1])
+    one = np.einsum(subscripts, weights, wide)[..., :1]
+    out = ctx.empty(one.shape[:-1] + vals.shape[-1:])
+    np.copyto(out, one)
+    return out
 
 
 def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
@@ -610,7 +711,8 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         raise ValueError(f"EV[{target.label}] is time-indexed: evaluation times are required")
 
     def ev_at(times):
-        return target.family.inverse_link(eval_eta(ctx, j, r, times))
+        eta = eval_eta(ctx, j, r, times)
+        return target.family.inverse_link(eta, out=None if target.family.link == "identity" else ctx.empty(eta.shape))
 
     if kind == "EV":
         return ev_at(grid if target.time_indexed else None)
@@ -630,12 +732,18 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         nodes, weights = program.gl_nodes, program.gl_weights
         n, a = t.shape
         qn = len(nodes)
-        pts = 0.5 * t[:, :, None] * (nodes[None, None, :] + 1.0)  # (n, A, Q)
-        safe = np.where(pts > 0, pts, 1.0)  # the integral over (0, 0] is zero
+        safe = np.multiply(0.5 * t[:, :, None], nodes[None, None, :] + 1.0, out=ctx.empty((n, a, qn)))
+        mask = np.greater(safe, 0.0, out=ctx.empty(safe.shape, bool))
+        np.copyto(safe, 1.0, where=np.logical_not(mask, out=mask))  # the integral over (0, 0] is zero
         vals = ev_at(safe.reshape(n, a * qn))  # (n, A*Q, B)
-        vals = np.broadcast_to(vals, (n, a * qn, vals.shape[-1])).reshape(n, a, qn, -1)
-        integ = 0.5 * t[:, :, None] * _node_sum("q,naqb->nab", weights, vals)
-        return np.where(t[:, :, None] > 0, integ, 0.0)
+        if vals.shape[:2] != (n, a * qn):
+            full = ctx.empty((n, a * qn, vals.shape[-1]))
+            np.copyto(full, vals)
+            vals = full
+        integ = _node_sum(ctx, "q,naqb->nab", weights, vals.reshape(n, a, qn, -1))
+        np.multiply(0.5 * t[:, :, None], integ, out=integ)
+        np.copyto(integ, 0.0, where=~(t[:, :, None] > 0))
+        return integ
     raise ValueError(f"unknown expected-value kind {kind!r}")
 
 
@@ -708,10 +816,18 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
 
     if not fam.is_survival:
         eta = eval_eta(ctx, k, k, co.grid)
-        ll = fam.logl(co.response.reshape(-1, 1, 1), eta, anc)
+        y = co.response.reshape(-1, 1, 1)
+        ll = fam.logl(y, eta, anc, out=_out_for(ctx, fam, y, eta, *anc))
         return _collapse(ll, n)
 
     return _survival_logl(ctx, k, anc)
+
+
+def _out_for(ctx: EvalContext, fam: Family, *operands) -> np.ndarray | None:
+    """An array of the context for an in-place family to write its result
+    over ``operands`` into; None for other families.
+    """
+    return ctx.empty(np.broadcast(*operands).shape) if fam.in_place else None
 
 
 def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
@@ -756,17 +872,19 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
 
     if co.grid is None:
         # time-constant linear predictor, closed-form hazards
+        # every array below is this call's own, so each step writes in place
         eta = eval_eta(ctx, k, k)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_h = fam.log_hazard(y3, eta, anc)
-            cum = fam.cum_hazard(y3, eta, anc)
+            event = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, fam, y3, eta, *anc))
+            cum = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, fam, y3, eta, *anc))
             if bh is not None:
-                event = np.where(d != 0, np.log(np.exp(log_h) + bh), 0.0)
-            else:
-                event = np.where(d != 0, log_h, 0.0)
-            ll = event - cum
+                np.log(np.add(np.exp(event, out=event), bh, out=event), out=event)
+            np.copyto(event, 0.0, where=d == 0)
+            ll = _apply(ctx, np.subtract, event, cum, event)
             if emask.any():
-                ll = ll + np.where(emask, fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc), 0.0)
+                entry = fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc, out=cum)
+                np.copyto(entry, 0.0, where=~emask)
+                ll = _apply(ctx, np.add, ll, entry, ll, entry)
         return _collapse(ll, n)
 
     fctx = FamilyContext(ctx, k, None)
@@ -790,13 +908,14 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
         else:
             eta_all = eval_eta(ctx, k, k, co.grid)
             base = fam.base_log_hazard(tgrid[:, :, None], anc)
-            log_h = eta_all + base
-            log_h = np.broadcast_to(log_h, (n, 1 + 2 * q, log_h.shape[-1]))
+            log_h = _apply(ctx, np.add, eta_all, base)
+            b = log_h.shape[-1]
+            log_h = np.broadcast_to(log_h, (n, 1 + 2 * q, b))
             log_h_event = log_h[:, 0:1, :]
-            h_body = np.exp(log_h[:, 1 : 1 + q, :])
-            h_entry = np.exp(log_h[:, 1 + q :, :])
-        cum = 0.5 * y3 * _node_sum("q,nqb->nb", w, h_body)[:, None, :]
-        cum0 = np.where(emask, 0.5 * t03 * _node_sum("q,nqb->nb", w, h_entry)[:, None, :], 0.0)
+            h_body = np.exp(log_h[:, 1 : 1 + q, :], out=ctx.empty((n, q, b)))
+            h_entry = np.exp(log_h[:, 1 + q :, :], out=ctx.empty((n, q, b)))
+        cum = 0.5 * y3 * _node_sum(ctx, "q,nqb->nb", w, h_body)[:, None, :]
+        cum0 = np.where(emask, 0.5 * t03 * _node_sum(ctx, "q,nqb->nb", w, h_entry)[:, None, :], 0.0)
         if bh is not None:
             event = np.where(d != 0, np.log(np.maximum(np.exp(log_h_event) + bh, 1e-300)), 0.0)
         else:

@@ -177,6 +177,20 @@ class TestExitCodes:
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
 
+    def test_separated_bernoulli_exits_2(self, tmp_path, capsys):
+        # 30 clusters x 4 rows with y = (x > 0)
+        rng = np.random.default_rng(1)
+        lines = ["id,y,x"]
+        for i, x in enumerate(rng.normal(size=120)):
+            lines.append(f"{i // 4 + 1},{int(x > 0)},{x:.10g}")
+        path = tmp_path / "separated.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(["fit", "--spec", "(y x M1[id], family(bernoulli))", "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert "not finite" not in out.read_text()
+
     def test_all_censored_survival_exits_3(self, tmp_path, capsys):
         # 30 clusters x 4 Weibull rows, every one censored
         rng = np.random.default_rng(5)

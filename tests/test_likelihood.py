@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from hiermix.likelihood import (
     marginal_logl,
     profile_report,
 )
+from hiermix.cli import main
 from hiermix.optim import FitError, fd_gradient, fd_hessian
 from hiermix.predictor import compile_program
 
@@ -487,10 +490,12 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1 << 40)
         whole = values()
         assert np.all(np.isfinite(whole))
-        # one-column chunks, then seven-column ones
+        # one-column chunks, then seven-column ones, then seven-column
+        # ones with one outer-node combination per block
         rows = sum(co.rows.size for co in prog.outcomes)
-        for budget in (1, 7 * rows):
-            monkeypatch.setattr(likelihood, "_CHUNK_VALUES", budget)
+        for chunk, block in ((1, likelihood._BLOCK_VALUES), (7 * rows, likelihood._BLOCK_VALUES), (7 * rows, 1)):
+            monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
+            monkeypatch.setattr(likelihood, "_BLOCK_VALUES", block)
             assert values() == whole
 
     def test_one_call_peak_memory(self):
@@ -620,9 +625,14 @@ class TestBatchedEvaluation:
             monkeypatch.setattr(likelihood, "_GROUP_VALUES", group)
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
             monkeypatch.setattr(likelihood, "_BLOCK_VALUES", block)
+            ev = LikelihoodEvaluator(prog, plan)  # the budgets fix its shapes
+            ev.refresh(theta + 0.02)
             batch = ev.logl(stack)
             assert batch.shape == (len(stack),)
             assert batch.tobytes() == single.tobytes(), (group, chunk, block)
+            # single calls after the stack reuse its buffers at other shapes
+            again = np.array([ev.logl(x) for x in stack])
+            assert again.tobytes() == single.tobytes(), (group, chunk, block)
 
     def test_stack_adapts_at_its_first_vector(self, monkeypatch):
         # without a refresh, the first vector adapts, as in single calls
@@ -693,3 +703,100 @@ class TestBatchedEvaluation:
         assert pointwise.profile["objective_points"] == pointwise.profile["likelihood_calls"]
         assert batched.profile["objective_points"] == pointwise.profile["objective_points"]
         assert batched.profile["likelihood_calls"] < pointwise.profile["likelihood_calls"]
+
+
+def _frailty_chunks():
+    """A QMC t-frailty model one parameter vector of which spans three
+    chunks at the default budgets, the last narrower: 300 rows x 500
+    draws, 218 columns per chunk."""
+    spec = "(t trt M1[id], family(weibull, failure(d)))"
+    data = hm.simulate(
+        spec + ", redistribution(t) df(5)",
+        {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+        levels={"id": 100},
+        covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+        outcomes=[{"censoring": 5.0, "records": 3}],
+        seed=7,
+    )
+    cols = {n: data.col(n) for n in data.names}
+    prog = make(cols, spec)
+    return spec, cols, prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=500)
+
+
+class TestWorkspace:
+    """Each thread's chunk buffers are reused across chunks and calls
+    without carrying a value from one into another."""
+
+    def test_model_spans_three_chunks(self):
+        _, _, prog, plan = _frailty_chunks()
+        ev = LikelihoodEvaluator(prog, plan)
+        draws = ev.level_states[-1].m
+        assert draws // ev.chunk_columns >= 2 and 0 < draws % ev.chunk_columns < ev.chunk_columns
+
+    def test_repeated_and_stacked_calls(self):
+        _, _, prog, plan = _frailty_chunks()
+        a = hm.initial_values(prog)
+        b = a + 0.05
+        ev = LikelihoodEvaluator(prog, plan)
+        first = ev.logl(a)
+        assert ev.logl(b) != first
+        assert ev.logl(a) == first
+        stack = _probe_stack(a)
+        fresh = np.array([LikelihoodEvaluator(prog, plan).logl(x) for x in stack])
+        assert ev.logl(stack).tobytes() == fresh.tobytes()
+
+    def test_thread_count_byte_identical(self, tmp_path):
+        spec, cols, _, _ = _frailty_chunks()
+        path = tmp_path / "frailty.csv"
+        names = list(cols)
+        rows = [",".join(names)] + [",".join(format(v, ".17g") for v in row) for row in zip(*cols.values())]
+        path.write_text("\n".join(rows) + "\n")
+        docs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.txt"
+            argv = ["fit", "--spec", spec, "--data", str(path), "--out", str(out), "--threads", threads, "--quiet"]
+            assert main(argv + ["--method", "qmc", "--redistribution", "t", "--df", "5", "--draws", "500"]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+
+    def test_concurrent_calls_on_one_evaluator(self):
+        # more threads than cores, switching often: a buffer shared by two
+        # threads would mix their values
+        _, _, prog, plan = _frailty_chunks()
+        thetas = [hm.initial_values(prog) + 0.03 * i for i in range(4)]
+        ev = LikelihoodEvaluator(prog, plan)
+        expect = [ev.logl(th) for th in thetas]
+        got = [[] for _ in thetas]
+
+        def work(i):
+            for _ in range(3):
+                got[i].append(ev.logl(thetas[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(len(thetas))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [[v] * 3 for v in expect]
+
+    def test_warm_call_allocates_a_third_of_the_chunk_temporaries(self):
+        # a warm call before per-thread buffers peaked at 3 793 738 bytes
+        # traced on this model (numpy 2.4): every chunk allocated its own
+        # temporaries
+        _, _, prog, plan = _frailty_chunks()
+        theta = hm.initial_values(prog)
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.logl(theta)
+        tracemalloc.start()
+        try:
+            ev.logl(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3793738 / 3

@@ -198,7 +198,28 @@ class TestMaximize:
             maximize(lambda th: np.nan, np.array([0.0]))
 
 
+def separated_bernoulli(seed=1):
+    """30 clusters x 4 rows with y = (x > 0): x separates the outcome."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=120)
+    return {"id": np.repeat(np.arange(1.0, 31.0), 4), "x": x, "y": (x > 0).astype(float)}
+
+
 class TestInitialValues:
+    def test_separation_gives_bounded_start_and_flagged_fit(self):
+        # the IRLS estimates diverge; unbounded, the start overflowed and
+        # the fit raised "objective is not finite at the starting values"
+        spec = "(y x M1[id], family(bernoulli))"
+        data = separated_bernoulli()
+        prog = compile_program(hm.parse_model_spec(spec), hm.as_frame(data))
+        with np.errstate(over="raise"):
+            theta0 = initial_values(prog)
+        eta = theta0[prog.slot_index("x")] * data["x"] + theta0[prog.slot_index("_cons")]
+        assert np.all(np.isfinite(theta0)) and np.max(np.abs(eta)) <= 15.0
+        result = hm.fit_model(spec, data)
+        assert np.isfinite(result.logl)
+        assert not (result.converged and result.optimum_verified)
+
     def test_gaussian_least_squares(self):
         rng = np.random.default_rng(6)
         n = 60
