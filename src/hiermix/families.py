@@ -358,13 +358,6 @@ class Family:
     def n_anc(self) -> int:
         return len(self.anc_info)
 
-    @property
-    def in_place(self) -> bool:
-        """Whether ``logl``, or ``log_hazard`` and ``cum_hazard``, write
-        into an ``out`` array; other families return new arrays.
-        """
-        return self.name in _IN_PLACE
-
     def inverse_link(self, eta, out=None):
         """The mean at linear predictor eta, written into ``out`` when it
         is given, except for the identity link, which returns eta itself.
@@ -395,9 +388,9 @@ class Family:
 
     def logl(self, y, eta, anc, out=None):
         """Log-likelihood for non-survival families given the linear
-        predictor; ``anc`` on the natural scale. Families that are
-        ``in_place`` write it into ``out`` when it is given (the result's
-        shape).
+        predictor; ``anc`` on the natural scale. Gaussian, poisson and
+        bernoulli write it into ``out`` when it is given (the result's
+        shape); the other families return a new array.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.name == "gaussian":  # identity link: the mean is eta
@@ -443,7 +436,6 @@ class Family:
 
 
 _NO_TD = ("lognormal", "loglogistic")
-_IN_PLACE = ("exponential", "weibull", "gompertz", "gaussian", "poisson", "bernoulli")
 
 
 def make_family(fam_spec) -> Family:

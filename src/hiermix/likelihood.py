@@ -21,15 +21,15 @@ of ``scipy.special.logsumexp`` for real input without its generic
 array-API overhead.
 
 The block, chunk and group shapes are fixed when the evaluator is built.
-Each thread that evaluates gets its own ``predictor.Workspace``: the
+Each thread that evaluates gets its own ``workspace.Workspace``: the
 block's latent-value arrays and row sums, every array a chunk's
 evaluation writes (latent values at the rows, linear predictors, family
-terms) and the node reduction's temporaries are its buffers, allocated
-at the first chunk and reused by every chunk and call after it, so an
-evaluation no longer asks the system for fresh pages. The buffers are
-written in place with the operations, in the order, that would have
-built new arrays, so no value changes; none of them outlives the chunk
-or block that wrote it, and none is returned.
+terms) and the innermost node reduction's temporaries are its buffers,
+allocated at the first chunk and reused by every chunk and call after
+it, so an evaluation no longer asks the system for fresh pages. The
+buffers are written in place with the operations, in the order, that
+would have built new arrays, so no value changes; none of them
+outlives the chunk or block that wrote it, and none is returned.
 
 ``LikelihoodEvaluator.logl`` also takes a (K, p) stack of parameter
 vectors, such as the finite-difference probes of one Newton iteration,
@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import GhRule, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, Workspace, outcome_logl
+from .predictor import EvalContext, Program, outcome_logl
+from .workspace import Workspace
 
 __all__ = [
     "LevelPlan",
@@ -73,18 +74,16 @@ def logsumexp(a: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
-    The two temporaries as large as ``a`` come from ``ws`` when given.
+    The two temporaries as large as ``a`` are buffers of ``ws`` when it
+    is given, else new arrays.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_max = a.max(axis=1, keepdims=True)
         ties = np.equal(a, a_max, out=None if ws is None else ws.named("lse.ties", a.shape, bool))
         m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
-        if ws is None:
-            e = np.where(ties, -np.inf, a)
-        else:
-            e = ws.named("lse.exp", a.shape)
-            np.copyto(e, a)
-            np.copyto(e, -np.inf, where=ties)
+        e = np.empty_like(a) if ws is None else ws.named("lse.exp", a.shape)
+        np.copyto(e, a)
+        np.copyto(e, -np.inf, where=ties)
         s = np.exp(np.subtract(e, a_max, out=e), out=e).sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
@@ -561,14 +560,13 @@ class LikelihoodEvaluator:
             for j, name in enumerate(st.info.latent_names):
                 vals[name] = ws.named(name, (st.n_units, b))
                 np.copyto(vals[name].reshape(st.n_units, c1 - c0, st.m), cells[:, c0:c1, :, j])
-            if len(thetas) > 1:
-                vector = np.arange(c0 * st.m, c1 * st.m) // (st.n_combos * st.m)  # parameter vector of each column
+            vector = np.arange(c0 * st.m, c1 * st.m) // (st.n_combos * st.m)  # parameter vector of each column
             out = ws.named("block.out", (st.n_units, b))
             out.fill(0.0)
             edges = list(range(width, b, width))
             for j0, j1 in zip([0, *edges], [*edges, b]):
                 ws.reset()
-                columns = np.bincount(vector[j0:j1], minlength=len(thetas)) if len(thetas) > 1 else None
+                columns = np.bincount(vector[j0:j1], minlength=len(thetas))
                 ctx = self._context(thetas, {name: v[:, j0:j1] for name, v in vals.items()}, columns, ws)
                 for k, segments in enumerate(self.segments):
                     if segments is None:
@@ -578,14 +576,9 @@ class LikelihoodEvaluator:
                     if nan.any():  # rare; copying every chunk costs more than the test
                         ll = np.where(nan, -np.inf, ll)
                     starts, seg_units = segments
-                    if ll.shape[1] != j1 - j0:  # the same in every column
-                        ll = np.broadcast_to(ll, (ll.shape[0], j1 - j0))
-                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, j1 - j0)))
-                    if isinstance(seg_units, slice):
-                        dest = out[:, j0:j1]
-                        np.add(dest, sums, out=dest)
-                    else:
-                        out[seg_units, j0:j1] += sums
+                    # one column when ll is the same in every column; += spreads it
+                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
+                    out[seg_units, j0:j1] += sums
             self.cond_evals += n_active * b
             yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
 

@@ -19,15 +19,14 @@ An evaluation writes its arrays into ``EvalContext.empty``: new arrays,
 or the buffers of a ``Workspace`` that the likelihood evaluator keeps
 per thread and resets between chunks of a fixed shape. Latent values
 are gathered into them, ``eval_eta`` sums its components into an array
-it owns, and families that can (``Family.in_place``) write their
-log-likelihood or hazard terms into an ``out`` array, each with the
-operations, in the order, of the new-array form, so every value is the
-same bit for bit.
+it owns, and the families that can write their log-likelihood or
+hazard terms into an ``out`` array (the others return new arrays),
+each with the operations, in the order, of the new-array form, so
+every value is the same bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from .basis import FpBasis, RcsBasis, default_knots, rcs_eval
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
 from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, ValidationReport, _time_indexed
 from .families import Family, gauss_legendre, make_family
+from .workspace import Workspace
 
 __all__ = [
     "CompileError",
@@ -483,58 +483,6 @@ def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Workspace:
-    """Reusable arrays for the evaluations of one thread.
-
-    ``take`` hands out the arrays of one chunk in order of request: the
-    i-th request after ``reset`` always gets the i-th buffer, grown only
-    when a request is larger than any before it. The evaluation of a
-    chunk makes the same requests in the same order every time, so after
-    the first chunk of the largest shape nothing is allocated, and the
-    arrays of one chunk never share memory. ``reset`` starts the next
-    chunk: nothing taken before it may still be read. ``named`` arrays
-    are kept by key and outlive ``reset``. Every array is a C-contiguous
-    view at the start of a flat buffer.
-    """
-
-    def __init__(self):
-        self._slots: list[list] = []  # [flat buffer, shape, dtype, view]
-        self._next = 0
-        self._named: dict = {}
-
-    def reset(self) -> None:
-        self._next = 0
-
-    def take(self, shape: tuple, dtype=float) -> np.ndarray:
-        i = self._next
-        self._next = i + 1
-        if i == len(self._slots):
-            self._slots.append([np.empty(0, dtype), None, None, None])
-        slot = self._slots[i]
-        if slot[1] == shape and slot[2] is dtype:
-            return slot[3]
-        return _view(slot, shape, dtype)
-
-    def named(self, key, shape: tuple, dtype=float) -> np.ndarray:
-        slot = self._named.get(key)
-        if slot is None:
-            slot = self._named[key] = [np.empty(0, dtype), None, None, None]
-        return _view(slot, shape, dtype)
-
-
-def _view(slot: list, shape: tuple, dtype) -> np.ndarray:
-    """The array of ``shape`` at the start of the slot's buffer, which is
-    replaced when it is too small or of another dtype.
-    """
-    if slot[1] == shape and slot[2] is dtype:
-        return slot[3]
-    size = math.prod(shape)
-    if slot[0].size < size or slot[0].dtype != dtype:
-        slot[0] = np.empty(size, dtype)
-    slot[1:] = shape, dtype, slot[0][:size].reshape(shape)
-    return slot[3]
-
-
 class EvalContext:
     """One likelihood evaluation: parameter vector plus latent-effect
     value arrays, (n_units_at_level, n_nodes) per latent name.
@@ -544,8 +492,9 @@ class EvalContext:
     axis is then their columns side by side, and every value that
     depends on the parameters is read through ``param``.
 
-    With a ``workspace``, the arrays the evaluation writes come from it
-    (``empty``); the caller resets it between evaluations.
+    ``empty(shape, dtype=float)`` gives an uninitialized array for the
+    evaluation to write: a buffer of ``workspace`` when there is one
+    (the caller resets it between evaluations), else a new array.
     """
 
     def __init__(
@@ -560,14 +509,8 @@ class EvalContext:
         self.theta = np.asarray(theta, dtype=float)
         self.latent_values = latent_values or {}
         self.columns = columns
-        self.workspace = workspace
+        self.empty = np.empty if workspace is None else workspace.take
         self.memo: dict = {}
-
-    def empty(self, shape, dtype=float) -> np.ndarray:
-        """An uninitialized array for this evaluation to write."""
-        if self.workspace is None:
-            return np.empty(shape, dtype)
-        return self.workspace.take(shape, dtype)
 
     def param(self, fn):
         """``fn(theta)``, a value that depends on the parameters alone: a
@@ -712,7 +655,7 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
 
     def ev_at(times):
         eta = eval_eta(ctx, j, r, times)
-        return target.family.inverse_link(eta, out=None if target.family.link == "identity" else ctx.empty(eta.shape))
+        return target.family.inverse_link(eta, out=ctx.empty(eta.shape))
 
     if kind == "EV":
         return ev_at(grid if target.time_indexed else None)
@@ -817,17 +760,18 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
     if not fam.is_survival:
         eta = eval_eta(ctx, k, k, co.grid)
         y = co.response.reshape(-1, 1, 1)
-        ll = fam.logl(y, eta, anc, out=_out_for(ctx, fam, y, eta, *anc))
+        ll = fam.logl(y, eta, anc, out=_out_for(ctx, y, eta, *anc))
         return _collapse(ll, n)
 
     return _survival_logl(ctx, k, anc)
 
 
-def _out_for(ctx: EvalContext, fam: Family, *operands) -> np.ndarray | None:
-    """An array of the context for an in-place family to write its result
-    over ``operands`` into; None for other families.
+def _out_for(ctx: EvalContext, *operands) -> np.ndarray:
+    """An array of the context, of the shape of a result over
+    ``operands``, for a family to write that result into; families that
+    cannot return a new array instead.
     """
-    return ctx.empty(np.broadcast(*operands).shape) if fam.in_place else None
+    return ctx.empty(np.broadcast(*operands).shape)
 
 
 def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
@@ -875,8 +819,8 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
         # every array below is this call's own, so each step writes in place
         eta = eval_eta(ctx, k, k)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            event = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, fam, y3, eta, *anc))
-            cum = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, fam, y3, eta, *anc))
+            event = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
+            cum = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
             if bh is not None:
                 np.log(np.add(np.exp(event, out=event), bh, out=event), out=event)
             np.copyto(event, 0.0, where=d == 0)

@@ -22,6 +22,7 @@ from hiermix.likelihood import (
 from hiermix.cli import main
 from hiermix.optim import FitError, fd_gradient, fd_hessian
 from hiermix.predictor import compile_program
+from hiermix.workspace import Workspace
 
 
 def gaussian_cluster_data(g=12, n=4, seed=1, sd_b=0.8, sd_e=0.6):
@@ -376,13 +377,18 @@ class TestProfileReport:
 
 
 class TestLogsumexp:
-    """The module's logsumexp repeats scipy's real-input arithmetic."""
+    """The module's logsumexp repeats scipy's real-input arithmetic, with
+    new temporaries or with one workspace reused across shapes.
+    """
 
     def test_random_rows(self):
         rng = np.random.default_rng(21)
-        for shape in [(40, 1), (40, 5), (300, 200)]:
+        ws = Workspace()
+        for shape in [(40, 1), (40, 5), (300, 200), (40, 5)]:
             a = rng.normal(0.0, 30.0, shape)
-            assert logsumexp(a).tobytes() == scipy.special.logsumexp(a, axis=1).tobytes()
+            expect = scipy.special.logsumexp(a, axis=1).tobytes()
+            assert logsumexp(a).tobytes() == expect
+            assert logsumexp(a, ws).tobytes() == expect
 
     def test_edge_rows(self):
         inf, nan = np.inf, np.nan
@@ -400,11 +406,12 @@ class TestLogsumexp:
         )
         with np.errstate(all="ignore"):
             expect = scipy.special.logsumexp(a, axis=1)
-        assert logsumexp(a).tobytes() == expect.tobytes()
+        ws = Workspace()
+        assert logsumexp(a, ws).tobytes() == expect.tobytes()
         one = np.array([[-inf], [inf], [nan], [-3.25]])
         with np.errstate(all="ignore"):
             expect = scipy.special.logsumexp(one, axis=1)
-        assert logsumexp(one).tobytes() == expect.tobytes()
+        assert logsumexp(one, ws).tobytes() == expect.tobytes()
 
 
 def _frailty_t5():

@@ -13,15 +13,18 @@ holds other workloads keeps them.
         --workload frailty_qmc --pairs 10 --out BENCH_6.json
 
 Metric names, units and directions come from the change's
-``BENCHMARK.json``. A gain is claimed for a metric when the change wins
-at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range (``claim`` in the output).
+``BENCHMARK.json``. A gain is claimed for a metric (``claim`` in the
+output) only over at least ten pairs, none of which has more failed
+operations on the change's side than on the parent's, and only when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -46,7 +49,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+MIN_PAIRS = 10  # pairs needed before a gain is claimed
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    # a run without a summary line failed everything it attempted
+    no_worse = all(
+        change.get("failed", math.inf) <= parent.get("failed", math.inf) for parent, change in zip(runs[0::2], runs[1::2])
+    )
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -69,7 +79,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "change_wins": wins,
             "relative_change": sides["change"]["median"] / sides["parent"]["median"] - 1.0,
-            "claim": improved and wins >= 0.9 * len(pairs) and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "claim": len(pairs) >= MIN_PAIRS
+            and no_worse
+            and improved
+            and wins >= 0.9 * len(pairs)
+            and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
         }
     return out
 
