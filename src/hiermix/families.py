@@ -221,7 +221,7 @@ class RpColumns:
         self.at_t0 = rcs_eval(basis, np.log(np.where(self.entry, t0, 1.0))) if np.any(self.entry) else None
 
 
-def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=None, eta_entry=None):
+def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=None, eta_entry=None, empty=np.empty):
     """Survival log-likelihood on the log cumulative-hazard scale:
     log H(y) = s(log y) + eta with s a restricted cubic spline, whose
     columns at the data's times are in ``cols``.
@@ -239,7 +239,11 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
     several parameter vectors over their node columns).
 
     Returns -inf where the total hazard at an event time is
-    non-positive, so an optimizer can reject the step.
+    non-positive, so an optimizer can reject the step. The result and
+    its intermediate arrays come from ``empty(shape, dtype=float)``
+    (``np.empty``, or an evaluation's ``EvalContext.empty``) and are
+    written in place, with the operations, in the order, of the
+    new-array form.
     """
     d = np.asarray(d, dtype=float)
     if callable(coefs):
@@ -250,27 +254,45 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
         def times(a):
             return a @ coefs
 
-    log_H = times(cols.at_y) + eta
+    def plus(a, b):  # a + b in an array of its own
+        return np.add(a, b, out=empty(np.broadcast_shapes(np.shape(a), np.shape(b))))
+
+    H = plus(times(cols.at_y), eta)  # log H, then H
     with np.errstate(over="ignore"):
-        H = np.exp(log_H)
+        np.exp(H, out=H)
     if eta_plus is not None:
         if cols.log_step is None:
             raise ValueError("time-dependent eta needs spline columns built with a log_step")
-        f_plus = times(cols.at_plus) + eta_plus
-        f_minus = times(cols.at_minus) + eta_minus
-        dF = (f_plus - f_minus) / (2.0 * cols.log_step)
+        f_plus = plus(times(cols.at_plus), eta_plus)
+        f_minus = plus(times(cols.at_minus), eta_minus)
+        dF = empty(np.broadcast_shapes(f_plus.shape, f_minus.shape, cols.log_step.shape))
+        np.divide(np.subtract(f_plus, f_minus, out=dF), 2.0 * cols.log_step, out=dF)
     else:
         dF = times(cols.deriv_at_y)
-    # hazard h(y) = H(y) * dF/dlog(y) / y
-    with np.errstate(over="ignore", invalid="ignore"):
-        hazard = H * dF / cols.y
-        total = hazard + bhaz
-        event_term = np.where(total > 0, np.log(np.maximum(total, 1e-300)), -np.inf)
-    out = np.where(d != 0, d * event_term, 0.0) - H
+    entry = None
     if cols.at_t0 is not None:
-        entry_eta = eta if eta_entry is None else eta_entry
+        entry = plus(times(cols.at_t0), eta if eta_entry is None else eta_entry)
         with np.errstate(over="ignore"):
-            out = out + np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
+            np.exp(entry, out=entry)
+    shapes = [H.shape, np.shape(dF), np.shape(cols.y), np.shape(bhaz), d.shape]
+    if entry is not None:
+        shapes += [entry.shape, np.shape(cols.entry)]
+    out = empty(np.broadcast_shapes(*shapes))
+    # hazard h(y) = H(y) * dF/dlog(y) / y, plus bhaz; the event term
+    # d log(max(h, 1e-300)) where h > 0, else -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(H, dF, out=out)
+        np.divide(out, cols.y, out=out)
+        np.add(out, bhaz, out=out)
+        positive = np.greater(out, 0.0, out=empty(out.shape, bool))
+        np.log(np.maximum(out, 1e-300, out=out), out=out)
+        np.copyto(out, -np.inf, where=np.logical_not(positive, out=positive))
+    np.multiply(d, out, out=out)
+    np.copyto(out, 0.0, where=d == 0)
+    np.subtract(out, H, out=out)
+    if entry is not None:
+        np.copyto(entry, 0.0, where=~cols.entry)
+        np.add(out, entry, out=out)
     return out
 
 

@@ -18,11 +18,13 @@ node order whatever the number of columns (``_node_sum``).
 An evaluation writes its arrays into ``EvalContext.empty``: new arrays,
 or the buffers of a ``Workspace`` that the likelihood evaluator keeps
 per thread and resets between chunks of a fixed shape. Latent values
-are gathered into them, ``eval_eta`` sums its components into an array
-it owns, and the families that can write their log-likelihood or
-hazard terms into an ``out`` array (the others return new arrays),
-each with the operations, in the order, of the new-array form, so
-every value is the same bit for bit.
+are gathered into them, parameter values are laid over their node
+columns into them, ``eval_eta`` sums its components into an array it
+owns, the ``rp`` log-likelihood is computed in them, and the families
+that can write their log-likelihood or hazard terms into an ``out``
+array do so (the others return new arrays), each with the operations,
+in the order, of the new-array form, so every value is the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -521,7 +523,7 @@ class EvalContext:
         if self.columns is None:
             return fn(self.theta)
         keep = self.columns > 0
-        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep])
+        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep], self.empty)
 
     def latent_at_rows(self, info, r: int) -> np.ndarray:
         """Latent values at the rows of outcome r: (n, 1, B)."""
@@ -550,12 +552,18 @@ def _apply(ctx: EvalContext, ufunc, a, b, *owned):
     return ufunc(a, b, out=ctx.empty(shape))
 
 
-def _over_columns(values: list, counts: np.ndarray):
-    """Per-vector values laid over their node columns (see ``param``)."""
+def _over_columns(values: list, counts: np.ndarray, empty):
+    """Per-vector values laid over their node columns (see ``param``),
+    in arrays from ``empty``.
+    """
     if isinstance(values[0], list):
-        return [_over_columns(list(v), counts) for v in zip(*values)]
+        return [_over_columns(list(v), counts, empty) for v in zip(*values)]
     parts = [np.reshape(v, (1, 1, 1)) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
-    return np.repeat(np.concatenate(parts, axis=-1), counts, axis=-1)
+    joined = np.concatenate(parts, axis=-1)
+    out = empty(joined.shape[:-1] + (int(counts.sum()),))
+    # np.repeat(joined, counts, axis=-1); mode="clip": with the default,
+    # np.take copies through a buffer of its own
+    return joined.take(np.repeat(np.arange(counts.size), counts), axis=-1, out=out, mode="clip")
 
 
 def _as_grid(t) -> Grid | None:
@@ -806,11 +814,19 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
         bhaz = 0.0 if bh is None else bh
         eta = eval_eta(ctx, k, k, co.grid)
         if co.grid is None:
-            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bhaz=bhaz), n)
+            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bhaz=bhaz, empty=ctx.empty), n)
         # grid columns are [y | y e^step | y e^-step | t0]
         eta = np.broadcast_to(eta, (n, 4, eta.shape[-1]))
         ll = fam_mod.rp_logl(
-            co.rp, d, coefs, eta[:, 0:1], bhaz=bhaz, eta_plus=eta[:, 1:2], eta_minus=eta[:, 2:3], eta_entry=eta[:, 3:4]
+            co.rp,
+            d,
+            coefs,
+            eta[:, 0:1],
+            bhaz=bhaz,
+            eta_plus=eta[:, 1:2],
+            eta_minus=eta[:, 2:3],
+            eta_entry=eta[:, 3:4],
+            empty=ctx.empty,
         )
         return _collapse(ll, n)
 

@@ -16,6 +16,7 @@ from hiermix.families import (
     register_user_family,
     rp_logl,
 )
+from hiermix.workspace import Workspace
 from oracles import hazard_quadrature_logl, surv_logl
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -253,6 +254,51 @@ class TestRpLogl:
         a = rp_logl(RpColumns(basis, y), d, coefs, eta)
         b = rp_logl(RpColumns(basis, y, log_step=h), d, coefs, eta, eta_plus=eta, eta_minus=eta)
         np.testing.assert_allclose(a, b, rtol=1e-6)
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_in_place_equals_new_array_form(self, time_dependent):
+        # the in-place arithmetic, in workspace buffers, against the
+        # expression it replaced, bit for bit: node columns, delayed
+        # entry, a reference hazard, censored rows and negative hazards
+        basis = RcsBasis((-2.0, 0.0, 1.0, 2.0))
+        rng = np.random.default_rng(11)
+        n, b = 40, 6
+        y = rng.uniform(0.1, 5.0, (n, 1, 1))
+        t0 = np.where(rng.random((n, 1, 1)) < 0.4, 0.5 * y, 0.0)
+        d = (rng.random((n, 1, 1)) < 0.6).astype(float)
+        bhaz = rng.uniform(0.0, 0.2, (n, 1, 1))
+        coefs = np.array([0.6, 0.0, 0.1])  # log H falls with time at about half the rows
+        eta = rng.normal(size=(n, 1, b))
+        step = 1e-3 * np.ones((n, 1, 1)) if time_dependent else None
+        cols = RpColumns(basis, y, t0=t0, log_step=step)
+        kw = dict(eta_plus=eta + 1e-4, eta_minus=eta - 1e-4, eta_entry=eta + 0.1) if time_dependent else {}
+
+        def times(a):
+            return a @ coefs
+
+        log_H = times(cols.at_y) + eta
+        H = np.exp(log_H)
+        if time_dependent:
+            f_plus = times(cols.at_plus) + kw["eta_plus"]
+            f_minus = times(cols.at_minus) + kw["eta_minus"]
+            dF = (f_plus - f_minus) / (2.0 * cols.log_step)
+        else:
+            dF = times(cols.deriv_at_y)
+        with np.errstate(invalid="ignore"):
+            total = H * dF / cols.y + bhaz
+            event_term = np.where(total > 0, np.log(np.maximum(total, 1e-300)), -np.inf)
+        expect = np.where(d != 0, d * event_term, 0.0) - H
+        entry_eta = kw.get("eta_entry", eta)
+        expect = expect + np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
+        assert np.isneginf(expect).any() and np.isfinite(expect).any()
+
+        ws = Workspace()
+        got = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
+        assert got.tobytes() == expect.tobytes()
+        ws.reset()
+        again = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
+        assert again is got and again.tobytes() == expect.tobytes()  # the same buffers, reused
+        assert rp_logl(cols, d, coefs, eta, bhaz=bhaz, **kw).tobytes() == expect.tobytes()
 
 
 class TestUserFamilies:
