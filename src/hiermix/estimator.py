@@ -40,7 +40,8 @@ def fit_model(
 ) -> FitResult:
     """Parse, validate, compile and maximize. Integration arguments
     accept a single value or a per-level dict; ``fixed`` pins named
-    parameters (estimation scale) during maximization.
+    parameters (estimation scale) during maximization, and they get no
+    standard errors.
     """
     model_spec = _as_spec(spec)
     if covariance is not None:

@@ -2,14 +2,16 @@
 finite-difference score and Hessian, starting values, and the reported
 fit results (estimates, delta-method standard errors, diagnostics).
 
-The probe points of one gradient (2p) or Hessian (2p^2) are built first
-and evaluated together: as one call of an objective that takes a (K, p)
-stack (``stacked=True``, one call per thread), or point by point.
+The probe points of one gradient (2p) or Hessian (p(p+1)) are built
+first and evaluated together: as one call of an objective that takes a
+(K, p) stack (``stacked=True``, one call per thread), or point by point.
+Slots pinned during maximization are not probed.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,22 +47,34 @@ class SingularDesignError(FitError):
 # ---------------------------------------------------------------------------
 
 
-def _values(objective, points: np.ndarray, stacked: bool, threads: int) -> np.ndarray:
+def _thread_pool(threads: int):
+    # imported here: concurrent.futures loads logging, which adds about
+    # 7 ms and 0.4 MB to every import of hiermix
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def _values(objective, points: np.ndarray, stacked: bool, threads: int, pool=None) -> np.ndarray:
     """The objective at each row of ``points``: one call per contiguous
     sub-stack when it takes stacks (``threads`` sub-stacks, evaluated in
-    parallel), else point by point.
+    parallel on ``pool``, or on a pool started for this call), else point
+    by point.
     """
+    if len(points) == 0:  # every slot pinned
+        return np.empty(0)
     parts = np.array_split(points, min(threads, len(points))) if stacked else list(points)
     if threads > 1 and len(parts) > 1:
-        # imported here: concurrent.futures loads logging, which adds about
-        # 7 ms and 0.4 MB to every import of hiermix
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(objective, parts))
+        with _thread_pool(threads) if pool is None else nullcontext(pool) as workers:
+            vals = list(workers.map(objective, parts))
     else:
         vals = [objective(part) for part in parts]
     return np.concatenate(vals) if stacked else np.asarray(vals, dtype=float)
+
+
+def _free_slots(p: int, free) -> np.ndarray:
+    """Indices of the slots to probe: all, or those set in ``free``."""
+    return np.arange(p) if free is None else np.flatnonzero(free)
 
 
 def _probe(objective, theta, i, delta, shrinks=8):
@@ -93,25 +107,28 @@ def _shrunk_slope(objective, theta, i, h):
     return (up - dn) / (2.0 * h)
 
 
-def fd_gradient(objective, theta, threads: int = 1, stacked: bool = False) -> np.ndarray:
+def fd_gradient(objective, theta, threads: int = 1, stacked: bool = False, free=None, pool=None) -> np.ndarray:
     """Central-difference gradient, step cbrt(eps)*max(|theta_i|, 1).
 
-    The 2p probe points are evaluated together: in one call when
-    ``stacked`` (the objective then also maps a (K, p) stack to K
-    values), else point by point. A coordinate with a non-finite probe
-    is redone from one-point probes with halved steps.
+    Only the slots set in the boolean mask ``free`` (default: all) are
+    probed; the others' entries are 0. The 2 probe points per free slot
+    are evaluated together: in one call when ``stacked`` (the objective
+    then also maps a (K, p) stack to K values), else point by point,
+    split over ``threads`` threads (on ``pool`` if given). A coordinate
+    with a non-finite probe is redone from one-point probes with halved
+    steps.
     """
     theta = np.asarray(theta, dtype=float)
-    p = len(theta)
-    steps = [_GRAD_STEP * max(abs(theta[i]), 1.0) for i in range(p)]
-    points = np.repeat(theta[None], 2 * p, axis=0)
-    for i, h in enumerate(steps):
-        points[2 * i, i] += h
-        points[2 * i + 1, i] += -h
-    vals = _values(objective, points, stacked, threads)
-    grad = np.empty(p)
-    for i, h in enumerate(steps):
-        up, dn = vals[2 * i], vals[2 * i + 1]
+    idx = _free_slots(len(theta), free)
+    steps = [_GRAD_STEP * max(abs(theta[i]), 1.0) for i in idx]
+    points = np.repeat(theta[None], 2 * len(idx), axis=0)
+    for k, (i, h) in enumerate(zip(idx, steps)):
+        points[2 * k, i] += h
+        points[2 * k + 1, i] += -h
+    vals = _values(objective, points, stacked, threads, pool)
+    grad = np.zeros(len(theta))
+    for k, (i, h) in enumerate(zip(idx, steps)):
+        up, dn = vals[2 * k], vals[2 * k + 1]
         if np.isfinite(up) and np.isfinite(dn):
             grad[i] = (up - dn) / (2.0 * h)
         else:
@@ -119,57 +136,61 @@ def fd_gradient(objective, theta, threads: int = 1, stacked: bool = False) -> np
     return grad
 
 
-def fd_hessian(objective, theta, f0=None, threads: int = 1, stacked: bool = False) -> np.ndarray:
-    """Hessian from central differences of the central-difference
-    gradient (the four-point cross formula), symmetrized. The 2p^2 probe
-    points are evaluated together, as in ``fd_gradient``; a non-finite
-    probe halves every step and re-evaluates them all before giving up.
+def fd_hessian(
+    objective, theta, f0=None, threads: int = 1, stacked: bool = False, free=None, pool=None
+) -> np.ndarray:
+    """Symmetric Hessian from the seven-point formula (Abramowitz &
+    Stegun 1964, 25.3), step eps^(1/4)*max(|theta_i|, 1), accurate to
+    O(h^2).
+
+    The q(q+1) probe points of q free slots (see ``fd_gradient``; the
+    other rows and columns are 0) are the 2q axis points theta +- h_i e_i
+    and, for each pair, the corners theta + h_i e_i + h_j e_j and
+    theta - h_i e_i - h_j e_j. The axis points serve the diagonal and
+    every cross term. They are evaluated together, as in
+    ``fd_gradient``; a non-finite probe halves every step and
+    re-evaluates them all before giving up.
     """
     theta = np.asarray(theta, dtype=float)
     if f0 is None:
         f0 = objective(theta)
+    idx = _free_slots(len(theta), free)
     scale = 1.0
     for _ in range(6):
-        hess = _fd_hessian_once(objective, theta, f0, scale, threads, stacked)
+        hess = _fd_hessian_once(objective, theta, f0, scale, idx, threads, stacked, pool)
         if hess is not None:
             return hess
         scale *= 0.5
     raise FitError("objective is not finite near the Hessian probe points")
 
 
-def _fd_hessian_once(objective, theta, f0, scale, threads, stacked) -> np.ndarray | None:
+def _fd_hessian_once(objective, theta, f0, scale, idx, threads, stacked, pool) -> np.ndarray | None:
     """The Hessian at one step scale, or None if a probe is not finite."""
-    p = len(theta)
-    h = scale * _HESS_STEP * np.maximum(np.abs(theta), 1.0)
-    jobs = []
-    for i in range(p):
-        jobs.append(((i, 2 * h[i]),))
-        jobs.append(((i, -2 * h[i]),))
-    for i in range(p):
-        for j in range(i):
-            jobs.append(((i, h[i]), (j, h[j])))
-            jobs.append(((i, h[i]), (j, -h[j])))
-            jobs.append(((i, -h[i]), (j, h[j])))
-            jobs.append(((i, -h[i]), (j, -h[j])))
-    points = np.repeat(theta[None], len(jobs), axis=0)
-    for x, pairs in zip(points, jobs):
-        for i, s in pairs:
-            x[i] += s
-    vals = _values(objective, points, stacked, threads)
+    q = len(idx)
+    h = scale * _HESS_STEP * np.maximum(np.abs(theta[idx]), 1.0)
+    rows, cols = np.tril_indices(q, -1)  # the pairs a > b of free slots
+    n_axis, n_pairs = 2 * q, len(rows)
+    points = np.repeat(theta[None], n_axis + 2 * n_pairs, axis=0)
+    axis = np.arange(q)
+    points[2 * axis, idx] += h
+    points[2 * axis + 1, idx] += -h
+    corners = n_axis + 2 * np.arange(n_pairs)
+    for a in (rows, cols):
+        points[corners, idx[a]] += h[a]
+        points[corners + 1, idx[a]] += -h[a]
+    vals = _values(objective, points, stacked, threads, pool)
     if not np.all(np.isfinite(vals)):
         return None
-    hess = np.empty((p, p))
-    pos = 0
-    for i in range(p):
-        up, dn = vals[pos], vals[pos + 1]
-        pos += 2
-        hess[i, i] = (up - 2.0 * f0 + dn) / (4.0 * h[i] * h[i])
-    for i in range(p):
-        for j in range(i):
-            fpp, fpm, fmp, fmm = vals[pos : pos + 4]
-            pos += 4
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return 0.5 * (hess + hess.T)
+    up, dn = vals[0:n_axis:2], vals[1:n_axis:2]
+    fpp, fmm = vals[n_axis::2], vals[n_axis + 1 :: 2]
+    sub = np.empty((q, q))
+    sub[axis, axis] = (up - 2.0 * f0 + dn) / (h * h)
+    # each bracket subtracts values of nearby points before the sums
+    cross = ((fpp - up[rows]) - (up[cols] - f0)) + ((fmm - dn[rows]) - (dn[cols] - f0))
+    sub[rows, cols] = sub[cols, rows] = cross / (2.0 * h[rows] * h[cols])
+    hess = np.zeros((len(theta), len(theta)))
+    hess[np.ix_(idx, idx)] = sub
+    return hess
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +208,7 @@ class MaxResult:
     converged: bool
     message: str
     optimum_verified: bool
+    free: np.ndarray  # boolean mask of the slots not pinned
     trace: list = field(default_factory=list)  # (iteration, logl, max scaled grad, halvings)
 
 
@@ -229,9 +251,12 @@ def maximize(
     max_i |g_i|*max(|theta_i|, 1) below ``grad_tol``; the final Hessian
     must additionally be negative definite for the optimum to be flagged
     as verified. The final gradient and Hessian are reused from the last
-    iteration when it computed them at the returned point. Derivative
-    probes are evaluated as in ``fd_gradient``: with ``stacked``, one
-    objective call per thread for each gradient or Hessian.
+    iteration when it computed them at the returned point. Only the
+    slots set in ``free_mask`` move and are probed; the derivatives'
+    entries of the others are 0. Derivative probes are evaluated as in
+    ``fd_gradient``: with ``stacked``, one objective call per thread for
+    each gradient or Hessian, on one pool of ``threads`` threads kept for
+    the whole fit (their likelihood workspaces with them).
     """
     theta = np.asarray(theta0, dtype=float).copy()
     p = len(theta)
@@ -243,56 +268,64 @@ def maximize(
     f = objective(theta)
     if not np.isfinite(f):
         raise FitError("objective is not finite at the starting values")
-    trace = []
-    rel_change = np.inf
-    converged = False
-    message = "maximum iterations reached"
-    it = 0
-    grad = hess = None  # derivatives at theta, when the loop has them
-    for it in range(1, max_iter + 1):
-        grad = fd_gradient(objective, theta, threads, stacked)
-        scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
-        if rel_change < logl_tol and scaled < grad_tol:
-            converged = True
-            message = "converged"
-            break
-        hess = fd_hessian(objective, theta, f, threads, stacked)
-        chol, tau = _neg_chol(hess, free)
-        step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
-        step = np.zeros(p)
-        step[free] = step_free
-        halvings = 0
-        alpha = 1.0
-        f_new, theta_new = None, None
-        while halvings <= max_halvings:
-            cand = theta + alpha * step
-            if clamp is not None:
-                cand = clamp(cand)
-            val = objective(cand)
-            if np.isfinite(val) and val > f:
-                f_new, theta_new = val, cand
-                break
-            alpha *= 0.5
-            halvings += 1
-        if f_new is None:
-            if scaled < grad_tol:
+    with _thread_pool(threads) if threads > 1 else nullcontext() as pool:
+
+        def gradient(th):
+            return fd_gradient(objective, th, threads, stacked, free, pool)
+
+        def hessian(th, f0):
+            return fd_hessian(objective, th, f0, threads, stacked, free, pool)
+
+        trace = []
+        rel_change = np.inf
+        converged = False
+        message = "maximum iterations reached"
+        it = 0
+        grad = hess = None  # derivatives at theta, when the loop has them
+        for it in range(1, max_iter + 1):
+            grad = gradient(theta)
+            scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
+            if rel_change < logl_tol and scaled < grad_tol:
                 converged = True
-                message = "converged (no ascent step at a stationary point)"
-            else:
-                message = "no ascent step found"
-            break
-        rel_change = abs(f_new - f) / max(abs(f_new), 1.0)
-        theta, f = theta_new, f_new
-        grad = hess = None
-        if refresh is not None and refresh(theta):
-            f = objective(theta)
-        trace.append((it, f, scaled, halvings))
-        if monitor is not None:
-            monitor(it, f, scaled, halvings)
-    if grad is None:
-        grad = fd_gradient(objective, theta, threads, stacked)
-    if hess is None:
-        hess = fd_hessian(objective, theta, f, threads, stacked)
+                message = "converged"
+                break
+            hess = hessian(theta, f)
+            chol, tau = _neg_chol(hess, free)
+            step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
+            step = np.zeros(p)
+            step[free] = step_free
+            halvings = 0
+            alpha = 1.0
+            f_new, theta_new = None, None
+            while halvings <= max_halvings:
+                cand = theta + alpha * step
+                if clamp is not None:
+                    cand = clamp(cand)
+                val = objective(cand)
+                if np.isfinite(val) and val > f:
+                    f_new, theta_new = val, cand
+                    break
+                alpha *= 0.5
+                halvings += 1
+            if f_new is None:
+                if scaled < grad_tol:
+                    converged = True
+                    message = "converged (no ascent step at a stationary point)"
+                else:
+                    message = "no ascent step found"
+                break
+            rel_change = abs(f_new - f) / max(abs(f_new), 1.0)
+            theta, f = theta_new, f_new
+            grad = hess = None
+            if refresh is not None and refresh(theta):
+                f = objective(theta)
+            trace.append((it, f, scaled, halvings))
+            if monitor is not None:
+                monitor(it, f, scaled, halvings)
+        if grad is None:
+            grad = gradient(theta)
+        if hess is None:
+            hess = hessian(theta, f)
     verified = True
     try:
         np.linalg.cholesky(-hess[np.ix_(free, free)])
@@ -309,6 +342,7 @@ def maximize(
         converged=converged,
         message=message,
         optimum_verified=verified,
+        free=free,
         trace=trace,
     )
 
@@ -542,14 +576,19 @@ def build_fit_result(program, plan, maxres: MaxResult, evaluator) -> FitResult:
     from .integrate import ReKernel
 
     theta = maxres.theta
-    p = len(theta)
-    neg = -maxres.hessian
+    free = maxres.free
+    # pinned slots are known constants: the covariance is the inverse of
+    # the free block of the observed information, zero elsewhere, so a
+    # pinned slot gets no standard error
+    block = np.ix_(free, free)
+    neg = -maxres.hessian[block]
     try:
-        cov = np.linalg.inv(neg)
-        cov = 0.5 * (cov + cov.T)
+        inv = np.linalg.inv(neg)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(neg)
-        cov = 0.5 * (cov + cov.T)
+        inv = np.linalg.pinv(neg)
+    cov = np.zeros_like(maxres.hessian)
+    cov[block] = 0.5 * (inv + inv.T)
+
     def safe_exp(x: float) -> float:
         return math.exp(min(x, 700.0))
 
@@ -634,7 +673,7 @@ def build_fit_result(program, plan, maxres: MaxResult, evaluator) -> FitResult:
         optimum_verified=maxres.optimum_verified,
         iterations=maxres.iterations,
         message=maxres.message,
-        grad_norm=float(np.max(np.abs(maxres.grad))),
+        grad_norm=float(np.max(np.abs(maxres.grad[free]), initial=0.0)),
         table=table,
         trace=maxres.trace,
         settings=settings,

@@ -77,6 +77,55 @@ class TestEstimatorApi:
         res = fit_model("(y x M1[id], family(gaussian))", cluster_data(), fixed={"x": 0.0}, points=9)
         assert res.estimate("x") == 0.0
 
+    def test_pinned_parameter_matches_reduced_model(self):
+        # a slot pinned at 0 is a known constant: the fit, its standard
+        # errors and its gradient norm are those of the model without it
+        data = cluster_data(g=40, n=5)
+        pinned = fit_model("(y x M1[id], family(gaussian))", data, fixed={"x": 0.0})
+        reduced = fit_model("(y M1[id], family(gaussian))", data)
+        np.testing.assert_allclose(pinned.logl, reduced.logl, rtol=1e-6)
+        assert pinned.se("x") is None and pinned.grad_norm < 1e-5
+        for row in reduced.table:
+            np.testing.assert_allclose(pinned.estimate(row["name"]), row["estimate"], rtol=1e-6)
+            np.testing.assert_allclose(pinned.se(row["name"]), row["se"], rtol=1e-6)
+        i = pinned.names.index("x")
+        assert not pinned.cov[i].any() and not pinned.cov[:, i].any()
+
+    def test_pinned_association_gives_submodel_ses(self):
+        # the joint model of acceptance criterion 6 with its association
+        # pinned at 0 factors into its two submodels, standard errors too
+        joint = (
+            "(stime trt EV[logb]@alpha, family(exponential, failure(died)))"
+            " (logb fp(1)@slope M1[id], family(gaussian) timevar(time))"
+        )
+        truth = {
+            "stime:trt": 0.2,
+            "alpha": 0.4,
+            "stime:_cons": -1.4,
+            "slope": 0.5,
+            "logb:_cons": 0.8,
+            "logb:ln_sd": math.log(0.3),
+            "ln_sd(M1)": math.log(0.7),
+        }
+        frame = hm.simulate(
+            joint,
+            truth,
+            levels={"id": 200},
+            covariates={"trt": {"dist": "bernoulli"}},
+            outcomes=[{"censoring": 5.0}, {"times": [0.0, 0.5, 1.0, 2.0, 3.0]}],
+            seed=606,
+        )
+        data = {n: frame.col(n) for n in frame.names}
+        fit_joint = fit_model(joint, data, points=9, fixed={"alpha": 0.0})
+        fit_surv = fit_model("(stime trt, family(exponential, failure(died)))", data, points=9)
+        fit_long = fit_model("(logb fp(1)@slope M1[id], family(gaussian) timevar(time))", data, points=9)
+        assert fit_joint.se("alpha") is None
+        pairs = [("stime:trt", fit_surv, "trt"), ("stime:_cons", fit_surv, "_cons")]
+        pairs += [(name, fit_long, name) for name in ("slope", "sd(M1)")]
+        pairs += [("logb:_cons", fit_long, "_cons"), ("logb:sd(resid)", fit_long, "sd(resid)")]
+        for joint_name, sub, name in pairs:
+            np.testing.assert_allclose(fit_joint.se(joint_name), sub.se(name), rtol=1e-5)
+
     def test_init_overrides(self):
         data = cluster_data()
         res = fit_model("(y x M1[id], family(gaussian))", data, init={"x": 0.55}, points=9)

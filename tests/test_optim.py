@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +50,68 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(h, [[-2.0]], rtol=1e-4)
         with pytest.raises(FitError):
             fd_hessian(lambda th: np.nan if th[0] != 0.5 else 0.0, np.array([0.5]))
+
+    @staticmethod
+    def _smooth5(u):
+        """A smooth, non-quadratic, non-separable function of 5 arguments
+        and its analytic Hessian."""
+        w = np.array([0.3, -0.5, 0.2, 0.4, -0.1])
+        r = 1.0 + u @ u
+        value = np.exp(w @ u) - np.log1p(u @ u) + u[0] * u[1] * u[2]
+        hess = np.exp(w @ u) * np.outer(w, w) - 2.0 * np.eye(5) / r + 4.0 * np.outer(u, u) / r**2
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            hess[i, j] += u[k]
+            hess[j, i] += u[k]
+        return value, hess
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4], ids=["unit", "large"])
+    def test_hessian_matches_analytic_with_p_p_plus_1_points(self, scale):
+        # at theta = scale * u the steps scale with |theta_i|, so g(theta /
+        # scale) is differenced with the same relative accuracy as g at u
+        u = np.array([0.7, -0.4, 0.9, -1.0, 0.25])
+        p = len(u)
+        points = []
+
+        def f(th):
+            points.append(th.copy())
+            return self._smooth5(th / scale)[0]
+
+        theta = scale * u
+        h = fd_hessian(f, theta, f0=f(theta))
+        assert len(points) == 1 + p * (p + 1)
+        expect = self._smooth5(u)[1] / scale**2
+        assert np.all(expect[np.triu_indices(p, 1)] != 0.0)
+        np.testing.assert_allclose(h, expect, rtol=0, atol=1e-6 * np.max(np.abs(expect)))
+        assert h.tobytes() == h.T.tobytes()
+
+    def test_pinned_slots_are_not_probed(self):
+        u = np.array([0.7, -0.4, 0.9, -1.0, 0.25])
+        free = np.array([True, False, True, True, False])
+        idx = np.flatnonzero(free)
+        probes = []
+
+        def f(th):
+            probes.append(th.copy())
+            return self._smooth5(th)[0]
+
+        def restricted(v):
+            th = u.copy()
+            th[idx] = v
+            return self._smooth5(th)[0]
+
+        g = fd_gradient(f, u, free=free)
+        h = fd_hessian(f, u, f0=f(u), free=free)
+        q = len(idx)
+        assert len(probes) == 2 * q + 1 + q * (q + 1)
+        assert all(np.array_equal(x[~free], u[~free]) for x in probes)
+        assert not g[~free].any() and not h[~free].any() and not h[:, ~free].any()
+        assert g[idx].tobytes() == fd_gradient(restricted, u[idx]).tobytes()
+        assert h[np.ix_(idx, idx)].tobytes() == fd_hessian(restricted, u[idx]).tobytes()
+        # every slot pinned: nothing to probe
+        probes.clear()
+        pinned = np.zeros(5, dtype=bool)
+        assert not fd_gradient(f, u, free=pinned).any() and not fd_hessian(f, u, 0.0, free=pinned).any()
+        assert not probes
 
     def test_gradient_step_refinement_on_frailty_model(self):
         # central differences at step h and h/4 agree to relative 1e-4
@@ -167,8 +230,8 @@ class TestMaximize:
         assert res.converged
         # start + per accepted step a gradient, a Hessian and the line
         # search + the stopping iteration's gradient + the final Hessian
-        steps = sum(2 * p + 2 * p * p + halvings + 1 for _, _, _, halvings in res.trace)
-        assert len(points) == 1 + steps + 2 * p + 2 * p * p
+        steps = sum(2 * p + p * (p + 1) + halvings + 1 for _, _, _, halvings in res.trace)
+        assert len(points) == 1 + steps + 2 * p + p * (p + 1)
         np.testing.assert_array_equal(res.grad, fd_gradient(objective, res.theta))
 
     def test_failed_fit_reuses_final_derivatives(self):
@@ -178,7 +241,8 @@ class TestMaximize:
         res = maximize(objective, np.zeros(2))
         assert res.message == "no ascent step found" and not res.converged
         # start + gradient + Hessian + 17 line-search points, nothing after
-        assert len(points) == 1 + 4 + 8 + 17
+        p = 2
+        assert len(points) == 1 + 2 * p + p * (p + 1) + 17
         np.testing.assert_array_equal(res.grad, fd_gradient(objective, res.theta))
         np.testing.assert_array_equal(res.hessian, fd_hessian(objective, res.theta))
 
@@ -192,6 +256,22 @@ class TestMaximize:
         (still, n_still), (moved, n_moved) = runs[False], runs[True]
         assert n_moved - n_still == len(moved.trace) > 0
         assert still.theta.tobytes() == moved.theta.tobytes() and still.logl == moved.logl
+
+    def test_one_thread_pool_per_fit(self):
+        # the worker threads, and the likelihood workspaces they keep,
+        # live for the whole fit instead of one objective call
+        names = set()
+
+        def objective(th):
+            names.add(threading.current_thread().name)
+            x = np.atleast_2d(th)
+            vals = -((x[:, 0] - 1.5) ** 2) - 2.0 * (x[:, 1] + 0.5) ** 4 - x[:, 0] * x[:, 1]
+            return vals if np.ndim(th) == 2 else float(vals[0])
+
+        res = maximize(objective, np.zeros(2), threads=2, stacked=True)
+        assert res.converged and res.iterations > 2
+        workers = names - {threading.main_thread().name}
+        assert len({name.rsplit("_", 1)[0] for name in workers}) == 1 and len(workers) <= 2
 
     def test_starting_point_must_be_finite(self):
         with pytest.raises(FitError, match="starting"):
