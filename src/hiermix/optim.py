@@ -137,17 +137,23 @@ def fd_gradient(objective, theta, threads: int = 1, stacked: bool = False, free=
 
 
 def fd_hessian(
-    objective, theta, f0=None, threads: int = 1, stacked: bool = False, free=None, pool=None
+    objective, theta, f0=None, threads: int = 1, stacked: bool = False, free=None, pool=None, near=None
 ) -> np.ndarray:
     """Symmetric Hessian from the seven-point formula (Abramowitz &
-    Stegun 1964, 25.3), step eps^(1/4)*max(|theta_i|, 1), accurate to
-    O(h^2).
+    Stegun 1964, 25.3), accurate to O(h^2).
 
-    The q(q+1) probe points of q free slots (see ``fd_gradient``; the
-    other rows and columns are 0) are the 2q axis points theta +- h_i e_i
-    and, for each pair, the corners theta + h_i e_i + h_j e_j and
-    theta - h_i e_i - h_j e_j. The axis points serve the diagonal and
-    every cross term. They are evaluated together, as in
+    The formula differences along q directions u_k of the q free slots
+    (see ``fd_gradient``; the other rows and columns are 0), with step
+    h = eps^(1/4) in the scaled coordinates theta_i / max(|theta_i|, 1):
+    the axes, or, given ``near`` (a Hessian from a nearby point), the
+    eigenvectors of its scaled free block. The q(q+1) probe points are
+    the 2q axis points theta +- h u_k and, for each pair, the corners
+    theta + h (u_k + u_l) and theta - h (u_k + u_l); the axis points
+    serve the diagonal and every cross term. The corners leave an error
+    h^2 f_kkll / 4 in each cross term, which does not cancel along the
+    nearly flat direction of a ridge when the ridge lies across the
+    axes; along the eigenvectors the function is nearly separable and
+    the term is small. The points are evaluated together, as in
     ``fd_gradient``; a non-finite probe halves every step and
     re-evaluates them all before giving up.
     """
@@ -155,29 +161,38 @@ def fd_hessian(
     if f0 is None:
         f0 = objective(theta)
     idx = _free_slots(len(theta), free)
+    unit = np.maximum(np.abs(theta[idx]), 1.0)
+    if near is None:
+        basis = np.eye(len(idx))
+    else:
+        basis = np.linalg.eigh(near[np.ix_(idx, idx)] * np.outer(unit, unit))[1]
     scale = 1.0
     for _ in range(6):
-        hess = _fd_hessian_once(objective, theta, f0, scale, idx, threads, stacked, pool)
+        hess = _fd_hessian_once(objective, theta, f0, scale, idx, unit, basis, threads, stacked, pool)
         if hess is not None:
             return hess
         scale *= 0.5
     raise FitError("objective is not finite near the Hessian probe points")
 
 
-def _fd_hessian_once(objective, theta, f0, scale, idx, threads, stacked, pool) -> np.ndarray | None:
-    """The Hessian at one step scale, or None if a probe is not finite."""
+def _fd_hessian_once(objective, theta, f0, scale, idx, unit, basis, threads, stacked, pool) -> np.ndarray | None:
+    """The Hessian at one step scale along the directions u_k =
+    unit * basis[:, k], or None if a probe is not finite.
+    """
     q = len(idx)
-    h = scale * _HESS_STEP * np.maximum(np.abs(theta[idx]), 1.0)
-    rows, cols = np.tril_indices(q, -1)  # the pairs a > b of free slots
+    h = scale * _HESS_STEP
+    rows, cols = np.tril_indices(q, -1)  # the pairs k > l of directions
     n_axis, n_pairs = 2 * q, len(rows)
-    points = np.repeat(theta[None], n_axis + 2 * n_pairs, axis=0)
+    steps = np.zeros((n_axis + 2 * n_pairs, q))  # in units of the directions
     axis = np.arange(q)
-    points[2 * axis, idx] += h
-    points[2 * axis + 1, idx] += -h
+    steps[2 * axis, axis] = h
+    steps[2 * axis + 1, axis] = -h
     corners = n_axis + 2 * np.arange(n_pairs)
     for a in (rows, cols):
-        points[corners, idx[a]] += h[a]
-        points[corners + 1, idx[a]] += -h[a]
+        steps[corners, a] = h
+        steps[corners + 1, a] = -h
+    points = np.repeat(theta[None], len(steps), axis=0)
+    points[:, idx] += steps @ (unit[:, None] * basis).T
     vals = _values(objective, points, stacked, threads, pool)
     if not np.all(np.isfinite(vals)):
         return None
@@ -187,9 +202,12 @@ def _fd_hessian_once(objective, theta, f0, scale, idx, threads, stacked, pool) -
     sub[axis, axis] = (up - 2.0 * f0 + dn) / (h * h)
     # each bracket subtracts values of nearby points before the sums
     cross = ((fpp - up[rows]) - (up[cols] - f0)) + ((fmm - dn[rows]) - (dn[cols] - f0))
-    sub[rows, cols] = sub[cols, rows] = cross / (2.0 * h[rows] * h[cols])
+    sub[rows, cols] = sub[cols, rows] = cross / (2.0 * h * h)
+    # back to theta: H = B' sub B with B = basis' diag(1 / unit)
+    back = basis.T / unit
+    block = back.T @ sub @ back
     hess = np.zeros((len(theta), len(theta)))
-    hess[np.ix_(idx, idx)] = sub
+    hess[np.ix_(idx, idx)] = 0.5 * (block + block.T)
     return hess
 
 
@@ -251,7 +269,11 @@ def maximize(
     max_i |g_i|*max(|theta_i|, 1) below ``grad_tol``; the final Hessian
     must additionally be negative definite for the optimum to be flagged
     as verified. The final gradient and Hessian are reused from the last
-    iteration when it computed them at the returned point. Only the
+    iteration when it computed them at the returned point. Otherwise the
+    final Hessian, which gives the standard errors, is probed along the
+    eigenvectors of the last Newton Hessian (``fd_hessian``, ``near``),
+    so that it stays accurate along a nearly flat ridge; the Newton
+    Hessians themselves are probed along the axes. Only the
     slots set in ``free_mask`` move and are probed; the derivatives'
     entries of the others are 0. Derivative probes are evaluated as in
     ``fd_gradient``: with ``stacked``, one objective call per thread for
@@ -273,8 +295,8 @@ def maximize(
         def gradient(th):
             return fd_gradient(objective, th, threads, stacked, free, pool)
 
-        def hessian(th, f0):
-            return fd_hessian(objective, th, f0, threads, stacked, free, pool)
+        def hessian(th, f0, near=None):
+            return fd_hessian(objective, th, f0, threads, stacked, free, pool, near)
 
         trace = []
         rel_change = np.inf
@@ -282,6 +304,7 @@ def maximize(
         message = "maximum iterations reached"
         it = 0
         grad = hess = None  # derivatives at theta, when the loop has them
+        last = None  # the latest Newton Hessian
         for it in range(1, max_iter + 1):
             grad = gradient(theta)
             scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
@@ -289,7 +312,7 @@ def maximize(
                 converged = True
                 message = "converged"
                 break
-            hess = hessian(theta, f)
+            hess = last = hessian(theta, f)
             chol, tau = _neg_chol(hess, free)
             step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
             step = np.zeros(p)
@@ -325,7 +348,7 @@ def maximize(
         if grad is None:
             grad = gradient(theta)
         if hess is None:
-            hess = hessian(theta, f)
+            hess = hessian(theta, f, last)
     verified = True
     try:
         np.linalg.cholesky(-hess[np.ix_(free, free)])

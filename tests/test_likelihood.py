@@ -675,6 +675,16 @@ class TestBatchedEvaluation:
         # a gradient, a Hessian and its centre point: one call per thread each
         assert ev.n_calls - calls == 2 * threads + 1
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_fd_hessian_along_eigenvectors_batched_equal_pointwise(self, threads):
+        prog, plan = _nested_aghq()
+        theta = hm.initial_values(prog)
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta)
+        near = fd_hessian(ev.logl, theta)
+        h = fd_hessian(ev.logl, theta, near=near)
+        assert fd_hessian(ev.logl, theta, None, threads, stacked=True, near=near).tobytes() == h.tobytes()
+
     def test_fd_shrink_cases_batched_equal_pointwise(self):
         def edge(th):
             return float(th[0]) if th[0] < 1.0000001 else np.nan

@@ -64,10 +64,13 @@ class TestFiniteDifferences:
             hess[j, i] += u[k]
         return value, hess
 
+    @pytest.mark.parametrize("along", ["axes", "eigenvectors"])
     @pytest.mark.parametrize("scale", [1.0, 1e4], ids=["unit", "large"])
-    def test_hessian_matches_analytic_with_p_p_plus_1_points(self, scale):
+    def test_hessian_matches_analytic_with_p_p_plus_1_points(self, scale, along):
         # at theta = scale * u the steps scale with |theta_i|, so g(theta /
-        # scale) is differenced with the same relative accuracy as g at u
+        # scale) is differenced with the same relative accuracy as g at u;
+        # along the eigenvectors of a Hessian from a nearby point, every
+        # probe moves every slot and the result is mapped back
         u = np.array([0.7, -0.4, 0.9, -1.0, 0.25])
         p = len(u)
         points = []
@@ -77,8 +80,10 @@ class TestFiniteDifferences:
             return self._smooth5(th / scale)[0]
 
         theta = scale * u
-        h = fd_hessian(f, theta, f0=f(theta))
+        near = self._smooth5(u + 0.1)[1] / scale**2 if along == "eigenvectors" else None
+        h = fd_hessian(f, theta, f0=f(theta), near=near)
         assert len(points) == 1 + p * (p + 1)
+        assert np.count_nonzero(points[1] != theta) == (1 if near is None else p)
         expect = self._smooth5(u)[1] / scale**2
         assert np.all(expect[np.triu_indices(p, 1)] != 0.0)
         np.testing.assert_allclose(h, expect, rtol=0, atol=1e-6 * np.max(np.abs(expect)))
@@ -212,6 +217,29 @@ class TestMaximize:
         est = res.estimate("sd(resid)")
         np.testing.assert_allclose(res.se("sd(resid)"), est * se_log, rtol=1e-10)
 
+    @pytest.mark.parametrize("w", [[1.0, 1.0], [0.6, 1.0]], ids=["diagonal", "skew"])
+    def test_ridge_standard_errors(self, w):
+        # a ridge -exp(4 w.x)/16 + w.x/4 - 1e-4|x|^2, x = theta - c, with
+        # its maximum at c, where the information is 1e4 times weaker
+        # across w than along it. Probed
+        # along the axes, the seven-point formula's O(h^2) cross-term
+        # error does not cancel across the ridge (relative SE errors of
+        # 3e-4 and 1e-4 here); the final Hessian follows the eigenvectors
+        # of the last Newton Hessian, where it does.
+        w, c = np.array(w), np.array([0.3, 0.9])
+
+        def objective(th):
+            t = (th - c) @ w
+            return -math.exp(4.0 * t) / 16.0 + t / 4.0 - 1e-4 * float((th - c) @ (th - c))
+
+        res = maximize(objective, np.zeros(2))
+        assert res.converged and res.iterations > 2
+        cov = np.linalg.inv(-res.hessian)
+        exact = np.linalg.inv(np.outer(w, w) + 2e-4 * np.eye(2))
+        across = np.array([w[1], -w[0]]) / np.hypot(*w)
+        np.testing.assert_allclose(np.diag(cov), np.diag(exact), rtol=2e-5)
+        np.testing.assert_allclose(across @ cov @ across, across @ exact @ across, rtol=2e-5)
+
     @staticmethod
     def counted(f):
         """f with a list of the points it was called at."""
@@ -260,18 +288,19 @@ class TestMaximize:
     def test_one_thread_pool_per_fit(self):
         # the worker threads, and the likelihood workspaces they keep,
         # live for the whole fit instead of one objective call
-        names = set()
+        # (the Thread objects are kept, so two threads never compare equal)
+        seen = set()
 
         def objective(th):
-            names.add(threading.current_thread().name)
+            seen.add(threading.current_thread())
             x = np.atleast_2d(th)
             vals = -((x[:, 0] - 1.5) ** 2) - 2.0 * (x[:, 1] + 0.5) ** 4 - x[:, 0] * x[:, 1]
             return vals if np.ndim(th) == 2 else float(vals[0])
 
         res = maximize(objective, np.zeros(2), threads=2, stacked=True)
         assert res.converged and res.iterations > 2
-        workers = names - {threading.main_thread().name}
-        assert len({name.rsplit("_", 1)[0] for name in workers}) == 1 and len(workers) <= 2
+        workers = seen - {threading.main_thread()}
+        assert 1 <= len(workers) <= 2
 
     def test_starting_point_must_be_finite(self):
         with pytest.raises(FitError, match="starting"):
