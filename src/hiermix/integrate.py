@@ -225,6 +225,7 @@ def adapt_locations(
     active: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20,
+    start: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
@@ -233,9 +234,15 @@ def adapt_locations(
     nodes. ``log_conditional`` maps node locations (K, M, dim) to the
     conditional log-likelihood (K, M) of each cell; cells not marked in
     ``active`` keep the prior. The scale may shrink at most 4x per step
-    in any direction, so a posterior sharper than the grid's spacing
-    cannot collapse the rule onto one node. Cells whose posterior moments are not finite fall
+    in any direction, relative to the scale of the step before, so a
+    posterior sharper than the grid's spacing cannot collapse the rule
+    onto one node. Cells whose posterior moments are not finite fall
     back to (0, prior scale) and are flagged.
+
+    Every active cell starts at (0, prior scale), or, given ``start``,
+    the result of an earlier adaptation of the same cells (a tuple as
+    returned here), at that result's shift and scale: a warm start.
+    A cell flagged there starts at (0, prior scale) again.
 
     Returns the shifts (K, dim), scale factors (K, dim, dim), iteration
     counts (K,) and fallback flags (K,).
@@ -250,6 +257,9 @@ def adapt_locations(
     iters = np.zeros(k, dtype=int)
     flagged = np.zeros(k, dtype=bool)
     active = np.array(active, dtype=bool)
+    if start is not None:
+        warm = active & ~start[3]
+        mu[warm], lam[warm] = start[0][warm], start[1][warm]
     for _ in range(max_iter):
         if not np.any(active):
             break

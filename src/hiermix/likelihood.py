@@ -8,6 +8,17 @@ for all of its units at every combination of outer-level nodes at once,
 reduced over its own nodes, and summed into the parent units (the
 recursive nested quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
 
+Adaptive levels are re-adapted by ``refresh``, once per Newton
+iteration, and each adaptation is warm-started, as in Rabe-Hesketh,
+Skrondal & Pickles (2005): the evaluator keeps each level's latest
+per-cell shifts and scales (``adapted``), and the next adaptation of
+that level starts from them. For an inner level of nested quadrature,
+re-adapted at every step of the outer level's adaptation, that is the
+result at the previous outer step. Cells keep one canonical order from
+construction on, so the shapes always match; a cell that fell back in
+its latest adaptation, and every cell at the evaluator's first, start
+from the prior.
+
 At the innermost level the conditional log-likelihood is a rows x
 columns array, one column per (outer-node combination, node). Outer-node
 combinations are taken in blocks of about ``_BLOCK_VALUES`` rows x
@@ -255,7 +266,8 @@ class LikelihoodEvaluator:
         self._prepare_segments()
         self._plan_chunks()
         self._local = threading.local()  # .workspace: the calling thread's buffers
-        self.adapted: dict[int, tuple] = {}  # level position -> adapt_locations result
+        self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
+        self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
         self.n_points = 0
         self.cond_evals = 0
@@ -348,12 +360,11 @@ class LikelihoodEvaluator:
     # -- public entry points --------------------------------------------
 
     def refresh(self, theta: np.ndarray) -> bool:
-        """Recompute the per-cell adaptive transforms at theta. Returns
-        whether any level is adaptive, i.e. whether the objective may
-        have changed.
+        """Recompute the per-cell adaptive transforms at theta, starting
+        from the previous ones (see ``_adapt``). Returns whether any level
+        is adaptive, i.e. whether the objective may have changed.
         """
         theta = np.asarray(theta, dtype=float)
-        self.adapted.clear()
         if not any(st.adaptive for st in self.level_states):
             return False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -475,17 +486,23 @@ class LikelihoodEvaluator:
     def _adapt(self, thetas: np.ndarray, pos: int, outer: list) -> None:
         """Adapt level ``pos`` at the given outer nodes, re-adapting the
         levels inside it at each trial location, then once more at the
-        final one. ``thetas`` holds one parameter vector.
+        final one. ``thetas`` holds one parameter vector. Each adaptation
+        starts warm, from the level's latest result: the previous
+        refresh's, or, for an inner level, the one at the previous trial
+        location of the outer level. Only the first adaptation of an
+        evaluator, and a cell that fell back, start from the prior.
         """
         st = self.level_states[pos]
         if st.adaptive:
-            self.adapted[pos] = adapt_locations(
+            self.adapted[pos] = res = adapt_locations(
                 lambda x: self._conditional(thetas, pos, outer, x, refresh=True),
                 st.kernel,
                 self.level_chol(st, thetas[0]),
                 st.rule,
                 np.repeat(st.active, st.n_combos),
+                start=self.adapted.get(pos),
             )
+            self.sweeps[st.info.name] += int(res[2].max(initial=0))
         if pos + 1 < len(self.level_states):
             self._adapt(thetas, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, thetas)[0])])
 
@@ -597,6 +614,10 @@ class LikelihoodEvaluator:
         """Integration settings per level, counters and adaptation state.
         ``likelihood_calls`` counts calls of ``logl``, a stack counting
         once; ``objective_points`` counts the parameter vectors evaluated.
+        ``adaptation_iterations`` and ``adaptation_fallbacks`` describe the
+        latest adaptation of each cell; ``adaptation_sweeps`` counts, per
+        adaptive level, the passes over its cells of every adaptation
+        since the evaluator was built.
         """
         levels = {}
         for st in self.level_states:
@@ -624,6 +645,7 @@ class LikelihoodEvaluator:
             "conditional_evaluations_per_call": per_call,
             "adaptation_iterations": iterations,
             "adaptation_fallbacks": fallbacks,
+            "adaptation_sweeps": dict(self.sweeps),
             "wall_time_s": self.wall_time,
         }
 

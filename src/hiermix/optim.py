@@ -462,11 +462,19 @@ def _initial_design(program, co):
     return np.column_stack(cols), slots, names
 
 
+def _by_value(x, y):
+    """The rows of design x and response y in order of their values."""
+    order = np.lexsort((y, *x.T[::-1]))
+    return x[order], y[order]
+
+
 def initial_values(program) -> np.ndarray:
     """Starting values: outcome-wise fits ignoring the random effects
     (least squares / IRLS for the standard families, moment fits for the
     survival ancillaries), log-sd of every latent effect at log(0.5),
-    cross terms and association coefficients at zero.
+    cross terms and association coefficients at zero. Every fit and
+    moment reads the rows in order of their values, so the start does not
+    depend on how clusters are labelled, which orders the compiled rows.
     """
     theta = np.zeros(program.n_params)
     for co in program.outcomes:
@@ -477,11 +485,11 @@ def initial_values(program) -> np.ndarray:
             y = co.response
             d = co.event
             t0 = co.entry
-            exposure = float(np.sum(y - t0))
-            events = float(np.sum(d))
+            exposure = math.fsum((y - t0).tolist())
+            events = math.fsum(d.tolist())
             base_rate = math.log(max(events, 0.5) / max(exposure, 1e-12))
             if fam.name == "lognormal":
-                ly = np.log(y)
+                ly = np.sort(np.log(y))
                 if co.cons_slot is not None:
                     theta[co.cons_slot] = float(np.mean(ly))
                 theta[co.anc_slots[0]] = math.log(max(float(np.std(ly)), 1e-3))
@@ -500,14 +508,14 @@ def initial_values(program) -> np.ndarray:
             x, slots, names = _initial_design(program, co)
             if x is not None:
                 _check_design(x, names, co.label)
-                beta = _glm_irls(x, co.response, "identity")
+                beta = _glm_irls(*_by_value(x, co.response), "identity")
                 theta[slots] = beta
             continue
         x, slots, names = _initial_design(program, co)
         if x is None:
             continue
         _check_design(x, names, co.label)
-        y = co.response
+        x, y = _by_value(x, co.response)
         beta = _glm_irls(x, y, fam.link)
         theta[slots] = beta
         if fam.name == "gaussian":

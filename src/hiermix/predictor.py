@@ -91,11 +91,15 @@ class LevelInfo:
 class Grid:
     """Evaluation times (n, A) at the rows of one outcome, with the
     time-function columns of the components evaluated there, keyed by
-    (outcome, component). Grids built during a call carry no columns.
+    (outcome, component). A compiled grid at which an iEV link is
+    evaluated also holds ``nodes``: the grid of that link's
+    Gauss-Legendre nodes over (0, t] for every time t, (n, A x Q), with
+    its own columns. Grids built during a call carry neither.
     """
 
     t: np.ndarray
     cols: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    nodes: Grid | None = None
 
 
 class _CompiledComponent:
@@ -455,7 +459,9 @@ def _precompute_at_rows(program: Program, r: int) -> None:
     """The covariate products of every component evaluated at outcome r's
     rows, and the time-function columns of every component evaluated at
     r's own grid: r's own components and those reached through EV[]
-    links, which pass the grid on unchanged.
+    links, which pass the grid on unchanged. Where one of them has an
+    iEV[] link, the grid's iEV nodes and the columns of the components
+    evaluated there too.
     """
     co = program.outcomes[r]
     for j in _evaluated_at(program, r, ("EV", "dEV", "d2EV", "iEV")):
@@ -465,11 +471,34 @@ def _precompute_at_rows(program: Program, r: int) -> None:
                 for name in cc.cov_names[1:]:
                     cov = cov * program.frame.col(name)[co.rows]
                 cc.cov[r] = cov.reshape(-1, 1, 1)
-    if co.grid is not None:
-        for j in _evaluated_at(program, r, ("EV",)):
-            for cc in program.outcomes[j].components:
-                if cc.timefn is not None:
-                    co.grid.cols[cc.key] = _time_columns(cc.timefn, co.grid.t)
+    if co.grid is None:
+        return
+    reached = _evaluated_at(program, r, ("EV",))
+    _columns_at(program, co.grid, reached)
+    targets = {j for i in reached for cc in program.outcomes[i].components for kind, j in cc.evlinks if kind == "iEV"}
+    if targets:
+        co.grid.nodes = Grid(_iev_times(program, co.grid.t, np.empty))
+        _columns_at(program, co.grid.nodes, sorted({i for j in targets for i in _evaluated_at(program, j, ("EV",))}))
+
+
+def _columns_at(program: Program, grid: Grid, outcomes: list[int]) -> None:
+    for j in outcomes:
+        for cc in program.outcomes[j].components:
+            if cc.timefn is not None:
+                grid.cols[cc.key] = _time_columns(cc.timefn, grid.t)
+
+
+def _iev_times(program: Program, t: np.ndarray, empty) -> np.ndarray:
+    """The Gauss-Legendre nodes over (0, t] of every time of an (n, A)
+    grid, (n, A x Q), in an array from ``empty``; 1 where t <= 0, whose
+    integral is zero.
+    """
+    nodes = program.gl_nodes
+    n, a = t.shape
+    safe = np.multiply(0.5 * t[:, :, None], nodes[None, None, :] + 1.0, out=empty((n, a, len(nodes))))
+    mask = np.greater(safe, 0.0, out=empty(safe.shape, bool))
+    np.copyto(safe, 1.0, where=np.logical_not(mask, out=mask))
+    return safe.reshape(n, a * len(nodes))
 
 
 def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
@@ -680,13 +709,11 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         mid = ev_at(grid)
         return (up - 2.0 * mid + dn) / (h3 * h3)
     if kind == "iEV":
-        nodes, weights = program.gl_nodes, program.gl_weights
+        weights = program.gl_weights
         n, a = t.shape
-        qn = len(nodes)
-        safe = np.multiply(0.5 * t[:, :, None], nodes[None, None, :] + 1.0, out=ctx.empty((n, a, qn)))
-        mask = np.greater(safe, 0.0, out=ctx.empty(safe.shape, bool))
-        np.copyto(safe, 1.0, where=np.logical_not(mask, out=mask))  # the integral over (0, 0] is zero
-        vals = ev_at(safe.reshape(n, a * qn))  # (n, A*Q, B)
+        qn = len(weights)
+        # a compiled grid holds its nodes and their time-function columns
+        vals = ev_at(grid.nodes if grid.nodes is not None else _iev_times(program, t, ctx.empty))  # (n, A*Q, B)
         if vals.shape[:2] != (n, a * qn):
             full = ctx.empty((n, a * qn, vals.shape[-1]))
             np.copyto(full, vals)

@@ -84,6 +84,40 @@ class TestFit:
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
 
+    def test_nested_aghq_document_invariant_to_row_order_and_ids(self, tmp_path):
+        # each refresh of the adaptation starts from the previous one, so a
+        # refresh depends on the fit's path; the path must not depend on
+        # the order of the rows or on how trials and patients are labelled
+        rng = np.random.default_rng(8)
+        trials, patients, reps = 4, 3, 3
+        trial = np.repeat(np.arange(trials) + 1.0, patients * reps)
+        pat = np.repeat(np.arange(trials * patients) + 1.0, reps)
+        x = rng.normal(size=trial.size)
+        u, v = rng.normal(0, 0.8, trials), rng.normal(0, 0.7, trials * patients)
+        y = 1.0 + 0.5 * x + u[trial.astype(int) - 1] + v[pat.astype(int) - 1] + rng.normal(0, 0.6, x.size)
+        columns = {"trial": trial, "pat": pat, "x": x, "y": y}
+        perm = rng.permutation(y.size)
+        relabel = {
+            "trial": 100.0 + rng.permutation(trials)[trial.astype(int) - 1],
+            "pat": 500.0 + rng.permutation(trials * patients)[pat.astype(int) - 1],
+        }
+        variants = {
+            "original": columns,
+            "shuffled": {name: col[perm] for name, col in columns.items()},
+            "relabelled": {**columns, **relabel},
+        }
+        docs = []
+        for name, cols in variants.items():
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            rows = [",".join(cols)] + [",".join(format(v, ".17g") for v in row) for row in zip(*cols.values())]
+            path.write_text("\n".join(rows) + "\n")
+            spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+            argv = ["fit", "--spec", spec, "--data", str(path), "--out", str(out), "--points", "5", "--quiet"]
+            assert main(argv) == 0
+            docs.append(out.read_bytes())
+        assert docs[1] == docs[0]
+        assert docs[2] == docs[0]
+
     def test_per_level_flag_syntax(self, frailty_csv, tmp_path):
         code = main(
             ["fit", "--spec", SPEC, "--data", str(frailty_csv), "--points", "id=9", "--out", str(tmp_path / "o")]

@@ -234,6 +234,38 @@ class TestAdaptLocations:
         np.testing.assert_array_equal(mu, [0.0])
         np.testing.assert_array_equal(lam, chol)
 
+    def test_start_warm_and_flagged_cells_cold(self):
+        # cell 0 adapts, cell 1 falls back, cell 2 is inactive; adapted
+        # again under a new prior scale from that result, cells 1 and 2
+        # start at (0, the new prior scale), as a cold start does
+        rng = np.random.default_rng(14)
+        parts = [conjugate(rng.normal(m, 0.5, size=6), 0.25, 1.3**2) for m in (-1.0, 0.4, 2.0)]
+        active, rule = np.array([True, True, False]), gh_rule(7)
+
+        def finite(x):
+            return np.stack([p[0](x[g]) for g, p in enumerate(parts)])
+
+        def broken(x):
+            out = finite(x)
+            out[1] = np.nan
+            return out
+
+        first = adapt_locations(broken, ReKernel(1), np.array([[0.7]]), rule, active)
+        np.testing.assert_array_equal(first[3], [False, True, False])
+        chol = np.array([[1.3]])
+        warm = adapt_locations(finite, ReKernel(1), chol, rule, active, start=first)
+        cold = adapt_locations(finite, ReKernel(1), chol, rule, active)
+        assert not warm[3].any()
+        for g in (1, 2):
+            assert warm[2][g] == cold[2][g]
+            assert warm[0][g].tobytes() == cold[0][g].tobytes() and warm[1][g].tobytes() == cold[1][g].tobytes()
+        np.testing.assert_array_equal(warm[1][2], chol)
+        for g in (0, 1):
+            assert abs(warm[0][g, 0] - parts[g][1]) < 1e-8 and abs(warm[1][g, 0, 0] - parts[g][2]) < 1e-8
+        # from a converged result, every active cell stops at its first pass
+        again = adapt_locations(finite, ReKernel(1), chol, rule, active, start=warm)
+        np.testing.assert_array_equal(again[2], [1, 1, 0])
+
     def test_t_kernel_requires_df_above_two(self):
         kern = ReKernel(1, dist="t", df=2)
         with pytest.raises(ValueError):

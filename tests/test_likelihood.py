@@ -817,3 +817,73 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 3793738 / 3
+
+
+def _poisson_aghq(outlier: bool = False):
+    """15 clusters x 4 Poisson counts with a random intercept; with
+    ``outlier``, cluster 1's covariate is 1000, so that eta overflows at
+    its every node once the coefficient of x is 1."""
+    rng = np.random.default_rng(21)
+    cid = np.repeat(np.arange(15) + 1.0, 4)
+    x = rng.normal(size=cid.size)
+    y = rng.poisson(np.exp(0.3 + 0.4 * x + np.repeat(rng.normal(0, 0.6, 15), 4))).astype(float)
+    if outlier:
+        x[cid == 1.0], y[cid == 1.0] = 1000.0, 2.0
+    prog = make({"id": cid, "x": x, "y": y}, "(y x M1[id], family(poisson))")
+    return prog, default_plan(prog, points=7)
+
+
+class TestWarmAdaptation:
+    """Each refresh starts from the previous one's adaptation, and each
+    inner re-adaptation from the one at the previous outer step."""
+
+    @pytest.mark.parametrize(
+        "build,per_refresh",
+        [(_nested_aghq, {"trial": 1, "pat": 2}), (_poisson_aghq, {"id": 1})],
+        ids=["nested_gaussian", "poisson"],
+    )
+    def test_warm_refresh_matches_cold(self, build, per_refresh):
+        prog, plan = build()
+        theta = hm.initial_values(prog)
+        moved = theta + np.linspace(-0.1, 0.1, theta.size)
+        warm = LikelihoodEvaluator(prog, plan)
+        warm.refresh(theta)
+        first = warm.profile_report()["adaptation_sweeps"]
+        warm.refresh(moved)
+        cold = LikelihoodEvaluator(prog, plan)
+        cold.refresh(moved)
+        expect = cold.logl(moved)
+        assert abs(warm.logl(moved) - expect) <= 1e-10 * abs(expect)
+        # from the previous refresh's result: fewer passes than from the prior
+        sweeps = warm.profile_report()["adaptation_sweeps"]
+        cold_sweeps = cold.profile_report()["adaptation_sweeps"]
+        assert all(sweeps[name] - first[name] < cold_sweeps[name] for name in sweeps)
+        # at an unchanged theta every cell is converged at its first pass
+        warm.refresh(moved)
+        rep = warm.profile_report()
+        assert max(rep["adaptation_iterations"].values()) == 1
+        assert not rep["adaptation_fallbacks"]
+        assert {name: n - sweeps[name] for name, n in rep["adaptation_sweeps"].items()} == per_refresh
+
+    def test_fallback_cell_restarts_cold(self):
+        prog, plan = _poisson_aghq(outlier=True)
+        slot = prog.slot_index
+        overflow = np.zeros(prog.n_params)
+        overflow[[slot("x"), slot("ln_sd(M1)")]] = 1.0, math.log(0.6)
+        theta = np.zeros(prog.n_params)
+        theta[[slot("x"), slot("_cons"), slot("ln_sd(M1)")]] = 0.001, 0.3, math.log(0.9)
+        warm = LikelihoodEvaluator(prog, plan)
+        warm.refresh(overflow)
+        assert warm.profile_report()["adaptation_fallbacks"] == [("id", 0, 0)]
+        warm.refresh(theta)
+        cold = LikelihoodEvaluator(prog, plan)
+        cold.refresh(theta)
+        (mu_w, lam_w, it_w, fb_w), (mu_c, lam_c, it_c, fb_c) = warm.adapted[0], cold.adapted[0]
+        assert not fb_w.any() and not fb_c.any()
+        # the flagged cell started at (0, the current prior scale), as a
+        # cold start does, not at the scale it fell back to: same bits
+        assert mu_w[0].tobytes() == mu_c[0].tobytes()
+        assert lam_w[0].tobytes() == lam_c[0].tobytes()
+        assert it_w[0] == it_c[0] > 1
+        expect = cold.logl(theta)
+        assert abs(warm.logl(theta) - expect) <= 1e-10 * abs(expect)

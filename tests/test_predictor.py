@@ -304,6 +304,41 @@ class TestCompiledInputs:
             tracemalloc.stop()
         assert retained < 64 * 1024
 
+    def test_iev_nodes_compiled_once(self):
+        # the iEV nodes of the survival grid and the target's fp(1) column
+        # there are compiled; built in every call instead, as they once
+        # were, a warm call gives the same values and peaks at 887 352
+        # bytes traced against 139 712 (numpy 2.4)
+        spec_outcomes = [{"censoring": 5.0}, {"times": [0, 1, 2, 3]}]
+        data = hm.simulate(IEV_SPEC, IEV_TRUTH, levels={"id": 20}, outcomes=spec_outcomes, seed=2)
+        prog = make_program(IEV_SPEC, data)
+        theta = theta_by_name(prog, IEV_TRUTH)
+        stack = np.stack([theta + 0.01 * i for i in range(3)])
+        grid = prog.outcomes[0].grid
+        assert grid.nodes.t.shape == (grid.t.shape[0], grid.t.shape[1] * prog.gl_points)
+        assert list(grid.nodes.cols) == [prog.outcomes[1].components[0].key]
+
+        def warm_call():
+            ev = LikelihoodEvaluator(prog, default_plan(prog, points=5))
+            ev.refresh(theta)
+            ev.logl(theta)
+            tracemalloc.start()
+            try:
+                value = ev.logl(theta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return value, ev.logl(stack).tobytes(), peak
+
+        compiled = warm_call()
+        nodes, grid.nodes = grid.nodes, None
+        try:
+            rebuilt = warm_call()
+        finally:
+            grid.nodes = nodes
+        assert compiled[:2] == rebuilt[:2]
+        assert compiled[2] < rebuilt[2] / 3
+
     @staticmethod
     def rp_data(seed=3):
         return hm.simulate(

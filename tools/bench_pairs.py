@@ -12,6 +12,13 @@ holds other workloads keeps them.
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload frailty_qmc --pairs 10 --out BENCH_6.json
 
+Both sides import their code in the same bytecode state: each gets its
+own empty ``PYTHONPYCACHEPREFIX`` directory, made once per invocation
+(under ``TMPDIR``) and shared by all of that side's runs, and
+``PYTHONDONTWRITEBYTECODE`` is dropped from their environment. Neither
+side compiles its package more often than the other, whatever
+``__pycache__`` directories its checkout holds.
+
 Metric names, units and directions come from the change's
 ``BENCHMARK.json``. A gain is claimed for a metric (``claim`` in the
 output) only over at least ten pairs, none of which has more failed
@@ -25,17 +32,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
     """One benchmark run; its JSON summary line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", format(seconds, "g"), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if not lines:
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
@@ -88,6 +97,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def side_env(cache: Path) -> dict:
+    """The environment of one side's runs: bytecode written to and read
+    from ``cache`` only."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -104,16 +121,18 @@ def main(argv=None) -> int:
     metrics = bench["per_layer" if args.trace else "end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []  # parent, change, parent, change, ... whatever order they ran in
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        done = {}
-        for side in order:
-            done[side] = {"pair": i, "side": side, "seed": seed, "first": side == order[0]}
-            done[side].update(run_once(sides[side], args.workload, seed, args.seconds, args.trace))
-            values = {k: v["value"] for k, v in done[side].get("metrics", {}).items()}
-            print(f"pair {i} seed {seed} {side}: correct={done[side].get('correct')} {values}", flush=True)
-        runs += [done["parent"], done["change"]]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as caches:
+        envs = {side: side_env(Path(caches) / side) for side in sides}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            done = {}
+            for side in order:
+                done[side] = {"pair": i, "side": side, "seed": seed, "first": side == order[0]}
+                done[side].update(run_once(sides[side], args.workload, seed, args.seconds, args.trace, envs[side]))
+                values = {k: v["value"] for k, v in done[side].get("metrics", {}).items()}
+                print(f"pair {i} seed {seed} {side}: correct={done[side].get('correct')} {values}", flush=True)
+            runs += [done["parent"], done["change"]]
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record[args.workload] = {
