@@ -1,8 +1,9 @@
 """Command-line front end: fit models from a spec and CSV, simulate
 datasets, and re-check fits at escalated integration resolution.
 
-Exit codes: 0 fitted and converged, 2 fitted but not converged, 3 input
-or specification error.
+Exit codes: 0 fitted, converged and verified, 2 fitted but not
+converged, or converged at a point whose information matrix is not
+positive definite (not verified), 3 input or specification error.
 """
 
 from __future__ import annotations
@@ -183,8 +184,18 @@ def cmd_fit(args) -> int:
     result, spec_text = _fit_from_args(args)
     text = estimates_csv(result) if args.format == "csv" else result_document(result, spec_text)
     _emit(text, args.out)
-    if not result.converged:
+    return _exit_code([result])
+
+
+def _exit_code(results: list[FitResult]) -> int:
+    """EXIT_OK when every fit converged to a verified optimum, else
+    EXIT_NOT_CONVERGED with a warning on stderr.
+    """
+    if not all(r.converged for r in results):
         print("warning: optimization did not converge", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    if not all(r.optimum_verified for r in results):
+        print("warning: optimum not verified (information matrix not positive definite)", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
@@ -245,8 +256,7 @@ def cmd_check(args) -> int:
     lines: list[str] = []
     _write_tree(lines, doc)
     _emit("\n".join(lines) + "\n", args.out)
-    ok = base.converged and escalated.converged
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    return _exit_code([base, escalated])
 
 
 def main(argv=None) -> int:

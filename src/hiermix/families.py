@@ -456,7 +456,29 @@ class Family:
             "(no proportional-hazards decomposition)"
         )
 
+    def exp_linear(self, y, anc, event=None, entry=None):
+        """(A, B, C) such that the log-likelihood at a time-constant
+        linear predictor eta is A + B eta - C exp(eta), for the families
+        in ``EXP_LINEAR``: Poisson counts y (A = -log y!, B = y, C = 1),
+        or proportional-hazards survival times y with their event
+        indicators and entry times (A the log baseline hazard at event
+        times, else 0; B = [event]; C the baseline cumulative hazard over
+        (entry, y]).
+        """
+        y = np.asarray(y, dtype=float)
+        if self.name == "poisson":
+            return -gammaln(y + 1.0), y, np.ones_like(y)
+        events = event != 0
+        log_h0 = np.where(events, self.base_log_hazard(y, anc), 0.0)
+        cum = self.cum_hazard(y, 0.0, anc)
+        later = entry > 0
+        if later.any():
+            cum = cum - np.where(later, self.cum_hazard(np.where(later, entry, 1.0), 0.0, anc), 0.0)
+        return log_h0, events.astype(float), cum
 
+
+# families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``)
+EXP_LINEAR = ("exponential", "weibull", "gompertz", "poisson")
 _NO_TD = ("lognormal", "loglogistic")
 
 

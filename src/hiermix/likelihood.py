@@ -31,6 +31,19 @@ Node axes are reduced with ``logsumexp``, which repeats the arithmetic
 of ``scipy.special.logsumexp`` for real input without its generic
 array-API overhead.
 
+An outcome that ``compile_program`` gives ``intercepts`` (a row part a
+plus random intercepts, under an exponential, Weibull, Gompertz or
+Poisson family with a time-constant linear predictor) is summed per
+innermost unit instead of evaluated row by row. Given the sum L of a
+unit's intercept values at a column, each row's conditional
+log-likelihood is A + B (a + L) - C exp(a + L), so the unit's is
+K + D L - S exp(L + m), with K = sum(A + B a), D = sum(B),
+S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
+2008, *The Frailty Model*, ch. 2). These are computed once per call and
+parameter vector (``_unit_sums``), and each chunk adds that units x
+columns form into the block (``_collapsed``). Which outcomes take this
+path follows from the model alone; the two forms differ by rounding.
+
 The block, chunk and group shapes are fixed when the evaluator is built.
 Each thread that evaluates gets its own ``workspace.Workspace``: the
 block's latent-value arrays and row sums, every array a chunk's
@@ -65,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import GhRule, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, outcome_logl
+from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl
 from .workspace import Workspace
 
 __all__ = [
@@ -293,23 +306,54 @@ class LikelihoodEvaluator:
             return
         inner = self.level_states[-1]
         self.segments: list = []  # per outcome: (reduceat starts, unit ordinal per segment)
+        # outcome with intercepts -> (segment of each row, [(latent name,
+        # unit ordinal at its level per segment)])
+        self.intercept_units: dict = {}
         has_rows = np.zeros(inner.n_units, dtype=bool)
-        for co in program.outcomes:
+        for k, co in enumerate(program.outcomes):
             if co.rows.size == 0:
                 self.segments.append(None)
                 continue
             ordinals = co.units[inner.info.name]
             starts = np.concatenate(([0], np.flatnonzero(np.diff(ordinals) != 0) + 1))
             units = ordinals[starts]
-            # a slice where the segments are the units in order, so sums add into a view
-            in_order = np.array_equal(units, np.arange(inner.n_units))
-            self.segments.append((starts, slice(None) if in_order else units))
+            self.segments.append((starts, _index_or_all(units, inner.n_units)))
             has_rows[units] = True
+            if co.intercepts is None:
+                continue
+            h = program.hierarchy
+            at_level = [
+                (info.name, _index_or_all(co.units[info.level][starts], h.n_units(h.levels.index(info.level))))
+                for info in co.intercepts
+            ]
+            row_segment = np.repeat(np.arange(starts.size), np.diff(starts, append=co.rows.size))
+            self.intercept_units[k] = row_segment, at_level
         inner.active = has_rows
         for pos in range(len(self.level_states) - 1, 0, -1):
             st, outer = self.level_states[pos], self.level_states[pos - 1]
             outer.active = np.zeros(outer.n_units, dtype=bool)
             outer.active[st.parent[st.active]] = True
+
+    def _unit_sums(self, thetas: np.ndarray, k: int) -> tuple:
+        """Per-unit sufficient statistics of outcome k, which has
+        intercepts, at each parameter vector: K = sum(A + B a), D = sum(B),
+        S = sum(C exp(a - m)) and m = max(a) over each innermost unit's
+        rows (see ``exp_linear_terms``), (units, vectors) arrays (D one
+        column), so that the unit's conditional log-likelihood at summed
+        intercept values L is K + D L - S exp(L + m). Taking out m keeps
+        exp(a - m) <= 1, so nothing overflows that the rows would not.
+        """
+        starts = self.segments[k][0]
+        row_segment = self.intercept_units[k][0]
+        per_vector = []
+        for theta in thetas:
+            a, lin, b, c = exp_linear_terms(self.program, k, theta)
+            m = np.maximum.reduceat(a, starts)
+            per_vector.append(
+                (np.add.reduceat(lin + b * a, starts), np.add.reduceat(c * np.exp(a - m[row_segment]), starts), m)
+            )
+        K, S, m = (np.stack(v, axis=1) for v in zip(*per_vector))
+        return K, np.add.reduceat(b, starts)[:, None], S, m  # B does not depend on the parameters
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
@@ -564,6 +608,7 @@ class LikelihoodEvaluator:
         width = self.chunk_columns
         cells = x.reshape(st.n_units, combos, st.m, st.info.dim)
         n_active = int(st.active.sum())
+        stats = {k: self._unit_sums(thetas, k) for k in self.intercept_units}
         for c0 in range(0, combos, self.block_combos):
             c1 = min(c0 + self.block_combos, combos)
             b = (c1 - c0) * st.m
@@ -588,16 +633,47 @@ class LikelihoodEvaluator:
                 for k, segments in enumerate(self.segments):
                     if segments is None:
                         continue
-                    ll = outcome_logl(ctx, k)
-                    nan = np.isnan(ll, out=ws.take(ll.shape, bool))
-                    if nan.any():  # rare; copying every chunk costs more than the test
-                        ll = np.where(nan, -np.inf, ll)
                     starts, seg_units = segments
-                    # one column when ll is the same in every column; += spreads it
-                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
+                    if k in stats:
+                        at_level = self.intercept_units[k][1]
+                        sums = self._collapsed(ws, stats[k], at_level, vals, j0, j1, vector, len(thetas))
+                    else:
+                        ll = outcome_logl(ctx, k)
+                        nan = np.isnan(ll, out=ws.take(ll.shape, bool))
+                        if nan.any():  # rare; copying every chunk costs more than the test
+                            ll = np.where(nan, -np.inf, ll)
+                        # one column when ll is the same in every column; += spreads it
+                        sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
                     out[seg_units, j0:j1] += sums
             self.cond_evals += n_active * b
             yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
+
+    @staticmethod
+    def _collapsed(ws: Workspace, stats: tuple, intercepts: list, vals: dict, j0: int, j1: int, vector, n_vec: int):
+        """K + D L - S exp(L + m) of one outcome's units at columns j0:j1
+        of the block (see ``_unit_sums``), L being the sum of the unit's
+        intercept values there.
+        """
+        K, D, S, m = stats
+        shape = (K.shape[0], j1 - j0)
+        L = None
+        for name, units in intercepts:
+            v = vals[name][:, j0:j1]
+            if not isinstance(units, slice):  # an outer level's values at each unit
+                v = v.take(units, axis=0, out=ws.take(shape), mode="clip")
+            L = v if L is None else np.add(L, v, out=ws.take(shape))
+        if n_vec > 1:  # the statistics of each column's parameter vector
+            K, S, m = (x.take(vector[j0:j1], axis=1, out=ws.take(shape), mode="clip") for x in (K, S, m))
+        e = np.add(L, m, out=ws.take(shape))
+        np.exp(e, out=e)
+        np.multiply(e, S, out=e)
+        ll = np.multiply(L, D, out=ws.take(shape))
+        np.add(ll, K, out=ll)
+        np.subtract(ll, e, out=ll)
+        nan = np.isnan(ll, out=ws.take(shape, bool))
+        if nan.any():  # as at the rows: read as -inf
+            np.copyto(ll, -np.inf, where=nan)
+        return ll
 
     def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:
         """Sum per-unit values (n_units, n) of level ``pos`` into its
@@ -648,6 +724,13 @@ class LikelihoodEvaluator:
             "adaptation_sweeps": dict(self.sweeps),
             "wall_time_s": self.wall_time,
         }
+
+
+def _index_or_all(units: np.ndarray, n_units: int):
+    """``units``, or a slice where they are all units in order, so that
+    indexing with them gives a view.
+    """
+    return slice(None) if np.array_equal(units, np.arange(n_units)) else units
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ computes everything that is fixed once the data are bound: each
 outcome's rows in canonical order with their unit ordinals and
 evaluation grid, covariate products at the rows of every outcome that
 evaluates them, time-function columns at compiled grids, and the spline
-columns of the ``rp`` baseline. An objective call computes only what
+columns of the ``rp`` baseline. It also marks the outcomes whose
+likelihood can be summed per cluster (``_CompiledOutcome.intercepts``,
+``exp_linear_terms``). An objective call computes only what
 depends on the parameters or on grids it builds itself, and keeps
 nothing beyond its own ``EvalContext``. The node axis may hold the
 columns of several parameter vectors side by side; parameter values
@@ -141,6 +143,10 @@ class _CompiledOutcome:
         self.entry_mask: np.ndarray | None = None
         self.log_step: np.ndarray | None = None  # (n, 1, 1) log-time difference step
         self.rp: fam_mod.RpColumns | None = None
+        # the latent effects of a linear predictor that is a row part plus
+        # random intercepts, under an exp-linear family, which the
+        # likelihood then sums per unit (``exp_linear_terms``); else None
+        self.intercepts: list | None = None
 
 
 class Program:
@@ -309,6 +315,7 @@ def compile_program(
                 )
             )
         _order_rows(program, co)
+        co.intercepts = _pure_intercepts(co)
 
     for r, co in enumerate(program.outcomes):
         _precompute_at_rows(program, r)
@@ -333,6 +340,29 @@ def compile_program(
                         info.re_slots.append(program._add_slot(Slot(f"chol({a},{b})", kind="re", level=lname)))
         program.levels.append(info)
     return program
+
+
+def _pure_intercepts(co: _CompiledOutcome) -> list | None:
+    """The latent effects of an outcome whose log-likelihood given them
+    is exp-linear in its linear predictor (``families.EXP_LINEAR``, no
+    time grid, no expected hazard) and whose linear predictor is a row
+    part plus at least one random intercept: a latent effect with no
+    covariate, time function, coefficient or EV[] link. The row part may
+    not depend on latent effects, so no component may have an EV[] link.
+    None for any other outcome.
+    """
+    if co.family.name not in fam_mod.EXP_LINEAR or co.grid is not None or co.bhaz is not None:
+        return None
+    intercepts = []
+    for cc in co.components:
+        if cc.evlinks:
+            return None
+        if not cc.latents:
+            continue
+        if len(cc.latents) > 1 or cc.cov_names or cc.timefn is not None or cc.slots is not None:
+            return None
+        intercepts.append(cc.latents[0])
+    return intercepts or None
 
 
 def _timefn_text(el: TimeFn) -> str:
@@ -661,6 +691,21 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
         total = _apply(ctx, np.add, total, factor, total, own)
     ctx.memo[key] = (t, total)
     return total
+
+
+def exp_linear_terms(program: Program, k: int, theta: np.ndarray) -> tuple:
+    """(a, A, B, C) at the rows of outcome k, which has ``intercepts``,
+    at one parameter vector: (n,) arrays such that a row's conditional
+    log-likelihood is A + B (a + L) - C exp(a + L), with L the sum of
+    its intercepts' values and a its linear predictor where they are 0.
+    """
+    co = program.outcomes[k]
+    h = program.hierarchy
+    zeros = {info.name: np.zeros((h.n_units(h.levels.index(info.level)), 1)) for info in co.intercepts}
+    ctx = EvalContext(program, theta, zeros)
+    a = eval_eta(ctx, k, k).reshape(-1)
+    anc = co.family.natural_anc(ctx.theta[co.anc_slots])
+    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry))
 
 
 def _node_sum(ctx: EvalContext, subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:

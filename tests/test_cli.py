@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hiermix.optim as optim
 from hiermix.cli import main
 
 
@@ -118,6 +119,29 @@ class TestFit:
         assert docs[1] == docs[0]
         assert docs[2] == docs[0]
 
+    @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--redistribution", "t", "--df", "5"]])
+    def test_per_cluster_document_invariant_to_row_order_and_ids(self, frailty_csv, tmp_path, flags):
+        # the frailty outcome is summed per cluster, over each cluster's
+        # rows in their canonical order
+        rows = frailty_csv.read_text().splitlines()
+        header, body = rows[0], rows[1:]
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(25) + 101
+        variants = {
+            "original": body,
+            "shuffled": [body[i] for i in rng.permutation(len(body))],
+            "relabelled": [",".join([str(ids[int(r.split(",")[0]) - 1]), *r.split(",")[1:]]) for r in body],
+        }
+        docs = []
+        for name, lines in variants.items():
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            argv = ["fit", "--spec", SPEC, "--data", str(path), "--out", str(out), "--quiet"]
+            assert main(argv + flags) == 0
+            docs.append(out.read_bytes())
+        assert docs[1] == docs[0]
+        assert docs[2] == docs[0]
+
     def test_per_level_flag_syntax(self, frailty_csv, tmp_path):
         code = main(
             ["fit", "--spec", SPEC, "--data", str(frailty_csv), "--points", "id=9", "--out", str(tmp_path / "o")]
@@ -210,6 +234,25 @@ class TestExitCodes:
         )
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    def test_unverified_optimum_exits_2(self, frailty_csv, tmp_path, capsys, monkeypatch, command):
+        # the final Hessian, probed along the last Newton Hessian's
+        # eigenvectors, comes back positive definite
+        real = optim.fd_hessian
+
+        def final_not_definite(objective, theta, f0=None, threads=1, stacked=False, free=None, pool=None, near=None):
+            hess = real(objective, theta, f0, threads, stacked, free, pool, near)
+            return hess if near is None else -hess
+
+        monkeypatch.setattr(optim, "fd_hessian", final_not_definite)
+        out = tmp_path / "o"
+        code = main([command, "--spec", SPEC, "--data", str(frailty_csv), "--points", "5", "--out", str(out)])
+        assert code == 2
+        assert "optimum not verified" in capsys.readouterr().err
+        if command == "fit":
+            text = out.read_text()
+            assert "converged: true" in text and "optimum_verified: false" in text
 
     def test_separated_bernoulli_exits_2(self, tmp_path, capsys):
         # 30 clusters x 4 rows with y = (x > 0)

@@ -1,15 +1,21 @@
+import functools
 import math
+import re
 import sys
 import threading
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
 
 import hiermix as hm
 import hiermix.estimator as estimator
 import hiermix.likelihood as likelihood
+import hiermix.optim as optim
 from hiermix.likelihood import (
     IntegrationPlan,
     LevelPlan,
@@ -140,12 +146,22 @@ class TestMarginalLogl:
         expect = logl_gaussian(np.asarray(data["y"]), mu, 1.1).sum()
         np.testing.assert_allclose(marginal_logl(prog, plan, theta), expect, rtol=1e-12)
 
-    def test_two_level_gaussian_matches_closed_form(self):
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        theta=st.tuples(
+            st.floats(-1.0, 2.0),
+            st.floats(-1.0, 2.0),
+            st.floats(math.log(0.2), math.log(3.0)),
+            st.floats(math.log(0.2), math.log(3.0)),
+        ).map(np.array)
+    )
+    @example(theta=THETA)
+    def test_two_level_gaussian_matches_closed_form(self, theta):
         data = gaussian_cluster_data()
         prog = make(data, "(y x M1[id], family(gaussian))")
         plan = default_plan(prog, points=15)
-        got = marginal_logl(prog, plan, THETA)
-        assert abs(got - mvn_marginal(data, THETA)) < 1e-8
+        got = marginal_logl(prog, plan, theta)
+        assert abs(got - mvn_marginal(data, theta)) < 1e-8
 
     def test_three_level_cross_method(self):
         prog, theta, plan_a, plan_b = cross_method_model()
@@ -414,7 +430,15 @@ class TestLogsumexp:
         assert logsumexp(one, ws).tobytes() == expect.tobytes()
 
 
-def _frailty_t5():
+def _row_twin(spec: str, cols: dict) -> tuple[str, dict]:
+    """The model with each random intercept such as ``M1[id]`` written
+    ``one#M1[id]``, ``one`` a column of ones: the same model and
+    parameter names, which the likelihood evaluates row by row instead
+    of per cluster."""
+    return re.sub(r" (M\d+\[)", r" one#\1", spec), {**cols, "one": np.ones(len(cols["id"]))}
+
+
+def _frailty_t5(twin: bool = False):
     data = hm.simulate(
         "(t trt M1[id], family(weibull, failure(d))), redistribution(t) df(5)",
         {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
@@ -423,7 +447,11 @@ def _frailty_t5():
         outcomes=[{"censoring": 5.0, "records": 3}],
         seed=3,
     )
-    prog = make({n: data.col(n) for n in data.names}, "(t trt M1[id], family(weibull, failure(d)))")
+    spec, cols = "(t trt M1[id], family(weibull, failure(d)))", {n: data.col(n) for n in data.names}
+    if twin:
+        spec, cols = _row_twin(spec, cols)
+    prog = make(cols, spec)
+    assert (prog.outcomes[0].intercepts is None) == twin
     return prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=301)
 
 
@@ -479,8 +507,8 @@ class TestChunkedEvaluation:
 
     @pytest.mark.parametrize(
         "build",
-        [_frailty_t5, _nested_qmc, _rp, lambda: _joint("EV"), lambda: _joint("iEV")],
-        ids=["frailty_t5_qmc", "nested_qmc_inner", "rp", "joint_ev", "joint_iev"],
+        [_frailty_t5, lambda: _frailty_t5(twin=True), _nested_qmc, _rp, lambda: _joint("EV"), lambda: _joint("iEV")],
+        ids=["frailty_t5_qmc", "frailty_t5_qmc_rows", "nested_qmc_inner", "rp", "joint_ev", "joint_iev"],
     )
     def test_chunked_equals_one_chunk(self, build, monkeypatch):
         prog, plan = build()
@@ -587,6 +615,7 @@ class TestBatchedEvaluation:
         "build",
         [
             _frailty_t5,
+            lambda: _frailty_t5(twin=True),
             _nested_qmc,
             _nested_aghq,
             _rp,
@@ -597,6 +626,7 @@ class TestBatchedEvaluation:
         ],
         ids=[
             "frailty_t5_qmc",
+            "frailty_t5_qmc_rows",
             "nested_qmc_inner",
             "nested_aghq",
             "rp",
@@ -722,7 +752,7 @@ class TestBatchedEvaluation:
         assert batched.profile["likelihood_calls"] < pointwise.profile["likelihood_calls"]
 
 
-def _frailty_chunks():
+def _frailty_chunks(twin: bool = False):
     """A QMC t-frailty model one parameter vector of which spans three
     chunks at the default budgets, the last narrower: 300 rows x 500
     draws, 218 columns per chunk."""
@@ -736,7 +766,10 @@ def _frailty_chunks():
         seed=7,
     )
     cols = {n: data.col(n) for n in data.names}
+    if twin:
+        spec, cols = _row_twin(spec, cols)
     prog = make(cols, spec)
+    assert (prog.outcomes[0].intercepts is None) == twin
     return spec, cols, prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=500)
 
 
@@ -744,14 +777,16 @@ class TestWorkspace:
     """Each thread's chunk buffers are reused across chunks and calls
     without carrying a value from one into another."""
 
+    twin = False  # the model's one#M1[id] twin (see TestWorkspaceRows)
+
     def test_model_spans_three_chunks(self):
-        _, _, prog, plan = _frailty_chunks()
+        _, _, prog, plan = _frailty_chunks(self.twin)
         ev = LikelihoodEvaluator(prog, plan)
         draws = ev.level_states[-1].m
         assert draws // ev.chunk_columns >= 2 and 0 < draws % ev.chunk_columns < ev.chunk_columns
 
     def test_repeated_and_stacked_calls(self):
-        _, _, prog, plan = _frailty_chunks()
+        _, _, prog, plan = _frailty_chunks(self.twin)
         a = hm.initial_values(prog)
         b = a + 0.05
         ev = LikelihoodEvaluator(prog, plan)
@@ -763,7 +798,7 @@ class TestWorkspace:
         assert ev.logl(stack).tobytes() == fresh.tobytes()
 
     def test_thread_count_byte_identical(self, tmp_path):
-        spec, cols, _, _ = _frailty_chunks()
+        spec, cols, _, _ = _frailty_chunks(self.twin)
         path = tmp_path / "frailty.csv"
         names = list(cols)
         rows = [",".join(names)] + [",".join(format(v, ".17g") for v in row) for row in zip(*cols.values())]
@@ -779,7 +814,7 @@ class TestWorkspace:
     def test_concurrent_calls_on_one_evaluator(self):
         # more threads than cores, switching often: a buffer shared by two
         # threads would mix their values
-        _, _, prog, plan = _frailty_chunks()
+        _, _, prog, plan = _frailty_chunks(self.twin)
         thetas = [hm.initial_values(prog) + 0.03 * i for i in range(4)]
         ev = LikelihoodEvaluator(prog, plan)
         expect = [ev.logl(th) for th in thetas]
@@ -806,7 +841,7 @@ class TestWorkspace:
         # a warm call before per-thread buffers peaked at 3 793 738 bytes
         # traced on this model (numpy 2.4): every chunk allocated its own
         # temporaries
-        _, _, prog, plan = _frailty_chunks()
+        _, _, prog, plan = _frailty_chunks(self.twin)
         theta = hm.initial_values(prog)
         ev = LikelihoodEvaluator(prog, plan)
         ev.logl(theta)
@@ -817,6 +852,14 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 3793738 / 3
+
+
+class TestWorkspaceRows(TestWorkspace):
+    """The same on the one#M1[id] twin, which keeps the rows x columns
+    chunk path covered now that the t-frailty model is summed per
+    cluster."""
+
+    twin = True
 
 
 def _poisson_aghq(outlier: bool = False):
@@ -887,3 +930,129 @@ class TestWarmAdaptation:
         assert it_w[0] == it_c[0] > 1
         expect = cold.logl(theta)
         assert abs(warm.logl(theta) - expect) <= 1e-10 * abs(expect)
+
+
+def _clustered_survival(family: str, entry: bool, seed: int) -> dict:
+    """25 clusters x 3 rows from a proportional-hazards model with a
+    normal random intercept, censored uniformly on (0.5, 4); cluster 1
+    has no events, and with ``entry`` every other row enters late."""
+    rng = np.random.default_rng(seed)
+    cid = np.repeat(np.arange(25) + 1.0, 3)
+    x = rng.normal(size=cid.size)
+    eta = -0.5 + 0.4 * x + np.repeat(rng.normal(0, 0.6, 25), 3)
+    h0 = -np.log(rng.uniform(size=cid.size)) * np.exp(-eta)  # H0 at the event time
+    t = {"exponential": h0, "weibull": h0 ** (1 / 1.3), "gompertz": np.log1p(0.2 * h0) / 0.2}[family]
+    c = rng.uniform(0.5, 4.0, size=cid.size)
+    cols = {"id": cid, "x": x, "y": np.minimum(t, c), "d": np.where((t <= c) & (cid != 1), 1.0, 0.0)}
+    cols["y"] = np.where(cid == 1, c, cols["y"])
+    if entry:
+        cols["t0"] = np.where(np.arange(cid.size) % 2 == 0, 0.4 * cols["y"], 0.0)
+    return cols
+
+
+def _nested_counts(seed: int) -> dict:
+    """Poisson counts, 6 groups x 3 subgroups x 3 rows, with normal
+    intercepts per group and subgroup."""
+    rng = np.random.default_rng(seed)
+    group, sub = np.repeat(np.arange(6) + 1.0, 9), np.repeat(np.arange(18) + 1.0, 3)
+    x = rng.normal(size=group.size)
+    eta = 0.2 + 0.3 * x + np.repeat(rng.normal(0, 0.5, 6), 9) + np.repeat(rng.normal(0, 0.4, 18), 3)
+    return {"id": group, "sub": sub, "x": x, "y": rng.poisson(np.exp(eta)).astype(float)}
+
+
+# (data, spec, plan options) of models whose outcome is summed per cluster
+_PER_CLUSTER = {
+    "exponential_entry_aghq": (
+        lambda: _clustered_survival("exponential", True, 31),
+        "(y x M1[id], family(exponential, failure(d) ltrunc(t0)))",
+        dict(points=7),
+    ),
+    "weibull_t_qmc": (
+        lambda: _clustered_survival("weibull", False, 32),
+        "(y x M1[id], family(weibull, failure(d)))",
+        dict(method="qmc", redistribution="t", t_df=5, draws=101),
+    ),
+    "gompertz_entry_qmc": (
+        lambda: _clustered_survival("gompertz", True, 33),
+        "(y x M1[id], family(gompertz, failure(d) ltrunc(t0)))",
+        dict(method="qmc", draws=64),
+    ),
+    "poisson_nested_aghq": (
+        lambda: _nested_counts(34),
+        "(y x M1[id] M2[id>sub], family(poisson))",
+        dict(points=5),
+    ),
+}
+
+
+@functools.cache
+def _per_cluster_pair(case: str):
+    """The per-cluster model, its row-path twin (every intercept written
+    ``one#...``), their plans and start values."""
+    build, spec, options = _PER_CLUSTER[case]
+    twin_spec, cols = _row_twin(spec, build())
+    prog, twin = make(cols, spec), make(cols, twin_spec)
+    assert prog.outcomes[0].intercepts is not None and twin.outcomes[0].intercepts is None
+    assert prog.slot_names() == twin.slot_names()
+    plans = default_plan(prog, **options), default_plan(twin, **options)
+    return prog, twin, plans, hm.initial_values(prog)
+
+
+class TestPerClusterPath:
+    """An outcome whose linear predictor is a row part plus random
+    intercepts, under an exp-linear family, is summed per cluster; its
+    one#M1[id] twin is evaluated row by row and must give the same
+    values within rounding, and -inf in the same places."""
+
+    def test_only_pure_intercepts_collapse(self):
+        cols = _clustered_survival("weibull", False, 1)
+        cols["one"] = np.ones(len(cols["id"]))
+        kept = ["(y x M1[id], family(weibull, failure(d)))", "(y x M1[id] M1[id], family(exponential, failure(d)))"]
+        for spec in kept:
+            assert make(cols, spec).outcomes[0].intercepts is not None, spec
+        row_path = [
+            "(y x one#M1[id], family(weibull, failure(d)))",
+            "(y x M1[id]@b, family(weibull, failure(d)))",
+            "(y x x#M1[id] M2[id], family(weibull, failure(d)))",
+            "(y x M1[id], family(lognormal, failure(d)))",
+            "(y x fp(1)#x M1[id], family(weibull, failure(d)))",
+            "(y x, family(weibull, failure(d)))",
+        ]
+        for spec in row_path:
+            assert make(cols, spec).outcomes[0].intercepts is None, spec
+
+    @pytest.mark.parametrize("case", sorted(_PER_CLUSTER))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_row_twin(self, case, data):
+        prog, twin, (plan, twin_plan), start = _per_cluster_pair(case)
+        # adapted near the start values; four vectors around them, some
+        # so far out (scale 1000) that they overflow
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
+        scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
+        offsets = data.draw(hnp.arrays(float, (5, prog.n_params), elements=st.floats(-1.0, 1.0)))
+        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
+        stack = np.array(stack)
+        values = {}
+        for name, p, pl in (("per_cluster", prog, plan), ("rows", twin, twin_plan)):
+            ev = LikelihoodEvaluator(p, pl)
+            ev.refresh(adapt_at)
+            values[name] = ev.logl(stack)
+            # two threads, one sub-stack each: the same bits
+            assert optim._values(ev.logl, stack, True, 2).tobytes() == values[name].tobytes()
+            assert np.array([ev.logl(x) for x in stack]).tobytes() == values[name].tobytes()
+        got, expect = values["per_cluster"], values["rows"]
+        assert not np.isnan(got).any()
+        assert np.array_equal(np.isneginf(got), np.isneginf(expect)), (got, expect)
+        # a far vector's finite value may sum terms that cancel, such as
+        # e^eta H0(t) - e^eta H0(t0) at a Gompertz gamma of -1000, in
+        # either form: only where it is -inf is compared
+        near = np.isfinite(expect) & (np.asarray(scales[1:]) <= 2.0)
+        assert np.all(np.abs(got[near] - expect[near]) <= 1e-12 * np.abs(expect[near])), (got, expect)
+
+    def test_fit_matches_row_twin(self):
+        prog, twin, (plan, twin_plan), _ = _per_cluster_pair("weibull_t_qmc")
+        a, b = (hm.fit_model(p.spec, p.frame, method="qmc", redistribution="t", t_df=5, draws=101) for p in (prog, twin))
+        assert a.iterations == b.iterations and a.converged and b.converged
+        assert abs(a.logl - b.logl) <= 1e-10 * abs(b.logl)
+        np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-7)

@@ -81,13 +81,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         sides = {"parent": quartiles([p for p, _ in pairs]), "change": quartiles([c for _, c in pairs])}
         gap = abs(sides["change"]["median"] - sides["parent"]["median"])
         improved = (sides["change"]["median"] < sides["parent"]["median"]) == lower
+        # a per-layer metric can read 0 on the parent (a layer the workload does not use)
+        relative = sides["change"]["median"] / sides["parent"]["median"] - 1.0 if sides["parent"]["median"] else None
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **sides,
             "pairs": len(pairs),
             "change_wins": wins,
-            "relative_change": sides["change"]["median"] / sides["parent"]["median"] - 1.0,
+            "relative_change": relative,
             "claim": len(pairs) >= MIN_PAIRS
             and no_worse
             and improved
