@@ -95,7 +95,7 @@ def _first_primes(r: int) -> list[int]:
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     out = np.zeros(len(indices), dtype=float)
     denom = np.ones(len(indices), dtype=float)
-        # peel digits until every index is exhausted
+    # peel digits until every index is exhausted
     rem = indices.astype(np.int64).copy()
     while np.any(rem > 0):
         denom *= base
@@ -127,6 +127,8 @@ def halton(m: int, r: int, skip: int = 0) -> HaltonSet:
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 draws and r >= 1 dimensions")
+    if skip < 0:
+        raise ValueError(f"the Halton skip must be at least 0, got {skip}")
     bases = _first_primes(r)
     idx = np.arange(skip + 1, skip + m + 1)
     cols = [_radical_inverse(idx, b) for b in bases]

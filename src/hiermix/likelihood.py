@@ -20,16 +20,17 @@ its latest adaptation, and every cell at the evaluator's first, start
 from the prior.
 
 At the innermost level the conditional log-likelihood is a rows x
-columns array, one column per (outer-node combination, node). Outer-node
-combinations are taken in blocks of about ``_BLOCK_VALUES`` rows x
-nodes, and each block's columns are evaluated in chunks of about
-``_CHUNK_VALUES`` (2^16) rows x columns, so that the temporaries of one
-evaluation stay cache-sized however many draws a level has; a model
+columns array, one column per (outer-node combination, node). Its
+columns are evaluated in chunks of about ``_CHUNK_VALUES`` (2^16) rows x
+columns, so that the temporaries of one evaluation stay cache-sized
+however many draws a level has. A chunk is as many whole combinations
+as fit; where one combination's nodes do not fit, it is a run of nodes
+inside one combination, whose row sums gather over its chunks. A model
 whose rows x columns fit the budget runs as one chunk. Every operation
 acts on each column alone, so the chunking never changes a result.
-Node axes are reduced with ``logsumexp``, which repeats the arithmetic
-of ``scipy.special.logsumexp`` for real input without its generic
-array-API overhead.
+Node axes are reduced, over whole combinations, with ``logsumexp``,
+which repeats the arithmetic of ``scipy.special.logsumexp`` for real
+input without its generic array-API overhead.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
 plus random intercepts, under an exponential, Weibull, Gompertz or
@@ -41,19 +42,20 @@ K + D L - S exp(L + m), with K = sum(A + B a), D = sum(B),
 S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
 2008, *The Frailty Model*, ch. 2). These are computed once per call and
 parameter vector (``_unit_sums``), and each chunk adds that units x
-columns form into the block (``_collapsed``). Which outcomes take this
+columns form into its row sums (``_collapsed``). Which outcomes take this
 path follows from the model alone; the two forms differ by rounding.
 
-The block, chunk and group shapes are fixed when the evaluator is built.
-Each thread that evaluates gets its own ``workspace.Workspace``: the
-block's latent-value arrays and row sums, every array a chunk's
-evaluation writes (latent values at the rows, linear predictors, family
-terms) and the innermost node reduction's temporaries are its buffers,
-allocated at the first chunk and reused by every chunk and call after
-it, so an evaluation no longer asks the system for fresh pages. The
-buffers are written in place with the operations, in the order, that
-would have built new arrays, so no value changes; none of them
-outlives the chunk or block that wrote it, and none is returned.
+The chunk and group shapes are fixed when the evaluator is built. Each
+thread that evaluates gets its own ``workspace.Workspace``: every array
+a chunk's evaluation writes (its row sums, latent values at its columns
+and at the rows, linear predictors, family terms) and the innermost
+node reduction's temporaries are its buffers, allocated at the first
+chunk and reused by every chunk and call after it, so an evaluation no
+longer asks the system for fresh pages. The buffers are written in
+place with the operations, in the order, that would have built new
+arrays, so no value changes; none of them outlives the chunk that wrote
+it, but the row sums of a combination split over several chunks, kept
+until its last, and none is returned.
 
 ``LikelihoodEvaluator.logl`` also takes a (K, p) stack of parameter
 vectors, such as the finite-difference probes of one Newton iteration,
@@ -93,19 +95,19 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def logsumexp(a: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a 2-D real array, operation for
+def logsumexp(a: np.ndarray, empty=np.empty) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
-    The two temporaries as large as ``a`` are buffers of ``ws`` when it
-    is given, else new arrays.
+    ``empty(shape, dtype=float)`` gives the two temporaries as large as
+    ``a``, such as workspace buffers.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_max = a.max(axis=1, keepdims=True)
-        ties = np.equal(a, a_max, out=None if ws is None else ws.named("lse.ties", a.shape, bool))
+        ties = np.equal(a, a_max, out=empty(a.shape, bool))
         m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
-        e = np.empty_like(a) if ws is None else ws.named("lse.exp", a.shape)
+        e = empty(a.shape)
         np.copyto(e, a)
         np.copyto(e, -np.inf, where=ties)
         s = np.exp(np.subtract(e, a_max, out=e), out=e).sum(axis=1, keepdims=True)
@@ -244,17 +246,15 @@ class _LevelState:
         self.active: np.ndarray | None = None  # units with rows anywhere below them
 
 
-# rows x nodes of the outer-node combinations taken in one block at the
-# innermost level, rows x columns of one conditional evaluation, and
-# rows x evaluation times x columns of the innermost evaluation of the
-# parameter vectors evaluated together. A group is a quarter of a chunk:
+# rows x columns of one conditional evaluation at the innermost level,
+# and rows x evaluation times x columns of the innermost evaluation of
+# the parameter vectors evaluated together. A group is a quarter of a chunk:
 # on 400-row spline-baseline frailty fits (2800 values per vector),
 # groups of 2^14 values fitted faster than groups of 2^13 or 2^16 and
 # raised peak memory by 0.4 MB, where 2^16 raised it by 4.6 MB. Counting
 # evaluation times keeps a joint model with hazard-quadrature grids (61
 # times per survival row) at one vector per group: evaluated two at a
 # time, its fits took 35% longer.
-_BLOCK_VALUES = 1 << 21
 _CHUNK_VALUES = 1 << 16
 _GROUP_VALUES = 1 << 14
 
@@ -374,18 +374,18 @@ class LikelihoodEvaluator:
     def _plan_chunks(self) -> None:
         """The fixed shapes of the innermost evaluation: parameter vectors
         per group, as many as keep the values of their innermost
-        evaluation (``n_values`` x columns) within _GROUP_VALUES; outer-node
-        combinations per block, within _BLOCK_VALUES rows x nodes; and
-        columns per chunk, within _CHUNK_VALUES rows x columns. Each is at
-        least one.
+        evaluation (``n_values`` x columns) within _GROUP_VALUES; and
+        columns per chunk, within _CHUNK_VALUES rows x columns, rounded
+        down to whole outer-node combinations when one combination's nodes
+        fit. Each is at least one.
         """
         columns, nodes = 1, 1
         if self.level_states:
             inner = self.level_states[-1]
             columns, nodes = inner.n_combos * inner.m, inner.m
         self.group_size = max(1, _GROUP_VALUES // max(1, self.n_values * columns))
-        self.block_combos = max(1, _BLOCK_VALUES // max(1, self.n_rows * nodes))
-        self.chunk_columns = max(1, _CHUNK_VALUES // max(1, self.n_rows))
+        chunk = max(1, _CHUNK_VALUES // max(1, self.n_rows))
+        self.chunk_columns = chunk - chunk % nodes if chunk >= nodes else chunk
 
     def _workspace(self) -> Workspace:
         """The calling thread's buffers: threads evaluating at once never
@@ -560,9 +560,9 @@ class LikelihoodEvaluator:
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
-            # a new array: the next block reuses the buffer ``ll`` is in
+            # a new array: the next chunk reuses the buffer ``ll`` is in
             cond = np.empty((st.n_units, len(thetas) * st.n_combos, st.m))
-            for c0, c1, ll in self._row_blocks(thetas, outer, x):
+            for c0, c1, ll in self._row_sums(thetas, outer, x):
                 cond[:, c0:c1] = ll
             return cond.reshape(-1, st.m)
         inner_outer = outer + [self._as_outer(pos, x)]
@@ -584,86 +584,91 @@ class LikelihoodEvaluator:
             corr3 = corr.reshape(st.n_units, -1, st.m)
             ws = self._workspace()
             parts = [
-                logsumexp(np.add(corr3[:, c0:c1], ll, out=ll).reshape(-1, st.m), ws).reshape(st.n_units, c1 - c0)
-                for c0, c1, ll in self._row_blocks(thetas, outer, x)
+                logsumexp(np.add(corr3[:, c0:c1], ll, out=ll).reshape(-1, st.m), ws.take).reshape(st.n_units, c1 - c0)
+                for c0, c1, ll in self._row_sums(thetas, outer, x)
             ]
             per_cell = np.concatenate(parts, axis=1)
         else:
             per_cell = logsumexp(corr + self._conditional(thetas, pos, outer, x)).reshape(st.n_units, -1)
         return np.where(st.active[:, None], per_cell, 0.0)
 
-    def _row_blocks(self, thetas, outer: list, x: np.ndarray):
-        """Yield (c0, c1, ll) over blocks of ``block_combos`` outer-node
-        combinations, with ll (n_units, c1 - c0, M) the summed conditional
-        row log-likelihood of each innermost unit at each of its nodes. A
-        block's columns are evaluated in chunks of ``chunk_columns``, each
-        with the parameter vectors of its columns. The block's arrays and
-        every array of a chunk's evaluation are the thread's workspace
-        buffers: ll is overwritten by the next block, and the caller may
-        overwrite it.
+    def _row_sums(self, thetas, outer: list, x: np.ndarray):
+        """Yield (c0, c1, ll) over the outer-node combinations, with ll
+        (n_units, c1 - c0, M) the summed conditional row log-likelihood of
+        each innermost unit at each node of combinations c0 to c1. The
+        columns, one per (combination, node), are evaluated in chunks of
+        ``chunk_columns``, each with the parameter vectors of its columns:
+        a chunk is whole combinations, or nodes of one combination, which
+        is then yielded after its last chunk. Every array of a chunk is a
+        buffer of the thread's workspace: ll is overwritten once the
+        generator resumes, and the caller may overwrite it.
         """
         st = self.level_states[-1]
         ws = self._workspace()
+        m, width = st.m, self.chunk_columns
         combos = len(thetas) * st.n_combos
-        width = self.chunk_columns
-        cells = x.reshape(st.n_units, combos, st.m, st.info.dim)
+        cells = x.reshape(st.n_units, combos, m, st.info.dim)
         n_active = int(st.active.sum())
         stats = {k: self._unit_sums(thetas, k) for k in self.intercept_units}
-        for c0 in range(0, combos, self.block_combos):
-            c1 = min(c0 + self.block_combos, combos)
-            b = (c1 - c0) * st.m
+        j0, end = 0, combos * m
+        while j0 < end:
+            j1 = min(j0 + width, end if width >= m else j0 - j0 % m + m)
+            c0, c1, nodes = j0 // m, (j1 - 1) // m + 1, slice(j0 % m, (j1 - 1) % m + 1)
+            if nodes.start:  # a later chunk of one combination: keep its sums
+                ws.reset(1)
+            else:
+                ws.reset()
+                out = ws.take((st.n_units, (c1 - c0) * m))
+                out.fill(0.0)
             vals = {}
             for ost, xo in zip(self.level_states, outer):
-                # node of the outer level at each combination of the block
+                # node of the outer level at each combination of the chunk
                 idx = np.arange(c0, c1) // (combos // xo.shape[1])
                 for j, name in enumerate(ost.info.latent_names):
-                    vals[name] = ws.named(name, (xo.shape[0], b))
-                    np.copyto(vals[name].reshape(xo.shape[0], c1 - c0, st.m), xo[:, idx, j][:, :, None])
+                    vals[name] = ws.take((xo.shape[0], j1 - j0))
+                    np.copyto(vals[name].reshape(xo.shape[0], c1 - c0, -1), xo[:, idx, j][:, :, None])
             for j, name in enumerate(st.info.latent_names):
-                vals[name] = ws.named(name, (st.n_units, b))
-                np.copyto(vals[name].reshape(st.n_units, c1 - c0, st.m), cells[:, c0:c1, :, j])
-            vector = np.arange(c0 * st.m, c1 * st.m) // (st.n_combos * st.m)  # parameter vector of each column
-            out = ws.named("block.out", (st.n_units, b))
-            out.fill(0.0)
-            edges = list(range(width, b, width))
-            for j0, j1 in zip([0, *edges], [*edges, b]):
-                ws.reset()
-                columns = np.bincount(vector[j0:j1], minlength=len(thetas))
-                ctx = self._context(thetas, {name: v[:, j0:j1] for name, v in vals.items()}, columns, ws)
-                for k, segments in enumerate(self.segments):
-                    if segments is None:
-                        continue
-                    starts, seg_units = segments
-                    if k in stats:
-                        at_level = self.intercept_units[k][1]
-                        sums = self._collapsed(ws, stats[k], at_level, vals, j0, j1, vector, len(thetas))
-                    else:
-                        ll = outcome_logl(ctx, k)
-                        nan = np.isnan(ll, out=ws.take(ll.shape, bool))
-                        if nan.any():  # rare; copying every chunk costs more than the test
-                            ll = np.where(nan, -np.inf, ll)
-                        # one column when ll is the same in every column; += spreads it
-                        sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
-                    out[seg_units, j0:j1] += sums
-            self.cond_evals += n_active * b
-            yield c0, c1, out.reshape(st.n_units, c1 - c0, st.m)
+                vals[name] = ws.take((st.n_units, j1 - j0))
+                np.copyto(vals[name].reshape(st.n_units, c1 - c0, -1), cells[:, c0:c1, nodes, j])
+            vector = np.arange(j0, j1) // (st.n_combos * m)  # parameter vector of each column
+            ctx = self._context(thetas, vals, np.bincount(vector, minlength=len(thetas)), ws)
+            part = out[:, j0 - c0 * m : j1 - c0 * m]
+            for k, segments in enumerate(self.segments):
+                if segments is None:
+                    continue
+                starts, seg_units = segments
+                if k in stats:
+                    sums = self._collapsed(ws, stats[k], self.intercept_units[k][1], vals, vector)
+                else:
+                    ll = outcome_logl(ctx, k)
+                    nan = np.isnan(ll, out=ws.take(ll.shape, bool))
+                    if nan.any():  # rare; copying every chunk costs more than the test
+                        ll = np.where(nan, -np.inf, ll)
+                    # one column when ll is the same in every column; += spreads it
+                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
+                part[seg_units] += sums
+            self.cond_evals += n_active * (j1 - j0)
+            j0 = j1
+            if j1 % m == 0:
+                yield c0, c1, out.reshape(st.n_units, c1 - c0, m)
 
     @staticmethod
-    def _collapsed(ws: Workspace, stats: tuple, intercepts: list, vals: dict, j0: int, j1: int, vector, n_vec: int):
-        """K + D L - S exp(L + m) of one outcome's units at columns j0:j1
-        of the block (see ``_unit_sums``), L being the sum of the unit's
-        intercept values there.
+    def _collapsed(ws: Workspace, stats: tuple, intercepts: list, vals: dict, vector):
+        """K + D L - S exp(L + m) of one outcome's units at the columns of
+        a chunk (see ``_unit_sums``), L being the sum of the unit's
+        intercept values there and ``vector`` each column's parameter
+        vector.
         """
         K, D, S, m = stats
-        shape = (K.shape[0], j1 - j0)
+        shape = (K.shape[0], vector.size)
         L = None
         for name, units in intercepts:
-            v = vals[name][:, j0:j1]
+            v = vals[name]
             if not isinstance(units, slice):  # an outer level's values at each unit
                 v = v.take(units, axis=0, out=ws.take(shape), mode="clip")
             L = v if L is None else np.add(L, v, out=ws.take(shape))
-        if n_vec > 1:  # the statistics of each column's parameter vector
-            K, S, m = (x.take(vector[j0:j1], axis=1, out=ws.take(shape), mode="clip") for x in (K, S, m))
+        if K.shape[1] > 1:  # the statistics of each column's parameter vector
+            K, S, m = (x.take(vector, axis=1, out=ws.take(shape), mode="clip") for x in (K, S, m))
         e = np.add(L, m, out=ws.take(shape))
         np.exp(e, out=e)
         np.multiply(e, S, out=e)

@@ -30,6 +30,11 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _GRAD_STEP = _EPS ** (1.0 / 3.0)
+# Newton convergence: relative objective change and scaled gradient
+# below these; step halvings tried before "no ascent step found"
+_LOGL_TOL = 1e-7
+_GRAD_TOL = 1e-5
+_MAX_HALVINGS = 16
 _HESS_STEP = _EPS**0.25
 _Z95 = 1.959963984540054
 
@@ -250,9 +255,6 @@ def maximize(
     theta0,
     refresh=None,
     max_iter: int = 300,
-    logl_tol: float = 1e-7,
-    grad_tol: float = 1e-5,
-    max_halvings: int = 16,
     free_mask=None,
     clamp=None,
     monitor=None,
@@ -265,8 +267,8 @@ def maximize(
     not per objective call, keeping the objective smooth within one
     iteration; it returns whether it changed the objective, and only then
     is the objective re-evaluated at the new point. Convergence needs the
-    relative objective change below ``logl_tol`` and
-    max_i |g_i|*max(|theta_i|, 1) below ``grad_tol``; the final Hessian
+    relative objective change below ``_LOGL_TOL`` and
+    max_i |g_i|*max(|theta_i|, 1) below ``_GRAD_TOL``; the final Hessian
     must additionally be negative definite for the optimum to be flagged
     as verified. The final gradient and Hessian are reused from the last
     iteration when it computed them at the returned point. Otherwise the
@@ -280,6 +282,8 @@ def maximize(
     each gradient or Hessian, on one pool of ``threads`` threads kept for
     the whole fit (their likelihood workspaces with them).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     theta = np.asarray(theta0, dtype=float).copy()
     p = len(theta)
     free = np.ones(p, dtype=bool) if free_mask is None else np.asarray(free_mask, dtype=bool)
@@ -308,7 +312,7 @@ def maximize(
         for it in range(1, max_iter + 1):
             grad = gradient(theta)
             scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
-            if rel_change < logl_tol and scaled < grad_tol:
+            if rel_change < _LOGL_TOL and scaled < _GRAD_TOL:
                 converged = True
                 message = "converged"
                 break
@@ -320,7 +324,7 @@ def maximize(
             halvings = 0
             alpha = 1.0
             f_new, theta_new = None, None
-            while halvings <= max_halvings:
+            while halvings <= _MAX_HALVINGS:
                 cand = theta + alpha * step
                 if clamp is not None:
                     cand = clamp(cand)
@@ -331,7 +335,7 @@ def maximize(
                 alpha *= 0.5
                 halvings += 1
             if f_new is None:
-                if scaled < grad_tol:
+                if scaled < _GRAD_TOL:
                     converged = True
                     message = "converged (no ascent step at a stationary point)"
                 else:

@@ -20,19 +20,18 @@ class Workspace:
     when a request is larger than any before it. The evaluation of a
     chunk makes the same requests in the same order every time, so after
     the first chunk of the largest shape nothing is allocated, and the
-    arrays of one chunk never share memory. ``reset`` starts the next
-    chunk: nothing taken before it may still be read. ``named`` arrays
-    are kept by key and outlive ``reset``. Every array is a C-contiguous
-    view at the start of a flat buffer.
+    arrays of one chunk never share memory. ``reset(keep)`` starts the
+    next chunk: of the arrays taken before it only the first ``keep``
+    may still be read, and the next request gets the buffer after them.
+    Every array is a C-contiguous view at the start of a flat buffer.
     """
 
     def __init__(self):
         self._slots: list[list] = []  # [flat buffer, shape, dtype, view]
         self._next = 0
-        self._named: dict = {}
 
-    def reset(self) -> None:
-        self._next = 0
+    def reset(self, keep: int = 0) -> None:
+        self._next = keep
 
     def take(self, shape: tuple, dtype=float) -> np.ndarray:
         i = self._next
@@ -42,23 +41,9 @@ class Workspace:
         slot = self._slots[i]
         if slot[1] == shape and slot[2] is dtype:
             return slot[3]
-        return _view(slot, shape, dtype)
-
-    def named(self, key, shape: tuple, dtype=float) -> np.ndarray:
-        slot = self._named.get(key)
-        if slot is None:
-            slot = self._named[key] = [np.empty(0, dtype), None, None, None]
-        elif slot[1] == shape and slot[2] is dtype:
-            return slot[3]
-        return _view(slot, shape, dtype)
-
-
-def _view(slot: list, shape: tuple, dtype) -> np.ndarray:
-    """A new array of ``shape`` at the start of the slot's buffer, which
-    is replaced when it is too small or of another dtype.
-    """
-    size = math.prod(shape)
-    if slot[0].size < size or slot[0].dtype != dtype:
-        slot[0] = np.empty(size, dtype)
-    slot[1:] = shape, dtype, slot[0][:size].reshape(shape)
-    return slot[3]
+        # a new view, on a new buffer when the old is too small or of another dtype
+        size = math.prod(shape)
+        if slot[0].size < size or slot[0].dtype != dtype:
+            slot[0] = np.empty(size, dtype)
+        slot[1:] = shape, dtype, slot[0][:size].reshape(shape)
+        return slot[3]

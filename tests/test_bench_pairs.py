@@ -26,3 +26,28 @@ def test_summary_of_a_metric_that_reads_zero_on_the_parent():
     assert summary["data.load_csv_s"]["change_wins"] == 0 and not summary["data.load_csv_s"]["claim"]
     assert abs(summary["predictor.eta_s"]["relative_change"] - (0.105 / 0.205 - 1.0)) < 1e-12
     assert summary["predictor.eta_s"]["change_wins"] == 2
+
+
+def test_regressed_and_unresolved_against_the_bound():
+    def run(fit, rss):
+        return {"failed": 0, "metrics": {"fit_s": {"value": fit}, "peak_rss_mb": {"value": rss}}}
+
+    # fit_s: parent median 1.0, interquartile range 0.1, change 1.3 (+30%);
+    # peak_rss_mb: parent median 100, interquartile range 1, change 95
+    parent = [run(0.9, 99.0), run(1.0, 100.0), run(1.1, 101.0)]
+    change = [run(1.2, 94.0), run(1.3, 95.0), run(1.4, 96.0)]
+    runs = [r for pair in zip(parent, change) for r in pair]
+    metrics = [
+        {"name": "fit_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.005},
+    ]
+    summary = load_tool().summarize(runs, metrics)
+    assert summary["fit_s"]["regressed"] and not summary["fit_s"]["unresolved"]
+    # a change that improves never regresses; a 1% spread is wider than a 0.5% bound
+    assert not summary["peak_rss_mb"]["regressed"] and summary["peak_rss_mb"]["unresolved"]
+    metrics[0]["bound"] = 0.35
+    assert not load_tool().summarize(runs, metrics)["fit_s"]["regressed"]
+    # a metric without a bound (a per-layer one) is flagged neither way
+    del metrics[0]["bound"]
+    summary = load_tool().summarize(runs, metrics)
+    assert summary["fit_s"]["regressed"] is None and summary["fit_s"]["unresolved"] is None

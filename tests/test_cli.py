@@ -268,6 +268,18 @@ class TestExitCodes:
         assert "did not converge" in capsys.readouterr().err
         assert "not finite" not in out.read_text()
 
+    @pytest.mark.parametrize(
+        "flags,name",
+        [(["--method", "qmc", "--skip", "-20"], "skip"), (["--threads", "0"], "threads")],
+        ids=["negative_skip", "zero_threads"],
+    )
+    def test_bad_setting_exits_3(self, frailty_csv, tmp_path, capsys, flags, name):
+        out = tmp_path / "o"
+        code = main(["fit", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out)] + flags)
+        assert code == 3
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_censored_survival_exits_3(self, tmp_path, capsys):
         # 30 clusters x 4 Weibull rows, every one censored
         rng = np.random.default_rng(5)

@@ -87,6 +87,12 @@ class TestHalton:
         b = halton(15, 1, skip=0)
         np.testing.assert_array_equal(a.values, b.values[5:])
 
+    def test_negative_skip_rejected(self):
+        # index 0 and below would give 0 and repeated points, which
+        # ndtri turns into -inf draws
+        with pytest.raises(ValueError, match="skip"):
+            halton(30, 1, skip=-20)
+
 
 class TestKernelDraws:
     def test_median_uniform_maps_to_zero(self):

@@ -404,7 +404,8 @@ class TestLogsumexp:
             a = rng.normal(0.0, 30.0, shape)
             expect = scipy.special.logsumexp(a, axis=1).tobytes()
             assert logsumexp(a).tobytes() == expect
-            assert logsumexp(a, ws).tobytes() == expect
+            ws.reset()
+            assert logsumexp(a, ws.take).tobytes() == expect
 
     def test_edge_rows(self):
         inf, nan = np.inf, np.nan
@@ -423,11 +424,12 @@ class TestLogsumexp:
         with np.errstate(all="ignore"):
             expect = scipy.special.logsumexp(a, axis=1)
         ws = Workspace()
-        assert logsumexp(a, ws).tobytes() == expect.tobytes()
+        assert logsumexp(a, ws.take).tobytes() == expect.tobytes()
         one = np.array([[-inf], [inf], [nan], [-3.25]])
         with np.errstate(all="ignore"):
             expect = scipy.special.logsumexp(one, axis=1)
-        assert logsumexp(one, ws).tobytes() == expect.tobytes()
+        ws.reset()
+        assert logsumexp(one, ws.take).tobytes() == expect.tobytes()
 
 
 def _row_twin(spec: str, cols: dict) -> tuple[str, dict]:
@@ -525,12 +527,13 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1 << 40)
         whole = values()
         assert np.all(np.isfinite(whole))
-        # one-column chunks, then seven-column ones, then seven-column
-        # ones with one outer-node combination per block
+        # one-column chunks and seven-column ones, which split an
+        # outer-node combination, then chunks of two whole combinations
+        # and a shorter last one
         rows = sum(co.rows.size for co in prog.outcomes)
-        for chunk, block in ((1, likelihood._BLOCK_VALUES), (7 * rows, likelihood._BLOCK_VALUES), (7 * rows, 1)):
+        nodes = LikelihoodEvaluator(prog, plan).level_states[-1].m
+        for chunk in (1, 7 * rows, int(2.5 * nodes * rows)):
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
-            monkeypatch.setattr(likelihood, "_BLOCK_VALUES", block)
             assert values() == whole
 
     def test_one_call_peak_memory(self):
@@ -649,27 +652,27 @@ class TestBatchedEvaluation:
         nodes = inner.m if inner else 1
         columns = inner.n_combos * nodes if inner else 1  # innermost columns of one vector
         one = ev.n_values * columns
-        default = (likelihood._GROUP_VALUES, likelihood._CHUNK_VALUES, likelihood._BLOCK_VALUES)
+        default = (likelihood._GROUP_VALUES, likelihood._CHUNK_VALUES)
         budgets = [
-            (1 << 40, 1 << 40, default[2]),  # one group, one chunk
-            (int(2.5 * one), 1 << 40, default[2]),  # groups of two
-            (int(3.3 * one), int(1.5 * rows * columns), default[2]),  # groups of three, chunks across vectors
-            (int(3.3 * one), int(1.5 * rows * columns), 3 * rows * nodes),  # and blocks of three combinations
-            (7 * one, 7 * rows * columns, 1),  # groups of seven, one combination per block
+            (1 << 40, 1 << 40),  # one group, one chunk
+            (int(2.5 * one), 1 << 40),  # groups of two
+            (int(3.3 * one), int(1.5 * rows * columns)),  # groups of three, chunks across vectors
+            (int(3.3 * one), int(2.5 * rows * nodes)),  # chunks of two combinations, then a shorter last one
+            (int(3.3 * one), 7 * rows),  # seven-column chunks, which split a combination
+            (7 * one, 7 * rows * columns),  # groups of seven
             default,
         ]
-        for group, chunk, block in budgets:
+        for group, chunk in budgets:
             monkeypatch.setattr(likelihood, "_GROUP_VALUES", group)
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
-            monkeypatch.setattr(likelihood, "_BLOCK_VALUES", block)
             ev = LikelihoodEvaluator(prog, plan)  # the budgets fix its shapes
             ev.refresh(theta + 0.02)
             batch = ev.logl(stack)
             assert batch.shape == (len(stack),)
-            assert batch.tobytes() == single.tobytes(), (group, chunk, block)
+            assert batch.tobytes() == single.tobytes(), (group, chunk)
             # single calls after the stack reuse its buffers at other shapes
             again = np.array([ev.logl(x) for x in stack])
-            assert again.tobytes() == single.tobytes(), (group, chunk, block)
+            assert again.tobytes() == single.tobytes(), (group, chunk)
 
     def test_stack_adapts_at_its_first_vector(self, monkeypatch):
         # without a refresh, the first vector adapts, as in single calls

@@ -24,7 +24,12 @@ Metric names, units and directions come from the change's
 output) only over at least ten pairs, none of which has more failed
 operations on the change's side than on the parent's, and only when the
 change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range.
+more than the parent's interquartile range. A metric with a ``bound``
+(the end-to-end ones) is also flagged ``regressed`` when the change's
+median is worse than the parent's by more than that fraction of the
+parent's median, and ``unresolved`` when the parent's interquartile
+range is wider than that fraction: its runs then spread too widely to
+tell a regression within the bound.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         improved = (sides["change"]["median"] < sides["parent"]["median"]) == lower
         # a per-layer metric can read 0 on the parent (a layer the workload does not use)
         relative = sides["change"]["median"] / sides["parent"]["median"] - 1.0 if sides["parent"]["median"] else None
+        bound = metric.get("bound")
+        if bound is not None:
+            bound *= abs(sides["parent"]["median"])
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -95,6 +103,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             and improved
             and wins >= 0.9 * len(pairs)
             and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "regressed": None if bound is None else not improved and gap > bound,
+            "unresolved": None if bound is None else sides["parent"]["q3"] - sides["parent"]["q1"] > bound,
         }
     return out
 
