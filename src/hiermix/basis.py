@@ -56,9 +56,6 @@ class RcsBasis:
     def eval(self, x):
         return rcs_eval(self, x)
 
-    def deriv(self, x):
-        return rcs_deriv(self, x)
-
 
 def fp_eval(basis: FpBasis, t):
     """Evaluate the fractional-polynomial basis at t > 0."""

@@ -120,10 +120,6 @@ class Hierarchy:
     row_unit: list[np.ndarray]
     parent: list[np.ndarray]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
     def n_units(self, level: int) -> int:
         return len(self.unit_ids[level])
 

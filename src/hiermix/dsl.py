@@ -131,11 +131,6 @@ class Component:
     def has_latent(self) -> bool:
         return any(isinstance(e, Latent) for e in self.elements)
 
-    @property
-    def fixed_unit_coef(self) -> bool:
-        """Latent components without @ carry a coefficient fixed to one."""
-        return self.coef is None and self.has_latent
-
 
 @dataclass(frozen=True)
 class FamilySpec:

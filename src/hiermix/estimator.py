@@ -105,7 +105,6 @@ def fit_model(
         stacked=True,
     )
     result = build_fit_result(program, plan, maxres, evaluator)
-    result.program = program  # kept for downstream tooling (reruns, checks)
     result.plan = plan
     return result
 

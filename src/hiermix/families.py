@@ -18,7 +18,6 @@ from .basis import RcsBasis, rcs_deriv, rcs_eval
 
 __all__ = [
     "logl_gaussian",
-    "logl_poisson",
     "logl_bernoulli",
     "logl_binomial",
     "logl_beta",
@@ -69,11 +68,6 @@ def logl_gaussian(y, mu, sigma, out=None):
     if not (sigma > 0).all():
         np.copyto(out, -np.inf, where=~(sigma > 0))
     return out
-
-
-def logl_poisson(y, mu):
-    y = _check_counts(y, "poisson")
-    return -np.asarray(mu, dtype=float) + y * np.log(mu) - gammaln(y + 1.0)
 
 
 def logl_bernoulli(y, mu, out=None):

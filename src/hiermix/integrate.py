@@ -157,12 +157,6 @@ class ReKernel:
         self.df = df
         self.structure = structure
 
-    @property
-    def n_params(self) -> int:
-        if self.structure == "independent":
-            return self.dim
-        return self.dim + self.dim * (self.dim - 1) // 2
-
     def build_chol(self, block: np.ndarray) -> np.ndarray:
         """Lower-triangular scale factor from the flat parameter block:
         exp of the first ``dim`` entries on the diagonal, remaining
@@ -198,9 +192,9 @@ class ReKernel:
         )
 
 
-def kernel_draws(kernel: ReKernel, uniforms: HaltonSet, chol: np.ndarray | None = None) -> np.ndarray:
-    """Transform uniform draws into mean-zero kernel draws (M, dim),
-    scaled by ``chol`` (unit scale when it is None).
+def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
+    """Transform uniform draws into mean-zero kernel draws (M, dim) at
+    unit scale.
 
     Normal kernels consume dim columns; t kernels one extra column that
     drives the chi-squared mixing variable.
@@ -212,7 +206,7 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet, chol: np.ndarray | None 
     if kernel.dist == "t":
         w = chdtri(kernel.df, 1.0 - uniforms.values[:, kernel.dim])
         z = z * np.sqrt(kernel.df / w)[:, None]
-    return z if chol is None else z @ chol.T
+    return z
 
 
 def _std_normal_logpdf(a: np.ndarray) -> np.ndarray:

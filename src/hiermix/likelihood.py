@@ -88,8 +88,6 @@ __all__ = [
     "IntegrationPlan",
     "default_plan",
     "LikelihoodEvaluator",
-    "marginal_logl",
-    "profile_report",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -142,6 +140,8 @@ class IntegrationPlan:
     skip: int = 15
 
     def validate(self, program: Program) -> None:
+        if self.skip < 0:
+            raise ValueError(f"the Halton skip must be at least 0, got {self.skip}")
         needed = [li.name for li in program.levels if li.dim > 0]
         missing = [n for n in needed if n not in self.levels]
         extra = [n for n in self.levels if n not in needed]
@@ -737,21 +737,3 @@ def _index_or_all(units: np.ndarray, n_units: int):
     """
     return slice(None) if np.array_equal(units, np.arange(n_units)) else units
 
-
-# ---------------------------------------------------------------------------
-# Functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def marginal_logl(program: Program, plan: IntegrationPlan, theta) -> float:
-    """One-shot marginal log-likelihood (fresh rules and draws)."""
-    ev = LikelihoodEvaluator(program, plan)
-    ev.refresh(np.asarray(theta, dtype=float))
-    return ev.logl(theta)
-
-
-def profile_report(program: Program, plan: IntegrationPlan, theta) -> dict:
-    ev = LikelihoodEvaluator(program, plan)
-    ev.refresh(np.asarray(theta, dtype=float))
-    ev.logl(theta)
-    return ev.profile_report()

@@ -713,5 +713,5 @@ def build_fit_result(program, plan, maxres: MaxResult, evaluator) -> FitResult:
         trace=maxres.trace,
         settings=settings,
         knots={k: list(v) for k, v in program.knots.items()},
-        profile=evaluator.profile_report() if evaluator is not None else {},
+        profile=evaluator.profile_report(),
     )

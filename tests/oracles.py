@@ -1,6 +1,7 @@
-"""Reference survival log-likelihoods that only the tests use: closed
-forms built on the engine's family hazards, and a Gauss-Legendre
-hazard quadrature for any log-hazard function.
+"""Helpers that only the tests use: reference survival log-likelihoods
+(closed forms built on the engine's family hazards, and a Gauss-Legendre
+hazard quadrature for any log-hazard function), and one-shot marginal
+log-likelihoods and profiles from a fresh ``LikelihoodEvaluator``.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import numpy as np
 
 from hiermix.dsl import FamilySpec
 from hiermix.families import gauss_legendre, make_family
+from hiermix.likelihood import LikelihoodEvaluator
 
 
 def surv_logl(y, d, family, eta, anc=None, t0=0.0):
@@ -59,3 +61,18 @@ def hazard_quadrature_logl(y, d, log_hazard, t0=0.0, q_gl: int = 30):
         lh = float(np.asarray(log_hazard(np.asarray([y])), dtype=float).ravel()[0])
         out += d * lh
     return out
+
+
+def marginal_logl(program, plan, theta) -> float:
+    """One-shot marginal log-likelihood (fresh rules and draws)."""
+    ev = LikelihoodEvaluator(program, plan)
+    ev.refresh(np.asarray(theta, dtype=float))
+    return ev.logl(theta)
+
+
+def profile_report(program, plan, theta) -> dict:
+    """The profile of a fresh evaluator after one refresh and one call."""
+    ev = LikelihoodEvaluator(program, plan)
+    ev.refresh(np.asarray(theta, dtype=float))
+    ev.logl(theta)
+    return ev.profile_report()

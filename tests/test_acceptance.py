@@ -16,6 +16,8 @@ from scipy.optimize import minimize
 
 import hiermix as hm
 from oracles import hazard_quadrature_logl, surv_logl
+from hiermix.data import as_frame, load_csv
+from hiermix.dsl import parse_model_spec
 from hiermix.integrate import gh_rule
 from hiermix.likelihood import LikelihoodEvaluator, default_plan
 from hiermix.optim import fd_gradient
@@ -280,7 +282,7 @@ def test_criterion_7_t_kernel_sanity():
 def test_criterion_8_gradient_fidelity(lmm_fit):
     start = time.time()
     data, result = lmm_fit
-    prog = compile_program(hm.parse_model_spec("(y x M1[id], family(gaussian))"), hm.as_frame(data))
+    prog = compile_program(parse_model_spec("(y x M1[id], family(gaussian))"), as_frame(data))
     ev = LikelihoodEvaluator(prog, default_plan(prog, points=15))
     ev.refresh(result.theta)
     grad_h = fd_gradient(ev.logl, result.theta)
@@ -328,7 +330,7 @@ def _load_kidney(path):
     """Accept either the documented layout (patient,time,infect,age,female)
     or the R survival export (id,time,status,age,sex with sex 1=male 2=female).
     """
-    frame = hm.load_csv(path)
+    frame = load_csv(path)
     cols = {c.lower(): c for c in frame.names}
     if "patient" in cols and "infect" in cols:
         return {

@@ -33,9 +33,10 @@ def test_regressed_and_unresolved_against_the_bound():
         return {"failed": 0, "metrics": {"fit_s": {"value": fit}, "peak_rss_mb": {"value": rss}}}
 
     # fit_s: parent median 1.0, interquartile range 0.1, change 1.3 (+30%);
-    # peak_rss_mb: parent median 100, interquartile range 1, change 95
+    # peak_rss_mb: parent median 100, interquartile range 1, change 95, one
+    # change run above the parent's lowest
     parent = [run(0.9, 99.0), run(1.0, 100.0), run(1.1, 101.0)]
-    change = [run(1.2, 94.0), run(1.3, 95.0), run(1.4, 96.0)]
+    change = [run(1.2, 94.0), run(1.3, 95.0), run(1.4, 99.5)]
     runs = [r for pair in zip(parent, change) for r in pair]
     metrics = [
         {"name": "fit_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -51,3 +52,24 @@ def test_regressed_and_unresolved_against_the_bound():
     del metrics[0]["bound"]
     summary = load_tool().summarize(runs, metrics)
     assert summary["fit_s"]["regressed"] is None and summary["fit_s"]["unresolved"] is None
+
+
+def test_a_change_better_in_every_run_is_resolved():
+    # the parent runs of both metrics spread wider than the 0.5% bound; a
+    # change is resolved only when every one of its runs reads better than
+    # every parent run
+    def run(rss, rate):
+        return {"failed": 0, "metrics": {"peak_rss_mb": {"value": rss}, "rate": {"value": rate}}}
+
+    metrics = [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.005},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.005},
+    ]
+    parent = [run(99.0, 99.0), run(100.0, 100.0), run(101.0, 101.0)]
+    # the third change run beats the parent's best (True) or does not (False)
+    for third, resolved in [(run(98.9, 101.1), True), (run(99.1, 100.9), False)]:
+        change = [run(96.0, 102.0), run(97.0, 103.0), third]
+        runs = [r for pair in zip(parent, change) for r in pair]
+        summary = load_tool().summarize(runs, metrics)
+        for name in ("peak_rss_mb", "rate"):
+            assert summary[name]["unresolved"] is not resolved and not summary[name]["regressed"]

@@ -270,8 +270,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags,name",
-        [(["--method", "qmc", "--skip", "-20"], "skip"), (["--threads", "0"], "threads")],
-        ids=["negative_skip", "zero_threads"],
+        [
+            (["--method", "qmc", "--skip", "-20"], "skip"),
+            (["--skip", "-20"], "skip"),
+            (["--threads", "0"], "threads"),
+        ],
+        ids=["negative_skip", "negative_skip_aghq", "zero_threads"],
     )
     def test_bad_setting_exits_3(self, frailty_csv, tmp_path, capsys, flags, name):
         out = tmp_path / "o"

@@ -107,7 +107,7 @@ class TestStructure:
         second = spec.outcomes[1].components[1]
         assert second.coef == "alpha"
         first = spec.outcomes[0].components[1]
-        assert first.coef is None and first.fixed_unit_coef
+        assert first.coef is None and first.has_latent
 
     def test_hash_binds_tighter_than_space(self):
         spec = parse_model_spec("(y a#b c, family(gaussian))")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import hiermix as hm
-from hiermix.dsl import SpecValidationError
+from hiermix.data import as_frame
+from hiermix.dsl import SpecValidationError, parse_model_spec
 from hiermix.estimator import MixedModel, fit_model
 
 
@@ -288,7 +289,7 @@ class TestRandomEffectRecovery:
         from hiermix.optim import initial_values
         from hiermix.predictor import compile_program
 
-        prog = compile_program(hm.parse_model_spec(spec), hm.as_frame(data))
+        prog = compile_program(parse_model_spec(spec), as_frame(data))
         ev = LikelihoodEvaluator(prog, default_plan(prog, points=5))
         theta0 = initial_values(prog)
         ev.refresh(theta0)

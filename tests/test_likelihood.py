@@ -16,19 +16,14 @@ import hiermix as hm
 import hiermix.estimator as estimator
 import hiermix.likelihood as likelihood
 import hiermix.optim as optim
-from hiermix.likelihood import (
-    IntegrationPlan,
-    LevelPlan,
-    LikelihoodEvaluator,
-    default_plan,
-    logsumexp,
-    marginal_logl,
-    profile_report,
-)
+from hiermix.data import as_frame
+from hiermix.dsl import parse_model_spec
+from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, logsumexp
 from hiermix.cli import main
-from hiermix.optim import FitError, fd_gradient, fd_hessian
+from hiermix.optim import FitError, fd_gradient, fd_hessian, initial_values
 from hiermix.predictor import compile_program
 from hiermix.workspace import Workspace
+from oracles import marginal_logl, profile_report
 
 
 def gaussian_cluster_data(g=12, n=4, seed=1, sd_b=0.8, sd_e=0.6):
@@ -99,8 +94,8 @@ def lmm3_marginal(data, beta, sd_resid, sd_trial, sd_pat):
 
 
 def make(data, text):
-    frame = hm.as_frame(data)
-    return compile_program(hm.parse_model_spec(text), frame)
+    frame = as_frame(data)
+    return compile_program(parse_model_spec(text), frame)
 
 
 THETA = np.array([0.45, 0.9, math.log(0.65), math.log(0.75)])
@@ -357,6 +352,13 @@ class TestPlans:
         with pytest.raises(ValueError, match="df > 2"):
             default_plan(prog, method="aghq", redistribution="t", t_df=2)
 
+    def test_negative_skip_rejected_without_qmc(self):
+        # no level draws Halton points, so only the plan can reject it
+        data = gaussian_cluster_data(g=4, n=2)
+        prog = make(data, "(y x M1[id], family(gaussian))")
+        with pytest.raises(ValueError, match="skip"):
+            default_plan(prog, skip=-20)
+
 
 class TestProfileReport:
     def test_node_counts_two_effects(self):
@@ -514,7 +516,7 @@ class TestChunkedEvaluation:
     )
     def test_chunked_equals_one_chunk(self, build, monkeypatch):
         prog, plan = build()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
 
         def values():
             ev = LikelihoodEvaluator(prog, plan)
@@ -641,7 +643,7 @@ class TestBatchedEvaluation:
     )
     def test_stack_equals_single_calls(self, build, monkeypatch):
         prog, plan = build()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         stack = _probe_stack(theta)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta + 0.02)
@@ -678,14 +680,14 @@ class TestBatchedEvaluation:
         # without a refresh, the first vector adapts, as in single calls
         monkeypatch.setattr(likelihood, "_GROUP_VALUES", 1 << 40)
         prog, plan = _nested_aghq()
-        stack = _probe_stack(hm.initial_values(prog))
+        stack = _probe_stack(initial_values(prog))
         one = LikelihoodEvaluator(prog, plan)
         single = np.array([one.logl(x) for x in stack])
         assert LikelihoodEvaluator(prog, plan).logl(stack).tobytes() == single.tobytes()
 
     def test_nonfinite_vectors_stay_alone(self):
         prog, plan = _rp()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         stack = _probe_stack(theta)
         stack[2, prog.slot_index("rcs1")] = -50.0  # a negative hazard at every event time
         ev = LikelihoodEvaluator(prog, plan)
@@ -697,7 +699,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_fd_derivatives_batched_equal_pointwise(self, threads):
         prog, plan = _nested_aghq()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta)
         g = fd_gradient(ev.logl, theta)
@@ -711,7 +713,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_fd_hessian_along_eigenvectors_batched_equal_pointwise(self, threads):
         prog, plan = _nested_aghq()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta)
         near = fd_hessian(ev.logl, theta)
@@ -790,7 +792,7 @@ class TestWorkspace:
 
     def test_repeated_and_stacked_calls(self):
         _, _, prog, plan = _frailty_chunks(self.twin)
-        a = hm.initial_values(prog)
+        a = initial_values(prog)
         b = a + 0.05
         ev = LikelihoodEvaluator(prog, plan)
         first = ev.logl(a)
@@ -818,7 +820,7 @@ class TestWorkspace:
         # more threads than cores, switching often: a buffer shared by two
         # threads would mix their values
         _, _, prog, plan = _frailty_chunks(self.twin)
-        thetas = [hm.initial_values(prog) + 0.03 * i for i in range(4)]
+        thetas = [initial_values(prog) + 0.03 * i for i in range(4)]
         ev = LikelihoodEvaluator(prog, plan)
         expect = [ev.logl(th) for th in thetas]
         got = [[] for _ in thetas]
@@ -845,7 +847,7 @@ class TestWorkspace:
         # traced on this model (numpy 2.4): every chunk allocated its own
         # temporaries
         _, _, prog, plan = _frailty_chunks(self.twin)
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         ev = LikelihoodEvaluator(prog, plan)
         ev.logl(theta)
         tracemalloc.start()
@@ -863,6 +865,22 @@ class TestWorkspaceRows(TestWorkspace):
     cluster."""
 
     twin = True
+
+
+def test_single_and_stacked_calls_keep_their_buffers():
+    # the two kinds of call request their buffers in different orders, so
+    # a slot is a float array for one and a bool array for the other
+    prog, plan = _nested_aghq()
+    theta = initial_values(prog)
+    ev = LikelihoodEvaluator(prog, plan)
+    ev.refresh(theta)
+    ev.logl(theta)
+    ev.logl(_probe_stack(theta))
+    slots = ev._workspace()._slots
+    warm = [slot[0] for slot in slots]
+    for x in (theta, _probe_stack(theta), theta):
+        ev.logl(x)
+    assert len(slots) == len(warm) and all(slot[0] is buf for slot, buf in zip(slots, warm))
 
 
 def _poisson_aghq(outlier: bool = False):
@@ -890,7 +908,7 @@ class TestWarmAdaptation:
     )
     def test_warm_refresh_matches_cold(self, build, per_refresh):
         prog, plan = build()
-        theta = hm.initial_values(prog)
+        theta = initial_values(prog)
         moved = theta + np.linspace(-0.1, 0.1, theta.size)
         warm = LikelihoodEvaluator(prog, plan)
         warm.refresh(theta)
@@ -998,7 +1016,7 @@ def _per_cluster_pair(case: str):
     assert prog.outcomes[0].intercepts is not None and twin.outcomes[0].intercepts is None
     assert prog.slot_names() == twin.slot_names()
     plans = default_plan(prog, **options), default_plan(twin, **options)
-    return prog, twin, plans, hm.initial_values(prog)
+    return prog, twin, plans, initial_values(prog)
 
 
 class TestPerClusterPath:

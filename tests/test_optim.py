@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import hiermix as hm
+from hiermix.data import as_frame
+from hiermix.dsl import parse_model_spec
 from hiermix.optim import FitError, SingularDesignError, fd_gradient, fd_hessian, initial_values, maximize
 from hiermix.predictor import compile_program
 
@@ -127,8 +129,8 @@ class TestFiniteDifferences:
         t = rng.exponential(size=2 * g) / (0.3 * np.exp(b[cid.astype(int) - 1]))
         y = np.minimum(t, 5.0)
         d = (t < 5.0).astype(float)
-        frame = hm.as_frame({"id": cid, "y": y, "d": d})
-        prog = compile_program(hm.parse_model_spec("(y M1[id], family(weibull, failure(d)))"), frame)
+        frame = as_frame({"id": cid, "y": y, "d": d})
+        prog = compile_program(parse_model_spec("(y M1[id], family(weibull, failure(d)))"), frame)
         from hiermix.likelihood import LikelihoodEvaluator, default_plan
 
         ev = LikelihoodEvaluator(prog, default_plan(prog, points=11))
@@ -320,7 +322,7 @@ class TestInitialValues:
         # the fit raised "objective is not finite at the starting values"
         spec = "(y x M1[id], family(bernoulli))"
         data = separated_bernoulli()
-        prog = compile_program(hm.parse_model_spec(spec), hm.as_frame(data))
+        prog = compile_program(parse_model_spec(spec), as_frame(data))
         with np.errstate(over="raise"):
             theta0 = initial_values(prog)
         eta = theta0[prog.slot_index("x")] * data["x"] + theta0[prog.slot_index("_cons")]
@@ -336,7 +338,7 @@ class TestInitialValues:
         y = 2.0 - 1.5 * x + rng.normal(0, 0.5, n)
         ids = np.arange(n, dtype=float) % 10 + 1
         prog = compile_program(
-            hm.parse_model_spec("(y x M1[id], family(gaussian))"), hm.as_frame({"id": ids, "x": x, "y": y})
+            parse_model_spec("(y x M1[id], family(gaussian))"), as_frame({"id": ids, "x": x, "y": y})
         )
         theta0 = initial_values(prog)
         X = np.column_stack([x, np.ones(n)])
@@ -348,8 +350,8 @@ class TestInitialValues:
 
     def test_zero_column_reported(self):
         prog = compile_program(
-            hm.parse_model_spec("(y x, family(gaussian))"),
-            hm.as_frame({"x": np.zeros(5), "y": np.arange(5.0)}),
+            parse_model_spec("(y x, family(gaussian))"),
+            as_frame({"x": np.zeros(5), "y": np.arange(5.0)}),
         )
         with pytest.raises(SingularDesignError, match="x"):
             initial_values(prog)
@@ -358,8 +360,8 @@ class TestInitialValues:
         rng = np.random.default_rng(7)
         x = rng.normal(size=12)
         prog = compile_program(
-            hm.parse_model_spec("(y x w, family(gaussian))"),
-            hm.as_frame({"x": x, "w": 2 * x, "y": rng.normal(size=12)}),
+            parse_model_spec("(y x w, family(gaussian))"),
+            as_frame({"x": x, "w": 2 * x, "y": rng.normal(size=12)}),
         )
         with pytest.raises(SingularDesignError, match="rank deficient"):
             initial_values(prog)
@@ -375,11 +377,11 @@ class TestInitialValues:
             "died": np.where(np.arange(n) % 3 == 0, 1.0, np.nan),
         }
         prog = compile_program(
-            hm.parse_model_spec(
+            parse_model_spec(
                 "(stime EV[logb]@alpha, family(weibull, failure(died)))"
                 " (logb fp(1)@l1 M1[id], family(gaussian) timevar(time))"
             ),
-            hm.as_frame(data),
+            as_frame(data),
         )
         theta0 = initial_values(prog)
         assert theta0[prog.slot_index("alpha")] == 0.0

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import hiermix as hm
+from hiermix.data import as_frame
+from hiermix.dsl import parse_model_spec
 from hiermix.families import RpColumns, rp_logl
-from hiermix.likelihood import LikelihoodEvaluator, default_plan, marginal_logl
+from hiermix.likelihood import LikelihoodEvaluator, default_plan
 from hiermix.predictor import CompileError, EvalContext, compile_program, eval_eta, eval_ev
+from oracles import marginal_logl
 
 
 def make_program(spec_text, data):
-    frame = hm.as_frame(data)
-    spec = hm.parse_model_spec(spec_text)
+    frame = as_frame(data)
+    spec = parse_model_spec(spec_text)
     return compile_program(spec, frame)
 
 

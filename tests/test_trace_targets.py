@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hiermix as hm
+from hiermix.data import as_frame
+from hiermix.dsl import parse_model_spec
 from hiermix.likelihood import LikelihoodEvaluator, default_plan
 from hiermix.predictor import compile_program
 
@@ -38,7 +39,7 @@ def test_target_resolves(key, modname, path):
 def test_reduce_and_draws_are_traced():
     rng = np.random.default_rng(3)
     data = {"id": np.repeat(np.arange(6) + 1.0, 3), "y": rng.normal(size=18)}
-    prog = compile_program(hm.parse_model_spec("(y M1[id], family(gaussian))"), hm.as_frame(data))
+    prog = compile_program(parse_model_spec("(y M1[id], family(gaussian))"), as_frame(data))
     tracer = load_spans().Tracer()
     tracer.install()
     try:

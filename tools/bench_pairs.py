@@ -29,7 +29,8 @@ more than the parent's interquartile range. A metric with a ``bound``
 median is worse than the parent's by more than that fraction of the
 parent's median, and ``unresolved`` when the parent's interquartile
 range is wider than that fraction: its runs then spread too widely to
-tell a regression within the bound.
+tell a regression within the bound, unless every run of the change reads
+better than every run of the parent.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         if len(pairs) < 2:
             continue
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
-        sides = {"parent": quartiles([p for p, _ in pairs]), "change": quartiles([c for _, c in pairs])}
+        parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+        beats_every_parent = max(changes) < min(parents) if lower else min(changes) > max(parents)
+        sides = {"parent": quartiles(parents), "change": quartiles(changes)}
         gap = abs(sides["change"]["median"] - sides["parent"]["median"])
         improved = (sides["change"]["median"] < sides["parent"]["median"]) == lower
         # a per-layer metric can read 0 on the parent (a layer the workload does not use)
@@ -104,7 +107,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             and wins >= 0.9 * len(pairs)
             and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
             "regressed": None if bound is None else not improved and gap > bound,
-            "unresolved": None if bound is None else sides["parent"]["q3"] - sides["parent"]["q1"] > bound,
+            "unresolved": None
+            if bound is None
+            else sides["parent"]["q3"] - sides["parent"]["q1"] > bound and not beats_every_parent,
         }
     return out
 
