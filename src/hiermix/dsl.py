@@ -178,7 +178,7 @@ class LatentInfo:
     name: str
     path: tuple[str, ...]
     level: str
-    index: int  # position within the stacked vector of its level
+    index: int  # position within its level's vector of latent effects
 
 
 @dataclass(frozen=True)
@@ -685,8 +685,7 @@ def _check_timevars(spec: ModelSpec) -> None:
     for k, outcome in enumerate(spec.outcomes):
         if outcome.family.is_survival or outcome.timevar:
             continue
-        needs_time = outcome.has_timefn or any(_time_indexed(spec, spec.ev_target_index(ev)) for ev in outcome.ev_targets)
-        if needs_time:
+        if _time_indexed(spec, k):
             raise SpecValidationError(
                 f"outcome {k + 1} uses a function of time but has no timevar(); name the measurement-time column"
             )

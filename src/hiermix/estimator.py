@@ -102,7 +102,6 @@ def fit_model(
         clamp=clamp,
         monitor=monitor,
         threads=threads,
-        stacked=True,
     )
     result = build_fit_result(program, plan, maxres, evaluator)
     result.plan = plan

@@ -68,18 +68,19 @@ def gh_rule(q: int) -> GhRule:
     return GhRule(nodes, weights)
 
 
-def gh_grid(rule: GhRule, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product grid over r dimensions: (Q^r, r) nodes and (Q^r,)
-    log-weights.
+def gh_grid(rule: GhRule, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor-product grid over r dimensions: (Q^r, r) nodes, (Q^r,)
+    log-weights and the standard-normal log density at the nodes.
     """
     if r == 0:
-        return np.zeros((1, 0)), np.zeros(1)
-    grids = np.meshgrid(*([rule.nodes] * r), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    logw = np.log(rule.weights)
-    wgrids = np.meshgrid(*([logw] * r), indexing="ij")
-    logws = sum(g.ravel() for g in wgrids)
-    return nodes, logws
+        nodes, logws = np.zeros((1, 0)), np.zeros(1)
+    else:
+        grids = np.meshgrid(*([rule.nodes] * r), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        logw = np.log(rule.weights)
+        wgrids = np.meshgrid(*([logw] * r), indexing="ij")
+        logws = sum(g.ravel() for g in wgrids)
+    return nodes, logws, -0.5 * r * _LOG_2PI - 0.5 * np.sum(nodes * nodes, axis=-1)
 
 
 def _first_primes(r: int) -> list[int]:
@@ -209,15 +210,11 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     return z
 
 
-def _std_normal_logpdf(a: np.ndarray) -> np.ndarray:
-    return -0.5 * a.shape[-1] * _LOG_2PI - 0.5 * np.sum(a * a, axis=-1)
-
-
 def adapt_locations(
     log_conditional,
     kernel: ReKernel,
     chol: np.ndarray,
-    rule: GhRule,
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
     active: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20,
@@ -227,7 +224,8 @@ def adapt_locations(
     grid to the posterior of every cell's random effects at once.
 
     A cell is one cluster, or one cluster at one combination of outer
-    nodes. ``log_conditional`` maps node locations (K, M, dim) to the
+    nodes. ``grid`` is the Gauss-Hermite grid of ``gh_grid``.
+    ``log_conditional`` maps node locations (K, M, dim) to the
     conditional log-likelihood (K, M) of each cell; cells not marked in
     ``active`` keep the prior. The scale may shrink at most 4x per step
     in any direction, relative to the scale of the step before, so a
@@ -245,8 +243,7 @@ def adapt_locations(
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
-    nodes, logw = gh_grid(rule, kernel.dim)
-    log_std = _std_normal_logpdf(nodes)
+    nodes, logw, log_std = grid
     k, r = len(active), kernel.dim
     mu = np.zeros((k, r))
     lam = np.broadcast_to(chol[None], (k, r, r)).copy()

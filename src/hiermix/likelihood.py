@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import GhRule, ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
+from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
 from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl
 from .workspace import Workspace
 
@@ -89,8 +89,6 @@ __all__ = [
     "default_plan",
     "LikelihoodEvaluator",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def logsumexp(a: np.ndarray, empty=np.empty) -> np.ndarray:
@@ -220,11 +218,9 @@ class _LevelState:
         self.plan = plan
         self.kernel = ReKernel(info.dim, plan.dist, plan.df, structure=structure)
         if plan.method == "aghq":
-            self.rule: GhRule = gh_rule(plan.q)
-            self.nodes, self.logw = gh_grid(self.rule, info.dim)
+            self.nodes, self.logw, self.log_std = gh_grid(gh_rule(plan.q), info.dim)
             self.m = len(self.logw)
             self.std_draws: np.ndarray | None = None
-            self.log_std = -0.5 * info.dim * _LOG_2PI - 0.5 * (self.nodes * self.nodes).sum(axis=1)
         else:
             need = info.dim + (1 if plan.dist == "t" else 0)
             # draws at unit scale; a call only multiplies them by the scale factor
@@ -542,7 +538,7 @@ class LikelihoodEvaluator:
                 lambda x: self._conditional(thetas, pos, outer, x, refresh=True),
                 st.kernel,
                 self.level_chol(st, thetas[0]),
-                st.rule,
+                (st.nodes, st.logw, st.log_std),
                 np.repeat(st.active, st.n_combos),
                 start=self.adapted.get(pos),
             )

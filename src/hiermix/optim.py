@@ -2,10 +2,12 @@
 finite-difference score and Hessian, starting values, and the reported
 fit results (estimates, delta-method standard errors, diagnostics).
 
-The probe points of one gradient (2p) or Hessian (p(p+1)) are built
-first and evaluated together: as one call of an objective that takes a
-(K, p) stack (``stacked=True``, one call per thread), or point by point.
-Slots pinned during maximization are not probed.
+An objective maps a (p,) parameter vector to a float and a (K, p) stack
+of vectors to K values. The probe points of one gradient (2q) or
+Hessian (q(q+1)) of the q free slots are built first and evaluated as
+one stack; a non-finite value halves every step and re-evaluates the
+stack. Slots pinned during maximization are not probed. Threads belong
+to ``maximize``, which splits each stack over one pool.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _LOGL_TOL = 1e-7
 _GRAD_TOL = 1e-5
 _MAX_HALVINGS = 16
 _HESS_STEP = _EPS**0.25
+# halvings of every finite-difference step before a non-finite probe
+# value ends the fit
+_MAX_SHRINKS = 8
 _Z95 = 1.959963984540054
 
 
@@ -60,90 +65,59 @@ def _thread_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def _values(objective, points: np.ndarray, stacked: bool, threads: int, pool=None) -> np.ndarray:
-    """The objective at each row of ``points``: one call per contiguous
-    sub-stack when it takes stacks (``threads`` sub-stacks, evaluated in
-    parallel on ``pool``, or on a pool started for this call), else point
-    by point.
+def _split_over(objective, pool, threads: int):
+    """The objective for stacks, each split into ``threads`` contiguous
+    sub-stacks evaluated in parallel on ``pool``.
     """
-    if len(points) == 0:  # every slot pinned
-        return np.empty(0)
-    parts = np.array_split(points, min(threads, len(points))) if stacked else list(points)
-    if threads > 1 and len(parts) > 1:
-        with _thread_pool(threads) if pool is None else nullcontext(pool) as workers:
-            vals = list(workers.map(objective, parts))
-    else:
-        vals = [objective(part) for part in parts]
-    return np.concatenate(vals) if stacked else np.asarray(vals, dtype=float)
+
+    def split(stack):
+        parts = np.array_split(stack, min(threads, len(stack)))
+        return np.concatenate(list(pool.map(objective, parts)))
+
+    return split
 
 
-def _free_slots(p: int, free) -> np.ndarray:
-    """Indices of the slots to probe: all, or those set in ``free``."""
-    return np.arange(p) if free is None else np.flatnonzero(free)
-
-
-def _probe(objective, theta, i, delta, shrinks=8):
-    """Objective at theta with one entry perturbed, halving the step on
-    a non-finite value up to ``shrinks`` times. Returns (value, step).
+def _finite_stack(objective, points_at):
+    """The objective at the stack ``points_at(scale)`` for scale 1, or,
+    while a value is not finite, for the scale halved, at most
+    ``_MAX_SHRINKS`` times. Returns (values, scale).
     """
-    step = delta
-    for _ in range(shrinks + 1):
-        x = theta.copy()
-        x[i] += step
-        v = objective(x)
-        if np.isfinite(v):
-            return v, step
-        step *= 0.5
-    raise FitError(f"objective is not finite near parameter {i} (step {delta:g})")
+    scale = 1.0
+    for _ in range(_MAX_SHRINKS + 1):
+        points = points_at(scale)
+        vals = objective(points) if len(points) else np.empty(0)  # every slot pinned
+        if np.all(np.isfinite(vals)):
+            return vals, scale
+        scale *= 0.5
+    raise FitError("objective is not finite near the finite-difference probe points")
 
 
-def _shrunk_slope(objective, theta, i, h):
-    """Central-difference slope along parameter i from one-point probes,
-    each side's step halved until finite, then both taken at the smaller.
-    """
-    up, hu = _probe(objective, theta, i, h)
-    dn, hd = _probe(objective, theta, i, -h)
-    if hu != -hd:  # a side had to shrink: recompute the other to match
-        h = min(hu, -hd)
-        up, _ = _probe(objective, theta, i, h, 0)
-        dn, _ = _probe(objective, theta, i, -h, 0)
-    else:
-        h = hu
-    return (up - dn) / (2.0 * h)
-
-
-def fd_gradient(objective, theta, threads: int = 1, stacked: bool = False, free=None, pool=None) -> np.ndarray:
+def fd_gradient(objective, theta, free=None) -> np.ndarray:
     """Central-difference gradient, step cbrt(eps)*max(|theta_i|, 1).
 
     Only the slots set in the boolean mask ``free`` (default: all) are
     probed; the others' entries are 0. The 2 probe points per free slot
-    are evaluated together: in one call when ``stacked`` (the objective
-    then also maps a (K, p) stack to K values), else point by point,
-    split over ``threads`` threads (on ``pool`` if given). A coordinate
-    with a non-finite probe is redone from one-point probes with halved
-    steps.
+    are evaluated as one stack; a non-finite value halves every step
+    (see ``_finite_stack``).
     """
     theta = np.asarray(theta, dtype=float)
-    idx = _free_slots(len(theta), free)
-    steps = [_GRAD_STEP * max(abs(theta[i]), 1.0) for i in idx]
-    points = np.repeat(theta[None], 2 * len(idx), axis=0)
-    for k, (i, h) in enumerate(zip(idx, steps)):
-        points[2 * k, i] += h
-        points[2 * k + 1, i] += -h
-    vals = _values(objective, points, stacked, threads, pool)
+    idx = np.arange(len(theta)) if free is None else np.flatnonzero(free)
+    steps = _GRAD_STEP * np.maximum(np.abs(theta[idx]), 1.0)
+    ups = 2 * np.arange(len(idx))
+
+    def points_at(scale):
+        points = np.repeat(theta[None], 2 * len(idx), axis=0)
+        points[ups, idx] += scale * steps
+        points[ups + 1, idx] -= scale * steps
+        return points
+
+    vals, scale = _finite_stack(objective, points_at)
     grad = np.zeros(len(theta))
-    for k, (i, h) in enumerate(zip(idx, steps)):
-        up, dn = vals[2 * k], vals[2 * k + 1]
-        if np.isfinite(up) and np.isfinite(dn):
-            grad[i] = (up - dn) / (2.0 * h)
-        else:
-            grad[i] = _shrunk_slope(objective, theta, i, h)
+    grad[idx] = (vals[0::2] - vals[1::2]) / (2.0 * (scale * steps))
     return grad
 
 
-def fd_hessian(
-    objective, theta, f0=None, threads: int = 1, stacked: bool = False, free=None, pool=None, near=None
-) -> np.ndarray:
+def fd_hessian(objective, theta, f0=None, free=None, near=None) -> np.ndarray:
     """Symmetric Hessian from the seven-point formula (Abramowitz &
     Stegun 1964, 25.3), accurate to O(h^2).
 
@@ -158,49 +132,35 @@ def fd_hessian(
     h^2 f_kkll / 4 in each cross term, which does not cancel along the
     nearly flat direction of a ridge when the ridge lies across the
     axes; along the eigenvectors the function is nearly separable and
-    the term is small. The points are evaluated together, as in
-    ``fd_gradient``; a non-finite probe halves every step and
-    re-evaluates them all before giving up.
+    the term is small. The points are evaluated as one stack, under the
+    non-finite rule of ``fd_gradient``.
     """
     theta = np.asarray(theta, dtype=float)
     if f0 is None:
         f0 = objective(theta)
-    idx = _free_slots(len(theta), free)
-    unit = np.maximum(np.abs(theta[idx]), 1.0)
-    if near is None:
-        basis = np.eye(len(idx))
-    else:
-        basis = np.linalg.eigh(near[np.ix_(idx, idx)] * np.outer(unit, unit))[1]
-    scale = 1.0
-    for _ in range(6):
-        hess = _fd_hessian_once(objective, theta, f0, scale, idx, unit, basis, threads, stacked, pool)
-        if hess is not None:
-            return hess
-        scale *= 0.5
-    raise FitError("objective is not finite near the Hessian probe points")
-
-
-def _fd_hessian_once(objective, theta, f0, scale, idx, unit, basis, threads, stacked, pool) -> np.ndarray | None:
-    """The Hessian at one step scale along the directions u_k =
-    unit * basis[:, k], or None if a probe is not finite.
-    """
+    idx = np.arange(len(theta)) if free is None else np.flatnonzero(free)
     q = len(idx)
-    h = scale * _HESS_STEP
+    unit = np.maximum(np.abs(theta[idx]), 1.0)
+    basis = np.eye(q) if near is None else np.linalg.eigh(near[np.ix_(idx, idx)] * np.outer(unit, unit))[1]
     rows, cols = np.tril_indices(q, -1)  # the pairs k > l of directions
     n_axis, n_pairs = 2 * q, len(rows)
-    steps = np.zeros((n_axis + 2 * n_pairs, q))  # in units of the directions
+    signs = np.zeros((n_axis + 2 * n_pairs, q))  # steps in units of h along the directions
     axis = np.arange(q)
-    steps[2 * axis, axis] = h
-    steps[2 * axis + 1, axis] = -h
+    signs[2 * axis, axis] = 1.0
+    signs[2 * axis + 1, axis] = -1.0
     corners = n_axis + 2 * np.arange(n_pairs)
     for a in (rows, cols):
-        steps[corners, a] = h
-        steps[corners + 1, a] = -h
-    points = np.repeat(theta[None], len(steps), axis=0)
-    points[:, idx] += steps @ (unit[:, None] * basis).T
-    vals = _values(objective, points, stacked, threads, pool)
-    if not np.all(np.isfinite(vals)):
-        return None
+        signs[corners, a] = 1.0
+        signs[corners + 1, a] = -1.0
+    directions = (unit[:, None] * basis).T
+
+    def points_at(scale):
+        points = np.repeat(theta[None], len(signs), axis=0)
+        points[:, idx] += (scale * _HESS_STEP * signs) @ directions
+        return points
+
+    vals, scale = _finite_stack(objective, points_at)
+    h = scale * _HESS_STEP
     up, dn = vals[0:n_axis:2], vals[1:n_axis:2]
     fpp, fmm = vals[n_axis::2], vals[n_axis + 1 :: 2]
     sub = np.empty((q, q))
@@ -259,7 +219,6 @@ def maximize(
     clamp=None,
     monitor=None,
     threads: int = 1,
-    stacked: bool = False,
 ) -> MaxResult:
     """Maximize by Newton steps with step halving.
 
@@ -277,10 +236,13 @@ def maximize(
     so that it stays accurate along a nearly flat ridge; the Newton
     Hessians themselves are probed along the axes. Only the
     slots set in ``free_mask`` move and are probed; the derivatives'
-    entries of the others are 0. Derivative probes are evaluated as in
-    ``fd_gradient``: with ``stacked``, one objective call per thread for
-    each gradient or Hessian, on one pool of ``threads`` threads kept for
-    the whole fit (their likelihood workspaces with them).
+    entries of the others are 0. The objective takes a vector or a stack
+    (see the module docstring). With ``threads`` > 1, each gradient or
+    Hessian stack is split into ``threads`` contiguous sub-stacks, one
+    objective call each, on one pool kept for the whole fit (the
+    likelihood workspaces of its threads with it). A Newton Hessian that
+    no Levenberg shift makes negative definite ends the fit, not
+    converged, with the error as its message.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -295,12 +257,13 @@ def maximize(
     if not np.isfinite(f):
         raise FitError("objective is not finite at the starting values")
     with _thread_pool(threads) if threads > 1 else nullcontext() as pool:
+        probes = objective if pool is None else _split_over(objective, pool, threads)
 
         def gradient(th):
-            return fd_gradient(objective, th, threads, stacked, free, pool)
+            return fd_gradient(probes, th, free)
 
         def hessian(th, f0, near=None):
-            return fd_hessian(objective, th, f0, threads, stacked, free, pool, near)
+            return fd_hessian(probes, th, f0, free, near)
 
         trace = []
         rel_change = np.inf
@@ -317,7 +280,11 @@ def maximize(
                 message = "converged"
                 break
             hess = last = hessian(theta, f)
-            chol, tau = _neg_chol(hess, free)
+            try:
+                chol, tau = _neg_chol(hess, free)
+            except FitError as exc:
+                message = str(exc)
+                break
             step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
             step = np.zeros(p)
             step[free] = step_free

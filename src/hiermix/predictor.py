@@ -135,7 +135,6 @@ class _CompiledOutcome:
         self.anc_slots: list[int] = []
         self.spline_basis: RcsBasis | None = None
         self.spline_slots: list[int] = []
-        self.has_time = False  # any time-dependent element in eta
         self.time_indexed = False  # expected value depends on time (directly or through EV links)
         # own evaluation times: (n, 1) measurement times, or the survival
         # grid [y | y-nodes | entry-nodes], or [y | y e^step | y e^-step | t0]
@@ -272,8 +271,6 @@ def compile_program(
                         )
                     cc.evlinks.append((el.kind, j))
                     texts.append(f"{el.kind}[{el.target}]")
-                    if program.outcomes[j].time_indexed:
-                        co.has_time = True
                 elif isinstance(el, TimeFn):
                     if cc.timefn is not None:
                         raise CompileError(f"outcome {k + 1}, component {c + 1}: more than one time function")
@@ -282,7 +279,6 @@ def compile_program(
                     cc.timefn = (el, basis, log_scale)
                     cc.ncols = basis.ncols
                     texts.append(_timefn_text(el))
-                    co.has_time = True
             if cc.ncols > 1 and cc.latents and comp.coef is None:
                 raise CompileError(
                     f"outcome {k + 1}, component {c + 1}: a multi-column time function interacting with a "
@@ -453,14 +449,14 @@ def _build_grids(program: Program, co: _CompiledOutcome) -> None:
     if rp or (fam.user_cumhazard is not None and fam.user_hazard is None):
         step = 1e-5 * np.maximum(1.0, np.abs(np.log(y)))
         co.log_step = step.reshape(-1, 1, 1)
-        if not rp or co.has_time:
+        if not rp or co.time_indexed:
             co.grid = Grid(np.stack([y, y * np.exp(step), y * np.exp(-step), t0_safe], axis=1))
         if rp:
             t03 = np.where(co.entry_mask.reshape(-1, 1, 1), t0.reshape(-1, 1, 1), 0.0)
-            log_step = co.log_step if co.has_time else None
+            log_step = co.log_step if co.time_indexed else None
             co.rp = fam_mod.RpColumns(co.spline_basis, y.reshape(-1, 1, 1), t0=t03, log_step=log_step)
         return
-    if not (co.has_time or fam.user_hazard is not None):
+    if not (co.time_indexed or fam.user_hazard is not None):
         return  # closed-form hazards
     u = program.gl_nodes
     ynodes = 0.5 * y[:, None] * (u[None, :] + 1.0)

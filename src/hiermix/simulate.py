@@ -308,7 +308,7 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, ce
             from .basis import rcs_eval
 
             safe_t = np.maximum(upper, 1e-300)
-            if co.has_time:
+            if co.time_indexed:
                 eta = eval_eta(ctx, k, k, safe_t.reshape(-1, 1))[:, 0, 0]
             else:
                 eta = eval_eta(ctx, k, k)[:, 0, 0]

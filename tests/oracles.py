@@ -1,7 +1,9 @@
 """Helpers that only the tests use: reference survival log-likelihoods
 (closed forms built on the engine's family hazards, and a Gauss-Legendre
-hazard quadrature for any log-hazard function), and one-shot marginal
-log-likelihoods and profiles from a fresh ``LikelihoodEvaluator``.
+hazard quadrature for any log-hazard function), one-shot marginal
+log-likelihoods and profiles from a fresh ``LikelihoodEvaluator``, and
+a wrapper that gives a one-point toy objective the optimizer's objective
+contract.
 """
 
 from __future__ import annotations
@@ -76,3 +78,13 @@ def profile_report(program, plan, theta) -> dict:
     ev.refresh(np.asarray(theta, dtype=float))
     ev.logl(theta)
     return ev.profile_report()
+
+
+def stackable(f):
+    """A one-point objective that also maps a (K, p) stack to K values."""
+
+    def objective(th):
+        th = np.asarray(th)
+        return f(th) if th.ndim == 1 else np.array([f(x) for x in th])
+
+    return objective

@@ -241,8 +241,8 @@ class TestExitCodes:
         # eigenvectors, comes back positive definite
         real = optim.fd_hessian
 
-        def final_not_definite(objective, theta, f0=None, threads=1, stacked=False, free=None, pool=None, near=None):
-            hess = real(objective, theta, f0, threads, stacked, free, pool, near)
+        def final_not_definite(objective, theta, f0=None, free=None, near=None):
+            hess = real(objective, theta, f0, free, near)
             return hess if near is None else -hess
 
         monkeypatch.setattr(optim, "fd_hessian", final_not_definite)
@@ -267,6 +267,29 @@ class TestExitCodes:
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
         assert "not finite" not in out.read_text()
+
+    def test_unregularizable_hessian_exits_2(self, tmp_path, capsys):
+        # 30 clusters x 4 Weibull rows censored at 3.0, the covariate
+        # multiplied by 1e6: the first Newton Hessian has entries near
+        # 1e183, which no Levenberg shift makes definite
+        rng = np.random.default_rng(3)
+        b = rng.normal(0, 0.6, 30)
+        lines = ["id,t,d,x"]
+        for i in range(30):
+            for _ in range(4):
+                x = rng.normal()
+                t = (rng.exponential() / (0.4 * np.exp(0.5 * x + b[i]))) ** (1 / 1.2)
+                lines.append(f"{i + 1},{min(t, 3.0):.10g},{int(t < 3.0)},{x * 1e6:.10g}")
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        spec = "(t x M1[id], family(weibull, failure(d)))"
+        code = main(["fit", "--spec", spec, "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        text = out.read_text()
+        assert "converged: false" in text
+        assert "message: cannot regularize the Hessian to a definite matrix" in text
 
     @pytest.mark.parametrize(
         "flags,name",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from hiermix.integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
 
@@ -51,9 +52,10 @@ class TestGhRule:
 
     def test_grid(self):
         r = gh_rule(3)
-        nodes, logw = gh_grid(r, 2)
+        nodes, logw, log_std = gh_grid(r, 2)
         assert nodes.shape == (9, 2)
         assert abs(np.exp(logw).sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(log_std, norm.logpdf(nodes).sum(axis=1), rtol=1e-14)
 
 
 class TestHalton:
@@ -154,7 +156,8 @@ class TestKernelDraws:
 
 def adapt_one(logcond, kern, chol, q):
     """Adapt a single cell: ``logcond`` maps nodes (M, dim) to (M,)."""
-    mu, lam, iters, flagged = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, gh_rule(q), np.ones(1, bool))
+    grid = gh_grid(gh_rule(q), kern.dim)
+    mu, lam, iters, flagged = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
     return mu[0], lam[0], iters[0], flagged[0]
 
 
@@ -217,7 +220,7 @@ class TestAdaptLocations:
             lambda x: np.stack([p[0](x[g]) for g, p in enumerate(parts)]),
             ReKernel(1),
             np.eye(1),
-            gh_rule(7),
+            gh_grid(gh_rule(7), 1),
             np.array([True, False, True]),
         )
         assert not flagged.any()
@@ -246,7 +249,7 @@ class TestAdaptLocations:
         # start at (0, the new prior scale), as a cold start does
         rng = np.random.default_rng(14)
         parts = [conjugate(rng.normal(m, 0.5, size=6), 0.25, 1.3**2) for m in (-1.0, 0.4, 2.0)]
-        active, rule = np.array([True, True, False]), gh_rule(7)
+        active, grid = np.array([True, True, False]), gh_grid(gh_rule(7), 1)
 
         def finite(x):
             return np.stack([p[0](x[g]) for g, p in enumerate(parts)])
@@ -256,11 +259,11 @@ class TestAdaptLocations:
             out[1] = np.nan
             return out
 
-        first = adapt_locations(broken, ReKernel(1), np.array([[0.7]]), rule, active)
+        first = adapt_locations(broken, ReKernel(1), np.array([[0.7]]), grid, active)
         np.testing.assert_array_equal(first[3], [False, True, False])
         chol = np.array([[1.3]])
-        warm = adapt_locations(finite, ReKernel(1), chol, rule, active, start=first)
-        cold = adapt_locations(finite, ReKernel(1), chol, rule, active)
+        warm = adapt_locations(finite, ReKernel(1), chol, grid, active, start=first)
+        cold = adapt_locations(finite, ReKernel(1), chol, grid, active)
         assert not warm[3].any()
         for g in (1, 2):
             assert warm[2][g] == cold[2][g]
@@ -269,7 +272,7 @@ class TestAdaptLocations:
         for g in (0, 1):
             assert abs(warm[0][g, 0] - parts[g][1]) < 1e-8 and abs(warm[1][g, 0, 0] - parts[g][2]) < 1e-8
         # from a converged result, every active cell stops at its first pass
-        again = adapt_locations(finite, ReKernel(1), chol, rule, active, start=warm)
+        again = adapt_locations(finite, ReKernel(1), chol, grid, active, start=warm)
         np.testing.assert_array_equal(again[2], [1, 1, 0])
 
     def test_t_kernel_requires_df_above_two(self):

@@ -13,14 +13,13 @@ import scipy.special
 from hypothesis import example, given, settings
 
 import hiermix as hm
-import hiermix.estimator as estimator
 import hiermix.likelihood as likelihood
 import hiermix.optim as optim
 from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
 from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, logsumexp
 from hiermix.cli import main
-from hiermix.optim import FitError, fd_gradient, fd_hessian, initial_values
+from hiermix.optim import initial_values
 from hiermix.predictor import compile_program
 from hiermix.workspace import Workspace
 from oracles import marginal_logl, profile_report
@@ -602,16 +601,6 @@ def _probe_stack(theta):
     return np.array(stack)
 
 
-def _stackable(f):
-    """A one-point objective that also maps a (K, p) stack to K values."""
-
-    def objective(th):
-        th = np.asarray(th)
-        return f(th) if th.ndim == 1 else np.array([f(x) for x in th])
-
-    return objective
-
-
 class TestBatchedEvaluation:
     """A (K, p) stack of parameter vectors evaluates, bit for bit, to the
     K single-vector calls."""
@@ -697,64 +686,24 @@ class TestBatchedEvaluation:
         assert values.tobytes() == np.array([ev.logl(x) for x in stack]).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_fd_derivatives_batched_equal_pointwise(self, threads):
+    def test_derivatives_take_one_call_per_thread(self, threads, monkeypatch):
+        # maximize splits each gradient and Hessian stack into one
+        # sub-stack per thread
         prog, plan = _nested_aghq()
-        theta = initial_values(prog)
         ev = LikelihoodEvaluator(prog, plan)
-        ev.refresh(theta)
-        g = fd_gradient(ev.logl, theta)
-        h = fd_hessian(ev.logl, theta)
-        calls = ev.n_calls
-        assert fd_gradient(ev.logl, theta, threads, stacked=True).tobytes() == g.tobytes()
-        assert fd_hessian(ev.logl, theta, None, threads, stacked=True).tobytes() == h.tobytes()
-        # a gradient, a Hessian and its centre point: one call per thread each
-        assert ev.n_calls - calls == 2 * threads + 1
+        calls = []
+        for name in ("fd_gradient", "fd_hessian"):
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_fd_hessian_along_eigenvectors_batched_equal_pointwise(self, threads):
-        prog, plan = _nested_aghq()
-        theta = initial_values(prog)
-        ev = LikelihoodEvaluator(prog, plan)
-        ev.refresh(theta)
-        near = fd_hessian(ev.logl, theta)
-        h = fd_hessian(ev.logl, theta, near=near)
-        assert fd_hessian(ev.logl, theta, None, threads, stacked=True, near=near).tobytes() == h.tobytes()
+            def counted(*args, real=getattr(optim, name), **kwargs):
+                before = ev.n_calls
+                out = real(*args, **kwargs)
+                calls.append(ev.n_calls - before)
+                return out
 
-    def test_fd_shrink_cases_batched_equal_pointwise(self):
-        def edge(th):
-            return float(th[0]) if th[0] < 1.0000001 else np.nan
-
-        def bowl(th):
-            return -((th[0] - 1.0) ** 2) if th[0] < 1.0001 else np.nan
-
-        theta = np.array([1.0])
-        for f in (edge, bowl):
-            g = fd_gradient(f, theta)
-            assert fd_gradient(_stackable(f), theta, stacked=True).tobytes() == g.tobytes()
-        h = fd_hessian(bowl, theta)
-        np.testing.assert_allclose(h, [[-2.0]], rtol=1e-4)
-        assert fd_hessian(_stackable(bowl), theta, stacked=True).tobytes() == h.tobytes()
-        with pytest.raises(FitError):
-            fd_hessian(_stackable(lambda th: np.nan if th[0] != 0.5 else 0.0), np.array([0.5]), stacked=True)
-
-    def test_fixed_fit_equals_pointwise_fit(self, monkeypatch):
-        data = gaussian_cluster_data(g=10, n=3)
-        spec = "(y x M1[id], family(gaussian))"
-        batched = hm.fit_model(spec, data, points=5, fixed={"x": 0.5})
-        maximize = estimator.maximize
-        monkeypatch.setattr(estimator, "maximize", lambda *a, **k: maximize(*a, **{**k, "stacked": False}))
-        pointwise = hm.fit_model(spec, data, points=5, fixed={"x": 0.5})
-        assert batched.theta[pointwise.names.index("x")] == 0.5
-        assert batched.theta.tobytes() == pointwise.theta.tobytes()
-        assert batched.cov.tobytes() == pointwise.cov.tobytes()
-        assert (batched.logl, batched.message, batched.iterations) == (
-            pointwise.logl,
-            pointwise.message,
-            pointwise.iterations,
-        )
-        assert pointwise.profile["objective_points"] == pointwise.profile["likelihood_calls"]
-        assert batched.profile["objective_points"] == pointwise.profile["objective_points"]
-        assert batched.profile["likelihood_calls"] < pointwise.profile["likelihood_calls"]
+            monkeypatch.setattr(optim, name, counted)
+        res = optim.maximize(ev.logl, initial_values(prog), refresh=ev.refresh, threads=threads)
+        assert res.converged and len(calls) > 2
+        assert calls == [threads] * len(calls)
 
 
 def _frailty_chunks(twin: bool = False):
@@ -1060,7 +1009,8 @@ class TestPerClusterPath:
             ev.refresh(adapt_at)
             values[name] = ev.logl(stack)
             # two threads, one sub-stack each: the same bits
-            assert optim._values(ev.logl, stack, True, 2).tobytes() == values[name].tobytes()
+            with optim._thread_pool(2) as pool:
+                assert optim._split_over(ev.logl, pool, 2)(stack).tobytes() == values[name].tobytes()
             assert np.array([ev.logl(x) for x in stack]).tobytes() == values[name].tobytes()
         got, expect = values["per_cluster"], values["rows"]
         assert not np.isnan(got).any()

@@ -1,0 +1,119 @@
+"""Check that two source checkouts fit every benchmark panel to the same bits.
+
+    python tools/same_fits.py PARENT CHANGE [--tiny]
+
+Each checkout fits, in a subprocess of its own and with its own
+``src/hiermix``, every data set of every workload in its
+``perfbench/workloads.py`` (the three of ``BENCHMARK.json`` and
+``joint_ev``), in both row orders where the panel has two. The set-up is
+``perfbench/run.py --seed 5``'s: the panels draw from
+``np.random.default_rng(5)``. ``--tiny`` takes the workloads' TINY sizes.
+
+The in-process fits are compared on theta, log-likelihood, covariance,
+message, iteration count and ``objective_points``; the command-line fits
+(``rp_replicates``) on the bytes of their result documents; a fit that
+fails must fail with the same reason. The script prints one line per
+fit that differs, or "all N fits identical" and how many of them failed
+on both sides, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 5
+# fits run single-threaded, as in perfbench/run.py
+BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def fit_panels(checkout: Path, tiny: bool) -> dict:
+    """Fit every panel with the checkout's code; one record per fit, keyed
+    ``workload/data set#n`` for the n-th fit of that data set.
+    """
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import hiermix
+    import numpy as np
+    from workloads import TINY, WORKLOADS
+
+    records = {}
+    with tempfile.TemporaryDirectory(prefix="same_fits_") as workdir:
+        for name, (cls, size) in WORKLOADS.items():
+            workload = cls(hiermix, TINY[name] if tiny else size)
+            for item in workload.setup(np.random.default_rng(SEED), workdir):
+                n = sum(key.startswith(f"{name}/{item.key}#") for key in records)
+                records[f"{name}/{item.key}#{n}"] = describe(workload.fit(item))
+    return records
+
+
+def describe(fit) -> dict:
+    """What must match bit for bit: exact hex forms of the numbers."""
+    record = {"failed": fit.failed}
+    if fit.doc:
+        record["document"] = hashlib.sha256(fit.doc).hexdigest()
+    elif fit.result is not None:
+        res = fit.result
+        record.update(
+            theta=res.theta.tobytes().hex(),
+            logl=float(res.logl).hex(),
+            cov=res.cov.tobytes().hex(),
+            message=res.message,
+            iterations=res.iterations,
+            objective_points=res.profile["objective_points"],
+        )
+    return record
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """One line per fit whose records differ, naming the fields."""
+    lines = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in parent or key not in change:
+            lines.append(f"{key}: fitted on the {'change' if key in change else 'parent'} side only")
+            continue
+        a, b = parent[key], change[key]
+        fields = [f for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
+        if fields:
+            lines.append(f"{key}: differs in {', '.join(fields)}")
+    return lines
+
+
+def run_side(checkout: Path, tiny: bool) -> dict:
+    argv = [sys.executable, str(Path(__file__).resolve()), "--fits", str(checkout)] + (["--tiny"] if tiny else [])
+    env = dict(os.environ, **BLAS_THREADS)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise SystemExit(f"fitting in {checkout} failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, nargs="?", help="checkout of the change")
+    parser.add_argument("--tiny", action="store_true", help="the workloads' TINY panel sizes")
+    parser.add_argument("--fits", type=Path, help=argparse.SUPPRESS)  # the subprocess of one side
+    args = parser.parse_args(argv)
+    if args.fits is not None:
+        print(json.dumps(fit_panels(args.fits.resolve(), args.tiny)))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("give the PARENT and CHANGE checkouts")
+    parent, change = (run_side(side.resolve(), args.tiny) for side in (args.parent, args.change))
+    lines = differences(parent, change)
+    for line in lines:
+        print(line)
+    if not lines:
+        failed = sum(record["failed"] is not None for record in parent.values())
+        print(f"all {len(parent)} fits identical ({failed} failed on both sides)")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
