@@ -17,7 +17,7 @@ import numpy as np
 from .data import DataError, load_csv
 from .dsl import SpecSyntaxError, SpecValidationError, load_spec_file, parse_model_spec, render_spec
 from .estimator import fit_model
-from .optim import FitError, FitResult, SingularDesignError
+from .optim import FitError, FitResult
 from .simulate import SimulationError, simulate
 
 __all__ = ["main"]
@@ -280,13 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecSyntaxError, SpecValidationError, DataError, SimulationError, SingularDesignError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (SpecSyntaxError, SpecValidationError, DataError, SimulationError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

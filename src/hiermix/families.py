@@ -24,6 +24,8 @@ __all__ = [
     "logl_negbin",
     "gauss_legendre",
     "RpColumns",
+    "log_hazard_value",
+    "survival_logl",
     "rp_logl",
     "register_user_family",
     "user_family_hooks",
@@ -134,50 +136,6 @@ def _gompertz_scaled_expm1(gamma, t):
     return np.where(small, series, exact)
 
 
-# exponential, weibull and gompertz write into ``out`` when it is given
-# (the result's shape); the other families return new arrays
-
-
-def _surv_log_hazard(name, t, eta, anc, out=None):
-    t = np.asarray(t, dtype=float)
-    if name == "exponential":
-        return np.add(eta, 0.0, out=_result(out, t, eta))
-    if name == "weibull":
-        out = np.add(eta, np.log(anc), out=_result(out, t, eta, anc))
-        return np.add(out, (anc - 1.0) * np.log(t), out=out)
-    if name == "gompertz":
-        return np.add(eta, anc * t, out=_result(out, t, eta, anc))
-    if name == "lognormal":
-        z = (np.log(t) - eta) / anc
-        log_pdf = -0.5 * _LOG_2PI - 0.5 * z * z - np.log(anc) - np.log(t)
-        return log_pdf - log_ndtr(-z)
-    if name == "loglogistic":
-        log_u = (eta + np.log(t)) / anc
-        with np.errstate(over="ignore"):
-            return log_u - np.log(anc) - np.log(t) - np.log1p(np.exp(log_u))
-    raise ValueError(f"no closed-form hazard for family {name!r}")
-
-
-def _surv_cum_hazard(name, t, eta, anc, out=None):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if name == "exponential":
-            out = np.exp(eta, out=_result(out, t, eta))
-            return np.multiply(out, t, out=out)
-        if name == "weibull":
-            out = np.exp(eta, out=_result(out, t, eta, anc))
-            return np.multiply(out, t**anc, out=out)
-        if name == "gompertz":
-            out = np.exp(eta, out=_result(out, t, eta, anc))
-            return np.multiply(out, _gompertz_scaled_expm1(anc, t), out=out)
-        if name == "lognormal":
-            out = np.where(t > 0, -log_ndtr(-(np.log(np.maximum(t, 1e-300)) - eta) / anc), 0.0)
-            return out
-        if name == "loglogistic":
-            return np.where(t > 0, np.log1p(np.exp((eta + np.log(np.maximum(t, 1e-300))) / anc)), 0.0)
-    raise ValueError(f"no closed-form cumulative hazard for family {name!r}")
-
-
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (-1, 1)."""
     if q < 1:
@@ -215,7 +173,51 @@ class RpColumns:
         self.at_t0 = rcs_eval(basis, np.log(np.where(self.entry, t0, 1.0))) if np.any(self.entry) else None
 
 
-def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=None, eta_entry=None, empty=np.empty):
+def log_hazard_value(h, empty=np.empty, out=None):
+    """The log of a hazard given as a value: log(max(h, 1e-300)) where
+    h > 0, and -inf where h <= 0 or h is NaN, so that an optimizer
+    rejects a step to a hazard that is not positive. Written into
+    ``out`` when it is given, which may be ``h`` itself, else into an
+    array from ``empty``.
+    """
+    h = np.asarray(h, dtype=float)
+    out = empty(h.shape) if out is None else out
+    with np.errstate(invalid="ignore"):
+        positive = np.greater(h, 0.0, out=empty(h.shape, bool))
+        np.log(np.maximum(h, 1e-300, out=out), out=out)
+    np.copyto(out, -np.inf, where=np.logical_not(positive, out=positive))
+    return out
+
+
+def survival_logl(log_h, bhaz, H, H0, d, entered, empty=np.empty):
+    """Log-likelihood of survival rows, d log(h(y) + b) - H(y) + H(t0),
+    from the log model hazard at y, ``log_h``; the expected hazard
+    ``bhaz`` b of an excess-hazard model, or None; the cumulative
+    hazard at y, ``H``; and the cumulative hazard at the entry time,
+    ``H0``, read only where ``entered`` holds, or None when no row has
+    delayed entry. ``d`` is the 0/1 event indicator.
+
+    With no ``bhaz`` the event term is ``log_h`` itself. With one it is
+    log(exp(log_h) + b), and -inf where the model hazard is not positive
+    (``log_h`` -inf), whatever b. A censored row has no event term, so
+    its ``log_h`` is not read. The result comes from
+    ``empty(shape, dtype=float)`` and is written in place.
+    """
+    out = empty(np.broadcast(*(v for v in (log_h, bhaz, H, H0, d) if v is not None)).shape)
+    if bhaz is None:
+        np.copyto(out, log_h)
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            np.log(np.add(np.exp(log_h, out=out), bhaz, out=out), out=out)
+        np.copyto(out, -np.inf, where=np.equal(log_h, -np.inf, out=empty(np.shape(log_h), bool)))
+    np.copyto(out, 0.0, where=np.equal(d, 0))
+    np.subtract(out, H, out=out)
+    if H0 is not None:
+        np.add(out, H0, out=out, where=entered)
+    return out
+
+
+def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=None, eta_entry=None, empty=np.empty):
     """Survival log-likelihood on the log cumulative-hazard scale:
     log H(y) = s(log y) + eta with s a restricted cubic spline, whose
     columns at the data's times are in ``cols``.
@@ -224,22 +226,19 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
     derivative. For a time-dependent eta, pass eta evaluated at
     y*exp(+/-log_step) via ``eta_plus``/``eta_minus`` (and at the entry
     time via ``eta_entry``), with ``cols`` built for that log_step; the
-    log-time derivative is then a central difference. ``bhaz`` is an
-    expected reference hazard added to the event hazard (zero when not
-    modelling excess hazard).
+    log-time derivative is then a central difference. ``bhaz`` is the
+    expected hazard of an excess-hazard model, or None.
 
     ``coefs`` is the coefficient vector, or a function that maps spline
     columns to their product with it (the engine lays the products of
     several parameter vectors over their node columns).
 
-    Returns -inf where the total hazard at an event time is
-    non-positive, so an optimizer can reject the step. The result and
-    its intermediate arrays come from ``empty(shape, dtype=float)``
-    (``np.empty``, or an evaluation's ``EvalContext.empty``) and are
-    written in place, with the operations, in the order, of the
-    new-array form.
+    The model hazard H(y) dF/dlog(y) / y is a value, so its log follows
+    ``log_hazard_value``: -inf where it is not positive. The row terms
+    are those of ``survival_logl``. The result and its intermediate
+    arrays come from ``empty(shape, dtype=float)`` (``np.empty``, or an
+    evaluation's ``EvalContext.empty``) and are written in place.
     """
-    d = np.asarray(d, dtype=float)
     if callable(coefs):
         times = coefs
     else:
@@ -263,31 +262,15 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=0.0, eta_plus=None, eta_minus=N
         np.divide(np.subtract(f_plus, f_minus, out=dF), 2.0 * cols.log_step, out=dF)
     else:
         dF = times(cols.deriv_at_y)
-    entry = None
+    H0 = None
     if cols.at_t0 is not None:
-        entry = plus(times(cols.at_t0), eta if eta_entry is None else eta_entry)
+        H0 = plus(times(cols.at_t0), eta if eta_entry is None else eta_entry)
         with np.errstate(over="ignore"):
-            np.exp(entry, out=entry)
-    shapes = [H.shape, np.shape(dF), np.shape(cols.y), np.shape(bhaz), d.shape]
-    if entry is not None:
-        shapes += [entry.shape, np.shape(cols.entry)]
-    out = empty(np.broadcast_shapes(*shapes))
-    # hazard h(y) = H(y) * dF/dlog(y) / y, plus bhaz; the event term
-    # d log(max(h, 1e-300)) where h > 0, else -inf
+            np.exp(H0, out=H0)
+    h = empty(np.broadcast_shapes(H.shape, np.shape(dF), np.shape(cols.y)))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(H, dF, out=out)
-        np.divide(out, cols.y, out=out)
-        np.add(out, bhaz, out=out)
-        positive = np.greater(out, 0.0, out=empty(out.shape, bool))
-        np.log(np.maximum(out, 1e-300, out=out), out=out)
-        np.copyto(out, -np.inf, where=np.logical_not(positive, out=positive))
-    np.multiply(d, out, out=out)
-    np.copyto(out, 0.0, where=d == 0)
-    np.subtract(out, H, out=out)
-    if entry is not None:
-        np.copyto(entry, 0.0, where=~cols.entry)
-        np.add(out, entry, out=out)
-    return out
+        np.divide(np.multiply(H, dF, out=h), cols.y, out=h)
+    return survival_logl(log_hazard_value(h, empty, out=h), bhaz, H, H0, d, cols.entry, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +411,40 @@ class Family:
 
     # survival pieces (closed forms, time-constant linear predictor)
     def log_hazard(self, t, eta, anc, out=None):
-        return _surv_log_hazard(self.name, t, eta, anc[0] if anc else None, out)
+        """log h(t) at linear predictor eta, ``anc`` on the natural scale:
+        eta + ``base_log_hazard`` for the proportional-hazards families,
+        written into ``out`` when it is given (the result's shape); the
+        other families return a new array.
+        """
+        t = np.asarray(t, dtype=float)
+        if self.name in _PH:
+            return np.add(eta, self.base_log_hazard(t, anc), out=_result(out, t, eta, *anc))
+        if self.name == "lognormal":
+            z = (np.log(t) - eta) / anc[0]
+            return -0.5 * _LOG_2PI - 0.5 * z * z - np.log(anc[0]) - np.log(t) - log_ndtr(-z)
+        if self.name == "loglogistic":
+            log_u = (eta + np.log(t)) / anc[0]
+            with np.errstate(over="ignore"):
+                return log_u - np.log(anc[0]) - np.log(t) - np.log1p(np.exp(log_u))
+        raise ValueError(f"no closed-form hazard for family {self.name!r}")
 
     def cum_hazard(self, t, eta, anc, out=None):
-        return _surv_cum_hazard(self.name, t, eta, anc[0] if anc else None, out)
+        """H(t) at linear predictor eta, ``anc`` on the natural scale:
+        exp(eta) times the baseline cumulative hazard for the
+        proportional-hazards families, written into ``out`` when it is
+        given (the result's shape); the other families return a new array.
+        """
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.name in _PH:
+                out = np.exp(eta, out=_result(out, t, eta, *anc))
+                return np.multiply(out, self._base_cum_hazard(t, anc), out=out)
+            log_t = np.log(np.maximum(t, 1e-300))
+            if self.name == "lognormal":
+                return np.where(t > 0, -log_ndtr(-(log_t - eta) / anc[0]), 0.0)
+            if self.name == "loglogistic":
+                return np.where(t > 0, np.log1p(np.exp((eta + log_t) / anc[0])), 0.0)
+        raise ValueError(f"no closed-form cumulative hazard for family {self.name!r}")
 
     def base_log_hazard(self, t, anc):
         """log h(t) - eta for proportional-hazards families, used when a
@@ -450,6 +463,13 @@ class Family:
             "(no proportional-hazards decomposition)"
         )
 
+    def _base_cum_hazard(self, t, anc):
+        """H(t) at eta = 0 for proportional-hazards families."""
+        if self.name == "exponential":
+            return t
+        with np.errstate(over="ignore"):
+            return t ** anc[0] if self.name == "weibull" else _gompertz_scaled_expm1(anc[0], t)
+
     def exp_linear(self, y, anc, event=None, entry=None):
         """(A, B, C) such that the log-likelihood at a time-constant
         linear predictor eta is A + B eta - C exp(eta), for the families
@@ -457,23 +477,23 @@ class Family:
         or proportional-hazards survival times y with their event
         indicators and entry times (A the log baseline hazard at event
         times, else 0; B = [event]; C the baseline cumulative hazard over
-        (entry, y]).
+        (entry, y], read from ``_base_cum_hazard``).
         """
         y = np.asarray(y, dtype=float)
         if self.name == "poisson":
             return -gammaln(y + 1.0), y, np.ones_like(y)
         events = event != 0
         log_h0 = np.where(events, self.base_log_hazard(y, anc), 0.0)
-        cum = self.cum_hazard(y, 0.0, anc)
+        cum = self._base_cum_hazard(y, anc)
         later = entry > 0
         if later.any():
-            cum = cum - np.where(later, self.cum_hazard(np.where(later, entry, 1.0), 0.0, anc), 0.0)
+            cum = cum - np.where(later, self._base_cum_hazard(np.where(later, entry, 1.0), anc), 0.0)
         return log_h0, events.astype(float), cum
 
 
 # families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``)
 EXP_LINEAR = ("exponential", "weibull", "gompertz", "poisson")
-_NO_TD = ("lognormal", "loglogistic")
+_PH = ("exponential", "weibull", "gompertz")
 
 
 def make_family(fam_spec) -> Family:

@@ -241,8 +241,11 @@ def maximize(
     Hessian stack is split into ``threads`` contiguous sub-stacks, one
     objective call each, on one pool kept for the whole fit (the
     likelihood workspaces of its threads with it). A Newton Hessian that
-    no Levenberg shift makes negative definite ends the fit, not
-    converged, with the error as its message.
+    no Levenberg shift makes negative definite, or a gradient or Hessian
+    whose probes stay non-finite (``_finite_stack``), ends the fit, not
+    converged, with the error as its message, at the last parameter
+    vector; a derivative it did not compute there is NaN, so the optimum
+    is not verified.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -272,57 +275,59 @@ def maximize(
         it = 0
         grad = hess = None  # derivatives at theta, when the loop has them
         last = None  # the latest Newton Hessian
-        for it in range(1, max_iter + 1):
-            grad = gradient(theta)
-            scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
-            if rel_change < _LOGL_TOL and scaled < _GRAD_TOL:
-                converged = True
-                message = "converged"
-                break
-            hess = last = hessian(theta, f)
-            try:
-                chol, tau = _neg_chol(hess, free)
-            except FitError as exc:
-                message = str(exc)
-                break
-            step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
-            step = np.zeros(p)
-            step[free] = step_free
-            halvings = 0
-            alpha = 1.0
-            f_new, theta_new = None, None
-            while halvings <= _MAX_HALVINGS:
-                cand = theta + alpha * step
-                if clamp is not None:
-                    cand = clamp(cand)
-                val = objective(cand)
-                if np.isfinite(val) and val > f:
-                    f_new, theta_new = val, cand
-                    break
-                alpha *= 0.5
-                halvings += 1
-            if f_new is None:
-                if scaled < _GRAD_TOL:
+        try:
+            for it in range(1, max_iter + 1):
+                grad = gradient(theta)
+                scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
+                if rel_change < _LOGL_TOL and scaled < _GRAD_TOL:
                     converged = True
-                    message = "converged (no ascent step at a stationary point)"
-                else:
-                    message = "no ascent step found"
-                break
-            rel_change = abs(f_new - f) / max(abs(f_new), 1.0)
-            theta, f = theta_new, f_new
-            grad = hess = None
-            if refresh is not None and refresh(theta):
-                f = objective(theta)
-            trace.append((it, f, scaled, halvings))
-            if monitor is not None:
-                monitor(it, f, scaled, halvings)
-        if grad is None:
-            grad = gradient(theta)
-        if hess is None:
-            hess = hessian(theta, f, last)
-    verified = True
+                    message = "converged"
+                    break
+                hess = last = hessian(theta, f)
+                chol, tau = _neg_chol(hess, free)
+                step_free = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
+                step = np.zeros(p)
+                step[free] = step_free
+                halvings = 0
+                alpha = 1.0
+                f_new, theta_new = None, None
+                while halvings <= _MAX_HALVINGS:
+                    cand = theta + alpha * step
+                    if clamp is not None:
+                        cand = clamp(cand)
+                    val = objective(cand)
+                    if np.isfinite(val) and val > f:
+                        f_new, theta_new = val, cand
+                        break
+                    alpha *= 0.5
+                    halvings += 1
+                if f_new is None:
+                    if scaled < _GRAD_TOL:
+                        converged = True
+                        message = "converged (no ascent step at a stationary point)"
+                    else:
+                        message = "no ascent step found"
+                    break
+                rel_change = abs(f_new - f) / max(abs(f_new), 1.0)
+                theta, f = theta_new, f_new
+                grad = hess = None
+                if refresh is not None and refresh(theta):
+                    f = objective(theta)
+                trace.append((it, f, scaled, halvings))
+                if monitor is not None:
+                    monitor(it, f, scaled, halvings)
+            if grad is None:
+                grad = gradient(theta)
+            if hess is None:
+                hess = hessian(theta, f, last)
+        except FitError as exc:  # from _finite_stack or _neg_chol
+            converged, message = False, str(exc)
+    grad = np.full(p, np.nan) if grad is None else grad
+    hess = np.full((p, p), np.nan) if hess is None else hess
+    info = -hess[np.ix_(free, free)]
+    verified = bool(np.isfinite(info).all())
     try:
-        np.linalg.cholesky(-hess[np.ix_(free, free)])
+        np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
         verified = False
     if converged and not verified:
@@ -581,15 +586,16 @@ def build_fit_result(program, plan, maxres: MaxResult, evaluator) -> FitResult:
     free = maxres.free
     # pinned slots are known constants: the covariance is the inverse of
     # the free block of the observed information, zero elsewhere, so a
-    # pinned slot gets no standard error
+    # pinned slot gets no standard error. An information matrix that is
+    # not positive definite (an unverified optimum) has no inverse that
+    # is a covariance: its block is NaN, and no slot gets a standard error
     block = np.ix_(free, free)
-    neg = -maxres.hessian[block]
-    try:
-        inv = np.linalg.inv(neg)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(neg)
     cov = np.zeros_like(maxres.hessian)
-    cov[block] = 0.5 * (inv + inv.T)
+    if maxres.optimum_verified:
+        inv = np.linalg.inv(-maxres.hessian[block])
+        cov[block] = 0.5 * (inv + inv.T)
+    else:
+        cov[block] = np.nan
 
     def safe_exp(x: float) -> float:
         return math.exp(min(x, 700.0))

@@ -862,6 +862,12 @@ def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
 
 
 def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
+    """Outcome k's survival rows, (n_rows, B). Each hazard form computes
+    only log h(y), H(y) and, with delayed entry, H(t0); the row terms
+    are ``families.survival_logl``'s (``rp_logl`` calls it too). A hazard
+    given as a value, a user hook's or a central difference of a user
+    cumulative hazard, takes its log by ``log_hazard_value``.
+    """
     program = ctx.program
     co = program.outcomes[k]
     fam = co.family
@@ -869,6 +875,7 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     d = co.event.reshape(-1, 1, 1)
     t03 = co.entry.reshape(-1, 1, 1)
     emask = co.entry_mask.reshape(-1, 1, 1)
+    entry = emask.any()
     bh = None if co.bhaz is None else co.bhaz.reshape(-1, 1, 1)
     n = co.rows.size
     q = program.gl_points
@@ -879,75 +886,47 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
         def coefs(cols):  # the spline columns times their coefficients
             return ctx.param(lambda th: cols @ th[co.spline_slots])
 
-        bhaz = 0.0 if bh is None else bh
         eta = eval_eta(ctx, k, k, co.grid)
         if co.grid is None:
-            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bhaz=bhaz, empty=ctx.empty), n)
+            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bh, empty=ctx.empty), n)
         # grid columns are [y | y e^step | y e^-step | t0]
-        eta = np.broadcast_to(eta, (n, 4, eta.shape[-1]))
-        ll = fam_mod.rp_logl(
-            co.rp,
-            d,
-            coefs,
-            eta[:, 0:1],
-            bhaz=bhaz,
-            eta_plus=eta[:, 1:2],
-            eta_minus=eta[:, 2:3],
-            eta_entry=eta[:, 3:4],
-            empty=ctx.empty,
-        )
-        return _collapse(ll, n)
+        at_y, plus, minus, at_t0 = np.split(np.broadcast_to(eta, (n, 4, eta.shape[-1])), 4, axis=1)
+        return _collapse(fam_mod.rp_logl(co.rp, d, coefs, at_y, bh, plus, minus, at_t0, ctx.empty), n)
 
-    if co.grid is None:
-        # time-constant linear predictor, closed-form hazards
-        # every array below is this call's own, so each step writes in place
-        eta = eval_eta(ctx, k, k)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            event = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
-            cum = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
-            if bh is not None:
-                np.log(np.add(np.exp(event, out=event), bh, out=event), out=event)
-            np.copyto(event, 0.0, where=d == 0)
-            ll = _apply(ctx, np.subtract, event, cum, event)
-            if emask.any():
-                entry = fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc, out=cum)
-                np.copyto(entry, 0.0, where=~emask)
-                ll = _apply(ctx, np.add, ll, entry, ll, entry)
-        return _collapse(ll, n)
-
-    fctx = FamilyContext(ctx, k, None)
-    tgrid = co.grid.t
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if fam.user_cumhazard is not None and fam.user_hazard is None:
+        if co.grid is None:
+            # time-constant linear predictor, closed-form hazards
+            eta = eval_eta(ctx, k, k)
+            log_h = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
+            H = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
+            H0 = fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc, out=_out_for(ctx, y3, eta, *anc)) if entry else None
+        elif fam.user_cumhazard is not None and fam.user_hazard is None:
             # grid columns are [y | y e^step | y e^-step | t0]; the hazard is
             # a central difference on log time: h = (dH/dlog t)/t
-            ch = np.asarray(fam.user_cumhazard(fctx, tgrid[:, :, None]), dtype=float)
+            ch = np.asarray(fam.user_cumhazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)
             ch = np.broadcast_to(ch, (n, 4, ch.shape[-1]))
-            hazard = (ch[:, 1:2, :] - ch[:, 2:3, :]) / (2.0 * co.log_step) / y3
-            event = np.where(d != 0, np.log(np.maximum(hazard, 1e-300)), 0.0)
-            return _collapse(event - ch[:, 0:1, :] + np.where(emask, ch[:, 3:4, :], 0.0), n)
-        # hazard quadrature: grid columns are [y | y-nodes | entry-nodes]
-        if fam.user_hazard is not None:
-            haz = np.asarray(fam.user_hazard(fctx, tgrid[:, :, None]), dtype=float)
-            haz = np.broadcast_to(haz, (n, 1 + 2 * q, haz.shape[-1]))
-            log_h_event = np.log(np.maximum(haz[:, 0:1, :], 1e-300))
-            h_body = haz[:, 1 : 1 + q, :]
-            h_entry = haz[:, 1 + q :, :]
+            h = (ch[:, 1:2, :] - ch[:, 2:3, :]) / (2.0 * co.log_step) / y3
+            log_h = fam_mod.log_hazard_value(h, ctx.empty, out=h)
+            H = ch[:, 0:1, :]
+            H0 = ch[:, 3:4, :] if entry else None
         else:
-            eta_all = eval_eta(ctx, k, k, co.grid)
-            base = fam.base_log_hazard(tgrid[:, :, None], anc)
-            log_h = _apply(ctx, np.add, eta_all, base)
-            b = log_h.shape[-1]
-            log_h = np.broadcast_to(log_h, (n, 1 + 2 * q, b))
-            log_h_event = log_h[:, 0:1, :]
-            h_body = np.exp(log_h[:, 1 : 1 + q, :], out=ctx.empty((n, q, b)))
-            h_entry = np.exp(log_h[:, 1 + q :, :], out=ctx.empty((n, q, b)))
-        cum = 0.5 * y3 * _node_sum(ctx, "q,nqb->nb", w, h_body)[:, None, :]
-        cum0 = np.where(emask, 0.5 * t03 * _node_sum(ctx, "q,nqb->nb", w, h_entry)[:, None, :], 0.0)
-        if bh is not None:
-            event = np.where(d != 0, np.log(np.maximum(np.exp(log_h_event) + bh, 1e-300)), 0.0)
-        else:
-            event = np.where(d != 0, log_h_event, 0.0)
-        ll = event - cum + cum0
+            # hazard quadrature: grid columns are [y | y-nodes | entry-nodes]
+            if fam.user_hazard is not None:
+                haz = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)
+                haz = np.broadcast_to(haz, (n, 1 + 2 * q, haz.shape[-1]))
+                log_h = fam_mod.log_hazard_value(haz[:, 0:1, :], ctx.empty)
+                h_body = haz[:, 1 : 1 + q, :]
+                h_entry = haz[:, 1 + q :, :]
+            else:
+                eta_all = eval_eta(ctx, k, k, co.grid)
+                base = fam.base_log_hazard(co.grid.t[:, :, None], anc)
+                log_all = _apply(ctx, np.add, eta_all, base)
+                b = log_all.shape[-1]
+                log_all = np.broadcast_to(log_all, (n, 1 + 2 * q, b))
+                log_h = log_all[:, 0:1, :]
+                h_body = np.exp(log_all[:, 1 : 1 + q, :], out=ctx.empty((n, q, b)))
+                h_entry = np.exp(log_all[:, 1 + q :, :], out=ctx.empty((n, q, b))) if entry else None
+            H = 0.5 * y3 * _node_sum(ctx, "q,nqb->nb", w, h_body)[:, None, :]
+            H0 = 0.5 * t03 * _node_sum(ctx, "q,nqb->nb", w, h_entry)[:, None, :] if entry else None
+        ll = fam_mod.survival_logl(log_h, bh, H, H0, d, emask, ctx.empty)
     return _collapse(ll, n)
-

@@ -16,7 +16,7 @@ import numpy as np
 from .data import DataFrame
 from .dsl import _as_spec
 from .integrate import ReKernel
-from .predictor import EvalContext, Program, compile_program, eval_eta
+from .predictor import EvalContext, FamilyContext, Program, compile_program, eval_eta
 
 __all__ = ["simulate", "SimulationError"]
 
@@ -268,7 +268,8 @@ def simulate(
 def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, censor):
     """Solve H(t) = target per row. Closed forms for the standard
     families with a time-constant linear predictor; otherwise bisection
-    on the quadrature cumulative hazard up to the censoring time.
+    up to the censoring time on the cumulative hazard: the spline's, a
+    user ``chfunction``'s, or the quadrature of the hazard.
     """
     co = program.outcomes[k]
     fam = co.family
@@ -300,9 +301,6 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, ce
         raise SimulationError("time-dependent hazards need a censoring time to bracket the inversion")
 
     def cumhaz(upper: np.ndarray) -> np.ndarray:
-        u, w = program.gl_nodes, program.gl_weights
-        grid = 0.5 * upper[:, None] * (u[None, :] + 1.0)
-        grid = np.maximum(grid, 1e-300)
         if name == "rp":
             coefs = ctx.theta[co.spline_slots]
             from .basis import rcs_eval
@@ -314,16 +312,18 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, ce
                 eta = eval_eta(ctx, k, k)[:, 0, 0]
             s = rcs_eval(co.spline_basis, np.log(safe_t)) @ coefs
             return np.exp(s + eta)
-        eta = eval_eta(ctx, k, k, grid)
-        if eta.shape[1] == 1:
-            eta = np.broadcast_to(eta, (len(upper), grid.shape[1], eta.shape[2]))
+        if fam.user_cumhazard is not None and fam.user_hazard is None:
+            ch = np.asarray(fam.user_cumhazard(FamilyContext(ctx, k, None), upper[:, None, None]), dtype=float)
+            return np.broadcast_to(ch, (len(upper), 1, 1))[:, 0, 0]
+        u, w = program.gl_nodes, program.gl_weights
+        grid = np.maximum(0.5 * upper[:, None] * (u[None, :] + 1.0), 1e-300)
         if fam.user_hazard is not None:
-            from .predictor import FamilyContext
-
-            fctx = FamilyContext(ctx, k, None)
-            h = np.asarray(fam.user_hazard(fctx, grid[:, :, None]), dtype=float)
+            h = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), grid[:, :, None]), dtype=float)
             h = np.broadcast_to(h, (len(upper), grid.shape[1], h.shape[-1]))[:, :, 0]
         else:
+            eta = eval_eta(ctx, k, k, grid)
+            if eta.shape[1] == 1:
+                eta = np.broadcast_to(eta, (len(upper), grid.shape[1], eta.shape[2]))
             h = np.exp(eta[:, :, 0] + fam.base_log_hazard(grid, anc))
         return 0.5 * upper * (h @ w)
 

@@ -290,6 +290,11 @@ class TestExitCodes:
         text = out.read_text()
         assert "converged: false" in text
         assert "message: cannot regularize the Hessian to a definite matrix" in text
+        # an information matrix that is not positive definite gives no
+        # standard errors or intervals
+        estimates = text.split("estimates:\n")[1].split("covariance:")[0].splitlines()
+        assert len(estimates) == 4
+        assert all(line.endswith(", ., ., .]") for line in estimates)
 
     @pytest.mark.parametrize(
         "flags,name",

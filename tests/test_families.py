@@ -261,15 +261,15 @@ class TestRpLogl:
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_in_place_equals_new_array_form(self, time_dependent):
         # the in-place arithmetic, in workspace buffers, against the
-        # expression it replaced, bit for bit: node columns, delayed
-        # entry, a reference hazard, censored rows and negative hazards
+        # new-array expression, bit for bit: node columns, delayed entry,
+        # a reference hazard or none, censored rows and negative hazards
         basis = RcsBasis((-2.0, 0.0, 1.0, 2.0))
         rng = np.random.default_rng(11)
         n, b = 40, 6
         y = rng.uniform(0.1, 5.0, (n, 1, 1))
         t0 = np.where(rng.random((n, 1, 1)) < 0.4, 0.5 * y, 0.0)
         d = (rng.random((n, 1, 1)) < 0.6).astype(float)
-        bhaz = rng.uniform(0.0, 0.2, (n, 1, 1))
+        reference = rng.uniform(0.0, 0.2, (n, 1, 1))
         coefs = np.array([0.6, 0.0, 0.1])  # log H falls with time at about half the rows
         eta = rng.normal(size=(n, 1, b))
         step = 1e-3 * np.ones((n, 1, 1)) if time_dependent else None
@@ -287,21 +287,25 @@ class TestRpLogl:
             dF = (f_plus - f_minus) / (2.0 * cols.log_step)
         else:
             dF = times(cols.deriv_at_y)
-        with np.errstate(invalid="ignore"):
-            total = H * dF / cols.y + bhaz
-            event_term = np.where(total > 0, np.log(np.maximum(total, 1e-300)), -np.inf)
-        expect = np.where(d != 0, d * event_term, 0.0) - H
+        with np.errstate(invalid="ignore", divide="ignore"):
+            h = H * dF / cols.y
+            log_h = np.where(h > 0, np.log(np.maximum(h, 1e-300)), -np.inf)
         entry_eta = kw.get("eta_entry", eta)
-        expect = expect + np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
-        assert np.isneginf(expect).any() and np.isfinite(expect).any()
+        entry = np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
+        for bhaz in (None, reference):
+            # a model hazard that is not positive stays -inf whatever bhaz
+            with np.errstate(invalid="ignore", divide="ignore"):
+                event_term = log_h if bhaz is None else np.where(log_h > -np.inf, np.log(np.exp(log_h) + bhaz), -np.inf)
+            expect = np.where(d != 0, event_term, 0.0) - H + entry
+            assert np.isneginf(expect).any() and np.isfinite(expect).any()
 
-        ws = Workspace()
-        got = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
-        assert got.tobytes() == expect.tobytes()
-        ws.reset()
-        again = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
-        assert again is got and again.tobytes() == expect.tobytes()  # the same buffers, reused
-        assert rp_logl(cols, d, coefs, eta, bhaz=bhaz, **kw).tobytes() == expect.tobytes()
+            ws = Workspace()
+            got = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
+            assert got.tobytes() == expect.tobytes()
+            ws.reset()
+            again = rp_logl(cols, d, coefs, eta, bhaz=bhaz, empty=ws.take, **kw)
+            assert again is got and again.tobytes() == expect.tobytes()  # the same buffers, reused
+            assert rp_logl(cols, d, coefs, eta, bhaz=bhaz, **kw).tobytes() == expect.tobytes()
 
 
 class TestUserFamilies:
@@ -393,6 +397,26 @@ class TestUserFamilies:
         np.testing.assert_allclose(fa.logl, fc.logl, rtol=1e-9)
         np.testing.assert_allclose(fb.logl, fc.logl, rtol=1e-9)
         np.testing.assert_allclose(fa.estimate("_cons"), fc.estimate("_cons"), atol=1e-6)
+        np.testing.assert_allclose(fb.estimate("_cons"), fc.estimate("_cons"), atol=1e-6)
+
+    def test_cumhazard_hook_takes_the_reference_hazard(self):
+        # bhazard adds to a chfunction hook's hazard as to the family's
+        rng = np.random.default_rng(13)
+        n = 80
+        t = rng.weibull(1.5, n) * 2
+        y = np.minimum(np.maximum(t, 1e-3), 3.0)
+        data = {"y": y, "d": (t < 3.0).astype(float), "bh": rng.uniform(0.0, 0.3, n)}
+
+        def wb_bh_cumhaz(ctx, t):
+            return np.exp(ctx.linpred()) * t ** np.exp(ctx.ancillary(1))
+
+        register_user_family(cumhazard=wb_bh_cumhaz, n_anc=1)
+        import hiermix as hm
+
+        lg = math.log(1.5)
+        fb = hm.fit_model("(y, family(user, chfunction(wb_bh_cumhaz) failure(d) bhazard(bh)))", data, fixed={"anc1": lg})
+        fc = hm.fit_model("(y, family(weibull, failure(d) bhazard(bh)))", data, fixed={"ln_gamma": lg})
+        np.testing.assert_allclose(fb.logl, fc.logl, rtol=1e-7)
         np.testing.assert_allclose(fb.estimate("_cons"), fc.estimate("_cons"), atol=1e-6)
 
     def test_level1_variance_hook_matches_gaussian_when_constant(self):

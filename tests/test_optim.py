@@ -346,6 +346,34 @@ class TestMaximize:
         with pytest.raises(FitError, match="starting"):
             maximize(stackable(lambda th: np.nan), np.array([0.0]))
 
+    def test_non_finite_probes_end_the_fit_flagged(self):
+        # finite only at its start: the first gradient's probes stay
+        # non-finite however far they shrink
+        start = np.array([0.5, -1.0])
+        res = maximize(stackable(lambda th: -1.0 if np.array_equal(th, start) else np.nan), start)
+        assert not res.converged and not res.optimum_verified
+        assert res.message == "objective is not finite near the finite-difference probe points"
+        assert res.theta.tobytes() == start.tobytes() and res.logl == -1.0
+        assert np.isnan(res.grad).all() and np.isnan(res.hessian).all()
+
+    def test_fit_with_non_finite_probes_reports_no_standard_errors(self):
+        # an sd of 1e-9 in a hook without a positivity guard: every
+        # gradient probe of the sd, at the halved steps too, is negative
+        def gauss_sd_logl(ctx):
+            y, mu, sd = ctx.response(), ctx.linpred(), ctx.ancillary(1)
+            return -0.5 * np.log(2 * np.pi) - np.log(sd) - 0.5 * ((y - mu) / sd) ** 2
+
+        hm.register_user_family(loglf=gauss_sd_logl, n_anc=1)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=40)
+        data = {"y": 0.5 + x + rng.normal(size=40), "x": x}
+        with np.errstate(invalid="ignore", divide="ignore"):
+            res = hm.fit_model("(y x, family(user, loglf(gauss_sd_logl)) np(1))", data, init={"anc1": 1e-9})
+        assert not res.converged and not res.optimum_verified
+        assert res.message == "objective is not finite near the finite-difference probe points"
+        assert res.estimate("anc1") == 1e-9 and np.isfinite(res.logl)
+        assert all(row["se"] is None and row["lo"] is None and row["hi"] is None for row in res.table)
+
 
 def separated_bernoulli(seed=1):
     """30 clusters x 4 rows with y = (x > 0): x separates the outcome."""

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 import hiermix as hm
 from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
 from hiermix.families import RpColumns, rp_logl
 from hiermix.likelihood import LikelihoodEvaluator, default_plan
-from hiermix.predictor import CompileError, EvalContext, compile_program, eval_eta, eval_ev
+from hiermix.predictor import CompileError, EvalContext, compile_program, eval_eta, eval_ev, outcome_logl
 from oracles import marginal_logl
 
 
@@ -378,3 +380,180 @@ class TestCompiledInputs:
         cols = RpColumns(prog.outcomes[0].spline_basis, y.reshape(-1, 1, 1), t0=t0.reshape(-1, 1, 1))
         direct = rp_logl(cols, data["d"].reshape(-1, 1, 1), coefs, eta)
         assert engine == math.fsum(direct.ravel().tolist())
+
+
+# --- every survival hazard form against references written here -----------
+
+_Y = np.array([0.3, 0.7, 1.1, 1.6, 2.2, 0.5, 1.9, 2.8, 0.9, 1.3])
+_D = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+_X = np.array([0.0, 1.0, 0.5, -0.3, 1.2, 0.8, -1.0, 0.2, 0.4, -0.6])
+_T0 = np.array([0.0, 0.2, 0.0, 0.5, 1.0, 0.0, 0.4, 0.0, 0.1, 0.0])
+_BH = np.array([0.05, 0.1, 0.2, 0.0, 0.3, 0.15, 0.02, 0.08, 0.12, 0.07])
+_KNOTS = (-1.5, 0.2, 1.5)  # of the rp spline, on log time
+
+
+def _spline(v):
+    """s(v) = 1.2 v + 0.05 v2(v), a restricted cubic spline with knots
+    _KNOTS, and its derivative.
+    """
+    lo, mid, hi = _KNOTS
+    lam = (hi - mid) / (hi - lo)
+
+    def cube(u):
+        return max(u, 0.0) ** 3
+
+    def square(u):
+        return max(u, 0.0) ** 2
+
+    v2 = cube(v - mid) - lam * cube(v - lo) - (1.0 - lam) * cube(v - hi)
+    dv2 = 3.0 * (square(v - mid) - lam * square(v - lo) - (1.0 - lam) * square(v - hi))
+    return 1.2 * v + 0.05 * v2, 1.2 + 0.05 * dv2
+
+
+def _quad_cum(log_h):
+    def cum(t, x):
+        return quad(lambda s: math.exp(log_h(s, x)), 0.0, t, epsabs=0.0, epsrel=1e-13)[0]
+
+    return cum
+
+
+def _rp_td_log_cum(t, x):
+    return _spline(math.log(t))[0] + _eta(x) - 0.2 * x * t
+
+
+def _eta(x):  # the linear predictor at _cons -0.4, x 0.3
+    return -0.4 + 0.3 * x
+
+
+def _stats_form(dist):
+    """(log h, H) of a scipy.stats distribution built from eta."""
+    return (lambda t, x: dist(x).logpdf(t) - dist(x).logsf(t)), (lambda t, x: -dist(x).logsf(t))
+
+
+def _tbl_haz(ctx, t):
+    return np.exp(ctx.linpred() + ctx.ancillary(1)) * t
+
+
+def _tbl_cumhaz(ctx, t):
+    return np.exp(ctx.linpred()) * t**1.5
+
+
+def _weibull_td_log_h(t, x):
+    return _eta(x) - 0.2 * x * t + math.log(2.0) + math.log(t)
+
+
+def _hook_log_h(t, x):
+    return _eta(x) + 0.2 + math.log(t)
+
+
+# form: (spec terms and family options, parameters beyond _cons and x, log h(t, x), H(t, x))
+SURVIVAL_FORMS = {
+    "exponential": (
+        "x, family(exponential,",
+        {},
+        lambda t, x: _eta(x),
+        lambda t, x: math.exp(_eta(x)) * t,
+    ),
+    "weibull": (
+        "x, family(weibull,",
+        {"ln_gamma": math.log(1.3)},
+        *_stats_form(lambda x: stats.weibull_min(1.3, scale=math.exp(-_eta(x) / 1.3))),
+    ),
+    "gompertz": (
+        "x, family(gompertz,",
+        {"gamma": 0.4},
+        lambda t, x: _eta(x) + 0.4 * t,
+        lambda t, x: math.exp(_eta(x)) * math.expm1(0.4 * t) / 0.4,
+    ),
+    "lognormal": (
+        "x, family(lognormal,",
+        {"ln_sd": math.log(0.8)},
+        *_stats_form(lambda x: stats.lognorm(0.8, scale=math.exp(_eta(x)))),
+    ),
+    "loglogistic": (
+        "x, family(loglogistic,",
+        {"ln_gamma": math.log(0.7)},
+        *_stats_form(lambda x: stats.fisk(1.0 / 0.7, scale=math.exp(-_eta(x)))),
+    ),
+    "weibull_fp": (
+        "x x#fp(1)@phi, family(weibull,",
+        {"ln_gamma": math.log(2.0), "phi": -0.2},
+        _weibull_td_log_h,
+        _quad_cum(_weibull_td_log_h),
+    ),
+    "hfunction": ("x, family(user, hfunction(tbl_haz)", {"anc1": 0.2}, _hook_log_h, _quad_cum(_hook_log_h)),
+    "chfunction": (
+        "x, family(user, chfunction(tbl_cumhaz)",
+        {},
+        lambda t, x: _eta(x) + math.log(1.5 * math.sqrt(t)),
+        lambda t, x: math.exp(_eta(x)) * t**1.5,
+    ),
+    "rp": (
+        f"x, family(rp, knots({' '.join(map(str, _KNOTS))})",
+        {"rcs1": 1.2, "rcs2": 0.05},
+        lambda t, x: _spline(math.log(t))[0] + _eta(x) + math.log(_spline(math.log(t))[1] / t),
+        lambda t, x: math.exp(_spline(math.log(t))[0] + _eta(x)),
+    ),
+    "rp_td": (
+        f"x x#fp(1)@phi, family(rp, knots({' '.join(map(str, _KNOTS))})",
+        {"rcs1": 1.2, "rcs2": 0.05, "phi": -0.2},
+        lambda t, x: _rp_td_log_cum(t, x) + math.log((_spline(math.log(t))[1] - 0.2 * x * t) / t),
+        lambda t, x: math.exp(_rp_td_log_cum(t, x)),
+    ),
+}
+
+
+def _form_logl(terms: str, extra: dict, entry: bool, reference: bool):
+    """outcome_logl of the model "(y {terms} ...))" at _cons -0.4, x 0.3
+    and ``extra``, per data row.
+    """
+    options = " failure(d)" + (" ltrunc(t0)" if entry else "") + (" bhazard(bh)" if reference else "")
+    prog = make_program(f"(y {terms}{options}))", {"y": _Y, "d": _D, "x": _X, "t0": _T0, "bh": _BH})
+    theta = theta_by_name(prog, {"_cons": -0.4, "x": 0.3, **extra})
+    ll = outcome_logl(EvalContext(prog, theta), 0)[:, 0]
+    by_row = np.empty(len(ll))
+    by_row[prog.outcomes[0].rows] = ll
+    return by_row
+
+
+class TestSurvivalForms:
+    """Each survival hazard form's rows, d log(h(y) + b) - H(y) + H(t0),
+    against closed forms, scipy.stats and scipy.integrate.quad.
+    """
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["no_bhazard", "bhazard"])
+    @pytest.mark.parametrize("entry", [False, True], ids=["no_entry", "entry"])
+    @pytest.mark.parametrize("form", list(SURVIVAL_FORMS))
+    def test_rows_match_reference(self, form, entry, reference):
+        hm.register_user_family("tbl_haz", hazard=_tbl_haz, n_anc=1)
+        hm.register_user_family("tbl_cumhaz", cumhazard=_tbl_cumhaz)
+        terms, extra, log_h, cum = SURVIVAL_FORMS[form]
+        expect = []
+        for y, d, x, t0, b in zip(_Y, _D, _X, _T0, _BH):
+            event = math.log(math.exp(log_h(y, x)) + b) if reference else log_h(y, x)
+            term = d * event - cum(y, x)
+            if entry and t0 > 0:
+                term += cum(t0, x)
+            expect.append(term)
+        np.testing.assert_allclose(_form_logl(terms, extra, entry, reference), expect, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["no_bhazard", "bhazard"])
+    @pytest.mark.parametrize(
+        "hook,kind,negative",
+        [
+            # h = e^eta (t - 1): not positive before t = 1
+            (lambda ctx, t: np.exp(ctx.linpred()) * (t - 1.0), "hazard", _Y <= 1.0),
+            # H = e^eta (t - 0.4 t^2) falls after t = 1.25
+            (lambda ctx, t: np.exp(ctx.linpred()) * (t - 0.4 * t**2), "cumhazard", _Y > 1.25),
+        ],
+        ids=["hfunction", "chfunction"],
+    )
+    def test_hook_hazard_not_positive_at_an_event_is_minus_inf(self, hook, kind, negative, reference):
+        name = f"tbl_negative_{kind}"
+        hm.register_user_family(name, **{kind: hook})
+        option = "hfunction" if kind == "hazard" else "chfunction"
+        ll = _form_logl(f"x, family(user, {option}({name})", {}, False, reference)
+        at_event = negative & (_D != 0)
+        assert at_event.any() and (~at_event).any()
+        assert np.all(ll[at_event] == -np.inf)
+        assert np.all(np.isfinite(ll[~at_event]))

@@ -109,6 +109,31 @@ class TestSurvivalSimulation:
         s1 = math.exp(-0.3 / 0.8 * (math.exp(0.8) - 1))
         assert abs(s1_hat - s1) < 0.02
 
+    def test_cumhazard_hook_inverts_like_weibull(self):
+        # H = exp(eta) t^1.3 is the weibull family's with gamma 1.3: the
+        # same theta and seed draw the same numbers, and the bisection
+        # on the hook's H lands on the weibull's closed-form times
+        def sim_wb_cumhaz(ctx, t):
+            return np.exp(ctx.linpred()) * t ** np.exp(ctx.ancillary(1))
+
+        hm.register_user_family(cumhazard=sim_wb_cumhaz, n_anc=1)
+        values = {"trt": 0.4, "_cons": -0.8, "ln_sd(M1)": -0.5}
+        common = dict(
+            levels={"id": 40},
+            covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+            outcomes=[{"censoring": 5.0, "records": 2}],
+            seed=7,
+        )
+        hook = simulate(
+            "(t trt M1[id], family(user, chfunction(sim_wb_cumhaz) failure(d)))",
+            {**values, "anc1": math.log(1.3)},
+            **common,
+        )
+        wb = simulate("(t trt M1[id], family(weibull, failure(d)))", {**values, "ln_gamma": math.log(1.3)}, **common)
+        assert (hook.col("d") == 1.0).any() and (hook.col("d") == 0.0).any()
+        np.testing.assert_array_equal(hook.col("d"), wb.col("d"))
+        np.testing.assert_allclose(hook.col("t"), wb.col("t"), rtol=0, atol=1e-8)
+
     def test_joint_layout_and_missing_pattern(self):
         frame = simulate(
             "(stime trt EV[logb]@a, family(weibull, failure(died)))"
