@@ -162,7 +162,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="model specification text")
-    p.add_argument("--spec-file", help="file with the specification (text or structured JSON)")
+    p.add_argument("--spec-file", help="file with the specification text")
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--points", help="quadrature points per dimension (int or level=int,...)")
     p.add_argument("--draws", help="Monte Carlo draws (int or level=int,...)")

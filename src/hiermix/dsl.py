@@ -10,7 +10,6 @@ and carry their cluster path in brackets, ``M1[trial>patient]``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 
@@ -33,8 +32,6 @@ __all__ = [
     "ValidationReport",
     "parse_model_spec",
     "render_spec",
-    "spec_to_dict",
-    "spec_from_dict",
     "load_spec_file",
     "save_spec_file",
     "validate_spec",
@@ -136,7 +133,6 @@ class Component:
 class FamilySpec:
     name: str
     failure: str | None = None
-    scale: str | None = None
     df: int | None = None
     knots: tuple[float, ...] | None = None
     ltrunc: str | None = None
@@ -402,7 +398,11 @@ def _parse_family(args: str, pos: int) -> FamilySpec:
             if key == "failure":
                 fields["failure"] = val.strip()
             elif key == "scale":
-                fields["scale"] = val.strip()
+                # the spline model's only scale, log cumulative hazard
+                if name != "rp":
+                    raise SpecSyntaxError(f"scale() is not an option of family {name!r}", pos)
+                if val.strip() != "h":
+                    raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({val.strip()})", pos)
             elif key == "df":
                 fields["df"] = _parse_int(val, p, "family df")
             elif key == "knots":
@@ -433,13 +433,8 @@ def _check_family(fam: FamilySpec, pos: int) -> None:
         raise SpecSyntaxError(f"family {fam.name!r} needs a failure() event indicator", pos)
     if fam.name == "null" and fam.failure:
         raise SpecSyntaxError("family(null) takes no failure()", pos)
-    if fam.name == "rp":
-        if fam.scale not in (None, "h"):
-            raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({fam.scale})", pos)
-        if fam.df is None and fam.knots is None:
-            raise SpecSyntaxError("family(rp) needs df() or knots()", pos)
-    elif fam.scale is not None:
-        raise SpecSyntaxError(f"scale() is not an option of family {fam.name!r}", pos)
+    if fam.name == "rp" and fam.df is None and fam.knots is None:
+        raise SpecSyntaxError("family(rp) needs df() or knots()", pos)
     if fam.name == "binomial" and fam.k is None:
         raise SpecSyntaxError("family(binomial) needs k(), the number of trials", pos)
     if fam.name == "user":
@@ -692,12 +687,14 @@ def _check_timevars(spec: ModelSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and structured form
+# Rendering and specification files
 # ---------------------------------------------------------------------------
 
 
 def _fmt_num(x: float) -> str:
-    return format(x, "g")
+    """The shortest text that reads back as the same float."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _element_text(el: Element) -> str:
@@ -711,9 +708,12 @@ def _element_text(el: Element) -> str:
         return f"{el.kind}[{el.target}]"
     if el.kind == "fp":
         return f"fp({' '.join(_fmt_num(p) for p in el.powers)})"
+    opts = []
+    if el.df is not None:
+        opts.append(f"df({el.df})")
     if el.knots is not None:
-        return f"rcs(knots({' '.join(_fmt_num(v) for v in el.knots)}))"
-    return f"rcs(df({el.df}))"
+        opts.append(f"knots({' '.join(_fmt_num(v) for v in el.knots)})")
+    return f"rcs({' '.join(opts)})"
 
 
 def _component_text(comp: Component) -> str:
@@ -723,7 +723,7 @@ def _component_text(comp: Component) -> str:
 
 def _family_text(fam: FamilySpec) -> str:
     opts = []
-    if fam.failure:
+    if fam.failure is not None:
         opts.append(f"failure({fam.failure})")
     if fam.name == "rp":
         opts.append("scale(h)")
@@ -733,25 +733,27 @@ def _family_text(fam: FamilySpec) -> str:
         opts.append(f"knots({' '.join(_fmt_num(v) for v in fam.knots)})")
     if fam.k is not None:
         opts.append(f"k({fam.k})")
-    if fam.loglf:
+    if fam.loglf is not None:
         opts.append(f"loglf({fam.loglf})")
-    if fam.hazard:
+    if fam.hazard is not None:
         opts.append(f"hfunction({fam.hazard})")
-    if fam.cumhazard:
+    if fam.cumhazard is not None:
         opts.append(f"chfunction({fam.cumhazard})")
     if fam.n_anc:
         opts.append(f"np({fam.n_anc})")
-    if fam.ltrunc:
+    if fam.ltrunc is not None:
         opts.append(f"ltrunc({fam.ltrunc})")
-    if fam.bhazard:
+    if fam.bhazard is not None:
         opts.append(f"bhazard({fam.bhazard})")
     inner = fam.name if not opts else f"{fam.name}, {' '.join(opts)}"
     return f"family({inner})"
 
 
 def render_spec(spec: ModelSpec) -> str:
-    """Canonical text for a ModelSpec; parsing it back gives a
-    structurally identical specification.
+    """Canonical text for a ModelSpec, the one serialized form of a
+    model: ``parse_model_spec`` of it gives an equal ModelSpec. Numbers
+    keep every digit; ``rp`` is always written with ``scale(h)``, its
+    only scale.
     """
     groups = []
     for outcome in spec.outcomes:
@@ -760,7 +762,7 @@ def render_spec(spec: ModelSpec) -> str:
             items.append(outcome.response)
         items.extend(_component_text(c) for c in outcome.components)
         opts = [_family_text(outcome.family)]
-        if outcome.timevar:
+        if outcome.timevar is not None:
             opts.append(f"timevar({outcome.timevar})")
         if outcome.noconstant:
             opts.append("noconstant")
@@ -771,124 +773,34 @@ def render_spec(spec: ModelSpec) -> str:
         tail.append(f"covariance({spec.covariance})")
     if spec.re_distribution != "normal":
         tail.append(f"redistribution({spec.re_distribution})")
+    if spec.t_df is not None:
         tail.append(f"df({spec.t_df})")
     if tail:
         text += " , " + " ".join(tail)
     return text
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    """Structured form mirroring the specification tree."""
-
-    def el_dict(el: Element) -> dict:
-        if isinstance(el, Covariate):
-            return {"covariate": el.name}
-        if isinstance(el, Intercept):
-            return {"intercept": True}
-        if isinstance(el, Latent):
-            return {"latent": el.name, "path": list(el.path)}
-        if isinstance(el, EVLink):
-            return {"evlink": el.kind, "target": el.target}
-        d: dict = {"timefn": el.kind}
-        if el.powers is not None:
-            d["powers"] = list(el.powers)
-        if el.df is not None:
-            d["df"] = el.df
-        if el.knots is not None:
-            d["knots"] = list(el.knots)
-        return d
-
-    doc: dict = {"outcomes": []}
-    for outcome in spec.outcomes:
-        fam = {k: v for k, v in vars(outcome.family).items() if v not in (None, 0, False)}
-        fam["name"] = outcome.family.name
-        odoc = {
-            "response": outcome.response,
-            "family": fam,
-            "components": [
-                {"elements": [el_dict(e) for e in c.elements], "coefficient": c.coef} for c in outcome.components
-            ],
-        }
-        if outcome.timevar:
-            odoc["timevar"] = outcome.timevar
-        if outcome.noconstant:
-            odoc["noconstant"] = True
-        doc["outcomes"].append(odoc)
-    if spec.covariance != "independent":
-        doc["covariance"] = spec.covariance
-    if spec.re_distribution != "normal":
-        doc["redistribution"] = spec.re_distribution
-        doc["df"] = spec.t_df
-    return doc
-
-
-def spec_from_dict(doc: dict) -> ModelSpec:
-    def el_from(d: dict) -> Element:
-        if "covariate" in d:
-            return Covariate(d["covariate"])
-        if d.get("intercept"):
-            return Intercept()
-        if "latent" in d:
-            return Latent(d["latent"], tuple(d["path"]))
-        if "evlink" in d:
-            return EVLink(d["evlink"], d["target"])
-        if "timefn" in d:
-            return TimeFn(
-                d["timefn"],
-                powers=tuple(d["powers"]) if "powers" in d else None,
-                df=d.get("df"),
-                knots=tuple(d["knots"]) if "knots" in d else None,
-            )
-        raise SpecValidationError(f"unknown element entry {d!r}")
-
-    outcomes = []
-    for odoc in doc["outcomes"]:
-        fam_doc = dict(odoc["family"])
-        if "knots" in fam_doc:
-            fam_doc["knots"] = tuple(fam_doc["knots"])
-        fam = FamilySpec(**fam_doc)
-        _check_family(fam, 0)
-        comps = tuple(
-            Component(tuple(el_from(e) for e in c["elements"]), c.get("coefficient")) for c in odoc["components"]
-        )
-        outcomes.append(
-            OutcomeSpec(
-                response=odoc.get("response"),
-                family=fam,
-                components=comps,
-                timevar=odoc.get("timevar"),
-                noconstant=bool(odoc.get("noconstant", False)),
-            )
-        )
-    return _finalize(
-        tuple(outcomes),
-        doc.get("covariance", "independent"),
-        doc.get("redistribution", "normal"),
-        doc.get("df"),
-    )
-
-
 def load_spec_file(path) -> ModelSpec:
+    """Parse the specification text in a file, as ``save_spec_file``
+    writes it.
+    """
     with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return spec_from_dict(json.loads(text))
-    return parse_model_spec(text)
+        return parse_model_spec(fh.read())
 
 
 def _as_spec(spec) -> ModelSpec:
-    """A ModelSpec as given, from its dict form, or parsed from text."""
+    """A ModelSpec as given, or parsed from its text."""
     if isinstance(spec, ModelSpec):
         return spec
-    if isinstance(spec, dict):
-        return spec_from_dict(spec)
     return parse_model_spec(str(spec))
 
 
 def save_spec_file(spec: ModelSpec, path) -> None:
+    """Write the canonical text of a specification, which
+    ``load_spec_file`` reads back as an equal ModelSpec.
+    """
     with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+        fh.write(render_spec(spec) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,9 @@ class _LevelState:
 # on 400-row spline-baseline frailty fits (2800 values per vector),
 # groups of 2^14 values fitted faster than groups of 2^13 or 2^16 and
 # raised peak memory by 0.4 MB, where 2^16 raised it by 4.6 MB. Counting
-# evaluation times keeps a joint model with hazard-quadrature grids (61
-# times per survival row) at one vector per group: evaluated two at a
-# time, its fits took 35% longer.
+# evaluation times keeps a joint model with hazard-quadrature grids (31
+# times per survival row, 61 with delayed entry) at one vector per group:
+# evaluated two at a time, its fits took 35% longer.
 _CHUNK_VALUES = 1 << 16
 _GROUP_VALUES = 1 << 14
 

@@ -480,13 +480,6 @@ def initial_values(program) -> np.ndarray:
                 if co.cons_slot is not None:
                     theta[co.cons_slot] = base_rate
             continue
-        if fam.user_loglf is not None:
-            x, slots, names = _initial_design(program, co)
-            if x is not None:
-                _check_design(x, names, co.label)
-                beta = _glm_irls(*_by_value(x, co.response), "identity")
-                theta[slots] = beta
-            continue
         x, slots, names = _initial_design(program, co)
         if x is None:
             continue

@@ -137,7 +137,8 @@ class _CompiledOutcome:
         self.spline_slots: list[int] = []
         self.time_indexed = False  # expected value depends on time (directly or through EV links)
         # own evaluation times: (n, 1) measurement times, or the survival
-        # grid [y | y-nodes | entry-nodes], or [y | y e^step | y e^-step | t0]
+        # grid [y | y-nodes], with [| entry-nodes] when a row has delayed
+        # entry, or [y | y e^step | y e^-step | t0]
         self.grid: Grid | None = None
         self.entry_mask: np.ndarray | None = None
         self.log_step: np.ndarray | None = None  # (n, 1, 1) log-time difference step
@@ -434,7 +435,8 @@ def _order_rows(program: Program, co: _CompiledOutcome) -> None:
 
 def _build_grids(program: Program, co: _CompiledOutcome) -> None:
     """Time grids for survival evaluation. Hazard quadrature takes the
-    event time, Gauss-Legendre nodes over (0, y] and nodes over (0, t0].
+    event time, Gauss-Legendre nodes over (0, y] and, when any row has
+    delayed entry, nodes over (0, t0].
     The spline model with a time-dependent eta, and a user cumulative
     hazard without a hazard, take the event time, y shifted by +/- a
     log-time step, and the entry time. The spline model's basis columns
@@ -459,9 +461,10 @@ def _build_grids(program: Program, co: _CompiledOutcome) -> None:
     if not (co.time_indexed or fam.user_hazard is not None):
         return  # closed-form hazards
     u = program.gl_nodes
-    ynodes = 0.5 * y[:, None] * (u[None, :] + 1.0)
-    enodes = 0.5 * t0_safe[:, None] * (u[None, :] + 1.0)
-    co.grid = Grid(np.concatenate([y[:, None], ynodes, enodes], axis=1))  # (n, 1 + 2q)
+    times = [y[:, None], 0.5 * y[:, None] * (u[None, :] + 1.0)]
+    if co.entry_mask.any():
+        times.append(0.5 * t0_safe[:, None] * (u[None, :] + 1.0))
+    co.grid = Grid(np.concatenate(times, axis=1))  # (n, 1 + q), or (n, 1 + 2q) with entry
 
 
 def _evaluated_at(program: Program, r: int, kinds: tuple[str, ...]) -> list[int]:
@@ -910,10 +913,12 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
             H = ch[:, 0:1, :]
             H0 = ch[:, 3:4, :] if entry else None
         else:
-            # hazard quadrature: grid columns are [y | y-nodes | entry-nodes]
+            # hazard quadrature: grid columns are [y | y-nodes], and
+            # [| entry-nodes] with delayed entry
+            a = co.grid.t.shape[1]
             if fam.user_hazard is not None:
                 haz = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)
-                haz = np.broadcast_to(haz, (n, 1 + 2 * q, haz.shape[-1]))
+                haz = np.broadcast_to(haz, (n, a, haz.shape[-1]))
                 log_h = fam_mod.log_hazard_value(haz[:, 0:1, :], ctx.empty)
                 h_body = haz[:, 1 : 1 + q, :]
                 h_entry = haz[:, 1 + q :, :]
@@ -922,7 +927,7 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
                 base = fam.base_log_hazard(co.grid.t[:, :, None], anc)
                 log_all = _apply(ctx, np.add, eta_all, base)
                 b = log_all.shape[-1]
-                log_all = np.broadcast_to(log_all, (n, 1 + 2 * q, b))
+                log_all = np.broadcast_to(log_all, (n, a, b))
                 log_h = log_all[:, 0:1, :]
                 h_body = np.exp(log_all[:, 1 : 1 + q, :], out=ctx.empty((n, q, b)))
                 h_entry = np.exp(log_all[:, 1 + q :, :], out=ctx.empty((n, q, b))) if entry else None

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,15 +47,31 @@ class TestFit:
         names = [l.split(",")[0] for l in lines[1:]]
         assert "trt" in names and "sd(M1)" in names
 
-    def test_spec_file_text_and_json(self, frailty_csv, tmp_path):
+    def test_spec_file_text_and_json(self, frailty_csv, tmp_path, capsys):
+        # a spec file holds the specification text; a JSON document of the
+        # same model is input the parser rejects
         sf = tmp_path / "model.txt"
         sf.write_text(SPEC + "\n")
         assert main(["fit", "--spec-file", str(sf), "--data", str(frailty_csv), "--out", str(tmp_path / "a")]) == 0
-        from hiermix.dsl import parse_model_spec, spec_to_dict
-
         jf = tmp_path / "model.json"
-        jf.write_text(json.dumps(spec_to_dict(parse_model_spec(SPEC))))
-        assert main(["fit", "--spec-file", str(jf), "--data", str(frailty_csv), "--out", str(tmp_path / "b")]) == 0
+        family = {"name": "exponential", "failure": "d"}
+        components = [{"elements": [{"covariate": "trt"}]}, {"elements": [{"latent": "M1", "path": ["id"]}]}]
+        jf.write_text(json.dumps({"outcomes": [{"response": "y", "family": family, "components": components}]}))
+        out = tmp_path / "b"
+        assert main(["fit", "--spec-file", str(jf), "--data", str(frailty_csv), "--out", str(out)]) == 3
+        assert "outside an outcome group (at position 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_document_spec_line_refits_identically(self, frailty_csv, tmp_path):
+        # the model: spec line keeps every digit of explicit knots, so
+        # fitting it again gives the same document
+        spec = "(y trt M1[id], family(rp, failure(d) knots(-3.14159265 0.123456789 1.38629436)))"
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        argv = ["fit", "--data", str(frailty_csv), "--points", "5", "--quiet", "--out"]
+        assert main(argv + [str(first), "--spec", spec]) == 0
+        line = next(line for line in first.read_text().splitlines() if line.startswith("  spec: "))
+        assert main(argv + [str(second), "--spec", line.removeprefix("  spec: ")]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_syntax_error_exit_code(self, frailty_csv, capsys):
         code = main(["fit", "--spec", "(y trt, family(nonsense))", "--data", str(frailty_csv)])
@@ -326,6 +343,71 @@ class TestExitCodes:
         assert code == 3
         assert "no events" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def _weibull_rows() -> list[list[float]]:
+    """(id, t, d, x) rows: 30 clusters x 3 Weibull times censored at 3.0."""
+    rng = np.random.default_rng(3)
+    b = rng.normal(0, 0.6, 30)
+    rows = []
+    for i in range(90):
+        x = rng.normal()
+        t = (rng.exponential() / (0.4 * np.exp(0.5 * x + b[i // 3]))) ** (1 / 1.2)
+        rows.append([i // 3 + 1, min(t, 3.0), float(t < 3.0), x])
+    return rows
+
+
+def _column(j, f):
+    """An edit of the rows that maps column j through f(row index, value)."""
+    return lambda rows: [[*row[:j], f(i, row[j]), *row[j + 1 :]] for i, row in enumerate(rows)]
+
+
+WEIBULL = "(t x M1[id], family(weibull, failure(d)))"
+NOT_A_SPEC = "outside an outcome group (at position 0)"
+
+# case: (edit of the _weibull_rows data, spec file text, exit code, a
+# fragment of the error or the document)
+FAILURE_TABLE = {
+    "as_simulated": (None, WEIBULL, 0, "converged: true"),
+    "nan_covariate": (_column(3, lambda i, v: math.nan if i == 4 else v), WEIBULL, 3, "missing at data row 5"),
+    "single_cluster": (_column(0, lambda i, v: 1), WEIBULL, 0, "converged: true"),
+    "singleton_clusters": (_column(0, lambda i, v: i + 1), WEIBULL, 0, "converged: true"),
+    "no_events": (_column(2, lambda i, v: 0.0), WEIBULL, 3, "no events"),
+    # rescaled times move only _cons and the log-likelihood, yet the
+    # information at the optimum comes out indefinite
+    "times_x1e6": (_column(1, lambda i, v: v * 1e6), WEIBULL, 2, "optimum not verified"),
+    "times_x1e-6": (_column(1, lambda i, v: v * 1e-6), WEIBULL, 2, "optimum not verified"),
+    "separated_bernoulli": (
+        lambda rows: [[r[0], r[1], float(r[3] > 0), r[3]] for r in rows],
+        "(d x M1[id], family(bernoulli))",
+        2,
+        "did not converge",
+    ),
+    "json_unknown_family_key": (
+        None,
+        '{"outcomes": [{"response": "t", "family": {"name": "weibull", "failure": "d", "shape": 2}, "components": []}]}',
+        3,
+        NOT_A_SPEC,
+    ),
+    "json_no_outcomes": (None, '{"covariance": "unstructured"}', 3, NOT_A_SPEC),
+    "json_empty": (None, "{}", 3, NOT_A_SPEC),
+}
+
+
+class TestFailureInjection:
+    @pytest.mark.parametrize("case", FAILURE_TABLE)
+    def test_exit_code_and_message(self, tmp_path, capsys, case):
+        edit, spec, expected, fragment = FAILURE_TABLE[case]
+        rows = _weibull_rows() if edit is None else edit(_weibull_rows())
+        data, spec_file, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "doc.txt"
+        lines = ["id,t,d,x"] + [",".join("" if math.isnan(v) else format(v, ".10g") for v in row) for row in rows]
+        data.write_text("\n".join(lines) + "\n")
+        spec_file.write_text(spec + "\n")
+        code = main(["fit", "--spec-file", str(spec_file), "--data", str(data), "--out", str(out), "--quiet"])
+        text = capsys.readouterr().err + (out.read_text() if out.exists() else "")
+        assert code == expected
+        assert fragment in text
+        assert out.exists() == (expected != 3)
 
 
 class TestCheckCommand:

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import hiermix as hm
 from hiermix.data import as_frame
@@ -8,10 +10,10 @@ from hiermix.dsl import (
     SpecSyntaxError,
     SpecValidationError,
     TimeFn,
+    load_spec_file,
     parse_model_spec,
     render_spec,
-    spec_from_dict,
-    spec_to_dict,
+    save_spec_file,
     validate_spec,
 )
 
@@ -73,12 +75,58 @@ class TestParseCorpus:
         assert spec == again
 
     @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
-    def test_structured_round_trip(self, text):
-        import json
-
+    def test_structured_round_trip(self, text, tmp_path):
+        # a spec file holds the canonical text, which reads back equal
         spec = parse_model_spec(text)
-        doc = json.loads(json.dumps(spec_to_dict(spec)))
-        assert spec_from_dict(doc) == spec
+        path = tmp_path / "model.txt"
+        save_spec_file(spec, path)
+        assert path.read_text() == render_spec(spec) + "\n"
+        assert load_spec_file(path) == spec
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_KNOTS = st.lists(_FLOATS, min_size=2, max_size=5, unique=True).map(sorted)
+
+
+def _numbers(values) -> str:
+    return " ".join(repr(v) for v in values)
+
+
+@st.composite
+def _spec_texts(draw) -> str:
+    """Model statements with every number and family option the canonical
+    text writes: knots and fp powers at full precision, rp with and
+    without scale(h), np(), ltrunc, bhazard and k().
+    """
+    scale = draw(st.sampled_from(["", " scale(h)"]))
+    baseline = f"knots({_numbers(draw(_KNOTS))})" if draw(st.booleans()) else f"df({draw(st.integers(1, 6))})"
+    entry = draw(st.sampled_from(["", " ltrunc(t0)"]))
+    bhazard = draw(st.sampled_from(["", " bhazard(bh)"]))
+    powers = _numbers(draw(st.lists(_FLOATS, min_size=1, max_size=3)))
+    groups = [
+        f"(t x x#fp({powers})@p1 M1[id], family(rp, failure(d){scale} {baseline}{entry}{bhazard}))",
+        f"(y rcs(knots({_numbers(draw(_KNOTS))}))@p2 M2[id], family(gaussian) timevar(time))",
+        f"(n x M1[id], family(binomial, k({draw(st.integers(1, 50))})))",
+        f"(u x M2[id], family(user, loglf(ll)) np({draw(st.integers(1, 4))}))",
+    ]
+    groups = draw(st.permutations(groups))[: draw(st.integers(1, len(groups)))]
+    tail = draw(st.sampled_from(["", ", covariance(unstructured)", ", redistribution(t) df(4)"]))
+    return " ".join(groups) + tail
+
+
+class TestCanonicalText:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(text=_spec_texts())
+    @example(text="(t x M1[id], family(rp, failure(d) knots(-3.14159265 0.123456789 1.38629436)))")
+    @example(text="(y rcs(df(3) knots(0.5 2.25))@s M1[id], family(gaussian) timevar(t)), df(3)")
+    @example(text="(y x, family(gaussian, failure() ltrunc()) timevar())")
+    def test_parse_of_render_is_identity(self, text):
+        spec = parse_model_spec(text)
+        assert parse_model_spec(render_spec(spec)) == spec
+
+    def test_rp_scale_is_written_whether_given_or_not(self):
+        texts = [f"(t x, family(rp, failure(d){scale} df(3)))" for scale in ("", " scale(h)")]
+        assert render_spec(parse_model_spec(texts[0])) == render_spec(parse_model_spec(texts[1])) == texts[1]
 
 
 class TestStructure:
@@ -198,6 +246,22 @@ class TestParseErrors:
     def test_nonnested_paths_rejected(self):
         with pytest.raises(SpecValidationError, match="nest"):
             parse_model_spec("(y M1[a>b], family(gaussian)) (z M2[c>d], family(gaussian))")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(t x, family(rp, failure(d) scale(odds) df(3)))", r"supports scale\(h\) only, got scale\(odds\)"),
+            ("(t x, family(weibull, failure(d) scale(h)))", r"scale\(\) is not an option of family 'weibull'"),
+        ],
+        ids=["rp_other_scale", "scale_off_rp"],
+    )
+    def test_scale_is_rp_h_only(self, text, message):
+        with pytest.raises(SpecSyntaxError, match=message):
+            parse_model_spec(text)
+
+    def test_dict_spec_rejected(self):
+        with pytest.raises(SpecSyntaxError, match="at position 0"):
+            hm.fit_model({"outcomes": []}, {"y": np.ones(3)})
 
     def test_ev_of_survival_rejected(self):
         with pytest.raises(SpecValidationError, match="survival"):
