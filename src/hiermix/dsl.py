@@ -250,18 +250,19 @@ _OPTION_RE = re.compile(r"^([A-Za-z_]\w*)\s*\((.*)\)$", re.DOTALL)
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
-def _parse_options(text: str, offset: int) -> list[tuple[str, str | None, int]]:
-    """Parse ``key(value) key(value) flag ...`` into (key, raw value or
-    None for bare flags, offset) triples.
+def _parse_options(text: str, offset: int) -> list[tuple[str, str | None, int, int]]:
+    """Parse ``key(value) key(value) flag ...`` into (key, value stripped,
+    "" for a bare flag, offset of the option, offset of the value) tuples.
     """
     out = []
     for chunk, pos in _split_depth0(text, offset, " \t\r\n"):
         chunk, pos = _strip(chunk, pos)
         m = _OPTION_RE.match(chunk)
         if m:
-            out.append((m.group(1), m.group(2).strip(), pos))
+            value, vpos = _strip(m.group(2), pos + m.start(2))
+            out.append((m.group(1), value, pos, vpos))
         elif _NAME_RE.match(chunk):
-            out.append((chunk, None, pos))
+            out.append((chunk, "", pos, pos))
         else:
             raise SpecSyntaxError(f"expected option, got {chunk!r}", pos)
     return out
@@ -340,7 +341,7 @@ def _parse_element(text: str, pos: int) -> Element:
             return TimeFn("fp", powers=powers)
         df = None
         knots = None
-        for key, val, p in _parse_options(args, pos):
+        for key, val, p, _ in _parse_options(args, pos):
             if key == "df":
                 df = _parse_int(val, p, "rcs df")
             elif key == "knots":
@@ -387,40 +388,53 @@ def _parse_component(text: str, pos: int) -> Component:
 # ---------------------------------------------------------------------------
 
 
-def _parse_family(args: str, pos: int) -> FamilySpec:
-    head, *rest = _split_depth0(args, pos, ",")
+def _named(key: str, val: str, pos: int) -> str:
+    """The value of an option that names a column or a registered hook,
+    such as ``failure(d)``: empty, or a bare ``failure``, is an error at
+    the option's position.
+    """
+    if not val:
+        raise SpecSyntaxError(f"{key}() needs a name", pos)
+    return val
+
+
+def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
+    """The family of the ``family(args)`` option at ``pos``, its
+    arguments starting at ``args_pos``.
+    """
+    head, *rest = _split_depth0(args, args_pos, ",")
     name, npos = _strip(*head)
     if name not in KNOWN_FAMILIES:
         raise SpecSyntaxError(f"unknown family {name!r} (known: {', '.join(KNOWN_FAMILIES)})", npos)
     fields: dict = {"name": name}
     for chunk, cpos in rest:
-        for key, val, p in _parse_options(chunk, cpos):
+        for key, val, p, _ in _parse_options(chunk, cpos):
             if key == "failure":
-                fields["failure"] = val.strip()
+                fields["failure"] = _named(key, val, p)
             elif key == "scale":
                 # the spline model's only scale, log cumulative hazard
                 if name != "rp":
                     raise SpecSyntaxError(f"scale() is not an option of family {name!r}", pos)
-                if val.strip() != "h":
-                    raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({val.strip()})", pos)
+                if val != "h":
+                    raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({val})", pos)
             elif key == "df":
                 fields["df"] = _parse_int(val, p, "family df")
             elif key == "knots":
                 fields["knots"] = _parse_numbers(val, p)
             elif key == "ltrunc":
-                fields["ltrunc"] = val.strip()
+                fields["ltrunc"] = _named(key, val, p)
             elif key == "bhazard":
-                fields["bhazard"] = val.strip()
+                fields["bhazard"] = _named(key, val, p)
             elif key == "k":
                 fields["k"] = _parse_int(val, p, "binomial k")
             elif key == "np":
                 fields["n_anc"] = _parse_int(val, p, "np")
             elif key in ("llf", "loglf", "loglfunction"):
-                fields["loglf"] = val.strip()
+                fields["loglf"] = _named(key, val, p)
             elif key in ("hfunction", "hazard"):
-                fields["hazard"] = val.strip()
+                fields["hazard"] = _named(key, val, p)
             elif key in ("chfunction", "cumhazard"):
-                fields["cumhazard"] = val.strip()
+                fields["cumhazard"] = _named(key, val, p)
             else:
                 raise SpecSyntaxError(f"unknown family option {key!r}", p)
     fam = FamilySpec(**fields)
@@ -456,7 +470,7 @@ def _global_option(key: str, val: str, pos: int) -> tuple:
     """(value, position) of a spec-wide option, given at the outcome or
     the specification level.
     """
-    return (_parse_int(val, pos, "t df") if key == "df" else val.strip()), pos
+    return (_parse_int(val, pos, "t df") if key == "df" else val), pos
 
 
 def _parse_outcome(body: str, pos: int) -> tuple[OutcomeSpec, dict]:
@@ -468,13 +482,13 @@ def _parse_outcome(body: str, pos: int) -> tuple[OutcomeSpec, dict]:
     n_anc_opt = None
     overrides: dict = {}
     for chunk, cpos in parts[1:]:
-        for key, val, p in _parse_options(chunk, cpos):
+        for key, val, p, vpos in _parse_options(chunk, cpos):
             if key == "family":
                 if family is not None:
                     raise SpecSyntaxError("family() given twice", p)
-                family = _parse_family(val, p)
+                family = _parse_family(val, p, vpos)
             elif key == "timevar":
-                timevar = val.strip()
+                timevar = _named(key, val, p)
             elif key in ("noconstant", "nocons"):
                 noconstant = True
             elif key == "np":
@@ -554,7 +568,7 @@ def parse_model_spec(text: str) -> ModelSpec:
         merged.update(overrides)  # outcome level wins over spec level
     spec_level: dict = {}
     if tail.strip():
-        for key, val, p in _parse_options(tail, tail_pos):
+        for key, val, p, _ in _parse_options(tail, tail_pos):
             if key not in _GLOBAL_KEYS:
                 raise SpecSyntaxError(f"unknown specification option {key!r}", p)
             spec_level[key] = _global_option(key, val, p)

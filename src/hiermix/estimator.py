@@ -102,6 +102,7 @@ def fit_model(
         clamp=clamp,
         monitor=monitor,
         threads=threads,
+        derivatives=evaluator.derivatives if evaluator.exact else None,
     )
     result = build_fit_result(program, plan, maxres, evaluator)
     result.plan = plan

@@ -136,6 +136,35 @@ def _gompertz_scaled_expm1(gamma, t):
     return np.where(small, series, exact)
 
 
+def _gompertz_scaled_expm1_derivs(gamma, t):
+    """First and second gamma-derivatives of ``_gompertz_scaled_expm1``:
+    t^2 f1(gamma t) and t^3 f2(gamma t), with f1(x) = ((x - 1) e^x + 1) / x^2
+    and f2(x) = ((x^2 - 2x + 2) e^x - 2) / x^3 (1/2 and 1/3 at 0). Where
+    |gamma t| < 0.5, which holds wherever the value takes its series
+    (|gamma| < 1e-5) for t below 5e4, they are summed as their Taylor
+    series: the closed forms cancel to O(x^2) and O(x^3) from O(x) terms,
+    and f2 would lose 6 eps / x^2 of itself, 5e-5 at x = 5e-6.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = gamma * t
+    near = np.abs(x) < 0.5
+    xs = np.where(near, x, 0.0)
+    # Horner sums of f1 = sum (n + 1) x^n / (n + 2)! and
+    # f2 = sum (n + 1)(n + 2) x^n / (n + 3)!, n < 16
+    f1 = f2 = 0.0
+    for n in range(15, -1, -1):
+        f1 = f1 * xs + (n + 1) / math.factorial(n + 2)
+        f2 = f2 * xs + (n + 1) * (n + 2) / math.factorial(n + 3)
+    g = np.where(near, 1.0, gamma)  # avoid 0/0; the branch is discarded
+    gt = g * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.exp(gt)
+        d1 = (gt * grow - np.expm1(gt)) / (g * g)
+        d2 = (t * t * grow - 2.0 * d1) / g
+    return np.where(near, t * t * f1, d1), np.where(near, t * t * t * f2, d2)
+
+
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (-1, 1)."""
     if q < 1:
@@ -470,7 +499,7 @@ class Family:
         with np.errstate(over="ignore"):
             return t ** anc[0] if self.name == "weibull" else _gompertz_scaled_expm1(anc[0], t)
 
-    def exp_linear(self, y, anc, event=None, entry=None):
+    def exp_linear(self, y, anc, event=None, entry=None, derivatives=False):
         """(A, B, C) such that the log-likelihood at a time-constant
         linear predictor eta is A + B eta - C exp(eta), for the families
         in ``EXP_LINEAR``: Poisson counts y (A = -log y!, B = y, C = 1),
@@ -478,17 +507,52 @@ class Family:
         indicators and entry times (A the log baseline hazard at event
         times, else 0; B = [event]; C the baseline cumulative hazard over
         (entry, y], read from ``_base_cum_hazard``).
+
+        With ``derivatives``, also (A', A'', C', C''), the first and
+        second derivatives of A and C in the family's ancillary on its
+        estimation scale (Weibull ``ln_gamma``, Gompertz ``gamma``), or
+        four Nones for a family without one.
         """
         y = np.asarray(y, dtype=float)
         if self.name == "poisson":
-            return -gammaln(y + 1.0), y, np.ones_like(y)
+            terms = -gammaln(y + 1.0), y, np.ones_like(y)
+            return terms + (None,) * 4 if derivatives else terms
         events = event != 0
         log_h0 = np.where(events, self.base_log_hazard(y, anc), 0.0)
         cum = self._base_cum_hazard(y, anc)
         later = entry > 0
+        t0 = np.where(later, entry, 1.0)
         if later.any():
-            cum = cum - np.where(later, self._base_cum_hazard(np.where(later, entry, 1.0), anc), 0.0)
-        return log_h0, events.astype(float), cum
+            cum = cum - np.where(later, self._base_cum_hazard(t0, anc), 0.0)
+        terms = log_h0, events.astype(float), cum
+        if not derivatives:
+            return terms
+        if self.name == "exponential":
+            return terms + (None,) * 4
+
+        def over_entry(f):  # f at y less f at the entry time, where there is one
+            at_y, at_t0 = f(y), f(t0)
+            return tuple(a - np.where(later, b, 0.0) for a, b in zip(at_y, at_t0))
+
+        g = anc[0]
+        if self.name == "weibull":  # ancillary ln(g): A = ln g + (g - 1) ln t, C = t^g
+            log_y = np.log(y)
+            d1a = np.where(events, 1.0 + g * log_y, 0.0)
+            d2a = np.where(events, g * log_y, 0.0)
+
+            def cum_derivs(t):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d1 = g * t**g * np.log(t)
+                    return d1, d1 + g * d1 * np.log(t)
+
+        else:  # gompertz, ancillary g: A = g t, C = expm1(g t) / g
+            d1a, d2a = np.where(events, y, 0.0), np.zeros_like(y)
+
+            def cum_derivs(t):
+                return _gompertz_scaled_expm1_derivs(g, t)
+
+        d1c, d2c = over_entry(cum_derivs)
+        return terms + (d1a, d2a, d1c, d2c)
 
 
 # families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``)

@@ -192,6 +192,20 @@ class ReKernel:
             - 0.5 * (df + r) * np.log1p(quad / df)
         )
 
+    def scale_derivatives(self, b: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of ``log_density`` at points b
+        (...) of a one-dimensional kernel with respect to the log of its
+        scale: with q = (b / scale)^2, q - 1 and -2q for the normal, and
+        (df + 1) s - 1 and -2 (df + 1) s / (1 + q / df) for the t, where
+        s = (q / df) / (1 + q / df).
+        """
+        q = np.square(np.asarray(b, dtype=float) / chol[0, 0])
+        if self.dist == "normal":
+            return q - 1.0, -2.0 * q
+        r = q / float(self.df)
+        s = r / (1.0 + r)
+        return (self.df + 1.0) * s - 1.0, -2.0 * (self.df + 1.0) * s / (1.0 + r)
+
 
 def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     """Transform uniform draws into mean-zero kernel draws (M, dim) at

@@ -68,6 +68,14 @@ parameters alone is computed once per vector and laid over that
 vector's columns (``EvalContext.param``). Each vector's value is the
 one a call with it alone returns, bit for bit; a vector that alone
 exceeds the budget is evaluated alone.
+
+A model with one latent level, of one dimension, whose outcomes with
+rows are all summed per unit (``exact``) also has
+``LikelihoodEvaluator.derivatives``: the log-likelihood, the exact score
+(Fisher's identity) and the observed information (Louis 1982, *JRSS B*
+44:226) at one parameter vector in one pass over units x nodes, in
+blocks of whole units within ``_GROUP_VALUES`` and in the thread's
+workspace (see "exact derivatives" below).
 """
 
 from __future__ import annotations
@@ -76,11 +84,12 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl
+from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl, row_design
 from .workspace import Workspace
 
 __all__ = [
@@ -242,6 +251,20 @@ class _LevelState:
         self.active: np.ndarray | None = None  # units with rows anywhere below them
 
 
+class _UnitDerivatives(NamedTuple):
+    """One outcome's per-unit sums at one parameter vector for
+    ``LikelihoodEvaluator.derivatives``, (units, ...) arrays. With
+    W = C exp(a - m) per row (see ``_unit_sums``):
+    """
+
+    intercepts: list  # (latent name, all units) per intercept, for _collapsed
+    sums: tuple  # (K, D, S, m) of _unit_sums
+    alpha: np.ndarray  # (units, p): first parameter derivatives of A + B a
+    alpha2: np.ndarray  # (units, p, p): their second derivatives
+    r1: np.ndarray  # (units, p): first derivatives of W over S, 0 where S is
+    r2: np.ndarray  # (units, p, p): their second derivatives over S
+
+
 # rows x columns of one conditional evaluation at the innermost level,
 # and rows x evaluation times x columns of the innermost evaluation of
 # the parameter vectors evaluated together. A group is a quarter of a chunk:
@@ -274,11 +297,15 @@ class LikelihoodEvaluator:
                 self.level_states.append(_LevelState(li, plan.levels[li.name], plan.skip, structure, h, outer))
         self._prepare_segments()
         self._plan_chunks()
+        self.exact = self._exact_scope()
+        if self.exact:  # outcome -> derivatives of its row part in the parameters
+            self.designs = {k: row_design(program, k) for k in self.intercept_units}
         self._local = threading.local()  # .workspace: the calling thread's buffers
         self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
         self.n_points = 0
+        self.n_passes = 0
         self.cond_evals = 0
         self.wall_time = 0.0
 
@@ -459,6 +486,199 @@ class LikelihoodEvaluator:
         act = per_unit[self.level_states[0].active]
         return [math.fsum(col.tolist()) if np.all(np.isfinite(col)) else -np.inf for col in act.T]
 
+    # -- exact derivatives ------------------------------------------------
+    #
+    # For a model in the scope of ``exact`` the log-likelihood of unit i
+    # is log sum_j exp(c_j + l_j) over its nodes j, where c_j is the
+    # node's log-correction and l_j = sum_k K_k + D_k L_k - Lam_k the
+    # conditional log-likelihood (``_collapsed``), with L_k = n_k u_j for
+    # the node value u_j, n_k outcome k's intercept count and
+    # Lam_k = S_k exp(L_k + m_k). Given the per-unit sums of a row's
+    # derivatives (``_unit_derivatives``), the conditional score and
+    # Hessian at a node are linear in a few node features: Lam_k, u Lam_k,
+    # u^2 Lam_k, and the derivative in the level's log scale, tau. On
+    # scaled nodes (QMC and non-adaptive quadrature) u = exp(tau) z with
+    # z and c_j fixed, so dL_k/dtau = L_k; on adaptive quadrature's
+    # frozen nodes only c_j depends on tau, through the prior's log
+    # density (``ReKernel.scale_derivatives``). By Fisher's identity the
+    # score is the posterior mean of the conditional score; by Louis
+    # (1982) the information is minus the posterior mean of the
+    # conditional Hessian less the posterior covariance of the
+    # conditional score. Posterior means and covariances are taken per
+    # unit over its nodes, the covariances from features centred first.
+
+    def _exact_scope(self) -> bool:
+        """Whether ``derivatives`` applies: exactly one latent level, of
+        one dimension, and every outcome with rows summed per unit
+        (``intercepts``). No option selects it.
+        """
+        if len(self.level_states) != 1 or self.level_states[0].info.dim != 1:
+            return False
+        return all(co.intercepts is not None for co in self.program.outcomes if co.rows.size)
+
+    def derivatives(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(log-likelihood, score, observed information) at one parameter
+        vector in one pass, for a model in the scope of ``exact``. The
+        log-likelihood is the one ``logl`` gives; where it is not finite,
+        the score and information are NaN, and so is either where a unit's
+        share of it is not finite. Each is summed over units with
+        ``math.fsum``, so the result does not depend on how units are
+        labelled. A level that still has to adapt adapts first, as in
+        ``logl``. Counted in ``derivative_passes``, not as a ``logl`` call.
+        """
+        if not self.exact:
+            raise ValueError("exact derivatives need one latent level of one dimension and per-unit sums")
+        theta = np.asarray(theta, dtype=float)
+        self.n_passes += 1
+        st = self.level_states[0]
+        n, p, m = st.n_units, theta.size, st.m
+        tau = st.info.re_slots[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if st.adaptive and 0 not in self.adapted:
+                self._adapt(theta[None], 0, [])
+            x, corr = self._nodes(0, theta[None])
+            u_all = x[..., 0]
+            if st.adaptive:
+                w1_all, w2_all = st.kernel.scale_derivatives(u_all, self.level_chol(st, theta))
+            outcomes = [self._unit_derivatives(theta, k) for k in self.intercept_units]
+            unit_logl, unit_score, unit_info = np.empty(n), np.empty((n, p)), np.empty((n, p, p))
+            ws = self._workspace()
+            one_vector = np.zeros(m, dtype=int)
+            # units per block: every array of a block is units x nodes, and
+            # at _GROUP_VALUES they fit the buffers that logl's chunks
+            # already hold; on the 300 x 200 benchmark model the workspace
+            # then grows from 1.39 to 1.50 MB, at _CHUNK_VALUES to 2.19 MB
+            block = max(1, _GROUP_VALUES // m)
+            for u0 in range(0, n, block):
+                ub = slice(u0, min(u0 + block, n))
+                ws.reset()
+                shape = (ub.stop - u0, m)
+                u = u_all[ub]
+                ll = None
+                lams = []  # Lam_k = S_k exp(L_k + m_k) of each outcome
+                for o in outcomes:
+                    stats = tuple(v[ub, None] for v in o.sums)
+                    term, lam = self._collapsed(ws, stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
+                    ll = term if ll is None else np.add(ll, term, out=ll)
+                    lams.append(lam)
+                logp = np.add(corr[ub], ll, out=ll)
+                lse = unit_logl[ub] = logsumexp(logp, ws.take)
+                post = np.exp(np.subtract(logp, lse[:, None], out=logp), out=logp)  # posterior weights
+                void = np.equal(post, 0.0, out=ws.take(shape, bool))
+
+                def mean(f):
+                    return np.einsum("ij,ij->i", post, f)
+
+                for lam in lams:
+                    np.copyto(lam, 0.0, where=void)  # no inf * 0 where a weight is 0
+                # the conditional score in tau, and the posterior means of
+                # the conditional score and Hessian
+                score = np.zeros(shape[:1] + (p,))
+                hess = np.zeros(shape[:1] + (p, p))
+                if st.adaptive:
+                    score_tau = w1_all[ub]
+                    hess[:, tau, tau] = mean(w2_all[ub])
+                else:
+                    score_tau = ws.take(shape)
+                    score_tau.fill(0.0)
+                for lam, o in zip(lams, outcomes):
+                    lam_mean = mean(lam)[:, None]
+                    score += o.alpha[ub] - lam_mean * o.r1[ub]
+                    hess += o.alpha2[ub] - lam_mean[:, :, None] * o.r2[ub]
+                    if st.adaptive:
+                        continue
+                    n_k = len(o.intercepts)  # d Lam_k / d tau = n_k u Lam_k
+                    cross = -n_k * np.einsum("ij,ij,ij->i", post, u, lam)[:, None] * o.r1[ub]
+                    hess[:, tau] += cross
+                    hess[:, :, tau] += cross
+                    hess[:, tau, tau] -= n_k * n_k * np.einsum("ij,ij,ij,ij->i", post, u, u, lam)
+                    score_tau += n_k * o.sums[1][ub, None]  # n_k (D_k - Lam_k)
+                    score_tau -= lam if n_k == 1 else n_k * lam
+                if not st.adaptive:
+                    np.multiply(score_tau, u, out=score_tau)
+                    hess[:, tau, tau] += mean(score_tau)
+                # the conditional score is a constant plus sum_f feature_f coef_f
+                feats = lams + [score_tau]
+                coef = np.zeros(shape[:1] + (len(feats), p))
+                for f, o in enumerate(outcomes):
+                    coef[:, f] = -o.r1[ub]
+                coef[:, -1, tau] = 1.0
+                means = [mean(f) for f in feats]
+                score[:, tau] += means[-1]
+                root = np.sqrt(post, out=post)
+                for f, f_mean in zip(feats, means):  # centred, then weighted
+                    np.multiply(np.subtract(f, f_mean[:, None], out=f), root, out=f)
+                cov = np.empty(shape[:1] + (len(feats), len(feats)))
+                for a in range(len(feats)):
+                    for b in range(a + 1):
+                        cov[:, a, b] = cov[:, b, a] = np.einsum("ij,ij->i", feats[a], feats[b])
+                unit_score[ub] = score
+                unit_info[ub] = -hess - coef.transpose(0, 2, 1) @ cov @ coef
+        act = st.active
+        if not np.all(np.isfinite(unit_logl[act])):
+            return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
+
+        def total(values):  # NaN throughout where a unit's value is not finite
+            values = values[act].reshape(int(act.sum()), -1)
+            if not np.all(np.isfinite(values)):
+                return np.full(values.shape[1], np.nan)
+            return np.array([math.fsum(col) for col in values.T.tolist()])
+
+        info = total(unit_info).reshape(p, p)
+        return math.fsum(unit_logl[act].tolist()), total(unit_score), 0.5 * (info + info.T)
+
+    def _unit_derivatives(self, theta: np.ndarray, k: int) -> _UnitDerivatives:
+        """The per-unit sums of outcome k at one parameter vector that
+        ``derivatives`` needs, over every unit of the level (see
+        ``_UnitDerivatives``). A unit without rows of k has
+        K = D = S = 0 and m = -inf, so that it adds 0 at every node.
+        """
+        co = self.program.outcomes[k]
+        starts, seg_units = self.segments[k]
+        row_segment = self.intercept_units[k][0]
+        slots, x = self.designs[k]
+        a, lin, b, c, d1a, d2a, d1c, d2c = exp_linear_terms(self.program, k, theta, derivatives=True)
+        m = np.maximum.reduceat(a, starts)
+        e = np.exp(a - m[row_segment])
+        w = c * e
+        # per row, the derivatives of A + B a and of W in the outcome's
+        # own slots, the row part's and then its ancillary's
+        alpha = b[:, None] * x
+        w1 = w[:, None] * x
+        w2 = w1[:, :, None] * x[:, None, :]
+        if d1a is not None:
+            slots = slots + co.anc_slots
+            c1 = d1c * e
+            alpha = np.column_stack([alpha, d1a])
+            w1 = np.column_stack([w1, c1])
+            w2 = np.pad(w2, ((0, 0), (0, 1), (0, 1)))
+            w2[:, -1, :-1] = w2[:, :-1, -1] = c1[:, None] * x
+            w2[:, -1, -1] = d2c * e
+        K, D, S, alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (lin + b * a, b, w, alpha, w1, w2))
+        positive = S > 0
+        r1 = np.divide(w1, S[:, None], out=np.zeros_like(w1), where=positive[:, None])
+        r2 = np.divide(w2, S[:, None, None], out=np.zeros_like(w2), where=positive[:, None, None])
+        n, p = self.level_states[0].n_units, theta.size
+
+        def in_slots(v):  # per segment: the outcome's own slots -> every slot
+            out = np.zeros(v.shape[:1] + (p,) * (v.ndim - 1))
+            out[(slice(None), *np.ix_(*[slots] * (v.ndim - 1)))] = v
+            return out
+
+        def over_units(v, fill=0.0):  # per segment -> per unit
+            out = np.full((n,) + v.shape[1:], fill)
+            out[seg_units] = v
+            return out
+
+        alpha2 = np.zeros((len(starts), p, p))
+        if d2a is not None:
+            alpha2[:, slots[-1], slots[-1]] = np.add.reduceat(d2a, starts)
+        return _UnitDerivatives(
+            [(name, slice(None)) for name, _ in self.intercept_units[k][1]],
+            (*(over_units(v) for v in (K, D, S)), over_units(m, -np.inf)),
+            *(over_units(v) for v in (in_slots(alpha), alpha2, in_slots(r1), in_slots(r2))),
+        )
+
     # -- level-by-level integration ---------------------------------------
     #
     # Level ``pos`` is integrated for all of its cells at once, given the
@@ -634,7 +854,7 @@ class LikelihoodEvaluator:
                     continue
                 starts, seg_units = segments
                 if k in stats:
-                    sums = self._collapsed(ws, stats[k], self.intercept_units[k][1], vals, vector)
+                    sums = self._collapsed(ws, stats[k], self.intercept_units[k][1], vals, vector)[0]
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll, out=ws.take(ll.shape, bool))
@@ -653,7 +873,7 @@ class LikelihoodEvaluator:
         """K + D L - S exp(L + m) of one outcome's units at the columns of
         a chunk (see ``_unit_sums``), L being the sum of the unit's
         intercept values there and ``vector`` each column's parameter
-        vector.
+        vector; and S exp(L + m).
         """
         K, D, S, m = stats
         shape = (K.shape[0], vector.size)
@@ -674,7 +894,7 @@ class LikelihoodEvaluator:
         nan = np.isnan(ll, out=ws.take(shape, bool))
         if nan.any():  # as at the rows: read as -inf
             np.copyto(ll, -np.inf, where=nan)
-        return ll
+        return ll, e
 
     def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:
         """Sum per-unit values (n_units, n) of level ``pos`` into its
@@ -690,7 +910,9 @@ class LikelihoodEvaluator:
     def profile_report(self) -> dict:
         """Integration settings per level, counters and adaptation state.
         ``likelihood_calls`` counts calls of ``logl``, a stack counting
-        once; ``objective_points`` counts the parameter vectors evaluated.
+        once; ``objective_points`` counts the parameter vectors evaluated;
+        ``derivative_passes`` counts calls of ``derivatives``, which the
+        other counters leave out.
         ``adaptation_iterations`` and ``adaptation_fallbacks`` describe the
         latest adaptation of each cell; ``adaptation_sweeps`` counts, per
         adaptive level, the passes over its cells of every adaptation
@@ -718,6 +940,7 @@ class LikelihoodEvaluator:
             "levels": levels,
             "likelihood_calls": self.n_calls,
             "objective_points": self.n_points,
+            "derivative_passes": self.n_passes,
             "conditional_evaluations": self.cond_evals,
             "conditional_evaluations_per_call": per_call,
             "adaptation_iterations": iterations,

@@ -1,13 +1,16 @@
 """Newton-Raphson maximization of the marginal log-likelihood with
-finite-difference score and Hessian, starting values, and the reported
-fit results (estimates, delta-method standard errors, diagnostics).
+finite-difference or exact score and Hessian, starting values, and the
+reported fit results (estimates, delta-method standard errors,
+diagnostics).
 
 An objective maps a (p,) parameter vector to a float and a (K, p) stack
 of vectors to K values. The probe points of one gradient (2q) or
 Hessian (q(q+1)) of the q free slots are built first and evaluated as
 one stack; a non-finite value halves every step and re-evaluates the
 stack. Slots pinned during maximization are not probed. Threads belong
-to ``maximize``, which splits each stack over one pool.
+to ``maximize``, which splits each stack over one pool. Where the model
+gives its exact score and information in one pass, ``maximize`` takes
+them from it instead (its ``derivatives``).
 """
 
 from __future__ import annotations
@@ -219,6 +222,7 @@ def maximize(
     clamp=None,
     monitor=None,
     threads: int = 1,
+    derivatives=None,
 ) -> MaxResult:
     """Maximize by Newton steps with step halving.
 
@@ -246,6 +250,14 @@ def maximize(
     converged, with the error as its message, at the last parameter
     vector; a derivative it did not compute there is NaN, so the optimum
     is not verified.
+
+    ``derivatives``, when given, maps a vector to (objective, score,
+    information), all exact (``LikelihoodEvaluator.derivatives``), and
+    replaces both finite differences: one call per Newton iteration
+    gives its gradient and Hessian, and the final ones too, so ``near``
+    is not used and no thread pool is started. Pinned slots' entries are
+    0, as on the finite-difference path. A score or information that is
+    not finite ends the fit, not converged, as a non-finite probe does.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -259,14 +271,29 @@ def maximize(
     f = objective(theta)
     if not np.isfinite(f):
         raise FitError("objective is not finite at the starting values")
-    with _thread_pool(threads) if threads > 1 else nullcontext() as pool:
+    latest = {}  # the latest exact pass: vector bytes -> (gradient, Hessian)
+
+    def exact(th):
+        key = th.tobytes()
+        if key not in latest:
+            _, score, info = derivatives(th)
+            if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
+                raise FitError("the exact score or information is not finite")
+            pinned = ~free
+            score, hess = np.where(pinned, 0.0, score), -info
+            hess[pinned] = hess[:, pinned] = 0.0
+            latest.clear()
+            latest[key] = score, hess
+        return latest[key]
+
+    with _thread_pool(threads) if threads > 1 and derivatives is None else nullcontext() as pool:
         probes = objective if pool is None else _split_over(objective, pool, threads)
 
         def gradient(th):
-            return fd_gradient(probes, th, free)
+            return fd_gradient(probes, th, free) if derivatives is None else exact(th)[0]
 
         def hessian(th, f0, near=None):
-            return fd_hessian(probes, th, f0, free, near)
+            return fd_hessian(probes, th, f0, free, near) if derivatives is None else exact(th)[1]
 
         trace = []
         rel_change = np.inf
@@ -320,7 +347,7 @@ def maximize(
                 grad = gradient(theta)
             if hess is None:
                 hess = hessian(theta, f, last)
-        except FitError as exc:  # from _finite_stack or _neg_chol
+        except FitError as exc:  # from _finite_stack, _neg_chol or an exact pass
             converged, message = False, str(exc)
     grad = np.full(p, np.nan) if grad is None else grad
     hess = np.full((p, p), np.nan) if hess is None else hess

@@ -692,11 +692,13 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     return total
 
 
-def exp_linear_terms(program: Program, k: int, theta: np.ndarray) -> tuple:
+def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: bool = False) -> tuple:
     """(a, A, B, C) at the rows of outcome k, which has ``intercepts``,
     at one parameter vector: (n,) arrays such that a row's conditional
     log-likelihood is A + B (a + L) - C exp(a + L), with L the sum of
     its intercepts' values and a its linear predictor where they are 0.
+    With ``derivatives``, also the ancillary derivatives (A', A'', C',
+    C'') of ``Family.exp_linear``.
     """
     co = program.outcomes[k]
     h = program.hierarchy
@@ -704,7 +706,20 @@ def exp_linear_terms(program: Program, k: int, theta: np.ndarray) -> tuple:
     ctx = EvalContext(program, theta, zeros)
     a = eval_eta(ctx, k, k).reshape(-1)
     anc = co.family.natural_anc(ctx.theta[co.anc_slots])
-    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry))
+    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives))
+
+
+def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:
+    """The slots the row part a of outcome k depends on (see
+    ``exp_linear_terms``) and the (n, q) derivatives of a in them: a is
+    the constant plus each component without latent effects, its
+    covariate product (or 1) times its coefficient.
+    """
+    co = program.outcomes[k]
+    ones = np.ones(co.rows.size)
+    parts = [] if co.cons_slot is None else [(co.cons_slot, ones)]
+    parts += [(cc.slots[0], cc.cov[k][:, 0, 0] if cc.cov_names else ones) for cc in co.components if not cc.latents]
+    return [s for s, _ in parts], np.column_stack([col for _, col in parts] or [np.empty((co.rows.size, 0))])
 
 
 def _node_sum(ctx: EvalContext, subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hiermix as hm
 import hiermix.optim as optim
 from hiermix.cli import main
 
@@ -27,6 +28,16 @@ def frailty_csv(tmp_path):
 
 
 SPEC = "(y trt M1[id], family(exponential, failure(d)))"
+# the same model evaluated row by row, with finite-difference derivatives
+TWIN_SPEC = "(y trt one#M1[id], family(exponential, failure(d)))"
+
+
+def _with_one(path):
+    """A copy of a CSV file with a column ``one`` of ones."""
+    lines = path.read_text().splitlines()
+    twin = path.with_name(f"one_{path.name}")
+    twin.write_text("\n".join([lines[0] + ",one"] + [line + ",1" for line in lines[1:]]) + "\n")
+    return twin
 
 
 class TestFit:
@@ -91,13 +102,25 @@ class TestFit:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--draws", "60"]], ids=["aghq", "qmc"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--points", "5"],
+            ["--method", "qmc", "--draws", "60"],
+            ["--method", "qmc", "--redistribution", "t", "--df", "5", "--draws", "60"],
+            ["--points", "5", "--spec", TWIN_SPEC],
+        ],
+        ids=["aghq", "qmc", "qmc_t", "aghq_rows"],
+    )
     def test_thread_count_byte_identical(self, frailty_csv, tmp_path, flags):
-        # threads split each batch of derivative probes into sub-stacks
+        # the per-cluster model takes exact derivatives and no thread pool;
+        # on its row twin threads split each batch of derivative probes
+        # into sub-stacks
         docs = []
+        data = _with_one(frailty_csv)
         for threads in ("1", "3"):
             out = tmp_path / f"t{threads}.txt"
-            argv = ["fit", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out), "--threads", threads]
+            argv = ["fit", "--spec", SPEC, "--data", str(data), "--out", str(out), "--threads", threads]
             assert main(argv + flags) == 0
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
@@ -255,7 +278,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["fit", "check"])
     def test_unverified_optimum_exits_2(self, frailty_csv, tmp_path, capsys, monkeypatch, command):
         # the final Hessian, probed along the last Newton Hessian's
-        # eigenvectors, comes back positive definite
+        # eigenvectors, comes back positive definite; the row twin takes
+        # finite differences, which the per-cluster model no longer does
         real = optim.fd_hessian
 
         def final_not_definite(objective, theta, f0=None, free=None, near=None):
@@ -264,7 +288,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(optim, "fd_hessian", final_not_definite)
         out = tmp_path / "o"
-        code = main([command, "--spec", SPEC, "--data", str(frailty_csv), "--points", "5", "--out", str(out)])
+        data = _with_one(frailty_csv)
+        code = main([command, "--spec", TWIN_SPEC, "--data", str(data), "--points", "5", "--out", str(out)])
         assert code == 2
         assert "optimum not verified" in capsys.readouterr().err
         if command == "fit":
@@ -287,20 +312,21 @@ class TestExitCodes:
 
     def test_unregularizable_hessian_exits_2(self, tmp_path, capsys):
         # 30 clusters x 4 Weibull rows censored at 3.0, the covariate
-        # multiplied by 1e6: the first Newton Hessian has entries near
-        # 1e183, which no Levenberg shift makes definite
+        # multiplied by 1e6: the first finite-difference Newton Hessian
+        # (of the row twin; the per-cluster model's is exact) has entries
+        # near 1e183, which no Levenberg shift makes definite
         rng = np.random.default_rng(3)
         b = rng.normal(0, 0.6, 30)
-        lines = ["id,t,d,x"]
+        lines = ["id,t,d,x,one"]
         for i in range(30):
             for _ in range(4):
                 x = rng.normal()
                 t = (rng.exponential() / (0.4 * np.exp(0.5 * x + b[i]))) ** (1 / 1.2)
-                lines.append(f"{i + 1},{min(t, 3.0):.10g},{int(t < 3.0)},{x * 1e6:.10g}")
+                lines.append(f"{i + 1},{min(t, 3.0):.10g},{int(t < 3.0)},{x * 1e6:.10g},1")
         path = tmp_path / "scaled.csv"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
-        spec = "(t x M1[id], family(weibull, failure(d)))"
+        spec = "(t x one#M1[id], family(weibull, failure(d)))"
         code = main(["fit", "--spec", spec, "--data", str(path), "--out", str(out)])
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
@@ -373,10 +399,10 @@ FAILURE_TABLE = {
     "single_cluster": (_column(0, lambda i, v: 1), WEIBULL, 0, "converged: true"),
     "singleton_clusters": (_column(0, lambda i, v: i + 1), WEIBULL, 0, "converged: true"),
     "no_events": (_column(2, lambda i, v: 0.0), WEIBULL, 3, "no events"),
-    # rescaled times move only _cons and the log-likelihood, yet the
-    # information at the optimum comes out indefinite
-    "times_x1e6": (_column(1, lambda i, v: v * 1e6), WEIBULL, 2, "optimum not verified"),
-    "times_x1e-6": (_column(1, lambda i, v: v * 1e-6), WEIBULL, 2, "optimum not verified"),
+    # rescaled times move only _cons and the log-likelihood; the exact
+    # information at the optimum is positive definite
+    "times_x1e6": (_column(1, lambda i, v: v * 1e6), WEIBULL, 0, "converged: true"),
+    "times_x1e-6": (_column(1, lambda i, v: v * 1e-6), WEIBULL, 0, "converged: true"),
     "separated_bernoulli": (
         lambda rows: [[r[0], r[1], float(r[3] > 0), r[3]] for r in rows],
         "(d x M1[id], family(bernoulli))",
@@ -391,6 +417,7 @@ FAILURE_TABLE = {
     ),
     "json_no_outcomes": (None, '{"covariance": "unstructured"}', 3, NOT_A_SPEC),
     "json_empty": (None, "{}", 3, NOT_A_SPEC),
+    "empty_ltrunc": (None, "(t x M1[id], family(weibull, failure(d) ltrunc()))", 3, "ltrunc() needs a name (at position 40)"),
 }
 
 
@@ -408,6 +435,26 @@ class TestFailureInjection:
         assert code == expected
         assert fragment in text
         assert out.exists() == (expected != 3)
+
+    def test_time_rescaling_moves_only_cons(self):
+        # t -> s t shifts _cons by -gamma log s and the log-likelihood by
+        # -events log s; every other estimate and standard error stays
+        rows = np.array(_weibull_rows())
+        fits = {}
+        for scale in (1.0, 1e6, 1e-6):
+            cols = {"id": rows[:, 0], "t": rows[:, 1] * scale, "d": rows[:, 2], "x": rows[:, 3]}
+            fits[scale] = hm.fit_model(WEIBULL, cols)
+            assert fits[scale].converged and fits[scale].optimum_verified, fits[scale].message
+        base = fits[1.0]
+        for scale in (1e6, 1e-6):
+            fit = fits[scale]
+            shift = -base.estimate("gamma") * math.log(scale)
+            assert abs(fit.estimate("_cons") - (base.estimate("_cons") + shift)) <= 1e-6
+            for name in ("x", "gamma"):
+                assert abs(fit.estimate(name) - base.estimate(name)) <= 1e-6 * abs(base.estimate(name))
+                assert abs(fit.se(name) - base.se(name)) <= 1e-6 * base.se(name)
+            expect = base.logl - rows[:, 2].sum() * math.log(scale)
+            assert abs(fit.logl - expect) <= 1e-9 * abs(expect)
 
 
 class TestCheckCommand:

@@ -119,7 +119,6 @@ class TestCanonicalText:
     @given(text=_spec_texts())
     @example(text="(t x M1[id], family(rp, failure(d) knots(-3.14159265 0.123456789 1.38629436)))")
     @example(text="(y rcs(df(3) knots(0.5 2.25))@s M1[id], family(gaussian) timevar(t)), df(3)")
-    @example(text="(y x, family(gaussian, failure() ltrunc()) timevar())")
     def test_parse_of_render_is_identity(self, text):
         spec = parse_model_spec(text)
         assert parse_model_spec(render_spec(spec)) == spec
@@ -222,6 +221,41 @@ class TestParseErrors:
     def test_duplicate_coefficient_name(self):
         with pytest.raises(SpecValidationError, match="@alpha"):
             parse_model_spec("(y x@alpha M1[id], family(gaussian)) (z w@alpha M1[id], family(gaussian))")
+
+    @pytest.mark.parametrize(
+        "text,option",
+        [
+            ("(t x, family(weibull, failure()))", "failure("),
+            ("(t x, family(weibull, failure(d) ltrunc()))", "ltrunc("),
+            ("(t x, family(weibull, failure(d) bhazard( )))", "bhazard("),
+            ("(y x, family(gaussian) timevar())", "timevar("),
+            ("(y x, family(user, llf()))", "llf("),
+            ("(t x, family(user, failure(d) hfunction()))", "hfunction("),
+            ("(t x, family(user, failure(d) chfunction()))", "chfunction("),
+            ("(t x, family(weibull, failure))", "failure"),
+        ],
+        ids=["failure", "ltrunc", "bhazard", "timevar", "llf", "hfunction", "chfunction", "bare_failure"],
+    )
+    def test_empty_option_value(self, text, option):
+        # an empty name is an error at the option's position, not "no column"
+        with pytest.raises(SpecSyntaxError, match=r"needs a name") as exc:
+            parse_model_spec(text)
+        assert exc.value.position == text.index(option)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(y x, family)",
+            "(y x, family(gaussian) np)",
+            "(y rcs(df), family(gaussian) timevar(t))",
+            "(y x, family(gaussian)), covariance",
+            "(y x, family(gaussian)), df",
+        ],
+        ids=["family", "np", "rcs_df", "covariance", "t_df"],
+    )
+    def test_bare_option_needing_a_value(self, text):
+        with pytest.raises(SpecSyntaxError):
+            parse_model_spec(text)
 
     def test_survival_needs_failure(self):
         with pytest.raises(SpecSyntaxError, match="failure"):

@@ -8,6 +8,8 @@ from hiermix.basis import RcsBasis
 from hiermix.dsl import FamilySpec
 from hiermix.families import (
     RpColumns,
+    _gompertz_scaled_expm1,
+    _gompertz_scaled_expm1_derivs,
     logl_bernoulli,
     logl_beta,
     logl_binomial,
@@ -98,6 +100,56 @@ class TestClosedFormSurvival:
         a = surv_logl(2.0, 1, "gompertz", 0.3, 9e-6)
         b = surv_logl(2.0, 1, "gompertz", 0.3, 1.1e-5)
         assert abs(a - b) < 1e-4
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-7, -1e-7, 1e-5, -1e-5, 0.3])
+    def test_gompertz_derivatives_match_central_differences(self, gamma):
+        t = np.array([0.05, 0.5, 1.0, 3.0])
+        d1, d2 = _gompertz_scaled_expm1_derivs(gamma, t)
+        h = 1e-4
+        c1 = (_gompertz_scaled_expm1(gamma + h, t) - _gompertz_scaled_expm1(gamma - h, t)) / (2 * h)
+        c2 = (_gompertz_scaled_expm1_derivs(gamma + h, t)[0] - _gompertz_scaled_expm1_derivs(gamma - h, t)[0]) / (2 * h)
+        np.testing.assert_allclose(d1, c1, rtol=1e-6)
+        np.testing.assert_allclose(d2, c2, rtol=1e-6)
+        if gamma == 0.0:
+            np.testing.assert_array_equal(d1, t * t / 2)
+            np.testing.assert_allclose(d2, t**3 / 3, rtol=1e-15)
+
+    @pytest.mark.parametrize("gamma,t", [(1e-5, 2.0), (-1e-5, 2.0), (0.25, 2.0), (-0.25, 2.0)], ids=["value_switch", "value_switch_neg", "series_edge", "series_edge_neg"])
+    def test_gompertz_derivatives_continuous(self, gamma, t):
+        # across the value's |gamma| < 1e-5 switch, and across |gamma t| = 0.5
+        # where the derivatives leave their series
+        below = _gompertz_scaled_expm1_derivs(np.nextafter(gamma, 0.0), t)
+        above = _gompertz_scaled_expm1_derivs(np.nextafter(gamma, 2.0 * gamma), t)
+        for lo, hi in zip(below, above):
+            assert abs(hi - lo) <= 1e-12 * abs(lo)
+
+    @pytest.mark.parametrize("name,phi", [("weibull", 0.3), ("weibull", -0.7), ("gompertz", 0.4), ("gompertz", -0.2), ("gompertz", 0.0)])
+    def test_exp_linear_ancillary_derivatives(self, name, phi):
+        # A and C differentiated in the ancillary on its estimation scale
+        fam = make_family(FamilySpec(name=name, failure="d"))
+        rng = np.random.default_rng(9)
+        y = rng.uniform(0.2, 4.0, 40)
+        event = (rng.random(40) < 0.6).astype(float)
+        entry = np.where(rng.random(40) < 0.5, 0.3 * y, 0.0)
+
+        def terms(p, derivatives=False):
+            return fam.exp_linear(y, fam.natural_anc(np.array([p])), event, entry, derivatives)
+
+        _, _, _, d1a, d2a, d1c, d2c = terms(phi, derivatives=True)
+        h = 1e-5
+        (a_up, _, c_up), (a_dn, _, c_dn) = terms(phi + h), terms(phi - h)
+        d_up, d_dn = terms(phi + h, True), terms(phi - h, True)
+        np.testing.assert_allclose(d1a, (a_up - a_dn) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d1c, (c_up - c_dn) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d2a, (d_up[3] - d_dn[3]) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d2c, (d_up[5] - d_dn[5]) / (2 * h), rtol=1e-7, atol=1e-9)
+
+    def test_exp_linear_without_ancillary(self):
+        y = np.array([1.0, 2.0])
+        for name in ("exponential", "poisson"):
+            fam = make_family(FamilySpec(name=name, failure="d" if name == "exponential" else None))
+            out = fam.exp_linear(y, [], np.ones(2), np.zeros(2), derivatives=True)
+            assert len(out) == 7 and out[3:] == (None,) * 4
 
     def test_weibull_censored(self):
         np.testing.assert_allclose(surv_logl(2.0, 0, "weibull", math.log(0.5), 2.0), -2.0)

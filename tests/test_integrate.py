@@ -96,6 +96,23 @@ class TestHalton:
             halton(30, 1, skip=-20)
 
 
+class TestScaleDerivatives:
+    @pytest.mark.parametrize("dist,df", [("normal", None), ("t", 5)])
+    def test_match_central_differences(self, dist, df):
+        kern = ReKernel(1, dist, df)
+        b = np.array([-2.5, -0.3, 0.0, 0.8, 4.0])
+        tau, h = -0.4, 1e-5
+
+        def density(t):
+            return kern.log_density(b[:, None], np.array([[np.exp(t)]]))
+
+        d1, d2 = kern.scale_derivatives(b, np.array([[np.exp(tau)]]))
+        np.testing.assert_allclose(d1, (density(tau + h) - density(tau - h)) / (2 * h), rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(
+            d2, (density(tau + h) - 2 * density(tau) + density(tau - h)) / (h * h), rtol=1e-4, atol=1e-4
+        )
+
+
 class TestKernelDraws:
     def test_median_uniform_maps_to_zero(self):
         kern = ReKernel(2)

@@ -952,7 +952,35 @@ _PER_CLUSTER = {
         "(y x M1[id] M2[id>sub], family(poisson))",
         dict(points=5),
     ),
+    "poisson_gh": (
+        lambda: _nested_counts(35),
+        "(y x M1[id], family(poisson))",
+        dict(points=9, adaptive=False),
+    ),
+    # two outcomes share the frailty, which enters the counts twice
+    "joint_weibull_poisson_t_aghq": (
+        lambda: _with_counts(_clustered_survival("weibull", False, 36), 37),
+        "(y x M1[id], family(weibull, failure(d))) (k x M1[id] M1[id], family(poisson))",
+        dict(points=7, redistribution="t", t_df=5, method="aghq"),
+    ),
 }
+# the per-cluster models with one latent level of one dimension, whose
+# fits take exact derivatives
+_EXACT = [
+    "exponential_entry_aghq",
+    "weibull_t_qmc",
+    "gompertz_entry_qmc",
+    "poisson_gh",
+    "joint_weibull_poisson_t_aghq",
+]
+
+
+def _with_counts(cols: dict, seed: int) -> dict:
+    """The columns with Poisson counts k whose log mean is 0.3 x plus
+    twice a normal cluster effect."""
+    rng = np.random.default_rng(seed)
+    b = np.repeat(rng.normal(0, 0.4, 25), 3)
+    return {**cols, "k": rng.poisson(np.exp(0.3 * cols["x"] + 2 * b)).astype(float)}
 
 
 @functools.cache
@@ -1027,3 +1055,114 @@ class TestPerClusterPath:
         assert a.iterations == b.iterations and a.converged and b.converged
         assert abs(a.logl - b.logl) <= 1e-10 * abs(b.logl)
         np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-7)
+
+
+def _relative_gap(got: np.ndarray, expect: np.ndarray) -> float:
+    """max |got - expect| over the largest |expect| entry (at least 1)."""
+    return float(np.max(np.abs(got - expect)) / max(1.0, np.max(np.abs(expect))))
+
+
+def _score_jacobian(ev: LikelihoodEvaluator, theta: np.ndarray) -> np.ndarray:
+    """Central differences of the exact score, step 1e-5 max(|theta_i|, 1)."""
+    cols = []
+    for i, step in enumerate(1e-5 * np.maximum(np.abs(theta), 1.0)):
+        shift = np.zeros(theta.size)
+        shift[i] = step
+        cols.append((ev.derivatives(theta + shift)[1] - ev.derivatives(theta - shift)[1]) / (2.0 * step))
+    return np.array(cols).T
+
+
+class TestExactDerivatives:
+    """On a per-cluster model with one latent level of one dimension,
+    ``derivatives`` gives the log-likelihood, the exact score (Fisher's
+    identity) and the observed information (Louis 1982) in one pass; the
+    finite differences of its one#M1[id] twin must agree."""
+
+    def test_scope(self):
+        for case in _EXACT:
+            prog, twin, (plan, twin_plan), _ = _per_cluster_pair(case)
+            assert LikelihoodEvaluator(prog, plan).exact, case
+            assert not LikelihoodEvaluator(twin, twin_plan).exact, case
+        prog, _, (plan, _), _ = _per_cluster_pair("poisson_nested_aghq")
+        assert not LikelihoodEvaluator(prog, plan).exact
+        cols = _clustered_survival("weibull", False, 1)
+        prog = make(cols, "(y x M1[id] M2[id], family(weibull, failure(d)))")  # a level of dimension 2
+        assert prog.outcomes[0].intercepts is not None
+        assert not LikelihoodEvaluator(prog, default_plan(prog, points=3)).exact
+        cols = {**_clustered_survival("weibull", False, 1), "z": np.linspace(0.0, 1.0, 75)}
+        prog = make(cols, "(y x M1[id], family(weibull, failure(d))) (z x, family(gaussian))")
+        assert not LikelihoodEvaluator(prog, default_plan(prog)).exact
+        with pytest.raises(ValueError, match="exact derivatives"):
+            LikelihoodEvaluator(prog, default_plan(prog)).derivatives(initial_values(prog))
+
+    @pytest.mark.parametrize("case", _EXACT)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_twin_finite_differences(self, case, data):
+        prog, twin, (plan, twin_plan), start = _per_cluster_pair(case)
+        # drawn as in TestPerClusterPath.test_matches_row_twin
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
+        scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
+        offsets = data.draw(hnp.arrays(float, (5, prog.n_params), elements=st.floats(-1.0, 1.0)))
+        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
+        ev, rows = LikelihoodEvaluator(prog, plan), LikelihoodEvaluator(twin, twin_plan)
+        ev.refresh(adapt_at)
+        rows.refresh(adapt_at)
+        for scale, theta in zip(scales[1:], stack):
+            value, score, info = ev.derivatives(theta)
+            expect = ev.logl(theta)
+            if not np.isfinite(expect):
+                # the one non-finite rule: maximize ends the fit on these
+                assert value == expect == -np.inf
+                assert np.isnan(score).all() and np.isnan(info).all()
+                continue
+            assert abs(value - expect) <= 1e-12 * abs(expect)
+            assert np.array_equal(info, info.T, equal_nan=True)
+            if scale > 2.0:  # far out, the finite differences are not a reference
+                continue
+            assert np.isfinite(score).all() and np.isfinite(info).all()
+            assert _relative_gap(score, optim.fd_gradient(rows.logl, theta)) <= 1e-6
+            assert _relative_gap(-info, _score_jacobian(ev, theta)) <= 1e-6
+            # the seven-point Hessian's own error, truncation far from where
+            # the quadrature was adapted or rounding where the information
+            # is small beside the log-likelihood, reaches 7e-6 of it here
+            assert _relative_gap(-info, optim.fd_hessian(rows.logl, theta)) <= 1e-5
+
+    def test_pass_is_counted_apart_from_logl(self):
+        prog, _, (plan, _), start = _per_cluster_pair("weibull_t_qmc")
+        ev = LikelihoodEvaluator(prog, plan)
+        for _ in range(3):
+            ev.derivatives(start)
+        report = ev.profile_report()
+        assert report["derivative_passes"] == 3
+        assert report["likelihood_calls"] == report["objective_points"] == 0
+        # a fit takes one pass per Newton iteration and finite differences
+        # of no objective
+        res = hm.fit_model(prog.spec, prog.frame, method="qmc", redistribution="t", t_df=5, draws=101)
+        assert res.profile["derivative_passes"] == res.iterations
+        assert res.profile["objective_points"] == res.profile["likelihood_calls"]
+
+    def test_pinned_slot_matches_twin(self):
+        prog, twin, _, _ = _per_cluster_pair("gompertz_entry_qmc")
+        fits = [
+            hm.fit_model(p.spec, p.frame, method="qmc", draws=64, fixed={"gamma": 0.15}) for p in (prog, twin)
+        ]
+        exact, rows = fits
+        assert exact.profile["derivative_passes"] > 0 and rows.profile["derivative_passes"] == 0
+        assert exact.converged and exact.optimum_verified and rows.converged and rows.optimum_verified
+        assert exact.estimate("gamma") == 0.15 and exact.se("gamma") is None and rows.se("gamma") is None
+        for name in ("x", "_cons", "sd(M1)"):
+            assert abs(exact.se(name) - rows.se(name)) <= 1e-5 * rows.se(name), name
+            assert abs(exact.estimate(name) - rows.estimate(name)) <= 1e-3 * rows.se(name), name
+
+    def test_non_finite_derivatives_end_the_fit(self):
+        prog, _, (plan, _), start = _per_cluster_pair("exponential_entry_aghq")
+        ev = LikelihoodEvaluator(prog, plan)
+
+        def broken(theta):
+            value, score, info = ev.derivatives(theta)
+            return value, score, np.full_like(info, np.inf)
+
+        res = optim.maximize(ev.logl, start, refresh=ev.refresh, derivatives=broken)
+        assert not res.converged and not res.optimum_verified
+        assert res.message == "the exact score or information is not finite"

@@ -47,3 +47,31 @@ def test_a_changed_byte_is_flagged():
     change = {"a#0": tool.describe(fit), "b#0": tool.describe(document)}
     assert tool.differences(parent, change) == ["a#0: differs in theta", "b#0: differs in document"]
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
+
+
+def test_deviations_of_a_differing_fit():
+    tool = load_tool()
+
+    def record(theta, logl, se, iterations):
+        result = SimpleNamespace(
+            theta=np.array(theta),
+            logl=logl,
+            cov=np.diag(np.square(se)),
+            message="converged",
+            iterations=iterations,
+            profile={"objective_points": 60},
+        )
+        return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
+
+    parent = {"a#0": record([0.4, -0.8, 1.0], -1000.0, [0.1, 0.2, 0.0], 5), "b#0": record([1.0], -3.0, [0.5], 2)}
+    document = SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None)
+    parent["c#0"] = tool.describe(document)
+    # a pinned slot (standard error 0) moves: its shift is not counted
+    change = {
+        "a#0": record([0.41, -0.8, 3.0], -1000.001, [0.1, 0.21, 0.0], 4),
+        "b#0": parent["b#0"],
+        "c#0": tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.4\n", result=None)),
+    }
+    lines = tool.deviations(parent, change)
+    assert lines == ["a#0: logl 1e-06 relative, theta 0.1 SE, SE 0.05 relative, iterations -1"]
+    assert tool.differences(parent, change) == ["a#0: differs in cov, iterations, logl, theta", "c#0: differs in document"]

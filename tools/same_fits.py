@@ -14,7 +14,12 @@ message, iteration count and ``objective_points``; the command-line fits
 (``rp_replicates``) on the bytes of their result documents; a fit that
 fails must fail with the same reason. The script prints one line per
 fit that differs, or "all N fits identical" and how many of them failed
-on both sides, and exits 1 on any difference.
+on both sides, and exits 1 on any difference. For each differing
+in-process fit that has numbers on both sides it then prints how far
+they moved: the log-likelihood's relative difference, the largest
+|change in theta| over the parent's standard error, the largest
+relative difference of the standard errors (slots with a parent
+standard error only) and the change in the iteration count.
 """
 
 from __future__ import annotations
@@ -84,6 +89,35 @@ def differences(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def deviations(parent: dict, change: dict) -> list[str]:
+    """One line per in-process fit whose records differ and hold numbers
+    on both sides, with how far the change's numbers moved from the
+    parent's (see the module docstring).
+    """
+    import numpy as np
+
+    def numbers(record):
+        theta = np.frombuffer(bytes.fromhex(record["theta"]))
+        cov = np.frombuffer(bytes.fromhex(record["cov"])).reshape(theta.size, theta.size)
+        return float.fromhex(record["logl"]), theta, np.sqrt(np.diag(cov))
+
+    lines = []
+    for key in sorted(parent.keys() & change.keys()):
+        a, b = parent[key], change[key]
+        if a == b or "theta" not in a or "theta" not in b:
+            continue
+        (la, ta, sa), (lb, tb, sb) = numbers(a), numbers(b)
+        has_se = sa > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shift = float(np.max(np.abs(tb - ta)[has_se] / sa[has_se], initial=0.0))
+            se = float(np.max(np.abs(sb - sa)[has_se] / sa[has_se], initial=0.0))
+        lines.append(
+            f"{key}: logl {abs(lb - la) / max(abs(la), 1e-300):.3g} relative, theta {shift:.3g} SE, "
+            f"SE {se:.3g} relative, iterations {b['iterations'] - a['iterations']:+d}"
+        )
+    return lines
+
+
 def run_side(checkout: Path, tiny: bool) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--fits", str(checkout)] + (["--tiny"] if tiny else [])
     env = dict(os.environ, **BLAS_THREADS)
@@ -107,7 +141,7 @@ def main(argv=None) -> int:
         parser.error("give the PARENT and CHANGE checkouts")
     parent, change = (run_side(side.resolve(), args.tiny) for side in (args.parent, args.change))
     lines = differences(parent, change)
-    for line in lines:
+    for line in lines + deviations(parent, change):
         print(line)
     if not lines:
         failed = sum(record["failed"] is not None for record in parent.values())
