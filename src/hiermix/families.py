@@ -124,24 +124,31 @@ def logl_negbin(y, mu, alpha):
 
 
 def _gompertz_scaled_expm1(gamma, t):
-    """(exp(gamma*t) - 1)/gamma with a series near gamma = 0."""
+    """(exp(gamma*t) - 1)/gamma, t f0(gamma t) with f0(x) = (e^x - 1) / x
+    (1 at 0). Where |gamma t| < 0.5, as for its derivatives
+    (``_gompertz_scaled_expm1_derivs``), f0 is summed as its Taylor
+    series, to 17 terms: at gamma = 0 the quotient is 0/0, and the switch
+    on gamma t, not gamma alone, keeps the value exact at long times.
+    """
     gamma = np.asarray(gamma, dtype=float)
     t = np.asarray(t, dtype=float)
-    small = np.abs(gamma) < 1e-5
-    g = np.where(small, 1.0, gamma)  # avoid 0/0; the branch is discarded
+    x = gamma * t
+    near = np.abs(x) < 0.5
+    xs = np.where(near, x, 0.0)
+    f0 = 0.0
+    for n in range(16, -1, -1):  # Horner sum of f0 = sum x^n / (n + 1)!
+        f0 = f0 * xs + 1.0 / math.factorial(n + 1)
+    g = np.where(near, 1.0, gamma)  # avoid 0/0; the branch is discarded
     with np.errstate(over="ignore"):
         exact = np.expm1(g * t) / g
-    gt = gamma * t
-    series = t * (1.0 + gt / 2.0 + gt * gt / 6.0)
-    return np.where(small, series, exact)
+    return np.where(near, t * f0, exact)
 
 
 def _gompertz_scaled_expm1_derivs(gamma, t):
     """First and second gamma-derivatives of ``_gompertz_scaled_expm1``:
     t^2 f1(gamma t) and t^3 f2(gamma t), with f1(x) = ((x - 1) e^x + 1) / x^2
     and f2(x) = ((x^2 - 2x + 2) e^x - 2) / x^3 (1/2 and 1/3 at 0). Where
-    |gamma t| < 0.5, which holds wherever the value takes its series
-    (|gamma| < 1e-5) for t below 5e4, they are summed as their Taylor
+    |gamma t| < 0.5, as for the value, they are summed as their Taylor
     series: the closed forms cancel to O(x^2) and O(x^3) from O(x) terms,
     and f2 would lose 6 eps / x^2 of itself, 5e-5 at x = 5e-6.
     """

@@ -174,10 +174,15 @@ class ReKernel:
 
     def log_density(self, b: np.ndarray, chol: np.ndarray) -> np.ndarray:
         """Log density of points b (..., dim) under the kernel with the
-        given Cholesky scale.
+        given Cholesky scale, which is diagonal, as ``build_chol`` makes
+        it, unless the structure is unstructured: the standardized points
+        are then b over its diagonal, with no triangular solve per point.
         """
         b = np.asarray(b, dtype=float)
-        z = np.linalg.solve(chol, b[..., None])[..., 0] if self.dim > 1 else b / chol[0, 0]
+        if self.structure == "unstructured" and self.dim > 1:
+            z = np.linalg.solve(chol, b[..., None])[..., 0]
+        else:
+            z = b / np.diag(chol)
         quad = np.sum(z * z, axis=-1)
         logdet = float(np.sum(np.log(np.diag(chol))))
         r = self.dim

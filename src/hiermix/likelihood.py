@@ -75,7 +75,8 @@ rows are all summed per unit (``exact``) also has
 (Fisher's identity) and the observed information (Louis 1982, *JRSS B*
 44:226) at one parameter vector in one pass over units x nodes, in
 blocks of whole units within ``_GROUP_VALUES`` and in the thread's
-workspace (see "exact derivatives" below).
+workspace. Its log-likelihood is ``logl``'s, and a fit of such a model
+calls ``logl`` not at all (see "exact derivatives" below).
 """
 
 from __future__ import annotations
@@ -276,6 +277,11 @@ class _UnitDerivatives(NamedTuple):
 # evaluated two at a time, its fits took 35% longer.
 _CHUNK_VALUES = 1 << 16
 _GROUP_VALUES = 1 << 14
+# the most expected events, E[Lam_k] or sum_k n_k D_k, of a unit whose
+# exact derivatives take the shared-node moments: their raw second
+# moments lose about eps times as much of the unit's information, 2e-11
+# of it at this bound, where the per-node form loses nothing to centring
+_RAW_MOMENT_EVENTS = 1e5
 
 
 class LikelihoodEvaluator:
@@ -505,7 +511,13 @@ class LikelihoodEvaluator:
     # (1982) the information is minus the posterior mean of the
     # conditional Hessian less the posterior covariance of the
     # conditional score. Posterior means and covariances are taken per
-    # unit over its nodes, the covariances from features centred first.
+    # unit over its nodes. Where every unit has the same nodes and
+    # log-corrections (scaled nodes), Lam_k = s_k exp(n_k u_j) with
+    # s_k = S_k e^(m_k) per unit, so they all follow from one product of
+    # a unit's posterior weights with a few functions of the nodes
+    # (``_node_features``, ``_shared_moments``); elsewhere, and at units
+    # whose products would lose precision, they are taken node by node,
+    # the covariances from features centred first (``_node_moments``).
 
     def _exact_scope(self) -> bool:
         """Whether ``derivatives`` applies: exactly one latent level, of
@@ -519,12 +531,15 @@ class LikelihoodEvaluator:
     def derivatives(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(log-likelihood, score, observed information) at one parameter
         vector in one pass, for a model in the scope of ``exact``. The
-        log-likelihood is the one ``logl`` gives; where it is not finite,
-        the score and information are NaN, and so is either where a unit's
-        share of it is not finite. Each is summed over units with
-        ``math.fsum``, so the result does not depend on how units are
-        labelled. A level that still has to adapt adapts first, as in
-        ``logl``. Counted in ``derivative_passes``, not as a ``logl`` call.
+        log-likelihood is the one ``logl`` gives, bit for bit, so that
+        ``maximize`` takes every value of the fit from passes; where it is
+        not finite, the score and information are NaN, and so is either
+        where a unit's share of it is not finite. On scaled nodes the
+        posterior moments are one product per unit (see "exact
+        derivatives" below). Each is summed over units with ``math.fsum``,
+        so the result does not depend on how units are labelled. A level
+        that still has to adapt adapts first, as in ``logl``. Counted in
+        ``derivative_passes``, not as a ``logl`` call.
         """
         if not self.exact:
             raise ValueError("exact derivatives need one latent level of one dimension and per-unit sums")
@@ -538,82 +553,79 @@ class LikelihoodEvaluator:
                 self._adapt(theta[None], 0, [])
             x, corr = self._nodes(0, theta[None])
             u_all = x[..., 0]
+            outcomes = [self._unit_derivatives(theta, k) for k in self.intercept_units]
+            counts = np.array([float(len(o.intercepts)) for o in outcomes])  # n_k
             if st.adaptive:
                 w1_all, w2_all = st.kernel.scale_derivatives(u_all, self.level_chol(st, theta))
-            outcomes = [self._unit_derivatives(theta, k) for k in self.intercept_units]
-            unit_logl, unit_score, unit_info = np.empty(n), np.empty((n, p)), np.empty((n, p, p))
+            else:  # every unit has the nodes u_all[0]: the shared-node moments
+                features = _node_features(u_all[0], counts)
+                S, grow = (np.column_stack([o.sums[i] for o in outcomes]) for i in (2, 3))
+                grow = np.exp(grow)  # e^(m_k)
+                scale = S * grow  # s_k = S_k e^(m_k)
+                events = sum(n_k * o.sums[1] for n_k, o in zip(counts, outcomes))  # sum n_k D_k
+            unit_logl = np.empty(n)
             ws = self._workspace()
             one_vector = np.zeros(m, dtype=int)
+
+            def posterior(units):
+                """The posterior weights (units, nodes) of the units, each
+                outcome's Lam_k = S_k exp(L_k + m_k) there and the node
+                values, all in the workspace; and their log-likelihoods.
+                """
+                ws.reset()
+                u = u_all[units]
+                ll = None
+                lams = []
+                for o in outcomes:
+                    stats = tuple(v[units, None] for v in o.sums)
+                    term, lam = self._collapsed(ws, stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
+                    ll = term if ll is None else np.add(ll, term, out=ll)
+                    lams.append(lam)
+                logp = np.add(corr[units], ll, out=ll)
+                lse = logsumexp(logp, ws.take)
+                return np.exp(np.subtract(logp, lse[:, None], out=logp), out=logp), lams, u, lse
+
+            K = len(outcomes)
             # units per block: every array of a block is units x nodes, and
             # at _GROUP_VALUES they fit the buffers that logl's chunks
             # already hold; on the 300 x 200 benchmark model the workspace
             # then grows from 1.39 to 1.50 MB, at _CHUNK_VALUES to 2.19 MB
             block = max(1, _GROUP_VALUES // m)
-            for u0 in range(0, n, block):
-                ub = slice(u0, min(u0 + block, n))
-                ws.reset()
-                shape = (ub.stop - u0, m)
-                u = u_all[ub]
-                ll = None
-                lams = []  # Lam_k = S_k exp(L_k + m_k) of each outcome
-                for o in outcomes:
-                    stats = tuple(v[ub, None] for v in o.sums)
-                    term, lam = self._collapsed(ws, stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
-                    ll = term if ll is None else np.add(ll, term, out=ll)
-                    lams.append(lam)
-                logp = np.add(corr[ub], ll, out=ll)
-                lse = unit_logl[ub] = logsumexp(logp, ws.take)
-                post = np.exp(np.subtract(logp, lse[:, None], out=logp), out=logp)  # posterior weights
-                void = np.equal(post, 0.0, out=ws.take(shape, bool))
-
-                def mean(f):
-                    return np.einsum("ij,ij->i", post, f)
-
-                for lam in lams:
-                    np.copyto(lam, 0.0, where=void)  # no inf * 0 where a weight is 0
-                # the conditional score in tau, and the posterior means of
-                # the conditional score and Hessian
-                score = np.zeros(shape[:1] + (p,))
-                hess = np.zeros(shape[:1] + (p, p))
-                if st.adaptive:
-                    score_tau = w1_all[ub]
-                    hess[:, tau, tau] = mean(w2_all[ub])
-                else:
-                    score_tau = ws.take(shape)
-                    score_tau.fill(0.0)
-                for lam, o in zip(lams, outcomes):
-                    lam_mean = mean(lam)[:, None]
-                    score += o.alpha[ub] - lam_mean * o.r1[ub]
-                    hess += o.alpha2[ub] - lam_mean[:, :, None] * o.r2[ub]
-                    if st.adaptive:
-                        continue
-                    n_k = len(o.intercepts)  # d Lam_k / d tau = n_k u Lam_k
-                    cross = -n_k * np.einsum("ij,ij,ij->i", post, u, lam)[:, None] * o.r1[ub]
-                    hess[:, tau] += cross
-                    hess[:, :, tau] += cross
-                    hess[:, tau, tau] -= n_k * n_k * np.einsum("ij,ij,ij,ij->i", post, u, u, lam)
-                    score_tau += n_k * o.sums[1][ub, None]  # n_k (D_k - Lam_k)
-                    score_tau -= lam if n_k == 1 else n_k * lam
-                if not st.adaptive:
-                    np.multiply(score_tau, u, out=score_tau)
-                    hess[:, tau, tau] += mean(score_tau)
-                # the conditional score is a constant plus sum_f feature_f coef_f
-                feats = lams + [score_tau]
-                coef = np.zeros(shape[:1] + (len(feats), p))
-                for f, o in enumerate(outcomes):
-                    coef[:, f] = -o.r1[ub]
-                coef[:, -1, tau] = 1.0
-                means = [mean(f) for f in feats]
-                score[:, tau] += means[-1]
-                root = np.sqrt(post, out=post)
-                for f, f_mean in zip(feats, means):  # centred, then weighted
-                    np.multiply(np.subtract(f, f_mean[:, None], out=f), root, out=f)
-                cov = np.empty(shape[:1] + (len(feats), len(feats)))
-                for a in range(len(feats)):
-                    for b in range(a + 1):
-                        cov[:, a, b] = cov[:, b, a] = np.einsum("ij,ij->i", feats[a], feats[b])
-                unit_score[ub] = score
-                unit_info[ub] = -hess - coef.transpose(0, 2, 1) @ cov @ coef
+            if st.adaptive:
+                moments = np.empty((n, K + 1)), np.empty((n, K)), np.empty(n), np.empty((n, K + 1, K + 1))
+                for u0 in range(0, n, block):
+                    ub = slice(u0, min(u0 + block, n))
+                    post, lams, _, unit_logl[ub] = posterior(ub)
+                    derivs = w1_all[ub], w2_all[ub]
+                    for v, part in zip(moments, _node_moments(post, lams, counts, tau_derivatives=derivs)):
+                        v[ub] = part
+            else:
+                sums = np.empty((n, features.shape[1]))
+                for u0 in range(0, n, block):
+                    ub = slice(u0, min(u0 + block, n))
+                    post, _, _, unit_logl[ub] = posterior(ub)
+                    # one product per unit, so that a unit's moments do not
+                    # depend on which block it falls in (a one-row block of a
+                    # plain product would take another BLAS routine)
+                    sums[ub] = np.matmul(post[:, None, :], features)[:, 0]
+                moments = _shared_moments(sums, scale, events, counts)
+                # per node where s_k or e^(m_k) underflowed, where a product
+                # overflowed, or where a unit expects so many events that its
+                # raw second moments would lose more of its information
+                # (about eps times them)
+                underflow = (S > 0) & (np.minimum(scale, grow) < np.finfo(float).tiny)
+                redo = np.any(underflow | (moments[0][:, :K] > _RAW_MOMENT_EVENTS), axis=1)
+                redo |= events > _RAW_MOMENT_EVENTS
+                for v in moments:
+                    redo |= ~np.isfinite(v.reshape(n, -1)).all(axis=1)
+                redo = np.flatnonzero(redo)
+                for r0 in range(0, redo.size, block):
+                    units = redo[r0 : r0 + block]
+                    post, lams, u, _ = posterior(units)
+                    D = np.column_stack([o.sums[1][units] for o in outcomes])
+                    for v, part in zip(moments, _node_moments(post, lams, counts, u, D)):
+                        v[units] = part
+            unit_score, unit_info = _unit_score_info(moments, outcomes, tau, p)
         act = st.active
         if not np.all(np.isfinite(unit_logl[act])):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
@@ -956,3 +968,131 @@ def _index_or_all(units: np.ndarray, n_units: int):
     """
     return slice(None) if np.array_equal(units, np.arange(n_units)) else units
 
+
+# ---------------------------------------------------------------------------
+# Posterior moments of the exact derivatives
+# ---------------------------------------------------------------------------
+#
+# ``derivatives`` needs, per unit, the posterior means of the features
+# Lam_k (one per outcome) and T, the conditional score in the level's
+# log scale tau, their posterior covariance, and two more posterior
+# means: n_k E[u Lam_k], whose products with the row parts give the
+# conditional Hessian's cross terms in tau, and the conditional
+# Hessian's (tau, tau) entry. These four arrays are the moments:
+# (means (units, K + 1), cross (units, K), curvature (units,),
+# covariance (units, K + 1, K + 1)), K outcomes, T last.
+
+
+def _node_features(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The columns G (nodes, 3 + 3J) whose posterior sums give every
+    moment on nodes u shared by all units: 1, u, u^2, then X, u X and
+    u^2 X for X the J = K + K(K+1)/2 columns E_k = exp(n_k u) and
+    E_a E_b (a >= b, in ``np.tril_indices`` order), n_k = ``counts``.
+    """
+    grow = np.exp(np.multiply.outer(u, counts))
+    rows, cols = np.tril_indices(len(counts))
+    x = np.column_stack([grow, grow[:, rows] * grow[:, cols]])
+    return np.column_stack([np.ones_like(u), u, u * u, x, u[:, None] * x, (u * u)[:, None] * x])
+
+
+def _shared_moments(sums: np.ndarray, scale: np.ndarray, events: np.ndarray, counts: np.ndarray) -> tuple:
+    """The moments from the posterior-weighted sums of the
+    ``_node_features`` columns (units, 3 + 3J): on shared nodes
+    Lam_k = s_k E_k, with s_k = S_k e^(m_k) (``scale``, (units, K)), and
+    T = u (N - sum_k n_k Lam_k), with N = sum_k n_k D_k (``events``), so
+    every moment is a sum of s_k products times a column's sum. A
+    covariance is the raw second moment less the product of the means
+    times 2 - w, w the sum of the weights: what ``_node_moments``'s
+    centred features give where w, a rounded sum of exponentials, is
+    not exactly 1.
+    """
+    K = scale.shape[1]
+    J = K + K * (K + 1) // 2
+    weight, mean_u, mean_uu = sums[:, 0], sums[:, 1], sums[:, 2]
+    m0, m1, m2 = (sums[:, 3 + i * J : 3 + (i + 1) * J] for i in range(3))
+    hi, lo = np.maximum.outer(np.arange(K), np.arange(K)), np.minimum.outer(np.arange(K), np.arange(K))
+    pair = K + hi * (hi + 1) // 2 + lo  # column of E_a E_b
+    q0, q1, q2 = m0[:, pair], m1[:, pair], m2[:, pair]
+    m0, m1, m2 = m0[:, :K], m1[:, :K], m2[:, :K]
+    weighted = counts * scale  # n_k s_k
+    lam = scale * m0
+    t_mean = events * mean_u - np.sum(weighted * m1, axis=1)
+    centring = (2.0 - weight)[:, None]
+    cov = np.empty((len(sums), K + 1, K + 1))
+    cov[:, :K, :K] = scale[:, :, None] * scale[:, None, :] * q0 - lam[:, :, None] * (lam * centring)[:, None, :]
+    lam_t = scale * (events[:, None] * m1 - np.einsum("iak,ik->ia", q1, weighted)) - lam * (t_mean[:, None] * centring)
+    cov[:, :K, K] = cov[:, K, :K] = lam_t
+    cov[:, K, K] = (
+        events * events * mean_uu
+        - 2.0 * events * np.sum(weighted * m2, axis=1)
+        + np.einsum("ik,ikl,il->i", weighted, q2, weighted)
+        - t_mean * t_mean * centring[:, 0]
+    )
+    curvature = t_mean - np.sum(counts * weighted * m2, axis=1)
+    return np.column_stack([lam, t_mean]), weighted * m1, curvature, cov
+
+
+def _node_moments(post, lams, counts, u=None, events=None, tau_derivatives=None) -> tuple:
+    """The moments from the posterior weights ``post`` and each outcome's
+    Lam_k, (units, nodes) arrays, node by node; the covariances from
+    features centred first. On scaled nodes, given u and D_k
+    (``events``, (units, K)), T = u sum_k n_k (D_k - Lam_k); on adaptive
+    nodes, ``tau_derivatives`` are T and the (tau, tau) entry (see
+    ``ReKernel.scale_derivatives``). Overwrites ``post``, ``lams`` and T.
+    """
+    nb, K = post.shape[0], len(lams)
+
+    def mean(f):
+        return np.einsum("ij,ij->i", post, f)
+
+    void = post == 0.0
+    for lam in lams:
+        np.copyto(lam, 0.0, where=void)  # no inf * 0 where a weight is 0
+    cross = np.zeros((nb, K))
+    if tau_derivatives is None:
+        t = np.zeros_like(post)
+        curvature = np.zeros(nb)
+        for k, (n_k, lam) in enumerate(zip(counts, lams)):  # d Lam_k / d tau = n_k u Lam_k
+            cross[:, k] = n_k * np.einsum("ij,ij,ij->i", post, u, lam)
+            curvature -= n_k * n_k * np.einsum("ij,ij,ij,ij->i", post, u, u, lam)
+            t += n_k * events[:, k, None]
+            t -= lam if n_k == 1 else n_k * lam
+        np.multiply(t, u, out=t)
+    else:
+        t, w2 = tau_derivatives
+        curvature = mean(w2)
+    feats = lams + [t]
+    means = np.column_stack([mean(f) for f in feats])
+    if tau_derivatives is None:
+        curvature += means[:, K]
+    root = np.sqrt(post, out=post)
+    for f, f_mean in zip(feats, means.T):  # centred, then weighted
+        np.multiply(np.subtract(f, f_mean[:, None], out=f), root, out=f)
+    cov = np.empty((nb, K + 1, K + 1))
+    for a in range(K + 1):
+        for b in range(a + 1):
+            cov[:, a, b] = cov[:, b, a] = np.einsum("ij,ij->i", feats[a], feats[b])
+    return means, cross, curvature, cov
+
+
+def _unit_score_info(moments: tuple, outcomes: list, tau: int, p: int) -> tuple:
+    """Each unit's score and observed information from its moments: the
+    score is the posterior mean of the conditional score, and the
+    information minus the posterior mean of the conditional Hessian less
+    the posterior covariance of the conditional score, which is a
+    constant plus sum_f feature_f coef_f.
+    """
+    means, cross, curvature, cov = moments
+    nb, K = cross.shape
+    score, hess, coef = np.zeros((nb, p)), np.zeros((nb, p, p)), np.zeros((nb, K + 1, p))
+    for k, o in enumerate(outcomes):
+        score += o.alpha - means[:, k, None] * o.r1
+        hess += o.alpha2 - means[:, k, None, None] * o.r2
+        tau_terms = -cross[:, k, None] * o.r1
+        hess[:, tau] += tau_terms
+        hess[:, :, tau] += tau_terms
+        coef[:, k] = -o.r1
+    score[:, tau] += means[:, K]
+    hess[:, tau, tau] += curvature
+    coef[:, K, tau] = 1.0
+    return score, -hess - coef.transpose(0, 2, 1) @ cov @ coef

@@ -9,8 +9,9 @@ Hessian (q(q+1)) of the q free slots are built first and evaluated as
 one stack; a non-finite value halves every step and re-evaluates the
 stack. Slots pinned during maximization are not probed. Threads belong
 to ``maximize``, which splits each stack over one pool. Where the model
-gives its exact score and information in one pass, ``maximize`` takes
-them from it instead (its ``derivatives``).
+gives its log-likelihood, exact score and information in one pass,
+``maximize`` takes every value and derivative from it instead (its
+``derivatives``) and calls no objective.
 """
 
 from __future__ import annotations
@@ -253,11 +254,20 @@ def maximize(
 
     ``derivatives``, when given, maps a vector to (objective, score,
     information), all exact (``LikelihoodEvaluator.derivatives``), and
-    replaces both finite differences: one call per Newton iteration
-    gives its gradient and Hessian, and the final ones too, so ``near``
-    is not used and no thread pool is started. Pinned slots' entries are
-    0, as on the finite-difference path. A score or information that is
-    not finite ends the fit, not converged, as a non-finite probe does.
+    replaces the objective and both finite differences: ``objective`` is
+    never called. Every value the fit needs, at the start, at each
+    line-search point and after a refresh that changed the objective,
+    comes from a pass at that vector. The latest pass is kept, so the
+    pass of an accepted step gives the next iteration's gradient and
+    Hessian, and the final ones too; a refresh that changed the
+    objective discards it. A fit therefore takes one pass at the start,
+    one per line-search point (an accepted step or a halving) and one
+    per changing refresh; ``near`` is not used and no thread pool is
+    started. Pinned slots' entries are 0, as on the finite-difference
+    path. A score or information that is not finite where the fit needs
+    it as a gradient or Hessian ends the fit, not converged, as a
+    non-finite probe does; a line-search point whose value is not finite
+    is halved, as on the finite-difference path.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -266,25 +276,32 @@ def maximize(
     free = np.ones(p, dtype=bool) if free_mask is None else np.asarray(free_mask, dtype=bool)
     if clamp is not None:
         theta = clamp(theta)
-    if refresh is not None:
-        refresh(theta)
-    f = objective(theta)
-    if not np.isfinite(f):
-        raise FitError("objective is not finite at the starting values")
-    latest = {}  # the latest exact pass: vector bytes -> (gradient, Hessian)
+    latest = {}  # the latest exact pass: vector bytes -> (objective, score, information)
 
-    def exact(th):
+    def value(th):
+        if derivatives is None:
+            return objective(th)
         key = th.tobytes()
         if key not in latest:
-            _, score, info = derivatives(th)
-            if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
-                raise FitError("the exact score or information is not finite")
-            pinned = ~free
-            score, hess = np.where(pinned, 0.0, score), -info
-            hess[pinned] = hess[:, pinned] = 0.0
             latest.clear()
-            latest[key] = score, hess
-        return latest[key]
+            latest[key] = derivatives(th)
+        return latest[key][0]
+
+    def exact(th):
+        value(th)
+        _, score, info = latest[th.tobytes()]
+        if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
+            raise FitError("the exact score or information is not finite")
+        pinned = ~free
+        score, hess = np.where(pinned, 0.0, score), -info
+        hess[pinned] = hess[:, pinned] = 0.0
+        return score, hess
+
+    if refresh is not None:
+        refresh(theta)
+    f = value(theta)
+    if not np.isfinite(f):
+        raise FitError("objective is not finite at the starting values")
 
     with _thread_pool(threads) if threads > 1 and derivatives is None else nullcontext() as pool:
         probes = objective if pool is None else _split_over(objective, pool, threads)
@@ -322,7 +339,7 @@ def maximize(
                     cand = theta + alpha * step
                     if clamp is not None:
                         cand = clamp(cand)
-                    val = objective(cand)
+                    val = value(cand)
                     if np.isfinite(val) and val > f:
                         f_new, theta_new = val, cand
                         break
@@ -339,7 +356,8 @@ def maximize(
                 theta, f = theta_new, f_new
                 grad = hess = None
                 if refresh is not None and refresh(theta):
-                    f = objective(theta)
+                    latest.clear()
+                    f = value(theta)
                 trace.append((it, f, scaled, halvings))
                 if monitor is not None:
                     monitor(it, f, scaled, halvings)

@@ -96,10 +96,11 @@ class TestClosedFormSurvival:
 
     def test_gompertz_zero_shape_is_exponential(self):
         np.testing.assert_allclose(surv_logl(2.0, 0, "gompertz", 0.0, 0.0), -2.0)
-        # series branch agrees with the exact branch just outside it
-        a = surv_logl(2.0, 1, "gompertz", 0.3, 9e-6)
-        b = surv_logl(2.0, 1, "gompertz", 0.3, 1.1e-5)
-        assert abs(a - b) < 1e-4
+        # series branch (|gamma t| < 0.5) agrees with the exact branch
+        # just outside it
+        a = surv_logl(2.0, 1, "gompertz", 0.3, 0.25 - 1e-9)
+        b = surv_logl(2.0, 1, "gompertz", 0.3, 0.25 + 1e-9)
+        assert abs(a - b) < 1e-8
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-7, -1e-7, 1e-5, -1e-5, 0.3])
     def test_gompertz_derivatives_match_central_differences(self, gamma):
@@ -116,12 +117,32 @@ class TestClosedFormSurvival:
 
     @pytest.mark.parametrize("gamma,t", [(1e-5, 2.0), (-1e-5, 2.0), (0.25, 2.0), (-0.25, 2.0)], ids=["value_switch", "value_switch_neg", "series_edge", "series_edge_neg"])
     def test_gompertz_derivatives_continuous(self, gamma, t):
-        # across the value's |gamma| < 1e-5 switch, and across |gamma t| = 0.5
-        # where the derivatives leave their series
-        below = _gompertz_scaled_expm1_derivs(np.nextafter(gamma, 0.0), t)
-        above = _gompertz_scaled_expm1_derivs(np.nextafter(gamma, 2.0 * gamma), t)
+        # the value and its derivatives at |gamma| = 1e-5, and across
+        # |gamma t| = 0.5, where they leave their series
+        g_lo, g_hi = np.nextafter(gamma, 0.0), np.nextafter(gamma, 2.0 * gamma)
+        below = (_gompertz_scaled_expm1(g_lo, t), *_gompertz_scaled_expm1_derivs(g_lo, t))
+        above = (_gompertz_scaled_expm1(g_hi, t), *_gompertz_scaled_expm1_derivs(g_hi, t))
         for lo, hi in zip(below, above):
             assert abs(hi - lo) <= 1e-12 * abs(lo)
+
+    @pytest.mark.parametrize("t", [1e5, 1e8])
+    @pytest.mark.parametrize("x", [0.0, 1e-9, -1e-9, 9e-6, 0.3, -0.3, 0.49, 0.51, 0.9, -0.9, 2.0])
+    def test_gompertz_value_at_long_times(self, x, t):
+        # gamma t = x: the value is exact whatever t, not only where gamma
+        # is small (at gamma = 9e-6 and t = 1e5 a switch on gamma alone
+        # took the series at x = 0.9 and was 2.3% low)
+        gamma = x / t
+        value = float(_gompertz_scaled_expm1(gamma, t))
+        expect = math.expm1(x) / gamma if gamma else t
+        assert abs(value - expect) <= 1e-14 * expect
+        # the derivatives against central differences of the value and of
+        # the first derivative
+        h = 1e-4 / t
+        d1, d2 = _gompertz_scaled_expm1_derivs(gamma, t)
+        value_at = lambda g: _gompertz_scaled_expm1(g, t)
+        d1_at = lambda g: _gompertz_scaled_expm1_derivs(g, t)[0]
+        for f, derivative in ((value_at, d1), (d1_at, d2)):
+            assert abs(derivative - (f(gamma + h) - f(gamma - h)) / (2 * h)) <= 1e-8 * derivative
 
     @pytest.mark.parametrize("name,phi", [("weibull", 0.3), ("weibull", -0.7), ("gompertz", 0.4), ("gompertz", -0.2), ("gompertz", 0.0)])
     def test_exp_linear_ancillary_derivatives(self, name, phi):

@@ -325,6 +325,46 @@ class TestMaximize:
         assert n_moved - n_still == len(moved.trace) > 0
         assert still.theta.tobytes() == moved.theta.tobytes() and still.logl == moved.logl
 
+    @pytest.mark.parametrize("changes", [False, True], ids=["still", "changing"])
+    def test_exact_path_takes_every_value_from_a_pass(self, changes):
+        # -sum log cosh(theta - c), with its closed-form score and
+        # information: Newton steps from 2 away overshoot, so some steps
+        # halve. A changing refresh adds 1e-3 to the value, so a pass kept
+        # from before it would give a stale value
+        c = np.array([0.5, -1.0])
+        passes = []
+        version = [0]
+
+        def value(th, v):
+            return float(-np.sum(np.log(np.cosh(th - c)))) + 1e-3 * v
+
+        def derivatives(th):
+            passes.append((th.copy(), version[0]))
+            d = th - c
+            return value(th, version[0]), -np.tanh(d), np.diag(1.0 / np.cosh(d) ** 2)
+
+        def refresh(th):
+            version[0] += changes
+            return changes
+
+        def objective(th):
+            raise AssertionError("the objective was called on the exact path")
+
+        res = maximize(objective, c + 2.0, refresh=refresh, derivatives=derivatives)
+        assert res.converged and res.optimum_verified
+        np.testing.assert_allclose(res.theta, c, atol=1e-6)
+        steps = len(res.trace)
+        halvings = sum(h for *_, h in res.trace)
+        assert halvings > 0
+        # the start, each line-search point, and each changing refresh
+        assert len(passes) == 1 + steps + halvings + changes * steps
+        # a changing refresh is followed by a new pass at the same vector,
+        # under the new version; otherwise a vector is passed once
+        repeats = [(va, vb) for (a, va), (b, vb) in zip(passes, passes[1:]) if a.tobytes() == b.tobytes()]
+        assert len(repeats) == changes * steps
+        assert all(vb == va + 1 for va, vb in repeats)
+        assert res.logl == value(res.theta, version[0]) == res.trace[-1][1]
+
     def test_one_thread_pool_per_fit(self):
         # the worker threads, and the likelihood workspaces they keep,
         # live for the whole fit instead of one objective call

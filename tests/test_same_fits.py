@@ -1,6 +1,7 @@
 """``tools/same_fits.py``: every benchmark panel fitted in two checkouts
 and compared bit for bit."""
 
+import functools
 import importlib.util
 import subprocess
 import sys
@@ -49,20 +50,22 @@ def test_a_changed_byte_is_flagged():
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
 
 
+def fit_record(tool, theta, logl, se, iterations=5, points=60):
+    """The record of a converged in-process fit."""
+    result = SimpleNamespace(
+        theta=np.array(theta),
+        logl=logl,
+        cov=np.diag(np.square(se)),
+        message="converged",
+        iterations=iterations,
+        profile={"objective_points": points},
+    )
+    return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
+
+
 def test_deviations_of_a_differing_fit():
     tool = load_tool()
-
-    def record(theta, logl, se, iterations):
-        result = SimpleNamespace(
-            theta=np.array(theta),
-            logl=logl,
-            cov=np.diag(np.square(se)),
-            message="converged",
-            iterations=iterations,
-            profile={"objective_points": 60},
-        )
-        return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
-
+    record = functools.partial(fit_record, tool)
     parent = {"a#0": record([0.4, -0.8, 1.0], -1000.0, [0.1, 0.2, 0.0], 5), "b#0": record([1.0], -3.0, [0.5], 2)}
     document = SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None)
     parent["c#0"] = tool.describe(document)
@@ -75,3 +78,40 @@ def test_deviations_of_a_differing_fit():
     lines = tool.deviations(parent, change)
     assert lines == ["a#0: logl 1e-06 relative, theta 0.1 SE, SE 0.05 relative, iterations -1"]
     assert tool.differences(parent, change) == ["a#0: differs in cov, iterations, logl, theta", "c#0: differs in document"]
+
+
+def test_tolerance_mode(monkeypatch, capsys):
+    tool = load_tool()
+    record = functools.partial(fit_record, tool)
+    document = tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None))
+    parent = {"a#0": record([0.4, -0.8], -1000.0, [0.1, 0.2]), "b#0": record([1.0], -3.0, [0.5]), "c#0": document}
+    # within the gates: rounding-level moves, and fewer objective points
+    close = {**parent, "a#0": record([0.4 + 9e-8, -0.8], -1000.0 * (1 + 9e-11), [0.1 * (1 + 9e-7), 0.2], points=0)}
+    assert tool.beyond_tolerance(parent, close) == []
+    assert tool.differences(parent, close) == ["a#0: differs in cov, logl, objective_points, theta"]
+    beyond = {
+        "a#0": record([0.4 + 2e-7, -0.8], -1000.0 * (1 + 2e-10), [0.1, 0.2 * (1 + 2e-6)]),
+        "b#0": record([1.0], -3.0, [0.5], iterations=6),
+        "c#0": tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.4\n", result=None)),
+    }
+    assert tool.beyond_tolerance(parent, beyond) == [
+        "a#0: logl 2e-10 > 1e-10, theta 2e-07 > 1e-07, SE 2e-06 > 1e-06",
+        "b#0: differs in iterations",
+        "c#0: differs in document",
+    ]
+    # a standard error the change no longer reports is beyond the gates
+    unverified = {**parent, "b#0": record([1.0], -3.0, [np.nan])}
+    assert tool.beyond_tolerance(parent, unverified) == ["b#0: SE nan > 1e-06"]
+    assert tool.beyond_tolerance(parent, {"a#0": parent["a#0"]}) == [
+        "b#0: fitted on the parent side only",
+        "c#0: fitted on the parent side only",
+    ]
+
+    # the exit status: bit for bit by default, the gates with --tolerance
+    for change, flags, status in ((close, [], 1), (close, ["--tolerance"], 0), (beyond, ["--tolerance"], 1)):
+        sides = iter([parent, change])
+        monkeypatch.setattr(tool, "run_side", lambda checkout, tiny: next(sides))
+        assert tool.main([str(ROOT), str(ROOT), *flags]) == status
+    out = capsys.readouterr().out
+    assert "all 3 fits within tolerance (1 differ)" in out
+    assert "beyond tolerance: b#0: differs in iterations" in out
