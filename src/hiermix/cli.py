@@ -133,10 +133,12 @@ def _load_spec(args) -> tuple:
 def _fit_from_args(args, points=None, draws=None):
     spec, spec_text = _load_spec(args)
     frame = load_csv(args.data)
+    if points is None:
+        points = _per_level(args.points, int)
     result = fit_model(
         spec,
         frame,
-        points=points if points is not None else (_per_level(args.points, int) or 7),
+        points=7 if points is None else points,
         draws=draws if draws is not None else _per_level(args.draws, int),
         method=_per_level(args.method, str),
         redistribution=_per_level(args.redistribution, str),
@@ -232,9 +234,9 @@ def cmd_check(args) -> int:
     points2 = _per_level(args.points2, int)
     draws2 = _per_level(args.draws2, int)
     if points2 is None:
-        base_points = _per_level(args.points, int) or 7
+        base_points = _per_level(args.points, int)
         points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items()} if isinstance(base_points, dict) else (
-            base_points + 8
+            (7 if base_points is None else base_points) + 8
         )
     if draws2 is None:
         draws2 = {n: lp.m * 4 for n, lp in base.plan.levels.items()}

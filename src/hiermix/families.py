@@ -4,6 +4,7 @@ hooks.
 
 All functions broadcast over numpy arrays; the fitting engine calls
 them with (rows, time, nodes)-shaped arrays, tests mostly with scalars.
+None of them writes into an array it is given.
 """
 
 from __future__ import annotations
@@ -46,44 +47,24 @@ def _check_counts(y, what: str, upper=None):
     return y
 
 
-def _result(out, *operands):
-    """``out``, or a new array of the broadcast shape of the operands
-    that are not None: the array an in-place form writes its result to.
-    """
-    if out is not None:
-        return out
-    return np.empty(np.broadcast(*(v for v in operands if v is not None)).shape)
-
-
-def logl_gaussian(y, mu, sigma, out=None):
+def logl_gaussian(y, mu, sigma):
     """Non-positive sigma yields -inf rather than raising, so an
     optimizer probing a degenerate scale simply rejects the step.
-    Written into ``out`` when it is given (the result's shape).
     """
     sigma = np.asarray(sigma, dtype=float)
-    out = _result(out, y, mu, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.divide(np.subtract(y, mu, out=out), sigma, out=out)
-        half = np.multiply(0.5, z, out=np.empty_like(out))  # 0.5 * z * z needs z and 0.5 z at once
-        np.multiply(half, z, out=half)
-        np.subtract(-0.5 * _LOG_2PI - np.log(sigma), half, out=out)
+        z = (np.asarray(y, dtype=float) - mu) / sigma
+        out = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z * z
     if not (sigma > 0).all():
-        np.copyto(out, -np.inf, where=~(sigma > 0))
+        out = np.where(sigma > 0, out, -np.inf)
     return out
 
 
-def logl_bernoulli(y, mu, out=None):
-    """Written into ``out`` when it is given (the result's shape), which
-    may be ``mu`` itself.
-    """
+def logl_bernoulli(y, mu):
     y = _check_counts(y, "bernoulli", upper=1)
     mu = np.asarray(mu, dtype=float)
-    out = _result(out, y, mu)
     with np.errstate(divide="ignore"):
-        term = np.log(mu, out=np.empty_like(out))
-        np.multiply(y, term, out=term)
-        np.log1p(np.negative(mu, out=out), out=out)
-        return np.add(term, np.multiply(1.0 - y, out, out=out), out=out)
+        return y * np.log(mu) + (1.0 - y) * np.log1p(-mu)
 
 
 def logl_binomial(y, mu, k):
@@ -209,23 +190,17 @@ class RpColumns:
         self.at_t0 = rcs_eval(basis, np.log(np.where(self.entry, t0, 1.0))) if np.any(self.entry) else None
 
 
-def log_hazard_value(h, empty=np.empty, out=None):
+def log_hazard_value(h):
     """The log of a hazard given as a value: log(max(h, 1e-300)) where
     h > 0, and -inf where h <= 0 or h is NaN, so that an optimizer
-    rejects a step to a hazard that is not positive. Written into
-    ``out`` when it is given, which may be ``h`` itself, else into an
-    array from ``empty``.
+    rejects a step to a hazard that is not positive.
     """
     h = np.asarray(h, dtype=float)
-    out = empty(h.shape) if out is None else out
     with np.errstate(invalid="ignore"):
-        positive = np.greater(h, 0.0, out=empty(h.shape, bool))
-        np.log(np.maximum(h, 1e-300, out=out), out=out)
-    np.copyto(out, -np.inf, where=np.logical_not(positive, out=positive))
-    return out
+        return np.where(h > 0.0, np.log(np.maximum(h, 1e-300)), -np.inf)
 
 
-def survival_logl(log_h, bhaz, H, H0, d, entered, empty=np.empty):
+def survival_logl(log_h, bhaz, H, H0, d, entered):
     """Log-likelihood of survival rows, d log(h(y) + b) - H(y) + H(t0),
     from the log model hazard at y, ``log_h``; the expected hazard
     ``bhaz`` b of an excess-hazard model, or None; the cumulative
@@ -236,24 +211,19 @@ def survival_logl(log_h, bhaz, H, H0, d, entered, empty=np.empty):
     With no ``bhaz`` the event term is ``log_h`` itself. With one it is
     log(exp(log_h) + b), and -inf where the model hazard is not positive
     (``log_h`` -inf), whatever b. A censored row has no event term, so
-    its ``log_h`` is not read. The result comes from
-    ``empty(shape, dtype=float)`` and is written in place.
+    its ``log_h`` is not read.
     """
-    out = empty(np.broadcast(*(v for v in (log_h, bhaz, H, H0, d) if v is not None)).shape)
-    if bhaz is None:
-        np.copyto(out, log_h)
-    else:
+    event = log_h
+    if bhaz is not None:
         with np.errstate(over="ignore", divide="ignore"):
-            np.log(np.add(np.exp(log_h, out=out), bhaz, out=out), out=out)
-        np.copyto(out, -np.inf, where=np.equal(log_h, -np.inf, out=empty(np.shape(log_h), bool)))
-    np.copyto(out, 0.0, where=np.equal(d, 0))
-    np.subtract(out, H, out=out)
+            event = np.where(log_h == -np.inf, -np.inf, np.log(np.exp(log_h) + bhaz))
+    out = np.where(d == 0, 0.0, event) - H
     if H0 is not None:
-        np.add(out, H0, out=out, where=entered)
+        out = np.where(entered, out + H0, out)
     return out
 
 
-def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=None, eta_entry=None, empty=np.empty):
+def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=None, eta_entry=None):
     """Survival log-likelihood on the log cumulative-hazard scale:
     log H(y) = s(log y) + eta with s a restricted cubic spline, whose
     columns at the data's times are in ``cols``.
@@ -271,9 +241,7 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
 
     The model hazard H(y) dF/dlog(y) / y is a value, so its log follows
     ``log_hazard_value``: -inf where it is not positive. The row terms
-    are those of ``survival_logl``. The result and its intermediate
-    arrays come from ``empty(shape, dtype=float)`` (``np.empty``, or an
-    evaluation's ``EvalContext.empty``) and are written in place.
+    are those of ``survival_logl``.
     """
     if callable(coefs):
         times = coefs
@@ -283,30 +251,23 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
         def times(a):
             return a @ coefs
 
-    def plus(a, b):  # a + b in an array of its own
-        return np.add(a, b, out=empty(np.broadcast_shapes(np.shape(a), np.shape(b))))
-
-    H = plus(times(cols.at_y), eta)  # log H, then H
     with np.errstate(over="ignore"):
-        np.exp(H, out=H)
+        H = np.exp(times(cols.at_y) + eta)
     if eta_plus is not None:
         if cols.log_step is None:
             raise ValueError("time-dependent eta needs spline columns built with a log_step")
-        f_plus = plus(times(cols.at_plus), eta_plus)
-        f_minus = plus(times(cols.at_minus), eta_minus)
-        dF = empty(np.broadcast_shapes(f_plus.shape, f_minus.shape, cols.log_step.shape))
-        np.divide(np.subtract(f_plus, f_minus, out=dF), 2.0 * cols.log_step, out=dF)
+        f_plus = times(cols.at_plus) + eta_plus
+        f_minus = times(cols.at_minus) + eta_minus
+        dF = (f_plus - f_minus) / (2.0 * cols.log_step)
     else:
         dF = times(cols.deriv_at_y)
     H0 = None
     if cols.at_t0 is not None:
-        H0 = plus(times(cols.at_t0), eta if eta_entry is None else eta_entry)
         with np.errstate(over="ignore"):
-            np.exp(H0, out=H0)
-    h = empty(np.broadcast_shapes(H.shape, np.shape(dF), np.shape(cols.y)))
+            H0 = np.exp(times(cols.at_t0) + (eta if eta_entry is None else eta_entry))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(np.multiply(H, dF, out=h), cols.y, out=h)
-    return survival_logl(log_hazard_value(h, empty, out=h), bhaz, H, H0, d, cols.entry, empty)
+        h = H * dF / cols.y
+    return survival_logl(log_hazard_value(h), bhaz, H, H0, d, cols.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +354,11 @@ class Family:
     def n_anc(self) -> int:
         return len(self.anc_info)
 
-    def inverse_link(self, eta, out=None):
-        """The mean at linear predictor eta, written into ``out`` when it
-        is given, except for the identity link, which returns eta itself.
+    def inverse_link(self, eta):
+        """The mean at linear predictor eta (eta itself for the identity
+        link).
         """
-        if out is None or self.link == "identity":
-            return INVERSE_LINKS[self.link](eta)
-        return INVERSE_LINKS[self.link](eta, out=out)
+        return INVERSE_LINKS[self.link](eta)
 
     def natural_anc(self, anc_est: np.ndarray) -> list:
         out = []
@@ -421,22 +380,18 @@ class Family:
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
 
-    def logl(self, y, eta, anc, out=None):
+    def logl(self, y, eta, anc):
         """Log-likelihood for non-survival families given the linear
-        predictor; ``anc`` on the natural scale. Gaussian, poisson and
-        bernoulli write it into ``out`` when it is given (the result's
-        shape); the other families return a new array.
+        predictor; ``anc`` on the natural scale.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.name == "gaussian":  # identity link: the mean is eta
-                return logl_gaussian(y, eta, anc[0], out)
+                return logl_gaussian(y, eta, anc[0])
             if self.name == "poisson":
-                mu = np.exp(eta, out=_result(out, y, eta))
-                return np.subtract(np.add(np.negative(mu, out=mu), y * eta, out=mu), gammaln(y + 1.0), out=mu)
-            if self.name == "bernoulli":
-                mu = expit(eta, out=_result(out, y, eta))
-                return logl_bernoulli(y, mu, out=mu)
+                return -np.exp(eta) + y * eta - gammaln(y + 1.0)
             mu = self.inverse_link(eta)
+            if self.name == "bernoulli":
+                return logl_bernoulli(y, mu)
             if self.name == "binomial":
                 return logl_binomial(y, mu, self.k)
             if self.name == "beta":
@@ -446,15 +401,13 @@ class Family:
         raise ValueError(f"family {self.name!r} has no direct log-likelihood")
 
     # survival pieces (closed forms, time-constant linear predictor)
-    def log_hazard(self, t, eta, anc, out=None):
+    def log_hazard(self, t, eta, anc):
         """log h(t) at linear predictor eta, ``anc`` on the natural scale:
-        eta + ``base_log_hazard`` for the proportional-hazards families,
-        written into ``out`` when it is given (the result's shape); the
-        other families return a new array.
+        eta + ``base_log_hazard`` for the proportional-hazards families.
         """
         t = np.asarray(t, dtype=float)
         if self.name in _PH:
-            return np.add(eta, self.base_log_hazard(t, anc), out=_result(out, t, eta, *anc))
+            return eta + self.base_log_hazard(t, anc)
         if self.name == "lognormal":
             z = (np.log(t) - eta) / anc[0]
             return -0.5 * _LOG_2PI - 0.5 * z * z - np.log(anc[0]) - np.log(t) - log_ndtr(-z)
@@ -464,17 +417,15 @@ class Family:
                 return log_u - np.log(anc[0]) - np.log(t) - np.log1p(np.exp(log_u))
         raise ValueError(f"no closed-form hazard for family {self.name!r}")
 
-    def cum_hazard(self, t, eta, anc, out=None):
+    def cum_hazard(self, t, eta, anc):
         """H(t) at linear predictor eta, ``anc`` on the natural scale:
         exp(eta) times the baseline cumulative hazard for the
-        proportional-hazards families, written into ``out`` when it is
-        given (the result's shape); the other families return a new array.
+        proportional-hazards families.
         """
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.name in _PH:
-                out = np.exp(eta, out=_result(out, t, eta, *anc))
-                return np.multiply(out, self._base_cum_hazard(t, anc), out=out)
+                return np.exp(eta) * self._base_cum_hazard(t, anc)
             log_t = np.log(np.maximum(t, 1e-300))
             if self.name == "lognormal":
                 return np.where(t > 0, -log_ndtr(-(log_t - eta) / anc[0]), 0.0)

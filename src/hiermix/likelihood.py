@@ -45,17 +45,14 @@ parameter vector (``_unit_sums``), and each chunk adds that units x
 columns form into its row sums (``_collapsed``). Which outcomes take this
 path follows from the model alone; the two forms differ by rounding.
 
-The chunk and group shapes are fixed when the evaluator is built. Each
-thread that evaluates gets its own ``workspace.Workspace``: every array
-a chunk's evaluation writes (its row sums, latent values at its columns
-and at the rows, linear predictors, family terms) and the innermost
-node reduction's temporaries are its buffers, allocated at the first
-chunk and reused by every chunk and call after it, so an evaluation no
-longer asks the system for fresh pages. The buffers are written in
-place with the operations, in the order, that would have built new
-arrays, so no value changes; none of them outlives the chunk that wrote
-it, but the row sums of a combination split over several chunks, kept
-until its last, and none is returned.
+The chunk and group shapes are fixed when the evaluator is built. A
+chunk's evaluation makes new arrays of about 0.5 MB each, every time.
+Under glibc's default allocator settings each would be mapped and
+unmapped again, faulting in fresh pages at every chunk; building an
+evaluator frees one untouched 16 MiB block first, which raises glibc's
+dynamic mmap and trim thresholds so that those arrays come from the
+heap and stay mapped (see ``LikelihoodEvaluator.__init__``). On other
+allocators the block does nothing.
 
 ``LikelihoodEvaluator.logl`` also takes a (K, p) stack of parameter
 vectors, such as the finite-difference probes of one Newton iteration,
@@ -74,15 +71,14 @@ rows are all summed per unit (``exact``) also has
 ``LikelihoodEvaluator.derivatives``: the log-likelihood, the exact score
 (Fisher's identity) and the observed information (Louis 1982, *JRSS B*
 44:226) at one parameter vector in one pass over units x nodes, in
-blocks of whole units within ``_GROUP_VALUES`` and in the thread's
-workspace. Its log-likelihood is ``logl``'s, and a fit of such a model
-calls ``logl`` not at all (see "exact derivatives" below).
+blocks of whole units within ``_GROUP_VALUES``. Its log-likelihood is
+``logl``'s, and a fit of such a model calls ``logl`` not at all (see
+"exact derivatives" below).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -91,7 +87,6 @@ import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
 from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl, row_design
-from .workspace import Workspace
 
 __all__ = [
     "LevelPlan",
@@ -101,22 +96,19 @@ __all__ = [
 ]
 
 
-def logsumexp(a: np.ndarray, empty=np.empty) -> np.ndarray:
+def logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
-    ``empty(shape, dtype=float)`` gives the two temporaries as large as
-    ``a``, such as workspace buffers.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_max = a.max(axis=1, keepdims=True)
-        ties = np.equal(a, a_max, out=empty(a.shape, bool))
+        ties = a == a_max
         m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
-        e = empty(a.shape)
-        np.copyto(e, a)
-        np.copyto(e, -np.inf, where=ties)
-        s = np.exp(np.subtract(e, a_max, out=e), out=e).sum(axis=1, keepdims=True)
+        rest = a.copy()
+        rest[ties] = -np.inf
+        s = np.exp(rest - a_max).sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         bad = ~np.isfinite(out)
@@ -205,7 +197,7 @@ def default_plan(
         df = per_level(t_df, li.name, spec.t_df)
         meth = per_level(method, li.name, "qmc" if dist == "t" else "aghq")
         q = per_level(points, li.name, 7)
-        m = per_level(draws, li.name, 0) or 150 * li.dim
+        m = per_level(draws, li.name, 150 * li.dim)
         plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adaptive)
     plan.validate(program)
     return plan
@@ -306,7 +298,17 @@ class LikelihoodEvaluator:
         self.exact = self._exact_scope()
         if self.exact:  # outcome -> derivatives of its row part in the parameters
             self.designs = {k: row_design(program, k) for k in self.intercept_units}
-        self._local = threading.local()  # .workspace: the calling thread's buffers
+        # Allocate and free one untouched 16 MiB block. Under glibc, freeing
+        # a block that malloc mapped on its own raises M_MMAP_THRESHOLD to
+        # its size and M_TRIM_THRESHOLD to twice that, for blocks up to
+        # 32 MiB on 64-bit systems (the dynamic mmap threshold of
+        # mallopt(3)); a larger block would not count. Chunk temporaries,
+        # about 0.5 MB each, then come from the heap and stay mapped
+        # instead of being mapped, faulted in and unmapped at every chunk.
+        # No page of the block is touched, so resident memory does not
+        # grow. The thresholds are process-wide and only rise; other
+        # allocators just free the block.
+        np.empty(1 << 21)
         self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
@@ -416,19 +418,10 @@ class LikelihoodEvaluator:
         chunk = max(1, _CHUNK_VALUES // max(1, self.n_rows))
         self.chunk_columns = chunk - chunk % nodes if chunk >= nodes else chunk
 
-    def _workspace(self) -> Workspace:
-        """The calling thread's buffers: threads evaluating at once never
-        share one.
-        """
-        ws = getattr(self._local, "workspace", None)
-        if ws is None:
-            ws = self._local.workspace = Workspace()
-        return ws
-
-    def _context(self, thetas: np.ndarray, latent_values: dict, columns: np.ndarray, ws=None) -> EvalContext:
+    def _context(self, thetas: np.ndarray, latent_values: dict, columns: np.ndarray) -> EvalContext:
         if len(thetas) == 1:
-            return EvalContext(self.program, thetas[0], latent_values, workspace=ws)
-        return EvalContext(self.program, thetas, latent_values, columns, ws)
+            return EvalContext(self.program, thetas[0], latent_values)
+        return EvalContext(self.program, thetas, latent_values, columns)
 
     # -- public entry points --------------------------------------------
 
@@ -539,12 +532,23 @@ class LikelihoodEvaluator:
         derivatives" below). Each is summed over units with ``math.fsum``,
         so the result does not depend on how units are labelled. A level
         that still has to adapt adapts first, as in ``logl``. Counted in
-        ``derivative_passes``, not as a ``logl`` call.
+        ``derivative_passes``, not as a ``logl`` call; its time and its
+        active units x nodes count in ``wall_time_s`` and
+        ``conditional_evaluations`` as a call's do.
         """
         if not self.exact:
             raise ValueError("exact derivatives need one latent level of one dimension and per-unit sums")
-        theta = np.asarray(theta, dtype=float)
+        t_start = time.perf_counter()
         self.n_passes += 1
+        st = self.level_states[0]
+        self.cond_evals += int(st.active.sum()) * st.m
+        try:
+            return self._derivative_pass(np.asarray(theta, dtype=float))
+        finally:
+            self.wall_time += time.perf_counter() - t_start
+
+    def _derivative_pass(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The pass of ``derivatives``, uncounted."""
         st = self.level_states[0]
         n, p, m = st.n_units, theta.size, st.m
         tau = st.info.re_slots[0]
@@ -564,32 +568,28 @@ class LikelihoodEvaluator:
                 scale = S * grow  # s_k = S_k e^(m_k)
                 events = sum(n_k * o.sums[1] for n_k, o in zip(counts, outcomes))  # sum n_k D_k
             unit_logl = np.empty(n)
-            ws = self._workspace()
             one_vector = np.zeros(m, dtype=int)
 
             def posterior(units):
                 """The posterior weights (units, nodes) of the units, each
                 outcome's Lam_k = S_k exp(L_k + m_k) there and the node
-                values, all in the workspace; and their log-likelihoods.
+                values; and their log-likelihoods.
                 """
-                ws.reset()
                 u = u_all[units]
                 ll = None
                 lams = []
                 for o in outcomes:
                     stats = tuple(v[units, None] for v in o.sums)
-                    term, lam = self._collapsed(ws, stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
-                    ll = term if ll is None else np.add(ll, term, out=ll)
+                    term, lam = self._collapsed(stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
+                    ll = term if ll is None else ll + term
                     lams.append(lam)
-                logp = np.add(corr[units], ll, out=ll)
-                lse = logsumexp(logp, ws.take)
-                return np.exp(np.subtract(logp, lse[:, None], out=logp), out=logp), lams, u, lse
+                logp = corr[units] + ll
+                lse = logsumexp(logp)
+                return np.exp(logp - lse[:, None]), lams, u, lse
 
             K = len(outcomes)
-            # units per block: every array of a block is units x nodes, and
-            # at _GROUP_VALUES they fit the buffers that logl's chunks
-            # already hold; on the 300 x 200 benchmark model the workspace
-            # then grows from 1.39 to 1.50 MB, at _CHUNK_VALUES to 2.19 MB
+            # units per block: every array of a block is units x nodes, at
+            # most _GROUP_VALUES values, a quarter of a chunk's
             block = max(1, _GROUP_VALUES // m)
             if st.adaptive:
                 moments = np.empty((n, K + 1)), np.empty((n, K)), np.empty(n), np.empty((n, K + 1, K + 1))
@@ -788,7 +788,6 @@ class LikelihoodEvaluator:
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
-            # a new array: the next chunk reuses the buffer ``ll`` is in
             cond = np.empty((st.n_units, len(thetas) * st.n_combos, st.m))
             for c0, c1, ll in self._row_sums(thetas, outer, x):
                 cond[:, c0:c1] = ll
@@ -810,9 +809,8 @@ class LikelihoodEvaluator:
         x, corr = self._nodes(pos, thetas)
         if pos + 1 == len(self.level_states):
             corr3 = corr.reshape(st.n_units, -1, st.m)
-            ws = self._workspace()
             parts = [
-                logsumexp(np.add(corr3[:, c0:c1], ll, out=ll).reshape(-1, st.m), ws.take).reshape(st.n_units, c1 - c0)
+                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m)).reshape(st.n_units, c1 - c0)
                 for c0, c1, ll in self._row_sums(thetas, outer, x)
             ]
             per_cell = np.concatenate(parts, axis=1)
@@ -827,12 +825,9 @@ class LikelihoodEvaluator:
         columns, one per (combination, node), are evaluated in chunks of
         ``chunk_columns``, each with the parameter vectors of its columns:
         a chunk is whole combinations, or nodes of one combination, which
-        is then yielded after its last chunk. Every array of a chunk is a
-        buffer of the thread's workspace: ll is overwritten once the
-        generator resumes, and the caller may overwrite it.
+        is then yielded after its last chunk.
         """
         st = self.level_states[-1]
-        ws = self._workspace()
         m, width = st.m, self.chunk_columns
         combos = len(thetas) * st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
@@ -842,38 +837,32 @@ class LikelihoodEvaluator:
         while j0 < end:
             j1 = min(j0 + width, end if width >= m else j0 - j0 % m + m)
             c0, c1, nodes = j0 // m, (j1 - 1) // m + 1, slice(j0 % m, (j1 - 1) % m + 1)
-            if nodes.start:  # a later chunk of one combination: keep its sums
-                ws.reset(1)
-            else:
-                ws.reset()
-                out = ws.take((st.n_units, (c1 - c0) * m))
-                out.fill(0.0)
+            if not nodes.start:  # else a later chunk of one combination: keep its sums
+                out = np.zeros((st.n_units, (c1 - c0) * m))
             vals = {}
             for ost, xo in zip(self.level_states, outer):
                 # node of the outer level at each combination of the chunk
                 idx = np.arange(c0, c1) // (combos // xo.shape[1])
                 for j, name in enumerate(ost.info.latent_names):
-                    vals[name] = ws.take((xo.shape[0], j1 - j0))
-                    np.copyto(vals[name].reshape(xo.shape[0], c1 - c0, -1), xo[:, idx, j][:, :, None])
+                    vals[name] = np.repeat(xo[:, idx, j], (j1 - j0) // (c1 - c0), axis=1)
             for j, name in enumerate(st.info.latent_names):
-                vals[name] = ws.take((st.n_units, j1 - j0))
-                np.copyto(vals[name].reshape(st.n_units, c1 - c0, -1), cells[:, c0:c1, nodes, j])
+                vals[name] = cells[:, c0:c1, nodes, j].reshape(st.n_units, j1 - j0)
             vector = np.arange(j0, j1) // (st.n_combos * m)  # parameter vector of each column
-            ctx = self._context(thetas, vals, np.bincount(vector, minlength=len(thetas)), ws)
+            ctx = self._context(thetas, vals, np.bincount(vector, minlength=len(thetas)))
             part = out[:, j0 - c0 * m : j1 - c0 * m]
             for k, segments in enumerate(self.segments):
                 if segments is None:
                     continue
                 starts, seg_units = segments
                 if k in stats:
-                    sums = self._collapsed(ws, stats[k], self.intercept_units[k][1], vals, vector)[0]
+                    sums = self._collapsed(stats[k], self.intercept_units[k][1], vals, vector)[0]
                 else:
                     ll = outcome_logl(ctx, k)
-                    nan = np.isnan(ll, out=ws.take(ll.shape, bool))
+                    nan = np.isnan(ll)
                     if nan.any():  # rare; copying every chunk costs more than the test
                         ll = np.where(nan, -np.inf, ll)
                     # one column when ll is the same in every column; += spreads it
-                    sums = np.add.reduceat(ll, starts, axis=0, out=ws.take((starts.size, ll.shape[1])))
+                    sums = np.add.reduceat(ll, starts, axis=0)
                 part[seg_units] += sums
             self.cond_evals += n_active * (j1 - j0)
             j0 = j1
@@ -881,31 +870,26 @@ class LikelihoodEvaluator:
                 yield c0, c1, out.reshape(st.n_units, c1 - c0, m)
 
     @staticmethod
-    def _collapsed(ws: Workspace, stats: tuple, intercepts: list, vals: dict, vector):
+    def _collapsed(stats: tuple, intercepts: list, vals: dict, vector):
         """K + D L - S exp(L + m) of one outcome's units at the columns of
         a chunk (see ``_unit_sums``), L being the sum of the unit's
         intercept values there and ``vector`` each column's parameter
         vector; and S exp(L + m).
         """
         K, D, S, m = stats
-        shape = (K.shape[0], vector.size)
         L = None
         for name, units in intercepts:
             v = vals[name]
             if not isinstance(units, slice):  # an outer level's values at each unit
-                v = v.take(units, axis=0, out=ws.take(shape), mode="clip")
-            L = v if L is None else np.add(L, v, out=ws.take(shape))
+                v = v[units]
+            L = v if L is None else L + v
         if K.shape[1] > 1:  # the statistics of each column's parameter vector
-            K, S, m = (x.take(vector, axis=1, out=ws.take(shape), mode="clip") for x in (K, S, m))
-        e = np.add(L, m, out=ws.take(shape))
-        np.exp(e, out=e)
-        np.multiply(e, S, out=e)
-        ll = np.multiply(L, D, out=ws.take(shape))
-        np.add(ll, K, out=ll)
-        np.subtract(ll, e, out=ll)
-        nan = np.isnan(ll, out=ws.take(shape, bool))
+            K, S, m = (x[:, vector] for x in (K, S, m))
+        e = np.exp(L + m) * S
+        ll = L * D + K - e
+        nan = np.isnan(ll)
         if nan.any():  # as at the rows: read as -inf
-            np.copyto(ll, -np.inf, where=nan)
+            ll = np.where(nan, -np.inf, ll)
         return ll, e
 
     def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:
@@ -923,8 +907,12 @@ class LikelihoodEvaluator:
         """Integration settings per level, counters and adaptation state.
         ``likelihood_calls`` counts calls of ``logl``, a stack counting
         once; ``objective_points`` counts the parameter vectors evaluated;
-        ``derivative_passes`` counts calls of ``derivatives``, which the
-        other counters leave out.
+        ``derivative_passes`` counts calls of ``derivatives``, which those
+        two leave out. ``conditional_evaluations`` counts the innermost
+        (active unit, node column) evaluations of calls, adaptations and
+        passes alike, and ``conditional_evaluations_per_call`` divides
+        them by the calls plus the passes; ``wall_time_s`` is the time
+        spent in calls and passes.
         ``adaptation_iterations`` and ``adaptation_fallbacks`` describe the
         latest adaptation of each cell; ``adaptation_sweeps`` counts, per
         adaptive level, the passes over its cells of every adaptation
@@ -938,7 +926,8 @@ class LikelihoodEvaluator:
                 "dim": st.info.dim,
                 "nodes": st.m,
             }
-        per_call = self.cond_evals / self.n_calls if self.n_calls else 0
+        calls = self.n_calls + self.n_passes
+        per_call = self.cond_evals / calls if calls else 0
         # keyed by (level, unit ordinal, outer-node combination)
         iterations, fallbacks = {}, []
         for pos, (_, _, iters, flagged) in sorted(self.adapted.items()):

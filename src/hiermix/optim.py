@@ -62,6 +62,9 @@ class SingularDesignError(FitError):
 
 
 def _thread_pool(threads: int):
+    """A pool of ``threads`` workers, kept for a whole fit so that no
+    objective call starts threads of its own.
+    """
     # imported here: concurrent.futures loads logging, which adds about
     # 7 ms and 0.4 MB to every import of hiermix
     from concurrent.futures import ThreadPoolExecutor
@@ -244,13 +247,12 @@ def maximize(
     entries of the others are 0. The objective takes a vector or a stack
     (see the module docstring). With ``threads`` > 1, each gradient or
     Hessian stack is split into ``threads`` contiguous sub-stacks, one
-    objective call each, on one pool kept for the whole fit (the
-    likelihood workspaces of its threads with it). A Newton Hessian that
-    no Levenberg shift makes negative definite, or a gradient or Hessian
-    whose probes stay non-finite (``_finite_stack``), ends the fit, not
-    converged, with the error as its message, at the last parameter
-    vector; a derivative it did not compute there is NaN, so the optimum
-    is not verified.
+    objective call each, on one pool kept for the whole fit. A Newton
+    Hessian that no Levenberg shift makes negative definite, or a
+    gradient or Hessian whose probes stay non-finite (``_finite_stack``),
+    ends the fit, not converged, with the error as its message, at the
+    last parameter vector; a derivative it did not compute there is NaN,
+    so the optimum is not verified.
 
     ``derivatives``, when given, maps a vector to (objective, score,
     information), all exact (``LikelihoodEvaluator.derivatives``), and

@@ -17,16 +17,10 @@ columns of several parameter vectors side by side; parameter values
 then vary by column (``EvalContext.param``), and every node sum runs in
 node order whatever the number of columns (``_node_sum``).
 
-An evaluation writes its arrays into ``EvalContext.empty``: new arrays,
-or the buffers of a ``Workspace`` that the likelihood evaluator keeps
-per thread and resets between chunks of a fixed shape. Latent values
-are gathered into them, parameter values are laid over their node
-columns into them, ``eval_eta`` sums its components into an array it
-owns, the ``rp`` log-likelihood is computed in them, and the families
-that can write their log-likelihood or hazard terms into an ``out``
-array do so (the others return new arrays), each with the operations,
-in the order, of the new-array form, so every value is the same bit
-for bit.
+Every evaluation step is a plain array expression that returns a new
+array; none writes into an array handed to it. The likelihood evaluator
+keeps the chunk temporaries this makes from costing fresh pages (see
+``likelihood``).
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from .basis import FpBasis, RcsBasis, default_knots, rcs_eval
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
 from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, ValidationReport, _time_indexed
 from .families import Family, gauss_legendre, make_family
-from .workspace import Workspace
 
 __all__ = [
     "CompileError",
@@ -506,7 +499,7 @@ def _precompute_at_rows(program: Program, r: int) -> None:
     _columns_at(program, co.grid, reached)
     targets = {j for i in reached for cc in program.outcomes[i].components for kind, j in cc.evlinks if kind == "iEV"}
     if targets:
-        co.grid.nodes = Grid(_iev_times(program, co.grid.t, np.empty))
+        co.grid.nodes = Grid(_iev_times(program, co.grid.t))
         _columns_at(program, co.grid.nodes, sorted({i for j in targets for i in _evaluated_at(program, j, ("EV",))}))
 
 
@@ -517,17 +510,14 @@ def _columns_at(program: Program, grid: Grid, outcomes: list[int]) -> None:
                 grid.cols[cc.key] = _time_columns(cc.timefn, grid.t)
 
 
-def _iev_times(program: Program, t: np.ndarray, empty) -> np.ndarray:
+def _iev_times(program: Program, t: np.ndarray) -> np.ndarray:
     """The Gauss-Legendre nodes over (0, t] of every time of an (n, A)
-    grid, (n, A x Q), in an array from ``empty``; 1 where t <= 0, whose
-    integral is zero.
+    grid, (n, A x Q); 1 where t <= 0, whose integral is zero.
     """
     nodes = program.gl_nodes
     n, a = t.shape
-    safe = np.multiply(0.5 * t[:, :, None], nodes[None, None, :] + 1.0, out=empty((n, a, len(nodes))))
-    mask = np.greater(safe, 0.0, out=empty(safe.shape, bool))
-    np.copyto(safe, 1.0, where=np.logical_not(mask, out=mask))
-    return safe.reshape(n, a * len(nodes))
+    pts = 0.5 * t[:, :, None] * (nodes[None, None, :] + 1.0)
+    return np.where(pts > 0.0, pts, 1.0).reshape(n, a * len(nodes))
 
 
 def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
@@ -551,10 +541,6 @@ class EvalContext:
     ``columns`` the number of node columns of each, in order: the node
     axis is then their columns side by side, and every value that
     depends on the parameters is read through ``param``.
-
-    ``empty(shape, dtype=float)`` gives an uninitialized array for the
-    evaluation to write: a buffer of ``workspace`` when there is one
-    (the caller resets it between evaluations), else a new array.
     """
 
     def __init__(
@@ -563,13 +549,11 @@ class EvalContext:
         theta: np.ndarray,
         latent_values: dict[str, np.ndarray] | None = None,
         columns: np.ndarray | None = None,
-        workspace: Workspace | None = None,
     ):
         self.program = program
         self.theta = np.asarray(theta, dtype=float)
         self.latent_values = latent_values or {}
         self.columns = columns
-        self.empty = np.empty if workspace is None else workspace.take
         self.memo: dict = {}
 
     def param(self, fn):
@@ -581,47 +565,22 @@ class EvalContext:
         if self.columns is None:
             return fn(self.theta)
         keep = self.columns > 0
-        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep], self.empty)
+        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep])
 
     def latent_at_rows(self, info, r: int) -> np.ndarray:
         """Latent values at the rows of outcome r: (n, 1, B)."""
         vals = self.latent_values.get(info.name)
         if vals is None:
             raise ValueError(f"no value assigned to latent effect {info.name}")
-        units = self.program.outcomes[r].units[info.level]
-        # an (n, 1, B) array of its own: later steps write into it, and a
-        # view with a zero stride would slow every operation on it
-        out = self.empty((units.size, 1, vals.shape[-1]))
-        # mode="clip": with the default, np.take copies through a buffer of its own
-        vals.take(units, axis=0, out=out[:, 0, :], mode="clip")
-        return out
+        return vals[self.program.outcomes[r].units[info.level]][:, None, :]
 
 
-def _apply(ctx: EvalContext, ufunc, a, b, *owned):
-    """``ufunc(a, b)`` written into the first of ``owned`` (arrays of this
-    evaluation that the caller no longer needs) that has the result's
-    shape, or else into a new array of the context.
-    """
-    a_shape, b_shape = a.shape, getattr(b, "shape", ())
-    shape = a_shape if a_shape == b_shape or not b_shape else np.broadcast(a, b).shape
-    for out in owned:
-        if out is not None and out.shape == shape:
-            return ufunc(a, b, out=out)
-    return ufunc(a, b, out=ctx.empty(shape))
-
-
-def _over_columns(values: list, counts: np.ndarray, empty):
-    """Per-vector values laid over their node columns (see ``param``),
-    in arrays from ``empty``.
-    """
+def _over_columns(values: list, counts: np.ndarray):
+    """Per-vector values laid over their node columns (see ``param``)."""
     if isinstance(values[0], list):
-        return [_over_columns(list(v), counts, empty) for v in zip(*values)]
+        return [_over_columns(list(v), counts) for v in zip(*values)]
     parts = [np.reshape(v, (1, 1, 1)) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
-    joined = np.concatenate(parts, axis=-1)
-    out = empty(joined.shape[:-1] + (int(counts.sum()),))
-    # np.repeat(joined, counts, axis=-1); mode="clip": with the default,
-    # np.take copies through a buffer of its own
-    return joined.take(np.repeat(np.arange(counts.size), counts), axis=-1, out=out, mode="clip")
+    return np.repeat(np.concatenate(parts, axis=-1), counts, axis=-1)
 
 
 def _as_grid(t) -> Grid | None:
@@ -648,25 +607,20 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     program = ctx.program
     co = program.outcomes[k]
     n = program.outcomes[r].rows.size
-    # components are summed into ``total`` and factors multiplied into
-    # ``factor`` in place wherever they are this call's own arrays
     total = np.zeros((n, 1, 1))
     if co.cons_slot is not None:
-        total = _apply(ctx, np.add, total, ctx.param(lambda th: th[co.cons_slot]), total)
+        total = total + ctx.param(lambda th: th[co.cons_slot])
     for cc in co.components:
-        factor = own = None
+        factor = None
 
-        def mul(x, owned=False):
-            nonlocal factor, own
-            if factor is None:
-                factor, own = x, (x if owned else None)
-            else:
-                factor = own = _apply(ctx, np.multiply, factor, x, own, x if owned else None)
+        def mul(x):
+            nonlocal factor
+            factor = x if factor is None else factor * x
 
         if cc.cov_names:
             mul(cc.cov[r])
         for info in cc.latents:
-            mul(ctx.latent_at_rows(info, r), owned=True)
+            mul(ctx.latent_at_rows(info, r))
         for kind, j in cc.evlinks:
             mul(eval_ev(ctx, kind, j, r, grid))
         block = None
@@ -686,8 +640,8 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
             else:
                 mul(ctx.param(lambda th: th[cc.slots[0]]))
         if factor is None:
-            factor = own = np.ones((n, 1, 1))
-        total = _apply(ctx, np.add, total, factor, total, own)
+            factor = np.ones((n, 1, 1))
+        total = total + factor
     ctx.memo[key] = (t, total)
     return total
 
@@ -722,21 +676,17 @@ def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:
     return [s for s, _ in parts], np.column_stack([col for _, col in parts] or [np.empty((co.rows.size, 0))])
 
 
-def _node_sum(ctx: EvalContext, subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _node_sum(subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, weights, vals)`` over a quadrature axis,
     summed in node order for every node column. einsum sums a node axis
     of one column, or a broadcast one, in another order; such input is
-    summed as one column widened to two, and the sum broadcast back. The
-    result is a new array, which the caller may overwrite.
+    summed as one column widened to two, and the sum broadcast back.
     """
     if vals.shape[-1] > 1 and vals.strides[-1] != 0:
         return np.einsum(subscripts, weights, vals)
-    wide = ctx.empty(vals.shape[:-1] + (2,))
-    np.copyto(wide, vals[..., :1])
-    one = np.einsum(subscripts, weights, wide)[..., :1]
-    out = ctx.empty(one.shape[:-1] + vals.shape[-1:])
-    np.copyto(out, one)
-    return out
+    one = vals[..., :1]
+    out = np.einsum(subscripts, weights, np.concatenate([one, one], axis=-1))[..., :1]
+    return np.broadcast_to(out, out.shape[:-1] + vals.shape[-1:])
 
 
 def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
@@ -750,8 +700,7 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         raise ValueError(f"EV[{target.label}] is time-indexed: evaluation times are required")
 
     def ev_at(times):
-        eta = eval_eta(ctx, j, r, times)
-        return target.family.inverse_link(eta, out=ctx.empty(eta.shape))
+        return target.family.inverse_link(eval_eta(ctx, j, r, times))
 
     if kind == "EV":
         return ev_at(grid if target.time_indexed else None)
@@ -772,15 +721,11 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         n, a = t.shape
         qn = len(weights)
         # a compiled grid holds its nodes and their time-function columns
-        vals = ev_at(grid.nodes if grid.nodes is not None else _iev_times(program, t, ctx.empty))  # (n, A*Q, B)
-        if vals.shape[:2] != (n, a * qn):
-            full = ctx.empty((n, a * qn, vals.shape[-1]))
-            np.copyto(full, vals)
-            vals = full
-        integ = _node_sum(ctx, "q,naqb->nab", weights, vals.reshape(n, a, qn, -1))
-        np.multiply(0.5 * t[:, :, None], integ, out=integ)
-        np.copyto(integ, 0.0, where=~(t[:, :, None] > 0))
-        return integ
+        vals = ev_at(grid.nodes if grid.nodes is not None else _iev_times(program, t))  # (n, A*Q, B)
+        if vals.shape[:2] != (n, a * qn):  # a copy: einsum sums a broadcast node axis in another order
+            vals = np.broadcast_to(vals, (n, a * qn, vals.shape[-1])).copy()
+        integ = 0.5 * t[:, :, None] * _node_sum("q,naqb->nab", weights, vals.reshape(n, a, qn, -1))
+        return np.where(t[:, :, None] > 0, integ, 0.0)
     raise ValueError(f"unknown expected-value kind {kind!r}")
 
 
@@ -854,18 +799,9 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
     if not fam.is_survival:
         eta = eval_eta(ctx, k, k, co.grid)
         y = co.response.reshape(-1, 1, 1)
-        ll = fam.logl(y, eta, anc, out=_out_for(ctx, y, eta, *anc))
-        return _collapse(ll, n)
+        return _collapse(fam.logl(y, eta, anc), n)
 
     return _survival_logl(ctx, k, anc)
-
-
-def _out_for(ctx: EvalContext, *operands) -> np.ndarray:
-    """An array of the context, of the shape of a result over
-    ``operands``, for a family to write that result into; families that
-    cannot return a new array instead.
-    """
-    return ctx.empty(np.broadcast(*operands).shape)
 
 
 def _collapse(ll: np.ndarray, n: int) -> np.ndarray:
@@ -906,25 +842,25 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
 
         eta = eval_eta(ctx, k, k, co.grid)
         if co.grid is None:
-            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bh, empty=ctx.empty), n)
+            return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bh), n)
         # grid columns are [y | y e^step | y e^-step | t0]
         at_y, plus, minus, at_t0 = np.split(np.broadcast_to(eta, (n, 4, eta.shape[-1])), 4, axis=1)
-        return _collapse(fam_mod.rp_logl(co.rp, d, coefs, at_y, bh, plus, minus, at_t0, ctx.empty), n)
+        return _collapse(fam_mod.rp_logl(co.rp, d, coefs, at_y, bh, plus, minus, at_t0), n)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if co.grid is None:
             # time-constant linear predictor, closed-form hazards
             eta = eval_eta(ctx, k, k)
-            log_h = fam.log_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
-            H = fam.cum_hazard(y3, eta, anc, out=_out_for(ctx, y3, eta, *anc))
-            H0 = fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc, out=_out_for(ctx, y3, eta, *anc)) if entry else None
+            log_h = fam.log_hazard(y3, eta, anc)
+            H = fam.cum_hazard(y3, eta, anc)
+            H0 = fam.cum_hazard(np.where(emask, t03, 1.0), eta, anc) if entry else None
         elif fam.user_cumhazard is not None and fam.user_hazard is None:
             # grid columns are [y | y e^step | y e^-step | t0]; the hazard is
             # a central difference on log time: h = (dH/dlog t)/t
             ch = np.asarray(fam.user_cumhazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)
             ch = np.broadcast_to(ch, (n, 4, ch.shape[-1]))
             h = (ch[:, 1:2, :] - ch[:, 2:3, :]) / (2.0 * co.log_step) / y3
-            log_h = fam_mod.log_hazard_value(h, ctx.empty, out=h)
+            log_h = fam_mod.log_hazard_value(h)
             H = ch[:, 0:1, :]
             H0 = ch[:, 3:4, :] if entry else None
         else:
@@ -934,19 +870,18 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
             if fam.user_hazard is not None:
                 haz = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)
                 haz = np.broadcast_to(haz, (n, a, haz.shape[-1]))
-                log_h = fam_mod.log_hazard_value(haz[:, 0:1, :], ctx.empty)
+                log_h = fam_mod.log_hazard_value(haz[:, 0:1, :])
                 h_body = haz[:, 1 : 1 + q, :]
                 h_entry = haz[:, 1 + q :, :]
             else:
                 eta_all = eval_eta(ctx, k, k, co.grid)
                 base = fam.base_log_hazard(co.grid.t[:, :, None], anc)
-                log_all = _apply(ctx, np.add, eta_all, base)
-                b = log_all.shape[-1]
-                log_all = np.broadcast_to(log_all, (n, a, b))
+                log_all = eta_all + base
+                log_all = np.broadcast_to(log_all, (n, a, log_all.shape[-1]))
                 log_h = log_all[:, 0:1, :]
-                h_body = np.exp(log_all[:, 1 : 1 + q, :], out=ctx.empty((n, q, b)))
-                h_entry = np.exp(log_all[:, 1 + q :, :], out=ctx.empty((n, q, b))) if entry else None
-            H = 0.5 * y3 * _node_sum(ctx, "q,nqb->nb", w, h_body)[:, None, :]
-            H0 = 0.5 * t03 * _node_sum(ctx, "q,nqb->nb", w, h_entry)[:, None, :] if entry else None
-        ll = fam_mod.survival_logl(log_h, bh, H, H0, d, emask, ctx.empty)
+                h_body = np.exp(log_all[:, 1 : 1 + q, :])
+                h_entry = np.exp(log_all[:, 1 + q :, :]) if entry else None
+            H = 0.5 * y3 * _node_sum("q,nqb->nb", w, h_body)[:, None, :]
+            H0 = 0.5 * t03 * _node_sum("q,nqb->nb", w, h_entry)[:, None, :] if entry else None
+        ll = fam_mod.survival_logl(log_h, bh, H, H0, d, emask)
     return _collapse(ll, n)

@@ -345,8 +345,10 @@ class TestExitCodes:
             (["--method", "qmc", "--skip", "-20"], "skip"),
             (["--skip", "-20"], "skip"),
             (["--threads", "0"], "threads"),
+            (["--points", "0"], "quadrature point"),
+            (["--draws", "0", "--method", "qmc"], "draw"),
         ],
-        ids=["negative_skip", "negative_skip_aghq", "zero_threads"],
+        ids=["negative_skip", "negative_skip_aghq", "zero_threads", "zero_points", "zero_draws_qmc"],
     )
     def test_bad_setting_exits_3(self, frailty_csv, tmp_path, capsys, flags, name):
         out = tmp_path / "o"

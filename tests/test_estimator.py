@@ -57,6 +57,11 @@ class TestEstimatorApi:
         fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=3)
         assert sorted(calls) == ["build_hierarchy", "split_outcome_rows"]
 
+    def test_zero_draws_is_an_error(self):
+        # 0 is a value, not "not given": it must not fall back to 150 draws
+        with pytest.raises(ValueError, match="at least one draw"):
+            fit_model("(y x M1[id], family(gaussian))", cluster_data(), method="qmc", draws=0)
+
     def test_unfitted_access_raises(self):
         m = MixedModel("(y x, family(gaussian))")
         with pytest.raises(RuntimeError, match="not fitted"):

@@ -366,8 +366,8 @@ class TestMaximize:
         assert res.logl == value(res.theta, version[0]) == res.trace[-1][1]
 
     def test_one_thread_pool_per_fit(self):
-        # the worker threads, and the likelihood workspaces they keep,
-        # live for the whole fit instead of one objective call
+        # the worker threads live for the whole fit instead of one
+        # objective call
         # (the Thread objects are kept, so two threads never compare equal)
         seen = set()
 

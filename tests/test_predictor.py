@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hiermix as hm
+from hiermix import predictor
 from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
 from hiermix.families import RpColumns, rp_logl
@@ -309,11 +310,10 @@ class TestCompiledInputs:
             tracemalloc.stop()
         assert retained < 64 * 1024
 
-    def test_iev_nodes_compiled_once(self):
+    def test_iev_nodes_compiled_once(self, monkeypatch):
         # the iEV nodes of the survival grid and the target's fp(1) column
-        # there are compiled; built in every call instead, as they once
-        # were, a warm call gives the same values and peaks at 887 352
-        # bytes traced against 139 712 (numpy 2.4)
+        # there are compiled: a warm call builds neither, and gives the
+        # values of calls that build them every time, as they once did
         spec_outcomes = [{"censoring": 5.0}, {"times": [0, 1, 2, 3]}]
         data = hm.simulate(IEV_SPEC, IEV_TRUTH, levels={"id": 20}, outcomes=spec_outcomes, seed=2)
         prog = make_program(IEV_SPEC, data)
@@ -322,18 +322,21 @@ class TestCompiledInputs:
         grid = prog.outcomes[0].grid
         assert grid.nodes.t.shape == (grid.t.shape[0], grid.t.shape[1] * prog.gl_points)
         assert list(grid.nodes.cols) == [prog.outcomes[1].components[0].key]
+        built = {"_iev_times": 0, "_time_columns": 0}
+        for name in built:
+
+            def counted(*args, real=getattr(predictor, name), name=name):
+                built[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(predictor, name, counted)
 
         def warm_call():
             ev = LikelihoodEvaluator(prog, default_plan(prog, points=5))
             ev.refresh(theta)
             ev.logl(theta)
-            tracemalloc.start()
-            try:
-                value = ev.logl(theta)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return value, ev.logl(stack).tobytes(), peak
+            built.update(dict.fromkeys(built, 0))
+            return ev.logl(theta), ev.logl(stack).tobytes(), dict(built)
 
         compiled = warm_call()
         nodes, grid.nodes = grid.nodes, None
@@ -342,7 +345,8 @@ class TestCompiledInputs:
         finally:
             grid.nodes = nodes
         assert compiled[:2] == rebuilt[:2]
-        assert compiled[2] < rebuilt[2] / 3
+        assert compiled[2] == {"_iev_times": 0, "_time_columns": 0}
+        assert rebuilt[2]["_iev_times"] > 0 and rebuilt[2]["_time_columns"] > 0
 
     @staticmethod
     def rp_data(seed=3):

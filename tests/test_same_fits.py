@@ -37,7 +37,7 @@ def test_a_changed_byte_is_flagged():
         cov=np.eye(2),
         message="converged",
         iterations=5,
-        profile={"objective_points": 60},
+        profile={"objective_points": 60, "derivative_passes": 0},
     )
     fit = SimpleNamespace(failed=None, doc=b"", result=result)
     document = SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None)
@@ -50,7 +50,7 @@ def test_a_changed_byte_is_flagged():
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
 
 
-def fit_record(tool, theta, logl, se, iterations=5, points=60):
+def fit_record(tool, theta, logl, se, iterations=5, points=60, passes=0):
     """The record of a converged in-process fit."""
     result = SimpleNamespace(
         theta=np.array(theta),
@@ -58,9 +58,19 @@ def fit_record(tool, theta, logl, se, iterations=5, points=60):
         cov=np.diag(np.square(se)),
         message="converged",
         iterations=iterations,
-        profile={"objective_points": points},
+        profile={"objective_points": points, "derivative_passes": passes},
     )
     return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
+
+
+def test_a_changed_pass_count_is_flagged():
+    # an exact-derivative fit evaluates no objective points: only its
+    # pass count shows a change in the steps it took
+    tool = load_tool()
+    parent = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], points=0, passes=6)}
+    change = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], points=0, passes=7)}
+    assert tool.differences(parent, change) == ["a#0: differs in derivative_passes"]
+    assert tool.beyond_tolerance(parent, change) == []
 
 
 def test_deviations_of_a_differing_fit():

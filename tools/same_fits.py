@@ -10,9 +10,10 @@ Each checkout fits, in a subprocess of its own and with its own
 ``np.random.default_rng(5)``. ``--tiny`` takes the workloads' TINY sizes.
 
 The in-process fits are compared on theta, log-likelihood, covariance,
-message, iteration count and ``objective_points``; the command-line fits
-(``rp_replicates``) on the bytes of their result documents; a fit that
-fails must fail with the same reason. The script prints one line per
+message, iteration count, ``objective_points`` and ``derivative_passes``
+(an exact-derivative fit evaluates no objective points); the
+command-line fits (``rp_replicates``) on the bytes of their result
+documents; a fit that fails must fail with the same reason. The script prints one line per
 fit that differs, or "all N fits identical" and how many of them failed
 on both sides, and exits 1 on any difference. For each differing
 in-process fit that has numbers on both sides it then prints how far
@@ -83,6 +84,7 @@ def describe(fit) -> dict:
             message=res.message,
             iterations=res.iterations,
             objective_points=res.profile["objective_points"],
+            derivative_passes=res.profile["derivative_passes"],
         )
     return record
 
