@@ -238,7 +238,7 @@ def adapt_locations(
     tol: float = 1e-8,
     max_iter: int = 20,
     start: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
 
@@ -258,7 +258,9 @@ def adapt_locations(
     A cell flagged there starts at (0, prior scale) again.
 
     Returns the shifts (K, dim), scale factors (K, dim, dim), iteration
-    counts (K,) and fallback flags (K,).
+    counts (K,), fallback flags (K,) and capped flags (K,): the cells
+    stopped at ``max_iter`` with their last step still at or above
+    ``tol``.
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
@@ -318,4 +320,4 @@ def adapt_locations(
         lam = np.where(active[:, None, None], lam_new, lam)
         iters[active] += 1
         active &= delta >= tol
-    return mu, lam, iters, flagged
+    return mu, lam, iters, flagged, active

@@ -33,17 +33,23 @@ which repeats the arithmetic of ``scipy.special.logsumexp`` for real
 input without its generic array-API overhead.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
-plus random intercepts, under an exponential, Weibull, Gompertz or
-Poisson family with a time-constant linear predictor) is summed per
+plus random intercepts, under an exponential, Weibull, Gompertz, Poisson
+or Gaussian family with a time-constant linear predictor) is summed per
 innermost unit instead of evaluated row by row. Given the sum L of a
-unit's intercept values at a column, each row's conditional
+unit's intercept values at a column, each exp-linear row's conditional
 log-likelihood is A + B (a + L) - C exp(a + L), so the unit's is
 K + D L - S exp(L + m), with K = sum(A + B a), D = sum(B),
 S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
-2008, *The Frailty Model*, ch. 2). These are computed once per call and
-parameter vector (``_unit_sums``), and each chunk adds that units x
-columns form into its row sums (``_collapsed``). Which outcomes take this
-path follows from the model alone; the two forms differ by rounding.
+2008, *The Frailty Model*, ch. 2). A Gaussian unit's is quadratic in L:
+with n rows, residuals r = y - a, their mean r-bar and
+Q = sum((r - r-bar)^2), it is
+-n (log(2 pi) / 2 + log sigma) - (Q + n (r-bar - L)^2) / (2 sigma^2).
+These unit sums are computed once
+per entry point and parameter vector (``_unit_sums``: once per ``logl``
+group, per ``refresh`` and per pass) and handed down the level
+recursion, and each chunk adds their units x columns form into its row
+sums (``_collapsed``). Which outcomes take this path follows from the
+model alone; the two forms differ by rounding.
 
 The chunk and group shapes are fixed when the evaluator is built. A
 chunk's evaluation makes new arrays of about 0.5 MB each, every time.
@@ -66,14 +72,13 @@ vector's columns (``EvalContext.param``). Each vector's value is the
 one a call with it alone returns, bit for bit; a vector that alone
 exceeds the budget is evaluated alone.
 
-A model with one latent level, of one dimension, whose outcomes with
-rows are all summed per unit (``exact``) also has
+A model whose latent levels all have one dimension and whose outcomes
+with rows are all summed per unit (``exact``) also has
 ``LikelihoodEvaluator.derivatives``: the log-likelihood, the exact score
 (Fisher's identity) and the observed information (Louis 1982, *JRSS B*
-44:226) at one parameter vector in one pass over units x nodes, in
-blocks of whole units within ``_GROUP_VALUES``. Its log-likelihood is
-``logl``'s, and a fit of such a model calls ``logl`` not at all (see
-"exact derivatives" below).
+44:226) at one parameter vector in one pass of the same level recursion.
+Its log-likelihood is ``logl``'s, and a fit of such a model calls
+``logl`` not at all (see "exact derivatives" below).
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl, row_design
+from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl, row_design, row_part
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 __all__ = [
     "LevelPlan",
@@ -108,7 +115,9 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
         m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
         rest = a.copy()
         rest[ties] = -np.inf
-        s = np.exp(rest - a_max).sum(axis=1, keepdims=True)
+        rest -= a_max
+        np.exp(rest, out=rest)
+        s = rest.sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         bad = ~np.isfinite(out)
@@ -181,6 +190,9 @@ def default_plan(
     """Per-level defaults: adaptive quadrature with 7 points for normal
     kernels, quasi-Monte Carlo with 150 draws per dimension for t
     kernels. Every argument takes a single value or a per-level dict.
+    A setting that would be silently ignored is an error: a per-level
+    dict that names a level without latent effects, and a draw count
+    below 1 for any level, a quadrature level included.
     """
 
     def per_level(value, name, fallback):
@@ -188,6 +200,12 @@ def default_plan(
             return value.get(name, fallback)
         return fallback if value is None else value
 
+    latent = [li.name for li in program.levels if li.dim > 0]
+    settings = dict(points=points, draws=draws, method=method, redistribution=redistribution, t_df=t_df)
+    for what, value in settings.items():
+        extra = [n for n in value if n not in latent] if isinstance(value, dict) else []
+        if extra:
+            raise ValueError(f"{what} names levels without latent effects: {extra}; the levels with them are {latent}")
     spec = program.spec
     plan = IntegrationPlan(skip=skip)
     for li in program.levels:
@@ -198,6 +216,8 @@ def default_plan(
         meth = per_level(method, li.name, "qmc" if dist == "t" else "aghq")
         q = per_level(points, li.name, 7)
         m = per_level(draws, li.name, 150 * li.dim)
+        if m < 1:
+            raise ValueError(f"level {li.name!r}: need at least one draw")
         plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adaptive)
     plan.validate(program)
     return plan
@@ -244,18 +264,79 @@ class _LevelState:
         self.active: np.ndarray | None = None  # units with rows anywhere below them
 
 
-class _UnitDerivatives(NamedTuple):
-    """One outcome's per-unit sums at one parameter vector for
-    ``LikelihoodEvaluator.derivatives``, (units, ...) arrays. With
-    W = C exp(a - m) per row (see ``_unit_sums``):
+class _ExpLinearSums(NamedTuple):
+    """An exp-linear outcome's unit sums (see ``_unit_sums``), one row per
+    unit with rows of it and one column per parameter vector (D one
+    column).
     """
 
-    intercepts: list  # (latent name, all units) per intercept, for _collapsed
-    sums: tuple  # (K, D, S, m) of _unit_sums
-    alpha: np.ndarray  # (units, p): first parameter derivatives of A + B a
-    alpha2: np.ndarray  # (units, p, p): their second derivatives
-    r1: np.ndarray  # (units, p): first derivatives of W over S, 0 where S is
-    r2: np.ndarray  # (units, p, p): their second derivatives over S
+    K: np.ndarray  # sum(A + B a)
+    D: np.ndarray  # sum(B)
+    S: np.ndarray  # sum(C exp(a - m))
+    m: np.ndarray  # max(a)
+
+    def at(self, L: np.ndarray, vector) -> tuple[np.ndarray, np.ndarray]:
+        """K + D L - S exp(L + m) at summed intercepts L (units, columns),
+        ``vector`` being each column's parameter vector; and the feature
+        S exp(L + m).
+        """
+        K, S, m = self.K, self.S, self.m
+        if K.shape[1] > 1:  # the sums of each column's parameter vector
+            K, S, m = (x[:, vector] for x in (K, S, m))
+        e = L + m
+        np.exp(e, out=e)
+        e *= S
+        ll = L * self.D
+        ll += K
+        ll -= e
+        return ll, e
+
+
+class _GaussianSums(NamedTuple):
+    """A Gaussian outcome's unit sums (see ``_unit_sums``), laid out as
+    ``_ExpLinearSums``'.
+    """
+
+    K: np.ndarray  # -n (log(2 pi) / 2 + log sigma)
+    n: np.ndarray  # rows, one column
+    mean: np.ndarray  # mean residual r-bar of r = y - a
+    Q: np.ndarray  # sum((r - r-bar)^2) / (2 sigma^2)
+    scale: np.ndarray  # sqrt(2) sigma, (1, vectors)
+
+    def at(self, L: np.ndarray, vector) -> tuple[np.ndarray, np.ndarray]:
+        """K - Q - n ((r-bar - L) / scale)^2 at summed intercepts L, as
+        ``_ExpLinearSums.at``; and the feature r-bar - L. Dividing before
+        squaring keeps a large L finite wherever the rows' standardized
+        residuals are.
+        """
+        K, mean, Q, scale = self.K, self.mean, self.Q, self.scale
+        if K.shape[1] > 1:
+            K, mean, Q, scale = (x[:, vector] for x in (K, mean, Q, scale))
+        d = mean - L
+        ll = d / scale
+        ll *= ll
+        ll *= self.n
+        ll += Q
+        np.subtract(K, ll, out=ll)
+        return ll, d
+
+
+class _OutcomeTerms(NamedTuple):
+    """One outcome's conditional log-likelihood l at a unit, as a
+    polynomial in its feature f there (``_ExpLinearSums.at``,
+    ``_GaussianSums.at``), for ``LikelihoodEvaluator.derivatives``: per
+    unit with rows of it, in every parameter slot,
+    dl/dtheta = a + f b + f^2 c, d2l/dtheta2 = A + f B + f^2 C,
+    d2l/dtheta dL = e + f e', dl/dL = v + f v' and d2l/dL2 = h + f h', at
+    summed intercepts L. A term that is 0 throughout is None; the last
+    two pairs are floats or (units, 1, 1) arrays.
+    """
+
+    score: tuple  # (a, b, c), (units, p) each
+    hess: tuple  # (A, B, C), (units, p, p) each
+    cross: tuple  # (e, e'), (units, p) each
+    slope: tuple  # (v, v')
+    curve: tuple  # (h, h')
 
 
 # rows x columns of one conditional evaluation at the innermost level,
@@ -272,7 +353,8 @@ _GROUP_VALUES = 1 << 14
 # the most expected events, E[Lam_k] or sum_k n_k D_k, of a unit whose
 # exact derivatives take the shared-node moments: their raw second
 # moments lose about eps times as much of the unit's information, 2e-11
-# of it at this bound, where the per-node form loses nothing to centring
+# of it at this bound, where the level recursion's node-by-node form
+# loses nothing to centring
 _RAW_MOMENT_EVENTS = 1e5
 
 
@@ -296,8 +378,18 @@ class LikelihoodEvaluator:
         self._prepare_segments()
         self._plan_chunks()
         self.exact = self._exact_scope()
-        if self.exact:  # outcome -> derivatives of its row part in the parameters
+        if self.exact:
+            # outcome -> derivatives of its row part in the parameters
             self.designs = {k: row_design(program, k) for k in self.intercept_units}
+            # the log-scale slots of the levels whose nodes scale with them,
+            # and the position there of each one's latent effect
+            scaled = [st.info for st in self.level_states if not st.adaptive]
+            self.tau_scaled = [info.re_slots[0] for info in scaled]
+            self.scaled_index = {info.latent_names[0]: i for i, info in enumerate(scaled)}
+            # one level on scaled nodes and exp-linear outcomes: the shared-node moments
+            self.shared = len(self.level_states) == 1 and not self.level_states[0].adaptive and all(
+                program.outcomes[k].family.name != "gaussian" for k in self.intercept_units
+            )
         # Allocate and free one untouched 16 MiB block. Under glibc, freeing
         # a block that malloc mapped on its own raises M_MMAP_THRESHOLD to
         # its size and M_TRIM_THRESHOLD to twice that, for blocks up to
@@ -365,26 +457,106 @@ class LikelihoodEvaluator:
             outer.active = np.zeros(outer.n_units, dtype=bool)
             outer.active[st.parent[st.active]] = True
 
-    def _unit_sums(self, thetas: np.ndarray, k: int) -> tuple:
-        """Per-unit sufficient statistics of outcome k, which has
-        intercepts, at each parameter vector: K = sum(A + B a), D = sum(B),
-        S = sum(C exp(a - m)) and m = max(a) over each innermost unit's
-        rows (see ``exp_linear_terms``), (units, vectors) arrays (D one
-        column), so that the unit's conditional log-likelihood at summed
-        intercept values L is K + D L - S exp(L + m). Taking out m keeps
-        exp(a - m) <= 1, so nothing overflows that the rows would not.
+    def _unit_sums(self, thetas: np.ndarray, k: int, derivatives: bool = False):
+        """The sums of outcome k, which has intercepts, over each
+        innermost unit's rows at each parameter vector, so that the unit's
+        conditional log-likelihood at summed intercept values L follows
+        from them alone (see the module docstring): ``_ExpLinearSums``, in
+        which taking out m keeps exp(a - m) <= 1, so that nothing
+        overflows that the rows would not; or ``_GaussianSums``. With
+        ``derivatives`` (one vector), also its ``_OutcomeTerms``.
         """
+        co = self.program.outcomes[k]
         starts = self.segments[k][0]
         row_segment = self.intercept_units[k][0]
+        if co.family.name == "gaussian":
+            return self._gaussian_sums(thetas, k, derivatives)
         per_vector = []
         for theta in thetas:
-            a, lin, b, c = exp_linear_terms(self.program, k, theta)
+            a, lin, b, c, *anc = exp_linear_terms(self.program, k, theta, derivatives)
             m = np.maximum.reduceat(a, starts)
-            per_vector.append(
-                (np.add.reduceat(lin + b * a, starts), np.add.reduceat(c * np.exp(a - m[row_segment]), starts), m)
-            )
+            e = np.exp(a - m[row_segment])
+            w = c * e
+            per_vector.append((np.add.reduceat(lin + b * a, starts), np.add.reduceat(w, starts), m))
         K, S, m = (np.stack(v, axis=1) for v in zip(*per_vector))
-        return K, np.add.reduceat(b, starts)[:, None], S, m  # B does not depend on the parameters
+        sums = _ExpLinearSums(K, np.add.reduceat(b, starts)[:, None], S, m)  # B does not depend on the parameters
+        if not derivatives:
+            return sums
+        # per row, with W = C exp(a - m), the derivatives of A + B a and of
+        # W in the outcome's own slots, the row part's and then its
+        # ancillary's; per unit, those of W over S, 0 where S is
+        slots, x = self.designs[k]
+        d1a, d2a, d1c, d2c = anc
+        alpha = b[:, None] * x
+        w1 = w[:, None] * x
+        w2 = w1[:, :, None] * x[:, None, :]
+        if d1a is not None:
+            slots = slots + co.anc_slots
+            c1 = d1c * e
+            alpha = np.column_stack([alpha, d1a])
+            w1 = np.column_stack([w1, c1])
+            w2 = np.pad(w2, ((0, 0), (0, 1), (0, 1)))
+            w2[:, -1, :-1] = w2[:, :-1, -1] = c1[:, None] * x
+            w2[:, -1, -1] = d2c * e
+        alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (alpha, w1, w2))
+        positive = S[:, 0] > 0
+        r1 = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
+        r2 = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
+        in_slots = _in_slots(slots, thetas.shape[1])
+        alpha2 = np.zeros((len(starts),) + (thetas.shape[1],) * 2)
+        if d2a is not None:
+            alpha2[:, slots[-1], slots[-1]] = np.add.reduceat(d2a, starts)
+        r1 = -in_slots(r1)
+        hess = (alpha2, -in_slots(r2), None)
+        return sums, _OutcomeTerms((in_slots(alpha), r1, None), hess, (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
+
+    def _gaussian_sums(self, thetas: np.ndarray, k: int, derivatives: bool):
+        """``_unit_sums`` of a Gaussian outcome. With r = y - a, r-bar its
+        mean over a unit's rows, x the rows' design (``row_design``),
+        Sx = sum(x), Sxx = sum(x x') and Sxr = sum((r - r-bar) x), the
+        derivatives of its conditional log-likelihood at L, in the row
+        part's slots and ln_sd (sigma^2 = V), with feature f = r-bar - L,
+        are: (Sxr + f Sx) / V and -n + (Q + n f^2) / V; -Sxx / V,
+        -2 (Sxr + f Sx) / V and -2 (Q + n f^2) / V; in L, n f / V and
+        -n / V; and across, -Sx / V and -2 n f / V.
+        """
+        co = self.program.outcomes[k]
+        starts = self.segments[k][0]
+        row_segment = self.intercept_units[k][0]
+        n = np.diff(starts, append=co.rows.size).astype(float)
+        per_vector = []
+        for theta in thetas:
+            a, (sigma,) = row_part(self.program, k, theta)
+            r = co.response - a
+            mean = np.add.reduceat(r, starts) / n
+            dev = r - mean[row_segment]
+            K = -n * (0.5 * _LOG_2PI + np.log(sigma))
+            Q = np.add.reduceat(dev * dev, starts)
+            per_vector.append((K, mean, Q / (2.0 * sigma * sigma), np.full(1, math.sqrt(2.0) * sigma)))
+        K, mean, scaled_q, scale = (np.stack(v, axis=1) for v in zip(*per_vector))
+        sums = _GaussianSums(K, n[:, None], mean, scaled_q, scale)
+        if not derivatives:
+            return sums
+        slots, x = self.designs[k]
+        sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
+        h2 = 1.0 / (sigma * sigma)
+        s = co.anc_slots[0]
+        p = thetas.shape[1]
+        in_slots = _in_slots(slots, p)
+        a, b, c, e, f = (np.zeros((len(starts), p)) for _ in range(5))
+        A, B, C = (np.zeros((len(starts), p, p)) for _ in range(3))
+        a[:, slots], a[:, s] = sxr * h2, Q * h2 - n
+        b[:, slots] = sx * h2
+        c[:, s] = n * h2
+        A += in_slots(-h2 * sxx)
+        A[:, slots, s] = A[:, s, slots] = -2.0 * h2 * sxr
+        A[:, s, s] = -2.0 * h2 * Q
+        B[:, slots, s] = B[:, s, slots] = -2.0 * h2 * sx
+        C[:, s, s] = -2.0 * h2 * n
+        e[:, slots] = -h2 * sx
+        f[:, s] = -2.0 * h2 * n
+        curvature = (-h2 * n)[:, None, None]
+        return sums, _OutcomeTerms((a, b, c), (A, B, C), (e, f), (0.0, -curvature), (curvature, 0.0))
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
@@ -434,7 +606,7 @@ class LikelihoodEvaluator:
         if not any(st.adaptive for st in self.level_states):
             return False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self._adapt(theta[None], 0, [])
+            self._adapt(theta[None], 0, [], self._all_sums(theta[None]))
         return True
 
     def logl(self, theta: np.ndarray) -> float | np.ndarray:
@@ -461,6 +633,13 @@ class LikelihoodEvaluator:
         finally:
             self.wall_time += time.perf_counter() - t_start
 
+    def _all_sums(self, thetas: np.ndarray) -> dict:
+        """Outcome -> its ``_unit_sums`` at the rows of ``thetas``, for
+        every outcome with intercepts: computed once per entry point and
+        handed down the level recursion.
+        """
+        return {k: self._unit_sums(thetas, k) for k in self.intercept_units}
+
     def _logl_group(self, thetas: np.ndarray) -> list[float]:
         """Log-likelihoods at the rows of ``thetas``, evaluated together:
         each vector is an outermost node combination of its own.
@@ -481,43 +660,48 @@ class LikelihoodEvaluator:
                         totals[v] += math.fsum(ll[:, v].tolist())
             return totals
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            per_unit = self._integrate(thetas, 0, [])
+            per_unit = self._integrate(thetas, 0, [], self._all_sums(thetas))[0]
         act = per_unit[self.level_states[0].active]
         return [math.fsum(col.tolist()) if np.all(np.isfinite(col)) else -np.inf for col in act.T]
 
     # -- exact derivatives ------------------------------------------------
     #
-    # For a model in the scope of ``exact`` the log-likelihood of unit i
-    # is log sum_j exp(c_j + l_j) over its nodes j, where c_j is the
-    # node's log-correction and l_j = sum_k K_k + D_k L_k - Lam_k the
-    # conditional log-likelihood (``_collapsed``), with L_k = n_k u_j for
-    # the node value u_j, n_k outcome k's intercept count and
-    # Lam_k = S_k exp(L_k + m_k). Given the per-unit sums of a row's
-    # derivatives (``_unit_derivatives``), the conditional score and
-    # Hessian at a node are linear in a few node features: Lam_k, u Lam_k,
-    # u^2 Lam_k, and the derivative in the level's log scale, tau. On
-    # scaled nodes (QMC and non-adaptive quadrature) u = exp(tau) z with
-    # z and c_j fixed, so dL_k/dtau = L_k; on adaptive quadrature's
-    # frozen nodes only c_j depends on tau, through the prior's log
-    # density (``ReKernel.scale_derivatives``). By Fisher's identity the
-    # score is the posterior mean of the conditional score; by Louis
-    # (1982) the information is minus the posterior mean of the
-    # conditional Hessian less the posterior covariance of the
-    # conditional score. Posterior means and covariances are taken per
-    # unit over its nodes. Where every unit has the same nodes and
-    # log-corrections (scaled nodes), Lam_k = s_k exp(n_k u_j) with
-    # s_k = S_k e^(m_k) per unit, so they all follow from one product of
-    # a unit's posterior weights with a few functions of the nodes
-    # (``_node_features``, ``_shared_moments``); elsewhere, and at units
-    # whose products would lose precision, they are taken node by node,
-    # the covariances from features centred first (``_node_moments``).
+    # For a model in the scope of ``exact``, the conditional log-likelihood
+    # of an innermost cell at node u is a sum over outcomes k of
+    # l_k(theta, L_k), with L_k the sum of k's intercept values there
+    # (``_collapsed``). Given each outcome's ``_OutcomeTerms``, its score
+    # and Hessian in the parameters at a node are polynomials in the
+    # outcome's feature there. A level's log scale tau enters in one of
+    # two ways. On scaled nodes (QMC and non-adaptive quadrature) a node
+    # value is exp(tau) z with z fixed, and the node's log-correction does
+    # not depend on tau, so tau acts through L: dL_k/dtau = n u, with n
+    # the count of k's intercepts at that level and u its node value. On
+    # adaptive quadrature's frozen nodes only the log-correction depends
+    # on tau, through the prior's log density
+    # (``ReKernel.scale_derivatives``). By Fisher's identity the score of
+    # a cell's log integral is the posterior mean of the conditional
+    # score at its nodes; by Louis (1982) its Hessian is the posterior
+    # mean of the conditional Hessian plus the posterior covariance of the
+    # conditional score (``_louis``). At an outer level the conditional
+    # score and Hessian at a node are the sums of those of its child
+    # cells, added in ``_into_parents``'s order, so the same formulas
+    # apply level by level, inside the recursion that ``logl`` takes.
+    #
+    # On one level of scaled nodes with exp-linear outcomes, every unit
+    # has the same nodes and log-corrections, so Lam_k = s_k exp(n_k u_j)
+    # with s_k = S_k e^(m_k) per unit, and a unit's posterior moments all
+    # follow from one product of its posterior weights with a few
+    # functions of the nodes (``_node_features``, ``_shared_moments``).
+    # Units whose products would lose precision take the recursion's
+    # node-by-node values instead.
 
     def _exact_scope(self) -> bool:
-        """Whether ``derivatives`` applies: exactly one latent level, of
-        one dimension, and every outcome with rows summed per unit
-        (``intercepts``). No option selects it.
+        """Whether ``derivatives`` applies: every latent level has one
+        dimension, and every outcome with rows is a row part plus random
+        intercepts under an exp-linear or Gaussian family, summed per
+        unit (``intercepts``). No option selects it.
         """
-        if len(self.level_states) != 1 or self.level_states[0].info.dim != 1:
+        if not self.level_states or any(st.info.dim != 1 for st in self.level_states):
             return False
         return all(co.intercepts is not None for co in self.program.outcomes if co.rows.size)
 
@@ -527,21 +711,21 @@ class LikelihoodEvaluator:
         log-likelihood is the one ``logl`` gives, bit for bit, so that
         ``maximize`` takes every value of the fit from passes; where it is
         not finite, the score and information are NaN, and so is either
-        where a unit's share of it is not finite. On scaled nodes the
-        posterior moments are one product per unit (see "exact
-        derivatives" below). Each is summed over units with ``math.fsum``,
-        so the result does not depend on how units are labelled. A level
-        that still has to adapt adapts first, as in ``logl``. Counted in
-        ``derivative_passes``, not as a ``logl`` call; its time and its
-        active units x nodes count in ``wall_time_s`` and
-        ``conditional_evaluations`` as a call's do.
+        where a unit's share of it is not finite. Each is summed over the
+        outermost units with ``math.fsum``, and inner units are added in
+        order of value, so the result does not depend on how units are
+        labelled. A level that still has to adapt adapts first, as in
+        ``logl``. Counted in ``derivative_passes``, not as a ``logl``
+        call; its time and its active units x node columns count in
+        ``wall_time_s`` and ``conditional_evaluations`` as a call's do.
         """
         if not self.exact:
-            raise ValueError("exact derivatives need one latent level of one dimension and per-unit sums")
+            raise ValueError(
+                "exact derivatives need every latent level of one dimension and every outcome a row part plus "
+                "random intercepts under an exponential, Weibull, Gompertz, Poisson or Gaussian family"
+            )
         t_start = time.perf_counter()
         self.n_passes += 1
-        st = self.level_states[0]
-        self.cond_evals += int(st.active.sum()) * st.m
         try:
             return self._derivative_pass(np.asarray(theta, dtype=float))
         finally:
@@ -549,84 +733,17 @@ class LikelihoodEvaluator:
 
     def _derivative_pass(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The pass of ``derivatives``, uncounted."""
-        st = self.level_states[0]
-        n, p, m = st.n_units, theta.size, st.m
-        tau = st.info.re_slots[0]
+        p = theta.size
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if st.adaptive and 0 not in self.adapted:
-                self._adapt(theta[None], 0, [])
-            x, corr = self._nodes(0, theta[None])
-            u_all = x[..., 0]
-            outcomes = [self._unit_derivatives(theta, k) for k in self.intercept_units]
-            counts = np.array([float(len(o.intercepts)) for o in outcomes])  # n_k
-            if st.adaptive:
-                w1_all, w2_all = st.kernel.scale_derivatives(u_all, self.level_chol(st, theta))
-            else:  # every unit has the nodes u_all[0]: the shared-node moments
-                features = _node_features(u_all[0], counts)
-                S, grow = (np.column_stack([o.sums[i] for o in outcomes]) for i in (2, 3))
-                grow = np.exp(grow)  # e^(m_k)
-                scale = S * grow  # s_k = S_k e^(m_k)
-                events = sum(n_k * o.sums[1] for n_k, o in zip(counts, outcomes))  # sum n_k D_k
-            unit_logl = np.empty(n)
-            one_vector = np.zeros(m, dtype=int)
-
-            def posterior(units):
-                """The posterior weights (units, nodes) of the units, each
-                outcome's Lam_k = S_k exp(L_k + m_k) there and the node
-                values; and their log-likelihoods.
-                """
-                u = u_all[units]
-                ll = None
-                lams = []
-                for o in outcomes:
-                    stats = tuple(v[units, None] for v in o.sums)
-                    term, lam = self._collapsed(stats, o.intercepts, {o.intercepts[0][0]: u}, one_vector)
-                    ll = term if ll is None else ll + term
-                    lams.append(lam)
-                logp = corr[units] + ll
-                lse = logsumexp(logp)
-                return np.exp(logp - lse[:, None]), lams, u, lse
-
-            K = len(outcomes)
-            # units per block: every array of a block is units x nodes, at
-            # most _GROUP_VALUES values, a quarter of a chunk's
-            block = max(1, _GROUP_VALUES // m)
-            if st.adaptive:
-                moments = np.empty((n, K + 1)), np.empty((n, K)), np.empty(n), np.empty((n, K + 1, K + 1))
-                for u0 in range(0, n, block):
-                    ub = slice(u0, min(u0 + block, n))
-                    post, lams, _, unit_logl[ub] = posterior(ub)
-                    derivs = w1_all[ub], w2_all[ub]
-                    for v, part in zip(moments, _node_moments(post, lams, counts, tau_derivatives=derivs)):
-                        v[ub] = part
+            sums, terms = {}, {}
+            for k in self.intercept_units:
+                sums[k], terms[k] = self._unit_sums(theta[None], k, derivatives=True)
+            if self.shared:
+                unit_logl, unit_score, unit_info = self._shared_pass(theta, sums, terms)
             else:
-                sums = np.empty((n, features.shape[1]))
-                for u0 in range(0, n, block):
-                    ub = slice(u0, min(u0 + block, n))
-                    post, _, _, unit_logl[ub] = posterior(ub)
-                    # one product per unit, so that a unit's moments do not
-                    # depend on which block it falls in (a one-row block of a
-                    # plain product would take another BLAS routine)
-                    sums[ub] = np.matmul(post[:, None, :], features)[:, 0]
-                moments = _shared_moments(sums, scale, events, counts)
-                # per node where s_k or e^(m_k) underflowed, where a product
-                # overflowed, or where a unit expects so many events that its
-                # raw second moments would lose more of its information
-                # (about eps times them)
-                underflow = (S > 0) & (np.minimum(scale, grow) < np.finfo(float).tiny)
-                redo = np.any(underflow | (moments[0][:, :K] > _RAW_MOMENT_EVENTS), axis=1)
-                redo |= events > _RAW_MOMENT_EVENTS
-                for v in moments:
-                    redo |= ~np.isfinite(v.reshape(n, -1)).all(axis=1)
-                redo = np.flatnonzero(redo)
-                for r0 in range(0, redo.size, block):
-                    units = redo[r0 : r0 + block]
-                    post, lams, u, _ = posterior(units)
-                    D = np.column_stack([o.sums[1][units] for o in outcomes])
-                    for v, part in zip(moments, _node_moments(post, lams, counts, u, D)):
-                        v[units] = part
-            unit_score, unit_info = _unit_score_info(moments, outcomes, tau, p)
-        act = st.active
+                unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
+                unit_info = -unit_hess
+        act = self.level_states[0].active
         if not np.all(np.isfinite(unit_logl[act])):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
 
@@ -639,57 +756,65 @@ class LikelihoodEvaluator:
         info = total(unit_info).reshape(p, p)
         return math.fsum(unit_logl[act].tolist()), total(unit_score), 0.5 * (info + info.T)
 
-    def _unit_derivatives(self, theta: np.ndarray, k: int) -> _UnitDerivatives:
-        """The per-unit sums of outcome k at one parameter vector that
-        ``derivatives`` needs, over every unit of the level (see
-        ``_UnitDerivatives``). A unit without rows of k has
-        K = D = S = 0 and m = -inf, so that it adds 0 at every node.
+    def _shared_pass(self, theta: np.ndarray, sums: dict, terms: dict) -> tuple:
+        """Each unit's log-likelihood, score and information on one level
+        of scaled nodes with exp-linear outcomes, from the shared-node
+        moments (see "exact derivatives" above).
         """
-        co = self.program.outcomes[k]
-        starts, seg_units = self.segments[k]
-        row_segment = self.intercept_units[k][0]
-        slots, x = self.designs[k]
-        a, lin, b, c, d1a, d2a, d1c, d2c = exp_linear_terms(self.program, k, theta, derivatives=True)
-        m = np.maximum.reduceat(a, starts)
-        e = np.exp(a - m[row_segment])
-        w = c * e
-        # per row, the derivatives of A + B a and of W in the outcome's
-        # own slots, the row part's and then its ancillary's
-        alpha = b[:, None] * x
-        w1 = w[:, None] * x
-        w2 = w1[:, :, None] * x[:, None, :]
-        if d1a is not None:
-            slots = slots + co.anc_slots
-            c1 = d1c * e
-            alpha = np.column_stack([alpha, d1a])
-            w1 = np.column_stack([w1, c1])
-            w2 = np.pad(w2, ((0, 0), (0, 1), (0, 1)))
-            w2[:, -1, :-1] = w2[:, :-1, -1] = c1[:, None] * x
-            w2[:, -1, -1] = d2c * e
-        K, D, S, alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (lin + b * a, b, w, alpha, w1, w2))
-        positive = S > 0
-        r1 = np.divide(w1, S[:, None], out=np.zeros_like(w1), where=positive[:, None])
-        r2 = np.divide(w2, S[:, None, None], out=np.zeros_like(w2), where=positive[:, None, None])
-        n, p = self.level_states[0].n_units, theta.size
-
-        def in_slots(v):  # per segment: the outcome's own slots -> every slot
-            out = np.zeros(v.shape[:1] + (p,) * (v.ndim - 1))
-            out[(slice(None), *np.ix_(*[slots] * (v.ndim - 1)))] = v
-            return out
-
-        def over_units(v, fill=0.0):  # per segment -> per unit
-            out = np.full((n,) + v.shape[1:], fill)
-            out[seg_units] = v
-            return out
-
-        alpha2 = np.zeros((len(starts), p, p))
-        if d2a is not None:
-            alpha2[:, slots[-1], slots[-1]] = np.add.reduceat(d2a, starts)
-        return _UnitDerivatives(
-            [(name, slice(None)) for name, _ in self.intercept_units[k][1]],
-            (*(over_units(v) for v in (K, D, S)), over_units(m, -np.inf)),
-            *(over_units(v) for v in (in_slots(alpha), alpha2, in_slots(r1), in_slots(r2))),
-        )
+        st = self.level_states[0]
+        n, p, m = st.n_units, theta.size, st.m
+        self.cond_evals += int(st.active.sum()) * m
+        x, corr = self._nodes(0, theta[None])
+        u_all = x[..., 0]
+        ks = list(sums)
+        counts = np.array([float(len(self.intercept_units[k][1])) for k in ks])  # n_k
+        intercepts = {k: [(name, slice(None)) for name, _ in self.intercept_units[k][1]] for k in ks}
+        fills = (0.0, 0.0, 0.0, -np.inf)  # a unit without rows of k adds 0 at every node
+        per_unit = {k: _ExpLinearSums(*map(_over_units, sums[k], [self.segments[k][1]] * 4, [n] * 4, fills)) for k in ks}
+        features = _node_features(u_all[0], counts)
+        S, grow = (np.column_stack([per_unit[k][i][:, 0] for k in ks]) for i in (2, 3))
+        grow = np.exp(grow)  # e^(m_k)
+        scale = S * grow  # s_k = S_k e^(m_k)
+        events = sum(n_k * per_unit[k].D[:, 0] for n_k, k in zip(counts, ks))  # sum n_k D_k
+        unit_logl = np.empty(n)
+        one_vector = np.zeros(m, dtype=int)
+        # units per block: every array of a block is units x nodes, at most
+        # _GROUP_VALUES values, a quarter of a chunk's
+        block = max(1, _GROUP_VALUES // m)
+        sums_u = np.empty((n, features.shape[1]))
+        for u0 in range(0, n, block):
+            ub = slice(u0, min(u0 + block, n))
+            ll = None
+            for k in ks:
+                stats = _ExpLinearSums(*(v[ub] for v in per_unit[k]))
+                term = self._collapsed(stats, intercepts[k], {intercepts[k][0][0]: u_all[ub]}, one_vector)[0]
+                ll = term if ll is None else ll + term
+            logp = corr[ub] + ll
+            lse = logsumexp(logp)
+            unit_logl[ub] = lse
+            logp -= lse[:, None]
+            np.exp(logp, out=logp)
+            # one product per unit, so that a unit's moments do not depend
+            # on which block it falls in (a one-row block of a plain
+            # product would take another BLAS routine)
+            sums_u[ub] = np.matmul(logp[:, None, :], features)[:, 0]
+        moments = _shared_moments(sums_u, scale, events, counts)
+        outcomes = [[_over_units(v, self.segments[k][1], n) for v in terms[k].score[:2] + terms[k].hess[:2]] for k in ks]
+        unit_score, unit_info = _unit_score_info(moments, outcomes, st.info.re_slots[0], p)
+        # per node where s_k or e^(m_k) underflowed, where a product
+        # overflowed, or where a unit expects so many events that its raw
+        # second moments would lose more of its information (about eps
+        # times them)
+        K = len(ks)
+        underflow = (S > 0) & (np.minimum(scale, grow) < np.finfo(float).tiny)
+        redo = np.any(underflow | (moments[0][:, :K] > _RAW_MOMENT_EVENTS), axis=1)
+        redo |= events > _RAW_MOMENT_EVENTS
+        for v in moments:
+            redo |= ~np.isfinite(v.reshape(n, -1)).all(axis=1)
+        if redo.any():
+            _, score, hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
+            unit_score[redo], unit_info[redo] = score[redo], -hess[redo]
+        return unit_logl, unit_score, unit_info
 
     # -- level-by-level integration ---------------------------------------
     #
@@ -702,6 +827,10 @@ class LikelihoodEvaluator:
     # vectors (``thetas``) adds one outermost node axis: level ``pos``
     # then has K * n_combos combinations, vector-major, and K * n_cells
     # cells. Adaptation is frozen, so each vector's cells share it.
+    # ``sums`` are the outcomes' ``_unit_sums`` at ``thetas``. A pass of
+    # ``derivatives`` (one vector) also hands down the outcomes'
+    # ``_OutcomeTerms`` (``terms``), and every cell then carries its score
+    # and Hessian with its value (see "exact derivatives" above).
 
     def _nodes(self, pos: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node locations (cells, M, r) and log-corrections (cells, M) of
@@ -755,7 +884,7 @@ class LikelihoodEvaluator:
         xs, corrs = zip(*parts)
         return stack(xs), stack(corrs)
 
-    def _adapt(self, thetas: np.ndarray, pos: int, outer: list) -> None:
+    def _adapt(self, thetas: np.ndarray, pos: int, outer: list, sums: dict) -> None:
         """Adapt level ``pos`` at the given outer nodes, re-adapting the
         levels inside it at each trial location, then once more at the
         final one. ``thetas`` holds one parameter vector. Each adaptation
@@ -767,7 +896,7 @@ class LikelihoodEvaluator:
         st = self.level_states[pos]
         if st.adaptive:
             self.adapted[pos] = res = adapt_locations(
-                lambda x: self._conditional(thetas, pos, outer, x, refresh=True),
+                lambda x: self._conditional(thetas, pos, outer, x, sums, refresh=True)[0],
                 st.kernel,
                 self.level_chol(st, thetas[0]),
                 (st.nodes, st.logw, st.log_std),
@@ -776,63 +905,184 @@ class LikelihoodEvaluator:
             )
             self.sweeps[st.info.name] += int(res[2].max(initial=0))
         if pos + 1 < len(self.level_states):
-            self._adapt(thetas, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, thetas)[0])])
+            self._adapt(thetas, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, thetas)[0])], sums)
 
     def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
         st = self.level_states[pos]
         return x.reshape(st.n_units, -1, st.info.dim)
 
-    def _conditional(self, thetas, pos: int, outer: list, x: np.ndarray, refresh: bool = False) -> np.ndarray:
+    def _conditional(self, thetas, pos: int, outer: list, x: np.ndarray, sums: dict, terms=None, refresh=False):
         """Conditional log-likelihood (cells, M) of everything inside each
-        cell of level ``pos``, at its node locations ``x``.
+        cell of level ``pos``, at its node locations ``x``; with
+        ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
+        there, for a level outside the innermost.
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
             cond = np.empty((st.n_units, len(thetas) * st.n_combos, st.m))
-            for c0, c1, ll in self._row_sums(thetas, outer, x):
+            for c0, c1, ll, _ in self._row_sums(thetas, outer, x, sums):
                 cond[:, c0:c1] = ll
-            return cond.reshape(-1, st.m)
+            return (cond.reshape(-1, st.m),)
         inner_outer = outer + [self._as_outer(pos, x)]
         if refresh:
-            self._adapt(thetas, pos + 1, inner_outer)
-        child = self._integrate(thetas, pos + 1, inner_outer)
-        return self._into_parents(pos + 1, child).reshape(-1, st.m)
+            self._adapt(thetas, pos + 1, inner_outer, sums)
+        child = self._integrate(thetas, pos + 1, inner_outer, sums, terms)
+        return tuple(v.reshape((-1, st.m) + v.shape[2:]) for v in self._into_parents(pos + 1, *child))
 
-    def _integrate(self, thetas, pos: int, outer: list) -> np.ndarray:
+    def _integrate(self, thetas, pos: int, outer: list, sums: dict, terms=None) -> tuple:
         """Log integral over level ``pos`` and every level inside it, per
-        unit and outer-node combination: (n_units, K * n_combos). Units
+        unit and outer-node combination: (n_units, K * n_combos); with
+        ``terms``, also its score (.., p) and Hessian (.., p, p). Units
         with no rows below them integrate to exactly 0.
         """
         st = self.level_states[pos]
         if st.adaptive and pos not in self.adapted:
-            self._adapt(thetas, pos, outer)
+            self._adapt(thetas, pos, outer, sums)
         x, corr = self._nodes(pos, thetas)
         if pos + 1 == len(self.level_states):
             corr3 = corr.reshape(st.n_units, -1, st.m)
-            parts = [
-                logsumexp((corr3[:, c0:c1] + ll).reshape(-1, st.m)).reshape(st.n_units, c1 - c0)
-                for c0, c1, ll in self._row_sums(thetas, outer, x)
-            ]
-            per_cell = np.concatenate(parts, axis=1)
+            parts = []
+            for c0, c1, ll, feats in self._row_sums(thetas, outer, x, sums, terms):
+                logp = (corr3[:, c0:c1] + ll).reshape(-1, st.m)
+                lse = logsumexp(logp)
+                part = [lse.reshape(st.n_units, c1 - c0)]
+                if terms is not None:
+                    w = self._weights(logp, lse).reshape(ll.shape)
+                    u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
+                    part.extend(self._inner_derivatives(thetas[0], w, u, feats, terms))
+                parts.append(part)
+            out = [np.concatenate(v, axis=1) for v in zip(*parts)]
         else:
-            per_cell = logsumexp(corr + self._conditional(thetas, pos, outer, x)).reshape(st.n_units, -1)
-        return np.where(st.active[:, None], per_cell, 0.0)
+            cond, *derivs = self._conditional(thetas, pos, outer, x, sums, terms)
+            logp = corr + cond
+            lse = logsumexp(logp)
+            out = [lse.reshape(st.n_units, -1)]
+            if terms is not None:
+                w = self._weights(logp, lse)
+                derivs = self._outer_derivatives(pos, thetas[0], w, x, *derivs)
+                out += [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
+        return tuple(np.where(st.active.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0) for v in out)
 
-    def _row_sums(self, thetas, outer: list, x: np.ndarray):
-        """Yield (c0, c1, ll) over the outer-node combinations, with ll
-        (n_units, c1 - c0, M) the summed conditional row log-likelihood of
-        each innermost unit at each node of combinations c0 to c1. The
-        columns, one per (combination, node), are evaluated in chunks of
-        ``chunk_columns``, each with the parameter vectors of its columns:
-        a chunk is whole combinations, or nodes of one combination, which
-        is then yielded after its last chunk.
+    @staticmethod
+    def _weights(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
+        """Posterior weights (cells, M) from the cells' log terms and
+        their logsumexp."""
+        w = logp - lse[:, None]
+        np.exp(w, out=w)
+        return w
+
+    def _inner_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
+        """Score (units, C, p) and Hessian (units, C, p, p) of the log
+        integral of every innermost cell of C combinations, given their
+        posterior weights w and node values u (units, C, M) and each
+        outcome's (feature, intercept values at the scaled levels) at the
+        cells' nodes (``_row_sums``). The node scores, units x C x M x p,
+        are formed for blocks of units of at most _CHUNK_VALUES values.
+        """
+        n_units, combos, m = w.shape
+        block = max(1, _CHUNK_VALUES // (combos * m * theta.size))
+        if block >= n_units:
+            return self._block_derivatives(theta, w, u, feats, terms, 0, n_units)
+        parts = [
+            self._block_derivatives(theta, w[u0 : u0 + block], u[u0 : u0 + block], feats, terms, u0, min(u0 + block, n_units))
+            for u0 in range(0, n_units, block)
+        ]
+        return tuple(np.concatenate(v) for v in zip(*parts))
+
+    def _block_derivatives(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
+        """``_inner_derivatives`` of the innermost units u0 to u1, whose
+        weights and node values are w and u.
+        """
+        st = self.level_states[-1]
+        p = theta.size
+        score = np.zeros(w.shape + (p,))
+        hess = np.zeros(w.shape[:2] + (p, p))
+        tau = self.tau_scaled
+        for k, (f, scaled) in feats.items():
+            seg = self.segments[k][1]
+            if isinstance(seg, slice):  # every unit has rows of k
+                rows, at = slice(u0, u1), slice(None)
+            else:  # the segments of units u0 to u1, and their units in the block
+                rows = slice(*np.searchsorted(seg, [u0, u1]))
+                at = seg[rows] - u0
+            (a, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (
+                tuple(t[rows] if isinstance(t, np.ndarray) else t for t in pair) for pair in terms[k]
+            )
+            wk = w[at]
+            f = f[rows].reshape(wk.shape)
+            f[wk == 0.0] = 0.0  # no inf * 0 where a node has no weight
+            g = f[..., None] * b[:, None, None]
+            g += a[:, None, None]
+            h = np.einsum("scj,scj->sc", wk, f)[..., None, None] * B[:, None]
+            h += A[:, None]
+            if c is not None:
+                f2 = f * f
+                g += f2[..., None] * c[:, None, None]
+                h += np.einsum("scj,scj->sc", wk, f2)[..., None, None] * C[:, None]
+            if scaled is not None:  # dL/dtau at each scaled level, and d2L/dtau2 on the diagonal
+                scaled = scaled[rows].reshape(wk.shape + (-1,))
+                slope = v1 * f + v0
+                g[..., tau] += slope[..., None] * scaled
+                x = f[..., None] * e1[:, None, None]
+                if e is not None:
+                    x += e[:, None, None]
+                x[..., tau] += (0.5 * (h1 * f + h0))[..., None] * scaled
+                x *= wk[..., None]
+                cross = np.swapaxes(x, -1, -2) @ scaled  # (.., p, levels)
+                h[..., :, tau] += cross
+                h[..., tau, :] += np.swapaxes(cross, -1, -2)
+                h[..., tau, tau] += np.einsum("scj,scjl->scl", wk * slope, scaled)
+            score[at] += g
+            hess[at] += h
+        if st.adaptive:
+            self._prior_terms(st, theta, w, u, score, hess)
+        return _louis(w, score, hess)
+
+    def _outer_derivatives(self, pos: int, theta, w, x, score, hess) -> tuple:
+        """Score and Hessian of the log integral of every cell of level
+        ``pos``, given the posterior weights w (cells, M) and the sums of
+        the child cells' scores and Hessians at each node.
+        """
+        st = self.level_states[pos]
+        void = w == 0.0
+        if void.any():  # a node without weight may hold a child's NaN
+            score[void], hess[void] = 0.0, 0.0
+        mean_hess = np.einsum("cj,cjab->cab", w, hess)
+        if st.adaptive:
+            self._prior_terms(st, theta, w, x[..., 0], score, mean_hess)
+        return _louis(w, score, mean_hess)
+
+    def _prior_terms(self, st: _LevelState, theta, w, u, score, mean_hess) -> None:
+        """Add the log-scale derivatives of the prior log density at the
+        frozen adaptive nodes u of level ``st`` to the node scores and,
+        weighted by w, to the mean Hessians.
+        """
+        d1, d2 = st.kernel.scale_derivatives(u, self.level_chol(st, theta))
+        slot = st.info.re_slots[0]
+        score[..., slot] += d1
+        mean_hess[..., slot, slot] += np.einsum("...j,...j->...", w, d2)
+
+    def _row_sums(self, thetas, outer: list, x: np.ndarray, sums: dict, terms=None):
+        """Yield (c0, c1, ll, features) over the outer-node combinations,
+        with ll (n_units, c1 - c0, M) the summed conditional row
+        log-likelihood of each innermost unit at each node of combinations
+        c0 to c1. The columns, one per (combination, node), are evaluated
+        in chunks of ``chunk_columns``, each with the parameter vectors of
+        its columns: a chunk is whole combinations, or nodes of one
+        combination, which is then yielded after its last chunk. With
+        ``terms``, a chunk is whole combinations, and ``features`` maps
+        each outcome to its feature at the chunk's columns (see
+        ``_collapsed``) and, where levels have scaled nodes, to the sums
+        of its intercept values at each of them (segments, columns,
+        levels); else it is empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
+        if terms is not None:
+            width = max(m, width - width % m)
         combos = len(thetas) * st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
         n_active = int(st.active.sum())
-        stats = {k: self._unit_sums(thetas, k) for k in self.intercept_units}
         j0, end = 0, combos * m
         while j0 < end:
             j1 = min(j0 + width, end if width >= m else j0 - j0 % m + m)
@@ -850,56 +1100,81 @@ class LikelihoodEvaluator:
             vector = np.arange(j0, j1) // (st.n_combos * m)  # parameter vector of each column
             ctx = self._context(thetas, vals, np.bincount(vector, minlength=len(thetas)))
             part = out[:, j0 - c0 * m : j1 - c0 * m]
+            features = {}
             for k, segments in enumerate(self.segments):
                 if segments is None:
                     continue
                 starts, seg_units = segments
-                if k in stats:
-                    sums = self._collapsed(stats[k], self.intercept_units[k][1], vals, vector)[0]
+                if k in sums:
+                    intercepts = self.intercept_units[k][1]
+                    unit_ll, f = self._collapsed(sums[k], intercepts, vals, vector)
+                    if terms is not None:
+                        features[k] = f, self._scaled_values(intercepts, vals)
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll)
                     if nan.any():  # rare; copying every chunk costs more than the test
                         ll = np.where(nan, -np.inf, ll)
                     # one column when ll is the same in every column; += spreads it
-                    sums = np.add.reduceat(ll, starts, axis=0)
-                part[seg_units] += sums
+                    unit_ll = np.add.reduceat(ll, starts, axis=0)
+                part[seg_units] += unit_ll
             self.cond_evals += n_active * (j1 - j0)
             j0 = j1
             if j1 % m == 0:
-                yield c0, c1, out.reshape(st.n_units, c1 - c0, m)
+                yield c0, c1, out.reshape(st.n_units, c1 - c0, m), features
 
     @staticmethod
-    def _collapsed(stats: tuple, intercepts: list, vals: dict, vector):
-        """K + D L - S exp(L + m) of one outcome's units at the columns of
-        a chunk (see ``_unit_sums``), L being the sum of the unit's
-        intercept values there and ``vector`` each column's parameter
-        vector; and S exp(L + m).
-        """
-        K, D, S, m = stats
-        L = None
+    def _intercept_values(intercepts: list, vals: dict):
+        """Yield (latent name, values at the outcome's units) for each of
+        an outcome's intercepts."""
         for name, units in intercepts:
             v = vals[name]
             if not isinstance(units, slice):  # an outer level's values at each unit
                 v = v[units]
-            L = v if L is None else L + v
-        if K.shape[1] > 1:  # the statistics of each column's parameter vector
-            K, S, m = (x[:, vector] for x in (K, S, m))
-        e = np.exp(L + m) * S
-        ll = L * D + K - e
-        nan = np.isnan(ll)
-        if nan.any():  # as at the rows: read as -inf
-            ll = np.where(nan, -np.inf, ll)
-        return ll, e
+            yield name, v
 
-    def _into_parents(self, pos: int, vals: np.ndarray) -> np.ndarray:
-        """Sum per-unit values (n_units, n) of level ``pos`` into its
-        parent units. Children are added in order of value, so the sums do
-        not depend on how units are labelled.
+    @classmethod
+    def _collapsed(cls, stats, intercepts: list, vals: dict, vector) -> tuple[np.ndarray, np.ndarray]:
+        """The conditional log-likelihood of one outcome's units at the
+        columns of a chunk, from its unit sums ``stats`` (see
+        ``_unit_sums``) at L, the sum of each unit's intercept values
+        there, ``vector`` being each column's parameter vector; and its
+        feature there (``_ExpLinearSums.at``, ``_GaussianSums.at``).
+        """
+        L = None
+        for _, v in cls._intercept_values(intercepts, vals):
+            L = v if L is None else L + v
+        ll, feature = stats.at(L, vector)
+        ll[np.isnan(ll)] = -np.inf  # as at the rows
+        return ll, feature
+
+    def _scaled_values(self, intercepts: list, vals: dict):
+        """The sums of an outcome's intercept values at each level with
+        scaled nodes, (units, columns, levels): their derivatives in the
+        levels' log scales. None where no level has scaled nodes.
+        """
+        if not self.tau_scaled:
+            return None
+        out = None
+        for name, v in self._intercept_values(intercepts, vals):
+            i = self.scaled_index.get(name)
+            if i is not None:
+                if out is None:
+                    out = np.zeros(v.shape + (len(self.tau_scaled),))
+                out[..., i] += v
+        return out
+
+    def _into_parents(self, pos: int, vals: np.ndarray, *derivs) -> tuple:
+        """Sum per-unit values (n_units, n) of level ``pos``, and with them
+        their score and Hessian arrays (n_units, n, ...), into the parent
+        units. Children are added in order of value, so the sums do not
+        depend on how units are labelled.
         """
         st = self.level_states[pos]
         order = np.lexsort((vals, np.broadcast_to(st.parent[:, None], vals.shape)), axis=0)
-        return np.add.reduceat(np.take_along_axis(vals, order, axis=0), st.parent_starts, axis=0)
+        out = [np.add.reduceat(np.take_along_axis(vals, order, axis=0), st.parent_starts, axis=0)]
+        columns = np.arange(vals.shape[1])
+        return tuple(out + [np.add.reduceat(v[order, columns], st.parent_starts, axis=0) for v in derivs])
 
     # -- diagnostics ------------------------------------------------------
 
@@ -913,8 +1188,11 @@ class LikelihoodEvaluator:
         passes alike, and ``conditional_evaluations_per_call`` divides
         them by the calls plus the passes; ``wall_time_s`` is the time
         spent in calls and passes.
-        ``adaptation_iterations`` and ``adaptation_fallbacks`` describe the
-        latest adaptation of each cell; ``adaptation_sweeps`` counts, per
+        ``adaptation_iterations``, ``adaptation_fallbacks`` and
+        ``adaptation_capped`` describe the latest adaptation of each cell,
+        the last listing the cells it left at ``adapt_locations``'
+        iteration limit with their step still at or above its tolerance;
+        ``adaptation_sweeps`` counts, per
         adaptive level, the passes over its cells of every adaptation
         since the evaluator was built.
         """
@@ -929,14 +1207,16 @@ class LikelihoodEvaluator:
         calls = self.n_calls + self.n_passes
         per_call = self.cond_evals / calls if calls else 0
         # keyed by (level, unit ordinal, outer-node combination)
-        iterations, fallbacks = {}, []
-        for pos, (_, _, iters, flagged) in sorted(self.adapted.items()):
+        iterations, fallbacks, capped = {}, [], []
+        for pos, (_, _, iters, flagged, stopped) in sorted(self.adapted.items()):
             st = self.level_states[pos]
             for cell in np.flatnonzero(np.repeat(st.active, st.n_combos)):
                 key = (st.info.name, *divmod(int(cell), st.n_combos))
                 iterations[key] = int(iters[cell])
                 if flagged[cell]:
                     fallbacks.append(key)
+                if stopped[cell]:
+                    capped.append(key)
         return {
             "levels": levels,
             "likelihood_calls": self.n_calls,
@@ -946,9 +1226,32 @@ class LikelihoodEvaluator:
             "conditional_evaluations_per_call": per_call,
             "adaptation_iterations": iterations,
             "adaptation_fallbacks": fallbacks,
+            "adaptation_capped": capped,
             "adaptation_sweeps": dict(self.sweeps),
             "wall_time_s": self.wall_time,
         }
+
+
+def _over_units(v: np.ndarray, seg_units, n: int, fill: float = 0.0) -> np.ndarray:
+    """Per-segment values (segments, ...) at each of n units, ``fill`` at
+    units without rows.
+    """
+    out = np.full((n,) + v.shape[1:], fill, dtype=float)
+    out[seg_units] = v
+    return out
+
+
+def _in_slots(slots: list, p: int):
+    """A map from per-unit arrays (units, q) or (units, q, q) in the
+    slots ``slots`` to arrays in all p slots, 0 elsewhere.
+    """
+
+    def place(v):
+        out = np.zeros(v.shape[:1] + (p,) * (v.ndim - 1))
+        out[(slice(None), *np.ix_(*[slots] * (v.ndim - 1)))] = v
+        return out
+
+    return place
 
 
 def _index_or_all(units: np.ndarray, n_units: int):
@@ -961,7 +1264,23 @@ def _index_or_all(units: np.ndarray, n_units: int):
 # ---------------------------------------------------------------------------
 # Posterior moments of the exact derivatives
 # ---------------------------------------------------------------------------
-#
+
+
+def _louis(w: np.ndarray, score: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The score and Hessian of log sum_j exp(l_j) over the node axis,
+    given the posterior weights w (..., nodes), the conditional scores
+    dl_j (..., nodes, p) and the posterior mean of the conditional
+    Hessians (..., p, p): the posterior mean of the scores (Fisher's
+    identity) and ``hess`` plus their posterior covariance (Louis 1982),
+    from scores centred first.
+    """
+    mean = np.einsum("...j,...jp->...p", w, score)
+    dev = score - mean[..., None, :]
+    dev *= np.sqrt(w)[..., None]
+    return mean, hess + np.swapaxes(dev, -1, -2) @ dev
+
+
+# On one level of scaled nodes with exp-linear outcomes (``_shared_pass``)
 # ``derivatives`` needs, per unit, the posterior means of the features
 # Lam_k (one per outcome) and T, the conditional score in the level's
 # log scale tau, their posterior covariance, and two more posterior
@@ -991,9 +1310,8 @@ def _shared_moments(sums: np.ndarray, scale: np.ndarray, events: np.ndarray, cou
     T = u (N - sum_k n_k Lam_k), with N = sum_k n_k D_k (``events``), so
     every moment is a sum of s_k products times a column's sum. A
     covariance is the raw second moment less the product of the means
-    times 2 - w, w the sum of the weights: what ``_node_moments``'s
-    centred features give where w, a rounded sum of exponentials, is
-    not exactly 1.
+    times 2 - w, w the sum of the weights: what features centred node by
+    node give where w, a rounded sum of exponentials, is not exactly 1.
     """
     K = scale.shape[1]
     J = K + K * (K + 1) // 2
@@ -1021,66 +1339,24 @@ def _shared_moments(sums: np.ndarray, scale: np.ndarray, events: np.ndarray, cou
     return np.column_stack([lam, t_mean]), weighted * m1, curvature, cov
 
 
-def _node_moments(post, lams, counts, u=None, events=None, tau_derivatives=None) -> tuple:
-    """The moments from the posterior weights ``post`` and each outcome's
-    Lam_k, (units, nodes) arrays, node by node; the covariances from
-    features centred first. On scaled nodes, given u and D_k
-    (``events``, (units, K)), T = u sum_k n_k (D_k - Lam_k); on adaptive
-    nodes, ``tau_derivatives`` are T and the (tau, tau) entry (see
-    ``ReKernel.scale_derivatives``). Overwrites ``post``, ``lams`` and T.
-    """
-    nb, K = post.shape[0], len(lams)
-
-    def mean(f):
-        return np.einsum("ij,ij->i", post, f)
-
-    void = post == 0.0
-    for lam in lams:
-        np.copyto(lam, 0.0, where=void)  # no inf * 0 where a weight is 0
-    cross = np.zeros((nb, K))
-    if tau_derivatives is None:
-        t = np.zeros_like(post)
-        curvature = np.zeros(nb)
-        for k, (n_k, lam) in enumerate(zip(counts, lams)):  # d Lam_k / d tau = n_k u Lam_k
-            cross[:, k] = n_k * np.einsum("ij,ij,ij->i", post, u, lam)
-            curvature -= n_k * n_k * np.einsum("ij,ij,ij,ij->i", post, u, u, lam)
-            t += n_k * events[:, k, None]
-            t -= lam if n_k == 1 else n_k * lam
-        np.multiply(t, u, out=t)
-    else:
-        t, w2 = tau_derivatives
-        curvature = mean(w2)
-    feats = lams + [t]
-    means = np.column_stack([mean(f) for f in feats])
-    if tau_derivatives is None:
-        curvature += means[:, K]
-    root = np.sqrt(post, out=post)
-    for f, f_mean in zip(feats, means.T):  # centred, then weighted
-        np.multiply(np.subtract(f, f_mean[:, None], out=f), root, out=f)
-    cov = np.empty((nb, K + 1, K + 1))
-    for a in range(K + 1):
-        for b in range(a + 1):
-            cov[:, a, b] = cov[:, b, a] = np.einsum("ij,ij->i", feats[a], feats[b])
-    return means, cross, curvature, cov
-
-
 def _unit_score_info(moments: tuple, outcomes: list, tau: int, p: int) -> tuple:
-    """Each unit's score and observed information from its moments: the
-    score is the posterior mean of the conditional score, and the
-    information minus the posterior mean of the conditional Hessian less
-    the posterior covariance of the conditional score, which is a
+    """Each unit's score and observed information from its shared-node
+    moments and each outcome's (a, b, A, B) of ``_OutcomeTerms`` at every
+    unit: the score is the posterior mean of the conditional score, and
+    the information minus the posterior mean of the conditional Hessian
+    less the posterior covariance of the conditional score, which is a
     constant plus sum_f feature_f coef_f.
     """
     means, cross, curvature, cov = moments
     nb, K = cross.shape
     score, hess, coef = np.zeros((nb, p)), np.zeros((nb, p, p)), np.zeros((nb, K + 1, p))
-    for k, o in enumerate(outcomes):
-        score += o.alpha - means[:, k, None] * o.r1
-        hess += o.alpha2 - means[:, k, None, None] * o.r2
-        tau_terms = -cross[:, k, None] * o.r1
+    for k, (a, b, A, B) in enumerate(outcomes):
+        score += a + means[:, k, None] * b
+        hess += A + means[:, k, None, None] * B
+        tau_terms = cross[:, k, None] * b
         hess[:, tau] += tau_terms
         hess[:, :, tau] += tau_terms
-        coef[:, k] = -o.r1
+        coef[:, k] = b
     score[:, tau] += means[:, K]
     hess[:, tau, tau] += curvature
     coef[:, K, tau] = 1.0

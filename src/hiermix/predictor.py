@@ -10,7 +10,7 @@ evaluation grid, covariate products at the rows of every outcome that
 evaluates them, time-function columns at compiled grids, and the spline
 columns of the ``rp`` baseline. It also marks the outcomes whose
 likelihood can be summed per cluster (``_CompiledOutcome.intercepts``,
-``exp_linear_terms``). An objective call computes only what
+``row_part``). An objective call computes only what
 depends on the parameters or on grids it builds itself, and keeps
 nothing beyond its own ``EvalContext``. The node axis may hold the
 columns of several parameter vectors side by side; parameter values
@@ -137,8 +137,8 @@ class _CompiledOutcome:
         self.log_step: np.ndarray | None = None  # (n, 1, 1) log-time difference step
         self.rp: fam_mod.RpColumns | None = None
         # the latent effects of a linear predictor that is a row part plus
-        # random intercepts, under an exp-linear family, which the
-        # likelihood then sums per unit (``exp_linear_terms``); else None
+        # random intercepts, under an exp-linear or Gaussian family, which
+        # the likelihood then sums per unit (``row_part``); else None
         self.intercepts: list | None = None
 
 
@@ -334,14 +334,16 @@ def compile_program(
 
 def _pure_intercepts(co: _CompiledOutcome) -> list | None:
     """The latent effects of an outcome whose log-likelihood given them
-    is exp-linear in its linear predictor (``families.EXP_LINEAR``, no
-    time grid, no expected hazard) and whose linear predictor is a row
-    part plus at least one random intercept: a latent effect with no
-    covariate, time function, coefficient or EV[] link. The row part may
-    not depend on latent effects, so no component may have an EV[] link.
-    None for any other outcome.
+    is exp-linear (``families.EXP_LINEAR``) or quadratic (``gaussian``)
+    in its linear predictor, with no time grid and no expected hazard,
+    and whose linear predictor is a row part plus at least one random
+    intercept: a latent effect with no covariate, time function,
+    coefficient or EV[] link. The row part may not depend on latent
+    effects, so no component may have an EV[] link. None for any other
+    outcome.
     """
-    if co.family.name not in fam_mod.EXP_LINEAR or co.grid is not None or co.bhaz is not None:
+    family = co.family.name
+    if (family not in fam_mod.EXP_LINEAR and family != "gaussian") or co.grid is not None or co.bhaz is not None:
         return None
     intercepts = []
     for cc in co.components:
@@ -646,26 +648,35 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     return total
 
 
-def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: bool = False) -> tuple:
-    """(a, A, B, C) at the rows of outcome k, which has ``intercepts``,
-    at one parameter vector: (n,) arrays such that a row's conditional
-    log-likelihood is A + B (a + L) - C exp(a + L), with L the sum of
-    its intercepts' values and a its linear predictor where they are 0.
-    With ``derivatives``, also the ancillary derivatives (A', A'', C',
-    C'') of ``Family.exp_linear``.
+def row_part(program: Program, k: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
+    """The row part a of outcome k, which has ``intercepts``, at one
+    parameter vector: its linear predictor at its rows where its
+    intercepts are 0, an (n,) array; and its ancillaries on the natural
+    scale.
     """
     co = program.outcomes[k]
     h = program.hierarchy
     zeros = {info.name: np.zeros((h.n_units(h.levels.index(info.level)), 1)) for info in co.intercepts}
     ctx = EvalContext(program, theta, zeros)
-    a = eval_eta(ctx, k, k).reshape(-1)
-    anc = co.family.natural_anc(ctx.theta[co.anc_slots])
+    return eval_eta(ctx, k, k).reshape(-1), co.family.natural_anc(ctx.theta[co.anc_slots])
+
+
+def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: bool = False) -> tuple:
+    """(a, A, B, C) at the rows of outcome k, which has ``intercepts``
+    under an exp-linear family, at one parameter vector: (n,) arrays such
+    that a row's conditional log-likelihood is A + B (a + L) - C exp(a + L),
+    with L the sum of its intercepts' values and a its ``row_part``. With
+    ``derivatives``, also the ancillary derivatives (A', A'', C', C'') of
+    ``Family.exp_linear``.
+    """
+    co = program.outcomes[k]
+    a, anc = row_part(program, k, theta)
     return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives))
 
 
 def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:
     """The slots the row part a of outcome k depends on (see
-    ``exp_linear_terms``) and the (n, q) derivatives of a in them: a is
+    ``row_part``) and the (n, q) derivatives of a in them: a is
     the constant plus each component without latent effects, its
     covariate product (or 1) times its coefficient.
     """

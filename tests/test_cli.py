@@ -128,7 +128,9 @@ class TestFit:
     def test_nested_aghq_document_invariant_to_row_order_and_ids(self, tmp_path):
         # each refresh of the adaptation starts from the previous one, so a
         # refresh depends on the fit's path; the path must not depend on
-        # the order of the rows or on how trials and patients are labelled
+        # the order of the rows or on how trials and patients are labelled.
+        # The fit takes exact derivatives, whose outer sums add child cells
+        # in order of value, and no thread pool: nor may the thread count
         rng = np.random.default_rng(8)
         trials, patients, reps = 4, 3, 3
         trial = np.repeat(np.arange(trials) + 1.0, patients * reps)
@@ -143,21 +145,25 @@ class TestFit:
             "pat": 500.0 + rng.permutation(trials * patients)[pat.astype(int) - 1],
         }
         variants = {
-            "original": columns,
-            "shuffled": {name: col[perm] for name, col in columns.items()},
-            "relabelled": {**columns, **relabel},
+            "original": (columns, "1"),
+            "shuffled": ({name: col[perm] for name, col in columns.items()}, "1"),
+            "relabelled": ({**columns, **relabel}, "1"),
+            "two_threads": (columns, "2"),
         }
+        spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+        fit = hm.fit_model(spec, columns, points=5)
+        assert fit.profile["likelihood_calls"] == 0 and fit.profile["derivative_passes"] > 0
         docs = []
-        for name, cols in variants.items():
+        for name, (cols, threads) in variants.items():
             path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
             rows = [",".join(cols)] + [",".join(format(v, ".17g") for v in row) for row in zip(*cols.values())]
             path.write_text("\n".join(rows) + "\n")
-            spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
             argv = ["fit", "--spec", spec, "--data", str(path), "--out", str(out), "--points", "5", "--quiet"]
-            assert main(argv) == 0
+            assert main(argv + ["--threads", threads]) == 0
             docs.append(out.read_bytes())
         assert docs[1] == docs[0]
         assert docs[2] == docs[0]
+        assert docs[3] == docs[0]
 
     @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--redistribution", "t", "--df", "5"]])
     def test_per_cluster_document_invariant_to_row_order_and_ids(self, frailty_csv, tmp_path, flags):
@@ -347,8 +353,24 @@ class TestExitCodes:
             (["--threads", "0"], "threads"),
             (["--points", "0"], "quadrature point"),
             (["--draws", "0", "--method", "qmc"], "draw"),
+            # a setting that a quadrature level would not read, or that
+            # names a level without latent effects, is refused, not ignored
+            (["--draws", "0"], "need at least one draw"),
+            (["--draws", "-3"], "need at least one draw"),
+            (["--points", "id=5,typo=9"], "names levels without latent effects"),
+            (["--draws", "typo=50", "--method", "qmc"], "names levels without latent effects"),
         ],
-        ids=["negative_skip", "negative_skip_aghq", "zero_threads", "zero_points", "zero_draws_qmc"],
+        ids=[
+            "negative_skip",
+            "negative_skip_aghq",
+            "zero_threads",
+            "zero_points",
+            "zero_draws_qmc",
+            "zero_draws_aghq",
+            "negative_draws_aghq",
+            "points_for_unknown_level",
+            "draws_for_unknown_level",
+        ],
     )
     def test_bad_setting_exits_3(self, frailty_csv, tmp_path, capsys, flags, name):
         out = tmp_path / "o"

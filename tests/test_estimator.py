@@ -62,6 +62,32 @@ class TestEstimatorApi:
         with pytest.raises(ValueError, match="at least one draw"):
             fit_model("(y x M1[id], family(gaussian))", cluster_data(), method="qmc", draws=0)
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (dict(points=5, draws=0), "at least one draw"),
+            (dict(points=5, draws=-3), "at least one draw"),
+            (dict(points={"trial": 5, "pat": 5, "typo": 9}), "names levels without latent effects"),
+            (dict(draws={"trial": 50, "typo": 50}, method="qmc"), "names levels without latent effects"),
+        ],
+        ids=["zero_draws_aghq", "negative_draws_aghq", "points_for_unknown_level", "draws_for_unknown_level"],
+    )
+    def test_ignored_setting_is_an_error(self, options, message):
+        # on the nested3_aghq model every level is AGHQ, which reads no
+        # draw count; a setting it would ignore is refused instead
+        data = {"trial": np.repeat([1.0, 2.0], 6), "pat": np.repeat(np.arange(6) + 1.0, 2), "x": np.arange(12.0)}
+        data["y"] = 0.5 * data["x"] + np.sin(data["x"]) + np.repeat([0.3, -0.3], 6)
+        with pytest.raises(ValueError, match=message):
+            fit_model("(y x M1[trial] M2[trial>pat], family(gaussian))", data, **options)
+
+    def test_positive_draws_on_a_mixed_plan(self):
+        # the QMC level reads the draw count; the AGHQ level ignores it
+        data = {"trial": np.repeat([1.0, 2.0], 6), "pat": np.repeat(np.arange(6) + 1.0, 2), "x": np.arange(12.0)}
+        data["y"] = 0.5 * data["x"] + np.sin(data["x"]) + np.repeat([0.3, -0.3], 6)
+        spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+        fit = fit_model(spec, data, method={"trial": "qmc", "pat": "aghq"}, draws=40, points=5)
+        assert fit.profile["levels"]["trial"]["nodes"] == 40 and fit.profile["levels"]["pat"]["nodes"] == 5
+
     def test_unfitted_access_raises(self):
         m = MixedModel("(y x, family(gaussian))")
         with pytest.raises(RuntimeError, match="not fitted"):

@@ -174,7 +174,7 @@ class TestKernelDraws:
 def adapt_one(logcond, kern, chol, q):
     """Adapt a single cell: ``logcond`` maps nodes (M, dim) to (M,)."""
     grid = gh_grid(gh_rule(q), kern.dim)
-    mu, lam, iters, flagged = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
+    mu, lam, iters, flagged, _ = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
     return mu[0], lam[0], iters[0], flagged[0]
 
 
@@ -233,7 +233,7 @@ class TestAdaptLocations:
         rng = np.random.default_rng(12)
         ys = [rng.normal(m, 0.5, size=6) for m in (-1.0, 0.3, 2.0)]
         parts = [conjugate(y, 0.25, 1.0) for y in ys]
-        mu, lam, _, flagged = adapt_locations(
+        mu, lam, _, flagged, _ = adapt_locations(
             lambda x: np.stack([p[0](x[g]) for g, p in enumerate(parts)]),
             ReKernel(1),
             np.eye(1),

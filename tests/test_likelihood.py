@@ -363,6 +363,20 @@ class TestPlans:
 
 
 class TestProfileReport:
+    def test_capped_cells_are_listed(self):
+        # posteriors far in the prior's tail: every cell stops at the
+        # 20-iteration limit, unconverged and not flagged as a fallback
+        prog = make(gaussian_cluster_data(), "(y x M1[id], family(gaussian))")
+        plan = default_plan(prog, points=15)
+        far, near = LikelihoodEvaluator(prog, plan), LikelihoodEvaluator(prog, plan)
+        far.refresh(np.array([2.7, -2.82, -2.69, -2.87]))
+        report = far.profile_report()
+        assert report["adaptation_fallbacks"] == []
+        assert report["adaptation_capped"] == [("id", unit, 0) for unit in range(12)]
+        assert all(report["adaptation_iterations"][key] == 20 for key in report["adaptation_capped"])
+        near.refresh(initial_values(prog))
+        assert near.profile_report()["adaptation_capped"] == []
+
     def test_node_counts_two_effects(self):
         rng = np.random.default_rng(12)
         g = 38
@@ -916,7 +930,7 @@ class TestWarmAdaptation:
         warm.refresh(theta)
         cold = LikelihoodEvaluator(prog, plan)
         cold.refresh(theta)
-        (mu_w, lam_w, it_w, fb_w), (mu_c, lam_c, it_c, fb_c) = warm.adapted[0], cold.adapted[0]
+        (mu_w, lam_w, it_w, fb_w, _), (mu_c, lam_c, it_c, fb_c, _) = warm.adapted[0], cold.adapted[0]
         assert not fb_w.any() and not fb_c.any()
         # the flagged cell started at (0, the current prior scale), as a
         # cold start does, not at the scale it fell back to: same bits
@@ -982,6 +996,12 @@ _PER_CLUSTER = {
         "(y x M1[id], family(poisson))",
         dict(points=9, adaptive=False),
     ),
+    # Gaussian intercepts per group and subgroup
+    "gaussian_nested_qmc": (
+        lambda: _nested_columns(6, [3], np.random.default_rng(38)),
+        "(y x M1[id] M2[id>sub], family(gaussian))",
+        dict(method="qmc", draws=16),
+    ),
     # two outcomes share the frailty, which enters the counts twice
     "joint_weibull_poisson_t_aghq": (
         lambda: _with_counts(_clustered_survival("weibull", False, 36), 37),
@@ -989,15 +1009,9 @@ _PER_CLUSTER = {
         dict(points=7, redistribution="t", t_df=5, method="aghq"),
     ),
 }
-# the per-cluster models with one latent level of one dimension, whose
-# fits take exact derivatives
-_EXACT = [
-    "exponential_entry_aghq",
-    "weibull_t_qmc",
-    "gompertz_entry_qmc",
-    "poisson_gh",
-    "joint_weibull_poisson_t_aghq",
-]
+# the per-cluster models whose latent levels all have one dimension, so
+# that their fits take exact derivatives: all of them
+_EXACT = sorted(_PER_CLUSTER)
 
 
 def _with_counts(cols: dict, seed: int) -> dict:
@@ -1030,7 +1044,11 @@ class TestPerClusterPath:
     def test_only_pure_intercepts_collapse(self):
         cols = _clustered_survival("weibull", False, 1)
         cols["one"] = np.ones(len(cols["id"]))
-        kept = ["(y x M1[id], family(weibull, failure(d)))", "(y x M1[id] M1[id], family(exponential, failure(d)))"]
+        kept = [
+            "(y x M1[id], family(weibull, failure(d)))",
+            "(y x M1[id] M1[id], family(exponential, failure(d)))",
+            "(y x M1[id], family(gaussian))",
+        ]
         for spec in kept:
             assert make(cols, spec).outcomes[0].intercepts is not None, spec
         row_path = [
@@ -1148,8 +1166,6 @@ class TestExactDerivatives:
             prog, twin, (plan, twin_plan), _ = _per_cluster_pair(case)
             assert LikelihoodEvaluator(prog, plan).exact, case
             assert not LikelihoodEvaluator(twin, twin_plan).exact, case
-        prog, _, (plan, _), _ = _per_cluster_pair("poisson_nested_aghq")
-        assert not LikelihoodEvaluator(prog, plan).exact
         cols = _clustered_survival("weibull", False, 1)
         prog = make(cols, "(y x M1[id] M2[id], family(weibull, failure(d)))")  # a level of dimension 2
         assert prog.outcomes[0].intercepts is not None
@@ -1232,7 +1248,8 @@ class TestExactDerivatives:
     def test_shared_nodes_match_per_node_moments(self, model, data):
         # on QMC and non-adaptive quadrature every unit has the same nodes,
         # and the moments are one product per unit; up to 300 rows per
-        # cluster, the largest gap seen was 3e-12
+        # cluster, the largest gap seen from the level recursion's
+        # node-by-node values was 2e-12
         ev, start = model
         assert ev.exact and not ev.level_states[0].adaptive
         scales = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
@@ -1258,3 +1275,207 @@ class TestExactDerivatives:
         res = optim.maximize(ev.logl, start, refresh=ev.refresh, derivatives=broken)
         assert not res.converged and not res.optimum_verified
         assert res.message == "the exact score or information is not finite"
+
+
+def _nested_columns(outer: int, children: list, rng) -> dict:
+    """Ids of ``outer`` outermost units and, at each deeper level,
+    ``children[i]`` children per parent (globally unique ids), with 2 or
+    3 rows per innermost unit; a covariate x and a normal intercept of sd
+    0.6 per unit of every level, and from them a Gaussian response y,
+    Poisson counts k and censored Weibull times t with event flags d."""
+    ids = [np.arange(outer)]
+    for n in children:
+        ids = [np.repeat(col, n) for col in ids] + [np.arange(ids[0].size * n)]
+    rows = rng.integers(2, 4, size=ids[-1].size)
+    ids = [np.repeat(col, rows) for col in ids]
+    x = rng.normal(size=rows.sum())
+    eta = -0.3 + 0.4 * x + sum(rng.normal(0, 0.6, col.max() + 1)[col] for col in ids)
+    h0 = -np.log(rng.uniform(size=x.size)) * np.exp(-eta)
+    t, c = h0 ** (1 / 1.3), rng.uniform(0.5, 4.0, size=x.size)
+    cols = dict(zip(["id", "sub", "rep"], (col + 1.0 for col in ids)))
+    return {**cols, "x": x, "y": eta + rng.normal(0, 0.5, x.size), "k": rng.poisson(np.exp(eta)).astype(float),
+            "t": np.minimum(t, c), "d": (t <= c).astype(float)}
+
+
+@st.composite
+def _nested_intercept_models(draw) -> tuple:
+    """A model with random intercepts at 1 to 3 nested levels under a
+    Gaussian, Poisson or Weibull family, or a Gaussian outcome and Poisson
+    counts that share the outermost intercept, on 2 to 4 outermost units;
+    each level under adaptive quadrature, QMC or non-adaptive quadrature,
+    with a normal or t(5) kernel: its evaluator, its row twin's (every
+    intercept written ``one#...``) and its start values."""
+    depth = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    children = draw(st.lists(st.integers(1, 3), min_size=depth - 1, max_size=depth - 1))
+    cols = _nested_columns(draw(st.integers(2, 4)), children, rng)
+    names = ["id", "sub", "rep"][:depth]
+    terms = " ".join(f"M{i + 1}[{'>'.join(names[: i + 1])}]" for i in range(depth))
+    family = draw(st.sampled_from(["gaussian", "poisson", "weibull", "joint"]))
+    spec = {
+        "gaussian": f"(y x {terms}, family(gaussian))",
+        "poisson": f"(k x {terms}, family(poisson))",
+        "weibull": f"(t x {terms}, family(weibull, failure(d)))",
+        "joint": f"(y x {terms}, family(gaussian)) (k x M1[id], family(poisson))",
+    }[family]
+    methods = {n: draw(st.sampled_from(["aghq", "qmc"])) for n in names}
+    options = dict(
+        method=methods,
+        redistribution={n: draw(st.sampled_from(["normal", "t"])) for n in names},
+        t_df=5,
+        points=draw(st.sampled_from([3, 5])),
+        draws=draw(st.sampled_from([5, 9])),
+        adaptive=draw(st.booleans()),
+    )
+    twin_spec, twin_cols = _row_twin(spec, cols)
+    prog, twin = make(cols, spec), make(twin_cols, twin_spec)
+    assert prog.slot_names() == twin.slot_names()
+    evs = [LikelihoodEvaluator(p, default_plan(p, **options)) for p in (prog, twin)]
+    return (*evs, initial_values(prog))
+
+
+class TestNestedExactDerivatives:
+    """At any depth of one-dimensional levels, on adaptive or scaled nodes,
+    ``derivatives`` gives ``logl``'s value bit for bit, and a score and
+    information that the finite differences of the same model confirm;
+    the per-unit forms agree with their row twins."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=_nested_intercept_models(), data=st.data())
+    def test_pass_matches_finite_differences(self, model, data):
+        ev, twin, start = model
+        assert ev.exact and not twin.exact
+        # adapted near the start values; three vectors around them, some so
+        # far out (scale 1000) that the log-likelihood is -inf
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
+        scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1000.0]), min_size=3, max_size=3))
+        offsets = data.draw(hnp.arrays(float, (4, start.size), elements=st.floats(-1.0, 1.0)))
+        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
+        ev.refresh(adapt_at)
+        twin.refresh(adapt_at)
+        for scale, theta in zip(scales[1:], stack):
+            value, score, info = ev.derivatives(theta)
+            expect, rows = ev.logl(theta), twin.logl(theta)
+            assert np.isneginf(expect) == np.isneginf(rows)
+            if not np.isfinite(expect):
+                assert value == expect == -np.inf
+                assert np.isnan(score).all() and np.isnan(info).all()
+                continue
+            assert value == expect  # bit for bit: the same recursion
+            if scale > 2.0:  # far out, the finite differences are not a reference
+                continue
+            assert abs(expect - rows) <= 1e-12 * abs(rows)
+            assert np.isfinite(score).all() and np.isfinite(info).all()
+            assert np.array_equal(info, info.T)
+            assert _relative_gap(score, optim.fd_gradient(ev.logl, theta)) <= 1e-6
+            assert _relative_gap(-info, _score_jacobian(ev, theta)) <= 1e-6
+            assert _relative_gap(-info, optim.fd_hessian(ev.logl, theta)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "spec,options",
+        [
+            ("(y x M1[id] M2[id>sub], family(gaussian))", dict(method="qmc", draws=20)),
+            ("(t x M1[id] M2[id>sub], family(weibull, failure(d)))", dict(method={"id": "aghq", "sub": "qmc"}, draws=15)),
+        ],
+        ids=["gaussian_qmc", "weibull_aghq_qmc"],
+    )
+    def test_unit_blocks_change_no_bit(self, spec, options, monkeypatch):
+        # the innermost node scores are formed for blocks of units; one unit
+        # per block gives the same pass, bit for bit
+        prog = make(_nested_columns(7, [5], np.random.default_rng(3)), spec)
+        ev = LikelihoodEvaluator(prog, default_plan(prog, points=3, **options))
+        theta = initial_values(prog) + 0.05
+        ev.refresh(theta)
+        whole = ev.derivatives(theta)
+        monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1)
+        blocked = ev.derivatives(theta)
+        assert whole[0] == blocked[0]
+        assert whole[1].tobytes() == blocked[1].tobytes() and whole[2].tobytes() == blocked[2].tobytes()
+
+    def test_degenerate_outer_level(self):
+        # one patient per trial: the two intercepts are confounded and only
+        # the sum of their variances is identified
+        rng = np.random.default_rng(8)
+        trial = np.repeat(np.arange(12) + 1.0, 3)
+        x = rng.normal(size=trial.size)
+        y = 1.0 + 0.5 * x + np.repeat(rng.normal(0, 1.0, 12), 3) + rng.normal(0, 0.6, x.size)
+        data = {"trial": trial, "pat": trial + 100.0, "x": x, "y": y}
+        spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+        prog = make(data, spec)
+        ev = LikelihoodEvaluator(prog, default_plan(prog, points=5))
+        assert ev.exact
+        start = initial_values(prog)
+        ev.refresh(start)
+        for theta in (start, start + 0.2):
+            value, score, info = ev.derivatives(theta)
+            assert value == ev.logl(theta)
+            assert _relative_gap(score, optim.fd_gradient(ev.logl, theta)) <= 1e-6
+            assert _relative_gap(-info, optim.fd_hessian(ev.logl, theta)) <= 1e-5
+        res = hm.fit_model(spec, data, points=5)
+        assert res.profile["likelihood_calls"] == 0 and res.profile["derivative_passes"] > 0
+        # the flat direction between the two standard deviations leaves the
+        # optimum unverified, and the fit says so
+        assert res.converged, res.message
+        assert res.optimum_verified or res.message.startswith("converged (optimum not verified"), res.message
+
+    def test_nested_fit_takes_passes_only(self):
+        data = three_level_data(4, 3, 2, (0.8, 0.7, 0.6), seed=1)
+        res = hm.fit_model("(y x M1[trial] M2[trial>pat], family(gaussian))", data, points=5)
+        assert res.converged and res.optimum_verified
+        assert res.profile["likelihood_calls"] == res.profile["objective_points"] == 0
+        # one pass at the start, one per line-search point and one after
+        # each refresh, which changes the objective on adaptive nodes
+        assert res.profile["derivative_passes"] == 1 + sum(2 + h for *_, h in res.trace)
+        assert res.profile["adaptation_capped"] == []
+        expect = lmm3_marginal(data, res.theta[:2], *np.exp(res.theta[2:]))
+        assert abs(res.logl - expect) <= 1e-8 * abs(expect)
+
+
+def _scope_frame(spec: str, truth: dict, **kwargs) -> dict:
+    frame = hm.simulate(spec, truth, seed=3, **kwargs)
+    return {n: frame.col(n) for n in frame.names}
+
+
+class TestExactScope:
+    """Which models take ``derivatives``: every latent level of dimension 1
+    and every outcome a row part plus random intercepts under an
+    exp-linear or Gaussian family. A model that silently fell back to
+    finite differences would fail here."""
+
+    def test_benchmark_and_intercept_models(self):
+        weibull = _scope_frame(
+            "(t trt M1[id], family(weibull, failure(d)))",
+            {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+            levels={"id": 30},
+            covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+            outcomes=[{"censoring": 5.0, "records": 2}],
+        )
+        counts = _nested_columns(3, [2, 2], np.random.default_rng(2))
+        counts["b"] = (counts["k"] > 0).astype(float)
+        nested = three_level_data(3, 2, 2, (0.8, 0.7, 0.6), seed=1)
+        slopes = {**nested, "one": np.ones(nested["x"].size)}
+        joint = _scope_frame(
+            "(stime trt EV[logb]@a1, family(weibull, failure(died)))"
+            " (logb fp(1)@slope fp(1)#M2[id] M1[id], family(gaussian) timevar(time))",
+            {"stime:trt": -0.3, "a1": 0.4, "stime:_cons": -1.6, "stime:ln_gamma": 0.18, "slope": 0.3,
+             "logb:_cons": 1.0, "logb:ln_sd": -1.2, "ln_sd(M1)": -0.22, "ln_sd(M2)": -1.2},
+            levels={"id": 20},
+            covariates={"trt": {"dist": "bernoulli"}},
+            outcomes=[{"censoring": 5.0}, {"times": [0.0, 0.5, 1.0, 2.0]}],
+        )
+        cases = [
+            # nested3_aghq, a three-level Poisson model and frailty_qmc
+            (nested, "(y x M1[trial] M2[trial>pat], family(gaussian))", dict(points=5), True),
+            (counts, "(k x M1[id] M2[id>sub] M3[id>sub>rep], family(poisson))", dict(points=3), True),
+            (weibull, "(t trt M1[id], family(weibull, failure(d)))", dict(method="qmc", redistribution="t", t_df=5), True),
+            # a Bernoulli model, rp_replicates, joint_ev and random slopes
+            (counts, "(b x M1[id] M2[id>sub], family(bernoulli))", dict(points=3), False),
+            (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), False),
+            (joint, "(stime trt EV[logb]@a1, family(weibull, failure(died)))"
+             " (logb fp(1)@slope fp(1)#M2[id] M1[id], family(gaussian) timevar(time))", dict(points=5), False),
+            (slopes, "(y x M1[trial] x#M2[trial], family(gaussian))", dict(points=5), False),
+            (slopes, "(y x x#M1[trial] M2[trial>pat], family(gaussian))", dict(points=5), False),
+        ]
+        for cols, spec, options, exact in cases:
+            prog = make(cols, spec)
+            assert LikelihoodEvaluator(prog, default_plan(prog, **options)).exact == exact, spec
