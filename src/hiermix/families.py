@@ -457,25 +457,33 @@ class Family:
         with np.errstate(over="ignore"):
             return t ** anc[0] if self.name == "weibull" else _gompertz_scaled_expm1(anc[0], t)
 
-    def exp_linear(self, y, anc, event=None, entry=None, derivatives=False):
+    def exp_linear(self, y, anc, event=None, entry=None, derivatives=False, spline=None):
         """(A, B, C) such that the log-likelihood at a time-constant
         linear predictor eta is A + B eta - C exp(eta), for the families
-        in ``EXP_LINEAR``: Poisson counts y (A = -log y!, B = y, C = 1),
-        or proportional-hazards survival times y with their event
+        in ``EXP_LINEAR``: Poisson counts y (A = -log y!, B = y, C = 1);
+        proportional-hazards survival times y with their event
         indicators and entry times (A the log baseline hazard at event
         times, else 0; B = [event]; C the baseline cumulative hazard over
-        (entry, y], read from ``_base_cum_hazard``).
+        (entry, y], read from ``_base_cum_hazard``); or ``rp`` survival
+        times without delayed entry, whose eta includes the spline
+        s(log y) gamma, with ``spline`` their ``RpColumns`` and ``anc``
+        the spline coefficients gamma (A = [event] log(s'(log y) gamma / y)
+        by ``log_hazard_value``, B = [event], C = 1).
 
         With ``derivatives``, also (A', A'', C', C''), the first and
-        second derivatives of A and C in the family's ancillary on its
-        estimation scale (Weibull ``ln_gamma``, Gompertz ``gamma``), or
-        four Nones for a family without one.
+        second derivatives of A and C in the family's own parameters on
+        their estimation scale, (n, r) and (n, r, r) for r of them: the
+        ancillary (Weibull ``ln_gamma``, Gompertz ``gamma``) or the spline
+        coefficients (``rp``, whose C' and C'' are None). Four Nones for a
+        family without any.
         """
         y = np.asarray(y, dtype=float)
         if self.name == "poisson":
             terms = -gammaln(y + 1.0), y, np.ones_like(y)
             return terms + (None,) * 4 if derivatives else terms
         events = event != 0
+        if self.name == "rp":
+            return _rp_exp_linear(spline, y, np.asarray(anc, dtype=float), events, derivatives)
         log_h0 = np.where(events, self.base_log_hazard(y, anc), 0.0)
         cum = self._base_cum_hazard(y, anc)
         later = entry > 0
@@ -510,11 +518,30 @@ class Family:
                 return _gompertz_scaled_expm1_derivs(g, t)
 
         d1c, d2c = over_entry(cum_derivs)
-        return terms + (d1a, d2a, d1c, d2c)
+        return terms + (d1a[:, None], d2a[:, None, None], d1c[:, None], d2c[:, None, None])
 
 
-# families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``)
-EXP_LINEAR = ("exponential", "weibull", "gompertz", "poisson")
+def _rp_exp_linear(cols: RpColumns, y, gamma, events, derivatives):
+    """``Family.exp_linear`` of ``rp`` rows: with s' the spline's
+    derivative columns at log y and dF = s' gamma, A = log(dF / y) at
+    events, A' = s' / dF there and A'' = -A' A'^T. Each dF is summed column
+    by column, so a row's value does not depend on its neighbours.
+    """
+    deriv = cols.deriv_at_y.reshape(y.size, -1)
+    dF = deriv[:, 0] * gamma[0]
+    for j in range(1, gamma.size):
+        dF = dF + deriv[:, j] * gamma[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(events, log_hazard_value(dF / y), 0.0), events.astype(float), np.ones_like(y)
+        if not derivatives:
+            return terms
+        d1a = np.where(events[:, None], deriv / dF[:, None], 0.0)
+    return terms + (d1a, -d1a[:, :, None] * d1a[:, None, :], None, None)
+
+
+# families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``);
+# ``rp`` is, given its spline coefficients, where it has no delayed entry
+EXP_LINEAR = ("exponential", "weibull", "gompertz", "poisson", "rp")
 _PH = ("exponential", "weibull", "gompertz")
 
 

@@ -33,11 +33,13 @@ which repeats the arithmetic of ``scipy.special.logsumexp`` for real
 input without its generic array-API overhead.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
-plus random intercepts, under an exponential, Weibull, Gompertz, Poisson
-or Gaussian family with a time-constant linear predictor) is summed per
-innermost unit instead of evaluated row by row. Given the sum L of a
-unit's intercept values at a column, each exp-linear row's conditional
-log-likelihood is A + B (a + L) - C exp(a + L), so the unit's is
+plus random intercepts, under an exponential, Weibull, Gompertz, Poisson,
+``rp`` or Gaussian family with a time-constant linear predictor) is
+summed per innermost unit instead of evaluated row by row. Given the sum
+L of a unit's intercept values at a column, each exp-linear row's
+conditional log-likelihood is A + B (a + L) - C exp(a + L) (for ``rp``,
+a includes the spline s(log y) times its coefficients, A is
+[event] log(s'(log y) gamma / y), B = [event] and C = 1), so the unit's is
 K + D L - S exp(L + m), with K = sum(A + B a), D = sum(B),
 S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
 2008, *The Frailty Model*, ch. 2). A Gaussian unit's is quadratic in L:
@@ -483,29 +485,35 @@ class LikelihoodEvaluator:
         if not derivatives:
             return sums
         # per row, with W = C exp(a - m), the derivatives of A + B a and of
-        # W in the outcome's own slots, the row part's and then its
-        # ancillary's; per unit, those of W over S, 0 where S is
-        slots, x = self.designs[k]
+        # W in the row part's slots (first) and the family's own, its
+        # ancillary or ``rp``'s spline coefficients, which the row part's
+        # may share; per unit, those of W over S, 0 where S is
+        design, x = self.designs[k]
         d1a, d2a, d1c, d2c = anc
-        alpha = b[:, None] * x
-        w1 = w[:, None] * x
-        w2 = w1[:, :, None] * x[:, None, :]
-        if d1a is not None:
-            slots = slots + co.anc_slots
-            c1 = d1c * e
-            alpha = np.column_stack([alpha, d1a])
-            w1 = np.column_stack([w1, c1])
-            w2 = np.pad(w2, ((0, 0), (0, 1), (0, 1)))
-            w2[:, -1, :-1] = w2[:, :-1, -1] = c1[:, None] * x
-            w2[:, -1, -1] = d2c * e
+        own = [] if d1a is None else co.spline_slots + co.anc_slots
+        slots = design + [s for s in own if s not in design]
+        q, o = len(design), np.array([slots.index(s) for s in own], dtype=int)
+        alpha, w1 = np.zeros((2, b.size, len(slots)))
+        w2 = np.zeros((b.size, len(slots), len(slots)))
+        alpha[:, :q] = b[:, None] * x
+        w1[:, :q] = w[:, None] * x
+        w2[:, :q, :q] = w1[:, :q, None] * x[:, None, :]
+        if own:
+            alpha[:, o] += d1a
+        if d1c is not None:
+            c1 = d1c * e[:, None]
+            w1[:, o] += c1
+            cross = c1[:, :, None] * x[:, None, :]
+            w2[:, o, :q] += cross
+            w2[:, :q, o] += np.swapaxes(cross, 1, 2)
+            w2[:, o[:, None], o] += d2c * e[:, None, None]
         alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (alpha, w1, w2))
         positive = S[:, 0] > 0
         r1 = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
         r2 = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
-        in_slots = _in_slots(slots, thetas.shape[1])
-        alpha2 = np.zeros((len(starts),) + (thetas.shape[1],) * 2)
-        if d2a is not None:
-            alpha2[:, slots[-1], slots[-1]] = np.add.reduceat(d2a, starts)
+        p = thetas.shape[1]
+        in_slots = _in_slots(slots, p)
+        alpha2 = _in_slots(own, p)(np.add.reduceat(d2a, starts)) if own else np.zeros((len(starts), p, p))
         r1 = -in_slots(r1)
         hess = (alpha2, -in_slots(r2), None)
         return sums, _OutcomeTerms((in_slots(alpha), r1, None), hess, (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
@@ -698,8 +706,8 @@ class LikelihoodEvaluator:
     def _exact_scope(self) -> bool:
         """Whether ``derivatives`` applies: every latent level has one
         dimension, and every outcome with rows is a row part plus random
-        intercepts under an exp-linear or Gaussian family, summed per
-        unit (``intercepts``). No option selects it.
+        intercepts under an exp-linear (``rp`` included) or Gaussian
+        family, summed per unit (``intercepts``). No option selects it.
         """
         if not self.level_states or any(st.info.dim != 1 for st in self.level_states):
             return False
@@ -722,7 +730,7 @@ class LikelihoodEvaluator:
         if not self.exact:
             raise ValueError(
                 "exact derivatives need every latent level of one dimension and every outcome a row part plus "
-                "random intercepts under an exponential, Weibull, Gompertz, Poisson or Gaussian family"
+                "random intercepts under an exponential, Weibull, Gompertz, Poisson, rp or Gaussian family"
             )
         t_start = time.perf_counter()
         self.n_passes += 1

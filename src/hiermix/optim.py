@@ -270,6 +270,19 @@ def maximize(
     it as a gradient or Hessian ends the fit, not converged, as a
     non-finite probe does; a line-search point whose value is not finite
     is halved, as on the finite-difference path.
+
+    One rule holds on the exact path only, for a step whose gain is below
+    what the objective's rounding resolves. When every halving fails and
+    the predicted gain g's/2 of the Newton step s is below
+    64 eps max(|f|, 1), the full step is taken if its value is within
+    that same bound of f and its exact scaled gradient is smaller than
+    at theta; this costs one more pass. Along a direction whose
+    information is large, such as a spline coefficient's, the stopping
+    rule's gradient can leave a gain of about 1e-16, which f cannot show,
+    and only the exact gradient can tell that the step still descends
+    toward the optimum. The finite-difference path ends "no ascent step
+    found" there, since its gradient carries truncation error of that
+    size.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -299,6 +312,24 @@ def maximize(
         hess[pinned] = hess[:, pinned] = 0.0
         return score, hess
 
+    def scaled_gradient(grad, th):
+        return np.max(np.abs(grad[free]) * np.maximum(np.abs(th[free]), 1.0)) if free.any() else 0.0
+
+    def floor_step(th, f, grad, step, scaled):
+        """On the exact path, where every halving failed: (value, vector)
+        of the full Newton step when its predicted gain is below what f
+        resolves, its value is within that of f and its exact scaled
+        gradient is smaller; else (None, None).
+        """
+        noise = 64.0 * _EPS * max(abs(f), 1.0)
+        if derivatives is not None and 0.5 * float(grad[free] @ step[free]) < noise:
+            cand = th + step if clamp is None else clamp(th + step)
+            val = value(cand)
+            score = latest[cand.tobytes()][1]
+            if abs(val - f) <= noise and np.all(np.isfinite(score)) and scaled_gradient(score, cand) < scaled:
+                return val, cand
+        return None, None
+
     if refresh is not None:
         refresh(theta)
     f = value(theta)
@@ -324,7 +355,7 @@ def maximize(
         try:
             for it in range(1, max_iter + 1):
                 grad = gradient(theta)
-                scaled = np.max(np.abs(grad[free]) * np.maximum(np.abs(theta[free]), 1.0)) if free.any() else 0.0
+                scaled = scaled_gradient(grad, theta)
                 if rel_change < _LOGL_TOL and scaled < _GRAD_TOL:
                     converged = True
                     message = "converged"
@@ -347,6 +378,8 @@ def maximize(
                         break
                     alpha *= 0.5
                     halvings += 1
+                if f_new is None:
+                    f_new, theta_new = floor_step(theta, f, grad, step, scaled)
                 if f_new is None:
                     if scaled < _GRAD_TOL:
                         converged = True

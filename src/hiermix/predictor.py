@@ -335,15 +335,17 @@ def compile_program(
 def _pure_intercepts(co: _CompiledOutcome) -> list | None:
     """The latent effects of an outcome whose log-likelihood given them
     is exp-linear (``families.EXP_LINEAR``) or quadratic (``gaussian``)
-    in its linear predictor, with no time grid and no expected hazard,
-    and whose linear predictor is a row part plus at least one random
-    intercept: a latent effect with no covariate, time function,
-    coefficient or EV[] link. The row part may not depend on latent
-    effects, so no component may have an EV[] link. None for any other
-    outcome.
+    in its linear predictor, with no time grid, no expected hazard and,
+    for ``rp``, no delayed entry, and whose linear predictor is a row
+    part plus at least one random intercept: a latent effect with no
+    covariate, time function, coefficient or EV[] link. The row part may
+    not depend on latent effects, so no component may have an EV[] link.
+    None for any other outcome.
     """
     family = co.family.name
     if (family not in fam_mod.EXP_LINEAR and family != "gaussian") or co.grid is not None or co.bhaz is not None:
+        return None
+    if co.rp is not None and co.rp.at_t0 is not None:
         return None
     intercepts = []
     for cc in co.components:
@@ -651,14 +653,20 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
 def row_part(program: Program, k: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
     """The row part a of outcome k, which has ``intercepts``, at one
     parameter vector: its linear predictor at its rows where its
-    intercepts are 0, an (n,) array; and its ancillaries on the natural
+    intercepts are 0, plus, for ``rp``, the spline s(log y) times its
+    coefficients, an (n,) array; and its ancillaries on the natural
     scale.
     """
     co = program.outcomes[k]
     h = program.hierarchy
     zeros = {info.name: np.zeros((h.n_units(h.levels.index(info.level)), 1)) for info in co.intercepts}
     ctx = EvalContext(program, theta, zeros)
-    return eval_eta(ctx, k, k).reshape(-1), co.family.natural_anc(ctx.theta[co.anc_slots])
+    a = eval_eta(ctx, k, k).reshape(-1)
+    if co.rp is not None:  # column by column, so a row's value does not depend on its neighbours
+        cols = co.rp.at_y.reshape(a.size, -1)
+        for j, slot in enumerate(co.spline_slots):
+            a = a + cols[:, j] * ctx.theta[slot]
+    return a, co.family.natural_anc(ctx.theta[co.anc_slots])
 
 
 def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: bool = False) -> tuple:
@@ -666,24 +674,30 @@ def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: b
     under an exp-linear family, at one parameter vector: (n,) arrays such
     that a row's conditional log-likelihood is A + B (a + L) - C exp(a + L),
     with L the sum of its intercepts' values and a its ``row_part``. With
-    ``derivatives``, also the ancillary derivatives (A', A'', C', C'') of
-    ``Family.exp_linear``.
+    ``derivatives``, also the derivatives (A', A'', C', C'') of
+    ``Family.exp_linear`` in the family's own slots, ``spline_slots`` for
+    ``rp`` and else ``anc_slots``.
     """
     co = program.outcomes[k]
     a, anc = row_part(program, k, theta)
-    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives))
+    if co.rp is not None:
+        anc = theta[co.spline_slots]
+    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp))
 
 
 def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:
     """The slots the row part a of outcome k depends on (see
     ``row_part``) and the (n, q) derivatives of a in them: a is
     the constant plus each component without latent effects, its
-    covariate product (or 1) times its coefficient.
+    covariate product (or 1) times its coefficient, plus, for ``rp``,
+    each spline column at log y times its coefficient.
     """
     co = program.outcomes[k]
     ones = np.ones(co.rows.size)
     parts = [] if co.cons_slot is None else [(co.cons_slot, ones)]
     parts += [(cc.slots[0], cc.cov[k][:, 0, 0] if cc.cov_names else ones) for cc in co.components if not cc.latents]
+    if co.rp is not None:
+        parts += list(zip(co.spline_slots, co.rp.at_y.reshape(co.rows.size, -1).T))
     return [s for s, _ in parts], np.column_stack([col for _, col in parts] or [np.empty((co.rows.size, 0))])
 
 

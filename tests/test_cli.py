@@ -7,6 +7,7 @@ import pytest
 import hiermix as hm
 import hiermix.optim as optim
 from hiermix.cli import main
+from hiermix.data import load_csv
 
 
 @pytest.fixture
@@ -187,6 +188,35 @@ class TestFit:
             docs.append(out.read_bytes())
         assert docs[1] == docs[0]
         assert docs[2] == docs[0]
+
+    @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--draws", "60"]], ids=["aghq", "qmc"])
+    def test_rp_document_invariant_to_row_order_ids_and_threads(self, frailty_csv, tmp_path, flags):
+        # a spline-baseline frailty fit takes exact derivative passes, with
+        # the spline in each cluster's sums: its document depends neither
+        # on the row order, nor on the cluster labels, nor on --threads
+        spec = "(y trt M1[id], family(rp, failure(d) scale(h) df(3)))"
+        fit = hm.fit_model(spec, load_csv(str(frailty_csv)), points=5)
+        assert fit.profile["likelihood_calls"] == 0 and fit.profile["derivative_passes"] > 0
+        rows = frailty_csv.read_text().splitlines()
+        header, body = rows[0], rows[1:]
+        rng = np.random.default_rng(4)
+        ids = rng.permutation(25) + 101
+        variants = {
+            "original": (body, "1"),
+            "shuffled": ([body[i] for i in rng.permutation(len(body))], "1"),
+            "relabelled": ([",".join([str(ids[int(r.split(",")[0]) - 1]), *r.split(",")[1:]]) for r in body], "1"),
+            "two_threads": (body, "2"),
+        }
+        docs = []
+        for name, (lines, threads) in variants.items():
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            argv = ["fit", "--spec", spec, "--data", str(path), "--out", str(out), "--quiet", "--threads", threads]
+            assert main(argv + flags) == 0
+            docs.append(out.read_bytes())
+        assert docs[1] == docs[0]
+        assert docs[2] == docs[0]
+        assert docs[3] == docs[0]
 
     def test_per_level_flag_syntax(self, frailty_csv, tmp_path):
         code = main(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hiermix.basis import RcsBasis
+from hiermix.basis import RcsBasis, default_knots
 from hiermix.dsl import FamilySpec
 from hiermix.families import (
     RpColumns,
@@ -155,14 +155,44 @@ class TestClosedFormSurvival:
         def terms(p, derivatives=False):
             return fam.exp_linear(y, fam.natural_anc(np.array([p])), event, entry, derivatives)
 
+        # one own parameter: (n, 1) first and (n, 1, 1) second derivatives
         _, _, _, d1a, d2a, d1c, d2c = terms(phi, derivatives=True)
+        assert d1a.shape == d1c.shape == (40, 1) and d2a.shape == d2c.shape == (40, 1, 1)
         h = 1e-5
         (a_up, _, c_up), (a_dn, _, c_dn) = terms(phi + h), terms(phi - h)
         d_up, d_dn = terms(phi + h, True), terms(phi - h, True)
-        np.testing.assert_allclose(d1a, (a_up - a_dn) / (2 * h), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(d1c, (c_up - c_dn) / (2 * h), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(d2a, (d_up[3] - d_dn[3]) / (2 * h), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(d2c, (d_up[5] - d_dn[5]) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d1a[:, 0], (a_up - a_dn) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d1c[:, 0], (c_up - c_dn) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d2a[:, 0, 0], (d_up[3] - d_dn[3])[:, 0] / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(d2c[:, 0, 0], (d_up[5] - d_dn[5])[:, 0] / (2 * h), rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("df", [1, 2, 4])
+    def test_exp_linear_spline_derivatives(self, df):
+        # rp: A = [event] log(s'(log y) gamma / y) differentiated in the
+        # spline coefficients gamma; B = [event] and C = 1 do not depend on them
+        fam = make_family(FamilySpec(name="rp", failure="d", df=df))
+        rng = np.random.default_rng(10 + df)
+        y = rng.uniform(0.2, 4.0, 40)
+        event = (rng.random(40) < 0.6).astype(float)
+        cols = RpColumns(default_knots(np.log(y), df), y)
+        gamma = np.concatenate(([1.1], 0.01 * rng.normal(size=df - 1)))
+
+        def terms(g, derivatives=False):
+            return fam.exp_linear(y, g, event, np.zeros(40), derivatives, cols)
+
+        a, b, c, d1a, d2a, d1c, d2c = terms(gamma, derivatives=True)
+        assert np.isfinite(a).all() and np.array_equal(b, event) and np.array_equal(c, np.ones(40))
+        assert d1a.shape == (40, df) and d2a.shape == (40, df, df) and d1c is None and d2c is None
+        h = 1e-6
+        for j in range(df):
+            up, dn = gamma.copy(), gamma.copy()
+            up[j] += h
+            dn[j] -= h
+            np.testing.assert_allclose(d1a[:, j], (terms(up)[0] - terms(dn)[0]) / (2 * h), rtol=1e-7, atol=1e-8)
+            np.testing.assert_allclose(d2a[:, j], (terms(up, True)[3] - terms(dn, True)[3]) / (2 * h), rtol=1e-6, atol=1e-7)
+        # a hazard that is not positive at an event time reads -inf there
+        a = terms(-gamma)[0]
+        assert np.array_equal(np.isneginf(a), event == 1) and (a[event == 0] == 0).all()
 
     def test_exp_linear_without_ancillary(self):
         y = np.array([1.0, 2.0])

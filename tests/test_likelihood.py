@@ -468,7 +468,9 @@ def _frailty_t5(twin: bool = False):
     return prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=301)
 
 
-def _rp():
+def _rp(twin: bool = False):
+    """A spline-baseline frailty model, summed per cluster; with ``twin``
+    its one#M1[id] twin, which ``rp_logl`` evaluates row by row."""
     data = hm.simulate(
         "(t trt M1[id], family(weibull, failure(d)))",
         {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
@@ -477,7 +479,11 @@ def _rp():
         outcomes=[{"censoring": 5.0, "records": 3}],
         seed=4,
     )
-    prog = make({n: data.col(n) for n in data.names}, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))")
+    spec, cols = "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", {n: data.col(n) for n in data.names}
+    if twin:
+        spec, cols = _row_twin(spec, cols)
+    prog = make(cols, spec)
+    assert (prog.outcomes[0].intercepts is None) == twin
     return prog, default_plan(prog, points=9)
 
 
@@ -520,8 +526,16 @@ class TestChunkedEvaluation:
 
     @pytest.mark.parametrize(
         "build",
-        [_frailty_t5, lambda: _frailty_t5(twin=True), _nested_qmc, _rp, lambda: _joint("EV"), lambda: _joint("iEV")],
-        ids=["frailty_t5_qmc", "frailty_t5_qmc_rows", "nested_qmc_inner", "rp", "joint_ev", "joint_iev"],
+        [
+            _frailty_t5,
+            lambda: _frailty_t5(twin=True),
+            _nested_qmc,
+            _rp,
+            lambda: _rp(twin=True),
+            lambda: _joint("EV"),
+            lambda: _joint("iEV"),
+        ],
+        ids=["frailty_t5_qmc", "frailty_t5_qmc_rows", "nested_qmc_inner", "rp", "rp_rows", "joint_ev", "joint_iev"],
     )
     def test_chunked_equals_one_chunk(self, build, monkeypatch):
         prog, plan = build()
@@ -623,6 +637,7 @@ class TestBatchedEvaluation:
             _nested_qmc,
             _nested_aghq,
             _rp,
+            lambda: _rp(twin=True),
             lambda: _joint("EV"),
             lambda: _joint("iEV"),
             _user_ancillary,
@@ -634,6 +649,7 @@ class TestBatchedEvaluation:
             "nested_qmc_inner",
             "nested_aghq",
             "rp",
+            "rp_rows",
             "joint_ev",
             "joint_iev",
             "user_anc",
@@ -685,15 +701,18 @@ class TestBatchedEvaluation:
         assert LikelihoodEvaluator(prog, plan).logl(stack).tobytes() == single.tobytes()
 
     def test_nonfinite_vectors_stay_alone(self):
-        prog, plan = _rp()
-        theta = initial_values(prog)
-        stack = _probe_stack(theta)
-        stack[2, prog.slot_index("rcs1")] = -50.0  # a negative hazard at every event time
-        ev = LikelihoodEvaluator(prog, plan)
-        ev.refresh(theta)
-        values = ev.logl(stack)
-        assert values[2] == -np.inf
-        assert values.tobytes() == np.array([ev.logl(x) for x in stack]).tobytes()
+        # per cluster and row by row (rp_logl's stacked path)
+        for twin in (False, True):
+            prog, plan = _rp(twin)
+            theta = initial_values(prog)
+            stack = _probe_stack(theta)
+            stack[2, prog.slot_index("rcs1")] = -50.0  # a negative hazard at every event time
+            ev = LikelihoodEvaluator(prog, plan)
+            ev.refresh(theta)
+            values = ev.logl(stack)
+            assert values[2] == -np.inf
+            assert np.isfinite(np.delete(values, 2)).all()
+            assert values.tobytes() == np.array([ev.logl(x) for x in stack]).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_derivatives_take_one_call_per_thread(self, threads, monkeypatch):
@@ -1105,14 +1124,15 @@ def _relative_gap(got: np.ndarray, expect: np.ndarray) -> float:
     return float(np.max(np.abs(got - expect)) / max(1.0, np.max(np.abs(expect))))
 
 
+def _jacobian(fn, theta: np.ndarray) -> np.ndarray:
+    """Central differences of a vector function, step 1e-5 max(|theta_i|, 1)."""
+    steps = np.diag(1e-5 * np.maximum(np.abs(theta), 1.0))
+    return np.array([(fn(theta + s) - fn(theta - s)) / (2.0 * s[i]) for i, s in enumerate(steps)]).T
+
+
 def _score_jacobian(ev: LikelihoodEvaluator, theta: np.ndarray) -> np.ndarray:
-    """Central differences of the exact score, step 1e-5 max(|theta_i|, 1)."""
-    cols = []
-    for i, step in enumerate(1e-5 * np.maximum(np.abs(theta), 1.0)):
-        shift = np.zeros(theta.size)
-        shift[i] = step
-        cols.append((ev.derivatives(theta + shift)[1] - ev.derivatives(theta - shift)[1]) / (2.0 * step))
-    return np.array(cols).T
+    """Central differences of the exact score (``_jacobian``)."""
+    return _jacobian(lambda x: ev.derivatives(x)[1], theta)
 
 
 def _per_node(ev: LikelihoodEvaluator, theta: np.ndarray) -> tuple:
@@ -1431,6 +1451,134 @@ class TestNestedExactDerivatives:
         assert abs(res.logl - expect) <= 1e-8 * abs(expect)
 
 
+@st.composite
+def _rp_models(draw) -> tuple:
+    """A spline-baseline frailty model, df(1) to df(4), on 10 to 25
+    clusters of 2 to 4 Weibull rows, under adaptive quadrature (the level
+    recursion) or QMC with a normal or t(5) kernel (the shared-node
+    product): its evaluator, its row twin's (``one#M1[id]``) and its start
+    values."""
+    df = draw(st.integers(1, 4))
+    data = hm.simulate(
+        "(t trt M1[id], family(weibull, failure(d)))",
+        {"trt": 0.4, "_cons": -0.8, "ln_gamma": draw(st.sampled_from([-0.3, 0.26])), "ln_sd(M1)": -0.51},
+        levels={"id": draw(st.integers(10, 25))},
+        covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+        outcomes=[{"censoring": 5.0, "records": draw(st.integers(2, 4))}],
+        seed=draw(st.integers(0, 2**16)),
+    )
+    spec, cols = f"(t trt M1[id], family(rp, failure(d) scale(h) df({df})))", {n: data.col(n) for n in data.names}
+    options = draw(
+        st.sampled_from(
+            [
+                dict(points=7),
+                dict(method="qmc", draws=64),
+                dict(method="qmc", redistribution="t", t_df=5, draws=101),
+            ]
+        )
+    )
+    twin_spec, twin_cols = _row_twin(spec, cols)
+    prog, twin = make(cols, spec), make(twin_cols, twin_spec)
+    assert prog.slot_names() == twin.slot_names()
+    evs = [LikelihoodEvaluator(p, default_plan(p, **options)) for p in (prog, twin)]
+    return (*evs, initial_values(prog))
+
+
+def _rp_vectors(data, ev: LikelihoodEvaluator, start: np.ndarray, scales: list) -> np.ndarray:
+    """Vectors around the start values at the given scales, whose spline
+    coefficients move a tenth as far: their columns grow with log time
+    cubed."""
+    spline = np.array([slot.kind == "spline" for slot in ev.program.slots])
+    offsets = data.draw(hnp.arrays(float, (len(scales), start.size), elements=st.floats(-1.0, 1.0)))
+    return start + np.asarray(scales)[:, None] * np.where(spline, 0.1, 1.0) * offsets
+
+
+def _extrapolated(fd, fn, theta: np.ndarray, order: int) -> np.ndarray:
+    """Richardson's extrapolation (4 D(h/2) - D(h)) / 3 of the central
+    differences D(h) = fd(fn, theta) of a derivative of the given order,
+    which cancels their O(h^2) truncation error; D(h/2) is 2^order times
+    fd of fn at theta + (x - theta) / 2."""
+    halved = fd(lambda x: fn(theta + (np.asarray(x) - theta) / 2.0), theta) * 2.0**order
+    return (4.0 * halved - fd(fn, theta)) / 3.0
+
+
+class TestRpExactDerivatives:
+    """A spline-baseline (``rp``) outcome with random intercepts and a
+    time-constant linear predictor is summed per cluster: its row part
+    includes the spline s(log y) gamma, and A = [event] log(s' gamma / y).
+    Its fits take exact derivative passes, held to the same bounds as the
+    other exact forms; its one#M1[id] twin keeps ``rp_logl``'s row path.
+
+    The finite differences are extrapolated (``_extrapolated``). On these
+    data, whose log times span 7 to 9 as the benchmark's do, the spline
+    columns' derivatives give the log-likelihood third derivatives large
+    enough that the plain central differences' own truncation error
+    reaches 1.0e-6 of the score, 1.8e-6 (the score's differences) and
+    5e-5 (the seven-point Hessian) of the information, where their
+    extrapolations agree with the pass within 3e-10, 6e-11 and 1.5e-7."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=_rp_models(), data=st.data())
+    def test_pass_matches_finite_differences(self, model, data):
+        ev, twin, start = model
+        assert ev.exact and not twin.exact
+        # QMC takes the shared-node product, adaptive quadrature the recursion
+        assert ev.shared == (ev.level_states[0].plan.method == "qmc")
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5])) for _ in range(3)]
+        adapt_at, *stack = _rp_vectors(data, ev, start, scales)
+        ev.refresh(adapt_at)
+        for theta in stack:
+            value, score, info = ev.derivatives(theta)
+            assert value == ev.logl(theta)  # bit for bit
+            if not np.isfinite(value):
+                assert value == -np.inf and np.isnan(score).all() and np.isnan(info).all()
+                continue
+            assert np.isfinite(score).all() and np.isfinite(info).all()
+            assert np.array_equal(info, info.T)
+            assert _relative_gap(score, _extrapolated(optim.fd_gradient, ev.logl, theta, 1)) <= 1e-6
+            score_at = lambda x: ev.derivatives(x)[1]
+            assert _relative_gap(-info, _extrapolated(_jacobian, score_at, theta, 1)) <= 1e-6
+            assert _relative_gap(-info, _extrapolated(optim.fd_hessian, ev.logl, theta, 2)) <= 1e-5
+        # a negative hazard at every event time: -inf, and NaN derivatives
+        theta = stack[0].copy()
+        theta[ev.program.slot_index("rcs1")] = -50.0
+        value, score, info = ev.derivatives(theta)
+        assert value == ev.logl(theta) == -np.inf
+        assert np.isnan(score).all() and np.isnan(info).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=_rp_models(), data=st.data())
+    def test_matches_row_twin(self, model, data):
+        # the per-cluster form and rp_logl's rows differ by rounding: within
+        # 1e-12 relative, and -inf in the same places, up to 2 away from
+        # the start values (farther out, a row's H = exp(a + L) underflows
+        # to 0 and rp_logl reads a hazard of 0, where the per-cluster
+        # form adds log(s' gamma / y) to a + L)
+        ev, twin, start = model
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
+        scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=4, max_size=4))
+        adapt_at, *stack = _rp_vectors(data, ev, start, scales)
+        ev.refresh(adapt_at)
+        twin.refresh(adapt_at)
+        got, expect = ev.logl(np.array(stack)), twin.logl(np.array(stack))
+        assert np.array_equal(np.isneginf(got), np.isneginf(expect)), (got, expect)
+        finite = np.isfinite(expect)
+        assert np.all(np.abs(got[finite] - expect[finite]) <= 1e-12 * np.abs(expect[finite])), (got, expect)
+
+    def test_fit_takes_passes_only(self):
+        # the fit of the per-cluster form against its twin's finite
+        # differences: log-likelihood within 1e-9 relative, estimates
+        # within 1e-3 standard errors, standard errors within 1e-5 relative
+        res, twin = (hm.fit_model(p.spec, p.frame, points=9) for p, _ in (_rp(), _rp(twin=True)))
+        assert res.converged and res.optimum_verified and twin.converged and twin.optimum_verified
+        assert res.profile["likelihood_calls"] == res.profile["objective_points"] == 0
+        assert res.profile["derivative_passes"] > 0 and twin.profile["derivative_passes"] == 0
+        assert abs(res.logl - twin.logl) <= 1e-9 * abs(twin.logl)
+        for name in ("trt", "_cons", "rcs1", "sd(M1)"):
+            assert abs(res.estimate(name) - twin.estimate(name)) <= 1e-3 * twin.se(name), name
+            assert abs(res.se(name) - twin.se(name)) <= 1e-5 * twin.se(name), name
+
+
 def _scope_frame(spec: str, truth: dict, **kwargs) -> dict:
     frame = hm.simulate(spec, truth, seed=3, **kwargs)
     return {n: frame.col(n) for n in frame.names}
@@ -1450,6 +1598,8 @@ class TestExactScope:
             covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
             outcomes=[{"censoring": 5.0, "records": 2}],
         )
+        weibull["rate"] = np.full(weibull["t"].size, 0.01)
+        weibull["t0"] = np.where(np.arange(weibull["t"].size) % 2 == 0, 0.3 * weibull["t"], 0.0)
         counts = _nested_columns(3, [2, 2], np.random.default_rng(2))
         counts["b"] = (counts["k"] > 0).astype(float)
         nested = three_level_data(3, 2, 2, (0.8, 0.7, 0.6), seed=1)
@@ -1468,9 +1618,14 @@ class TestExactScope:
             (nested, "(y x M1[trial] M2[trial>pat], family(gaussian))", dict(points=5), True),
             (counts, "(k x M1[id] M2[id>sub] M3[id>sub>rep], family(poisson))", dict(points=3), True),
             (weibull, "(t trt M1[id], family(weibull, failure(d)))", dict(method="qmc", redistribution="t", t_df=5), True),
-            # a Bernoulli model, rp_replicates, joint_ev and random slopes
+            # rp_replicates
+            (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), True),
+            # rp with a time-dependent effect, with bhazard and with delayed
+            # entry, a Bernoulli model, joint_ev and random slopes
+            (weibull, "(t trt fp(1)#trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), False),
+            (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3) bhazard(rate)))", dict(points=5), False),
+            (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3) ltrunc(t0)))", dict(points=5), False),
             (counts, "(b x M1[id] M2[id>sub], family(bernoulli))", dict(points=3), False),
-            (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), False),
             (joint, "(stime trt EV[logb]@a1, family(weibull, failure(died)))"
              " (logb fp(1)@slope fp(1)#M2[id] M1[id], family(gaussian) timevar(time))", dict(points=5), False),
             (slopes, "(y x M1[trial] x#M2[trial], family(gaussian))", dict(points=5), False),

@@ -365,6 +365,82 @@ class TestMaximize:
         assert all(vb == va + 1 for va, vb in repeats)
         assert res.logl == value(res.theta, version[0]) == res.trace[-1][1]
 
+    # f = 1000 - (theta_1 - c_1)^2 / 2 - 1e8 (theta_2 - c_2)^2 / 2, started
+    # 2e-13 from c along the stiff axis: the scaled gradient there, 2e-5,
+    # is above the stopping rule, while the Newton step's predicted gain,
+    # 2e-18, and every change of f along it are below f's rounding, so
+    # every halving fails (f never exceeds 1000)
+    STIFF, C = 1e8, np.array([0.5, 0.0])
+
+    def stiff(self, th):
+        d = np.atleast_2d(th) - self.C
+        vals = 1000.0 - 0.5 * d[:, 0] ** 2 - 0.5 * self.STIFF * d[:, 1] ** 2
+        return vals if np.ndim(th) == 2 else float(vals[0])
+
+    @pytest.mark.parametrize("case", ["exact", "no_fall", "resolved_gain", "value_drops"])
+    def test_rounding_floor_step(self, case):
+        start = self.C + np.array([0.0, 2e-13])
+        info = np.diag([1.0, self.STIFF])
+        passes = []
+
+        def derivatives(th):
+            passes.append(th.copy())
+            value, score = self.stiff(th), -(th - self.C) * np.diag(info)
+            if case == "no_fall":  # a score that keeps its starting value
+                score = -(start - self.C) * np.diag(info)
+            elif case == "resolved_gain":  # a gain of 5e-9 predicted at the start
+                score = np.array([0.0, -1.0]) if np.array_equal(th, start) else np.zeros(2)
+            elif case == "value_drops" and not np.array_equal(th, start):
+                value -= 1e-9
+            return value, score, info
+
+        res = maximize(None, start, derivatives=derivatives)
+        if case == "exact":
+            # every halving failed; the full step, passed once more, has a
+            # value within f's rounding and a smaller exact scaled gradient
+            assert res.converged and res.optimum_verified and res.message == "converged"
+            assert res.trace[0][3] == 17
+            assert len(passes) == 1 + 17 + 1 and passes[-1].tobytes() == res.theta.tobytes()
+            np.testing.assert_allclose(res.theta, self.C, rtol=0, atol=1e-15)
+            assert np.max(np.abs(res.grad)) < 1e-8
+            return
+        assert not res.converged and res.message == "no ascent step found" and res.iterations == 1
+        assert res.theta.tobytes() == start.tobytes()
+        # the full step is passed once more, except where the predicted
+        # gain alone rules it out
+        assert len(passes) == 1 + 17 + (case != "resolved_gain")
+
+    def test_finite_differences_take_no_rounding_floor_step(self):
+        # the same objective on the finite-difference path ends where every
+        # halving failed, and evaluates nothing after the 17 line-search points
+        objective, points = self.counted(self.stiff)
+        start = self.C + np.array([0.0, 2e-13])
+        res = maximize(objective, start)
+        assert not res.converged and res.message == "no ascent step found"
+        assert res.theta.tobytes() == start.tobytes()
+        p = 2
+        assert len(points) == 1 + 2 * p + p * (p + 1) + 17
+
+    @pytest.mark.parametrize("seed", [1013, 1016, 1019, 1040, 1001, 1027])
+    def test_spline_baseline_panel_fits_converge(self, seed):
+        # rp_replicates data sets as perfbench writes them (100 clusters x 4,
+        # 12 significant digits). Their fits ended "no ascent step found"
+        # on finite differences (1013, 1016, 1019, 1040), or take the
+        # rounding-floor step on the exact path (1001, 1027)
+        frame = hm.simulate(
+            "(t trt M1[id], family(weibull, failure(d)))",
+            {"trt": 0.4, "_cons": -0.8, "ln_gamma": 0.26, "ln_sd(M1)": -0.51},
+            levels={"id": 100},
+            covariates={"trt": {"dist": "bernoulli", "p": 0.5}},
+            outcomes=[{"censoring": 5.0, "records": 4}],
+            seed=seed,
+        )
+        cols = {n: np.array([float(format(v, ".12g")) for v in frame.col(n)]) for n in frame.names}
+        res = hm.fit_model("(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", cols)
+        assert res.converged and res.optimum_verified, res.message
+        assert res.grad_norm < 1e-5
+        assert res.profile["likelihood_calls"] == 0 and res.profile["derivative_passes"] > 0
+
     def test_one_thread_pool_per_fit(self):
         # the worker threads live for the whole fit instead of one
         # objective call
