@@ -239,9 +239,11 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
     columns to their product with it (the engine lays the products of
     several parameter vectors over their node columns).
 
-    The model hazard H(y) dF/dlog(y) / y is a value, so its log follows
-    ``log_hazard_value``: -inf where it is not positive. The row terms
-    are those of ``survival_logl``.
+    The log model hazard is log H(y) + log(dF/dlog(y) / y), the second
+    term following ``log_hazard_value``: -inf where dF/dlog(y) is not
+    positive. Taking log H as s + eta, not as the log of H, keeps it
+    finite where H underflows to 0. The row terms are those of
+    ``survival_logl``.
     """
     if callable(coefs):
         times = coefs
@@ -251,8 +253,9 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
         def times(a):
             return a @ coefs
 
+    log_H = times(cols.at_y) + eta
     with np.errstate(over="ignore"):
-        H = np.exp(times(cols.at_y) + eta)
+        H = np.exp(log_H)
     if eta_plus is not None:
         if cols.log_step is None:
             raise ValueError("time-dependent eta needs spline columns built with a log_step")
@@ -265,9 +268,9 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
     if cols.at_t0 is not None:
         with np.errstate(over="ignore"):
             H0 = np.exp(times(cols.at_t0) + (eta if eta_entry is None else eta_entry))
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = H * dF / cols.y
-    return survival_logl(log_hazard_value(h), bhaz, H, H0, d, cols.entry)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = log_H + log_hazard_value(dF / cols.y)
+    return survival_logl(log_h, bhaz, H, H0, d, cols.entry)
 
 
 # ---------------------------------------------------------------------------

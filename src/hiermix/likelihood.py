@@ -93,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, exp_linear_terms, outcome_logl, row_design, row_part
+from .predictor import EvalContext, Program, outcome_logl, row_design, row_part
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -352,12 +352,6 @@ class _OutcomeTerms(NamedTuple):
 # evaluated two at a time, its fits took 35% longer.
 _CHUNK_VALUES = 1 << 16
 _GROUP_VALUES = 1 << 14
-# the most expected events, E[Lam_k] or sum_k n_k D_k, of a unit whose
-# exact derivatives take the shared-node moments: their raw second
-# moments lose about eps times as much of the unit's information, 2e-11
-# of it at this bound, where the level recursion's node-by-node form
-# loses nothing to centring
-_RAW_MOMENT_EVENTS = 1e5
 
 
 class LikelihoodEvaluator:
@@ -388,10 +382,6 @@ class LikelihoodEvaluator:
             scaled = [st.info for st in self.level_states if not st.adaptive]
             self.tau_scaled = [info.re_slots[0] for info in scaled]
             self.scaled_index = {info.latent_names[0]: i for i, info in enumerate(scaled)}
-            # one level on scaled nodes and exp-linear outcomes: the shared-node moments
-            self.shared = len(self.level_states) == 1 and not self.level_states[0].adaptive and all(
-                program.outcomes[k].family.name != "gaussian" for k in self.intercept_units
-            )
         # Allocate and free one untouched 16 MiB block. Under glibc, freeing
         # a block that malloc mapped on its own raises M_MMAP_THRESHOLD to
         # its size and M_TRIM_THRESHOLD to twice that, for blocks up to
@@ -475,7 +465,10 @@ class LikelihoodEvaluator:
             return self._gaussian_sums(thetas, k, derivatives)
         per_vector = []
         for theta in thetas:
-            a, lin, b, c, *anc = exp_linear_terms(self.program, k, theta, derivatives)
+            a, anc = row_part(self.program, k, theta)
+            if co.rp is not None:  # rp's own parameters are its spline coefficients
+                anc = theta[co.spline_slots]
+            lin, b, c, *anc = co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp)
             m = np.maximum.reduceat(a, starts)
             e = np.exp(a - m[row_segment])
             w = c * e
@@ -690,18 +683,15 @@ class LikelihoodEvaluator:
     # a cell's log integral is the posterior mean of the conditional
     # score at its nodes; by Louis (1982) its Hessian is the posterior
     # mean of the conditional Hessian plus the posterior covariance of the
-    # conditional score (``_louis``). At an outer level the conditional
-    # score and Hessian at a node are the sums of those of its child
-    # cells, added in ``_into_parents``'s order, so the same formulas
-    # apply level by level, inside the recursion that ``logl`` takes.
-    #
-    # On one level of scaled nodes with exp-linear outcomes, every unit
-    # has the same nodes and log-corrections, so Lam_k = s_k exp(n_k u_j)
-    # with s_k = S_k e^(m_k) per unit, and a unit's posterior moments all
-    # follow from one product of its posterior weights with a few
-    # functions of the nodes (``_node_features``, ``_shared_moments``).
-    # Units whose products would lose precision take the recursion's
-    # node-by-node values instead.
+    # conditional score. At the innermost level a node's conditional score
+    # is a per-unit constant plus a few node features times per-unit
+    # coefficients, so only the features' posterior means and covariance
+    # are taken over the nodes (``_block_derivatives``). At an outer
+    # level the conditional score and Hessian at a node are the sums of
+    # those of its child cells, added in ``_into_parents``'s order, and
+    # the covariance is taken over the node scores themselves
+    # (``_louis``): the same formulas apply level by level, inside the
+    # recursion that ``logl`` takes.
 
     def _exact_scope(self) -> bool:
         """Whether ``derivatives`` applies: every latent level has one
@@ -715,8 +705,9 @@ class LikelihoodEvaluator:
 
     def derivatives(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(log-likelihood, score, observed information) at one parameter
-        vector in one pass, for a model in the scope of ``exact``. The
-        log-likelihood is the one ``logl`` gives, bit for bit, so that
+        vector in one pass, for a model in the scope of ``exact``. Every
+        pass runs ``logl``'s level recursion (``_integrate``), so its
+        log-likelihood is the one ``logl`` gives, bit for bit, and
         ``maximize`` takes every value of the fit from passes; where it is
         not finite, the score and information are NaN, and so is either
         where a unit's share of it is not finite. Each is summed over the
@@ -746,11 +737,7 @@ class LikelihoodEvaluator:
             sums, terms = {}, {}
             for k in self.intercept_units:
                 sums[k], terms[k] = self._unit_sums(theta[None], k, derivatives=True)
-            if self.shared:
-                unit_logl, unit_score, unit_info = self._shared_pass(theta, sums, terms)
-            else:
-                unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
-                unit_info = -unit_hess
+            unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
         act = self.level_states[0].active
         if not np.all(np.isfinite(unit_logl[act])):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
@@ -761,68 +748,8 @@ class LikelihoodEvaluator:
                 return np.full(values.shape[1], np.nan)
             return np.array([math.fsum(col) for col in values.T.tolist()])
 
-        info = total(unit_info).reshape(p, p)
+        info = -total(unit_hess).reshape(p, p)
         return math.fsum(unit_logl[act].tolist()), total(unit_score), 0.5 * (info + info.T)
-
-    def _shared_pass(self, theta: np.ndarray, sums: dict, terms: dict) -> tuple:
-        """Each unit's log-likelihood, score and information on one level
-        of scaled nodes with exp-linear outcomes, from the shared-node
-        moments (see "exact derivatives" above).
-        """
-        st = self.level_states[0]
-        n, p, m = st.n_units, theta.size, st.m
-        self.cond_evals += int(st.active.sum()) * m
-        x, corr = self._nodes(0, theta[None])
-        u_all = x[..., 0]
-        ks = list(sums)
-        counts = np.array([float(len(self.intercept_units[k][1])) for k in ks])  # n_k
-        intercepts = {k: [(name, slice(None)) for name, _ in self.intercept_units[k][1]] for k in ks}
-        fills = (0.0, 0.0, 0.0, -np.inf)  # a unit without rows of k adds 0 at every node
-        per_unit = {k: _ExpLinearSums(*map(_over_units, sums[k], [self.segments[k][1]] * 4, [n] * 4, fills)) for k in ks}
-        features = _node_features(u_all[0], counts)
-        S, grow = (np.column_stack([per_unit[k][i][:, 0] for k in ks]) for i in (2, 3))
-        grow = np.exp(grow)  # e^(m_k)
-        scale = S * grow  # s_k = S_k e^(m_k)
-        events = sum(n_k * per_unit[k].D[:, 0] for n_k, k in zip(counts, ks))  # sum n_k D_k
-        unit_logl = np.empty(n)
-        one_vector = np.zeros(m, dtype=int)
-        # units per block: every array of a block is units x nodes, at most
-        # _GROUP_VALUES values, a quarter of a chunk's
-        block = max(1, _GROUP_VALUES // m)
-        sums_u = np.empty((n, features.shape[1]))
-        for u0 in range(0, n, block):
-            ub = slice(u0, min(u0 + block, n))
-            ll = None
-            for k in ks:
-                stats = _ExpLinearSums(*(v[ub] for v in per_unit[k]))
-                term = self._collapsed(stats, intercepts[k], {intercepts[k][0][0]: u_all[ub]}, one_vector)[0]
-                ll = term if ll is None else ll + term
-            logp = corr[ub] + ll
-            lse = logsumexp(logp)
-            unit_logl[ub] = lse
-            logp -= lse[:, None]
-            np.exp(logp, out=logp)
-            # one product per unit, so that a unit's moments do not depend
-            # on which block it falls in (a one-row block of a plain
-            # product would take another BLAS routine)
-            sums_u[ub] = np.matmul(logp[:, None, :], features)[:, 0]
-        moments = _shared_moments(sums_u, scale, events, counts)
-        outcomes = [[_over_units(v, self.segments[k][1], n) for v in terms[k].score[:2] + terms[k].hess[:2]] for k in ks]
-        unit_score, unit_info = _unit_score_info(moments, outcomes, st.info.re_slots[0], p)
-        # per node where s_k or e^(m_k) underflowed, where a product
-        # overflowed, or where a unit expects so many events that its raw
-        # second moments would lose more of its information (about eps
-        # times them)
-        K = len(ks)
-        underflow = (S > 0) & (np.minimum(scale, grow) < np.finfo(float).tiny)
-        redo = np.any(underflow | (moments[0][:, :K] > _RAW_MOMENT_EVENTS), axis=1)
-        redo |= events > _RAW_MOMENT_EVENTS
-        for v in moments:
-            redo |= ~np.isfinite(v.reshape(n, -1)).all(axis=1)
-        if redo.any():
-            _, score, hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
-            unit_score[redo], unit_info[redo] = score[redo], -hess[redo]
-        return unit_logl, unit_score, unit_info
 
     # -- level-by-level integration ---------------------------------------
     #
@@ -983,12 +910,13 @@ class LikelihoodEvaluator:
         """Score (units, C, p) and Hessian (units, C, p, p) of the log
         integral of every innermost cell of C combinations, given their
         posterior weights w and node values u (units, C, M) and each
-        outcome's (feature, intercept values at the scaled levels) at the
-        cells' nodes (``_row_sums``). The node scores, units x C x M x p,
-        are formed for blocks of units of at most _CHUNK_VALUES values.
+        outcome's (feature, intercept values at each scaled level) at the
+        cells' nodes (``_row_sums``). The node features, units x C x M
+        each, are formed for blocks of units of at most _CHUNK_VALUES
+        values.
         """
         n_units, combos, m = w.shape
-        block = max(1, _CHUNK_VALUES // (combos * m * theta.size))
+        block = max(1, _CHUNK_VALUES // (combos * m))
         if block >= n_units:
             return self._block_derivatives(theta, w, u, feats, terms, 0, n_units)
         parts = [
@@ -999,52 +927,117 @@ class LikelihoodEvaluator:
 
     def _block_derivatives(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
         """``_inner_derivatives`` of the innermost units u0 to u1, whose
-        weights and node values are w and u.
+        weights and node values are w and u. A node's conditional score is
+        a + sum_r phi_r c_r over a few node features phi_r with per-unit
+        coefficients c_r: each outcome's feature f (coefficient b) and,
+        where it has a c term, f^2 (coefficient c); each scaled level's
+        node score T = sum_k (v_k + v'_k f_k) L_k in its log scale; and an
+        adaptive level's prior score d1. The cells' score is then
+        a + E[phi]'c, and their Hessian the posterior mean of the
+        conditional Hessian plus c' Cov(phi) c, from features centred node
+        by node. Every posterior mean is a dot product over the node axis
+        alone (``np.vecdot``), so no cell's value depends on the block it
+        falls in.
         """
         st = self.level_states[-1]
-        p = theta.size
-        score = np.zeros(w.shape + (p,))
-        hess = np.zeros(w.shape[:2] + (p, p))
-        tau = self.tau_scaled
+        nb, p, tau = u1 - u0, theta.size, self.tau_scaled
+
+        def per_cell(h):  # a float, or per-unit values (units, 1, 1), against (units, C) means
+            return h[..., 0] if isinstance(h, np.ndarray) else h
+
+        def unit_vector(slot):
+            c = np.zeros((nb, p))
+            c[:, slot] = 1.0
+            return c
+
+        a = np.zeros((nb, p))
+        hess = np.zeros(w.shape[:2] + (p, p))  # the posterior mean of the conditional Hessian
+        product = np.empty(w.shape)  # one buffer for products with the weights
+        features = []  # (phi, E[phi], c)
+        node_scores = [None] * len(tau)  # T at each scaled level
         for k, (f, scaled) in feats.items():
             seg = self.segments[k][1]
             if isinstance(seg, slice):  # every unit has rows of k
-                rows, at = slice(u0, u1), slice(None)
+                rows, at = slice(u0, u1), None
             else:  # the segments of units u0 to u1, and their units in the block
                 rows = slice(*np.searchsorted(seg, [u0, u1]))
                 at = seg[rows] - u0
-            (a, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (
-                tuple(t[rows] if isinstance(t, np.ndarray) else t for t in pair) for pair in terms[k]
-            )
-            wk = w[at]
-            f = f[rows].reshape(wk.shape)
-            f[wk == 0.0] = 0.0  # no inf * 0 where a node has no weight
-            g = f[..., None] * b[:, None, None]
-            g += a[:, None, None]
-            h = np.einsum("scj,scj->sc", wk, f)[..., None, None] * B[:, None]
-            h += A[:, None]
+
+            def place(v):  # per-segment values at the block's units, 0 at units without rows of k
+                if not isinstance(v, np.ndarray):
+                    return v
+                v = v[rows]
+                if at is None:
+                    return v
+                out = np.zeros((nb,) + v.shape[1:])
+                out[at] = v
+                return out
+
+            (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
+            f = place(f.reshape((-1,) + w.shape[1:]))
+            f[w == 0.0] = 0.0  # no inf * 0 where a node has no weight
+            a += ak
+            hess += A[:, None]
+            mean = np.vecdot(w, f)
+            features.append((f, mean, b))
+            hess += mean[..., None, None] * B[:, None]
             if c is not None:
                 f2 = f * f
-                g += f2[..., None] * c[:, None, None]
-                h += np.einsum("scj,scj->sc", wk, f2)[..., None, None] * C[:, None]
-            if scaled is not None:  # dL/dtau at each scaled level, and d2L/dtau2 on the diagonal
-                scaled = scaled[rows].reshape(wk.shape + (-1,))
-                slope = v1 * f + v0
-                g[..., tau] += slope[..., None] * scaled
-                x = f[..., None] * e1[:, None, None]
+                mean = np.vecdot(w, f2)
+                features.append((f2, mean, c))
+                hess += mean[..., None, None] * C[:, None]
+            if not tau:
+                continue
+            # dL/dtau = L and d2L/dtau2 = L at each scaled level, L the sum
+            # of k's intercept values there; v, v', h and h' are per unit
+            L = [None if v is None else place(v.reshape((-1,) + w.shape[1:])) for v in scaled]
+            wf = w * f
+            for i, Li in enumerate(L):
+                if Li is None:
+                    continue
+                T = v1 * f
+                T += v0
+                T *= Li
+                node_scores[i] = T if node_scores[i] is None else node_scores[i] + T
+                cross = np.vecdot(wf, Li)[..., None] * e1[:, None]
                 if e is not None:
-                    x += e[:, None, None]
-                x[..., tau] += (0.5 * (h1 * f + h0))[..., None] * scaled
-                x *= wk[..., None]
-                cross = np.swapaxes(x, -1, -2) @ scaled  # (.., p, levels)
-                h[..., :, tau] += cross
-                h[..., tau, :] += np.swapaxes(cross, -1, -2)
-                h[..., tau, tau] += np.einsum("scj,scjl->scl", wk * slope, scaled)
-            score[at] += g
-            hess[at] += h
+                    cross += np.vecdot(w, Li)[..., None] * e[:, None]
+                hess[..., :, tau[i]] += cross
+                hess[..., tau[i], :] += cross
+                for j in range(i, len(L)):
+                    if L[j] is None:
+                        continue
+                    # E[(h' f + h) L_i L_j] as h' E[f L_i L_j] + h E[L_i L_j]
+                    both = 0.0
+                    if np.any(h1):
+                        both = per_cell(h1) * np.vecdot(np.multiply(wf, Li, out=product), L[j])
+                    if np.any(h0):
+                        both = both + per_cell(h0) * np.vecdot(np.multiply(w, Li, out=product), L[j])
+                    hess[..., tau[i], tau[j]] += both
+                    if j != i:
+                        hess[..., tau[j], tau[i]] += both
+        for i, T in enumerate(node_scores):
+            if T is not None:  # E[T] is also the mean of dl/dL d2L/dtau2
+                mean = np.vecdot(w, T)
+                features.append((T, mean, unit_vector(tau[i])))
+                hess[..., tau[i], tau[i]] += mean
         if st.adaptive:
-            self._prior_terms(st, theta, w, u, score, hess)
-        return _louis(w, score, hess)
+            d1, d2 = st.kernel.scale_derivatives(u, self.level_chol(st, theta))
+            slot = st.info.re_slots[0]
+            features.append((d1, np.vecdot(w, d1), unit_vector(slot)))
+            hess[..., slot, slot] += np.vecdot(w, d2)
+        coef = np.stack([c for _, _, c in features], axis=1)[:, None]  # (units, 1, R, p)
+        means = np.stack([mean for _, mean, _ in features], axis=-1)[..., None, :]  # (units, C, 1, R)
+        score = a[:, None] * w.sum(axis=-1)[..., None] + (means @ coef)[..., 0, :]  # a's mean over weights summing to about 1
+        cov = np.empty(w.shape[:2] + (len(features),) * 2)
+        for phi, mean, _ in features:
+            phi -= mean[..., None]
+        for r, (phi, _, _) in enumerate(features):
+            weighted = np.multiply(w, phi, out=product)
+            for s in range(r, len(features)):
+                cov[..., r, s] = cov[..., s, r] = np.vecdot(weighted, features[s][0])
+        hess += np.swapaxes(coef, -1, -2) @ cov @ coef
+        return score, hess
 
     def _outer_derivatives(self, pos: int, theta, w, x, score, hess) -> tuple:
         """Score and Hessian of the log integral of every cell of level
@@ -1080,9 +1073,8 @@ class LikelihoodEvaluator:
         combination, which is then yielded after its last chunk. With
         ``terms``, a chunk is whole combinations, and ``features`` maps
         each outcome to its feature at the chunk's columns (see
-        ``_collapsed``) and, where levels have scaled nodes, to the sums
-        of its intercept values at each of them (segments, columns,
-        levels); else it is empty.
+        ``_collapsed``) and to the sums of its intercept values at each
+        level with scaled nodes (``_scaled_values``); else it is empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
@@ -1156,20 +1148,16 @@ class LikelihoodEvaluator:
         ll[np.isnan(ll)] = -np.inf  # as at the rows
         return ll, feature
 
-    def _scaled_values(self, intercepts: list, vals: dict):
-        """The sums of an outcome's intercept values at each level with
-        scaled nodes, (units, columns, levels): their derivatives in the
-        levels' log scales. None where no level has scaled nodes.
+    def _scaled_values(self, intercepts: list, vals: dict) -> list:
+        """The sum of an outcome's intercept values at each level with
+        scaled nodes, (units, columns) each, or None at a level where it
+        has none: their derivatives in the levels' log scales.
         """
-        if not self.tau_scaled:
-            return None
-        out = None
+        out = [None] * len(self.tau_scaled)
         for name, v in self._intercept_values(intercepts, vals):
             i = self.scaled_index.get(name)
             if i is not None:
-                if out is None:
-                    out = np.zeros(v.shape + (len(self.tau_scaled),))
-                out[..., i] += v
+                out[i] = v if out[i] is None else out[i] + v
         return out
 
     def _into_parents(self, pos: int, vals: np.ndarray, *derivs) -> tuple:
@@ -1240,15 +1228,6 @@ class LikelihoodEvaluator:
         }
 
 
-def _over_units(v: np.ndarray, seg_units, n: int, fill: float = 0.0) -> np.ndarray:
-    """Per-segment values (segments, ...) at each of n units, ``fill`` at
-    units without rows.
-    """
-    out = np.full((n,) + v.shape[1:], fill, dtype=float)
-    out[seg_units] = v
-    return out
-
-
 def _in_slots(slots: list, p: int):
     """A map from per-unit arrays (units, q) or (units, q, q) in the
     slots ``slots`` to arrays in all p slots, 0 elsewhere.
@@ -1286,86 +1265,3 @@ def _louis(w: np.ndarray, score: np.ndarray, hess: np.ndarray) -> tuple[np.ndarr
     dev = score - mean[..., None, :]
     dev *= np.sqrt(w)[..., None]
     return mean, hess + np.swapaxes(dev, -1, -2) @ dev
-
-
-# On one level of scaled nodes with exp-linear outcomes (``_shared_pass``)
-# ``derivatives`` needs, per unit, the posterior means of the features
-# Lam_k (one per outcome) and T, the conditional score in the level's
-# log scale tau, their posterior covariance, and two more posterior
-# means: n_k E[u Lam_k], whose products with the row parts give the
-# conditional Hessian's cross terms in tau, and the conditional
-# Hessian's (tau, tau) entry. These four arrays are the moments:
-# (means (units, K + 1), cross (units, K), curvature (units,),
-# covariance (units, K + 1, K + 1)), K outcomes, T last.
-
-
-def _node_features(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The columns G (nodes, 3 + 3J) whose posterior sums give every
-    moment on nodes u shared by all units: 1, u, u^2, then X, u X and
-    u^2 X for X the J = K + K(K+1)/2 columns E_k = exp(n_k u) and
-    E_a E_b (a >= b, in ``np.tril_indices`` order), n_k = ``counts``.
-    """
-    grow = np.exp(np.multiply.outer(u, counts))
-    rows, cols = np.tril_indices(len(counts))
-    x = np.column_stack([grow, grow[:, rows] * grow[:, cols]])
-    return np.column_stack([np.ones_like(u), u, u * u, x, u[:, None] * x, (u * u)[:, None] * x])
-
-
-def _shared_moments(sums: np.ndarray, scale: np.ndarray, events: np.ndarray, counts: np.ndarray) -> tuple:
-    """The moments from the posterior-weighted sums of the
-    ``_node_features`` columns (units, 3 + 3J): on shared nodes
-    Lam_k = s_k E_k, with s_k = S_k e^(m_k) (``scale``, (units, K)), and
-    T = u (N - sum_k n_k Lam_k), with N = sum_k n_k D_k (``events``), so
-    every moment is a sum of s_k products times a column's sum. A
-    covariance is the raw second moment less the product of the means
-    times 2 - w, w the sum of the weights: what features centred node by
-    node give where w, a rounded sum of exponentials, is not exactly 1.
-    """
-    K = scale.shape[1]
-    J = K + K * (K + 1) // 2
-    weight, mean_u, mean_uu = sums[:, 0], sums[:, 1], sums[:, 2]
-    m0, m1, m2 = (sums[:, 3 + i * J : 3 + (i + 1) * J] for i in range(3))
-    hi, lo = np.maximum.outer(np.arange(K), np.arange(K)), np.minimum.outer(np.arange(K), np.arange(K))
-    pair = K + hi * (hi + 1) // 2 + lo  # column of E_a E_b
-    q0, q1, q2 = m0[:, pair], m1[:, pair], m2[:, pair]
-    m0, m1, m2 = m0[:, :K], m1[:, :K], m2[:, :K]
-    weighted = counts * scale  # n_k s_k
-    lam = scale * m0
-    t_mean = events * mean_u - np.sum(weighted * m1, axis=1)
-    centring = (2.0 - weight)[:, None]
-    cov = np.empty((len(sums), K + 1, K + 1))
-    cov[:, :K, :K] = scale[:, :, None] * scale[:, None, :] * q0 - lam[:, :, None] * (lam * centring)[:, None, :]
-    lam_t = scale * (events[:, None] * m1 - np.einsum("iak,ik->ia", q1, weighted)) - lam * (t_mean[:, None] * centring)
-    cov[:, :K, K] = cov[:, K, :K] = lam_t
-    cov[:, K, K] = (
-        events * events * mean_uu
-        - 2.0 * events * np.sum(weighted * m2, axis=1)
-        + np.einsum("ik,ikl,il->i", weighted, q2, weighted)
-        - t_mean * t_mean * centring[:, 0]
-    )
-    curvature = t_mean - np.sum(counts * weighted * m2, axis=1)
-    return np.column_stack([lam, t_mean]), weighted * m1, curvature, cov
-
-
-def _unit_score_info(moments: tuple, outcomes: list, tau: int, p: int) -> tuple:
-    """Each unit's score and observed information from its shared-node
-    moments and each outcome's (a, b, A, B) of ``_OutcomeTerms`` at every
-    unit: the score is the posterior mean of the conditional score, and
-    the information minus the posterior mean of the conditional Hessian
-    less the posterior covariance of the conditional score, which is a
-    constant plus sum_f feature_f coef_f.
-    """
-    means, cross, curvature, cov = moments
-    nb, K = cross.shape
-    score, hess, coef = np.zeros((nb, p)), np.zeros((nb, p, p)), np.zeros((nb, K + 1, p))
-    for k, (a, b, A, B) in enumerate(outcomes):
-        score += a + means[:, k, None] * b
-        hess += A + means[:, k, None, None] * B
-        tau_terms = cross[:, k, None] * b
-        hess[:, tau] += tau_terms
-        hess[:, :, tau] += tau_terms
-        coef[:, k] = b
-    score[:, tau] += means[:, K]
-    hess[:, tau, tau] += curvature
-    coef[:, K, tau] = 1.0
-    return score, -hess - coef.transpose(0, 2, 1) @ cov @ coef

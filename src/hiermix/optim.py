@@ -272,11 +272,12 @@ def maximize(
     is halved, as on the finite-difference path.
 
     One rule holds on the exact path only, for a step whose gain is below
-    what the objective's rounding resolves. When every halving fails and
-    the predicted gain g's/2 of the Newton step s is below
-    64 eps max(|f|, 1), the full step is taken if its value is within
-    that same bound of f and its exact scaled gradient is smaller than
-    at theta; this costs one more pass. Along a direction whose
+    what the objective's rounding resolves. When the predicted gain g's/2
+    of the Newton step s is below 64 eps max(|f|, 1), the full step is
+    taken if its value is within that same bound of f and its exact
+    scaled gradient is smaller than at theta, before any halving; its
+    pass is the line search's first point, so the rule costs no pass of
+    its own, and the step is halved only if it fails. Along a direction whose
     information is large, such as a spline coefficient's, the stopping
     rule's gradient can leave a gain of about 1e-16, which f cannot show,
     and only the exact gradient can tell that the step still descends
@@ -316,10 +317,10 @@ def maximize(
         return np.max(np.abs(grad[free]) * np.maximum(np.abs(th[free]), 1.0)) if free.any() else 0.0
 
     def floor_step(th, f, grad, step, scaled):
-        """On the exact path, where every halving failed: (value, vector)
-        of the full Newton step when its predicted gain is below what f
-        resolves, its value is within that of f and its exact scaled
-        gradient is smaller; else (None, None).
+        """On the exact path: (value, vector) of the full Newton step when
+        its predicted gain is below what f resolves, its value is within
+        that of f and its exact scaled gradient is smaller; else
+        (None, None).
         """
         noise = 64.0 * _EPS * max(abs(f), 1.0)
         if derivatives is not None and 0.5 * float(grad[free] @ step[free]) < noise:
@@ -367,8 +368,8 @@ def maximize(
                 step[free] = step_free
                 halvings = 0
                 alpha = 1.0
-                f_new, theta_new = None, None
-                while halvings <= _MAX_HALVINGS:
+                f_new, theta_new = floor_step(theta, f, grad, step, scaled)
+                while f_new is None and halvings <= _MAX_HALVINGS:
                     cand = theta + alpha * step
                     if clamp is not None:
                         cand = clamp(cand)
@@ -378,8 +379,6 @@ def maximize(
                         break
                     alpha *= 0.5
                     halvings += 1
-                if f_new is None:
-                    f_new, theta_new = floor_step(theta, f, grad, step, scaled)
                 if f_new is None:
                     if scaled < _GRAD_TOL:
                         converged = True

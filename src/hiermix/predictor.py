@@ -654,35 +654,16 @@ def row_part(program: Program, k: int, theta: np.ndarray) -> tuple[np.ndarray, l
     """The row part a of outcome k, which has ``intercepts``, at one
     parameter vector: its linear predictor at its rows where its
     intercepts are 0, plus, for ``rp``, the spline s(log y) times its
-    coefficients, an (n,) array; and its ancillaries on the natural
-    scale.
+    coefficients, an (n,) array, summed column by column in
+    ``row_design``'s order, so that a row's value does not depend on its
+    neighbours; and its ancillaries on the natural scale.
     """
     co = program.outcomes[k]
-    h = program.hierarchy
-    zeros = {info.name: np.zeros((h.n_units(h.levels.index(info.level)), 1)) for info in co.intercepts}
-    ctx = EvalContext(program, theta, zeros)
-    a = eval_eta(ctx, k, k).reshape(-1)
-    if co.rp is not None:  # column by column, so a row's value does not depend on its neighbours
-        cols = co.rp.at_y.reshape(a.size, -1)
-        for j, slot in enumerate(co.spline_slots):
-            a = a + cols[:, j] * ctx.theta[slot]
-    return a, co.family.natural_anc(ctx.theta[co.anc_slots])
-
-
-def exp_linear_terms(program: Program, k: int, theta: np.ndarray, derivatives: bool = False) -> tuple:
-    """(a, A, B, C) at the rows of outcome k, which has ``intercepts``
-    under an exp-linear family, at one parameter vector: (n,) arrays such
-    that a row's conditional log-likelihood is A + B (a + L) - C exp(a + L),
-    with L the sum of its intercepts' values and a its ``row_part``. With
-    ``derivatives``, also the derivatives (A', A'', C', C'') of
-    ``Family.exp_linear`` in the family's own slots, ``spline_slots`` for
-    ``rp`` and else ``anc_slots``.
-    """
-    co = program.outcomes[k]
-    a, anc = row_part(program, k, theta)
-    if co.rp is not None:
-        anc = theta[co.spline_slots]
-    return (a, *co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp))
+    slots, x = row_design(program, k)
+    a = np.zeros(co.rows.size)
+    for j, slot in enumerate(slots):
+        a = a + x[:, j] * theta[slot]
+    return a, co.family.natural_anc(theta[co.anc_slots])
 
 
 def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:

@@ -390,8 +390,9 @@ class TestRpLogl:
         else:
             dF = times(cols.deriv_at_y)
         with np.errstate(invalid="ignore", divide="ignore"):
-            h = H * dF / cols.y
-            log_h = np.where(h > 0, np.log(np.maximum(h, 1e-300)), -np.inf)
+            # log H + log(dF / y), which stays finite where H underflows
+            slope = dF / cols.y
+            log_h = log_H + np.where(slope > 0, np.log(np.maximum(slope, 1e-300)), -np.inf)
         entry_eta = kw.get("eta_entry", eta)
         entry = np.where(cols.entry, np.exp(times(cols.at_t0) + entry_eta), 0.0)
         for bhaz in (None, reference):

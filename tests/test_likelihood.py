@@ -1135,15 +1135,6 @@ def _score_jacobian(ev: LikelihoodEvaluator, theta: np.ndarray) -> np.ndarray:
     return _jacobian(lambda x: ev.derivatives(x)[1], theta)
 
 
-def _per_node(ev: LikelihoodEvaluator, theta: np.ndarray) -> tuple:
-    """``ev.derivatives(theta)`` with every unit's moments taken node by
-    node: infinite shared-node features fail the guard at every unit."""
-    features = likelihood._node_features
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(likelihood, "_node_features", lambda u, counts: np.full_like(features(u, counts), np.inf))
-        return ev.derivatives(theta)
-
-
 @st.composite
 def _random_intercept_models(draw) -> tuple:
     """A Poisson, a Weibull or a joint Weibull and Poisson model with one
@@ -1265,24 +1256,30 @@ class TestExactDerivatives:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(model=_random_intercept_models(), data=st.data())
-    def test_shared_nodes_match_per_node_moments(self, model, data):
-        # on QMC and non-adaptive quadrature every unit has the same nodes,
-        # and the moments are one product per unit; up to 300 rows per
-        # cluster, the largest gap seen from the level recursion's
-        # node-by-node values was 2e-12
+    def test_scaled_nodes_match_finite_differences(self, model, data):
+        # QMC and non-adaptive quadrature, on which every unit has the same
+        # nodes, with up to 300 rows per cluster; some vectors so far out
+        # (scale 1000) that the log-likelihood is -inf
         ev, start = model
         assert ev.exact and not ev.level_states[0].adaptive
         scales = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
         offsets = data.draw(hnp.arrays(float, (4, start.size), elements=st.floats(-1.0, 1.0)))
-        for theta in start + np.asarray(scales)[:, None] * offsets:
-            (value, score, info), (node_value, node_score, node_info) = ev.derivatives(theta), _per_node(ev, theta)
-            assert value == node_value
-            if not (np.isfinite(node_score).all() and np.isfinite(node_info).all()):
-                continue  # far out (scale 1000), where the per-node form overflows too
-            # the guard keeps every finite per-node result finite
+        for scale, theta in zip(scales, start + np.asarray(scales)[:, None] * offsets):
+            value, score, info = ev.derivatives(theta)
+            assert value == ev.logl(theta)  # bit for bit
+            if not np.isfinite(value):
+                assert value == -np.inf and np.isnan(score).all() and np.isnan(info).all()
+                continue
+            if scale > 2.0:  # far out, the finite differences are not a reference
+                continue
             assert np.isfinite(score).all() and np.isfinite(info).all()
-            assert _relative_gap(score, node_score) <= 1e-10
-            assert _relative_gap(info, node_info) <= 1e-10
+            assert np.array_equal(info, info.T)
+            # extrapolated: on clusters of 300 rows at scale 2, the plain
+            # differences' truncation error reaches 3.5e-5 of the information
+            assert _relative_gap(score, _extrapolated(optim.fd_gradient, ev.logl, theta, 1)) <= 1e-6
+            score_at = lambda x: ev.derivatives(x)[1]
+            assert _relative_gap(-info, _extrapolated(_jacobian, score_at, theta, 1)) <= 1e-6
+            assert _relative_gap(-info, _extrapolated(optim.fd_hessian, ev.logl, theta, 2)) <= 1e-5
 
     def test_non_finite_derivatives_end_the_fit(self):
         prog, _, (plan, _), start = _per_cluster_pair("exponential_entry_aghq")
@@ -1396,11 +1393,12 @@ class TestNestedExactDerivatives:
         [
             ("(y x M1[id] M2[id>sub], family(gaussian))", dict(method="qmc", draws=20)),
             ("(t x M1[id] M2[id>sub], family(weibull, failure(d)))", dict(method={"id": "aghq", "sub": "qmc"}, draws=15)),
+            ("(t x M1[id], family(weibull, failure(d)))", dict(method="qmc", redistribution="t", t_df=5, draws=101)),
         ],
-        ids=["gaussian_qmc", "weibull_aghq_qmc"],
+        ids=["gaussian_qmc", "weibull_aghq_qmc", "weibull_t5_qmc"],
     )
     def test_unit_blocks_change_no_bit(self, spec, options, monkeypatch):
-        # the innermost node scores are formed for blocks of units; one unit
+        # the innermost node features are formed for blocks of units; one unit
         # per block gives the same pass, bit for bit
         prog = make(_nested_columns(7, [5], np.random.default_rng(3)), spec)
         ev = LikelihoodEvaluator(prog, default_plan(prog, points=3, **options))
@@ -1454,10 +1452,9 @@ class TestNestedExactDerivatives:
 @st.composite
 def _rp_models(draw) -> tuple:
     """A spline-baseline frailty model, df(1) to df(4), on 10 to 25
-    clusters of 2 to 4 Weibull rows, under adaptive quadrature (the level
-    recursion) or QMC with a normal or t(5) kernel (the shared-node
-    product): its evaluator, its row twin's (``one#M1[id]``) and its start
-    values."""
+    clusters of 2 to 4 Weibull rows, under adaptive quadrature or QMC
+    with a normal or t(5) kernel: its evaluator, its row twin's
+    (``one#M1[id]``) and its start values."""
     df = draw(st.integers(1, 4))
     data = hm.simulate(
         "(t trt M1[id], family(weibull, failure(d)))",
@@ -1522,8 +1519,6 @@ class TestRpExactDerivatives:
     def test_pass_matches_finite_differences(self, model, data):
         ev, twin, start = model
         assert ev.exact and not twin.exact
-        # QMC takes the shared-node product, adaptive quadrature the recursion
-        assert ev.shared == (ev.level_states[0].plan.method == "qmc")
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5])) for _ in range(3)]
         adapt_at, *stack = _rp_vectors(data, ev, start, scales)
         ev.refresh(adapt_at)
@@ -1551,9 +1546,7 @@ class TestRpExactDerivatives:
     def test_matches_row_twin(self, model, data):
         # the per-cluster form and rp_logl's rows differ by rounding: within
         # 1e-12 relative, and -inf in the same places, up to 2 away from
-        # the start values (farther out, a row's H = exp(a + L) underflows
-        # to 0 and rp_logl reads a hazard of 0, where the per-cluster
-        # form adds log(s' gamma / y) to a + L)
+        # the start values
         ev, twin, start = model
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=4, max_size=4))
@@ -1564,6 +1557,20 @@ class TestRpExactDerivatives:
         assert np.array_equal(np.isneginf(got), np.isneginf(expect)), (got, expect)
         finite = np.isfinite(expect)
         assert np.all(np.abs(got[finite] - expect[finite]) <= 1e-12 * np.abs(expect[finite])), (got, expect)
+
+    def test_underflowing_cumulative_hazard_stays_finite(self):
+        # at _cons = -760 every row's H = exp(s gamma + eta) underflows to
+        # 0; both forms take the log hazard as s gamma + eta + log(dF / y)
+        values = []
+        for twin in (False, True):
+            prog, plan = _rp(twin)
+            theta = initial_values(prog)
+            theta[prog.slot_index("_cons")] = -760.0
+            ev = LikelihoodEvaluator(prog, plan)
+            ev.refresh(theta)
+            values.append(ev.logl(theta))
+        got, expect = values
+        assert np.isfinite(expect) and abs(got - expect) <= 1e-12 * abs(expect), values
 
     def test_fit_takes_passes_only(self):
         # the fit of the per-cluster form against its twin's finite

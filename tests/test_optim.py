@@ -396,19 +396,20 @@ class TestMaximize:
 
         res = maximize(None, start, derivatives=derivatives)
         if case == "exact":
-            # every halving failed; the full step, passed once more, has a
-            # value within f's rounding and a smaller exact scaled gradient
+            # the predicted gain is below f's rounding, and the full step has
+            # a value within it and a smaller exact scaled gradient: taken
+            # at its first pass, before any halving
             assert res.converged and res.optimum_verified and res.message == "converged"
-            assert res.trace[0][3] == 17
-            assert len(passes) == 1 + 17 + 1 and passes[-1].tobytes() == res.theta.tobytes()
+            assert res.trace[0][3] == 0
+            assert len(passes) == 1 + 1 and passes[-1].tobytes() == res.theta.tobytes()
             np.testing.assert_allclose(res.theta, self.C, rtol=0, atol=1e-15)
             assert np.max(np.abs(res.grad)) < 1e-8
             return
         assert not res.converged and res.message == "no ascent step found" and res.iterations == 1
         assert res.theta.tobytes() == start.tobytes()
-        # the full step is passed once more, except where the predicted
-        # gain alone rules it out
-        assert len(passes) == 1 + 17 + (case != "resolved_gain")
+        # the full step's pass, where the rule tests it, is the line
+        # search's first point: every halving then fails, at no extra pass
+        assert len(passes) == 1 + 17
 
     def test_finite_differences_take_no_rounding_floor_step(self):
         # the same objective on the finite-difference path ends where every

@@ -29,7 +29,16 @@ def test_one_checkout_fits_its_tiny_panels_identically():
     assert proc.stdout.startswith("all ") and "fits identical" in proc.stdout
 
 
-def test_a_changed_byte_is_flagged():
+def document(logl, estimates, iterations=5):
+    """A command-line fit with a result document of the given
+    log-likelihood, (estimate, standard error) rows and iterations."""
+    rows = "".join(f"  b{i}: [{est!r}, {se!r}, 0.0, 1.0]\n" for i, (est, se) in enumerate(estimates))
+    text = f"optimization:\n  iterations: {iterations}\n  loglik: {logl!r}\nestimates:\n{rows}"
+    return SimpleNamespace(failed=None, doc=text.encode(), result=None)
+
+
+def test_a_changed_byte_is_flagged(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # workloads.parse_document reads documents
     tool = load_tool()
     result = SimpleNamespace(
         theta=np.array([0.4, -0.8]),
@@ -40,13 +49,11 @@ def test_a_changed_byte_is_flagged():
         profile={"objective_points": 60, "derivative_passes": 0},
     )
     fit = SimpleNamespace(failed=None, doc=b"", result=result)
-    document = SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None)
-    parent = {"a#0": tool.describe(fit), "b#0": tool.describe(document)}
+    parent = {"a#0": tool.describe(fit), "b#0": tool.describe(document(-12.5, [(0.4, 0.1)]))}
     assert tool.differences(parent, dict(parent)) == []
     result.theta[1] = np.nextafter(result.theta[1], 0.0)
-    document.doc = b"loglik: -12.4\n"
-    change = {"a#0": tool.describe(fit), "b#0": tool.describe(document)}
-    assert tool.differences(parent, change) == ["a#0: differs in theta", "b#0: differs in document"]
+    change = {"a#0": tool.describe(fit), "b#0": tool.describe(document(-12.4, [(0.4, 0.1)]))}
+    assert tool.differences(parent, change) == ["a#0: differs in theta", "b#0: differs in document, logl"]
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
 
 
@@ -73,28 +80,44 @@ def test_a_changed_pass_count_is_flagged():
     assert tool.beyond_tolerance(parent, change) == []
 
 
-def test_deviations_of_a_differing_fit():
+def test_deviations_of_a_differing_fit(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tool = load_tool()
     record = functools.partial(fit_record, tool)
     parent = {"a#0": record([0.4, -0.8, 1.0], -1000.0, [0.1, 0.2, 0.0], 5), "b#0": record([1.0], -3.0, [0.5], 2)}
-    document = SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None)
-    parent["c#0"] = tool.describe(document)
+    parent["c#0"] = tool.describe(document(-12.5, [(0.4, 0.1), (2.0, 0.5)], 7))
     # a pinned slot (standard error 0) moves: its shift is not counted
     change = {
         "a#0": record([0.41, -0.8, 3.0], -1000.001, [0.1, 0.21, 0.0], 4),
         "b#0": parent["b#0"],
-        "c#0": tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.4\n", result=None)),
+        "c#0": tool.describe(document(-12.5 * (1 + 4e-6), [(0.41, 0.1), (2.0, 0.5 * (1 + 2e-3))], 6)),
     }
     lines = tool.deviations(parent, change)
-    assert lines == ["a#0: logl 1e-06 relative, theta 0.1 SE, SE 0.05 relative, iterations -1"]
-    assert tool.differences(parent, change) == ["a#0: differs in cov, iterations, logl, theta", "c#0: differs in document"]
+    assert lines == [
+        "a#0: logl 1e-06 relative, theta 0.1 SE, SE 0.05 relative, iterations -1",
+        "c#0: logl 4e-06 relative, estimates 0.1 SE, SE 0.002 relative, iterations -1",
+    ]
+    assert tool.differences(parent, change) == [
+        "a#0: differs in cov, iterations, logl, theta",
+        "c#0: differs in document, estimates, iterations, logl, se",
+    ]
+    # a document whose standard error is "." reads NaN, and counts no shift
+    unverified = tool.describe(SimpleNamespace(failed=None, doc=document(-12.5, [(0.4, 0.1)]).doc.replace(b"0.1,", b".,"), result=None))
+    moved = tool.describe(document(-12.5, [(0.9, 0.1)]))
+    assert tool.deviations({"d#0": unverified}, {"d#0": moved}) == [
+        "d#0: logl 0 relative, estimates 0 SE, SE 0 relative, iterations +0"
+    ]
 
 
 def test_tolerance_mode(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tool = load_tool()
     record = functools.partial(fit_record, tool)
-    document = tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.5\n", result=None))
-    parent = {"a#0": record([0.4, -0.8], -1000.0, [0.1, 0.2]), "b#0": record([1.0], -3.0, [0.5]), "c#0": document}
+    parent = {
+        "a#0": record([0.4, -0.8], -1000.0, [0.1, 0.2]),
+        "b#0": record([1.0], -3.0, [0.5]),
+        "c#0": tool.describe(document(-12.5, [(0.4, 0.1)])),
+    }
     # within the gates: rounding-level moves, and fewer objective points
     close = {**parent, "a#0": record([0.4 + 9e-8, -0.8], -1000.0 * (1 + 9e-11), [0.1 * (1 + 9e-7), 0.2], points=0)}
     assert tool.beyond_tolerance(parent, close) == []
@@ -102,12 +125,13 @@ def test_tolerance_mode(monkeypatch, capsys):
     beyond = {
         "a#0": record([0.4 + 2e-7, -0.8], -1000.0 * (1 + 2e-10), [0.1, 0.2 * (1 + 2e-6)]),
         "b#0": record([1.0], -3.0, [0.5], iterations=6),
-        "c#0": tool.describe(SimpleNamespace(failed=None, doc=b"loglik: -12.4\n", result=None)),
+        # a document within the gates still differs: documents must match byte for byte
+        "c#0": tool.describe(document(-12.5 * (1 + 1e-14), [(0.4, 0.1)])),
     }
     assert tool.beyond_tolerance(parent, beyond) == [
         "a#0: logl 2e-10 > 1e-10, theta 2e-07 > 1e-07, SE 2e-06 > 1e-06",
         "b#0: differs in iterations",
-        "c#0: differs in document",
+        "c#0: differs in document, logl",
     ]
     # a standard error the change no longer reports is beyond the gates
     unverified = {**parent, "b#0": record([1.0], -3.0, [np.nan])}

@@ -13,12 +13,14 @@ The in-process fits are compared on theta, log-likelihood, covariance,
 message, iteration count, ``objective_points`` and ``derivative_passes``
 (an exact-derivative fit evaluates no objective points); the
 command-line fits (``rp_replicates``) on the bytes of their result
-documents; a fit that fails must fail with the same reason. The script prints one line per
-fit that differs, or "all N fits identical" and how many of them failed
-on both sides, and exits 1 on any difference. For each differing
-in-process fit that has numbers on both sides it then prints how far
-they moved: the log-likelihood's relative difference, the largest
-|change in theta| over the parent's standard error, the largest
+documents and on the log-likelihood, estimates, standard errors and
+iteration count read from them (``workloads.parse_document``); a fit
+that fails must fail with the same reason. The script prints one line
+per fit that differs, or "all N fits identical" and how many of them
+failed on both sides, and exits 1 on any difference. For each differing
+fit that has numbers on both sides it then prints how far they moved:
+the log-likelihood's relative difference, the largest |change in theta|
+(a document's estimates) over the parent's standard error, the largest
 relative difference of the standard errors (slots with a parent
 standard error only) and the change in the iteration count.
 
@@ -71,10 +73,13 @@ def fit_panels(checkout: Path, tiny: bool) -> dict:
 
 
 def describe(fit) -> dict:
-    """What must match bit for bit: exact hex forms of the numbers."""
+    """What must match bit for bit: exact hex forms of the numbers, and a
+    result document's digest with the numbers read from it (``read``).
+    """
     record = {"failed": fit.failed}
     if fit.doc:
         record["document"] = hashlib.sha256(fit.doc).hexdigest()
+        record.update(read(fit.doc))
     elif fit.result is not None:
         res = fit.result
         record.update(
@@ -87,6 +92,23 @@ def describe(fit) -> dict:
             derivative_passes=res.profile["derivative_passes"],
         )
     return record
+
+
+def read(doc: bytes) -> dict:
+    """A result document's log-likelihood, estimates, standard errors
+    ("." reads NaN) and iteration count, in exact hex forms.
+    """
+    import numpy as np
+    from workloads import _numbers, parse_document
+
+    tree = parse_document(doc.decode())
+    table = np.array([_numbers(row)[:2] for row in tree["estimates"].values()]).reshape(-1, 2)
+    return dict(
+        logl=float(tree["optimization"]["loglik"]).hex(),
+        estimates=table[:, 0].tobytes().hex(),
+        se=table[:, 1].tobytes().hex(),
+        iterations=int(tree["optimization"]["iterations"]),
+    )
 
 
 def differences(parent: dict, change: dict) -> list[str]:
@@ -104,33 +126,39 @@ def differences(parent: dict, change: dict) -> list[str]:
 
 
 def numbers(record: dict) -> tuple:
-    """(log-likelihood, theta, standard errors) of an in-process fit."""
+    """(log-likelihood, theta, standard errors) of an in-process fit, and
+    (log-likelihood, estimates, standard errors) of a document.
+    """
     import numpy as np
 
+    if "document" in record:
+        estimates, se = (np.frombuffer(bytes.fromhex(record[name])) for name in ("estimates", "se"))
+        return float.fromhex(record["logl"]), estimates, se
     theta = np.frombuffer(bytes.fromhex(record["theta"]))
     cov = np.frombuffer(bytes.fromhex(record["cov"])).reshape(theta.size, theta.size)
     return float.fromhex(record["logl"]), theta, np.sqrt(np.diag(cov))
 
 
 def deviations(parent: dict, change: dict) -> list[str]:
-    """One line per in-process fit whose records differ and hold numbers
-    on both sides, with how far the change's numbers moved from the
-    parent's (see the module docstring).
+    """One line per fit whose records differ and hold numbers on both
+    sides, with how far the change's numbers moved from the parent's (see
+    the module docstring).
     """
     import numpy as np
 
     lines = []
     for key in sorted(parent.keys() & change.keys()):
         a, b = parent[key], change[key]
-        if a == b or "theta" not in a or "theta" not in b:
+        if a == b or "logl" not in a or "logl" not in b:
             continue
         (la, ta, sa), (lb, tb, sb) = numbers(a), numbers(b)
         has_se = sa > 0
         with np.errstate(invalid="ignore", divide="ignore"):
             shift = float(np.max(np.abs(tb - ta)[has_se] / sa[has_se], initial=0.0))
             se = float(np.max(np.abs(sb - sa)[has_se] / sa[has_se], initial=0.0))
+        values = "estimates" if "document" in a else "theta"
         lines.append(
-            f"{key}: logl {abs(lb - la) / max(abs(la), 1e-300):.3g} relative, theta {shift:.3g} SE, "
+            f"{key}: logl {abs(lb - la) / max(abs(la), 1e-300):.3g} relative, {values} {shift:.3g} SE, "
             f"SE {se:.3g} relative, iterations {b['iterations'] - a['iterations']:+d}"
         )
     return lines
