@@ -235,39 +235,28 @@ def rp_logl(cols: RpColumns, d, coefs, eta, bhaz=None, eta_plus=None, eta_minus=
     log-time derivative is then a central difference. ``bhaz`` is the
     expected hazard of an excess-hazard model, or None.
 
-    ``coefs`` is the coefficient vector, or a function that maps spline
-    columns to their product with it (the engine lays the products of
-    several parameter vectors over their node columns).
-
     The log model hazard is log H(y) + log(dF/dlog(y) / y), the second
     term following ``log_hazard_value``: -inf where dF/dlog(y) is not
     positive. Taking log H as s + eta, not as the log of H, keeps it
     finite where H underflows to 0. The row terms are those of
     ``survival_logl``.
     """
-    if callable(coefs):
-        times = coefs
-    else:
-        coefs = np.asarray(coefs, dtype=float)
-
-        def times(a):
-            return a @ coefs
-
-    log_H = times(cols.at_y) + eta
+    coefs = np.asarray(coefs, dtype=float)
+    log_H = cols.at_y @ coefs + eta
     with np.errstate(over="ignore"):
         H = np.exp(log_H)
     if eta_plus is not None:
         if cols.log_step is None:
             raise ValueError("time-dependent eta needs spline columns built with a log_step")
-        f_plus = times(cols.at_plus) + eta_plus
-        f_minus = times(cols.at_minus) + eta_minus
+        f_plus = cols.at_plus @ coefs + eta_plus
+        f_minus = cols.at_minus @ coefs + eta_minus
         dF = (f_plus - f_minus) / (2.0 * cols.log_step)
     else:
-        dF = times(cols.deriv_at_y)
+        dF = cols.deriv_at_y @ coefs
     H0 = None
     if cols.at_t0 is not None:
         with np.errstate(over="ignore"):
-            H0 = np.exp(times(cols.at_t0) + (eta if eta_entry is None else eta_entry))
+            H0 = np.exp(cols.at_t0 @ coefs + (eta if eta_entry is None else eta_entry))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_h = log_H + log_hazard_value(dF / cols.y)
     return survival_logl(log_h, bhaz, H, H0, d, cols.entry)

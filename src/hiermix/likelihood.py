@@ -47,32 +47,24 @@ with n rows, residuals r = y - a, their mean r-bar and
 Q = sum((r - r-bar)^2), it is
 -n (log(2 pi) / 2 + log sigma) - (Q + n (r-bar - L)^2) / (2 sigma^2).
 These unit sums are computed once
-per entry point and parameter vector (``_unit_sums``: once per ``logl``
-group, per ``refresh`` and per pass) and handed down the level
-recursion, and each chunk adds their units x columns form into its row
-sums (``_collapsed``). Which outcomes take this path follows from the
-model alone; the two forms differ by rounding.
+per entry point (``_unit_sums``: once per ``logl`` call, per ``refresh``
+and per pass) and handed down the level recursion, and each chunk adds
+their units x columns form into its row sums (``_collapsed``). Which
+outcomes take this path follows from the model alone; the two forms
+differ by rounding.
 
-The chunk and group shapes are fixed when the evaluator is built. A
-chunk's evaluation makes new arrays of about 0.5 MB each, every time.
-Under glibc's default allocator settings each would be mapped and
-unmapped again, faulting in fresh pages at every chunk; building an
+The chunk shape is fixed when the evaluator is built. A chunk's
+evaluation makes new arrays of about 0.5 MB each, every time. Under
+glibc's default allocator settings each would be mapped and unmapped
+again, faulting in fresh pages at every chunk; building an
 evaluator frees one untouched 16 MiB block first, which raises glibc's
 dynamic mmap and trim thresholds so that those arrays come from the
 heap and stay mapped (see ``LikelihoodEvaluator.__init__``). On other
 allocators the block does nothing.
 
-``LikelihoodEvaluator.logl`` also takes a (K, p) stack of parameter
-vectors, such as the finite-difference probes of one Newton iteration,
-and evaluates as many of them together as keep the values of the
-innermost evaluation (rows x evaluation times x columns) within
-``_GROUP_VALUES`` (2^14). The vectors become one more, outermost, node
-axis: each gets its own level scale factors and weight corrections,
-the frozen adaptation is shared, and a value that depends on the
-parameters alone is computed once per vector and laid over that
-vector's columns (``EvalContext.param``). Each vector's value is the
-one a call with it alone returns, bit for bit; a vector that alone
-exceeds the budget is evaluated alone.
+``LikelihoodEvaluator.logl`` takes one parameter vector and returns a
+float; the probes of a finite-difference derivative are one call each
+(see ``optim``).
 
 A model whose latent levels all have one dimension and whose outcomes
 with rows are all summed per unit (``exact``) also has
@@ -175,6 +167,10 @@ class IntegrationPlan:
                     raise ValueError(f"level {name!r}: quadrature with a t kernel needs df > 2")
             if lp.method == "aghq" and lp.q < 1:
                 raise ValueError(f"level {name!r}: need at least one quadrature point")
+            if lp.method == "aghq" and lp.adaptive and lp.q < 2:
+                # one node at the posterior mode carries no information on
+                # the posterior's spread, so the adaptation collapses it
+                raise ValueError(f"level {name!r}: adaptive quadrature needs at least 2 points")
             if lp.method == "qmc" and lp.m < 1:
                 raise ValueError(f"level {name!r}: need at least one draw")
 
@@ -268,8 +264,7 @@ class _LevelState:
 
 class _ExpLinearSums(NamedTuple):
     """An exp-linear outcome's unit sums (see ``_unit_sums``), one row per
-    unit with rows of it and one column per parameter vector (D one
-    column).
+    unit with rows of it, one column each.
     """
 
     K: np.ndarray  # sum(A + B a)
@@ -277,19 +272,15 @@ class _ExpLinearSums(NamedTuple):
     S: np.ndarray  # sum(C exp(a - m))
     m: np.ndarray  # max(a)
 
-    def at(self, L: np.ndarray, vector) -> tuple[np.ndarray, np.ndarray]:
-        """K + D L - S exp(L + m) at summed intercepts L (units, columns),
-        ``vector`` being each column's parameter vector; and the feature
-        S exp(L + m).
+    def at(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K + D L - S exp(L + m) at summed intercepts L (units, columns);
+        and the feature S exp(L + m).
         """
-        K, S, m = self.K, self.S, self.m
-        if K.shape[1] > 1:  # the sums of each column's parameter vector
-            K, S, m = (x[:, vector] for x in (K, S, m))
-        e = L + m
+        e = L + self.m
         np.exp(e, out=e)
-        e *= S
+        e *= self.S
         ll = L * self.D
-        ll += K
+        ll += self.K
         ll -= e
         return ll, e
 
@@ -300,26 +291,23 @@ class _GaussianSums(NamedTuple):
     """
 
     K: np.ndarray  # -n (log(2 pi) / 2 + log sigma)
-    n: np.ndarray  # rows, one column
+    n: np.ndarray  # rows
     mean: np.ndarray  # mean residual r-bar of r = y - a
     Q: np.ndarray  # sum((r - r-bar)^2) / (2 sigma^2)
-    scale: np.ndarray  # sqrt(2) sigma, (1, vectors)
+    scale: float  # sqrt(2) sigma
 
-    def at(self, L: np.ndarray, vector) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K - Q - n ((r-bar - L) / scale)^2 at summed intercepts L, as
         ``_ExpLinearSums.at``; and the feature r-bar - L. Dividing before
         squaring keeps a large L finite wherever the rows' standardized
         residuals are.
         """
-        K, mean, Q, scale = self.K, self.mean, self.Q, self.scale
-        if K.shape[1] > 1:
-            K, mean, Q, scale = (x[:, vector] for x in (K, mean, Q, scale))
-        d = mean - L
-        ll = d / scale
+        d = self.mean - L
+        ll = d / self.scale
         ll *= ll
         ll *= self.n
-        ll += Q
-        np.subtract(K, ll, out=ll)
+        ll += self.Q
+        np.subtract(self.K, ll, out=ll)
         return ll, d
 
 
@@ -341,17 +329,8 @@ class _OutcomeTerms(NamedTuple):
     curve: tuple  # (h, h')
 
 
-# rows x columns of one conditional evaluation at the innermost level,
-# and rows x evaluation times x columns of the innermost evaluation of
-# the parameter vectors evaluated together. A group is a quarter of a chunk:
-# on 400-row spline-baseline frailty fits (2800 values per vector),
-# groups of 2^14 values fitted faster than groups of 2^13 or 2^16 and
-# raised peak memory by 0.4 MB, where 2^16 raised it by 4.6 MB. Counting
-# evaluation times keeps a joint model with hazard-quadrature grids (31
-# times per survival row, 61 with delayed entry) at one vector per group:
-# evaluated two at a time, its fits took 35% longer.
+# rows x columns of one conditional evaluation at the innermost level
 _CHUNK_VALUES = 1 << 16
-_GROUP_VALUES = 1 << 14
 
 
 class LikelihoodEvaluator:
@@ -396,7 +375,6 @@ class LikelihoodEvaluator:
         self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
-        self.n_points = 0
         self.n_passes = 0
         self.cond_evals = 0
         self.wall_time = 0.0
@@ -404,19 +382,11 @@ class LikelihoodEvaluator:
     # -- structural precomputation ------------------------------------
 
     def _prepare_segments(self) -> None:
-        """Row segments per innermost unit for every outcome, which units
-        at each level have rows below them, and the values one node column
-        spans over the outcomes' evaluation times: rows times grid times,
-        times the quadrature nodes of an iEV link.
+        """Row segments per innermost unit for every outcome, and which
+        units at each level have rows below them.
         """
         program = self.program
         self.n_rows = sum(co.rows.size for co in program.outcomes)
-        self.n_values = 0
-        for co in program.outcomes:
-            width = 1 if co.grid is None else co.grid.t.shape[1]
-            if any(kind == "iEV" for cc in co.components for kind, _ in cc.evlinks):
-                width *= program.gl_points
-            self.n_values += co.rows.size * width
         if not self.level_states:
             return
         inner = self.level_states[-1]
@@ -449,32 +419,29 @@ class LikelihoodEvaluator:
             outer.active = np.zeros(outer.n_units, dtype=bool)
             outer.active[st.parent[st.active]] = True
 
-    def _unit_sums(self, thetas: np.ndarray, k: int, derivatives: bool = False):
+    def _unit_sums(self, theta: np.ndarray, k: int, derivatives: bool = False):
         """The sums of outcome k, which has intercepts, over each
-        innermost unit's rows at each parameter vector, so that the unit's
-        conditional log-likelihood at summed intercept values L follows
-        from them alone (see the module docstring): ``_ExpLinearSums``, in
-        which taking out m keeps exp(a - m) <= 1, so that nothing
-        overflows that the rows would not; or ``_GaussianSums``. With
-        ``derivatives`` (one vector), also its ``_OutcomeTerms``.
+        innermost unit's rows, so that the unit's conditional
+        log-likelihood at summed intercept values L follows from them
+        alone (see the module docstring): ``_ExpLinearSums``, in which
+        taking out m keeps exp(a - m) <= 1, so that nothing overflows that
+        the rows would not; or ``_GaussianSums``. With ``derivatives``,
+        also its ``_OutcomeTerms``.
         """
         co = self.program.outcomes[k]
         starts = self.segments[k][0]
         row_segment = self.intercept_units[k][0]
         if co.family.name == "gaussian":
-            return self._gaussian_sums(thetas, k, derivatives)
-        per_vector = []
-        for theta in thetas:
-            a, anc = row_part(self.program, k, theta)
-            if co.rp is not None:  # rp's own parameters are its spline coefficients
-                anc = theta[co.spline_slots]
-            lin, b, c, *anc = co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp)
-            m = np.maximum.reduceat(a, starts)
-            e = np.exp(a - m[row_segment])
-            w = c * e
-            per_vector.append((np.add.reduceat(lin + b * a, starts), np.add.reduceat(w, starts), m))
-        K, S, m = (np.stack(v, axis=1) for v in zip(*per_vector))
-        sums = _ExpLinearSums(K, np.add.reduceat(b, starts)[:, None], S, m)  # B does not depend on the parameters
+            return self._gaussian_sums(theta, k, derivatives)
+        a, anc = row_part(self.program, k, theta)
+        if co.rp is not None:  # rp's own parameters are its spline coefficients
+            anc = theta[co.spline_slots]
+        lin, b, c, *anc = co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp)
+        m = np.maximum.reduceat(a, starts)
+        e = np.exp(a - m[row_segment])
+        w = c * e
+        K, D, S = (np.add.reduceat(v, starts)[:, None] for v in (lin + b * a, b, w))
+        sums = _ExpLinearSums(K, D, S, m[:, None])
         if not derivatives:
             return sums
         # per row, with W = C exp(a - m), the derivatives of A + B a and of
@@ -504,14 +471,14 @@ class LikelihoodEvaluator:
         positive = S[:, 0] > 0
         r1 = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
         r2 = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
-        p = thetas.shape[1]
+        p = theta.size
         in_slots = _in_slots(slots, p)
         alpha2 = _in_slots(own, p)(np.add.reduceat(d2a, starts)) if own else np.zeros((len(starts), p, p))
         r1 = -in_slots(r1)
         hess = (alpha2, -in_slots(r2), None)
         return sums, _OutcomeTerms((in_slots(alpha), r1, None), hess, (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
 
-    def _gaussian_sums(self, thetas: np.ndarray, k: int, derivatives: bool):
+    def _gaussian_sums(self, theta: np.ndarray, k: int, derivatives: bool):
         """``_unit_sums`` of a Gaussian outcome. With r = y - a, r-bar its
         mean over a unit's rows, x the rows' design (``row_design``),
         Sx = sum(x), Sxx = sum(x x') and Sxr = sum((r - r-bar) x), the
@@ -525,24 +492,20 @@ class LikelihoodEvaluator:
         starts = self.segments[k][0]
         row_segment = self.intercept_units[k][0]
         n = np.diff(starts, append=co.rows.size).astype(float)
-        per_vector = []
-        for theta in thetas:
-            a, (sigma,) = row_part(self.program, k, theta)
-            r = co.response - a
-            mean = np.add.reduceat(r, starts) / n
-            dev = r - mean[row_segment]
-            K = -n * (0.5 * _LOG_2PI + np.log(sigma))
-            Q = np.add.reduceat(dev * dev, starts)
-            per_vector.append((K, mean, Q / (2.0 * sigma * sigma), np.full(1, math.sqrt(2.0) * sigma)))
-        K, mean, scaled_q, scale = (np.stack(v, axis=1) for v in zip(*per_vector))
-        sums = _GaussianSums(K, n[:, None], mean, scaled_q, scale)
+        a, (sigma,) = row_part(self.program, k, theta)
+        r = co.response - a
+        mean = np.add.reduceat(r, starts) / n
+        dev = r - mean[row_segment]
+        K = -n * (0.5 * _LOG_2PI + np.log(sigma))
+        Q = np.add.reduceat(dev * dev, starts)
+        sums = _GaussianSums(*(v[:, None] for v in (K, n, mean, Q / (2.0 * sigma * sigma))), math.sqrt(2.0) * sigma)
         if not derivatives:
             return sums
         slots, x = self.designs[k]
         sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
         h2 = 1.0 / (sigma * sigma)
         s = co.anc_slots[0]
-        p = thetas.shape[1]
+        p = theta.size
         in_slots = _in_slots(slots, p)
         a, b, c, e, f = (np.zeros((len(starts), p)) for _ in range(5))
         A, B, C = (np.zeros((len(starts), p, p)) for _ in range(3))
@@ -562,39 +525,15 @@ class LikelihoodEvaluator:
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
 
-    def _per_chol(self, st: _LevelState, thetas: np.ndarray, fn) -> list:
-        """fn(Cholesky factor of the level) for each parameter vector,
-        computed once per distinct value of the level's parameters.
-        """
-        done: dict[bytes, object] = {}
-        out = []
-        for theta in thetas:
-            key = theta[st.info.re_slots].tobytes()
-            if key not in done:
-                done[key] = fn(self.level_chol(st, theta))
-            out.append(done[key])
-        return out
-
     def _plan_chunks(self) -> None:
-        """The fixed shapes of the innermost evaluation: parameter vectors
-        per group, as many as keep the values of their innermost
-        evaluation (``n_values`` x columns) within _GROUP_VALUES; and
-        columns per chunk, within _CHUNK_VALUES rows x columns, rounded
-        down to whole outer-node combinations when one combination's nodes
-        fit. Each is at least one.
+        """The fixed shape of the innermost evaluation: columns per chunk,
+        within _CHUNK_VALUES rows x columns, rounded down to whole
+        outer-node combinations when one combination's nodes fit; at
+        least one.
         """
-        columns, nodes = 1, 1
-        if self.level_states:
-            inner = self.level_states[-1]
-            columns, nodes = inner.n_combos * inner.m, inner.m
-        self.group_size = max(1, _GROUP_VALUES // max(1, self.n_values * columns))
+        nodes = self.level_states[-1].m if self.level_states else 1
         chunk = max(1, _CHUNK_VALUES // max(1, self.n_rows))
         self.chunk_columns = chunk - chunk % nodes if chunk >= nodes else chunk
-
-    def _context(self, thetas: np.ndarray, latent_values: dict, columns: np.ndarray) -> EvalContext:
-        if len(thetas) == 1:
-            return EvalContext(self.program, thetas[0], latent_values)
-        return EvalContext(self.program, thetas, latent_values, columns)
 
     # -- public entry points --------------------------------------------
 
@@ -607,63 +546,46 @@ class LikelihoodEvaluator:
         if not any(st.adaptive for st in self.level_states):
             return False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self._adapt(theta[None], 0, [], self._all_sums(theta[None]))
+            self._adapt(theta, 0, [], self._all_sums(theta))
         return True
 
-    def logl(self, theta: np.ndarray) -> float | np.ndarray:
-        """Marginal log-likelihood at one parameter vector (a float), or
-        at each row of a (K, p) stack (K values). Each value equals, bit
-        for bit, the call with that vector alone. A stack is evaluated in
-        groups of ``group_size`` vectors; a level that still has to adapt
-        adapts at the first vector, as K single calls would.
+    def logl(self, theta: np.ndarray) -> float:
+        """Marginal log-likelihood at one parameter vector. A level that
+        still has to adapt adapts first.
         """
         theta = np.asarray(theta, dtype=float)
         t_start = time.perf_counter()
         self.n_calls += 1
         try:
-            if theta.ndim == 1:
-                self.n_points += 1
-                return self._logl_group(theta[None])[0]
-            self.n_points += len(theta)
-            values = []
-            if any(st.adaptive and pos not in self.adapted for pos, st in enumerate(self.level_states)):
-                values, theta = self._logl_group(theta[:1]), theta[1:]
-            for g0 in range(0, len(theta), self.group_size):
-                values += self._logl_group(theta[g0 : g0 + self.group_size])
-            return np.asarray(values)
+            return self._logl(theta)
         finally:
             self.wall_time += time.perf_counter() - t_start
 
-    def _all_sums(self, thetas: np.ndarray) -> dict:
-        """Outcome -> its ``_unit_sums`` at the rows of ``thetas``, for
-        every outcome with intercepts: computed once per entry point and
-        handed down the level recursion.
+    def _all_sums(self, theta: np.ndarray) -> dict:
+        """Outcome -> its ``_unit_sums`` at theta, for every outcome with
+        intercepts: computed once per entry point and handed down the
+        level recursion.
         """
-        return {k: self._unit_sums(thetas, k) for k in self.intercept_units}
+        return {k: self._unit_sums(theta, k) for k in self.intercept_units}
 
-    def _logl_group(self, thetas: np.ndarray) -> list[float]:
-        """Log-likelihoods at the rows of ``thetas``, evaluated together:
-        each vector is an outermost node combination of its own.
-        """
-        n_vec = len(thetas)
+    def _logl(self, theta: np.ndarray) -> float:
+        """The value of ``logl``, uncounted."""
         if not self.level_states:
-            ctx = self._context(thetas, {}, np.ones(n_vec, dtype=int))
-            totals = [0.0] * n_vec
+            ctx = EvalContext(self.program, theta)
+            total = 0.0
             for k, co in enumerate(self.program.outcomes):
                 if co.rows.size == 0:
                     continue
-                ll = np.broadcast_to(outcome_logl(ctx, k), (co.rows.size, n_vec))
-                self.cond_evals += n_vec
-                for v in range(n_vec):
-                    if not np.all(np.isfinite(ll[:, v])):
-                        totals[v] = -np.inf
-                    elif totals[v] != -np.inf:
-                        totals[v] += math.fsum(ll[:, v].tolist())
-            return totals
+                ll = outcome_logl(ctx, k)[:, 0]
+                self.cond_evals += 1
+                if not np.all(np.isfinite(ll)):
+                    return -np.inf
+                total += math.fsum(ll.tolist())
+            return total
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            per_unit = self._integrate(thetas, 0, [], self._all_sums(thetas))[0]
-        act = per_unit[self.level_states[0].active]
-        return [math.fsum(col.tolist()) if np.all(np.isfinite(col)) else -np.inf for col in act.T]
+            per_unit = self._integrate(theta, 0, [], self._all_sums(theta))[0]
+        col = per_unit[self.level_states[0].active, 0]
+        return math.fsum(col.tolist()) if np.all(np.isfinite(col)) else -np.inf
 
     # -- exact derivatives ------------------------------------------------
     #
@@ -736,8 +658,8 @@ class LikelihoodEvaluator:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sums, terms = {}, {}
             for k in self.intercept_units:
-                sums[k], terms[k] = self._unit_sums(theta[None], k, derivatives=True)
-            unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta[None], 0, [], sums, terms))
+                sums[k], terms[k] = self._unit_sums(theta, k, derivatives=True)
+            unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta, 0, [], sums, terms))
         act = self.level_states[0].active
         if not np.all(np.isfinite(unit_logl[act])):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
@@ -758,71 +680,41 @@ class LikelihoodEvaluator:
     # outer level, (n_units, combos * m, dim)). The integral over a cell
     # is logsumexp over its nodes of (weight correction + conditional
     # log-likelihood), and the conditional at a node of an outer level is
-    # the sum of its child units' integrals. A group of K parameter
-    # vectors (``thetas``) adds one outermost node axis: level ``pos``
-    # then has K * n_combos combinations, vector-major, and K * n_cells
-    # cells. Adaptation is frozen, so each vector's cells share it.
-    # ``sums`` are the outcomes' ``_unit_sums`` at ``thetas``. A pass of
-    # ``derivatives`` (one vector) also hands down the outcomes'
+    # the sum of its child units' integrals. Adaptation is frozen within
+    # one evaluation. ``sums`` are the outcomes' ``_unit_sums`` at theta. A
+    # pass of ``derivatives`` also hands down the outcomes'
     # ``_OutcomeTerms`` (``terms``), and every cell then carries its score
     # and Hessian with its value (see "exact derivatives" above).
 
-    def _nodes(self, pos: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _nodes(self, pos: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node locations (cells, M, r) and log-corrections (cells, M) of
         every cell of level ``pos``, such that a cell's integral is
         logsumexp(corr + conditional).
         """
         st = self.level_states[pos]
         k, r = st.n_cells, st.info.dim
+        chol = self.level_chol(st, theta)
         if st.plan.method == "qmc":
-
-            def drawn(chol):
-                draws = st.std_draws @ chol.T  # (M, r)
-                return np.broadcast_to(draws[None], (k, st.m, r)), np.broadcast_to(-math.log(st.m), (k, st.m))
-
-            return self._tile(st, self._per_chol(st, thetas, drawn))
+            draws = st.std_draws @ chol.T  # (M, r)
+            return np.broadcast_to(draws[None], (k, st.m, r)), np.broadcast_to(-math.log(st.m), (k, st.m))
         a, logw = st.nodes, st.logw
         if st.adaptive:
             mu, lam = self.adapted[pos][:2]
             x = mu[:, None, :] + np.einsum("mr,usr->ums", a, lam)
             logdet = np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)
+            return x, logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet[:, None]
+        x = a @ chol.T
+        if st.plan.dist == "normal":
+            corr = logw
+        else:
+            logdet = float(np.log(np.diag(chol)).sum())
+            corr = logw + st.kernel.log_density(x, chol) - st.log_std + logdet
+        return np.broadcast_to(x[None], (k, st.m, r)), np.broadcast_to(corr[None], (k, st.m))
 
-            def adapted(chol):
-                return x, logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet[:, None]
-
-            return self._tile(st, self._per_chol(st, thetas, adapted))
-
-        def fixed(chol):
-            x = a @ chol.T
-            if st.plan.dist == "normal":
-                corr = logw
-            else:
-                logdet = float(np.log(np.diag(chol)).sum())
-                corr = logw + st.kernel.log_density(x, chol) - st.log_std + logdet
-            return np.broadcast_to(x[None], (k, st.m, r)), np.broadcast_to(corr[None], (k, st.m))
-
-        return self._tile(st, self._per_chol(st, thetas, fixed))
-
-    @staticmethod
-    def _tile(st: _LevelState, parts: list) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vector (x, corr) over one vector's cells, as one pair over
-        the cells of all vectors.
-        """
-        if len(parts) == 1:
-            return parts[0]
-
-        def stack(arrays):
-            tail = arrays[0].shape[1:]
-            cells = np.stack([v.reshape((st.n_units, st.n_combos) + tail) for v in arrays], axis=1)
-            return cells.reshape((-1,) + tail)
-
-        xs, corrs = zip(*parts)
-        return stack(xs), stack(corrs)
-
-    def _adapt(self, thetas: np.ndarray, pos: int, outer: list, sums: dict) -> None:
+    def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> None:
         """Adapt level ``pos`` at the given outer nodes, re-adapting the
         levels inside it at each trial location, then once more at the
-        final one. ``thetas`` holds one parameter vector. Each adaptation
+        final one. Each adaptation
         starts warm, from the level's latest result: the previous
         refresh's, or, for an inner level, the one at the previous trial
         location of the outer level. Only the first adaptation of an
@@ -831,22 +723,22 @@ class LikelihoodEvaluator:
         st = self.level_states[pos]
         if st.adaptive:
             self.adapted[pos] = res = adapt_locations(
-                lambda x: self._conditional(thetas, pos, outer, x, sums, refresh=True)[0],
+                lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
                 st.kernel,
-                self.level_chol(st, thetas[0]),
+                self.level_chol(st, theta),
                 (st.nodes, st.logw, st.log_std),
                 np.repeat(st.active, st.n_combos),
                 start=self.adapted.get(pos),
             )
             self.sweeps[st.info.name] += int(res[2].max(initial=0))
         if pos + 1 < len(self.level_states):
-            self._adapt(thetas, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, thetas)[0])], sums)
+            self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
 
     def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
         st = self.level_states[pos]
         return x.reshape(st.n_units, -1, st.info.dim)
 
-    def _conditional(self, thetas, pos: int, outer: list, x: np.ndarray, sums: dict, terms=None, refresh=False):
+    def _conditional(self, theta, pos: int, outer: list, x: np.ndarray, sums: dict, terms=None, refresh=False):
         """Conditional log-likelihood (cells, M) of everything inside each
         cell of level ``pos``, at its node locations ``x``; with
         ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
@@ -854,47 +746,47 @@ class LikelihoodEvaluator:
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
-            cond = np.empty((st.n_units, len(thetas) * st.n_combos, st.m))
-            for c0, c1, ll, _ in self._row_sums(thetas, outer, x, sums):
+            cond = np.empty((st.n_units, st.n_combos, st.m))
+            for c0, c1, ll, _ in self._row_sums(theta, outer, x, sums):
                 cond[:, c0:c1] = ll
             return (cond.reshape(-1, st.m),)
         inner_outer = outer + [self._as_outer(pos, x)]
         if refresh:
-            self._adapt(thetas, pos + 1, inner_outer, sums)
-        child = self._integrate(thetas, pos + 1, inner_outer, sums, terms)
+            self._adapt(theta, pos + 1, inner_outer, sums)
+        child = self._integrate(theta, pos + 1, inner_outer, sums, terms)
         return tuple(v.reshape((-1, st.m) + v.shape[2:]) for v in self._into_parents(pos + 1, *child))
 
-    def _integrate(self, thetas, pos: int, outer: list, sums: dict, terms=None) -> tuple:
+    def _integrate(self, theta, pos: int, outer: list, sums: dict, terms=None) -> tuple:
         """Log integral over level ``pos`` and every level inside it, per
-        unit and outer-node combination: (n_units, K * n_combos); with
+        unit and outer-node combination: (n_units, n_combos); with
         ``terms``, also its score (.., p) and Hessian (.., p, p). Units
         with no rows below them integrate to exactly 0.
         """
         st = self.level_states[pos]
         if st.adaptive and pos not in self.adapted:
-            self._adapt(thetas, pos, outer, sums)
-        x, corr = self._nodes(pos, thetas)
+            self._adapt(theta, pos, outer, sums)
+        x, corr = self._nodes(pos, theta)
         if pos + 1 == len(self.level_states):
             corr3 = corr.reshape(st.n_units, -1, st.m)
             parts = []
-            for c0, c1, ll, feats in self._row_sums(thetas, outer, x, sums, terms):
+            for c0, c1, ll, feats in self._row_sums(theta, outer, x, sums, terms):
                 logp = (corr3[:, c0:c1] + ll).reshape(-1, st.m)
                 lse = logsumexp(logp)
                 part = [lse.reshape(st.n_units, c1 - c0)]
                 if terms is not None:
                     w = self._weights(logp, lse).reshape(ll.shape)
                     u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
-                    part.extend(self._inner_derivatives(thetas[0], w, u, feats, terms))
+                    part.extend(self._inner_derivatives(theta, w, u, feats, terms))
                 parts.append(part)
             out = [np.concatenate(v, axis=1) for v in zip(*parts)]
         else:
-            cond, *derivs = self._conditional(thetas, pos, outer, x, sums, terms)
+            cond, *derivs = self._conditional(theta, pos, outer, x, sums, terms)
             logp = corr + cond
             lse = logsumexp(logp)
             out = [lse.reshape(st.n_units, -1)]
             if terms is not None:
                 w = self._weights(logp, lse)
-                derivs = self._outer_derivatives(pos, thetas[0], w, x, *derivs)
+                derivs = self._outer_derivatives(pos, theta, w, x, *derivs)
                 out += [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
         return tuple(np.where(st.active.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0) for v in out)
 
@@ -1063,24 +955,24 @@ class LikelihoodEvaluator:
         score[..., slot] += d1
         mean_hess[..., slot, slot] += np.einsum("...j,...j->...", w, d2)
 
-    def _row_sums(self, thetas, outer: list, x: np.ndarray, sums: dict, terms=None):
+    def _row_sums(self, theta, outer: list, x: np.ndarray, sums: dict, terms=None):
         """Yield (c0, c1, ll, features) over the outer-node combinations,
         with ll (n_units, c1 - c0, M) the summed conditional row
         log-likelihood of each innermost unit at each node of combinations
         c0 to c1. The columns, one per (combination, node), are evaluated
-        in chunks of ``chunk_columns``, each with the parameter vectors of
-        its columns: a chunk is whole combinations, or nodes of one
-        combination, which is then yielded after its last chunk. With
-        ``terms``, a chunk is whole combinations, and ``features`` maps
-        each outcome to its feature at the chunk's columns (see
-        ``_collapsed``) and to the sums of its intercept values at each
-        level with scaled nodes (``_scaled_values``); else it is empty.
+        in chunks of ``chunk_columns``: a chunk is whole combinations, or
+        nodes of one combination, which is then yielded after its last
+        chunk. With ``terms``, a chunk is whole combinations, and
+        ``features`` maps each outcome to its feature at the chunk's
+        columns (see ``_collapsed``) and to the sums of its intercept
+        values at each level with scaled nodes (``_scaled_values``); else
+        it is empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
         if terms is not None:
             width = max(m, width - width % m)
-        combos = len(thetas) * st.n_combos
+        combos = st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
         n_active = int(st.active.sum())
         j0, end = 0, combos * m
@@ -1097,8 +989,7 @@ class LikelihoodEvaluator:
                     vals[name] = np.repeat(xo[:, idx, j], (j1 - j0) // (c1 - c0), axis=1)
             for j, name in enumerate(st.info.latent_names):
                 vals[name] = cells[:, c0:c1, nodes, j].reshape(st.n_units, j1 - j0)
-            vector = np.arange(j0, j1) // (st.n_combos * m)  # parameter vector of each column
-            ctx = self._context(thetas, vals, np.bincount(vector, minlength=len(thetas)))
+            ctx = EvalContext(self.program, theta, vals)
             part = out[:, j0 - c0 * m : j1 - c0 * m]
             features = {}
             for k, segments in enumerate(self.segments):
@@ -1107,7 +998,7 @@ class LikelihoodEvaluator:
                 starts, seg_units = segments
                 if k in sums:
                     intercepts = self.intercept_units[k][1]
-                    unit_ll, f = self._collapsed(sums[k], intercepts, vals, vector)
+                    unit_ll, f = self._collapsed(sums[k], intercepts, vals)
                     if terms is not None:
                         features[k] = f, self._scaled_values(intercepts, vals)
                 else:
@@ -1134,17 +1025,17 @@ class LikelihoodEvaluator:
             yield name, v
 
     @classmethod
-    def _collapsed(cls, stats, intercepts: list, vals: dict, vector) -> tuple[np.ndarray, np.ndarray]:
+    def _collapsed(cls, stats, intercepts: list, vals: dict) -> tuple[np.ndarray, np.ndarray]:
         """The conditional log-likelihood of one outcome's units at the
         columns of a chunk, from its unit sums ``stats`` (see
         ``_unit_sums``) at L, the sum of each unit's intercept values
-        there, ``vector`` being each column's parameter vector; and its
-        feature there (``_ExpLinearSums.at``, ``_GaussianSums.at``).
+        there; and its feature there (``_ExpLinearSums.at``,
+        ``_GaussianSums.at``).
         """
         L = None
         for _, v in cls._intercept_values(intercepts, vals):
             L = v if L is None else L + v
-        ll, feature = stats.at(L, vector)
+        ll, feature = stats.at(L)
         ll[np.isnan(ll)] = -np.inf  # as at the rows
         return ll, feature
 
@@ -1176,8 +1067,9 @@ class LikelihoodEvaluator:
 
     def profile_report(self) -> dict:
         """Integration settings per level, counters and adaptation state.
-        ``likelihood_calls`` counts calls of ``logl``, a stack counting
-        once; ``objective_points`` counts the parameter vectors evaluated;
+        ``likelihood_calls`` counts calls of ``logl``, one per parameter
+        vector evaluated, every finite-difference probe included;
+        ``objective_points`` is the same count, kept as its own key.
         ``derivative_passes`` counts calls of ``derivatives``, which those
         two leave out. ``conditional_evaluations`` counts the innermost
         (active unit, node column) evaluations of calls, adaptations and
@@ -1216,7 +1108,7 @@ class LikelihoodEvaluator:
         return {
             "levels": levels,
             "likelihood_calls": self.n_calls,
-            "objective_points": self.n_points,
+            "objective_points": self.n_calls,
             "derivative_passes": self.n_passes,
             "conditional_evaluations": self.cond_evals,
             "conditional_evaluations_per_call": per_call,

@@ -3,12 +3,12 @@ finite-difference or exact score and Hessian, starting values, and the
 reported fit results (estimates, delta-method standard errors,
 diagnostics).
 
-An objective maps a (p,) parameter vector to a float and a (K, p) stack
-of vectors to K values. The probe points of one gradient (2q) or
-Hessian (q(q+1)) of the q free slots are built first and evaluated as
-one stack; a non-finite value halves every step and re-evaluates the
-stack. Slots pinned during maximization are not probed. Threads belong
-to ``maximize``, which splits each stack over one pool. Where the model
+An objective maps a (p,) parameter vector to a float. The probe points
+of one gradient (2q) or Hessian (q(q+1)) of the q free slots are built
+first and evaluated one vector at a time, through one map; a non-finite
+value halves every step and evaluates the probes again. Slots pinned
+during maximization are not probed. Threads belong to ``maximize``,
+whose map spreads the probes over one pool. Where the model
 gives its log-likelihood, exact score and information in one pass,
 ``maximize`` takes every value and derivative from it instead (its
 ``derivatives``) and calls no objective.
@@ -72,40 +72,27 @@ def _thread_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def _split_over(objective, pool, threads: int):
-    """The objective for stacks, each split into ``threads`` contiguous
-    sub-stacks evaluated in parallel on ``pool``.
-    """
-
-    def split(stack):
-        parts = np.array_split(stack, min(threads, len(stack)))
-        return np.concatenate(list(pool.map(objective, parts)))
-
-    return split
-
-
-def _finite_stack(objective, points_at):
-    """The objective at the stack ``points_at(scale)`` for scale 1, or,
-    while a value is not finite, for the scale halved, at most
-    ``_MAX_SHRINKS`` times. Returns (values, scale).
+def _finite_probes(objective, points_at, mapper):
+    """The objective at each of the points ``points_at(scale)``, mapped by
+    ``mapper``, for scale 1, or, while a value is not finite, for the
+    scale halved, at most ``_MAX_SHRINKS`` times. Returns (values, scale).
     """
     scale = 1.0
     for _ in range(_MAX_SHRINKS + 1):
-        points = points_at(scale)
-        vals = objective(points) if len(points) else np.empty(0)  # every slot pinned
+        vals = np.array(list(mapper(objective, points_at(scale))), dtype=float)
         if np.all(np.isfinite(vals)):
             return vals, scale
         scale *= 0.5
     raise FitError("objective is not finite near the finite-difference probe points")
 
 
-def fd_gradient(objective, theta, free=None) -> np.ndarray:
+def fd_gradient(objective, theta, free=None, mapper=map) -> np.ndarray:
     """Central-difference gradient, step cbrt(eps)*max(|theta_i|, 1).
 
     Only the slots set in the boolean mask ``free`` (default: all) are
     probed; the others' entries are 0. The 2 probe points per free slot
-    are evaluated as one stack; a non-finite value halves every step
-    (see ``_finite_stack``).
+    are evaluated one at a time through ``mapper``; a non-finite value
+    halves every step (see ``_finite_probes``).
     """
     theta = np.asarray(theta, dtype=float)
     idx = np.arange(len(theta)) if free is None else np.flatnonzero(free)
@@ -118,13 +105,13 @@ def fd_gradient(objective, theta, free=None) -> np.ndarray:
         points[ups + 1, idx] -= scale * steps
         return points
 
-    vals, scale = _finite_stack(objective, points_at)
+    vals, scale = _finite_probes(objective, points_at, mapper)
     grad = np.zeros(len(theta))
     grad[idx] = (vals[0::2] - vals[1::2]) / (2.0 * (scale * steps))
     return grad
 
 
-def fd_hessian(objective, theta, f0=None, free=None, near=None) -> np.ndarray:
+def fd_hessian(objective, theta, f0=None, free=None, near=None, mapper=map) -> np.ndarray:
     """Symmetric Hessian from the seven-point formula (Abramowitz &
     Stegun 1964, 25.3), accurate to O(h^2).
 
@@ -139,8 +126,8 @@ def fd_hessian(objective, theta, f0=None, free=None, near=None) -> np.ndarray:
     h^2 f_kkll / 4 in each cross term, which does not cancel along the
     nearly flat direction of a ridge when the ridge lies across the
     axes; along the eigenvectors the function is nearly separable and
-    the term is small. The points are evaluated as one stack, under the
-    non-finite rule of ``fd_gradient``.
+    the term is small. The points are evaluated as ``fd_gradient``'s
+    are, under its non-finite rule.
     """
     theta = np.asarray(theta, dtype=float)
     if f0 is None:
@@ -166,7 +153,7 @@ def fd_hessian(objective, theta, f0=None, free=None, near=None) -> np.ndarray:
         points[:, idx] += (scale * _HESS_STEP * signs) @ directions
         return points
 
-    vals, scale = _finite_stack(objective, points_at)
+    vals, scale = _finite_probes(objective, points_at, mapper)
     h = scale * _HESS_STEP
     up, dn = vals[0:n_axis:2], vals[1:n_axis:2]
     fpp, fmm = vals[n_axis::2], vals[n_axis + 1 :: 2]
@@ -244,12 +231,11 @@ def maximize(
     so that it stays accurate along a nearly flat ridge; the Newton
     Hessians themselves are probed along the axes. Only the
     slots set in ``free_mask`` move and are probed; the derivatives'
-    entries of the others are 0. The objective takes a vector or a stack
-    (see the module docstring). With ``threads`` > 1, each gradient or
-    Hessian stack is split into ``threads`` contiguous sub-stacks, one
-    objective call each, on one pool kept for the whole fit. A Newton
-    Hessian that no Levenberg shift makes negative definite, or a
-    gradient or Hessian whose probes stay non-finite (``_finite_stack``),
+    entries of the others are 0. With ``threads`` > 1, the probes of each
+    gradient or Hessian are evaluated one objective call each on one pool
+    of ``threads`` workers kept for the whole fit. A Newton Hessian that
+    no Levenberg shift makes negative definite, or a gradient or Hessian
+    whose probes stay non-finite (``_finite_probes``),
     ends the fit, not converged, with the error as its message, at the
     last parameter vector; a derivative it did not compute there is NaN,
     so the optimum is not verified.
@@ -338,13 +324,13 @@ def maximize(
         raise FitError("objective is not finite at the starting values")
 
     with _thread_pool(threads) if threads > 1 and derivatives is None else nullcontext() as pool:
-        probes = objective if pool is None else _split_over(objective, pool, threads)
+        mapper = map if pool is None else pool.map
 
         def gradient(th):
-            return fd_gradient(probes, th, free) if derivatives is None else exact(th)[0]
+            return fd_gradient(objective, th, free, mapper) if derivatives is None else exact(th)[0]
 
         def hessian(th, f0, near=None):
-            return fd_hessian(probes, th, f0, free, near) if derivatives is None else exact(th)[1]
+            return fd_hessian(objective, th, f0, free, near, mapper) if derivatives is None else exact(th)[1]
 
         trace = []
         rel_change = np.inf
@@ -399,7 +385,7 @@ def maximize(
                 grad = gradient(theta)
             if hess is None:
                 hess = hessian(theta, f, last)
-        except FitError as exc:  # from _finite_stack, _neg_chol or an exact pass
+        except FitError as exc:  # from _finite_probes, _neg_chol or an exact pass
             converged, message = False, str(exc)
     grad = np.full(p, np.nan) if grad is None else grad
     hess = np.full((p, p), np.nan) if hess is None else hess

@@ -12,10 +12,11 @@ columns of the ``rp`` baseline. It also marks the outcomes whose
 likelihood can be summed per cluster (``_CompiledOutcome.intercepts``,
 ``row_part``). An objective call computes only what
 depends on the parameters or on grids it builds itself, and keeps
-nothing beyond its own ``EvalContext``. The node axis may hold the
-columns of several parameter vectors side by side; parameter values
-then vary by column (``EvalContext.param``), and every node sum runs in
-node order whatever the number of columns (``_node_sum``).
+nothing beyond its own ``EvalContext``, which holds one parameter
+vector: a value read from it is a scalar, or an array over rows and
+times, the same at every node. Every node sum runs in node order
+whatever the number of node columns (``_node_sum``), so a chunk's width
+changes no value.
 
 Every evaluation step is a plain array expression that returns a new
 array; none writes into an array handed to it. The likelihood evaluator
@@ -540,36 +541,13 @@ def _time_columns(timefn, t: np.ndarray) -> np.ndarray:
 class EvalContext:
     """One likelihood evaluation: parameter vector plus latent-effect
     value arrays, (n_units_at_level, n_nodes) per latent name.
-
-    ``theta`` may instead be a (K, p) stack of parameter vectors, with
-    ``columns`` the number of node columns of each, in order: the node
-    axis is then their columns side by side, and every value that
-    depends on the parameters is read through ``param``.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        theta: np.ndarray,
-        latent_values: dict[str, np.ndarray] | None = None,
-        columns: np.ndarray | None = None,
-    ):
+    def __init__(self, program: Program, theta: np.ndarray, latent_values: dict[str, np.ndarray] | None = None):
         self.program = program
         self.theta = np.asarray(theta, dtype=float)
         self.latent_values = latent_values or {}
-        self.columns = columns
         self.memo: dict = {}
-
-    def param(self, fn):
-        """``fn(theta)``, a value that depends on the parameters alone: a
-        scalar, an (..., 1) array, or a list of such values. For a stack,
-        fn of each vector, repeated over that vector's node columns along
-        the last axis.
-        """
-        if self.columns is None:
-            return fn(self.theta)
-        keep = self.columns > 0
-        return _over_columns([fn(th) for th in self.theta[keep]], self.columns[keep])
 
     def latent_at_rows(self, info, r: int) -> np.ndarray:
         """Latent values at the rows of outcome r: (n, 1, B)."""
@@ -577,14 +555,6 @@ class EvalContext:
         if vals is None:
             raise ValueError(f"no value assigned to latent effect {info.name}")
         return vals[self.program.outcomes[r].units[info.level]][:, None, :]
-
-
-def _over_columns(values: list, counts: np.ndarray):
-    """Per-vector values laid over their node columns (see ``param``)."""
-    if isinstance(values[0], list):
-        return [_over_columns(list(v), counts) for v in zip(*values)]
-    parts = [np.reshape(v, (1, 1, 1)) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
-    return np.repeat(np.concatenate(parts, axis=-1), counts, axis=-1)
 
 
 def _as_grid(t) -> Grid | None:
@@ -613,7 +583,7 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
     n = program.outcomes[r].rows.size
     total = np.zeros((n, 1, 1))
     if co.cons_slot is not None:
-        total = total + ctx.param(lambda th: th[co.cons_slot])
+        total = total + ctx.theta[co.cons_slot]
     for cc in co.components:
         factor = None
 
@@ -640,9 +610,9 @@ def eval_eta(ctx: EvalContext, k: int, r: int, t=None) -> np.ndarray:
                 block = cols
         if cc.slots is not None:
             if block is not None:
-                mul(ctx.param(lambda th: (block @ th[cc.slots])[:, :, None]))
+                mul((block @ ctx.theta[cc.slots])[:, :, None])
             else:
-                mul(ctx.param(lambda th: th[cc.slots[0]]))
+                mul(ctx.theta[cc.slots[0]])
         if factor is None:
             factor = np.ones((n, 1, 1))
         total = total + factor
@@ -783,7 +753,7 @@ class FamilyContext:
         co = self._ctx.program.outcomes[self._k]
         if not 1 <= j <= len(co.anc_slots):
             raise ValueError(f"outcome {self._k + 1} has {len(co.anc_slots)} ancillary parameters, asked for {j}")
-        return self._ctx.param(lambda th: th[co.anc_slots[j - 1]])
+        return self._ctx.theta[co.anc_slots[j - 1]]
 
 
 def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
@@ -796,7 +766,7 @@ def outcome_logl(ctx: EvalContext, k: int) -> np.ndarray:
     n = co.rows.size
     if fam.is_null or n == 0:
         return np.zeros((0, 1))
-    anc = ctx.param(lambda th: fam.natural_anc(th[co.anc_slots])) if co.anc_slots else []
+    anc = fam.natural_anc(ctx.theta[co.anc_slots]) if co.anc_slots else []
 
     if fam.user_loglf is not None and not fam.is_survival:
         out = np.asarray(fam.user_loglf(FamilyContext(ctx, k, co.grid)), dtype=float)
@@ -842,10 +812,7 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     w = program.gl_weights
 
     if co.rp is not None:
-
-        def coefs(cols):  # the spline columns times their coefficients
-            return ctx.param(lambda th: cols @ th[co.spline_slots])
-
+        coefs = ctx.theta[co.spline_slots]
         eta = eval_eta(ctx, k, k, co.grid)
         if co.grid is None:
             return _collapse(fam_mod.rp_logl(co.rp, d, coefs, eta, bh), n)

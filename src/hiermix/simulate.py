@@ -169,7 +169,7 @@ def simulate(
             for t in long_times[k]:
                 i = union_times.index(t)
                 y[row_in_block == i] = 0.0
-            dummy = 0.5 if fam.name in ("bernoulli", "beta", "binomial") else 0.0
+            dummy = 0.5 if fam.name == "beta" else 0.0  # a response the family accepts
             y[~np.isnan(y)] = dummy
             columns[outcome.response] = y
 

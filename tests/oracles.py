@@ -78,13 +78,3 @@ def profile_report(program, plan, theta) -> dict:
     ev.refresh(np.asarray(theta, dtype=float))
     ev.logl(theta)
     return ev.profile_report()
-
-
-def stackable(f):
-    """A one-point objective that also maps a (K, p) stack to K values."""
-
-    def objective(th):
-        th = np.asarray(th)
-        return f(th) if th.ndim == 1 else np.array([f(x) for x in th])
-
-    return objective

@@ -115,8 +115,7 @@ class TestFit:
     )
     def test_thread_count_byte_identical(self, frailty_csv, tmp_path, flags):
         # the per-cluster model takes exact derivatives and no thread pool;
-        # on its row twin threads split each batch of derivative probes
-        # into sub-stacks
+        # on its row twin threads share out the derivative probes
         docs = []
         data = _with_one(frailty_csv)
         for threads in ("1", "3"):
@@ -318,8 +317,8 @@ class TestExitCodes:
         # finite differences, which the per-cluster model no longer does
         real = optim.fd_hessian
 
-        def final_not_definite(objective, theta, f0=None, free=None, near=None):
-            hess = real(objective, theta, f0, free, near)
+        def final_not_definite(objective, theta, f0=None, free=None, near=None, mapper=map):
+            hess = real(objective, theta, f0, free, near, mapper)
             return hess if near is None else -hess
 
         monkeypatch.setattr(optim, "fd_hessian", final_not_definite)
@@ -382,6 +381,7 @@ class TestExitCodes:
             (["--skip", "-20"], "skip"),
             (["--threads", "0"], "threads"),
             (["--points", "0"], "quadrature point"),
+            (["--points", "1"], "adaptive quadrature needs at least 2 points"),
             (["--draws", "0", "--method", "qmc"], "draw"),
             # a setting that a quadrature level would not read, or that
             # names a level without latent effects, is refused, not ignored
@@ -395,6 +395,7 @@ class TestExitCodes:
             "negative_skip_aghq",
             "zero_threads",
             "zero_points",
+            "one_point_adaptive",
             "zero_draws_qmc",
             "zero_draws_aghq",
             "negative_draws_aghq",

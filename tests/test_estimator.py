@@ -80,6 +80,15 @@ class TestEstimatorApi:
         with pytest.raises(ValueError, match=message):
             fit_model("(y x M1[trial] M2[trial>pat], family(gaussian))", data, **options)
 
+    def test_one_point_adaptive_quadrature_is_an_error(self):
+        # a single adaptive node cannot measure the posterior's spread: on
+        # 80 Bernoulli clusters of 8 such a fit ended "no ascent step
+        # found" with sd(M1) near 0. A non-adaptive single point is allowed
+        with pytest.raises(ValueError, match="adaptive quadrature needs at least 2 points"):
+            fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=1)
+        fit = fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=1, adaptive=False)
+        assert fit.settings["id"] == "aghq points 1 (non-adaptive) kernel normal"
+
     def test_positive_draws_on_a_mixed_plan(self):
         # the QMC level reads the draw count; the AGHQ level ignores it
         data = {"trial": np.repeat([1.0, 2.0], 6), "pat": np.repeat(np.arange(6) + 1.0, 2), "x": np.arange(12.0)}

@@ -608,26 +608,26 @@ def _no_latent_hazard_quadrature():
     return prog, IntegrationPlan()
 
 
-def _probe_stack(theta):
+def _probe_vectors(theta):
     """Derivative-style probes around theta: the base point, each
     coordinate moved up and down, and one pair moved together."""
     p = len(theta)
-    stack = [theta.copy()]
+    vectors = [theta.copy()]
     for i in range(p):
         for s in (0.01, -0.01):
             x = theta.copy()
             x[i] += s
-            stack.append(x)
+            vectors.append(x)
     x = theta.copy()
     x[0] += 0.01
     x[p - 1] -= 0.01
-    stack.append(x)
-    return np.array(stack)
+    vectors.append(x)
+    return np.array(vectors)
 
 
 class TestBatchedEvaluation:
-    """A (K, p) stack of parameter vectors evaluates, bit for bit, to the
-    K single-vector calls."""
+    """The probe vectors of a derivative, evaluated one call each: the
+    same values whatever the chunk budget, and one call per probe."""
 
     @pytest.mark.parametrize(
         "build",
@@ -659,80 +659,72 @@ class TestBatchedEvaluation:
     def test_stack_equals_single_calls(self, build, monkeypatch):
         prog, plan = build()
         theta = initial_values(prog)
-        stack = _probe_stack(theta)
+        vectors = _probe_vectors(theta)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta + 0.02)
-        single = np.array([ev.logl(x) for x in stack])
+        single = np.array([ev.logl(x) for x in vectors])
         assert np.all(np.isfinite(single))
         rows = sum(co.rows.size for co in prog.outcomes)
-        inner = ev.level_states[-1] if ev.level_states else None
-        nodes = inner.m if inner else 1
-        columns = inner.n_combos * nodes if inner else 1  # innermost columns of one vector
-        one = ev.n_values * columns
-        default = (likelihood._GROUP_VALUES, likelihood._CHUNK_VALUES)
+        nodes = ev.level_states[-1].m if ev.level_states else 1
         budgets = [
-            (1 << 40, 1 << 40),  # one group, one chunk
-            (int(2.5 * one), 1 << 40),  # groups of two
-            (int(3.3 * one), int(1.5 * rows * columns)),  # groups of three, chunks across vectors
-            (int(3.3 * one), int(2.5 * rows * nodes)),  # chunks of two combinations, then a shorter last one
-            (int(3.3 * one), 7 * rows),  # seven-column chunks, which split a combination
-            (7 * one, 7 * rows * columns),  # groups of seven
-            default,
+            1 << 40,  # one chunk
+            int(2.5 * rows * nodes),  # chunks of two combinations, then a shorter last one
+            7 * rows,  # seven-column chunks, which split a combination
+            likelihood._CHUNK_VALUES,
         ]
-        for group, chunk in budgets:
-            monkeypatch.setattr(likelihood, "_GROUP_VALUES", group)
+        for chunk in budgets:
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
-            ev = LikelihoodEvaluator(prog, plan)  # the budgets fix its shapes
+            ev = LikelihoodEvaluator(prog, plan)  # the budget fixes its shapes
             ev.refresh(theta + 0.02)
-            batch = ev.logl(stack)
-            assert batch.shape == (len(stack),)
-            assert batch.tobytes() == single.tobytes(), (group, chunk)
-            # single calls after the stack reuse its buffers at other shapes
-            again = np.array([ev.logl(x) for x in stack])
-            assert again.tobytes() == single.tobytes(), (group, chunk)
+            values = np.array([ev.logl(x) for x in vectors])
+            assert values.tobytes() == single.tobytes(), chunk
 
-    def test_stack_adapts_at_its_first_vector(self, monkeypatch):
-        # without a refresh, the first vector adapts, as in single calls
-        monkeypatch.setattr(likelihood, "_GROUP_VALUES", 1 << 40)
+    def test_first_call_adapts_at_its_vector(self):
+        # without a refresh, the first call adapts at its own vector, as a
+        # refresh there would
         prog, plan = _nested_aghq()
-        stack = _probe_stack(initial_values(prog))
-        one = LikelihoodEvaluator(prog, plan)
-        single = np.array([one.logl(x) for x in stack])
-        assert LikelihoodEvaluator(prog, plan).logl(stack).tobytes() == single.tobytes()
-
-    def test_nonfinite_vectors_stay_alone(self):
-        # per cluster and row by row (rp_logl's stacked path)
-        for twin in (False, True):
-            prog, plan = _rp(twin)
-            theta = initial_values(prog)
-            stack = _probe_stack(theta)
-            stack[2, prog.slot_index("rcs1")] = -50.0  # a negative hazard at every event time
-            ev = LikelihoodEvaluator(prog, plan)
-            ev.refresh(theta)
-            values = ev.logl(stack)
-            assert values[2] == -np.inf
-            assert np.isfinite(np.delete(values, 2)).all()
-            assert values.tobytes() == np.array([ev.logl(x) for x in stack]).tobytes()
+        vectors = _probe_vectors(initial_values(prog))
+        lazy = LikelihoodEvaluator(prog, plan)
+        refreshed = LikelihoodEvaluator(prog, plan)
+        refreshed.refresh(vectors[0])
+        expect = np.array([refreshed.logl(x) for x in vectors])
+        assert np.array([lazy.logl(x) for x in vectors]).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_derivatives_take_one_call_per_thread(self, threads, monkeypatch):
-        # maximize splits each gradient and Hessian stack into one
-        # sub-stack per thread
+        # maximize evaluates each gradient and Hessian probe in a call of
+        # its own, on one pool of threads
         prog, plan = _nested_aghq()
         ev = LikelihoodEvaluator(prog, plan)
+        p = prog.n_params
         calls = []
-        for name in ("fd_gradient", "fd_hessian"):
+        for name, points in (("fd_gradient", 2 * p), ("fd_hessian", p * (p + 1))):
 
-            def counted(*args, real=getattr(optim, name), **kwargs):
+            def counted(*args, real=getattr(optim, name), points=points, **kwargs):
                 before = ev.n_calls
                 out = real(*args, **kwargs)
-                calls.append(ev.n_calls - before)
+                calls.append((ev.n_calls - before, points))
                 return out
 
             monkeypatch.setattr(optim, name, counted)
         res = optim.maximize(ev.logl, initial_values(prog), refresh=ev.refresh, threads=threads)
         assert res.converged and len(calls) > 2
-        assert calls == [threads] * len(calls)
+        assert all(made == points for made, points in calls), calls
+
+
+def test_scalar_ancillary_hook_fits_like_the_builtin_gaussian():
+    # ctx.ancillary(j) is a scalar at every call, finite-difference
+    # probes included, so a hook may use math functions on it
+    def scalar_gauss(ctx):
+        sd = math.exp(ctx.ancillary(1))
+        return -0.5 * math.log(2 * math.pi) - math.log(sd) - 0.5 * ((ctx.response() - ctx.linpred()) / sd) ** 2
+
+    hm.register_user_family(loglf=scalar_gauss, n_anc=1)
+    data = gaussian_cluster_data(g=15, n=3)
+    builtin = hm.fit_model("(y x M1[id], family(gaussian))", data)
+    hook = hm.fit_model("(y x M1[id], family(user, loglf(scalar_gauss)) np(1))", data)
+    assert hook.converged and hook.profile["derivative_passes"] == 0
+    assert abs(hook.logl - builtin.logl) <= 1e-10 * abs(builtin.logl)
 
 
 def _frailty_chunks(twin: bool = False):
@@ -757,8 +749,8 @@ def _frailty_chunks(twin: bool = False):
 
 
 class TestWorkspace:
-    """Chunked evaluation gives the same values across chunks, calls,
-    stacks and threads, none carrying a value into another."""
+    """Chunked evaluation gives the same values across chunks, calls and
+    threads, none carrying a value into another."""
 
     twin = False  # the model's one#M1[id] twin (see TestWorkspaceRows)
 
@@ -768,7 +760,7 @@ class TestWorkspace:
         draws = ev.level_states[-1].m
         assert draws // ev.chunk_columns >= 2 and 0 < draws % ev.chunk_columns < ev.chunk_columns
 
-    def test_repeated_and_stacked_calls(self):
+    def test_repeated_calls(self):
         _, _, prog, plan = _frailty_chunks(self.twin)
         a = initial_values(prog)
         b = a + 0.05
@@ -776,9 +768,9 @@ class TestWorkspace:
         first = ev.logl(a)
         assert ev.logl(b) != first
         assert ev.logl(a) == first
-        stack = _probe_stack(a)
-        fresh = np.array([LikelihoodEvaluator(prog, plan).logl(x) for x in stack])
-        assert ev.logl(stack).tobytes() == fresh.tobytes()
+        vectors = _probe_vectors(a)
+        fresh = np.array([LikelihoodEvaluator(prog, plan).logl(x) for x in vectors])
+        assert np.array([ev.logl(x) for x in vectors]).tobytes() == fresh.tobytes()
 
     def test_thread_count_byte_identical(self, tmp_path):
         spec, cols, _, _ = _frailty_chunks(self.twin)
@@ -856,19 +848,20 @@ cols["one"] = np.ones(len(cols["id"]))
 prog = compile_program(parse_model_spec("(t trt one#M1[id], family(weibull, failure(d)))"), as_frame(cols))
 ev = LikelihoodEvaluator(prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=200))
 theta = initial_values(prog)
-stack = theta + 0.01 * np.arange(6)[:, None]
+vectors = theta + 0.01 * np.arange(6)[:, None]
 
 
-def pair():
+def calls():
     ev.logl(theta)
-    ev.logl(stack)
+    for x in vectors:
+        ev.logl(x)
 
 
-pair()
-pair()
+calls()
+calls()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(8):
-    pair()
+    calls()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -881,7 +874,7 @@ def test_warm_calls_fault_in_no_pages():
     # the one#M1[id] twin of a 300-cluster t-frailty model, 1200 rows x
     # 200 draws, whose chunk temporaries are about 0.5 MB each: without
     # the block the evaluator frees when it is built, every chunk maps
-    # them afresh, 6000-8000 minor faults per single and stacked call
+    # them afresh, about 1000 minor faults per call
     src = str(Path(likelihood.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
@@ -1091,17 +1084,15 @@ class TestPerClusterPath:
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
         offsets = data.draw(hnp.arrays(float, (5, prog.n_params), elements=st.floats(-1.0, 1.0)))
-        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
-        stack = np.array(stack)
+        adapt_at, *vectors = start + np.asarray(scales)[:, None] * offsets
         values = {}
         for name, p, pl in (("per_cluster", prog, plan), ("rows", twin, twin_plan)):
             ev = LikelihoodEvaluator(p, pl)
             ev.refresh(adapt_at)
-            values[name] = ev.logl(stack)
-            # two threads, one sub-stack each: the same bits
+            values[name] = np.array([ev.logl(x) for x in vectors])
+            # on two threads, as maximize's pool evaluates probes: the same bits
             with optim._thread_pool(2) as pool:
-                assert optim._split_over(ev.logl, pool, 2)(stack).tobytes() == values[name].tobytes()
-            assert np.array([ev.logl(x) for x in stack]).tobytes() == values[name].tobytes()
+                assert np.array(list(pool.map(ev.logl, vectors))).tobytes() == values[name].tobytes()
         got, expect = values["per_cluster"], values["rows"]
         assert not np.isnan(got).any()
         assert np.array_equal(np.isneginf(got), np.isneginf(expect)), (got, expect)
@@ -1196,11 +1187,11 @@ class TestExactDerivatives:
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
         offsets = data.draw(hnp.arrays(float, (5, prog.n_params), elements=st.floats(-1.0, 1.0)))
-        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
+        adapt_at, *vectors = start + np.asarray(scales)[:, None] * offsets
         ev, rows = LikelihoodEvaluator(prog, plan), LikelihoodEvaluator(twin, twin_plan)
         ev.refresh(adapt_at)
         rows.refresh(adapt_at)
-        for scale, theta in zip(scales[1:], stack):
+        for scale, theta in zip(scales[1:], vectors):
             value, score, info = ev.derivatives(theta)
             expect = ev.logl(theta)
             if not np.isfinite(expect):
@@ -1367,10 +1358,10 @@ class TestNestedExactDerivatives:
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1000.0]), min_size=3, max_size=3))
         offsets = data.draw(hnp.arrays(float, (4, start.size), elements=st.floats(-1.0, 1.0)))
-        adapt_at, *stack = start + np.asarray(scales)[:, None] * offsets
+        adapt_at, *vectors = start + np.asarray(scales)[:, None] * offsets
         ev.refresh(adapt_at)
         twin.refresh(adapt_at)
-        for scale, theta in zip(scales[1:], stack):
+        for scale, theta in zip(scales[1:], vectors):
             value, score, info = ev.derivatives(theta)
             expect, rows = ev.logl(theta), twin.logl(theta)
             assert np.isneginf(expect) == np.isneginf(rows)
@@ -1520,9 +1511,9 @@ class TestRpExactDerivatives:
         ev, twin, start = model
         assert ev.exact and not twin.exact
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5])) for _ in range(3)]
-        adapt_at, *stack = _rp_vectors(data, ev, start, scales)
+        adapt_at, *vectors = _rp_vectors(data, ev, start, scales)
         ev.refresh(adapt_at)
-        for theta in stack:
+        for theta in vectors:
             value, score, info = ev.derivatives(theta)
             assert value == ev.logl(theta)  # bit for bit
             if not np.isfinite(value):
@@ -1535,7 +1526,7 @@ class TestRpExactDerivatives:
             assert _relative_gap(-info, _extrapolated(_jacobian, score_at, theta, 1)) <= 1e-6
             assert _relative_gap(-info, _extrapolated(optim.fd_hessian, ev.logl, theta, 2)) <= 1e-5
         # a negative hazard at every event time: -inf, and NaN derivatives
-        theta = stack[0].copy()
+        theta = vectors[0].copy()
         theta[ev.program.slot_index("rcs1")] = -50.0
         value, score, info = ev.derivatives(theta)
         assert value == ev.logl(theta) == -np.inf
@@ -1550,10 +1541,10 @@ class TestRpExactDerivatives:
         ev, twin, start = model
         scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=4, max_size=4))
-        adapt_at, *stack = _rp_vectors(data, ev, start, scales)
+        adapt_at, *vectors = _rp_vectors(data, ev, start, scales)
         ev.refresh(adapt_at)
         twin.refresh(adapt_at)
-        got, expect = ev.logl(np.array(stack)), twin.logl(np.array(stack))
+        got, expect = (np.array([e.logl(x) for x in vectors]) for e in (ev, twin))
         assert np.array_equal(np.isneginf(got), np.isneginf(expect)), (got, expect)
         finite = np.isfinite(expect)
         assert np.all(np.abs(got[finite] - expect[finite]) <= 1e-12 * np.abs(expect[finite])), (got, expect)

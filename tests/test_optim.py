@@ -9,31 +9,32 @@ from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
 from hiermix.optim import _MAX_SHRINKS, FitError, SingularDesignError, fd_gradient, fd_hessian, initial_values, maximize
 from hiermix.predictor import compile_program
-from oracles import stackable
 
 
 class TestFiniteDifferences:
     def test_cubic_gradient_and_curvature(self):
-        f = stackable(lambda th: th[0] ** 3)
+        def f(th):
+            return th[0] ** 3
+
         g = fd_gradient(f, np.array([2.0]))
         np.testing.assert_allclose(g, [12.0], rtol=1e-6)
         h = fd_hessian(f, np.array([2.0]))
         np.testing.assert_allclose(h, [[12.0]], rtol=1e-4)
 
     def test_quadratic_bowl(self):
-        f = stackable(lambda th: float(np.sum(th**2)))
+        def f(th):
+            return float(np.sum(th**2))
+
         theta = np.zeros(3)
         np.testing.assert_allclose(fd_gradient(f, theta), np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(fd_hessian(f, theta), 2 * np.eye(3), atol=1e-6)
 
     def test_cross_terms(self):
-        f = stackable(lambda th: th[0] * th[1] + 0.5 * th[0] ** 2)
-        h = fd_hessian(f, np.array([0.3, -0.8]))
+        h = fd_hessian(lambda th: th[0] * th[1] + 0.5 * th[0] ** 2, np.array([0.3, -0.8]))
         np.testing.assert_allclose(h, [[1.0, 1.0], [1.0, 0.0]], atol=1e-6)
 
     def test_nonfinite_probe_shrinks_step(self):
         # objective only defined for th < 1.0000001; probes shrink inward
-        @stackable
         def f(th):
             return float(th[0]) if th[0] < 1.0000001 else np.nan
 
@@ -42,29 +43,28 @@ class TestFiniteDifferences:
 
     def test_hopeless_objective_fails(self):
         with pytest.raises(FitError):
-            fd_gradient(stackable(lambda th: np.nan), np.array([0.0]))
+            fd_gradient(lambda th: np.nan, np.array([0.0]))
 
     def test_hessian_shrinks_near_boundary(self):
         # the objective is only defined on th < 1.0001; the default probe
         # at +2h crosses it, so the step must shrink rather than fail
-        @stackable
         def f(th):
             return -((th[0] - 1.0) ** 2) if th[0] < 1.0001 else np.nan
 
         h = fd_hessian(f, np.array([1.0]))
         np.testing.assert_allclose(h, [[-2.0]], rtol=1e-4)
         with pytest.raises(FitError):
-            fd_hessian(stackable(lambda th: np.nan if th[0] != 0.5 else 0.0), np.array([0.5]))
+            fd_hessian(lambda th: np.nan if th[0] != 0.5 else 0.0, np.array([0.5]))
 
     def test_gradient_and_hessian_share_the_non_finite_rule(self):
-        # a non-finite probe halves every step and re-evaluates the whole
-        # stack; one-point probes are never made
+        # a non-finite probe halves every step and evaluates every probe
+        # again, one vector per call: both probe one slot at 2 points
         calls = []
 
         def recorded(f):
             def objective(th):
                 calls.append(np.shape(th))
-                return stackable(f)(th)
+                return f(th)
 
             return objective
 
@@ -73,17 +73,17 @@ class TestFiniteDifferences:
         edge = recorded(lambda th: (th[0] - 1.0) - (th[0] - 1.0) ** 2 if th[0] < 1.000003 else np.nan)
         theta = np.array([1.0])
         np.testing.assert_allclose(fd_gradient(edge, theta), [1.0], rtol=1e-8)
-        assert calls == [(2, 1)] * 3
+        assert calls == [(1,)] * 2 * 3
         calls.clear()
         np.testing.assert_allclose(fd_hessian(edge, theta, f0=0.0), [[-2.0]], rtol=1e-8)
-        assert calls == [(2, 1)] * 7
+        assert calls == [(1,)] * 2 * 7
         # finite only at the centre: every halving fails, then an error
         centre = recorded(lambda th: 0.0 if th[0] == 0.5 else np.nan)
         for derivative in (fd_gradient, lambda f, th: fd_hessian(f, th, f0=0.0)):
             calls.clear()
             with pytest.raises(FitError, match="not finite"):
                 derivative(centre, np.array([0.5]))
-            assert calls == [(2, 1)] * (_MAX_SHRINKS + 1)
+            assert calls == [(1,)] * 2 * (_MAX_SHRINKS + 1)
 
     @staticmethod
     def _smooth5(u):
@@ -109,7 +109,6 @@ class TestFiniteDifferences:
         p = len(u)
         points = []
 
-        @stackable
         def f(th):
             points.append(th.copy())
             return self._smooth5(th / scale)[0]
@@ -130,12 +129,10 @@ class TestFiniteDifferences:
         idx = np.flatnonzero(free)
         probes = []
 
-        @stackable
         def f(th):
             probes.append(th.copy())
             return self._smooth5(th)[0]
 
-        @stackable
         def restricted(v):
             th = u.copy()
             th[idx] = v
@@ -189,7 +186,7 @@ class TestFiniteDifferences:
 
 class TestMaximize:
     def test_quadratic_one_step(self):
-        res = maximize(stackable(lambda th: -((th[0] - 3.0) ** 2)), np.array([0.0]))
+        res = maximize(lambda th: -((th[0] - 3.0) ** 2), np.array([0.0]))
         assert res.converged
         np.testing.assert_allclose(res.theta, [3.0], atol=1e-7)
         assert res.iterations <= 3
@@ -198,7 +195,6 @@ class TestMaximize:
         rng = np.random.default_rng(1)
         y = rng.normal(1.5, 0.8, 60)
 
-        @stackable
         def logl(th):
             mu, s = th[0], math.exp(th[1])
             return float(np.sum(-0.5 * math.log(2 * math.pi) - th[1] - 0.5 * ((y - mu) / s) ** 2))
@@ -228,7 +224,7 @@ class TestMaximize:
 
     def test_free_mask_fixes_parameters(self):
         res = maximize(
-            stackable(lambda th: -((th[0] - 3.0) ** 2) - (th[1] - 1.0) ** 2),
+            lambda th: -((th[0] - 3.0) ** 2) - (th[1] - 1.0) ** 2,
             np.array([0.0, 0.25]),
             free_mask=np.array([True, False]),
         )
@@ -266,7 +262,6 @@ class TestMaximize:
         # of the last Newton Hessian, where it does.
         w, c = np.array(w), np.array([0.3, 0.9])
 
-        @stackable
         def objective(th):
             t = (th - c) @ w
             return -math.exp(4.0 * t) / 16.0 + t / 4.0 - 1e-4 * float((th - c) @ (th - c))
@@ -284,7 +279,6 @@ class TestMaximize:
         """f as an objective, with a list of the points it was called at."""
         points = []
 
-        @stackable
         def objective(th):
             points.append(th.copy())
             return f(th)
@@ -450,9 +444,7 @@ class TestMaximize:
 
         def objective(th):
             seen.add(threading.current_thread())
-            x = np.atleast_2d(th)
-            vals = -((x[:, 0] - 1.5) ** 2) - 2.0 * (x[:, 1] + 0.5) ** 4 - x[:, 0] * x[:, 1]
-            return vals if np.ndim(th) == 2 else float(vals[0])
+            return -((th[0] - 1.5) ** 2) - 2.0 * (th[1] + 0.5) ** 4 - th[0] * th[1]
 
         res = maximize(objective, np.zeros(2), threads=2)
         assert res.converged and res.iterations > 2
@@ -461,13 +453,13 @@ class TestMaximize:
 
     def test_starting_point_must_be_finite(self):
         with pytest.raises(FitError, match="starting"):
-            maximize(stackable(lambda th: np.nan), np.array([0.0]))
+            maximize(lambda th: np.nan, np.array([0.0]))
 
     def test_non_finite_probes_end_the_fit_flagged(self):
         # finite only at its start: the first gradient's probes stay
         # non-finite however far they shrink
         start = np.array([0.5, -1.0])
-        res = maximize(stackable(lambda th: -1.0 if np.array_equal(th, start) else np.nan), start)
+        res = maximize(lambda th: -1.0 if np.array_equal(th, start) else np.nan, start)
         assert not res.converged and not res.optimum_verified
         assert res.message == "objective is not finite near the finite-difference probe points"
         assert res.theta.tobytes() == start.tobytes() and res.logl == -1.0

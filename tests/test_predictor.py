@@ -318,7 +318,7 @@ class TestCompiledInputs:
         data = hm.simulate(IEV_SPEC, IEV_TRUTH, levels={"id": 20}, outcomes=spec_outcomes, seed=2)
         prog = make_program(IEV_SPEC, data)
         theta = theta_by_name(prog, IEV_TRUTH)
-        stack = np.stack([theta + 0.01 * i for i in range(3)])
+        vectors = [theta + 0.01 * i for i in range(3)]
         grid = prog.outcomes[0].grid
         assert grid.nodes.t.shape == (grid.t.shape[0], grid.t.shape[1] * prog.gl_points)
         assert list(grid.nodes.cols) == [prog.outcomes[1].components[0].key]
@@ -336,7 +336,7 @@ class TestCompiledInputs:
             ev.refresh(theta)
             ev.logl(theta)
             built.update(dict.fromkeys(built, 0))
-            return ev.logl(theta), ev.logl(stack).tobytes(), dict(built)
+            return ev.logl(theta), [ev.logl(x) for x in vectors], dict(built)
 
         compiled = warm_call()
         nodes, grid.nodes = grid.nodes, None

@@ -52,6 +52,23 @@ class TestGaussianSimulation:
         assert abs(slope - 2.0) < 0.05
 
 
+class TestDiscreteSimulation:
+    @pytest.mark.parametrize("family, top", [("bernoulli", 1), ("binomial, k(5)", 5)], ids=["bernoulli", "binomial"])
+    def test_counts_within_their_range(self, family, top):
+        # the placeholder response the program is compiled with must be
+        # one the family accepts
+        frame = simulate(
+            f"(y x M1[id], family({family}))",
+            {"x": 0.8, "_cons": 0.2, "ln_sd(M1)": -0.5},
+            levels={"id": 40},
+            outcomes=[{"times": [0, 1, 2]}],
+            seed=3,
+        )
+        y = frame.col("y")
+        assert set(np.unique(y)) <= set(range(top + 1))
+        assert y.min() == 0 and y.max() == top
+
+
 class TestSurvivalSimulation:
     def test_weibull_transformed_exponential(self):
         # with H = lam * y^gamma, the transform y^gamma is exponential(lam)
