@@ -3,21 +3,23 @@
 Random effects are integrated level by level, inner levels conditional
 on outer node values, with a per-level choice of adaptive Gauss-Hermite
 quadrature or quasi-Monte Carlo draws from a normal or multivariate-t
-kernel. One vectorized path serves any depth: each level is evaluated
-for all of its units at every combination of outer-level nodes at once,
-reduced over its own nodes, and summed into the parent units (the
-recursive nested quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
+kernel, either one rule of unit-scale nodes and log-weights. One
+vectorized path serves any depth: each level is evaluated for all of its
+units at every combination of outer-level nodes at once, reduced over
+its own nodes, and summed into the parent units (the recursive nested
+quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
 
 Adaptive levels are re-adapted by ``refresh``, once per Newton
 iteration, and each adaptation is warm-started, as in Rabe-Hesketh,
 Skrondal & Pickles (2005): the evaluator keeps each level's latest
-per-cell shifts and scales (``adapted``), and the next adaptation of
-that level starts from them. For an inner level of nested quadrature,
-re-adapted at every step of the outer level's adaptation, that is the
-result at the previous outer step. Cells keep one canonical order from
-construction on, so the shapes always match; a cell that fell back in
-its latest adaptation, and every cell at the evaluator's first, start
-from the prior.
+per-cell shifts and scales (``adapted``), where the next adaptation of
+that level starts, and the nodes they place (``placed``), which calls
+read until then. For an inner level of nested quadrature, re-adapted at
+every step of the outer level's adaptation, that is the result at the
+previous outer step. Cells keep one canonical order from construction
+on, so the shapes always match; a cell that fell back in its latest
+adaptation, and every cell at the evaluator's first, start from the
+prior.
 
 At the innermost level the conditional log-likelihood is a rows x
 columns array, one column per (outer-node combination, node). Its
@@ -85,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
-from .predictor import EvalContext, Program, outcome_logl, row_design, row_part
+from .predictor import EvalContext, Program, outcome_logl, row_part
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -237,18 +239,15 @@ class _LevelState:
         self.info = info
         self.plan = plan
         self.kernel = ReKernel(info.dim, plan.dist, plan.df, structure=structure)
+        # one unit-scale rule, (M, r) nodes and (M,) log-weights: a Gauss-Hermite grid
+        # (and the standard-normal log density there) or the kernel's QMC draws, each 1/M
         if plan.method == "aghq":
             self.nodes, self.logw, self.log_std = gh_grid(gh_rule(plan.q), info.dim)
-            self.m = len(self.logw)
-            self.std_draws: np.ndarray | None = None
         else:
             need = info.dim + (1 if plan.dist == "t" else 0)
-            # draws at unit scale; a call only multiplies them by the scale factor
-            self.std_draws = kernel_draws(self.kernel, halton(plan.m, need, skip))
-            self.m = plan.m
-            self.nodes = None
-            self.logw = None
-            self.log_std = None
+            self.nodes = kernel_draws(self.kernel, halton(plan.m, need, skip))
+            self.logw, self.log_std = np.full(plan.m, -math.log(plan.m)), None
+        self.m = len(self.logw)
         self.adaptive = plan.method == "aghq" and plan.adaptive
         self.n_units = hierarchy.n_units(info.lidx)
         self.n_combos = 1 if outer is None else outer.n_combos * outer.m
@@ -354,8 +353,6 @@ class LikelihoodEvaluator:
         self._plan_chunks()
         self.exact = self._exact_scope()
         if self.exact:
-            # outcome -> derivatives of its row part in the parameters
-            self.designs = {k: row_design(program, k) for k in self.intercept_units}
             # the log-scale slots of the levels whose nodes scale with them,
             # and the position there of each one's latent effect
             scaled = [st.info for st in self.level_states if not st.adaptive]
@@ -373,6 +370,7 @@ class LikelihoodEvaluator:
         # allocators just free the block.
         np.empty(1 << 21)
         self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
+        self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
         self.n_passes = 0
@@ -448,7 +446,7 @@ class LikelihoodEvaluator:
         # W in the row part's slots (first) and the family's own, its
         # ancillary or ``rp``'s spline coefficients, which the row part's
         # may share; per unit, those of W over S, 0 where S is
-        design, x = self.designs[k]
+        design, x = co.design
         d1a, d2a, d1c, d2c = anc
         own = [] if d1a is None else co.spline_slots + co.anc_slots
         slots = design + [s for s in own if s not in design]
@@ -480,7 +478,7 @@ class LikelihoodEvaluator:
 
     def _gaussian_sums(self, theta: np.ndarray, k: int, derivatives: bool):
         """``_unit_sums`` of a Gaussian outcome. With r = y - a, r-bar its
-        mean over a unit's rows, x the rows' design (``row_design``),
+        mean over a unit's rows, x the rows' compiled ``design``,
         Sx = sum(x), Sxx = sum(x x') and Sxr = sum((r - r-bar) x), the
         derivatives of its conditional log-likelihood at L, in the row
         part's slots and ln_sd (sigma^2 = V), with feature f = r-bar - L,
@@ -501,7 +499,7 @@ class LikelihoodEvaluator:
         sums = _GaussianSums(*(v[:, None] for v in (K, n, mean, Q / (2.0 * sigma * sigma))), math.sqrt(2.0) * sigma)
         if not derivatives:
             return sums
-        slots, x = self.designs[k]
+        slots, x = co.design
         sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
         h2 = 1.0 / (sigma * sigma)
         s = co.anc_slots[0]
@@ -689,32 +687,26 @@ class LikelihoodEvaluator:
     def _nodes(self, pos: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node locations (cells, M, r) and log-corrections (cells, M) of
         every cell of level ``pos``, such that a cell's integral is
-        logsumexp(corr + conditional).
+        logsumexp(corr + conditional): an adaptive level's latest placed
+        nodes, where only the prior depends on theta, or the unit rule
+        scaled by the Cholesky factor (reweighted to a t kernel on
+        Gauss-Hermite nodes).
         """
         st = self.level_states[pos]
-        k, r = st.n_cells, st.info.dim
         chol = self.level_chol(st, theta)
-        if st.plan.method == "qmc":
-            draws = st.std_draws @ chol.T  # (M, r)
-            return np.broadcast_to(draws[None], (k, st.m, r)), np.broadcast_to(-math.log(st.m), (k, st.m))
-        a, logw = st.nodes, st.logw
         if st.adaptive:
-            mu, lam = self.adapted[pos][:2]
-            x = mu[:, None, :] + np.einsum("mr,usr->ums", a, lam)
-            logdet = np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)
-            return x, logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet[:, None]
-        x = a @ chol.T
-        if st.plan.dist == "normal":
-            corr = logw
-        else:
-            logdet = float(np.log(np.diag(chol)).sum())
-            corr = logw + st.kernel.log_density(x, chol) - st.log_std + logdet
-        return np.broadcast_to(x[None], (k, st.m, r)), np.broadcast_to(corr[None], (k, st.m))
+            x, logdet = self.placed[pos]
+            return x, st.logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet
+        x = st.nodes @ chol.T
+        corr = st.logw
+        if st.plan.method == "aghq" and st.plan.dist == "t":
+            corr = corr + st.kernel.log_density(x, chol) - st.log_std + float(np.log(np.diag(chol)).sum())
+        return np.broadcast_to(x[None], (st.n_cells,) + x.shape), np.broadcast_to(corr[None], (st.n_cells, st.m))
 
     def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> None:
         """Adapt level ``pos`` at the given outer nodes, re-adapting the
         levels inside it at each trial location, then once more at the
-        final one. Each adaptation
+        final one, and keep the nodes it places (``placed``). Each adaptation
         starts warm, from the level's latest result: the previous
         refresh's, or, for an inner level, the one at the previous trial
         location of the outer level. Only the first adaptation of an
@@ -722,7 +714,7 @@ class LikelihoodEvaluator:
         """
         st = self.level_states[pos]
         if st.adaptive:
-            self.adapted[pos] = res = adapt_locations(
+            self.adapted[pos] = mu, lam, iters, *_ = adapt_locations(
                 lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
                 st.kernel,
                 self.level_chol(st, theta),
@@ -730,7 +722,9 @@ class LikelihoodEvaluator:
                 np.repeat(st.active, st.n_combos),
                 start=self.adapted.get(pos),
             )
-            self.sweeps[st.info.name] += int(res[2].max(initial=0))
+            logdet = np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)
+            self.placed[pos] = mu[:, None, :] + np.einsum("mr,usr->ums", st.nodes, lam), logdet[:, None]
+            self.sweeps[st.info.name] += int(iters.max(initial=0))
         if pos + 1 < len(self.level_states):
             self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
 
@@ -1068,10 +1062,9 @@ class LikelihoodEvaluator:
     def profile_report(self) -> dict:
         """Integration settings per level, counters and adaptation state.
         ``likelihood_calls`` counts calls of ``logl``, one per parameter
-        vector evaluated, every finite-difference probe included;
-        ``objective_points`` is the same count, kept as its own key.
-        ``derivative_passes`` counts calls of ``derivatives``, which those
-        two leave out. ``conditional_evaluations`` counts the innermost
+        vector evaluated, every finite-difference probe included.
+        ``derivative_passes`` counts calls of ``derivatives``, which that
+        count leaves out. ``conditional_evaluations`` counts the innermost
         (active unit, node column) evaluations of calls, adaptations and
         passes alike, and ``conditional_evaluations_per_call`` divides
         them by the calls plus the passes; ``wall_time_s`` is the time
@@ -1108,7 +1101,6 @@ class LikelihoodEvaluator:
         return {
             "levels": levels,
             "likelihood_calls": self.n_calls,
-            "objective_points": self.n_calls,
             "derivative_passes": self.n_passes,
             "conditional_evaluations": self.cond_evals,
             "conditional_evaluations_per_call": per_call,

@@ -471,38 +471,6 @@ def _glm_irls(x, y, link: str, max_iter: int = 25):
     return beta
 
 
-def _initial_design(program, co):
-    """Design columns for components free of latent effects and
-    expected-value links, plus the intercept; returns (matrix, slot
-    indices, column names).
-    """
-    cols, slots, names = [], [], []
-    n = co.rows.size
-    for cc in co.components:
-        if cc.slots is None or cc.latents or cc.evlinks:
-            continue
-        base = cc.cov[co.index][:, 0, 0] if cc.cov_names else np.ones(n)
-        if cc.timefn is not None:
-            if co.grid is None:
-                continue
-            b = co.grid.cols[cc.key][:, 0, :]
-            for j, slot in enumerate(cc.slots):
-                cols.append(base * b[:, j])
-                slots.append(slot)
-                names.append(program.slots[slot].name)
-        else:
-            cols.append(base)
-            slots.append(cc.slots[0])
-            names.append(program.slots[cc.slots[0]].name)
-    if co.cons_slot is not None:
-        cols.append(np.ones(n))
-        slots.append(co.cons_slot)
-        names.append(program.slots[co.cons_slot].name)
-    if not cols:
-        return None, [], []
-    return np.column_stack(cols), slots, names
-
-
 def _by_value(x, y):
     """The rows of design x and response y in order of their values."""
     order = np.lexsort((y, *x.T[::-1]))
@@ -545,10 +513,10 @@ def initial_values(program) -> np.ndarray:
                 if co.cons_slot is not None:
                     theta[co.cons_slot] = base_rate
             continue
-        x, slots, names = _initial_design(program, co)
-        if x is None:
+        slots, x = co.design
+        if not slots:
             continue
-        _check_design(x, names, co.label)
+        _check_design(x, [program.slots[s].name for s in slots], co.label)
         x, y = _by_value(x, co.response)
         beta = _glm_irls(x, y, fam.link)
         theta[slots] = beta

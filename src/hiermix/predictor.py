@@ -7,8 +7,9 @@ dimension is unused and combine by broadcasting. ``compile_program``
 computes everything that is fixed once the data are bound: each
 outcome's rows in canonical order with their unit ordinals and
 evaluation grid, covariate products at the rows of every outcome that
-evaluates them, time-function columns at compiled grids, and the spline
-columns of the ``rp`` baseline. It also marks the outcomes whose
+evaluates them, time-function columns at compiled grids, the spline
+columns of the ``rp`` baseline, and the design of each outcome's fixed
+part (``_fixed_design``). It also marks the outcomes whose
 likelihood can be summed per cluster (``_CompiledOutcome.intercepts``,
 ``row_part``). An objective call computes only what
 depends on the parameters or on grids it builds itself, and keeps
@@ -27,6 +28,7 @@ keeps the chunk temporaries this makes from costing fresh pages (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +139,7 @@ class _CompiledOutcome:
         self.entry_mask: np.ndarray | None = None
         self.log_step: np.ndarray | None = None  # (n, 1, 1) log-time difference step
         self.rp: fam_mod.RpColumns | None = None
+        self.design: tuple[list[int], np.ndarray] | None = None  # see ``_fixed_design``
         # the latent effects of a linear predictor that is a row part plus
         # random intercepts, under an exp-linear or Gaussian family, which
         # the likelihood then sums per unit (``row_part``); else None
@@ -153,7 +156,6 @@ class Program:
         self.frame = frame
         self.hierarchy = hierarchy
         self.gl_points = gl_points
-        self.gl_nodes, self.gl_weights = gauss_legendre(gl_points)
         self.slots: list[Slot] = []
         self.outcomes: list[_CompiledOutcome] = []
         self.levels: list[LevelInfo] = []
@@ -177,6 +179,11 @@ class Program:
             if li.name == name:
                 return li
         raise KeyError(name)
+
+    @cached_property
+    def gl_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights on (-1, 1), built where first read."""
+        return gauss_legendre(self.gl_points)
 
     def _add_slot(self, slot: Slot) -> int:
         self.slots.append(slot)
@@ -219,6 +226,8 @@ def compile_program(
     frame lends its hierarchy and outcome rows instead of building them
     again.
     """
+    if gl_points < 1:
+        raise CompileError(f"the Gauss-Legendre rule needs at least one node, got gl_points={gl_points}")
     if report is None:
         hierarchy, rows_list = build_hierarchy(frame, list(spec.levels)), split_outcome_rows(frame, spec)
     else:
@@ -310,6 +319,7 @@ def compile_program(
 
     for r, co in enumerate(program.outcomes):
         _precompute_at_rows(program, r)
+        co.design = _fixed_design(co)
 
     for lidx, lname in enumerate(hierarchy.levels):
         info = LevelInfo(lname, lidx, [li.name for li in spec.latents_at(lname)])
@@ -358,6 +368,28 @@ def _pure_intercepts(co: _CompiledOutcome) -> list | None:
             return None
         intercepts.append(cc.latents[0])
     return intercepts or None
+
+
+def _fixed_design(co: _CompiledOutcome) -> tuple[list[int], np.ndarray]:
+    """The slots of the part of co's linear predictor free of latent
+    effects and EV[] links, and its (n, q) derivatives in them at co's
+    rows: the constant first; then each such component's covariate
+    product (or 1) times its time-function columns at co's own times, its
+    grid's first column (a null outcome has no rows and no grid); then,
+    for ``rp``, the spline columns at log y.
+    """
+    n = co.rows.size
+    parts = [] if co.cons_slot is None else [(co.cons_slot, np.ones(n))]
+    for cc in co.components:
+        if cc.latents or cc.evlinks or (cc.timefn is not None and co.grid is None):
+            continue
+        x = cc.cov[co.index][:, 0, :] if cc.cov_names else np.ones((n, 1))
+        if cc.timefn is not None:
+            x = x * co.grid.cols[cc.key][:, 0, :]
+        parts += zip(cc.slots, x.T)
+    if co.rp is not None:
+        parts += zip(co.spline_slots, co.rp.at_y.reshape(n, -1).T)
+    return [s for s, _ in parts], np.column_stack([col for _, col in parts] or [np.empty((n, 0))])
 
 
 def _timefn_text(el: TimeFn) -> str:
@@ -458,7 +490,7 @@ def _build_grids(program: Program, co: _CompiledOutcome) -> None:
         return
     if not (co.time_indexed or fam.user_hazard is not None):
         return  # closed-form hazards
-    u = program.gl_nodes
+    u = program.gl_rule[0]
     times = [y[:, None], 0.5 * y[:, None] * (u[None, :] + 1.0)]
     if co.entry_mask.any():
         times.append(0.5 * t0_safe[:, None] * (u[None, :] + 1.0))
@@ -519,7 +551,7 @@ def _iev_times(program: Program, t: np.ndarray) -> np.ndarray:
     """The Gauss-Legendre nodes over (0, t] of every time of an (n, A)
     grid, (n, A x Q); 1 where t <= 0, whose integral is zero.
     """
-    nodes = program.gl_nodes
+    nodes = program.gl_rule[0]
     n, a = t.shape
     pts = 0.5 * t[:, :, None] * (nodes[None, None, :] + 1.0)
     return np.where(pts > 0.0, pts, 1.0).reshape(n, a * len(nodes))
@@ -624,32 +656,16 @@ def row_part(program: Program, k: int, theta: np.ndarray) -> tuple[np.ndarray, l
     """The row part a of outcome k, which has ``intercepts``, at one
     parameter vector: its linear predictor at its rows where its
     intercepts are 0, plus, for ``rp``, the spline s(log y) times its
-    coefficients, an (n,) array, summed column by column in
-    ``row_design``'s order, so that a row's value does not depend on its
+    coefficients, an (n,) array, summed column by column in the order of
+    its compiled ``design``, so that a row's value does not depend on its
     neighbours; and its ancillaries on the natural scale.
     """
     co = program.outcomes[k]
-    slots, x = row_design(program, k)
+    slots, x = co.design
     a = np.zeros(co.rows.size)
     for j, slot in enumerate(slots):
         a = a + x[:, j] * theta[slot]
     return a, co.family.natural_anc(theta[co.anc_slots])
-
-
-def row_design(program: Program, k: int) -> tuple[list[int], np.ndarray]:
-    """The slots the row part a of outcome k depends on (see
-    ``row_part``) and the (n, q) derivatives of a in them: a is
-    the constant plus each component without latent effects, its
-    covariate product (or 1) times its coefficient, plus, for ``rp``,
-    each spline column at log y times its coefficient.
-    """
-    co = program.outcomes[k]
-    ones = np.ones(co.rows.size)
-    parts = [] if co.cons_slot is None else [(co.cons_slot, ones)]
-    parts += [(cc.slots[0], cc.cov[k][:, 0, 0] if cc.cov_names else ones) for cc in co.components if not cc.latents]
-    if co.rp is not None:
-        parts += list(zip(co.spline_slots, co.rp.at_y.reshape(co.rows.size, -1).T))
-    return [s for s, _ in parts], np.column_stack([col for _, col in parts] or [np.empty((co.rows.size, 0))])
 
 
 def _node_sum(subscripts: str, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -693,7 +709,7 @@ def eval_ev(ctx: EvalContext, kind: str, j: int, r: int, t) -> np.ndarray:
         mid = ev_at(grid)
         return (up - 2.0 * mid + dn) / (h3 * h3)
     if kind == "iEV":
-        weights = program.gl_weights
+        weights = program.gl_rule[1]
         n, a = t.shape
         qn = len(weights)
         # a compiled grid holds its nodes and their time-function columns
@@ -808,8 +824,6 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
     entry = emask.any()
     bh = None if co.bhaz is None else co.bhaz.reshape(-1, 1, 1)
     n = co.rows.size
-    q = program.gl_points
-    w = program.gl_weights
 
     if co.rp is not None:
         coefs = ctx.theta[co.spline_slots]
@@ -839,6 +853,7 @@ def _survival_logl(ctx: EvalContext, k: int, anc) -> np.ndarray:
         else:
             # hazard quadrature: grid columns are [y | y-nodes], and
             # [| entry-nodes] with delayed entry
+            q, w = program.gl_points, program.gl_rule[1]
             a = co.grid.t.shape[1]
             if fam.user_hazard is not None:
                 haz = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), co.grid.t[:, :, None]), dtype=float)

@@ -315,7 +315,7 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, ce
         if fam.user_cumhazard is not None and fam.user_hazard is None:
             ch = np.asarray(fam.user_cumhazard(FamilyContext(ctx, k, None), upper[:, None, None]), dtype=float)
             return np.broadcast_to(ch, (len(upper), 1, 1))[:, 0, 0]
-        u, w = program.gl_nodes, program.gl_weights
+        u, w = program.gl_rule
         grid = np.maximum(0.5 * upper[:, None] * (u[None, :] + 1.0), 1e-300)
         if fam.user_hazard is not None:
             h = np.asarray(fam.user_hazard(FamilyContext(ctx, k, None), grid[:, :, None]), dtype=float)

@@ -1,18 +1,42 @@
-"""Helpers that only the tests use: reference survival log-likelihoods
-(closed forms built on the engine's family hazards, and a Gauss-Legendre
-hazard quadrature for any log-hazard function), one-shot marginal
-log-likelihoods and profiles from a fresh ``LikelihoodEvaluator``, and
-a wrapper that gives a one-point toy objective the optimizer's objective
-contract.
+"""Helpers that only the tests use: reference per-row log-likelihoods of
+the non-survival families (``scipy.stats``), reference survival
+log-likelihoods (closed forms built on the engine's family hazards, and
+a Gauss-Legendre hazard quadrature for any log-hazard function),
+one-shot marginal log-likelihoods and profiles from a fresh
+``LikelihoodEvaluator``, and a wrapper that gives a one-point toy
+objective the optimizer's objective contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
 from hiermix.dsl import FamilySpec
 from hiermix.families import gauss_legendre, make_family
 from hiermix.likelihood import LikelihoodEvaluator
+
+
+def family_logl(name, y, mu, anc=None, k=None):
+    """``scipy.stats``' log density or mass of responses y at means mu
+    under a non-survival family; ``anc`` on the natural scale: the
+    Gaussian's sd, the beta's scale s (shapes mu s and (1 - mu) s), the
+    negative binomial's dispersion alpha (variance mu (1 + alpha mu));
+    ``k`` the binomial's trials.
+    """
+    if name == "gaussian":
+        return stats.norm.logpdf(y, mu, anc)
+    if name == "poisson":
+        return stats.poisson.logpmf(y, mu)
+    if name == "bernoulli":
+        return stats.bernoulli.logpmf(y, mu)
+    if name == "binomial":
+        return stats.binom.logpmf(y, k, mu)
+    if name == "beta":
+        return stats.beta.logpdf(y, mu * anc, (1.0 - mu) * anc)
+    if name == "negbinomial":
+        return stats.nbinom.logpmf(y, 1.0 / anc, 1.0 / (1.0 + anc * mu))
+    raise ValueError(f"no reference for family {name!r}")
 
 
 def surv_logl(y, d, family, eta, anc=None, t0=0.0):

@@ -389,6 +389,8 @@ class TestExitCodes:
             (["--draws", "-3"], "need at least one draw"),
             (["--points", "id=5,typo=9"], "names levels without latent effects"),
             (["--draws", "typo=50", "--method", "qmc"], "names levels without latent effects"),
+            # refused at compile, though this model reads no Gauss-Legendre rule
+            (["--gl-points", "0"], "Gauss-Legendre rule needs at least one node"),
         ],
         ids=[
             "negative_skip",
@@ -401,6 +403,7 @@ class TestExitCodes:
             "negative_draws_aghq",
             "points_for_unknown_level",
             "draws_for_unknown_level",
+            "zero_gl_points",
         ],
     )
     def test_bad_setting_exits_3(self, frailty_csv, tmp_path, capsys, flags, name):

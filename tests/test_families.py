@@ -19,7 +19,7 @@ from hiermix.families import (
     register_user_family,
     rp_logl,
 )
-from oracles import hazard_quadrature_logl, surv_logl
+from oracles import family_logl, hazard_quadrature_logl, surv_logl
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -86,6 +86,41 @@ class TestDensities:
         m = 1 / alpha
         p = 1 / (1 + alpha * mu)
         np.testing.assert_allclose(logl_negbin(y, mu, alpha), stats.nbinom.logpmf(y, m, p), rtol=1e-10)
+
+
+class TestFamilyLogl:
+    """``Family.logl``, the fit's per-row log-likelihood at the linear
+    predictor, against ``scipy.stats`` at the mean its link gives."""
+
+    @pytest.mark.parametrize(
+        "name, anc, k",
+        [
+            ("gaussian", 1.3, None),
+            ("poisson", None, None),
+            ("bernoulli", None, None),
+            ("binomial", None, 6),
+            ("beta", 7.5, None),
+            ("negbinomial", 0.6, None),
+        ],
+    )
+    def test_rows_match_scipy(self, name, anc, k):
+        rng = np.random.default_rng(12)
+        fam = make_family(FamilySpec(name, k=k))
+        eta = rng.normal(0.3, 0.8, (40, 1, 3))  # rows, times, nodes
+        mu = fam.inverse_link(eta)
+        draw = {
+            "gaussian": lambda: rng.normal(mu, anc),
+            "poisson": lambda: rng.poisson(mu),
+            "bernoulli": lambda: rng.binomial(1, mu),
+            "binomial": lambda: rng.binomial(k, mu),
+            "beta": lambda: rng.beta(mu * anc, (1.0 - mu) * anc),
+            "negbinomial": lambda: rng.negative_binomial(1.0 / anc, 1.0 / (1.0 + anc * mu)),
+        }[name]
+        y = draw()[:, :, :1]  # one response per row, against every node's eta
+        natural = [] if anc is None else [anc]
+        got = fam.logl(y, eta, natural)
+        assert got.shape == eta.shape
+        np.testing.assert_allclose(got, family_logl(name, y, mu, anc, k), rtol=1e-10)
 
 
 class TestClosedFormSurvival:

@@ -90,6 +90,17 @@ class TestCompileLayout:
         with pytest.raises(CompileError, match="@coefficient"):
             make_program("(y fp(1 2)#M1[id], family(gaussian) timevar(t))", data)
 
+    def test_gauss_legendre_rule_built_only_where_read(self):
+        data = survival_frame()
+        closed = make_program("(time age M1[patient], family(weibull, failure(infect)))", data)
+        assert "gl_rule" not in vars(closed)
+        quadrature = make_program("(time age fp(1) M1[patient], family(weibull, failure(infect)))", data)
+        assert "gl_rule" in vars(quadrature)
+        # too few nodes is an error even where no rule is read
+        spec = parse_model_spec("(time age M1[patient], family(weibull, failure(infect)))")
+        with pytest.raises(CompileError, match="at least one node"):
+            compile_program(spec, as_frame(data), gl_points=0)
+
 
 class TestEvalLinpred:
     def test_named_coefficient_product(self):
@@ -347,6 +358,42 @@ class TestCompiledInputs:
         assert compiled[:2] == rebuilt[:2]
         assert compiled[2] == {"_iev_times": 0, "_time_columns": 0}
         assert rebuilt[2]["_iev_times"] > 0 and rebuilt[2]["_time_columns"] > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "(y x fp(1 2) M1[id], family(gaussian) timevar(t))",
+            "(y x#w x M1[id], family(gaussian))",
+            "(y x w M1[id], family(gaussian) noconstant)",
+            "(y x M1[id], family(rp, failure(d) df(2)))",
+        ],
+        ids=["time_function", "covariate_product", "noconstant", "rp"],
+    )
+    def test_design_is_the_fixed_part_of_eta(self, spec):
+        # the compiled design's columns times their coefficients are the
+        # linear predictor at the outcome's rows and own times where every
+        # latent effect is 0, plus, for rp, the spline s(log y) times its
+        # coefficients; the constant comes first
+        rng = np.random.default_rng(8)
+        n = 24
+        data = {
+            "id": np.repeat(np.arange(8.0) + 1, 3),
+            "y": rng.uniform(0.5, 4.0, n),
+            "d": (rng.random(n) < 0.7).astype(float),
+            "x": rng.normal(size=n),
+            "w": rng.normal(size=n),
+            "t": np.tile([0.5, 1.0, 2.0], 8),
+        }
+        prog = make_program(spec, data)
+        co = prog.outcomes[0]
+        slots, x = co.design
+        assert sorted(slots) == [i for i, slot in enumerate(prog.slots) if slot.kind in ("coef", "cons", "spline")]
+        assert (slots[0] == co.cons_slot) == ("noconstant" not in spec)
+        theta = rng.normal(size=prog.n_params)
+        eta = eval_eta(EvalContext(prog, theta, {"M1": np.zeros((8, 1))}), 0, 0, co.grid)[:, 0, 0]
+        if co.rp is not None:
+            eta = eta + co.rp.at_y.reshape(n, -1) @ theta[co.spline_slots]
+        np.testing.assert_allclose(x @ theta[slots], eta, rtol=1e-13, atol=1e-13)
 
     @staticmethod
     def rp_data(seed=3):

@@ -46,7 +46,7 @@ def test_a_changed_byte_is_flagged(monkeypatch):
         cov=np.eye(2),
         message="converged",
         iterations=5,
-        profile={"objective_points": 60, "derivative_passes": 0},
+        profile={"likelihood_calls": 60, "derivative_passes": 0},
     )
     fit = SimpleNamespace(failed=None, doc=b"", result=result)
     parent = {"a#0": tool.describe(fit), "b#0": tool.describe(document(-12.5, [(0.4, 0.1)]))}
@@ -57,7 +57,7 @@ def test_a_changed_byte_is_flagged(monkeypatch):
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
 
 
-def fit_record(tool, theta, logl, se, iterations=5, points=60, passes=0):
+def fit_record(tool, theta, logl, se, iterations=5, calls=60, passes=0):
     """The record of a converged in-process fit."""
     result = SimpleNamespace(
         theta=np.array(theta),
@@ -65,17 +65,17 @@ def fit_record(tool, theta, logl, se, iterations=5, points=60, passes=0):
         cov=np.diag(np.square(se)),
         message="converged",
         iterations=iterations,
-        profile={"objective_points": points, "derivative_passes": passes},
+        profile={"likelihood_calls": calls, "derivative_passes": passes},
     )
     return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
 
 
 def test_a_changed_pass_count_is_flagged():
-    # an exact-derivative fit evaluates no objective points: only its
-    # pass count shows a change in the steps it took
+    # an exact-derivative fit makes no likelihood calls: only its pass
+    # count shows a change in the steps it took
     tool = load_tool()
-    parent = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], points=0, passes=6)}
-    change = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], points=0, passes=7)}
+    parent = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], calls=0, passes=6)}
+    change = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], calls=0, passes=7)}
     assert tool.differences(parent, change) == ["a#0: differs in derivative_passes"]
     assert tool.beyond_tolerance(parent, change) == []
 
@@ -118,21 +118,31 @@ def test_tolerance_mode(monkeypatch, capsys):
         "b#0": record([1.0], -3.0, [0.5]),
         "c#0": tool.describe(document(-12.5, [(0.4, 0.1)])),
     }
-    # within the gates: rounding-level moves, and fewer objective points
-    close = {**parent, "a#0": record([0.4 + 9e-8, -0.8], -1000.0 * (1 + 9e-11), [0.1 * (1 + 9e-7), 0.2], points=0)}
+    # within the gates: rounding-level moves, and fewer likelihood calls;
+    # a document's numbers, read from it, take the same gates
+    close = {
+        **parent,
+        "a#0": record([0.4 + 9e-8, -0.8], -1000.0 * (1 + 9e-11), [0.1 * (1 + 9e-7), 0.2], calls=0),
+        "c#0": tool.describe(document(-12.5 * (1 + 9e-11), [(0.4 + 9e-8, 0.1 * (1 + 9e-7))])),
+    }
     assert tool.beyond_tolerance(parent, close) == []
-    assert tool.differences(parent, close) == ["a#0: differs in cov, logl, objective_points, theta"]
+    assert tool.differences(parent, close) == [
+        "a#0: differs in cov, likelihood_calls, logl, theta",
+        "c#0: differs in document, estimates, logl, se",
+    ]
     beyond = {
         "a#0": record([0.4 + 2e-7, -0.8], -1000.0 * (1 + 2e-10), [0.1, 0.2 * (1 + 2e-6)]),
         "b#0": record([1.0], -3.0, [0.5], iterations=6),
-        # a document within the gates still differs: documents must match byte for byte
-        "c#0": tool.describe(document(-12.5 * (1 + 1e-14), [(0.4, 0.1)])),
+        "c#0": tool.describe(document(-12.5 * (1 + 2e-10), [(0.4 + 2e-7, 0.1 * (1 + 2e-6))])),
     }
     assert tool.beyond_tolerance(parent, beyond) == [
         "a#0: logl 2e-10 > 1e-10, theta 2e-07 > 1e-07, SE 2e-06 > 1e-06",
         "b#0: differs in iterations",
-        "c#0: differs in document, logl",
+        "c#0: logl 2e-10 > 1e-10, estimates 2e-07 > 1e-07, SE 2e-06 > 1e-06",
     ]
+    # a document whose iteration count differs is beyond the gates
+    slower = {**parent, "c#0": tool.describe(document(-12.5, [(0.4, 0.1)], iterations=6))}
+    assert tool.beyond_tolerance(parent, slower) == ["c#0: differs in iterations"]
     # a standard error the change no longer reports is beyond the gates
     unverified = {**parent, "b#0": record([1.0], -3.0, [np.nan])}
     assert tool.beyond_tolerance(parent, unverified) == ["b#0: SE nan > 1e-06"]
@@ -147,5 +157,5 @@ def test_tolerance_mode(monkeypatch, capsys):
         monkeypatch.setattr(tool, "run_side", lambda checkout, tiny: next(sides))
         assert tool.main([str(ROOT), str(ROOT), *flags]) == status
     out = capsys.readouterr().out
-    assert "all 3 fits within tolerance (1 differ)" in out
+    assert "all 3 fits within tolerance (2 differ)" in out
     assert "beyond tolerance: b#0: differs in iterations" in out

@@ -212,3 +212,49 @@ class TestSurvivalSimulation:
         a = simulate("(y M1[id], family(exponential, failure(d)))", {"ln_sd(M1)": -1.0}, **args)
         b = simulate("(y M1[id], family(exponential, failure(d)))", {"ln_sd(M1)": -1.0}, **args)
         np.testing.assert_array_equal(a.col("y"), b.col("y"))
+
+
+# per family: spec, truth, outcome configuration for four rows per cluster
+RECOVERY = {
+    "binomial": (
+        "(y x M1[id], family(binomial, k(5)))",
+        {"x": 0.5, "_cons": -0.3, "ln_sd(M1)": math.log(0.6)},
+        {"times": [0, 1, 2, 3]},
+    ),
+    "beta": (
+        "(y x M1[id], family(beta))",
+        {"x": 0.5, "_cons": 0.2, "ln_scale": math.log(10.0), "ln_sd(M1)": math.log(0.5)},
+        {"times": [0, 1, 2, 3]},
+    ),
+    "negbinomial": (
+        "(y x M1[id], family(negbinomial))",
+        {"x": 0.4, "_cons": 0.8, "ln_alpha": math.log(0.5), "ln_sd(M1)": math.log(0.5)},
+        {"times": [0, 1, 2, 3]},
+    ),
+    "lognormal": (
+        "(t x M1[id], family(lognormal, failure(d)))",
+        {"x": 0.5, "_cons": 0.5, "ln_sd": math.log(0.8), "ln_sd(M1)": math.log(0.5)},
+        {"censoring": 10.0, "records": 4},
+    ),
+    "loglogistic": (
+        "(t x M1[id], family(loglogistic, failure(d)))",
+        {"x": 0.5, "_cons": -0.5, "ln_gamma": math.log(0.6), "ln_sd(M1)": math.log(0.5)},
+        {"censoring": 10.0, "records": 4},
+    ),
+}
+
+
+class TestFamilyRecovery:
+    @pytest.mark.parametrize("family", list(RECOVERY))
+    def test_fit_recovers_simulated_truth(self, family):
+        # random intercept, 60 clusters x 4 rows: the simulation, the
+        # start values and the fit of each family agree with each other
+        spec, truth, outcome = RECOVERY[family]
+        frame = simulate(spec, truth, levels={"id": 60}, outcomes=[outcome], seed=4)
+        assert frame.col("id").size == 240
+        fit = hm.fit_model(spec, frame)
+        assert fit.converged and fit.optimum_verified
+        se = np.sqrt(np.diag(fit.cov))
+        for name, value in truth.items():
+            i = fit.names.index(name)
+            assert abs(fit.theta[i] - value) < 4.0 * se[i], (name, fit.theta[i], se[i])
