@@ -49,7 +49,8 @@ def load_csv(path, columns: list[str] | None = None) -> DataFrame:
     """Read a comma-delimited file with a header row.
 
     Empty cells become missing. Non-numeric cells are an error when the
-    column is in ``columns`` (or later, when first referenced).
+    column is in ``columns`` (or later, when first referenced). A
+    non-empty header name that appears twice is an error.
     """
     try:
         fh = open(path, newline="")
@@ -62,6 +63,9 @@ def load_csv(path, columns: list[str] | None = None) -> DataFrame:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
+        for j, name in enumerate(header):
+            if name and name in header[:j]:
+                raise DataError(f"{path}: column {name!r} appears twice in the header")
         raw: list[list[str]] = [[] for _ in header]
         for i, cells in enumerate(reader):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
@@ -149,18 +153,16 @@ def build_hierarchy(frame: DataFrame, level_columns: list[str]) -> Hierarchy:
         if l == 0:
             parent.append(np.empty(0, dtype=int))
             continue
-        par = np.full(len(ids), -1, dtype=int)
         outer = row_unit[l - 1]
-        for row in range(frame.n):
-            u, p = inverse[row], outer[row]
-            if par[u] == -1:
-                par[u] = p
-            elif par[u] != p:
-                raise DataError(
-                    f"unit {ids[u]:g} of level {name!r} appears under two parents "
-                    f"({unit_ids[l - 1][par[u]]:g} and {unit_ids[l - 1][p]:g} of {level_columns[l - 1]!r}): "
-                    "nesting must be strict"
-                )
+        par = outer[np.unique(inverse, return_index=True)[1]]  # each unit's parent at its first row
+        clash = np.flatnonzero(outer != par[inverse])
+        if clash.size:
+            u, p = inverse[clash[0]], outer[clash[0]]
+            raise DataError(
+                f"unit {ids[u]:g} of level {name!r} appears under two parents "
+                f"({unit_ids[l - 1][par[u]]:g} and {unit_ids[l - 1][p]:g} of {level_columns[l - 1]!r}): "
+                "nesting must be strict"
+            )
         parent.append(par)
     return Hierarchy(tuple(level_columns), unit_ids, row_unit, parent)
 

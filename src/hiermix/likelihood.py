@@ -35,8 +35,9 @@ which repeats the arithmetic of ``scipy.special.logsumexp`` for real
 input without its generic array-API overhead.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
-plus random intercepts, under an exponential, Weibull, Gompertz, Poisson,
-``rp`` or Gaussian family with a time-constant linear predictor) is
+plus random intercepts, under a Poisson or Gaussian family, whose time
+functions are part of the row part, or an exponential, Weibull, Gompertz
+or ``rp`` family with a time-constant linear predictor) is
 summed per innermost unit instead of evaluated row by row. Given the sum
 L of a unit's intercept values at a column, each exp-linear row's
 conditional log-likelihood is A + B (a + L) - C exp(a + L) (for ``rp``,

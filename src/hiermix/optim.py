@@ -273,6 +273,8 @@ def maximize(
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     theta = np.asarray(theta0, dtype=float).copy()
     p = len(theta)
     free = np.ones(p, dtype=bool) if free_mask is None else np.asarray(free_mask, dtype=bool)

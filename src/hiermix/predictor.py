@@ -346,15 +346,21 @@ def compile_program(
 def _pure_intercepts(co: _CompiledOutcome) -> list | None:
     """The latent effects of an outcome whose log-likelihood given them
     is exp-linear (``families.EXP_LINEAR``) or quadratic (``gaussian``)
-    in its linear predictor, with no time grid, no expected hazard and,
-    for ``rp``, no delayed entry, and whose linear predictor is a row
-    part plus at least one random intercept: a latent effect with no
-    covariate, time function, coefficient or EV[] link. The row part may
-    not depend on latent effects, so no component may have an EV[] link.
-    None for any other outcome.
+    in its linear predictor, with no expected hazard and, for ``rp``, no
+    delayed entry, and whose linear predictor is a row part plus at
+    least one random intercept: a latent effect with no covariate, time
+    function, coefficient or EV[] link. The row part may not depend on
+    latent effects, so no component may have an EV[] link. A survival
+    outcome must be time-constant (a time-indexed one needs its time
+    grid); a Poisson or Gaussian outcome's time functions are part of its
+    row part. None for any other outcome.
     """
     family = co.family.name
-    if (family not in fam_mod.EXP_LINEAR and family != "gaussian") or co.grid is not None or co.bhaz is not None:
+    if (
+        (family not in fam_mod.EXP_LINEAR and family != "gaussian")
+        or (co.family.is_survival and co.time_indexed)
+        or co.bhaz is not None
+    ):
         return None
     if co.rp is not None and co.rp.at_t0 is not None:
         return None

@@ -53,6 +53,11 @@ def simulate(
     for name in model_spec.levels:
         if name not in levels:
             raise SimulationError(f"levels must give a unit count for {name!r}")
+    extra = [name for name in levels if name not in model_spec.levels]
+    if extra:
+        raise SimulationError(
+            f"levels names levels the specification does not have: {extra}; its levels are {list(model_spec.levels)}"
+        )
     counts = [int(levels[name]) for name in model_spec.levels]
     outcome_cfg = outcomes or [{} for _ in model_spec.outcomes]
     if len(outcome_cfg) != len(model_spec.outcomes):
@@ -118,6 +123,11 @@ def simulate(
             for el in comp.elements:
                 if type(el).__name__ == "Covariate":
                     referenced.add(el.name)
+    extra = sorted(set(cov_spec) - referenced)
+    if extra:
+        raise SimulationError(
+            f"covariates names columns that no outcome reads: {extra}; the outcomes read {sorted(referenced)}"
+        )
     for name in sorted(referenced):
         cfg = cov_spec.get(name, {})
         level = cfg.get("level", model_spec.levels[-1])
@@ -274,7 +284,7 @@ def _invert_survival(program: Program, ctx: EvalContext, k: int, target, anc, ce
     co = program.outcomes[k]
     fam = co.family
     name = fam.name
-    if co.grid is None and name != "rp":
+    if not co.time_indexed and name != "rp":
         eta = eval_eta(ctx, k, k)[:, 0, 0]
         lam = np.exp(eta)
         if name == "exponential":

@@ -291,6 +291,20 @@ class TestSimulateCommand:
         main(["simulate", "--config", str(cfg_path), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_ignored_setting_exits_3(self, tmp_path, capsys):
+        # a level the specification does not have is refused, not ignored
+        cfg = {
+            "spec": "(y M1[id], family(exponential, failure(d)))",
+            "theta": {"_cons": -0.5, "ln_sd(M1)": -0.5},
+            "levels": {"id": 30, "clinic": 3},
+            "outcomes": [{"censoring": 3.0}],
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 3
+        assert "levels the specification does not have: ['clinic']" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestExitCodes:
     def test_non_convergence_exits_2(self, frailty_csv, tmp_path, capsys):
@@ -380,6 +394,7 @@ class TestExitCodes:
             (["--method", "qmc", "--skip", "-20"], "skip"),
             (["--skip", "-20"], "skip"),
             (["--threads", "0"], "threads"),
+            (["--max-iter", "-3"], "max_iter must be at least 0"),
             (["--points", "0"], "quadrature point"),
             (["--points", "1"], "adaptive quadrature needs at least 2 points"),
             (["--draws", "0", "--method", "qmc"], "draw"),
@@ -396,6 +411,7 @@ class TestExitCodes:
             "negative_skip",
             "negative_skip_aghq",
             "zero_threads",
+            "negative_max_iter",
             "zero_points",
             "one_point_adaptive",
             "zero_draws_qmc",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_repeated_header_name(self, tmp_path):
+        # the second y would silently replace the first
+        p = tmp_path / "twice.csv"
+        p.write_text("id,y,y\n1,abc,2\n")
+        with pytest.raises(DataError, match="column 'y' appears twice in the header"):
+            load_csv(p)
+        # empty names from trailing commas are not columns anyone reads
+        p.write_text("id,y,,\n1,2,,\n")
+        assert load_csv(p).col("y")[0] == 2.0
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "cols.csv"
         p.write_text("a\n1\n")
@@ -75,7 +87,8 @@ class TestHierarchy:
 
     def test_strict_nesting_violation(self):
         frame = as_frame({"trial": [1.0, 1.0, 2.0], "patient": [7.0, 7.0, 7.0]})
-        with pytest.raises(DataError, match="two parents"):
+        message = "unit 7 of level 'patient' appears under two parents (1 and 2 of 'trial'): nesting must be strict"
+        with pytest.raises(DataError, match=re.escape(message)):
             build_hierarchy(frame, ["trial", "patient"])
 
     def test_order_invariance(self):

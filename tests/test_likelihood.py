@@ -981,6 +981,18 @@ def _nested_counts(seed: int) -> dict:
     return {"id": group, "sub": sub, "x": x, "y": rng.poisson(np.exp(eta)).astype(float)}
 
 
+def _repeated_measures(seed: int) -> dict:
+    """25 subjects x 4 visits at times 0 to 3, with a normal intercept
+    per subject and a mean that falls with time: a Gaussian response y
+    and Poisson counts k."""
+    rng = np.random.default_rng(seed)
+    cid, time = np.repeat(np.arange(25) + 1.0, 4), np.tile([0.0, 1.0, 2.0, 3.0], 25)
+    x = rng.normal(size=cid.size)
+    eta = 0.2 + 0.3 * x - 0.2 * time + np.repeat(rng.normal(0, 0.6, 25), 4)
+    return {"id": cid, "time": time, "x": x, "y": eta + rng.normal(0, 0.5, cid.size),
+            "k": rng.poisson(np.exp(eta)).astype(float)}
+
+
 # (data, spec, plan options) of models whose outcome is summed per cluster
 _PER_CLUSTER = {
     "exponential_entry_aghq": (
@@ -1013,6 +1025,17 @@ _PER_CLUSTER = {
         lambda: _nested_columns(6, [3], np.random.default_rng(38)),
         "(y x M1[id] M2[id>sub], family(gaussian))",
         dict(method="qmc", draws=16),
+    ),
+    # a time trend under timevar() belongs to the row part
+    "gaussian_fp_timevar_aghq": (
+        lambda: _repeated_measures(39),
+        "(y x fp(1) M1[id], family(gaussian) timevar(time))",
+        dict(points=7),
+    ),
+    "poisson_rcs_timevar_qmc": (
+        lambda: _repeated_measures(40),
+        "(k x rcs(knots(0 1 3)) M1[id], family(poisson) timevar(time))",
+        dict(method="qmc", draws=64),
     ),
     # two outcomes share the frailty, which enters the counts twice
     "joint_weibull_poisson_t_aghq": (
@@ -1611,6 +1634,18 @@ class TestExactScope:
             covariates={"trt": {"dist": "bernoulli"}},
             outcomes=[{"censoring": 5.0}, {"times": [0.0, 0.5, 1.0, 2.0]}],
         )
+        longitudinal = _scope_frame(
+            "(y x fp(1) M1[id], family(gaussian) timevar(time))",
+            {"x": 0.4, "fp(1)": -0.3, "_cons": 1.0, "ln_sd": -0.7, "ln_sd(M1)": -0.5},
+            levels={"id": 20},
+            outcomes=[{"times": [0.0, 0.5, 1.0, 2.0, 3.0]}],
+        )
+        three = _scope_frame(
+            "(y x fp(1) M1[c] M2[c>id], family(gaussian) timevar(time))",
+            {"x": 0.4, "fp(1)": -0.3, "_cons": 1.0, "ln_sd": -0.7, "ln_sd(M1)": -0.5, "ln_sd(M2)": -0.7},
+            levels={"c": 5, "id": 4},
+            outcomes=[{"times": [0.0, 1.0, 2.0, 3.0]}],
+        )
         cases = [
             # nested3_aghq, a three-level Poisson model and frailty_qmc
             (nested, "(y x M1[trial] M2[trial>pat], family(gaussian))", dict(points=5), True),
@@ -1618,6 +1653,12 @@ class TestExactScope:
             (weibull, "(t trt M1[id], family(weibull, failure(d)))", dict(method="qmc", redistribution="t", t_df=5), True),
             # rp_replicates
             (weibull, "(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), True),
+            # Gaussian outcomes whose time trend is part of the row part
+            (longitudinal, "(y x fp(1) M1[id], family(gaussian) timevar(time))", dict(points=5), True),
+            (longitudinal, "(y x M1[id], family(gaussian) timevar(time))", dict(points=5), True),
+            (three, "(y x fp(1) M1[c] M2[c>id], family(gaussian) timevar(time))", dict(points=5), True),
+            # a time-indexed survival outcome, evaluated on its hazard quadrature
+            (weibull, "(t trt fp(1) M1[id], family(weibull, failure(d)))", dict(points=5), False),
             # rp with a time-dependent effect, with bhazard and with delayed
             # entry, a Bernoulli model, joint_ev and random slopes
             (weibull, "(t trt fp(1)#trt M1[id], family(rp, failure(d) scale(h) df(3)))", dict(points=5), False),

@@ -51,6 +51,19 @@ class TestGaussianSimulation:
         slope = np.polyfit(frame.col("x"), frame.col("y"), 1)[0]
         assert abs(slope - 2.0) < 0.05
 
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ({"levels": {"id": 5, "clinic": 3}}, r"levels names levels the specification does not have: \['clinic'\]"),
+            ({"covariates": {"x": {}, "age": {"dist": "uniform"}}}, r"covariates names columns that no outcome reads: \['age'\]"),
+        ],
+        ids=["unknown_level", "unread_covariate"],
+    )
+    def test_ignored_setting_is_refused(self, setting, message):
+        kwargs = {"levels": {"id": 5}, "outcomes": [{"times": [0.0]}], "seed": 1, **setting}
+        with pytest.raises(SimulationError, match=message):
+            simulate("(y x M1[id], family(gaussian))", {"x": 1.0}, **kwargs)
+
 
 class TestDiscreteSimulation:
     @pytest.mark.parametrize("family, top", [("bernoulli", 1), ("binomial, k(5)", 5)], ids=["bernoulli", "binomial"])
