@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -119,6 +120,7 @@ def _per_level(text: str | None, cast):
 
 
 def _load_spec(args) -> tuple:
+    """The parsed spec, with ``--covariance`` applied, and its text."""
     if args.spec and args.spec_file:
         raise SpecValidationError("give either --spec or --spec-file, not both")
     if args.spec:
@@ -127,6 +129,8 @@ def _load_spec(args) -> tuple:
         spec = load_spec_file(args.spec_file)
     else:
         raise SpecValidationError("a model is required: --spec or --spec-file")
+    if args.covariance is not None:
+        spec = replace(spec, covariance=args.covariance)
     return spec, render_spec(spec)
 
 
@@ -143,7 +147,6 @@ def _fit_from_args(args, points=None, draws=None):
         method=_per_level(args.method, str),
         redistribution=_per_level(args.redistribution, str),
         t_df=_per_level(args.df, int),
-        covariance=args.covariance,
         adaptive=not args.no_adaptive,
         skip=args.skip,
         gl_points=args.gl_points,
@@ -205,6 +208,11 @@ def _exit_code(results: list[FitResult]) -> int:
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise SimulationError("the configuration must be a JSON object")
+    missing = [key for key in ("spec", "theta", "levels") if key not in cfg]
+    if missing:
+        raise SimulationError(f"the configuration needs {', '.join(missing)}")
     spec = cfg["spec"]
     if isinstance(spec, str) and not spec.lstrip().startswith("("):
         spec = load_spec_file(spec)

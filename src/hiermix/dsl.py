@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
+from .families import FAMILIES
 
 __all__ = [
     "SpecSyntaxError",
@@ -36,25 +37,6 @@ __all__ = [
     "save_spec_file",
     "validate_spec",
 ]
-
-KNOWN_FAMILIES = (
-    "gaussian",
-    "poisson",
-    "bernoulli",
-    "beta",
-    "binomial",
-    "negbinomial",
-    "exponential",
-    "weibull",
-    "gompertz",
-    "lognormal",
-    "loglogistic",
-    "rp",
-    "user",
-    "null",
-)
-
-SURVIVAL_FAMILIES = ("exponential", "weibull", "gompertz", "lognormal", "loglogistic", "rp")
 
 EV_KINDS = ("EV", "dEV", "d2EV", "iEV")
 
@@ -145,7 +127,9 @@ class FamilySpec:
 
     @property
     def is_survival(self) -> bool:
-        return self.name in SURVIVAL_FAMILIES or (self.name == "user" and (self.hazard or self.cumhazard) is not None)
+        if self.name == "user":
+            return (self.hazard or self.cumhazard) is not None
+        return self.name in FAMILIES and FAMILIES[self.name].is_survival
 
     @property
     def is_null(self) -> bool:
@@ -404,8 +388,8 @@ def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
     """
     head, *rest = _split_depth0(args, args_pos, ",")
     name, npos = _strip(*head)
-    if name not in KNOWN_FAMILIES:
-        raise SpecSyntaxError(f"unknown family {name!r} (known: {', '.join(KNOWN_FAMILIES)})", npos)
+    if name not in FAMILIES:
+        raise SpecSyntaxError(f"unknown family {name!r} (known: {', '.join(FAMILIES)})", npos)
     fields: dict = {"name": name}
     for chunk, cpos in rest:
         for key, val, p, _ in _parse_options(chunk, cpos):
@@ -443,7 +427,7 @@ def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
 
 
 def _check_family(fam: FamilySpec, pos: int) -> None:
-    if fam.name in SURVIVAL_FAMILIES and not fam.failure:
+    if FAMILIES[fam.name].is_survival and not fam.failure:
         raise SpecSyntaxError(f"family {fam.name!r} needs a failure() event indicator", pos)
     if fam.name == "null" and fam.failure:
         raise SpecSyntaxError("family(null) takes no failure()", pos)

@@ -1,16 +1,19 @@
-"""Per-observation log-likelihoods for the built-in outcome families,
-Gauss-Legendre nodes for hazard quadrature, and the user-extension
-hooks.
+"""The built-in outcome families, stated once in ``FAMILIES``;
+per-observation log-likelihoods for them, Gauss-Legendre nodes for
+hazard quadrature, and the user-extension hooks.
 
 All functions broadcast over numpy arrays; the fitting engine calls
 them with (rows, time, nodes)-shaped arrays, tests mostly with scalars.
-None of them writes into an array it is given.
+None of them writes into an array it is given. The row functions take
+responses that ``Family.validate_response`` has accepted, as
+``predictor.compile_program`` does for every outcome it compiles; they
+do not check them again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, gammaln, log_ndtr
@@ -44,7 +47,6 @@ def _check_counts(y, what: str, upper=None):
         raise ValueError(f"{what} responses must be non-negative integers")
     if upper is not None and np.any(y > upper):
         raise ValueError(f"{what} responses must not exceed {upper}")
-    return y
 
 
 def logl_gaussian(y, mu, sigma):
@@ -61,14 +63,16 @@ def logl_gaussian(y, mu, sigma):
 
 
 def logl_bernoulli(y, mu):
-    y = _check_counts(y, "bernoulli", upper=1)
+    """0/1 responses y at success probability mu."""
+    y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore"):
         return y * np.log(mu) + (1.0 - y) * np.log1p(-mu)
 
 
 def logl_binomial(y, mu, k):
-    y = _check_counts(y, "binomial", upper=k)
+    """Success counts y in 0..k out of k trials at success probability mu."""
+    y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = gammaln(k + 1.0) - gammaln(y + 1.0) - gammaln(k - y + 1.0) + y * np.log(mu) + (k - y) * np.log1p(-mu)
@@ -76,9 +80,8 @@ def logl_binomial(y, mu, k):
 
 
 def logl_beta(y, mu, s):
+    """Responses y in [0, 1] at mean mu and scale s: Beta(mu s, (1 - mu) s)."""
     y = np.asarray(y, dtype=float)
-    if np.any((y < 0) | (y > 1)):
-        raise ValueError("beta responses must lie in [0, 1]")
     s = np.asarray(s, dtype=float)
     a = mu * s
     b = s - mu * s
@@ -88,8 +91,8 @@ def logl_beta(y, mu, s):
 
 
 def logl_negbin(y, mu, alpha):
-    """Mean-dispersion negative binomial: variance mu*(1+alpha*mu)."""
-    y = _check_counts(y, "negative binomial")
+    """Mean-dispersion negative binomial of counts y: variance mu*(1+alpha*mu)."""
+    y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = 1.0 / alpha
@@ -324,9 +327,10 @@ INVERSE_LINKS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Family:
-    """Evaluation flavour of one outcome family.
+    """One outcome family's facts and evaluation: the built-in families
+    are the entries of ``FAMILIES``, completed by ``make_family``.
 
     ``anc_info`` lists (slot name, transform, report name) for the
     ancillary parameters on the estimation scale.
@@ -336,15 +340,14 @@ class Family:
     link: str = "identity"
     anc_info: tuple = ()
     is_survival: bool = False
+    ph: bool = False  # proportional hazards: log h(t) = eta + base_log_hazard(t)
+    per_cluster: str | None = None  # "exp_linear" or "gaussian" (see predictor._pure_intercepts)
+    response: str | None = None  # the rule of validate_response
     is_null: bool = False
     k: int | None = None
     user_loglf: object = None
     user_hazard: object = None
     user_cumhazard: object = None
-
-    @property
-    def n_anc(self) -> int:
-        return len(self.anc_info)
 
     def inverse_link(self, eta):
         """The mean at linear predictor eta (eta itself for the identity
@@ -359,16 +362,16 @@ class Family:
         return out
 
     def validate_response(self, y: np.ndarray, label: str) -> None:
+        """Raise ValueError, prefixed with ``label``, where a response
+        breaks the ``response`` rule: "counts" (non-negative integers),
+        "binary" (0 or 1), "trials" (0 to ``k``) or "proportion" (in [0, 1]).
+        """
         try:
-            if self.name == "poisson" or self.name == "negbinomial":
-                _check_counts(y, self.name)
-            elif self.name == "bernoulli":
-                _check_counts(y, self.name, upper=1)
-            elif self.name == "binomial":
-                _check_counts(y, self.name, upper=self.k)
-            elif self.name == "beta":
+            if self.response == "proportion":
                 if np.any((y < 0) | (y > 1)):
-                    raise ValueError("beta responses must lie in [0, 1]")
+                    raise ValueError(f"{self.name} responses must lie in [0, 1]")
+            elif self.response is not None:
+                _check_counts(y, self.name, upper={"binary": 1, "trials": self.k}.get(self.response))
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
 
@@ -398,7 +401,7 @@ class Family:
         eta + ``base_log_hazard`` for the proportional-hazards families.
         """
         t = np.asarray(t, dtype=float)
-        if self.name in _PH:
+        if self.ph:
             return eta + self.base_log_hazard(t, anc)
         if self.name == "lognormal":
             z = (np.log(t) - eta) / anc[0]
@@ -416,7 +419,7 @@ class Family:
         """
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.name in _PH:
+            if self.ph:
                 return np.exp(eta) * self._base_cum_hazard(t, anc)
             log_t = np.log(np.maximum(t, 1e-300))
             if self.name == "lognormal":
@@ -452,7 +455,7 @@ class Family:
     def exp_linear(self, y, anc, event=None, entry=None, derivatives=False, spline=None):
         """(A, B, C) such that the log-likelihood at a time-constant
         linear predictor eta is A + B eta - C exp(eta), for the families
-        in ``EXP_LINEAR``: Poisson counts y (A = -log y!, B = y, C = 1);
+        whose ``per_cluster`` is "exp_linear": Poisson counts y (A = -log y!, B = y, C = 1);
         proportional-hazards survival times y with their event
         indicators and entry times (A the log baseline hazard at event
         times, else 0; B = [event]; C the baseline cumulative hazard over
@@ -531,52 +534,44 @@ def _rp_exp_linear(cols: RpColumns, y, gamma, events, derivatives):
     return terms + (d1a, -d1a[:, :, None] * d1a[:, None, :], None, None)
 
 
-# families whose log-likelihood is exp-linear in eta (see ``Family.exp_linear``);
-# ``rp`` is, given its spline coefficients, where it has no delayed entry
-EXP_LINEAR = ("exponential", "weibull", "gompertz", "poisson", "rp")
-_PH = ("exponential", "weibull", "gompertz")
+# Each built-in family's facts, in the order the parser lists the names.
+# ``rp`` is exp-linear given its spline coefficients, where it has no
+# delayed entry; "user" is completed by ``make_family`` from its hooks.
+FAMILIES = {
+    family.name: family
+    for family in (
+        Family("gaussian", anc_info=(("ln_sd", "exp", "sd(resid)"),), per_cluster="gaussian"),
+        Family("poisson", "log", per_cluster="exp_linear", response="counts"),
+        Family("bernoulli", "logit", response="binary"),
+        Family("beta", "logit", (("ln_scale", "exp", "scale"),), response="proportion"),
+        Family("binomial", "logit", response="trials"),
+        Family("negbinomial", "log", (("ln_alpha", "exp", "alpha"),), response="counts"),
+        Family("exponential", "log", is_survival=True, ph=True, per_cluster="exp_linear"),
+        Family("weibull", "log", (("ln_gamma", "exp", "gamma"),), is_survival=True, ph=True, per_cluster="exp_linear"),
+        Family("gompertz", "log", (("gamma", "identity", "gamma"),), is_survival=True, ph=True, per_cluster="exp_linear"),
+        Family("lognormal", "identity", (("ln_sd", "exp", "sd"),), is_survival=True),
+        Family("loglogistic", "log", (("ln_gamma", "exp", "gamma"),), is_survival=True),
+        Family("rp", "log", is_survival=True, per_cluster="exp_linear"),
+        Family("user"),
+        Family("null", is_null=True),
+    )
+}
 
 
 def make_family(fam_spec) -> Family:
     """Build the evaluation object for a parsed family specification."""
     name = fam_spec.name
-    if name == "gaussian":
-        return Family(name, link="identity", anc_info=(("ln_sd", "exp", "sd(resid)"),))
-    if name == "poisson":
-        return Family(name, link="log")
-    if name == "bernoulli":
-        return Family(name, link="logit")
-    if name == "binomial":
-        return Family(name, link="logit", k=fam_spec.k)
-    if name == "beta":
-        return Family(name, link="logit", anc_info=(("ln_scale", "exp", "scale"),))
-    if name == "negbinomial":
-        return Family(name, link="log", anc_info=(("ln_alpha", "exp", "alpha"),))
-    if name == "exponential":
-        return Family(name, link="log", is_survival=True)
-    if name == "weibull":
-        return Family(name, link="log", is_survival=True, anc_info=(("ln_gamma", "exp", "gamma"),))
-    if name == "gompertz":
-        return Family(name, link="log", is_survival=True, anc_info=(("gamma", "identity", "gamma"),))
-    if name == "lognormal":
-        return Family(name, link="identity", is_survival=True, anc_info=(("ln_sd", "exp", "sd"),))
-    if name == "loglogistic":
-        return Family(name, link="log", is_survival=True, anc_info=(("ln_gamma", "exp", "gamma"),))
-    if name == "rp":
-        return Family(name, link="log", is_survival=True)
-    if name == "null":
-        return Family(name, is_null=True)
-    if name == "user":
-        hooks = user_family_hooks(fam_spec.loglf or fam_spec.hazard or fam_spec.cumhazard)
-        n_anc = fam_spec.n_anc or hooks["n_anc"]
-        fam = Family(
-            name,
-            link="identity",
-            is_survival=fam_spec.is_survival,
-            anc_info=tuple((f"anc{j + 1}", "identity", f"anc{j + 1}") for j in range(n_anc)),
-        )
-        fam.user_loglf = hooks["loglf"]
-        fam.user_hazard = hooks["hazard"]
-        fam.user_cumhazard = hooks["cumhazard"]
-        return fam
-    raise ValueError(f"unknown family {name!r}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    if name != "user":
+        return replace(FAMILIES[name], k=fam_spec.k)
+    hooks = user_family_hooks(fam_spec.loglf or fam_spec.hazard or fam_spec.cumhazard)
+    n_anc = fam_spec.n_anc or hooks["n_anc"]
+    return replace(
+        FAMILIES[name],
+        is_survival=fam_spec.is_survival,
+        anc_info=tuple((f"anc{j + 1}", "identity", f"anc{j + 1}") for j in range(n_anc)),
+        user_loglf=hooks["loglf"],
+        user_hazard=hooks["hazard"],
+        user_cumhazard=hooks["cumhazard"],
+    )

@@ -192,8 +192,8 @@ def default_plan(
     kernels, quasi-Monte Carlo with 150 draws per dimension for t
     kernels. Every argument takes a single value or a per-level dict.
     A setting that would be silently ignored is an error: a per-level
-    dict that names a level without latent effects, and a draw count
-    below 1 for any level, a quadrature level included.
+    dict that names a level without latent effects, and a point or draw
+    count below 1 for any level, whichever method it takes.
     """
 
     def per_level(value, name, fallback):
@@ -217,6 +217,8 @@ def default_plan(
         meth = per_level(method, li.name, "qmc" if dist == "t" else "aghq")
         q = per_level(points, li.name, 7)
         m = per_level(draws, li.name, 150 * li.dim)
+        if q < 1:
+            raise ValueError(f"level {li.name!r}: need at least one quadrature point")
         if m < 1:
             raise ValueError(f"level {li.name!r}: need at least one draw")
         plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adaptive)
@@ -430,7 +432,7 @@ class LikelihoodEvaluator:
         co = self.program.outcomes[k]
         starts = self.segments[k][0]
         row_segment = self.intercept_units[k][0]
-        if co.family.name == "gaussian":
+        if co.family.per_cluster == "gaussian":
             return self._gaussian_sums(theta, k, derivatives)
         a, anc = row_part(self.program, k, theta)
         if co.rp is not None:  # rp's own parameters are its spline coefficients

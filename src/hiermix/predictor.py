@@ -245,8 +245,7 @@ def compile_program(
         co = _CompiledOutcome(k, outcome, family, labels[k], rows_list[k])
         co.time_indexed = _time_indexed(spec, k)
         program.outcomes.append(co)
-        if co.response is not None and not family.is_survival:
-            family.validate_response(co.response, f"outcome {k + 1} ({labels[k]})")
+        family.validate_response(co.response, f"outcome {k + 1} ({labels[k]})")
 
     for k, outcome in enumerate(spec.outcomes):
         co = program.outcomes[k]
@@ -345,8 +344,8 @@ def compile_program(
 
 def _pure_intercepts(co: _CompiledOutcome) -> list | None:
     """The latent effects of an outcome whose log-likelihood given them
-    is exp-linear (``families.EXP_LINEAR``) or quadratic (``gaussian``)
-    in its linear predictor, with no expected hazard and, for ``rp``, no
+    is exp-linear or quadratic in its linear predictor (its family's
+    ``per_cluster`` form), with no expected hazard and, for ``rp``, no
     delayed entry, and whose linear predictor is a row part plus at
     least one random intercept: a latent effect with no covariate, time
     function, coefficient or EV[] link. The row part may not depend on
@@ -355,12 +354,7 @@ def _pure_intercepts(co: _CompiledOutcome) -> list | None:
     grid); a Poisson or Gaussian outcome's time functions are part of its
     row part. None for any other outcome.
     """
-    family = co.family.name
-    if (
-        (family not in fam_mod.EXP_LINEAR and family != "gaussian")
-        or (co.family.is_survival and co.time_indexed)
-        or co.bhaz is not None
-    ):
+    if co.family.per_cluster is None or (co.family.is_survival and co.time_indexed) or co.bhaz is not None:
         return None
     if co.rp is not None and co.rp.at_t0 is not None:
         return None

@@ -21,6 +21,7 @@ from .predictor import EvalContext, FamilyContext, Program, compile_program, eva
 __all__ = ["simulate", "SimulationError"]
 
 _BISECT_TOL = 1e-10
+_COVARIATE_PARAMS = {"normal": ("mean", "sd"), "bernoulli": ("p",), "uniform": ("low", "high")}
 
 
 class SimulationError(ValueError):
@@ -39,9 +40,10 @@ def simulate(
 
     levels: units per parent for every cluster level, outermost first
         (a single-level model takes ``{"id": 300}``).
-    covariates: name -> {"dist": normal|bernoulli|uniform, "level": level
-        name, plus dist parameters}; default standard normal at the
-        innermost level.
+    covariates: name -> {"dist": normal|bernoulli|uniform, "level": a
+        level name or "row", plus the dist's parameters: mean and sd,
+        p, or low and high}; default standard normal at the innermost
+        level.
     outcomes: per outcome either {"times": [...]} for longitudinal
         outcomes, or {"censoring": time, "records": r} for survival
         outcomes; null outcomes take {}.
@@ -130,8 +132,18 @@ def simulate(
         )
     for name in sorted(referenced):
         cfg = cov_spec.get(name, {})
+        if not isinstance(cfg, dict):
+            raise SimulationError(f"covariate {name!r}: give its settings as a dict, got {cfg!r}")
         level = cfg.get("level", model_spec.levels[-1])
         dist = cfg.get("dist", "normal")
+        if dist not in _COVARIATE_PARAMS:
+            raise SimulationError(f"unknown covariate distribution {dist!r} for {name}")
+        allowed = ("dist", "level", *_COVARIATE_PARAMS[dist])
+        unknown = sorted(set(cfg) - set(allowed))
+        if unknown:
+            raise SimulationError(f"covariate {name!r}: unknown settings {unknown}; it takes {list(allowed)}")
+        if level != "row" and level not in model_spec.levels:
+            raise SimulationError(f"covariate {name!r}: level {level!r} is none of {[*model_spec.levels, 'row']}")
         if level == "row":
             m = n_rows
             expand = lambda v: v
@@ -144,10 +156,8 @@ def simulate(
             vals = rng.normal(cfg.get("mean", 0.0), cfg.get("sd", 1.0), size=m)
         elif dist == "bernoulli":
             vals = (rng.random(m) < cfg.get("p", 0.5)).astype(float)
-        elif dist == "uniform":
-            vals = rng.uniform(cfg.get("low", 0.0), cfg.get("high", 1.0), size=m)
         else:
-            raise SimulationError(f"unknown covariate distribution {dist!r} for {name}")
+            vals = rng.uniform(cfg.get("low", 0.0), cfg.get("high", 1.0), size=m)
         columns[name] = np.asarray(expand(vals), dtype=float)
 
     # --- placeholder responses so the specification compiles ---
@@ -189,7 +199,10 @@ def simulate(
     if isinstance(theta, dict):
         vec = np.zeros(program.n_params)
         for name, value in theta.items():
-            vec[program.slot_index(name)] = float(value)
+            try:
+                vec[program.slot_index(name)] = float(value)
+            except KeyError as exc:
+                raise SimulationError(exc.args[0]) from None
         theta = vec
     else:
         theta = np.asarray(theta, dtype=float)

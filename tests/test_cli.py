@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import hiermix as hm
 import hiermix.optim as optim
 from hiermix.cli import main
 from hiermix.data import load_csv
+from hiermix.dsl import parse_model_spec
 
 
 @pytest.fixture
@@ -84,6 +86,17 @@ class TestFit:
         line = next(line for line in first.read_text().splitlines() if line.startswith("  spec: "))
         assert main(argv + [str(second), "--spec", line.removeprefix("  spec: ")]) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    def test_document_spec_states_the_covariance_flag(self, frailty_csv, tmp_path):
+        # the document's spec is the model fitted, --covariance included
+        out = tmp_path / "doc.txt"
+        spec = "(y trt trt#M2[id] M1[id], family(gaussian))"
+        argv = ["fit", "--spec", spec, "--data", str(frailty_csv), "--covariance", "unstructured"]
+        main(argv + ["--points", "3", "--max-iter", "0", "--quiet", "--out", str(out)])
+        text = out.read_text()
+        assert "chol(M1,M2)" in text
+        line = next(line for line in text.splitlines() if line.startswith("  spec: "))
+        assert parse_model_spec(line.removeprefix("  spec: ")).covariance == "unstructured"
 
     def test_syntax_error_exit_code(self, frailty_csv, capsys):
         code = main(["fit", "--spec", "(y trt, family(nonsense))", "--data", str(frailty_csv)])
@@ -305,6 +318,26 @@ class TestSimulateCommand:
         assert "levels the specification does not have: ['clinic']" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"theta": {"_cons": -0.5}, "levels": {"id": 30}}, "the configuration needs spec"),
+            ({"spec": "(y M1[id], family(exponential, failure(d)))"}, "the configuration needs theta, levels"),
+            (["(y M1[id], family(exponential, failure(d)))"], "the configuration must be a JSON object"),
+            (
+                {"spec": "(y M1[id], family(exponential, failure(d)))", "theta": {"xx": 1}, "levels": {"id": 30}},
+                "no parameter named 'xx' (have: _cons, ln_sd(M1))",
+            ),
+        ],
+        ids=["no_spec", "no_theta_or_levels", "not_an_object", "unknown_parameter"],
+    )
+    def test_bad_config_exits_3(self, tmp_path, capsys, cfg, message):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestExitCodes:
     def test_non_convergence_exits_2(self, frailty_csv, tmp_path, capsys):
@@ -396,6 +429,7 @@ class TestExitCodes:
             (["--threads", "0"], "threads"),
             (["--max-iter", "-3"], "max_iter must be at least 0"),
             (["--points", "0"], "quadrature point"),
+            (["--method", "qmc", "--points", "0"], "need at least one quadrature point"),
             (["--points", "1"], "adaptive quadrature needs at least 2 points"),
             (["--draws", "0", "--method", "qmc"], "draw"),
             # a setting that a quadrature level would not read, or that
@@ -413,6 +447,7 @@ class TestExitCodes:
             "zero_threads",
             "negative_max_iter",
             "zero_points",
+            "zero_points_qmc",
             "one_point_adaptive",
             "zero_draws_qmc",
             "zero_draws_aghq",
@@ -427,6 +462,31 @@ class TestExitCodes:
         code = main(["fit", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out)] + flags)
         assert code == 3
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family, bad, message",
+        [
+            ("bernoulli", 2.0, "bernoulli responses must not exceed 1"),
+            ("binomial, k(3)", 4.0, "binomial responses must not exceed 3"),
+            ("negbinomial", -1.0, "negbinomial responses must be non-negative integers"),
+            ("poisson", 1.5, "poisson responses must be non-negative integers"),
+            ("beta", 1.5, "beta responses must lie in [0, 1]"),
+        ],
+        ids=["bernoulli", "binomial", "negbinomial", "poisson", "beta"],
+    )
+    def test_bad_response_exits_3(self, tmp_path, capsys, family, bad, message):
+        # refused when the model is compiled, by the library and the command line
+        y = np.full(30, 0.5 if family == "beta" else 1.0)
+        y[7] = bad
+        cols = {"id": np.repeat(np.arange(10.0), 3), "x": np.linspace(-1.0, 1.0, 30), "y": y}
+        spec = f"(y x M1[id], family({family}))"
+        with pytest.raises(ValueError, match=re.escape(f"outcome 1 (y): {message}")):
+            hm.fit_model(spec, cols)
+        data, out = tmp_path / "bad.csv", tmp_path / "o"
+        data.write_text("id,x,y\n" + "".join(f"{i:g},{x:.17g},{v:g}\n" for i, x, v in zip(*cols.values())))
+        assert main(["fit", "--spec", spec, "--data", str(data), "--out", str(out)]) == 3
+        assert f"outcome 1 (y): {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_censored_survival_exits_3(self, tmp_path, capsys):

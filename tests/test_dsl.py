@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -207,7 +209,8 @@ class TestParseErrors:
         assert exc.value.position > 0
 
     def test_unknown_family(self):
-        with pytest.raises(SpecSyntaxError, match="unknown family"):
+        known = "gaussian, poisson, bernoulli, beta, binomial, negbinomial, exponential, weibull, gompertz, lognormal, loglogistic, rp, user, null"
+        with pytest.raises(SpecSyntaxError, match=re.escape(f"unknown family 'gamma' (known: {known})")):
             parse_model_spec("(y x, family(gamma))")
 
     def test_cyclic_ev(self):

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from hiermix.basis import RcsBasis, default_knots
-from hiermix.dsl import FamilySpec
+from hiermix.data import as_frame
+from hiermix.dsl import FamilySpec, parse_model_spec
 from hiermix.families import (
+    FAMILIES,
     RpColumns,
     _gompertz_scaled_expm1,
     _gompertz_scaled_expm1_derivs,
@@ -19,9 +21,39 @@ from hiermix.families import (
     register_user_family,
     rp_logl,
 )
+from hiermix.predictor import compile_program
 from oracles import family_logl, hazard_quadrature_logl, surv_logl
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+BUILTIN = [name for name in FAMILIES if name != "user"]
+SURVIVAL = ("exponential", "weibull", "gompertz", "lognormal", "loglogistic", "rp")
+
+
+def builtin_spec(name: str, terms: str = "x") -> str:
+    """An outcome of family ``name`` with the options the parser needs."""
+    options = {"binomial": "k(3)", "rp": "df(2)"}.get(name, "") + (" failure(d)" if name in SURVIVAL else "")
+    return f"(y {terms}, family({name}, {options}))"
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_parsed_family_builds_the_same_survival_kind(self, name):
+        fam_spec = parse_model_spec(builtin_spec(name)).outcomes[0].family
+        assert fam_spec.is_survival is make_family(fam_spec).is_survival is (name in SURVIVAL)
+
+    def test_per_cluster_families(self):
+        # the families whose random-intercept outcomes are summed per cluster
+        rows = np.arange(12.0)
+        cols = {"id": rows // 3, "x": np.cos(rows), "d": np.ones(12)}
+        summed = set()
+        for name in BUILTIN:
+            y = rows + 1.0 if name in SURVIVAL else rows % 2
+            program = compile_program(parse_model_spec(builtin_spec(name, "x M1[id]")), as_frame({**cols, "y": y}))
+            if program.outcomes[0].intercepts is not None:
+                summed.add(name)
+        assert summed == {"exponential", "weibull", "gompertz", "poisson", "rp", "gaussian"}
 
 
 class TestDensities:

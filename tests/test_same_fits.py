@@ -27,6 +27,17 @@ def test_one_checkout_fits_its_tiny_panels_identically():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("all ") and "fits identical" in proc.stdout
+    lines = load_tool().line_count(ROOT)
+    assert proc.stdout.splitlines()[1] == f"src/hiermix lines: parent {lines}, change {lines} (+0)"
+
+
+def test_line_count_matches_wc(tmp_path):
+    package = tmp_path / "src" / "hiermix"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
+    (package / "notes.txt").write_text("not\ncounted\n")
+    assert load_tool().line_count(tmp_path) == 2
 
 
 def document(logl, estimates, iterations=5):

@@ -56,13 +56,38 @@ class TestGaussianSimulation:
         [
             ({"levels": {"id": 5, "clinic": 3}}, r"levels names levels the specification does not have: \['clinic'\]"),
             ({"covariates": {"x": {}, "age": {"dist": "uniform"}}}, r"covariates names columns that no outcome reads: \['age'\]"),
+            (
+                {"covariates": {"x": {"dist": "normal", "sdd": 2}}},
+                r"covariate 'x': unknown settings \['sdd'\]; it takes \['dist', 'level', 'mean', 'sd'\]",
+            ),
+            (
+                {"covariates": {"x": {"dist": "bernoulli", "sd": 2}}},
+                r"covariate 'x': unknown settings \['sd'\]; it takes \['dist', 'level', 'p'\]",
+            ),
         ],
-        ids=["unknown_level", "unread_covariate"],
+        ids=["unknown_level", "unread_covariate", "misspelt_parameter", "other_distribution_parameter"],
     )
     def test_ignored_setting_is_refused(self, setting, message):
         kwargs = {"levels": {"id": 5}, "outcomes": [{"times": [0.0]}], "seed": 1, **setting}
         with pytest.raises(SimulationError, match=message):
             simulate("(y x M1[id], family(gaussian))", {"x": 1.0}, **kwargs)
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            (
+                {"covariates": {"x": {"level": "clinic"}}},
+                r"covariate 'x': level 'clinic' is none of \['id', 'row'\]",
+            ),
+            ({"covariates": {"x": 3}}, r"covariate 'x': give its settings as a dict, got 3"),
+            ({"theta": {"xx": 1.0}}, r"no parameter named 'xx' \(have: x, _cons, ln_sd, ln_sd\(M1\)\)"),
+        ],
+        ids=["unknown_covariate_level", "settings_not_a_dict", "unknown_parameter"],
+    )
+    def test_bad_setting_is_refused(self, setting, message):
+        kwargs = {"theta": {"x": 1.0}, "levels": {"id": 5}, "outcomes": [{"times": [0.0]}], **setting}
+        with pytest.raises(SimulationError, match=message):
+            simulate("(y x M1[id], family(gaussian))", **kwargs)
 
 
 class TestDiscreteSimulation:

@@ -17,7 +17,8 @@ documents and on the log-likelihood, estimates, standard errors and
 iteration count read from them (``workloads.parse_document``); a fit
 that fails must fail with the same reason. The script prints one line
 per fit that differs, or "all N fits identical" and how many of them
-failed on both sides, and exits 1 on any difference. For each differing
+failed on both sides, then each checkout's ``src/hiermix`` line count,
+and exits 1 on any difference. For each differing
 fit that has numbers on both sides it then prints how far they moved:
 the log-likelihood's relative difference, the largest |change in theta|
 (a document's estimates) over the parent's standard error, the largest
@@ -198,6 +199,11 @@ def beyond_tolerance(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def line_count(checkout: Path) -> int:
+    """Lines in the checkout's ``src/hiermix`` Python files, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "hiermix").glob("*.py"))
+
+
 def run_side(checkout: Path, tiny: bool) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--fits", str(checkout)] + (["--tiny"] if tiny else [])
     env = dict(os.environ, **BLAS_THREADS)
@@ -229,6 +235,8 @@ def main(argv=None) -> int:
     if not lines:
         failed = sum(record["failed"] is not None for record in parent.values())
         print(f"all {len(parent)} fits identical ({failed} failed on both sides)")
+    lines_parent, lines_change = (line_count(side) for side in (args.parent, args.change))
+    print(f"src/hiermix lines: parent {lines_parent}, change {lines_change} ({lines_change - lines_parent:+d})")
     if not args.tolerance or not lines:
         return 1 if lines else 0
     beyond = beyond_tolerance(parent, change)
