@@ -382,9 +382,14 @@ def _named(key: str, val: str, pos: int) -> str:
     return val
 
 
+# family() option spellings that differ from the FamilySpec field they set
+_FAMILY_FIELDS = {"np": "n_anc", "llf": "loglf", "loglfunction": "loglf", "hfunction": "hazard", "chfunction": "cumhazard"}
+
+
 def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
     """The family of the ``family(args)`` option at ``pos``, its
-    arguments starting at ``args_pos``.
+    arguments starting at ``args_pos``. An option the family does not
+    read (its ``options`` in ``FAMILIES``) is an error at its position.
     """
     head, *rest = _split_depth0(args, args_pos, ",")
     name, npos = _strip(*head)
@@ -393,34 +398,24 @@ def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
     fields: dict = {"name": name}
     for chunk, cpos in rest:
         for key, val, p, _ in _parse_options(chunk, cpos):
-            if key == "failure":
-                fields["failure"] = _named(key, val, p)
-            elif key == "scale":
-                # the spline model's only scale, log cumulative hazard
-                if name != "rp":
-                    raise SpecSyntaxError(f"scale() is not an option of family {name!r}", pos)
+            field = _FAMILY_FIELDS.get(key, key)
+            if field not in FAMILIES[name].options:
+                if not any(field in family.options for family in FAMILIES.values()):
+                    raise SpecSyntaxError(f"unknown family option {key!r}", p)
+                raise SpecSyntaxError(f"{key}() is not an option of family {name!r}", p)
+            if field == "scale":  # the spline model's only scale, log cumulative hazard
                 if val != "h":
-                    raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({val})", pos)
-            elif key == "df":
+                    raise SpecSyntaxError(f"family(rp) supports scale(h) only, got scale({val})", p)
+            elif field == "df":
                 fields["df"] = _parse_int(val, p, "family df")
-            elif key == "knots":
-                fields["knots"] = _parse_numbers(val, p)
-            elif key == "ltrunc":
-                fields["ltrunc"] = _named(key, val, p)
-            elif key == "bhazard":
-                fields["bhazard"] = _named(key, val, p)
-            elif key == "k":
+            elif field == "k":
                 fields["k"] = _parse_int(val, p, "binomial k")
-            elif key == "np":
+            elif field == "n_anc":
                 fields["n_anc"] = _parse_int(val, p, "np")
-            elif key in ("llf", "loglf", "loglfunction"):
-                fields["loglf"] = _named(key, val, p)
-            elif key in ("hfunction", "hazard"):
-                fields["hazard"] = _named(key, val, p)
-            elif key in ("chfunction", "cumhazard"):
-                fields["cumhazard"] = _named(key, val, p)
-            else:
-                raise SpecSyntaxError(f"unknown family option {key!r}", p)
+            elif field == "knots":
+                fields["knots"] = _parse_numbers(val, p)
+            else:  # a column or a registered hook
+                fields[field] = _named(key, val, p)
     fam = FamilySpec(**fields)
     _check_family(fam, pos)
     return fam
@@ -429,8 +424,6 @@ def _parse_family(args: str, pos: int, args_pos: int) -> FamilySpec:
 def _check_family(fam: FamilySpec, pos: int) -> None:
     if FAMILIES[fam.name].is_survival and not fam.failure:
         raise SpecSyntaxError(f"family {fam.name!r} needs a failure() event indicator", pos)
-    if fam.name == "null" and fam.failure:
-        raise SpecSyntaxError("family(null) takes no failure()", pos)
     if fam.name == "rp" and fam.df is None and fam.knots is None:
         raise SpecSyntaxError("family(rp) needs df() or knots()", pos)
     if fam.name == "binomial" and fam.k is None:
@@ -443,8 +436,8 @@ def _check_family(fam: FamilySpec, pos: int) -> None:
             raise SpecSyntaxError("family(user) needs loglf(), hfunction() or chfunction()", pos)
         if (fam.hazard or fam.cumhazard) and not fam.failure:
             raise SpecSyntaxError("user hazard families need a failure() event indicator", pos)
-    elif fam.loglf or fam.hazard or fam.cumhazard:
-        raise SpecSyntaxError("loglf/hazard hooks are only valid with family(user)", pos)
+        if fam.loglf and (fam.failure or fam.ltrunc or fam.bhazard):
+            raise SpecSyntaxError("family(user) with loglf() takes no failure(), ltrunc() or bhazard()", pos)
 
 
 _GLOBAL_KEYS = ("covariance", "redistribution", "df")

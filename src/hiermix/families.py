@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, gammaln, log_ndtr
 
 from .basis import RcsBasis, rcs_deriv, rcs_eval
 
@@ -72,6 +71,8 @@ def logl_bernoulli(y, mu):
 
 def logl_binomial(y, mu, k):
     """Success counts y in 0..k out of k trials at success probability mu."""
+    from scipy.special import gammaln
+
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -81,6 +82,8 @@ def logl_binomial(y, mu, k):
 
 def logl_beta(y, mu, s):
     """Responses y in [0, 1] at mean mu and scale s: Beta(mu s, (1 - mu) s)."""
+    from scipy.special import gammaln
+
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
     a = mu * s
@@ -92,6 +95,8 @@ def logl_beta(y, mu, s):
 
 def logl_negbin(y, mu, alpha):
     """Mean-dispersion negative binomial of counts y: variance mu*(1+alpha*mu)."""
+    from scipy.special import gammaln
+
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -320,10 +325,16 @@ def user_family_hooks(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _expit(eta):
+    from scipy.special import expit
+
+    return expit(eta)
+
+
 INVERSE_LINKS = {
     "identity": lambda eta: eta,
     "log": np.exp,
-    "logit": expit,
+    "logit": _expit,
 }
 
 
@@ -343,6 +354,7 @@ class Family:
     ph: bool = False  # proportional hazards: log h(t) = eta + base_log_hazard(t)
     per_cluster: str | None = None  # "exp_linear" or "gaussian" (see predictor._pure_intercepts)
     response: str | None = None  # the rule of validate_response
+    options: tuple = ()  # the family() options it reads, named by the FamilySpec field each sets (scale() sets none)
     is_null: bool = False
     k: int | None = None
     user_loglf: object = None
@@ -383,6 +395,8 @@ class Family:
             if self.name == "gaussian":  # identity link: the mean is eta
                 return logl_gaussian(y, eta, anc[0])
             if self.name == "poisson":
+                from scipy.special import gammaln
+
                 return -np.exp(eta) + y * eta - gammaln(y + 1.0)
             mu = self.inverse_link(eta)
             if self.name == "bernoulli":
@@ -404,6 +418,8 @@ class Family:
         if self.ph:
             return eta + self.base_log_hazard(t, anc)
         if self.name == "lognormal":
+            from scipy.special import log_ndtr
+
             z = (np.log(t) - eta) / anc[0]
             return -0.5 * _LOG_2PI - 0.5 * z * z - np.log(anc[0]) - np.log(t) - log_ndtr(-z)
         if self.name == "loglogistic":
@@ -423,6 +439,8 @@ class Family:
                 return np.exp(eta) * self._base_cum_hazard(t, anc)
             log_t = np.log(np.maximum(t, 1e-300))
             if self.name == "lognormal":
+                from scipy.special import log_ndtr
+
                 return np.where(t > 0, -log_ndtr(-(log_t - eta) / anc[0]), 0.0)
             if self.name == "loglogistic":
                 return np.where(t > 0, np.log1p(np.exp((eta + log_t) / anc[0])), 0.0)
@@ -474,6 +492,8 @@ class Family:
         """
         y = np.asarray(y, dtype=float)
         if self.name == "poisson":
+            from scipy.special import gammaln
+
             terms = -gammaln(y + 1.0), y, np.ones_like(y)
             return terms + (None,) * 4 if derivatives else terms
         events = event != 0
@@ -534,6 +554,11 @@ def _rp_exp_linear(cols: RpColumns, y, gamma, events, derivatives):
     return terms + (d1a, -d1a[:, :, None] * d1a[:, None, :], None, None)
 
 
+# the options every survival family reads: its event indicator, entry
+# times and expected hazard
+_TIMES = ("failure", "ltrunc", "bhazard")
+_PH = dict(is_survival=True, ph=True, per_cluster="exp_linear", options=_TIMES)
+
 # Each built-in family's facts, in the order the parser lists the names.
 # ``rp`` is exp-linear given its spline coefficients, where it has no
 # delayed entry; "user" is completed by ``make_family`` from its hooks.
@@ -544,15 +569,15 @@ FAMILIES = {
         Family("poisson", "log", per_cluster="exp_linear", response="counts"),
         Family("bernoulli", "logit", response="binary"),
         Family("beta", "logit", (("ln_scale", "exp", "scale"),), response="proportion"),
-        Family("binomial", "logit", response="trials"),
+        Family("binomial", "logit", response="trials", options=("k",)),
         Family("negbinomial", "log", (("ln_alpha", "exp", "alpha"),), response="counts"),
-        Family("exponential", "log", is_survival=True, ph=True, per_cluster="exp_linear"),
-        Family("weibull", "log", (("ln_gamma", "exp", "gamma"),), is_survival=True, ph=True, per_cluster="exp_linear"),
-        Family("gompertz", "log", (("gamma", "identity", "gamma"),), is_survival=True, ph=True, per_cluster="exp_linear"),
-        Family("lognormal", "identity", (("ln_sd", "exp", "sd"),), is_survival=True),
-        Family("loglogistic", "log", (("ln_gamma", "exp", "gamma"),), is_survival=True),
-        Family("rp", "log", is_survival=True, per_cluster="exp_linear"),
-        Family("user"),
+        Family("exponential", "log", **_PH),
+        Family("weibull", "log", (("ln_gamma", "exp", "gamma"),), **_PH),
+        Family("gompertz", "log", (("gamma", "identity", "gamma"),), **_PH),
+        Family("lognormal", "identity", (("ln_sd", "exp", "sd"),), is_survival=True, options=_TIMES),
+        Family("loglogistic", "log", (("ln_gamma", "exp", "gamma"),), is_survival=True, options=_TIMES),
+        Family("rp", "log", is_survival=True, per_cluster="exp_linear", options=_TIMES + ("scale", "df", "knots")),
+        Family("user", options=_TIMES + ("loglf", "hazard", "cumhazard", "n_anc")),
         Family("null", is_null=True),
     )
 }

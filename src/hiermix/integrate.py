@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, gammaln, ndtri
 
 __all__ = [
     "GhRule",
@@ -188,6 +187,8 @@ class ReKernel:
         r = self.dim
         if self.dist == "normal":
             return -0.5 * r * _LOG_2PI - logdet - 0.5 * quad
+        from scipy.special import gammaln
+
         df = float(self.df)
         return (
             gammaln((df + r) / 2.0)
@@ -222,6 +223,8 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     need = kernel.dim + (1 if kernel.dist == "t" else 0)
     if uniforms.r < need:
         raise ValueError(f"{kernel.dist} kernel in {kernel.dim} dims needs {need} uniform columns, got {uniforms.r}")
+    from scipy.special import chdtri, ndtri
+
     z = ndtri(uniforms.values[:, : kernel.dim])
     if kernel.dist == "t":
         w = chdtri(kernel.df, 1.0 - uniforms.values[:, kernel.dim])

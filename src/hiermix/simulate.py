@@ -62,6 +62,8 @@ def simulate(
         )
     counts = [int(levels[name]) for name in model_spec.levels]
     outcome_cfg = outcomes or [{} for _ in model_spec.outcomes]
+    if not isinstance(outcome_cfg, (list, tuple)) or not all(isinstance(cfg, dict) for cfg in outcome_cfg):
+        raise SimulationError(f"outcomes must be a list with one settings dict per outcome, got {outcomes!r}")
     if len(outcome_cfg) != len(model_spec.outcomes):
         raise SimulationError(f"{len(model_spec.outcomes)} outcomes but {len(outcome_cfg)} outcome configurations")
 

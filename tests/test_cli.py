@@ -328,8 +328,26 @@ class TestSimulateCommand:
                 {"spec": "(y M1[id], family(exponential, failure(d)))", "theta": {"xx": 1}, "levels": {"id": 30}},
                 "no parameter named 'xx' (have: _cons, ln_sd(M1))",
             ),
+            (
+                {
+                    "spec": "(y M1[id], family(exponential, failure(d)))",
+                    "theta": {"_cons": -0.5, "ln_sd(M1)": -0.5},
+                    "levels": {"id": 30},
+                    "outcomes": "x",
+                },
+                "outcomes must be a list with one settings dict per outcome, got 'x'",
+            ),
+            (
+                {
+                    "spec": "(y M1[id], family(exponential, failure(d)))",
+                    "theta": {"_cons": -0.5, "ln_sd(M1)": -0.5},
+                    "levels": {"id": 30},
+                    "outcomes": ["x"],
+                },
+                "outcomes must be a list with one settings dict per outcome, got ['x']",
+            ),
         ],
-        ids=["no_spec", "no_theta_or_levels", "not_an_object", "unknown_parameter"],
+        ids=["no_spec", "no_theta_or_levels", "not_an_object", "unknown_parameter", "outcomes_string", "outcome_string"],
     )
     def test_bad_config_exits_3(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "sim.json"

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -18,6 +19,8 @@ from hiermix.dsl import (
     save_spec_file,
     validate_spec,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # model statements exercised end to end: single-outcome survival, shared
 # frailty, time-dependent effects, multivariate joint models, competing
@@ -69,6 +72,17 @@ class TestParseCorpus:
     def test_parses(self, text):
         spec = parse_model_spec(text)
         assert len(spec.outcomes) >= 1
+
+    def test_readme_specs_parse(self):
+        # every model in README: the quoted and inline specs, and each
+        # example of the "Examples:" block (one model per paragraph)
+        text = README.read_text()
+        specs = re.findall(r'["`](\([^"`]*family\([^"`]*)["`]', text)
+        examples = text.split("Examples:", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+        specs += [block for block in examples.split("\n\n") if block.strip()]
+        assert len(specs) >= 8
+        for spec in specs:
+            assert parse_model_spec(spec).outcomes, spec
 
     @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
     def test_round_trip(self, text):
@@ -295,6 +309,27 @@ class TestParseErrors:
     def test_scale_is_rp_h_only(self, text, message):
         with pytest.raises(SpecSyntaxError, match=message):
             parse_model_spec(text)
+
+    @pytest.mark.parametrize(
+        "text,option",
+        [
+            ("(y x, family(poisson, k(3)))", "k("),
+            ("(y x, family(gaussian, df(3)))", "df("),
+            ("(y x, family(weibull, failure(d) k(2)))", "k("),
+            ("(y x, family(null, failure(d)))", "failure("),
+            ("(y x, family(bernoulli, llf(f)))", "llf("),
+        ],
+        ids=["k_off_binomial", "df_off_rp", "k_on_survival", "failure_on_null", "hook_off_user"],
+    )
+    def test_option_the_family_does_not_read(self, text, option):
+        name = text[text.index("family(") + 7 :].split(",")[0]
+        with pytest.raises(SpecSyntaxError, match=rf"is not an option of family '{name}'") as exc:
+            parse_model_spec(text)
+        assert exc.value.position == text.index(option)
+
+    def test_user_loglf_takes_no_survival_options(self):
+        with pytest.raises(SpecSyntaxError, match=r"with loglf\(\) takes no failure\(\)"):
+            parse_model_spec("(y x, family(user, loglf(f) failure(d)))")
 
     def test_dict_spec_rejected(self):
         with pytest.raises(SpecSyntaxError, match="at position 0"):
