@@ -247,7 +247,7 @@ def cmd_check(args) -> int:
             (7 if base_points is None else base_points) + 8
         )
     if draws2 is None:
-        draws2 = {n: lp.m * 4 for n, lp in base.plan.levels.items()}
+        draws2 = {n: lp.m * 4 for n, lp in base.plan.levels.items() if lp.method == "qmc"} or None
     escalated, _ = _fit_from_args(args, points=points2, draws=draws2)
     doc: dict = {"model": {"spec": spec_text}}
     shifts = {}

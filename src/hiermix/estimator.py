@@ -41,7 +41,9 @@ def fit_model(
     """Parse, validate, compile and maximize. Integration arguments
     accept a single value or a per-level dict; ``fixed`` pins named
     parameters (estimation scale) during maximization, and they get no
-    standard errors.
+    standard errors. A setting that no level would read is a
+    ``ValueError``: ``draws`` where no level integrates by quasi-Monte
+    Carlo, ``t_df`` where no level has a t kernel.
     """
     model_spec = _as_spec(spec)
     if covariance is not None:
@@ -61,6 +63,11 @@ def fit_model(
         adaptive=adaptive,
         skip=skip,
     )
+    levels = plan.levels.values()
+    if draws not in (None, {}) and all(lp.method != "qmc" for lp in levels):
+        raise ValueError("draws (--draws) is set, but no level integrates by quasi-Monte Carlo, so none would read it")
+    if t_df not in (None, {}) and all(lp.dist != "t" for lp in levels):
+        raise ValueError("t_df (--df) is set, but no level has a t kernel, so none would read it")
     evaluator = LikelihoodEvaluator(program, plan)
 
     theta0 = initial_values(program)

@@ -253,7 +253,9 @@ def adapt_locations(
     in any direction, relative to the scale of the step before, so a
     posterior sharper than the grid's spacing cannot collapse the rule
     onto one node. Cells whose posterior moments are not finite fall
-    back to (0, prior scale) and are flagged.
+    back to (0, prior scale) and are flagged. A one-dimensional level
+    takes this step as scalar arithmetic (``_scalar_scale_step``), with
+    the same results as the matrix step of the others (``_scale_step``).
 
     Every active cell starts at (0, prior scale), or, given ``start``,
     the result of an earlier adaptation of the same cells (a tuple as
@@ -277,6 +279,7 @@ def adapt_locations(
     if start is not None:
         warm = active & ~start[3]
         mu[warm], lam[warm] = start[0][warm], start[1][warm]
+    scale_step = _scalar_scale_step if r == 1 else _scale_step
     for _ in range(max_iter):
         if not np.any(active):
             break
@@ -293,25 +296,7 @@ def adapt_locations(
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
         cov = np.einsum("um,umr,ums->urs", w, centred, centred)
-        ok = np.flatnonzero(active & ~bad)
-        # in the old scale's coordinates, floor the new covariance's
-        # eigenvalues at 1/16: no direction shrinks more than 4x per step
-        fin = ok[np.all(np.isfinite(cov[ok]), axis=(1, 2))]
-        rel = np.linalg.solve(lam[fin], np.linalg.solve(lam[fin], cov[fin]).transpose(0, 2, 1))
-        e, u = np.linalg.eigh(rel)
-        low = e.min(axis=1) < 1.0 / 16.0
-        shrunk = fin[low]
-        floored = (u[low] * np.maximum(e[low], 1.0 / 16.0)[:, None, :]) @ u[low].transpose(0, 2, 1)
-        cov[shrunk] = lam[shrunk] @ floored @ lam[shrunk].transpose(0, 2, 1)
-        lam_new = lam.copy()
-        try:
-            lam_new[ok] = np.linalg.cholesky(cov[ok])
-        except np.linalg.LinAlgError:
-            for g in ok:
-                try:
-                    lam_new[g] = np.linalg.cholesky(cov[g])
-                except np.linalg.LinAlgError:
-                    bad[g] = True
+        lam_new = scale_step(lam, cov, np.flatnonzero(active & ~bad), bad)
         newly_bad = bad & active
         if np.any(newly_bad):
             mu_new[newly_bad] = 0.0
@@ -324,3 +309,47 @@ def adapt_locations(
         iters[active] += 1
         active &= delta >= tol
     return mu, lam, iters, flagged, active
+
+
+def _scale_step(lam, cov, ok, bad):
+    """The new scale factors (K, r, r) of adaptation cells ``ok``: the
+    Cholesky factors of their posterior covariances ``cov``, whose
+    eigenvalues in the old scales' coordinates are floored at 1/16 first,
+    so that no direction shrinks more than 4x per step. Marks in ``bad``
+    the cells without a factor; every other cell keeps its scale.
+    """
+    fin = ok[np.all(np.isfinite(cov[ok]), axis=(1, 2))]
+    rel = np.linalg.solve(lam[fin], np.linalg.solve(lam[fin], cov[fin]).transpose(0, 2, 1))
+    e, u = np.linalg.eigh(rel)
+    low = e.min(axis=1) < 1.0 / 16.0
+    shrunk = fin[low]
+    floored = (u[low] * np.maximum(e[low], 1.0 / 16.0)[:, None, :]) @ u[low].transpose(0, 2, 1)
+    cov[shrunk] = lam[shrunk] @ floored @ lam[shrunk].transpose(0, 2, 1)
+    lam_new = lam.copy()
+    try:
+        lam_new[ok] = np.linalg.cholesky(cov[ok])
+    except np.linalg.LinAlgError:
+        for g in ok:
+            try:
+                lam_new[g] = np.linalg.cholesky(cov[g])
+            except np.linalg.LinAlgError:
+                bad[g] = True
+    return lam_new
+
+
+def _scalar_scale_step(lam, cov, ok, bad):
+    """``_scale_step`` of a one-dimensional level, where every matrix is
+    1 x 1, on per-cell scalars: a variance below 1/16 of the old scale
+    squared (var / lam / lam, as the two solves compute it) becomes
+    lam (1/16) lam, as the matrix product does, and the new scale is its
+    square root wherever it is above 0, which is where LAPACK's Cholesky
+    factorization (potrf) accepts it.
+    """
+    lam1, var = lam[ok, 0, 0], cov[ok, 0, 0]
+    low = var / lam1 / lam1 < 1.0 / 16.0
+    var[low] = lam1[low] * (1.0 / 16.0) * lam1[low]
+    good = var > 0.0
+    lam_new = lam.copy()
+    lam_new[ok[good], 0, 0] = np.sqrt(var[good])
+    bad[ok[~good]] = True
+    return lam_new

@@ -73,9 +73,13 @@ A model whose latent levels all have one dimension and whose outcomes
 with rows are all summed per unit (``exact``) also has
 ``LikelihoodEvaluator.derivatives``: the log-likelihood, the exact score
 (Fisher's identity) and the observed information (Louis 1982, *JRSS B*
-44:226) at one parameter vector in one pass of the same level recursion.
-Its log-likelihood is ``logl``'s, and a fit of such a model calls
-``logl`` not at all (see "exact derivatives" below).
+44:226) at one parameter vector in one pass of the same level recursion
+(see "exact derivatives" below). Its log-likelihood is ``logl``'s, bit
+for bit. A fit of such a model takes every derivative from a pass. On
+QMC and non-adaptive quadrature it takes every value from one too and
+calls ``logl`` not at all; on adaptive quadrature, whose refresh would
+discard a line-search point's pass, each line-search point is one
+``logl`` call (see ``optim.maximize``).
 """
 
 from __future__ import annotations
@@ -631,8 +635,7 @@ class LikelihoodEvaluator:
         vector in one pass, for a model in the scope of ``exact``. Every
         pass runs ``logl``'s level recursion (``_integrate``), so its
         log-likelihood is the one ``logl`` gives, bit for bit, and
-        ``maximize`` takes every value of the fit from passes; where it is
-        not finite, the score and information are NaN, and so is either
+        ``maximize`` may take a value from either; where it is not finite, the score and information are NaN, and so is either
         where a unit's share of it is not finite. Each is summed over the
         outermost units with ``math.fsum``, and inner units are added in
         order of value, so the result does not depend on how units are

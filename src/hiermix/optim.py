@@ -10,8 +10,9 @@ value halves every step and evaluates the probes again. Slots pinned
 during maximization are not probed. Threads belong to ``maximize``,
 whose map spreads the probes over one pool. Where the model
 gives its log-likelihood, exact score and information in one pass,
-``maximize`` takes every value and derivative from it instead (its
-``derivatives``) and calls no objective.
+``maximize`` takes every derivative from it instead (its
+``derivatives``), and calls the objective only at the line-search points
+of a fit whose refreshes change the objective.
 """
 
 from __future__ import annotations
@@ -242,28 +243,35 @@ def maximize(
 
     ``derivatives``, when given, maps a vector to (objective, score,
     information), all exact (``LikelihoodEvaluator.derivatives``), and
-    replaces the objective and both finite differences: ``objective`` is
-    never called. Every value the fit needs, at the start, at each
-    line-search point and after a refresh that changed the objective,
-    comes from a pass at that vector. The latest pass is kept, so the
-    pass of an accepted step gives the next iteration's gradient and
-    Hessian, and the final ones too; a refresh that changed the
-    objective discards it. A fit therefore takes one pass at the start,
-    one per line-search point (an accepted step or a halving) and one
-    per changing refresh; ``near`` is not used and no thread pool is
-    started. Pinned slots' entries are 0, as on the finite-difference
-    path. A score or information that is not finite where the fit needs
-    it as a gradient or Hessian ends the fit, not converged, as a
-    non-finite probe does; a line-search point whose value is not finite
-    is halved, as on the finite-difference path.
+    replaces both finite differences; its objective must equal
+    ``objective``'s bit for bit. The latest pass is kept, and every
+    gradient and Hessian, the final ones too, comes from it. Which
+    values come from a pass follows from the first refresh's answer.
+    Where refreshes change the objective (adaptive quadrature), each
+    refresh discards the pass, so a pass at an accepted step would be
+    thrown away: passes are taken at the start, after each refresh and
+    by the rounding-floor rule below, and every other line-search point
+    is one ``objective`` call. A fit then takes one pass at the start,
+    one per refresh and one per rounding-floor test, and one objective
+    call per line-search point but the rule's. Where they do not (no
+    ``refresh``, QMC, non-adaptive quadrature), each line-search point
+    is a pass, whose accepted one gives the next iteration's gradient
+    and Hessian: a fit takes one pass at the start and one per
+    line-search point (an accepted step or a halving), and never calls
+    ``objective``. ``near`` is not used and no thread pool is started.
+    Pinned slots' entries are 0, as on the finite-difference path. A
+    score or information that is not finite where the fit needs it as
+    a gradient or Hessian ends the fit, not converged, as a non-finite
+    probe does; a line-search point whose value is not finite is
+    halved, as on the finite-difference path.
 
     One rule holds on the exact path only, for a step whose gain is below
     what the objective's rounding resolves. When the predicted gain g's/2
     of the Newton step s is below 64 eps max(|f|, 1), the full step is
     taken if its value is within that same bound of f and its exact
     scaled gradient is smaller than at theta, before any halving; its
-    pass is the line search's first point, so the rule costs no pass of
-    its own, and the step is halved only if it fails. Along a direction whose
+    pass gives the line search's first point, which then costs nothing
+    more, and the step is halved only if it fails. Along a direction whose
     information is large, such as a spline coefficient's, the stopping
     rule's gradient can leave a gain of about 1e-16, which f cannot show,
     and only the exact gradient can tell that the step still descends
@@ -290,6 +298,13 @@ def maximize(
             latest.clear()
             latest[key] = derivatives(th)
         return latest[key][0]
+
+    def search_value(th):
+        """A line-search point's value: without a pass where the next
+        refresh would discard it."""
+        if changing and derivatives is not None and th.tobytes() not in latest:
+            return objective(th)
+        return value(th)
 
     def exact(th):
         value(th)
@@ -319,8 +334,7 @@ def maximize(
                 return val, cand
         return None, None
 
-    if refresh is not None:
-        refresh(theta)
+    changing = refresh is not None and bool(refresh(theta))
     f = value(theta)
     if not np.isfinite(f):
         raise FitError("objective is not finite at the starting values")
@@ -361,7 +375,7 @@ def maximize(
                     cand = theta + alpha * step
                     if clamp is not None:
                         cand = clamp(cand)
-                    val = value(cand)
+                    val = search_value(cand)
                     if np.isfinite(val) and val > f:
                         f_new, theta_new = val, cand
                         break

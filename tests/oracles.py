@@ -3,8 +3,8 @@ the non-survival families (``scipy.stats``), reference survival
 log-likelihoods (closed forms built on the engine's family hazards, and
 a Gauss-Legendre hazard quadrature for any log-hazard function),
 one-shot marginal log-likelihoods and profiles from a fresh
-``LikelihoodEvaluator``, and a wrapper that gives a one-point toy
-objective the optimizer's objective contract.
+``LikelihoodEvaluator``, and mean-variance adaptation with the matrix
+step at every dimension.
 """
 
 from __future__ import annotations
@@ -102,3 +102,92 @@ def profile_report(program, plan, theta) -> dict:
     ev.refresh(np.asarray(theta, dtype=float))
     ev.logl(theta)
     return ev.profile_report()
+
+
+def adapt_locations_matrix(log_conditional, kernel, chol, grid, active, tol=1e-8, max_iter=20, start=None):
+    """``integrate.adapt_locations`` with the matrix moment step (batched
+    solves, eigendecomposition and Cholesky factorization) at every
+    dimension, one included: the reference for its scalar step.
+    """
+    nodes, logw, log_std = grid
+    k, r = len(active), kernel.dim
+    mu = np.zeros((k, r))
+    lam = np.broadcast_to(chol[None], (k, r, r)).copy()
+    iters = np.zeros(k, dtype=int)
+    flagged = np.zeros(k, dtype=bool)
+    active = np.array(active, dtype=bool)
+    if start is not None:
+        warm = active & ~start[3]
+        mu[warm], lam[warm] = start[0][warm], start[1][warm]
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        x = mu[:, None, :] + np.einsum("mr,usr->ums", nodes, lam)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logpost = logw[None] + log_conditional(x) + kernel.log_density(x, chol) - log_std[None]
+        finite_top = np.max(np.where(np.isfinite(logpost), logpost, -np.inf), axis=1)
+        bad = ~np.isfinite(finite_top)
+        w = np.exp(logpost - np.where(bad, 0.0, finite_top)[:, None])
+        w = np.where(np.isfinite(w), w, 0.0)
+        norm = w.sum(axis=1)
+        bad |= norm <= 0
+        w = w / np.where(norm > 0, norm, 1.0)[:, None]
+        mu_new = np.einsum("um,umr->ur", w, x)
+        centred = x - mu_new[:, None, :]
+        cov = np.einsum("um,umr,ums->urs", w, centred, centred)
+        ok = np.flatnonzero(active & ~bad)
+        fin = ok[np.all(np.isfinite(cov[ok]), axis=(1, 2))]
+        rel = np.linalg.solve(lam[fin], np.linalg.solve(lam[fin], cov[fin]).transpose(0, 2, 1))
+        e, u = np.linalg.eigh(rel)
+        low = e.min(axis=1) < 1.0 / 16.0
+        shrunk = fin[low]
+        floored = (u[low] * np.maximum(e[low], 1.0 / 16.0)[:, None, :]) @ u[low].transpose(0, 2, 1)
+        cov[shrunk] = lam[shrunk] @ floored @ lam[shrunk].transpose(0, 2, 1)
+        lam_new = lam.copy()
+        try:
+            lam_new[ok] = np.linalg.cholesky(cov[ok])
+        except np.linalg.LinAlgError:
+            for g in ok:
+                try:
+                    lam_new[g] = np.linalg.cholesky(cov[g])
+                except np.linalg.LinAlgError:
+                    bad[g] = True
+        newly_bad = bad & active
+        if np.any(newly_bad):
+            mu_new[newly_bad] = 0.0
+            lam_new[newly_bad] = chol
+            flagged |= newly_bad
+            active &= ~newly_bad
+        delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
+        mu = np.where(active[:, None], mu_new, mu)
+        lam = np.where(active[:, None, None], lam_new, lam)
+        iters[active] += 1
+        active &= delta >= tol
+    return mu, lam, iters, flagged, active
+
+
+def record_evaluator_calls(monkeypatch) -> list:
+    """Patch ``LikelihoodEvaluator.refresh``, ``derivatives`` and ``logl``
+    to append their names, call by call, to the returned list.
+    """
+    calls = []
+    for name in ("refresh", "derivatives", "logl"):
+
+        def wrapper(self, theta, _original=getattr(LikelihoodEvaluator, name), _name=name):
+            calls.append(_name)
+            return _original(self, theta)
+
+        monkeypatch.setattr(LikelihoodEvaluator, name, wrapper)
+    return calls
+
+
+def adaptive_exact_counts(calls: list, trace: list) -> tuple[int, int]:
+    """The derivative passes and likelihood calls of an adaptive exact fit
+    that converged with this trace, under ``optim.maximize``'s contract:
+    a pass at the start, one after each refresh (one per accepted step)
+    and one per rounding-floor test, which is a pass that does not follow
+    a refresh in ``calls`` (``record_evaluator_calls``); and one ``logl``
+    call per line-search point but those the rounding-floor tests gave.
+    """
+    floor = sum(name == "derivatives" and (i == 0 or calls[i - 1] != "refresh") for i, name in enumerate(calls))
+    return 1 + len(trace) + floor, sum(h + 1 for *_, h in trace) - floor

@@ -10,6 +10,7 @@ import hiermix.optim as optim
 from hiermix.cli import main
 from hiermix.data import load_csv
 from hiermix.dsl import parse_model_spec
+from oracles import adaptive_exact_counts, record_evaluator_calls
 
 
 @pytest.fixture
@@ -138,7 +139,7 @@ class TestFit:
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
 
-    def test_nested_aghq_document_invariant_to_row_order_and_ids(self, tmp_path):
+    def test_nested_aghq_document_invariant_to_row_order_and_ids(self, tmp_path, monkeypatch):
         # each refresh of the adaptation starts from the previous one, so a
         # refresh depends on the fit's path; the path must not depend on
         # the order of the rows or on how trials and patients are labelled.
@@ -164,8 +165,11 @@ class TestFit:
             "two_threads": (columns, "2"),
         }
         spec = "(y x M1[trial] M2[trial>pat], family(gaussian))"
+        calls = record_evaluator_calls(monkeypatch)
         fit = hm.fit_model(spec, columns, points=5)
-        assert fit.profile["likelihood_calls"] == 0 and fit.profile["derivative_passes"] > 0
+        assert fit.message == "converged"
+        counts = adaptive_exact_counts(calls, fit.trace)
+        assert (fit.profile["derivative_passes"], fit.profile["likelihood_calls"]) == counts
         docs = []
         for name, (cols, threads) in variants.items():
             path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
@@ -202,13 +206,16 @@ class TestFit:
         assert docs[2] == docs[0]
 
     @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--draws", "60"]], ids=["aghq", "qmc"])
-    def test_rp_document_invariant_to_row_order_ids_and_threads(self, frailty_csv, tmp_path, flags):
+    def test_rp_document_invariant_to_row_order_ids_and_threads(self, frailty_csv, tmp_path, flags, monkeypatch):
         # a spline-baseline frailty fit takes exact derivative passes, with
         # the spline in each cluster's sums: its document depends neither
         # on the row order, nor on the cluster labels, nor on --threads
         spec = "(y trt M1[id], family(rp, failure(d) scale(h) df(3)))"
+        calls = record_evaluator_calls(monkeypatch)
         fit = hm.fit_model(spec, load_csv(str(frailty_csv)), points=5)
-        assert fit.profile["likelihood_calls"] == 0 and fit.profile["derivative_passes"] > 0
+        assert fit.message == "converged"
+        counts = adaptive_exact_counts(calls, fit.trace)
+        assert (fit.profile["derivative_passes"], fit.profile["likelihood_calls"]) == counts
         rows = frailty_csv.read_text().splitlines()
         header, body = rows[0], rows[1:]
         rng = np.random.default_rng(4)
@@ -544,7 +551,7 @@ WEIBULL = "(t x M1[id], family(weibull, failure(d)))"
 NOT_A_SPEC = "outside an outcome group (at position 0)"
 
 # case: (edit of the _weibull_rows data, spec file text, exit code, a
-# fragment of the error or the document)
+# fragment of the error or the document, and any flags of the fit)
 FAILURE_TABLE = {
     "as_simulated": (None, WEIBULL, 0, "converged: true"),
     "nan_covariate": (_column(3, lambda i, v: math.nan if i == 4 else v), WEIBULL, 3, "missing at data row 5"),
@@ -570,19 +577,25 @@ FAILURE_TABLE = {
     "json_no_outcomes": (None, '{"covariance": "unstructured"}', 3, NOT_A_SPEC),
     "json_empty": (None, "{}", 3, NOT_A_SPEC),
     "empty_ltrunc": (None, "(t x M1[id], family(weibull, failure(d) ltrunc()))", 3, "ltrunc() needs a name (at position 40)"),
+    # integration settings that no level reads
+    "draws_without_qmc": (None, WEIBULL, 3, "draws (--draws) is set, but no level integrates by quasi-Monte Carlo", "--draws", "100"),
+    "draws_below_one_without_qmc": (None, WEIBULL, 3, "need at least one draw", "--draws", "0"),
+    "df_with_normal_quadrature": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--df", "5"),
+    "df_with_normal_qmc": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--method", "qmc", "--df", "5"),
 }
 
 
 class TestFailureInjection:
     @pytest.mark.parametrize("case", FAILURE_TABLE)
     def test_exit_code_and_message(self, tmp_path, capsys, case):
-        edit, spec, expected, fragment = FAILURE_TABLE[case]
+        edit, spec, expected, fragment, *flags = FAILURE_TABLE[case]
         rows = _weibull_rows() if edit is None else edit(_weibull_rows())
         data, spec_file, out = tmp_path / "data.csv", tmp_path / "model.txt", tmp_path / "doc.txt"
         lines = ["id,t,d,x"] + [",".join("" if math.isnan(v) else format(v, ".10g") for v in row) for row in rows]
         data.write_text("\n".join(lines) + "\n")
         spec_file.write_text(spec + "\n")
-        code = main(["fit", "--spec-file", str(spec_file), "--data", str(data), "--out", str(out), "--quiet"])
+        argv = ["fit", "--spec-file", str(spec_file), "--data", str(data), "--out", str(out), "--quiet"]
+        code = main(argv + flags)
         text = capsys.readouterr().err + (out.read_text() if out.exists() else "")
         assert code == expected
         assert fragment in text
@@ -637,6 +650,15 @@ class TestCheckCommand:
         text = out.read_text()
         assert "max_abs_shift" in text
         assert "base" in text and "escalated" in text
+
+    @pytest.mark.parametrize("flags", [[], ["--method", "qmc", "--draws", "40"]], ids=["aghq", "qmc"])
+    def test_default_escalation_sets_only_what_levels_read(self, frailty_csv, tmp_path, flags):
+        # the escalated fit's draws name only the QMC levels: on an all-AGHQ
+        # model it sets none, which would be an error there
+        out = tmp_path / "check.txt"
+        assert main(["check", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out), "--quiet"] + flags) == 0
+        escalated = out.read_text().split("escalated:")[1]
+        assert ("qmc draws 160 kernel normal" if flags else "aghq points 15 (adaptive) kernel normal") in escalated
 
     def test_near_zero_frailty_shift_lands_on_sd(self, tmp_path):
         # a nearly degenerate frailty variance is the resolution-sensitive

@@ -1,5 +1,8 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import adapt_locations_matrix
 from scipy.stats import norm
 
 from hiermix.integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
@@ -296,3 +299,66 @@ class TestAdaptLocations:
         kern = ReKernel(1, dist="t", df=2)
         with pytest.raises(ValueError):
             adapt_one(lambda x: np.zeros(len(x)), kern, np.eye(1), 5)
+
+
+@st.composite
+def _adaptation_cases(draw) -> tuple:
+    """A one-dimensional adaptation of 1 to 6 cells under a normal or
+    t(5) kernel on 2 to 9 points: each cell's conditional is Gaussian or
+    Poisson-like in its random effect, up to e^12 times sharper than the
+    prior, so that the 1/16 floor binds, and is finite, -inf or NaN at
+    every node or at some; some cells are inactive. The start is cold, or
+    warm from drawn shifts and scales with some cells flagged.
+    """
+    k = draw(st.integers(1, 6))
+
+    def per_cell(strategy):
+        return np.array(draw(st.lists(strategy, min_size=k, max_size=k)))
+
+    def within(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    dist = draw(st.sampled_from(["normal", "t"]))
+    kernel = ReKernel(1, dist, 5 if dist == "t" else None)
+    chol = np.array([[np.exp(draw(within(-3.0, 2.0)))]])
+    grid = gh_grid(gh_rule(draw(st.integers(2, 9))), 1)
+    centre, log_sharp = per_cell(within(-4.0, 4.0)), per_cell(within(-4.0, 12.0))
+    poisson = per_cell(st.booleans())
+    kind = per_cell(st.sampled_from(["finite"] * 4 + ["-inf", "nan", "some -inf", "some nan"]))
+    active = per_cell(st.booleans())
+    start = None
+    if draw(st.booleans()):
+        mu = per_cell(within(-3.0, 3.0))[:, None]
+        lam = np.exp(per_cell(within(-6.0, 2.0)))[:, None, None]
+        start = (mu, lam, np.zeros(k, dtype=int), per_cell(st.booleans()), np.zeros(k, dtype=bool))
+
+    def log_conditional(x):
+        b, sharp = x[..., 0], np.exp(log_sharp)[:, None]
+        d = b - centre[:, None]
+        # a Poisson count of about sharp at log-rate centre: y d - n (exp(d) - 1)
+        out = np.where(poisson[:, None], sharp * (d - np.expm1(d)), -0.5 * sharp * d * d)
+        out[kind == "-inf"] = -np.inf
+        out[kind == "nan"] = np.nan
+        out[(kind == "some -inf")[:, None] & (d > 0.0)] = -np.inf
+        out[(kind == "some nan")[:, None] & (np.arange(x.shape[1]) % 2 == 0)] = np.nan
+        return out
+
+    max_iter = draw(st.sampled_from([20, 20, 3]))
+    return log_conditional, kernel, chol, grid, active, max_iter, start
+
+
+class TestScalarMomentStep:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_adaptation_cases())
+    def test_matches_matrix_step(self, case):
+        # a one-dimensional level's scalar step gives the matrix step's
+        # shifts, scales, iteration counts, fallback and capped flags, bit
+        # for bit
+        log_conditional, kernel, chol, grid, active, max_iter, start = case
+        got = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
+        expect = adapt_locations_matrix(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
+        assert got[0].shape == expect[0].shape and got[1].shape == expect[1].shape
+        assert got[0].tobytes() == expect[0].tobytes()
+        assert got[1].tobytes() == expect[1].tobytes()
+        for g, e in zip(got[2:], expect[2:]):
+            np.testing.assert_array_equal(g, e)

@@ -25,7 +25,7 @@ from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, 
 from hiermix.cli import main
 from hiermix.optim import initial_values
 from hiermix.predictor import compile_program
-from oracles import marginal_logl, profile_report
+from oracles import adaptive_exact_counts, marginal_logl, profile_report, record_evaluator_calls
 
 
 def gaussian_cluster_data(g=12, n=4, seed=1, sd_b=0.8, sd_e=0.6):
@@ -1424,7 +1424,7 @@ class TestNestedExactDerivatives:
         assert whole[0] == blocked[0]
         assert whole[1].tobytes() == blocked[1].tobytes() and whole[2].tobytes() == blocked[2].tobytes()
 
-    def test_degenerate_outer_level(self):
+    def test_degenerate_outer_level(self, monkeypatch):
         # one patient per trial: the two intercepts are confounded and only
         # the sum of their variances is identified
         rng = np.random.default_rng(8)
@@ -1443,21 +1443,26 @@ class TestNestedExactDerivatives:
             assert value == ev.logl(theta)
             assert _relative_gap(score, optim.fd_gradient(ev.logl, theta)) <= 1e-6
             assert _relative_gap(-info, optim.fd_hessian(ev.logl, theta)) <= 1e-5
+        calls = record_evaluator_calls(monkeypatch)
         res = hm.fit_model(spec, data, points=5)
-        assert res.profile["likelihood_calls"] == 0 and res.profile["derivative_passes"] > 0
+        counts = adaptive_exact_counts(calls, res.trace)
+        assert (res.profile["derivative_passes"], res.profile["likelihood_calls"]) == counts
         # the flat direction between the two standard deviations leaves the
         # optimum unverified, and the fit says so
         assert res.converged, res.message
         assert res.optimum_verified or res.message.startswith("converged (optimum not verified"), res.message
 
-    def test_nested_fit_takes_passes_only(self):
+    def test_nested_fit_takes_passes_where_it_keeps_them(self, monkeypatch):
         data = three_level_data(4, 3, 2, (0.8, 0.7, 0.6), seed=1)
+        calls = record_evaluator_calls(monkeypatch)
         res = hm.fit_model("(y x M1[trial] M2[trial>pat], family(gaussian))", data, points=5)
-        assert res.converged and res.optimum_verified
-        assert res.profile["likelihood_calls"] == 0
-        # one pass at the start, one per line-search point and one after
-        # each refresh, which changes the objective on adaptive nodes
-        assert res.profile["derivative_passes"] == 1 + sum(2 + h for *_, h in res.trace)
+        assert res.converged and res.optimum_verified and res.message == "converged"
+        # each refresh changes the objective on adaptive nodes and discards
+        # the pass: one pass at the start, one after each refresh and one
+        # per rounding-floor test; every other line-search point is a logl call
+        counts = adaptive_exact_counts(calls, res.trace)
+        assert (res.profile["derivative_passes"], res.profile["likelihood_calls"]) == counts
+        assert calls.count("refresh") == 1 + len(res.trace)
         assert res.profile["adaptation_capped"] == []
         expect = lmm3_marginal(data, res.theta[:2], *np.exp(res.theta[2:]))
         assert abs(res.logl - expect) <= 1e-8 * abs(expect)
@@ -1586,14 +1591,19 @@ class TestRpExactDerivatives:
         got, expect = values
         assert np.isfinite(expect) and abs(got - expect) <= 1e-12 * abs(expect), values
 
-    def test_fit_takes_passes_only(self):
+    def test_fit_takes_exact_derivatives(self, monkeypatch):
         # the fit of the per-cluster form against its twin's finite
         # differences: log-likelihood within 1e-9 relative, estimates
         # within 1e-3 standard errors, standard errors within 1e-5 relative
-        res, twin = (hm.fit_model(p.spec, p.frame, points=9) for p, _ in (_rp(), _rp(twin=True)))
+        (prog, _), (twin_prog, _) = _rp(), _rp(twin=True)
+        calls = record_evaluator_calls(monkeypatch)
+        res = hm.fit_model(prog.spec, prog.frame, points=9)
+        counts = adaptive_exact_counts(calls, res.trace)
+        twin = hm.fit_model(twin_prog.spec, twin_prog.frame, points=9)
         assert res.converged and res.optimum_verified and twin.converged and twin.optimum_verified
-        assert res.profile["likelihood_calls"] == 0
-        assert res.profile["derivative_passes"] > 0 and twin.profile["derivative_passes"] == 0
+        assert res.message == "converged"
+        assert (res.profile["derivative_passes"], res.profile["likelihood_calls"]) == counts
+        assert twin.profile["derivative_passes"] == 0
         assert abs(res.logl - twin.logl) <= 1e-9 * abs(twin.logl)
         for name in ("trt", "_cons", "rcs1", "sd(M1)"):
             assert abs(res.estimate(name) - twin.estimate(name)) <= 1e-3 * twin.se(name), name

@@ -9,6 +9,7 @@ from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
 from hiermix.optim import _MAX_SHRINKS, FitError, SingularDesignError, fd_gradient, fd_hessian, initial_values, maximize
 from hiermix.predictor import compile_program
+from oracles import adaptive_exact_counts, record_evaluator_calls
 
 
 class TestFiniteDifferences:
@@ -326,37 +327,52 @@ class TestMaximize:
         # halve. A changing refresh adds 1e-3 to the value, so a pass kept
         # from before it would give a stale value
         c = np.array([0.5, -1.0])
-        passes = []
+        passes, searched = [], []
         version = [0]
 
         def value(th, v):
             return float(-np.sum(np.log(np.cosh(th - c)))) + 1e-3 * v
 
-        def derivatives(th):
-            passes.append((th.copy(), version[0]))
+        def exact(th, v):
             d = th - c
-            return value(th, version[0]), -np.tanh(d), np.diag(1.0 / np.cosh(d) ** 2)
+            return value(th, v), -np.tanh(d), np.diag(1.0 / np.cosh(d) ** 2)
+
+        def derivatives(th):
+            # with the latest objective call before it
+            passes.append((th.copy(), version[0], searched[-1] if searched else None))
+            return exact(th, version[0])
 
         def refresh(th):
             version[0] += changes
             return changes
 
         def objective(th):
-            raise AssertionError("the objective was called on the exact path")
+            if not changes:
+                raise AssertionError("the objective was called where refreshes change nothing")
+            searched.append((th.copy(), version[0], passes[-1][1], value(th, version[0])))
+            return searched[-1][-1]
 
         res = maximize(objective, c + 2.0, refresh=refresh, derivatives=derivatives)
-        assert res.converged and res.optimum_verified
+        assert res.converged and res.optimum_verified and res.message == "converged"
         np.testing.assert_allclose(res.theta, c, atol=1e-6)
         steps = len(res.trace)
         halvings = sum(h for *_, h in res.trace)
         assert halvings > 0
-        # the start, each line-search point, and each changing refresh
-        assert len(passes) == 1 + steps + halvings + changes * steps
-        # a changing refresh is followed by a new pass at the same vector,
-        # under the new version; otherwise a vector is passed once
-        repeats = [(va, vb) for (a, va), (b, vb) in zip(passes, passes[1:]) if a.tobytes() == b.tobytes()]
-        assert len(repeats) == changes * steps
-        assert all(vb == va + 1 for va, vb in repeats)
+        if changes:
+            # no step here is below the rounding floor: a pass at the start
+            # and one after each refresh, and an objective call at each
+            # line-search point, whose value is a pass's at that vector
+            # under the version of the iteration's pass
+            assert len(passes) == 1 + steps
+            assert len(searched) == steps + halvings
+            assert all(v == latest and val == exact(th, v)[0] for th, v, latest, val in searched)
+            # each refresh is followed by a pass at the step it accepted, the
+            # line search's last point, under the new version
+            assert all(th.tobytes() == last[0].tobytes() and v == last[1] + 1 for th, v, last in passes[1:])
+        else:
+            # the start and each line-search point, each vector passed once
+            assert len(passes) == 1 + steps + halvings
+            assert len({th.tobytes() for th, *_ in passes}) == len(passes)
         assert res.logl == value(res.theta, version[0]) == res.trace[-1][1]
 
     # f = 1000 - (theta_1 - c_1)^2 / 2 - 1e8 (theta_2 - c_2)^2 / 2, started
@@ -405,6 +421,27 @@ class TestMaximize:
         # search's first point: every halving then fails, at no extra pass
         assert len(passes) == 1 + 17
 
+    def test_rounding_floor_pass_is_the_first_search_point_under_refreshes(self):
+        # "no_fall" under a refresh that changes the objective: the rule's
+        # pass at the full step fails its test and gives the line search's
+        # first point, so only the 16 halvings are objective calls
+        start = self.C + np.array([0.0, 2e-13])
+        info = np.diag([1.0, self.STIFF])
+        passes, searched = [], []
+
+        def derivatives(th):
+            passes.append(th.copy())
+            return self.stiff(th), -(start - self.C) * np.diag(info), info
+
+        def objective(th):
+            searched.append(th.copy())
+            return self.stiff(th)
+
+        res = maximize(objective, start, refresh=lambda th: True, derivatives=derivatives)
+        assert not res.converged and res.message == "no ascent step found" and res.iterations == 1
+        assert len(passes) == 1 + 1 and len(searched) == 16
+        assert not any(th.tobytes() == passes[1].tobytes() for th in searched)
+
     def test_finite_differences_take_no_rounding_floor_step(self):
         # the same objective on the finite-difference path ends where every
         # halving failed, and evaluates nothing after the 17 line-search points
@@ -417,7 +454,7 @@ class TestMaximize:
         assert len(points) == 1 + 2 * p + p * (p + 1) + 17
 
     @pytest.mark.parametrize("seed", [1013, 1016, 1019, 1040, 1001, 1027])
-    def test_spline_baseline_panel_fits_converge(self, seed):
+    def test_spline_baseline_panel_fits_converge(self, seed, monkeypatch):
         # rp_replicates data sets as perfbench writes them (100 clusters x 4,
         # 12 significant digits). Their fits ended "no ascent step found"
         # on finite differences (1013, 1016, 1019, 1040), or take the
@@ -431,10 +468,12 @@ class TestMaximize:
             seed=seed,
         )
         cols = {n: np.array([float(format(v, ".12g")) for v in frame.col(n)]) for n in frame.names}
+        calls = record_evaluator_calls(monkeypatch)
         res = hm.fit_model("(t trt M1[id], family(rp, failure(d) scale(h) df(3)))", cols)
         assert res.converged and res.optimum_verified, res.message
         assert res.grad_norm < 1e-5
-        assert res.profile["likelihood_calls"] == 0 and res.profile["derivative_passes"] > 0
+        counts = adaptive_exact_counts(calls, res.trace)
+        assert (res.profile["derivative_passes"], res.profile["likelihood_calls"]) == counts
 
     def test_one_thread_pool_per_fit(self):
         # the worker threads live for the whole fit instead of one

@@ -11,8 +11,8 @@ Each checkout fits, in a subprocess of its own and with its own
 
 The in-process fits are compared on theta, log-likelihood, covariance,
 message, iteration count, ``likelihood_calls`` and ``derivative_passes``
-(an exact-derivative fit makes no likelihood calls); the
-command-line fits (``rp_replicates``) on the bytes of their result
+(an exact-derivative fit makes likelihood calls only at the line-search
+points of adaptive quadrature); the command-line fits (``rp_replicates``) on the bytes of their result
 documents and on the log-likelihood, estimates, standard errors and
 iteration count read from them (``workloads.parse_document``); a fit
 that fails must fail with the same reason. The script prints one line
