@@ -3,7 +3,8 @@ datasets, and re-check fits at escalated integration resolution.
 
 Exit codes: 0 fitted, converged and verified, 2 fitted but not
 converged, or converged at a point whose information matrix is not
-positive definite (not verified), 3 input or specification error.
+positive definite (not verified), 3 input or specification error, a
+command-line usage error included.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--threads", type=int, default=1, help="worker threads for derivative probes (default 1)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["doc", "csv"], default="doc", help="result document or flat estimates CSV")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr iteration log")
 
 
@@ -269,14 +269,27 @@ def cmd_check(args) -> int:
     return _exit_code([base, escalated])
 
 
+class _UsageError(Exception):
+    """A command line that the parser refuses, with its usage."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: ``error``
+    raises instead of exiting 2, the code of a fit that did not converge."""
+
+    def error(self, message):
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hiermix",
         description="Fit multilevel, multivariate mixed-effects and survival models by maximum marginal likelihood.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_fit = sub.add_parser("fit", help="fit a model to CSV data")
     _add_fit_flags(p_fit)
+    p_fit.add_argument("--format", choices=["doc", "csv"], default="doc", help="result document or flat estimates CSV")
     p_fit.set_defaults(func=cmd_fit)
     p_sim = sub.add_parser("simulate", help="simulate a dataset from a spec and true parameters")
     p_sim.add_argument("--config", required=True, help="JSON simulation configuration")
@@ -287,10 +300,10 @@ def main(argv=None) -> int:
     p_check.add_argument("--points2", help="escalated quadrature points (default: points + 8)")
     p_check.add_argument("--draws2", help="escalated draw count (default: draws * 4)")
     p_check.set_defaults(func=cmd_check)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (SpecSyntaxError, SpecValidationError, DataError, SimulationError, FitError, ValueError, OSError) as exc:
+    except (_UsageError, SpecSyntaxError, SpecValidationError, DataError, SimulationError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

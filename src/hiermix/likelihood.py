@@ -290,6 +290,13 @@ class _ExpLinearSums(NamedTuple):
         ll -= e
         return ll, e
 
+    def coefficient(self, outer) -> np.ndarray:
+        """S exp(m + l) at the sum l of the intercept values outside the
+        innermost level (units, combinations): the feature at L = l + n u
+        is this times e^(n u).
+        """
+        return self.S * np.exp(self.m + outer)
+
 
 class _GaussianSums(NamedTuple):
     """A Gaussian outcome's unit sums (see ``_unit_sums``), laid out as
@@ -316,6 +323,12 @@ class _GaussianSums(NamedTuple):
         np.subtract(self.K, ll, out=ll)
         return ll, d
 
+    def coefficient(self, outer) -> np.ndarray:
+        """r-bar - l, as ``_ExpLinearSums.coefficient``: the feature at
+        L = l + n u is this less n u.
+        """
+        return self.mean - outer
+
 
 class _OutcomeTerms(NamedTuple):
     """One outcome's conditional log-likelihood l at a unit, as a
@@ -337,6 +350,11 @@ class _OutcomeTerms(NamedTuple):
 
 # rows x columns of one conditional evaluation at the innermost level
 _CHUNK_VALUES = 1 << 16
+# the most that the square of a cell's raw-moment spread may exceed the
+# norm of its score and Hessian entries by, before its unit takes the
+# per-cell form (see ``_shared_derivatives``): raw moments then lose about
+# eps times this much of that norm, 2e-11 of it
+_RAW_MOMENT_SPREAD = 1e5
 
 
 class LikelihoodEvaluator:
@@ -365,6 +383,9 @@ class LikelihoodEvaluator:
             scaled = [st.info for st in self.level_states if not st.adaptive]
             self.tau_scaled = [info.re_slots[0] for info in scaled]
             self.scaled_index = {info.latent_names[0]: i for i, info in enumerate(scaled)}
+            # outcome -> how many of its intercepts sit at the innermost level
+            inner = self.level_states[-1].info.latent_names[0]
+            self.inner_counts = {k: [name for name, _ in at].count(inner) for k, (_, at) in self.intercept_units.items()}
         # Allocate and free one untouched 16 MiB block. Under glibc, freeing
         # a block that malloc mapped on its own raises M_MMAP_THRESHOLD to
         # its size and M_TRIM_THRESHOLD to twice that, for blocks up to
@@ -613,7 +634,14 @@ class LikelihoodEvaluator:
     # conditional score. At the innermost level a node's conditional score
     # is a per-unit constant plus a few node features times per-unit
     # coefficients, so only the features' posterior means and covariance
-    # are taken over the nodes (``_block_derivatives``). At an outer
+    # are taken over the nodes. On adaptive nodes, which differ per cell,
+    # they are taken from the features at each cell's nodes
+    # (``_block_derivatives``). On scaled nodes every cell has the same
+    # node values u, each feature is a per-cell coefficient times a
+    # function of u, and every mean and covariance is a per-cell
+    # combination of a few moments E[u^a e^(b u)] from one table of node
+    # functions (``_shared_derivatives``); a unit whose raw moments could
+    # lose digits takes the per-cell form instead. At an outer
     # level the conditional score and Hessian at a node are the sums of
     # those of its child cells, added in ``_into_parents``'s order, and
     # the covariance is taken over the node scores themselves
@@ -802,40 +830,177 @@ class LikelihoodEvaluator:
         """Score (units, C, p) and Hessian (units, C, p, p) of the log
         integral of every innermost cell of C combinations, given their
         posterior weights w and node values u (units, C, M) and each
-        outcome's (feature, intercept values at each scaled level) at the
-        cells' nodes (``_row_sums``). The node features, units x C x M
-        each, are formed for blocks of units of at most _CHUNK_VALUES
-        values.
+        outcome's (feature, intercept values at each scaled level, feature
+        coefficient) at the cells' nodes (``_row_sums``). On scaled nodes,
+        which every cell shares, they are the shared-node moments'
+        (``_shared_derivatives``), and only the units whose raw moments
+        could lose digits take the per-cell form; on adaptive nodes every
+        unit takes it (``_per_cell``).
+        """
+        n_units = w.shape[0]
+        if self.level_states[-1].adaptive:
+            return self._per_cell(theta, w, u, feats, terms, 0, n_units)
+        score, hess, redo = self._shared_derivatives(theta, w, u[0, 0], feats, terms)
+        edges = np.flatnonzero(np.diff(redo, prepend=False, append=False))
+        for u0, u1 in zip(edges[::2], edges[1::2]):
+            score[u0:u1], hess[u0:u1] = self._per_cell(theta, w, u, feats, terms, u0, u1)
+        return score, hess
+
+    def _per_cell(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
+        """``_inner_derivatives`` of the innermost units u0 to u1 in the
+        per-cell form, whose node features, units x C x M each, are formed
+        for blocks of units of at most _CHUNK_VALUES values.
+        """
+        _, combos, m = w.shape
+        block = max(1, _CHUNK_VALUES // (combos * m))
+        ends = [(b0, min(b0 + block, u1)) for b0 in range(u0, u1, block)]
+        parts = [self._block_derivatives(theta, w[b0:b1], u[b0:b1], feats, terms, b0, b1) for b0, b1 in ends]
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(v) for v in zip(*parts))
+
+    def _placer(self, k: int, u0: int, u1: int):
+        """A map from outcome k's per-segment values to the innermost
+        units u0 to u1: its segments' values there, 0 at units without
+        rows of k. A float passes unchanged.
+        """
+        seg = self.segments[k][1]
+        if isinstance(seg, slice):  # every unit has rows of k
+            rows, at = slice(u0, u1), None
+        else:  # the segments of units u0 to u1, and their units among them
+            rows = slice(*np.searchsorted(seg, [u0, u1]))
+            at = seg[rows] - u0
+
+        def place(v):
+            if not isinstance(v, np.ndarray):
+                return v
+            v = v[rows]
+            if at is None:
+                return v
+            out = np.zeros((u1 - u0,) + v.shape[1:])
+            out[at] = v
+            return out
+
+        return place
+
+    def _shared_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
+        """``_inner_derivatives`` on the scaled innermost nodes u (M,),
+        which every cell shares, and the units to redo in the per-cell
+        form. Each node feature of ``_block_derivatives`` is a node
+        polynomial, per-cell coefficients times u^a e^(b u): an outcome's
+        feature is S e^(m + l) e^(n u) (exp-linear) or (r-bar - l) - n u
+        (Gaussian), with n its intercepts at the innermost level and l the
+        sum of the others (the coefficient of ``_row_sums``); its
+        intercept sum is n u at the innermost level and l_i at a scaled
+        level outside; a node score T is a sum of their products. So every
+        posterior mean the cells need is a per-cell sum of moments
+        E[u^a e^(b u)], taken in one contraction (``_NodeMeans``), and
+        their score and Hessian follow as in ``_block_derivatives``. The
+        covariance is the raw second moments less the means' products
+        times 2 - W, W the weights' sum, which is what features centred
+        node by node give. Where the features are large beside their
+        spread, those differences cancel: they can lose about eps times
+        the square of the spread sum_r |c_r| sum_t |coefficient_t|
+        sqrt(E[g_t^2]), over the terms g_t of each phi_r. A unit is redone
+        where that square exceeds ``_RAW_MOMENT_SPREAD`` times the norm of
+        a cell's score and Hessian entries, or where an entry is not
+        finite (an e^(b u) that overflows at a node without weight, say).
         """
         n_units, combos, m = w.shape
-        block = max(1, _CHUNK_VALUES // (combos * m))
-        if block >= n_units:
-            return self._block_derivatives(theta, w, u, feats, terms, 0, n_units)
-        parts = [
-            self._block_derivatives(theta, w[u0 : u0 + block], u[u0 : u0 + block], feats, terms, u0, min(u0 + block, n_units))
-            for u0 in range(0, n_units, block)
-        ]
-        return tuple(np.concatenate(v) for v in zip(*parts))
+        p, tau = theta.size, self.tau_scaled
+        inner = len(tau) - 1  # the innermost level's place among the scaled levels
+        a = np.zeros((n_units, p))
+        hess = np.zeros((n_units, combos, p, p))
+        linear = []  # (polynomial, coefficient, hess indices): the mean conditional Hessian
+        features = []  # (phi, c)
+        node_scores = [{} for _ in tau]
+        whole = [(...,)]
+
+        def both(i, j):  # the (tau_i, tau_j) entries
+            return [(..., tau[i], tau[j])] + ([(..., tau[j], tau[i])] if j != i else [])
+
+        for k, (_, scaled, coef) in feats.items():
+            place = self._placer(k, 0, n_units)
+            (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
+            n, coef = self.inner_counts[k], place(coef)
+            f = {(0, n): coef} if c is None else {(0, 0): coef, (1, 0): -float(n)}
+            a += ak
+            hess += A[:, None]
+            linear.append((f, B[:, None], whole))
+            features.append((f, b))
+            if c is not None:
+                f2 = _times(f, f)
+                linear.append((f2, C[:, None], whole))
+                features.append((f2, c))
+            # k's intercept sum at each scaled level: n u at the innermost,
+            # a per-cell constant outside (the same at every node of a cell)
+            L = [None if v is None or i == inner else {(0, 0): place(v[:, ::m])} for i, v in enumerate(scaled)]
+            if n:
+                L[inner] = {(1, 0): float(n)}
+            fL = [None if Li is None else _times(f, Li) for Li in L]
+            for i, Li in enumerate(L):
+                if Li is None:
+                    continue
+                node_scores[i] = _poly((1.0, node_scores[i]), (_cellwise(v0), Li), (_cellwise(v1), fL[i]))
+                cross = [(..., slice(None), tau[i]), (..., tau[i], slice(None))]
+                linear.append((fL[i], e1[:, None], cross))
+                if e is not None:
+                    linear.append((Li, e[:, None], cross))
+                for j in range(i, len(L)):
+                    if L[j] is not None:
+                        # E[(h' f + h) L_i L_j] as h' E[f L_i L_j] + h E[L_i L_j]
+                        poly = _poly((_cellwise(h1), _times(fL[i], L[j])), (_cellwise(h0), _times(Li, L[j])))
+                        linear.append((poly, 1.0, both(i, j)))
+        for i, T in enumerate(node_scores):
+            if T:  # E[T] is also the mean of dl/dL d2L/dtau2
+                linear.append((T, 1.0, both(i, i)))
+                c = np.zeros((n_units, p))
+                c[:, tau[i]] = 1.0
+                features.append((T, c))
+        weight = {(0, 0): 1.0}
+        squares = {(r, s): _times(features[r][0], features[s][0]) for r in range(len(features)) for s in range(r, len(features))}
+        means = _NodeMeans(w, u, [weight, *(poly for poly, _, _ in linear), *(phi for phi, _ in features), *squares.values()])
+        value = means.mean
+        for poly, coefficient, indices in linear:
+            mean = value(poly)
+            if np.ndim(coefficient) > 2:
+                mean = mean.reshape(mean.shape + (1,) * (coefficient.ndim - 2))
+            term = mean * coefficient
+            for index in indices:
+                hess[index] += term
+        W = value(weight)
+        mu = [value(phi) for phi, _ in features]
+        score = a[:, None] * W[..., None]
+        for m_r, (_, c) in zip(mu, features):
+            score += m_r[..., None] * c[:, None]
+        coef = np.empty((n_units, 1, len(features), p))
+        for r, (_, c) in enumerate(features):
+            coef[:, 0, r] = c
+        cov = np.empty((n_units, combos) + (len(features),) * 2)
+        for (r, s), poly in squares.items():
+            cov[..., r, s] = cov[..., s, r] = value(poly) - mu[r] * mu[s] * (2.0 - W)
+        hess += np.swapaxes(coef, -1, -2) @ (cov @ coef)
+        # what the raw second moments may lose, against the norm of each
+        # cell's entries, which is not finite where an entry is not
+        spread = sum(means.magnitude(phi) * np.sqrt(np.vecdot(c, c))[:, None] for phi, c in features)
+        size = np.sqrt(np.vecdot(score, score) + np.vecdot(*(hess.reshape(n_units, combos, -1),) * 2))
+        keep = (spread * spread <= _RAW_MOMENT_SPREAD * size) & np.isfinite(size)
+        return score, hess, ~keep.all(axis=1)
 
     def _block_derivatives(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
         """``_inner_derivatives`` of the innermost units u0 to u1, whose
-        weights and node values are w and u. A node's conditional score is
-        a + sum_r phi_r c_r over a few node features phi_r with per-unit
-        coefficients c_r: each outcome's feature f (coefficient b) and,
-        where it has a c term, f^2 (coefficient c); each scaled level's
-        node score T = sum_k (v_k + v'_k f_k) L_k in its log scale; and an
-        adaptive level's prior score d1. The cells' score is then
-        a + E[phi]'c, and their Hessian the posterior mean of the
-        conditional Hessian plus c' Cov(phi) c, from features centred node
-        by node. Every posterior mean is a dot product over the node axis
-        alone (``np.vecdot``), so no cell's value depends on the block it
-        falls in.
+        weights and node values are w and u, in the per-cell form. A
+        node's conditional score is a + sum_r phi_r c_r over a few node
+        features phi_r with per-unit coefficients c_r: each outcome's
+        feature f (coefficient b) and, where it has a c term, f^2
+        (coefficient c); each scaled level's node score
+        T = sum_k (v_k + v'_k f_k) L_k in its log scale; and an adaptive
+        level's prior score d1. The cells' score is then a + E[phi]'c, and
+        their Hessian the posterior mean of the conditional Hessian plus
+        c' Cov(phi) c, from features centred node by node. Every posterior
+        mean is a dot product over the node axis alone (``np.vecdot``), so
+        no cell's value depends on the block it falls in.
         """
         st = self.level_states[-1]
         nb, p, tau = u1 - u0, theta.size, self.tau_scaled
-
-        def per_cell(h):  # a float, or per-unit values (units, 1, 1), against (units, C) means
-            return h[..., 0] if isinstance(h, np.ndarray) else h
 
         def unit_vector(slot):
             c = np.zeros((nb, p))
@@ -847,24 +1012,8 @@ class LikelihoodEvaluator:
         product = np.empty(w.shape)  # one buffer for products with the weights
         features = []  # (phi, E[phi], c)
         node_scores = [None] * len(tau)  # T at each scaled level
-        for k, (f, scaled) in feats.items():
-            seg = self.segments[k][1]
-            if isinstance(seg, slice):  # every unit has rows of k
-                rows, at = slice(u0, u1), None
-            else:  # the segments of units u0 to u1, and their units in the block
-                rows = slice(*np.searchsorted(seg, [u0, u1]))
-                at = seg[rows] - u0
-
-            def place(v):  # per-segment values at the block's units, 0 at units without rows of k
-                if not isinstance(v, np.ndarray):
-                    return v
-                v = v[rows]
-                if at is None:
-                    return v
-                out = np.zeros((nb,) + v.shape[1:])
-                out[at] = v
-                return out
-
+        for k, (f, scaled, _) in feats.items():
+            place = self._placer(k, u0, u1)
             (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
             f = place(f.reshape((-1,) + w.shape[1:]))
             f[w == 0.0] = 0.0  # no inf * 0 where a node has no weight
@@ -902,9 +1051,9 @@ class LikelihoodEvaluator:
                     # E[(h' f + h) L_i L_j] as h' E[f L_i L_j] + h E[L_i L_j]
                     both = 0.0
                     if np.any(h1):
-                        both = per_cell(h1) * np.vecdot(np.multiply(wf, Li, out=product), L[j])
+                        both = _cellwise(h1) * np.vecdot(np.multiply(wf, Li, out=product), L[j])
                     if np.any(h0):
-                        both = both + per_cell(h0) * np.vecdot(np.multiply(w, Li, out=product), L[j])
+                        both = both + _cellwise(h0) * np.vecdot(np.multiply(w, Li, out=product), L[j])
                     hess[..., tau[i], tau[j]] += both
                     if j != i:
                         hess[..., tau[j], tau[i]] += both
@@ -964,9 +1113,11 @@ class LikelihoodEvaluator:
         nodes of one combination, which is then yielded after its last
         chunk. With ``terms``, a chunk is whole combinations, and
         ``features`` maps each outcome to its feature at the chunk's
-        columns (see ``_collapsed``) and to the sums of its intercept
-        values at each level with scaled nodes (``_scaled_values``); else
-        it is empty.
+        columns (see ``_collapsed``), to the sums of its intercept values
+        at each level with scaled nodes (``_scaled_values``) and, where the
+        innermost level's nodes are scaled, to its feature's per-cell
+        coefficient (``_coefficient``), else None; without ``terms`` it is
+        empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
@@ -1000,7 +1151,8 @@ class LikelihoodEvaluator:
                     intercepts = self.intercept_units[k][1]
                     unit_ll, f = self._collapsed(sums[k], intercepts, vals)
                     if terms is not None:
-                        features[k] = f, self._scaled_values(intercepts, vals)
+                        coef = None if st.adaptive else self._coefficient(sums[k], intercepts, vals, m)
+                        features[k] = f, self._scaled_values(intercepts, vals), coef
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll)
@@ -1038,6 +1190,20 @@ class LikelihoodEvaluator:
         ll, feature = stats.at(L)
         ll[np.isnan(ll)] = -np.inf  # as at the rows
         return ll, feature
+
+    def _coefficient(self, stats, intercepts: list, vals: dict, m: int) -> np.ndarray:
+        """An outcome's per-cell feature coefficient on scaled innermost
+        nodes at the combinations of a chunk of whole ones (units,
+        combinations): ``stats.coefficient`` at the sum of its intercept
+        values outside the innermost level, which are the same at each of
+        a combination's m nodes.
+        """
+        inner = self.level_states[-1].info.latent_names[0]
+        outer = [(name, units) for name, units in intercepts if name != inner]
+        total = 0.0
+        for _, v in self._intercept_values(outer, {name: vals[name][:, ::m] for name, _ in outer}):
+            total = total + v
+        return stats.coefficient(total)
 
     def _scaled_values(self, intercepts: list, vals: dict) -> list:
         """The sum of an outcome's intercept values at each level with
@@ -1118,6 +1284,12 @@ class LikelihoodEvaluator:
         }
 
 
+def _cellwise(h):
+    """A float, or per-unit values (units, 1, 1) as (units, 1), against
+    (units, C) means."""
+    return h[..., 0] if isinstance(h, np.ndarray) else h
+
+
 def _in_slots(slots: list, p: int):
     """A map from per-unit arrays (units, q) or (units, q, q) in the
     slots ``slots`` to arrays in all p slots, 0 elsewhere.
@@ -1141,6 +1313,61 @@ def _index_or_all(units: np.ndarray, n_units: int):
 # ---------------------------------------------------------------------------
 # Posterior moments of the exact derivatives
 # ---------------------------------------------------------------------------
+
+
+class _NodeMeans:
+    """Posterior means over one level's nodes u (M,), which every cell
+    shares, of node polynomials: dicts {(a, b): coefficient} that stand
+    for the sum of coefficient u^a e^(b u), each coefficient a float or
+    per-cell values. Every mean comes from one contraction of the cells'
+    posterior weights w (..., M) with one table of the u^a e^(b u) that
+    the given polynomials hold, a dot product per cell over the node axis
+    alone, so that no cell's value depends on the cells beside it; each
+    polynomial's mean is taken once, however often it is given.
+    """
+
+    def __init__(self, w: np.ndarray, u: np.ndarray, polys: list):
+        keys = sorted({key for poly in polys for key in poly})
+        powers = {a: u**a for a in {a for a, _ in keys}}
+        exps = {b: np.exp(b * u) for b in {b for _, b in keys}}
+        table = np.stack([powers[a] * exps[b] if a and b else powers[a] if a else exps[b] for a, b in keys])
+        self.moments = dict(zip(keys, np.vecdot(table[:, None, None, :], w)))
+        self.polys, self.means = polys, {}  # the polynomials, which keep their ids, and their means
+        for poly in polys:
+            if id(poly) not in self.means:
+                self.means[id(poly)] = sum(c * self.moments[key] for key, c in poly.items())
+
+    def mean(self, poly: dict):
+        """The mean of one of the polynomials given."""
+        return self.means[id(poly)]
+
+    def magnitude(self, poly: dict):
+        """sum |coefficient| sqrt(E[(u^a e^(b u))^2]), given the square of
+        the polynomial among those of the table."""
+        return sum(np.abs(c) * np.sqrt(self.moments[2 * a, 2 * b]) for (a, b), c in poly.items())
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two node polynomials (``_NodeMeans``)."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key, term = (a1 + a2, b1 + b2), c1 * c2
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _poly(*terms) -> dict:
+    """sum c p over the (c, p) of node polynomials p; a c that is the float
+    0 adds nothing."""
+    out = {}
+    for c, poly in terms:
+        if isinstance(c, float) and c == 0.0:
+            continue
+        for key, v in poly.items():
+            term = c * v
+            out[key] = out[key] + term if key in out else term
+    return out
 
 
 def _louis(w: np.ndarray, score: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -185,25 +185,27 @@ class TestFit:
     @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--redistribution", "t", "--df", "5"]])
     def test_per_cluster_document_invariant_to_row_order_and_ids(self, frailty_csv, tmp_path, flags):
         # the frailty outcome is summed per cluster, over each cluster's
-        # rows in their canonical order
+        # rows in their canonical order; on QMC, whose passes take their
+        # posterior moments from one node table, --threads changes no bit
         rows = frailty_csv.read_text().splitlines()
         header, body = rows[0], rows[1:]
         rng = np.random.default_rng(3)
         ids = rng.permutation(25) + 101
         variants = {
-            "original": body,
-            "shuffled": [body[i] for i in rng.permutation(len(body))],
-            "relabelled": [",".join([str(ids[int(r.split(",")[0]) - 1]), *r.split(",")[1:]]) for r in body],
+            "original": (body, "1"),
+            "shuffled": ([body[i] for i in rng.permutation(len(body))], "1"),
+            "relabelled": ([",".join([str(ids[int(r.split(",")[0]) - 1]), *r.split(",")[1:]]) for r in body], "1"),
         }
+        if "qmc" in flags:
+            variants["two_threads"] = (body, "2")
         docs = []
-        for name, lines in variants.items():
+        for name, (lines, threads) in variants.items():
             path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
             path.write_text("\n".join([header, *lines]) + "\n")
-            argv = ["fit", "--spec", SPEC, "--data", str(path), "--out", str(out), "--quiet"]
+            argv = ["fit", "--spec", SPEC, "--data", str(path), "--out", str(out), "--quiet", "--threads", threads]
             assert main(argv + flags) == 0
             docs.append(out.read_bytes())
-        assert docs[1] == docs[0]
-        assert docs[2] == docs[0]
+        assert all(doc == docs[0] for doc in docs[1:])
 
     @pytest.mark.parametrize("flags", [["--points", "5"], ["--method", "qmc", "--draws", "60"]], ids=["aghq", "qmc"])
     def test_rp_document_invariant_to_row_order_ids_and_threads(self, frailty_csv, tmp_path, flags, monkeypatch):
@@ -513,6 +515,33 @@ class TestExitCodes:
         assert main(["fit", "--spec", spec, "--data", str(data), "--out", str(out)]) == 3
         assert f"outcome 1 (y): {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "--spec", SPEC, "--data", "d.csv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["fit", "--spec", SPEC, "--data", "d.csv", "--skip", "abc"], "argument --skip: invalid int value: 'abc'"),
+            (["fit", "--spec", SPEC], "the following arguments are required: --data"),
+            (["check", "--spec", SPEC, "--data", "d.csv", "--points2"], "argument --points2: expected one argument"),
+            (["simulate", "--out", "a.csv"], "the following arguments are required: --config"),
+            # --format is read by fit only
+            (["check", "--spec", SPEC, "--data", "d.csv", "--format", "csv"], "unrecognized arguments: --format csv"),
+        ],
+        ids=["fit_unknown_flag", "fit_bad_int", "fit_missing_data", "check_missing_value", "simulate_missing_config",
+             "check_format"],
+    )
+    def test_usage_error_exits_3(self, capsys, argv, message):
+        # a usage error is an input error: not 2, the code of a fit that did
+        # not converge, and a return from main, not SystemExit
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}\nusage: hiermix")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--format" in capsys.readouterr().out
 
     def test_all_censored_survival_exits_3(self, tmp_path, capsys):
         # 30 clusters x 4 Weibull rows, every one censored

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 import hiermix as hm
 import hiermix.likelihood as likelihood
@@ -1043,6 +1043,20 @@ _PER_CLUSTER = {
         "(y x M1[id], family(weibull, failure(d))) (k x M1[id] M1[id], family(poisson))",
         dict(points=7, redistribution="t", t_df=5, method="aghq"),
     ),
+    # the same on shared QMC nodes, where the counts' feature is
+    # S e^(m) e^(2 u)
+    "joint_weibull_poisson_t_qmc": (
+        lambda: _with_counts(_clustered_survival("weibull", False, 42), 43),
+        "(y x M1[id], family(weibull, failure(d))) (k x M1[id] M1[id], family(poisson))",
+        dict(method="qmc", redistribution="t", t_df=5, draws=64),
+    ),
+    # shared QMC nodes inside adaptive quadrature, whose nodes enter the
+    # inner level's per-cell coefficients S e^(m + l)
+    "poisson_nested_aghq_qmc": (
+        lambda: _nested_counts(44),
+        "(y x M1[id] M2[id>sub], family(poisson))",
+        dict(method={"id": "aghq", "sub": "qmc"}, points=3, draws=16),
+    ),
 }
 # the per-cluster models whose latent levels all have one dimension, so
 # that their fits take exact derivatives: all of them
@@ -1683,3 +1697,79 @@ class TestExactScope:
         for cols, spec, options, exact in cases:
             prog = make(cols, spec)
             assert LikelihoodEvaluator(prog, default_plan(prog, **options)).exact == exact, spec
+
+
+def _check_inner_against_per_cell(ev: LikelihoodEvaluator, theta: np.ndarray) -> None:
+    """One pass at theta, whose innermost score and Hessian on scaled
+    nodes must match the per-cell form's on the same inputs, cell by
+    cell: within 1e-9 of each cell's largest entry, and finite wherever
+    the per-cell form's are. Its log-likelihood must be ``logl``'s, bit
+    for bit."""
+    shared = ev._inner_derivatives
+
+    def inner(theta, w, u, feats, terms):
+        copies = {k: (f.copy(), scaled, coef) for k, (f, scaled, coef) in feats.items()}
+        expect = ev._per_cell(theta, w, u, copies, terms, 0, w.shape[0])
+        got = shared(theta, w, u, feats, terms)
+        for g, x in zip(got, expect):
+            g, x = g.reshape(g.shape[:2] + (-1,)), x.reshape(x.shape[:2] + (-1,))
+            finite = np.isfinite(x).all(axis=-1)
+            assert np.isfinite(g[finite]).all()
+            largest = np.abs(x[finite]).max(axis=-1)
+            gap = np.abs(g[finite] - x[finite]).max(axis=-1)
+            assert np.all(gap <= 1e-9 * largest), (gap / largest).max()
+        return got
+
+    ev._inner_derivatives = inner
+    try:
+        value = ev.derivatives(theta)[0]
+    finally:
+        del ev._inner_derivatives
+    assert value == ev.logl(theta)
+
+
+class TestSharedNodeMoments:
+    """On scaled innermost nodes (QMC or non-adaptive quadrature), which
+    every cell shares, a pass takes its innermost posterior moments from
+    one node table; cell by cell they match the per-cell form's, at every
+    drawn vector, the far ones (scale 1000) included."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=_random_intercept_models(), data=st.data())
+    def test_random_intercepts(self, model, data):
+        ev, start = model
+        scales = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
+        offsets = data.draw(hnp.arrays(float, (4, start.size), elements=st.floats(-1.0, 1.0)))
+        for theta in start + np.asarray(scales)[:, None] * offsets:
+            _check_inner_against_per_cell(ev, theta)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=_nested_intercept_models(), data=st.data())
+    def test_nested_intercepts(self, model, data):
+        ev, _, start = model
+        assume(not ev.level_states[-1].adaptive)
+        scales = [data.draw(st.sampled_from([0.0, 0.1, 0.5]))]
+        scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1000.0]), min_size=3, max_size=3))
+        offsets = data.draw(hnp.arrays(float, (4, start.size), elements=st.floats(-1.0, 1.0)))
+        adapt_at, *vectors = start + np.asarray(scales)[:, None] * offsets
+        ev.refresh(adapt_at)
+        for theta in vectors:
+            _check_inner_against_per_cell(ev, theta)
+
+    @pytest.mark.parametrize("case", ["weibull_t_qmc", "gaussian_nested_qmc", "joint_weibull_poisson_t_qmc", "poisson_nested_aghq_qmc"])
+    def test_shared_moments_serve_every_unit_near_the_start(self, case):
+        # the per-cell form is the fallback for units whose raw moments
+        # could lose digits; near the start values there are none
+        prog, _, (plan, _), start = _per_cluster_pair(case)
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(start)
+        shared, redone = ev._shared_derivatives, []
+
+        def record(*args):
+            out = shared(*args)
+            redone.append(int(out[2].sum()))
+            return out
+
+        ev._shared_derivatives = record
+        ev.derivatives(start + 0.1)
+        assert redone and sum(redone) == 0
