@@ -242,10 +242,7 @@ def cmd_check(args) -> int:
     points2 = _per_level(args.points2, int)
     draws2 = _per_level(args.draws2, int)
     if points2 is None:
-        base_points = _per_level(args.points, int)
-        points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items()} if isinstance(base_points, dict) else (
-            (7 if base_points is None else base_points) + 8
-        )
+        points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items()}
     if draws2 is None:
         draws2 = {n: lp.m * 4 for n, lp in base.plan.levels.items() if lp.method == "qmc"} or None
     escalated, _ = _fit_from_args(args, points=points2, draws=draws2)

@@ -111,9 +111,7 @@ def fit_model(
         threads=threads,
         derivatives=evaluator.derivatives if evaluator.exact else None,
     )
-    result = build_fit_result(program, plan, maxres, evaluator)
-    result.plan = plan
-    return result
+    return build_fit_result(program, plan, maxres, evaluator)
 
 
 class MixedModel:

@@ -178,12 +178,13 @@ class ReKernel:
         are then b over its diagonal, with no triangular solve per point.
         """
         b = np.asarray(b, dtype=float)
+        diag = np.diag(chol)
         if self.structure == "unstructured" and self.dim > 1:
             z = np.linalg.solve(chol, b[..., None])[..., 0]
         else:
-            z = b / np.diag(chol)
+            z = b / diag
         quad = np.sum(z * z, axis=-1)
-        logdet = float(np.sum(np.log(np.diag(chol))))
+        logdet = float(np.sum(np.log(diag)))
         r = self.dim
         if self.dist == "normal":
             return -0.5 * r * _LOG_2PI - logdet - 0.5 * quad

@@ -84,7 +84,9 @@ discard a line-search point's pass, each line-search point is one
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -290,12 +292,13 @@ class _ExpLinearSums(NamedTuple):
         ll -= e
         return ll, e
 
-    def coefficient(self, outer) -> np.ndarray:
-        """S exp(m + l) at the sum l of the intercept values outside the
-        innermost level (units, combinations): the feature at L = l + n u
-        is this times e^(n u).
+    def node_feature(self, outer, n: int) -> _NodePoly:
+        """The feature at L = l + n u on shared innermost nodes u, with l
+        the sum ``outer`` of the intercept values outside the innermost
+        level (units, combinations) and n the count of those at it:
+        S exp(m + l) e^(n u), a node polynomial.
         """
-        return self.S * np.exp(self.m + outer)
+        return _NodePoly({(0, n): (self.S * np.exp(self.m + outer))[..., None]})
 
 
 class _GaussianSums(NamedTuple):
@@ -323,11 +326,9 @@ class _GaussianSums(NamedTuple):
         np.subtract(self.K, ll, out=ll)
         return ll, d
 
-    def coefficient(self, outer) -> np.ndarray:
-        """r-bar - l, as ``_ExpLinearSums.coefficient``: the feature at
-        L = l + n u is this less n u.
-        """
-        return self.mean - outer
+    def node_feature(self, outer, n: int) -> _NodePoly:
+        """(r-bar - l) - n u, as ``_ExpLinearSums.node_feature``."""
+        return _NodePoly({(0, 0): (self.mean - outer)[..., None], (1, 0): -float(n)})
 
 
 class _OutcomeTerms(NamedTuple):
@@ -337,8 +338,8 @@ class _OutcomeTerms(NamedTuple):
     unit with rows of it, in every parameter slot,
     dl/dtheta = a + f b + f^2 c, d2l/dtheta2 = A + f B + f^2 C,
     d2l/dtheta dL = e + f e', dl/dL = v + f v' and d2l/dL2 = h + f h', at
-    summed intercepts L. A term that is 0 throughout is None; the last
-    two pairs are floats or (units, 1, 1) arrays.
+    summed intercepts L. A term that is 0 throughout is None; v and v'
+    are floats or (units, 1, 1) arrays, h and h' floats or (units,) ones.
     """
 
     score: tuple  # (a, b, c), (units, p) each
@@ -545,8 +546,8 @@ class LikelihoodEvaluator:
         C[:, s, s] = -2.0 * h2 * n
         e[:, slots] = -h2 * sx
         f[:, s] = -2.0 * h2 * n
-        curvature = (-h2 * n)[:, None, None]
-        return sums, _OutcomeTerms((a, b, c), (A, B, C), (e, f), (0.0, -curvature), (curvature, 0.0))
+        curvature = -h2 * n
+        return sums, _OutcomeTerms((a, b, c), (A, B, C), (e, f), (0.0, -curvature[:, None, None]), (curvature, 0.0))
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
@@ -576,8 +577,10 @@ class LikelihoodEvaluator:
         return True
 
     def logl(self, theta: np.ndarray) -> float:
-        """Marginal log-likelihood at one parameter vector. A level that
-        still has to adapt adapts first.
+        """Marginal log-likelihood at one parameter vector, summed over
+        the outermost units with ``math.fsum`` (``_unit_totals``): -inf
+        where a unit's value is not finite or the sum leaves the float
+        range. A level that still has to adapt adapts first.
         """
         theta = np.asarray(theta, dtype=float)
         t_start = time.perf_counter()
@@ -602,16 +605,16 @@ class LikelihoodEvaluator:
             for k, co in enumerate(self.program.outcomes):
                 if co.rows.size == 0:
                     continue
-                ll = outcome_logl(ctx, k)[:, 0]
+                ll = float(_unit_totals(outcome_logl(ctx, k)[:, 0])[0])
                 self.cond_evals += 1
-                if not np.all(np.isfinite(ll)):
+                if not math.isfinite(ll):
                     return -np.inf
-                total += math.fsum(ll.tolist())
+                total += ll
             return total
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             per_unit = self._integrate(theta, 0, [], self._all_sums(theta))[0]
-        col = per_unit[self.level_states[0].active, 0]
-        return math.fsum(col.tolist()) if np.all(np.isfinite(col)) else -np.inf
+        total = float(_unit_totals(per_unit[self.level_states[0].active, 0])[0])
+        return total if math.isfinite(total) else -np.inf
 
     # -- exact derivatives ------------------------------------------------
     #
@@ -631,20 +634,20 @@ class LikelihoodEvaluator:
     # a cell's log integral is the posterior mean of the conditional
     # score at its nodes; by Louis (1982) its Hessian is the posterior
     # mean of the conditional Hessian plus the posterior covariance of the
-    # conditional score. At the innermost level a node's conditional score
-    # is a per-unit constant plus a few node features times per-unit
-    # coefficients, so only the features' posterior means and covariance
-    # are taken over the nodes. On adaptive nodes, which differ per cell,
-    # they are taken from the features at each cell's nodes
-    # (``_block_derivatives``). On scaled nodes every cell has the same
-    # node values u, each feature is a per-cell coefficient times a
-    # function of u, and every mean and covariance is a per-cell
-    # combination of a few moments E[u^a e^(b u)] from one table of node
-    # functions (``_shared_derivatives``); a unit whose raw moments could
-    # lose digits takes the per-cell form instead. At an outer
-    # level the conditional score and Hessian at a node are the sums of
-    # those of its child cells, added in ``_into_parents``'s order, and
-    # the covariance is taken over the node scores themselves
+    # conditional score. At the innermost level a node's conditional
+    # score is a per-unit constant plus a few node features times
+    # per-unit coefficients, so only the features' posterior means and
+    # covariance, and the means of a few more node quantities in the
+    # conditional Hessian, are taken over the nodes. One feature list
+    # states them all, once (``_node_terms``), and two reductions read
+    # it: node by node (``_block_derivatives``), where the list's leaves
+    # are arrays at each cell's nodes, on adaptive nodes, which differ per
+    # cell; and from one table of node moments (``_shared_derivatives``),
+    # where they are node polynomials, on scaled nodes, which every cell
+    # shares, less the units whose raw moments could lose digits. At an
+    # outer level the conditional score and Hessian at a node are the
+    # sums of those of its child cells, added in ``_into_parents``'s
+    # order, and the covariance is taken over the node scores themselves
     # (``_louis``): the same formulas apply level by level, inside the
     # recursion that ``logl`` takes.
 
@@ -663,14 +666,16 @@ class LikelihoodEvaluator:
         vector in one pass, for a model in the scope of ``exact``. Every
         pass runs ``logl``'s level recursion (``_integrate``), so its
         log-likelihood is the one ``logl`` gives, bit for bit, and
-        ``maximize`` may take a value from either; where it is not finite, the score and information are NaN, and so is either
-        where a unit's share of it is not finite. Each is summed over the
-        outermost units with ``math.fsum``, and inner units are added in
-        order of value, so the result does not depend on how units are
-        labelled. A level that still has to adapt adapts first, as in
-        ``logl``. Counted in ``derivative_passes``, not as a ``logl``
-        call; its time and its active units x node columns count in
-        ``wall_time_s`` and ``conditional_evaluations`` as a call's do.
+        ``maximize`` may take a value from either; where it is -inf, the
+        score and information are NaN, and so is either where a unit's
+        share of it is not finite or its sum leaves the float range. Each
+        is summed over the outermost units with ``math.fsum``
+        (``_unit_totals``), and inner units are added in order of value,
+        so the result does not depend on how units are labelled. A level
+        that still has to adapt adapts first, as in ``logl``. Counted in
+        ``derivative_passes``, not as a ``logl`` call; its time and its
+        active units x node columns count in ``wall_time_s`` and
+        ``conditional_evaluations`` as a call's do.
         """
         if not self.exact:
             raise ValueError(
@@ -693,17 +698,11 @@ class LikelihoodEvaluator:
                 sums[k], terms[k] = self._unit_sums(theta, k, derivatives=True)
             unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta, 0, [], sums, terms))
         act = self.level_states[0].active
-        if not np.all(np.isfinite(unit_logl[act])):
+        logl = float(_unit_totals(unit_logl[act])[0])
+        if not math.isfinite(logl):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
-
-        def total(values):  # NaN throughout where a unit's value is not finite
-            values = values[act].reshape(int(act.sum()), -1)
-            if not np.all(np.isfinite(values)):
-                return np.full(values.shape[1], np.nan)
-            return np.array([math.fsum(col) for col in values.T.tolist()])
-
-        info = -total(unit_hess).reshape(p, p)
-        return math.fsum(unit_logl[act].tolist()), total(unit_score), 0.5 * (info + info.T)
+        info = -_unit_totals(unit_hess[act]).reshape(p, p)
+        return logl, _unit_totals(unit_score[act]), 0.5 * (info + info.T)
 
     # -- level-by-level integration ---------------------------------------
     #
@@ -830,12 +829,11 @@ class LikelihoodEvaluator:
         """Score (units, C, p) and Hessian (units, C, p, p) of the log
         integral of every innermost cell of C combinations, given their
         posterior weights w and node values u (units, C, M) and each
-        outcome's (feature, intercept values at each scaled level, feature
-        coefficient) at the cells' nodes (``_row_sums``). On scaled nodes,
-        which every cell shares, they are the shared-node moments'
-        (``_shared_derivatives``), and only the units whose raw moments
-        could lose digits take the per-cell form; on adaptive nodes every
-        unit takes it (``_per_cell``).
+        outcome's ``features`` from ``_row_sums``: one feature list
+        (``_node_terms``) read from the node table on scaled nodes
+        (``_shared_derivatives``), which redoes units whose raw moments
+        could lose digits node by node, and node by node on adaptive ones
+        (``_per_cell``).
         """
         n_units = w.shape[0]
         if self.level_states[-1].adaptive:
@@ -847,9 +845,9 @@ class LikelihoodEvaluator:
         return score, hess
 
     def _per_cell(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
-        """``_inner_derivatives`` of the innermost units u0 to u1 in the
-        per-cell form, whose node features, units x C x M each, are formed
-        for blocks of units of at most _CHUNK_VALUES values.
+        """``_inner_derivatives`` of the innermost units u0 to u1 node by
+        node, whose node quantities, units x C x M each, are formed for
+        blocks of units of at most _CHUNK_VALUES values.
         """
         _, combos, m = w.shape
         block = max(1, _CHUNK_VALUES // (combos * m))
@@ -881,204 +879,138 @@ class LikelihoodEvaluator:
 
         return place
 
-    def _shared_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
-        """``_inner_derivatives`` on the scaled innermost nodes u (M,),
-        which every cell shares, and the units to redo in the per-cell
-        form. Each node feature of ``_block_derivatives`` is a node
-        polynomial, per-cell coefficients times u^a e^(b u): an outcome's
-        feature is S e^(m + l) e^(n u) (exp-linear) or (r-bar - l) - n u
-        (Gaussian), with n its intercepts at the innermost level and l the
-        sum of the others (the coefficient of ``_row_sums``); its
-        intercept sum is n u at the innermost level and l_i at a scaled
-        level outside; a node score T is a sum of their products. So every
-        posterior mean the cells need is a per-cell sum of moments
-        E[u^a e^(b u)], taken in one contraction (``_NodeMeans``), and
-        their score and Hessian follow as in ``_block_derivatives``. The
-        covariance is the raw second moments less the means' products
-        times 2 - W, W the weights' sum, which is what features centred
-        node by node give. Where the features are large beside their
-        spread, those differences cancel: they can lose about eps times
-        the square of the spread sum_r |c_r| sum_t |coefficient_t|
-        sqrt(E[g_t^2]), over the terms g_t of each phi_r. A unit is redone
-        where that square exceeds ``_RAW_MOMENT_SPREAD`` times the norm of
-        a cell's score and Hessian entries, or where an entry is not
-        finite (an e^(b u) that overflows at a node without weight, say).
+    def _node_terms(self, leaves, terms: dict, u0: int, u1: int, p: int) -> tuple:
+        """The innermost node features of units u0 to u1, for both
+        reductions: a (units, p), the conditional score's per-unit
+        constant, and the entries (parts, indices, c). An entry adds the
+        sum of coefficient E[product of factors] over its parts into the
+        mean conditional Hessian at its indices, a coefficient being a
+        float or per-unit values shaped as a cell's entries there (a part
+        without factors adds the coefficient itself); with a score
+        coefficient c, its one factor is a feature. ``leaves(k, place)``
+        gives outcome k's feature f and its intercept sum L_i at each
+        scaled level (or None), node arrays or node polynomials alike.
+        Per outcome: A; f (b, B); f^2 (c, C) where the family has it; at
+        each scaled level i, e' E[f L_i] + e E[L_i] and, at each level j
+        from i on, h' E[f L_i L_j] + h E[L_i L_j]. Then each level's node
+        score T_i = sum_k (v_k + v'_k f_k) L_ki, whose mean is also that
+        of dl/dL d2L/dtau_i2. Parts that are 0 throughout are left out.
         """
-        n_units, combos, m = w.shape
-        p, tau = theta.size, self.tau_scaled
-        inner = len(tau) - 1  # the innermost level's place among the scaled levels
-        a = np.zeros((n_units, p))
-        hess = np.zeros((n_units, combos, p, p))
-        linear = []  # (polynomial, coefficient, hess indices): the mean conditional Hessian
-        features = []  # (phi, c)
-        node_scores = [{} for _ in tau]
+        tau = self.tau_scaled
+        a = np.zeros((u1 - u0, p))
+        entries = []
+        node_scores = [None] * len(tau)
         whole = [(...,)]
 
         def both(i, j):  # the (tau_i, tau_j) entries
             return [(..., tau[i], tau[j])] + ([(..., tau[j], tau[i])] if j != i else [])
 
-        for k, (_, scaled, coef) in feats.items():
-            place = self._placer(k, 0, n_units)
+        for k in terms:
+            place = self._placer(k, u0, u1)
             (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
-            n, coef = self.inner_counts[k], place(coef)
-            f = {(0, n): coef} if c is None else {(0, 0): coef, (1, 0): -float(n)}
+            f, L = leaves(k, place)
             a += ak
-            hess += A[:, None]
-            linear.append((f, B[:, None], whole))
-            features.append((f, b))
+            entries += [([(A, ())], whole, None), ([(B, (f,))], whole, b)]
             if c is not None:
-                f2 = _times(f, f)
-                linear.append((f2, C[:, None], whole))
-                features.append((f2, c))
-            # k's intercept sum at each scaled level: n u at the innermost,
-            # a per-cell constant outside (the same at every node of a cell)
-            L = [None if v is None or i == inner else {(0, 0): place(v[:, ::m])} for i, v in enumerate(scaled)]
-            if n:
-                L[inner] = {(1, 0): float(n)}
-            fL = [None if Li is None else _times(f, Li) for Li in L]
+                entries.append(([(C, (f * f,))], whole, c))
             for i, Li in enumerate(L):
                 if Li is None:
                     continue
-                node_scores[i] = _poly((1.0, node_scores[i]), (_cellwise(v0), Li), (_cellwise(v1), fL[i]))
+                T = (v1 * f + v0) * Li
+                node_scores[i] = T if node_scores[i] is None else node_scores[i] + T
                 cross = [(..., slice(None), tau[i]), (..., tau[i], slice(None))]
-                linear.append((fL[i], e1[:, None], cross))
-                if e is not None:
-                    linear.append((Li, e[:, None], cross))
+                entries.append((_present((e1, (f, Li)), (e, (Li,))), cross, None))
                 for j in range(i, len(L)):
                     if L[j] is not None:
-                        # E[(h' f + h) L_i L_j] as h' E[f L_i L_j] + h E[L_i L_j]
-                        poly = _poly((_cellwise(h1), _times(fL[i], L[j])), (_cellwise(h0), _times(Li, L[j])))
-                        linear.append((poly, 1.0, both(i, j)))
+                        entries.append((_present((h1, (f, Li, L[j])), (h0, (Li, L[j]))), both(i, j), None))
         for i, T in enumerate(node_scores):
-            if T:  # E[T] is also the mean of dl/dL d2L/dtau2
-                linear.append((T, 1.0, both(i, i)))
-                c = np.zeros((n_units, p))
-                c[:, tau[i]] = 1.0
-                features.append((T, c))
-        weight = {(0, 0): 1.0}
-        squares = {(r, s): _times(features[r][0], features[s][0]) for r in range(len(features)) for s in range(r, len(features))}
-        means = _NodeMeans(w, u, [weight, *(poly for poly, _, _ in linear), *(phi for phi, _ in features), *squares.values()])
-        value = means.mean
-        for poly, coefficient, indices in linear:
-            mean = value(poly)
-            if np.ndim(coefficient) > 2:
-                mean = mean.reshape(mean.shape + (1,) * (coefficient.ndim - 2))
-            term = mean * coefficient
-            for index in indices:
-                hess[index] += term
-        W = value(weight)
-        mu = [value(phi) for phi, _ in features]
-        score = a[:, None] * W[..., None]
-        for m_r, (_, c) in zip(mu, features):
-            score += m_r[..., None] * c[:, None]
-        coef = np.empty((n_units, 1, len(features), p))
-        for r, (_, c) in enumerate(features):
-            coef[:, 0, r] = c
+            if T is not None:
+                entries.append(([(1.0, (T,))], both(i, i), _unit_rows(u1 - u0, p, tau[i])))
+        return a, entries
+
+    def _shared_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
+        """``_inner_derivatives`` on the scaled innermost nodes u (M,),
+        which every cell shares, and the units to redo node by node.
+        ``_node_terms``' leaves are node polynomials: an outcome's feature
+        (``_coefficient``) and its intercept sum, n u at the innermost
+        level and a per-cell constant outside. Every mean is a per-cell
+        sum of moments E[u^a e^(b u)] from one contraction
+        (``_node_moments``), and the covariance the raw second moments
+        less the means' products times 2 - W, W the weights' sum, which
+        is what features centred node by node give. Those differences can
+        lose about eps times the square of the spread sum_r |c_r|
+        sum_t |coefficient_t| sqrt(E[g_t^2]), over the terms g_t of each
+        phi_r: a unit is redone where that square exceeds
+        ``_RAW_MOMENT_SPREAD`` times the norm of a cell's score and Hessian
+        entries, or where an entry is not finite (an e^(b u) that
+        overflows at a node without weight, say).
+        """
+        n_units, combos, m = w.shape
+        inner = len(self.tau_scaled) - 1  # the innermost level's place among the scaled levels
+
+        def leaves(k, place):
+            _, scaled, f = feats[k]
+            L = [None if v is None else _NodePoly({(0, 0): place(v[:, ::m, None])}) for v in scaled]
+            n = self.inner_counts[k]
+            L[inner] = _NodePoly({(1, 0): float(n)}) if n else None
+            return _NodePoly({key: place(c) for key, c in f.items()}), L
+
+        a, entries = self._node_terms(leaves, terms, 0, n_units, theta.size)
+        products = {id(fs): functools.reduce(operator.mul, fs) for parts, _, _ in entries for _, fs in parts if fs}
+        phis = [products[id(fs)] for parts, _, c in entries if c is not None for _, fs in parts]
+        squares = {(r, s): phis[r] * phis[s] for r in range(len(phis)) for s in range(r, len(phis))}
+        weight = _NodePoly({(0, 0): 1.0})
+        moments = _node_moments(w, u, [weight, *products.values(), *squares.values()])
+        hess = np.zeros((n_units, combos) + (theta.size,) * 2)
+        features = _fold(entries, lambda fs: products[id(fs)].mean(moments), hess)
+        W = weight.mean(moments)
         cov = np.empty((n_units, combos) + (len(features),) * 2)
         for (r, s), poly in squares.items():
-            cov[..., r, s] = cov[..., s, r] = value(poly) - mu[r] * mu[s] * (2.0 - W)
-        hess += np.swapaxes(coef, -1, -2) @ (cov @ coef)
+            cov[..., r, s] = cov[..., s, r] = poly.mean(moments) - features[r][1] * features[s][1] * (2.0 - W)
+        score, hess = _assemble(a, W, features, cov, hess)
         # what the raw second moments may lose, against the norm of each
         # cell's entries, which is not finite where an entry is not
-        spread = sum(means.magnitude(phi) * np.sqrt(np.vecdot(c, c))[:, None] for phi, c in features)
+        spread = sum(phi.magnitude(moments) * np.sqrt(np.vecdot(c, c))[:, None] for phi, (*_, c) in zip(phis, features))
         size = np.sqrt(np.vecdot(score, score) + np.vecdot(*(hess.reshape(n_units, combos, -1),) * 2))
         keep = (spread * spread <= _RAW_MOMENT_SPREAD * size) & np.isfinite(size)
         return score, hess, ~keep.all(axis=1)
 
     def _block_derivatives(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
         """``_inner_derivatives`` of the innermost units u0 to u1, whose
-        weights and node values are w and u, in the per-cell form. A
-        node's conditional score is a + sum_r phi_r c_r over a few node
-        features phi_r with per-unit coefficients c_r: each outcome's
-        feature f (coefficient b) and, where it has a c term, f^2
-        (coefficient c); each scaled level's node score
-        T = sum_k (v_k + v'_k f_k) L_k in its log scale; and an adaptive
-        level's prior score d1. The cells' score is then a + E[phi]'c, and
-        their Hessian the posterior mean of the conditional Hessian plus
-        c' Cov(phi) c, from features centred node by node. Every posterior
-        mean is a dot product over the node axis alone (``np.vecdot``), so
-        no cell's value depends on the block it falls in.
+        weights and node values are w and u, node by node. ``_node_terms``'
+        leaves are the features (``_collapsed``) and intercept sums
+        (``_scaled_values``) at the cells' nodes, and a product's mean is w
+        times its factors but the last, dotted with the last over the node
+        axis alone (``np.vecdot``), so that no cell's value depends on the
+        block it falls in; the covariance comes from features centred node
+        by node. An adaptive level adds its prior's score d1 as a feature
+        and the mean of d2 (``ReKernel.scale_derivatives``).
         """
         st = self.level_states[-1]
-        nb, p, tau = u1 - u0, theta.size, self.tau_scaled
+        p, shape = theta.size, (-1,) + w.shape[1:]
 
-        def unit_vector(slot):
-            c = np.zeros((nb, p))
-            c[:, slot] = 1.0
-            return c
-
-        a = np.zeros((nb, p))
-        hess = np.zeros(w.shape[:2] + (p, p))  # the posterior mean of the conditional Hessian
-        product = np.empty(w.shape)  # one buffer for products with the weights
-        features = []  # (phi, E[phi], c)
-        node_scores = [None] * len(tau)  # T at each scaled level
-        for k, (f, scaled, _) in feats.items():
-            place = self._placer(k, u0, u1)
-            (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
-            f = place(f.reshape((-1,) + w.shape[1:]))
+        def leaves(k, place):
+            f, scaled, _ = feats[k]
+            f = place(f.reshape(shape))
             f[w == 0.0] = 0.0  # no inf * 0 where a node has no weight
-            a += ak
-            hess += A[:, None]
-            mean = np.vecdot(w, f)
-            features.append((f, mean, b))
-            hess += mean[..., None, None] * B[:, None]
-            if c is not None:
-                f2 = f * f
-                mean = np.vecdot(w, f2)
-                features.append((f2, mean, c))
-                hess += mean[..., None, None] * C[:, None]
-            if not tau:
-                continue
-            # dL/dtau = L and d2L/dtau2 = L at each scaled level, L the sum
-            # of k's intercept values there; v, v', h and h' are per unit
-            L = [None if v is None else place(v.reshape((-1,) + w.shape[1:])) for v in scaled]
-            wf = w * f
-            for i, Li in enumerate(L):
-                if Li is None:
-                    continue
-                T = v1 * f
-                T += v0
-                T *= Li
-                node_scores[i] = T if node_scores[i] is None else node_scores[i] + T
-                cross = np.vecdot(wf, Li)[..., None] * e1[:, None]
-                if e is not None:
-                    cross += np.vecdot(w, Li)[..., None] * e[:, None]
-                hess[..., :, tau[i]] += cross
-                hess[..., tau[i], :] += cross
-                for j in range(i, len(L)):
-                    if L[j] is None:
-                        continue
-                    # E[(h' f + h) L_i L_j] as h' E[f L_i L_j] + h E[L_i L_j]
-                    both = 0.0
-                    if np.any(h1):
-                        both = _cellwise(h1) * np.vecdot(np.multiply(wf, Li, out=product), L[j])
-                    if np.any(h0):
-                        both = both + _cellwise(h0) * np.vecdot(np.multiply(w, Li, out=product), L[j])
-                    hess[..., tau[i], tau[j]] += both
-                    if j != i:
-                        hess[..., tau[j], tau[i]] += both
-        for i, T in enumerate(node_scores):
-            if T is not None:  # E[T] is also the mean of dl/dL d2L/dtau2
-                mean = np.vecdot(w, T)
-                features.append((T, mean, unit_vector(tau[i])))
-                hess[..., tau[i], tau[i]] += mean
+            return f, [None if v is None else place(v.reshape(shape)) for v in scaled]
+
+        a, entries = self._node_terms(leaves, terms, u0, u1, p)
         if st.adaptive:
             d1, d2 = st.kernel.scale_derivatives(u, self.level_chol(st, theta))
             slot = st.info.re_slots[0]
-            features.append((d1, np.vecdot(w, d1), unit_vector(slot)))
-            hess[..., slot, slot] += np.vecdot(w, d2)
-        coef = np.stack([c for _, _, c in features], axis=1)[:, None]  # (units, 1, R, p)
-        means = np.stack([mean for _, mean, _ in features], axis=-1)[..., None, :]  # (units, C, 1, R)
-        score = a[:, None] * w.sum(axis=-1)[..., None] + (means @ coef)[..., 0, :]  # a's mean over weights summing to about 1
+            entries += [([(1.0, (d1,))], [], _unit_rows(u1 - u0, p, slot)), ([(1.0, (d2,))], [(..., slot, slot)], None)]
+        hess = np.zeros(w.shape[:2] + (p, p))
+        features = _fold(entries, lambda fs: np.vecdot(functools.reduce(np.multiply, fs[:-1], w), fs[-1]), hess)
+        for phi, mean_r, _ in features:
+            phi -= mean_r[..., None]
+        product = np.empty(w.shape)
         cov = np.empty(w.shape[:2] + (len(features),) * 2)
-        for phi, mean, _ in features:
-            phi -= mean[..., None]
         for r, (phi, _, _) in enumerate(features):
-            weighted = np.multiply(w, phi, out=product)
+            weighted_r = np.multiply(w, phi, out=product)
             for s in range(r, len(features)):
-                cov[..., r, s] = cov[..., s, r] = np.vecdot(weighted, features[s][0])
-        hess += np.swapaxes(coef, -1, -2) @ cov @ coef
-        return score, hess
+                cov[..., r, s] = cov[..., s, r] = np.vecdot(weighted_r, features[s][0])
+        return _assemble(a, w.sum(axis=-1), features, cov, hess)
 
     def _outer_derivatives(self, pos: int, theta, w, x, score, hess) -> tuple:
         """Score and Hessian of the log integral of every cell of level
@@ -1115,8 +1047,8 @@ class LikelihoodEvaluator:
         ``features`` maps each outcome to its feature at the chunk's
         columns (see ``_collapsed``), to the sums of its intercept values
         at each level with scaled nodes (``_scaled_values``) and, where the
-        innermost level's nodes are scaled, to its feature's per-cell
-        coefficient (``_coefficient``), else None; without ``terms`` it is
+        innermost level's nodes are scaled, to its feature as a node
+        polynomial (``_coefficient``), else None; without ``terms`` it is
         empty.
         """
         st = self.level_states[-1]
@@ -1191,19 +1123,19 @@ class LikelihoodEvaluator:
         ll[np.isnan(ll)] = -np.inf  # as at the rows
         return ll, feature
 
-    def _coefficient(self, stats, intercepts: list, vals: dict, m: int) -> np.ndarray:
-        """An outcome's per-cell feature coefficient on scaled innermost
-        nodes at the combinations of a chunk of whole ones (units,
-        combinations): ``stats.coefficient`` at the sum of its intercept
-        values outside the innermost level, which are the same at each of
-        a combination's m nodes.
+    def _coefficient(self, stats, intercepts: list, vals: dict, m: int) -> _NodePoly:
+        """An outcome's feature on scaled innermost nodes at the
+        combinations of a chunk of whole ones, as a node polynomial with
+        per-cell coefficients: ``stats.node_feature`` at the sum of its
+        intercept values outside the innermost level, which are the same
+        at each of a combination's m nodes.
         """
         inner = self.level_states[-1].info.latent_names[0]
         outer = [(name, units) for name, units in intercepts if name != inner]
         total = 0.0
         for _, v in self._intercept_values(outer, {name: vals[name][:, ::m] for name, _ in outer}):
             total = total + v
-        return stats.coefficient(total)
+        return stats.node_feature(total, len(intercepts) - len(outer))
 
     def _scaled_values(self, intercepts: list, vals: dict) -> list:
         """The sum of an outcome's intercept values at each level with
@@ -1284,12 +1216,6 @@ class LikelihoodEvaluator:
         }
 
 
-def _cellwise(h):
-    """A float, or per-unit values (units, 1, 1) as (units, 1), against
-    (units, C) means."""
-    return h[..., 0] if isinstance(h, np.ndarray) else h
-
-
 def _in_slots(slots: list, p: int):
     """A map from per-unit arrays (units, q) or (units, q, q) in the
     slots ``slots`` to arrays in all p slots, 0 elsewhere.
@@ -1303,6 +1229,21 @@ def _in_slots(slots: list, p: int):
     return place
 
 
+def _unit_totals(values: np.ndarray) -> np.ndarray:
+    """Sums of per-unit values (units, ...) over the units, entry by entry
+    with ``math.fsum``, which the units' order does not change; NaN where
+    a value is not finite or a sum leaves the float range (``math.fsum``
+    raises there).
+    """
+    values = values.reshape(len(values), -1)
+    try:
+        if np.all(np.isfinite(values)):
+            return np.array([math.fsum(col) for col in values.T.tolist()])
+    except OverflowError:
+        pass
+    return np.full(values.shape[1], np.nan)
+
+
 def _index_or_all(units: np.ndarray, n_units: int):
     """``units``, or a slice where they are all units in order, so that
     indexing with them gives a view.
@@ -1311,63 +1252,115 @@ def _index_or_all(units: np.ndarray, n_units: int):
 
 
 # ---------------------------------------------------------------------------
-# Posterior moments of the exact derivatives
+# Innermost node features of the exact derivatives
 # ---------------------------------------------------------------------------
 
 
-class _NodeMeans:
-    """Posterior means over one level's nodes u (M,), which every cell
-    shares, of node polynomials: dicts {(a, b): coefficient} that stand
-    for the sum of coefficient u^a e^(b u), each coefficient a float or
-    per-cell values. Every mean comes from one contraction of the cells'
-    posterior weights w (..., M) with one table of the u^a e^(b u) that
-    the given polynomials hold, a dot product per cell over the node axis
-    alone, so that no cell's value depends on the cells beside it; each
-    polynomial's mean is taken once, however often it is given.
+class _NodePoly(dict):
+    """A node polynomial on nodes u that every cell shares: {(a, b):
+    coefficient} for the sum of coefficient u^a e^(b u), a coefficient
+    being a float or per-cell values (units, C, 1). ``*`` and ``+`` take
+    node polynomials, floats and arrays, and per-unit values (units, 1,
+    1) act on them as on node arrays (units, C, M): one expression serves
+    both (``_node_terms``).
     """
 
-    def __init__(self, w: np.ndarray, u: np.ndarray, polys: list):
-        keys = sorted({key for poly in polys for key in poly})
-        powers = {a: u**a for a in {a for a, _ in keys}}
-        exps = {b: np.exp(b * u) for b in {b for _, b in keys}}
-        table = np.stack([powers[a] * exps[b] if a and b else powers[a] if a else exps[b] for a, b in keys])
-        self.moments = dict(zip(keys, np.vecdot(table[:, None, None, :], w)))
-        self.polys, self.means = polys, {}  # the polynomials, which keep their ids, and their means
-        for poly in polys:
-            if id(poly) not in self.means:
-                self.means[id(poly)] = sum(c * self.moments[key] for key, c in poly.items())
+    __array_ufunc__ = None  # an array operand defers to the reflected operators
 
-    def mean(self, poly: dict):
-        """The mean of one of the polynomials given."""
-        return self.means[id(poly)]
+    def __add__(self, other):
+        return _NodePoly._sum([*self.items(), *_NodePoly._of(other).items()])
 
-    def magnitude(self, poly: dict):
-        """sum |coefficient| sqrt(E[(u^a e^(b u))^2]), given the square of
-        the polynomial among those of the table."""
-        return sum(np.abs(c) * np.sqrt(self.moments[2 * a, 2 * b]) for (a, b), c in poly.items())
+    def __mul__(self, other):
+        other = _NodePoly._of(other)
+        return _NodePoly._sum(
+            ((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in self.items() for (a2, b2), c2 in other.items()
+        )
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    @staticmethod
+    def _of(value) -> _NodePoly:
+        return value if isinstance(value, _NodePoly) else _NodePoly({(0, 0): value})
+
+    @staticmethod
+    def _sum(terms) -> _NodePoly:
+        out = _NodePoly()
+        for key, c in terms:
+            out[key] = out[key] + c if key in out else c
+        return out
+
+    def mean(self, moments: dict) -> np.ndarray:
+        """Its posterior mean (units, C), given the moments of its terms
+        (``_node_moments``)."""
+        return sum(c * moments[key] for key, c in self.items())[..., 0]
+
+    def magnitude(self, moments: dict) -> np.ndarray:
+        """sum |coefficient| sqrt(E[(u^a e^(b u))^2]) (units, C), given the
+        moments of its square's terms."""
+        return sum(np.abs(c) * np.sqrt(moments[2 * a, 2 * b]) for (a, b), c in self.items())[..., 0]
 
 
-def _times(p: dict, q: dict) -> dict:
-    """The product of two node polynomials (``_NodeMeans``)."""
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            key, term = (a1 + a2, b1 + b2), c1 * c2
-            out[key] = out[key] + term if key in out else term
-    return out
+def _node_moments(w: np.ndarray, u: np.ndarray, polys: list) -> dict:
+    """(a, b) -> the posterior means E[u^a e^(b u)] (units, C, 1) of every
+    term of the given node polynomials on nodes u (M,), from one
+    contraction of the cells' weights w (units, C, M) with one table of
+    those node functions: a dot product per cell over the node axis
+    alone, so that no cell's value depends on the cells beside it.
+    """
+    keys = sorted({key for poly in polys for key in poly})
+    powers = {a: u**a for a in {a for a, _ in keys}}
+    exps = {b: np.exp(b * u) for b in {b for _, b in keys}}
+    table = np.stack([powers[a] * exps[b] if a and b else powers[a] if a else exps[b] for a, b in keys])
+    return dict(zip(keys, np.vecdot(table[:, None, None, :], w)[..., None]))
 
 
-def _poly(*terms) -> dict:
-    """sum c p over the (c, p) of node polynomials p; a c that is the float
-    0 adds nothing."""
-    out = {}
-    for c, poly in terms:
-        if isinstance(c, float) and c == 0.0:
-            continue
-        for key, v in poly.items():
-            term = c * v
-            out[key] = out[key] + term if key in out else term
-    return out
+def _present(*parts) -> list:
+    """The (coefficient, factors) parts whose coefficient is not 0
+    throughout; None stands for 0."""
+    return [(c, factors) for c, factors in parts if c is not None and (c.any() if isinstance(c, np.ndarray) else c)]
+
+
+def _unit_rows(n: int, p: int, slot: int) -> np.ndarray:
+    """n rows of the unit vector of ``slot`` among p."""
+    c = np.zeros((n, p))
+    c[:, slot] = 1.0
+    return c
+
+
+def _fold(entries: list, mean, hess: np.ndarray) -> list:
+    """Add ``_node_terms``' entries, in order, into the mean conditional
+    Hessian ``hess`` (units, C, p, p), given mean(factors), the cells'
+    posterior means (units, C) of a product; return the features
+    (phi, E[phi], c).
+    """
+    features = []
+    for parts, indices, c in entries:
+        terms = []
+        for coefficient, factors in parts:
+            if factors:
+                m = mean(factors)
+                if c is not None:
+                    features.append((factors[0], m, c))
+                if isinstance(coefficient, np.ndarray):
+                    m, coefficient = m.reshape(m.shape + (1,) * (coefficient.ndim - 1)), coefficient[:, None]
+            terms.append(m * coefficient if factors else coefficient[:, None])
+        if terms:
+            total = functools.reduce(operator.add, terms)
+            for index in indices:
+                hess[index] += total
+    return features
+
+
+def _assemble(a: np.ndarray, W: np.ndarray, features: list, cov: np.ndarray, hess: np.ndarray) -> tuple:
+    """The cells' score a W + E[phi]'c and Hessian, ``hess`` plus
+    c' Cov(phi) c, from their features (phi, E[phi], c), their weights'
+    sums W (units, C) and the features' posterior covariance ``cov``.
+    """
+    coef = np.stack([c for *_, c in features], axis=1)[:, None]  # (units, 1, R, p)
+    means = np.stack([mean for _, mean, _ in features], axis=-1)[..., None, :]  # (units, C, 1, R)
+    score = a[:, None] * W[..., None] + (means @ coef)[..., 0, :]
+    hess += np.swapaxes(coef, -1, -2) @ cov @ coef
+    return score, hess
 
 
 def _louis(w: np.ndarray, score: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

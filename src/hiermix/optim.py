@@ -20,8 +20,12 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .likelihood import IntegrationPlan
 
 __all__ = [
     "FitError",
@@ -596,6 +600,7 @@ class FitResult:
     settings: dict
     knots: dict
     profile: dict
+    plan: IntegrationPlan  # the integration plan the fit took
 
     def estimate(self, name: str) -> float:
         for row in self.table:
@@ -729,4 +734,5 @@ def build_fit_result(program, plan, maxres: MaxResult, evaluator) -> FitResult:
         settings=settings,
         knots={k: list(v) for k, v in program.knots.items()},
         profile=evaluator.profile_report(),
+        plan=plan,
     )

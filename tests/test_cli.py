@@ -680,14 +680,23 @@ class TestCheckCommand:
         assert "max_abs_shift" in text
         assert "base" in text and "escalated" in text
 
-    @pytest.mark.parametrize("flags", [[], ["--method", "qmc", "--draws", "40"]], ids=["aghq", "qmc"])
-    def test_default_escalation_sets_only_what_levels_read(self, frailty_csv, tmp_path, flags):
+    @pytest.mark.parametrize(
+        "flags,expect",
+        [
+            ([], "aghq points 15 (adaptive) kernel normal"),
+            (["--method", "qmc", "--draws", "40"], "qmc draws 160 kernel normal"),
+            (["--points", "5"], "aghq points 13 (adaptive) kernel normal"),
+        ],
+        ids=["aghq", "qmc", "points"],
+    )
+    def test_default_escalation_sets_only_what_levels_read(self, frailty_csv, tmp_path, flags, expect):
         # the escalated fit's draws name only the QMC levels: on an all-AGHQ
-        # model it sets none, which would be an error there
+        # model it sets none, which would be an error there; its points are
+        # the base fit's, per level, plus 8
         out = tmp_path / "check.txt"
         assert main(["check", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out), "--quiet"] + flags) == 0
         escalated = out.read_text().split("escalated:")[1]
-        assert ("qmc draws 160 kernel normal" if flags else "aghq points 15 (adaptive) kernel normal") in escalated
+        assert expect in escalated
 
     def test_near_zero_frailty_shift_lands_on_sd(self, tmp_path):
         # a nearly degenerate frailty variance is the resolution-sensitive

@@ -1321,6 +1321,25 @@ class TestExactDerivatives:
         assert not res.converged and not res.optimum_verified
         assert res.message == "the exact score or information is not finite"
 
+    @pytest.mark.parametrize("shift", [703.125, 707.0])
+    def test_sums_past_the_float_range_follow_the_non_finite_rule(self, shift):
+        # every unit's value is finite, but a sum over the units leaves the
+        # float range, where math.fsum raises: at +703.125 the information's
+        # (the log-likelihood, -7.37e306, is finite), at +707 the
+        # log-likelihood's too, on either path
+        prog, twin, (plan, twin_plan), start = _per_cluster_pair("poisson_rcs_timevar_qmc")
+        theta = start.copy()
+        theta[prog.slot_index("_cons")] += shift
+        ev = LikelihoodEvaluator(prog, plan)
+        value, score, info = ev.derivatives(theta)
+        assert value == ev.logl(theta)
+        assert np.isnan(info).all()
+        if shift < 707.0:
+            assert np.isfinite(value) and value < -1e306
+        else:
+            assert value == -np.inf and np.isnan(score).all()
+            assert LikelihoodEvaluator(twin, twin_plan).logl(theta) == -np.inf
+
 
 def _nested_columns(outer: int, children: list, rng) -> dict:
     """Ids of ``outer`` outermost units and, at each deeper level,

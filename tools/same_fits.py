@@ -8,6 +8,11 @@ Each checkout fits, in a subprocess of its own and with its own
 ``joint_ev``), in both row orders where the panel has two. The set-up is
 ``perfbench/run.py --seed 5``'s: the panels draw from
 ``np.random.default_rng(5)``. ``--tiny`` takes the workloads' TINY sizes.
+It also fits, from their start values, the ``_PER_CLUSTER`` models of its
+``tests/test_likelihood.py`` (keyed ``per_cluster/<case>#0``), which take
+paths that no panel does: non-adaptive quadrature, Gaussian outcomes on
+shared nodes, two outcomes, QMC inside adaptive quadrature and adaptive
+quadrature with a t kernel.
 
 The in-process fits are compared on theta, log-likelihood, covariance,
 message, iteration count, ``likelihood_calls`` and ``derivative_passes``
@@ -55,13 +60,15 @@ BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", 
 
 
 def fit_panels(checkout: Path, tiny: bool) -> dict:
-    """Fit every panel with the checkout's code; one record per fit, keyed
-    ``workload/data set#n`` for the n-th fit of that data set.
+    """Fit every panel and every ``_PER_CLUSTER`` model with the
+    checkout's code; one record per fit, keyed ``workload/data set#n`` for
+    the n-th fit of that data set.
     """
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench"), str(checkout / "tests")]
     import hiermix
     import numpy as np
-    from workloads import TINY, WORKLOADS
+    from test_likelihood import _PER_CLUSTER
+    from workloads import TINY, WORKLOADS, _fit_in_process
 
     records = {}
     with tempfile.TemporaryDirectory(prefix="same_fits_") as workdir:
@@ -70,6 +77,8 @@ def fit_panels(checkout: Path, tiny: bool) -> dict:
             for item in workload.setup(np.random.default_rng(SEED), workdir):
                 n = sum(key.startswith(f"{name}/{item.key}#") for key in records)
                 records[f"{name}/{item.key}#{n}"] = describe(workload.fit(item))
+    for case, (build, spec, options) in sorted(_PER_CLUSTER.items()):
+        records[f"per_cluster/{case}#0"] = describe(_fit_in_process(hiermix, spec, build(), **options))
     return records
 
 
