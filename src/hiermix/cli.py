@@ -143,12 +143,12 @@ def _fit_from_args(args, points=None, draws=None):
     result = fit_model(
         spec,
         frame,
-        points=7 if points is None else points,
+        points=points,
         draws=draws if draws is not None else _per_level(args.draws, int),
         method=_per_level(args.method, str),
         redistribution=_per_level(args.redistribution, str),
         t_df=_per_level(args.df, int),
-        adaptive=not args.no_adaptive,
+        adaptive=False if args.no_adaptive else None,
         skip=args.skip,
         gl_points=args.gl_points,
         max_iter=args.max_iter,
@@ -170,14 +170,14 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="model specification text")
     p.add_argument("--spec-file", help="file with the specification text")
     p.add_argument("--data", required=True, help="CSV data file")
-    p.add_argument("--points", help="quadrature points per dimension (int or level=int,...)")
+    p.add_argument("--points", help="quadrature points per dimension (default 7; int or level=int,...)")
     p.add_argument("--draws", help="Monte Carlo draws (int or level=int,...)")
-    p.add_argument("--skip", type=int, default=15, help="Halton burn-in count (default 15)")
+    p.add_argument("--skip", type=int, help="Halton burn-in count of QMC levels (default 15)")
     p.add_argument("--method", help="integration method per level: aghq|qmc or level=method,...")
     p.add_argument("--redistribution", help="random-effect distribution: normal|t (or level=...)")
     p.add_argument("--df", help="degrees of freedom for t random effects (int or level=int,...)")
     p.add_argument("--covariance", choices=["independent", "unstructured"], help="override the covariance structure")
-    p.add_argument("--no-adaptive", action="store_true", help="disable mean-variance adaptation")
+    p.add_argument("--no-adaptive", action="store_true", help="disable mean-variance adaptation of quadrature levels")
     p.add_argument("--gl-points", type=int, default=30, help="Gauss-Legendre nodes for cumulative hazards")
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--threads", type=int, default=1, help="worker threads for derivative probes (default 1)")
@@ -242,7 +242,7 @@ def cmd_check(args) -> int:
     points2 = _per_level(args.points2, int)
     draws2 = _per_level(args.draws2, int)
     if points2 is None:
-        points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items()}
+        points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items() if lp.method == "aghq"} or None
     if draws2 is None:
         draws2 = {n: lp.m * 4 for n, lp in base.plan.levels.items() if lp.method == "qmc"} or None
     escalated, _ = _fit_from_args(args, points=points2, draws=draws2)

@@ -828,11 +828,29 @@ def _referenced_columns(spec: ModelSpec, outcome: OutcomeSpec) -> list[str]:
     return cols
 
 
+def _response_bound(outcome: OutcomeSpec, frame: DataFrame, rows: np.ndarray) -> float | None:
+    """The bound of a count or binary family's range at which every one
+    of an outcome's responses sits, where the outcome has a constant: 0
+    for any of them, 1 for ``bernoulli``, k for ``binomial``. There the
+    likelihood keeps rising as the constant leaves for infinity.
+    """
+    rule = FAMILIES[outcome.family.name].response if outcome.family.name in FAMILIES else None
+    if outcome.noconstant or rule not in ("counts", "binary", "trials") or rows.size == 0:
+        return None
+    y = frame.col(outcome.response)[rows]
+    for bound in (0.0, {"binary": 1.0, "trials": outcome.family.k}.get(rule)):
+        if bound is not None and np.all(y == bound):
+            return bound
+    return None
+
+
 def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
     """Check a parsed specification against a data frame: referenced
     columns exist, event indicators are 0/1, entry times precede event
-    times, every survival outcome has an event, covariates are complete
-    on each outcome's rows. Reports the level tree.
+    times, every survival outcome has an event, no count or binary
+    outcome with a constant has every response at a bound of its range,
+    covariates are complete on each outcome's rows. Reports the level
+    tree.
     """
     errors: list[str] = []
 
@@ -888,6 +906,12 @@ def validate_spec(spec: ModelSpec, frame: DataFrame) -> ValidationReport:
                     errors.append(
                         f"outcome {k + 1}: no events in {outcome.family.failure!r} on its {orows.rows.size} rows; "
                         "a survival model needs at least one uncensored time"
+                    )
+                bound = _response_bound(outcome, frame, orows.rows)
+                if bound is not None:
+                    errors.append(
+                        f"outcome {k + 1}: every response in {outcome.response!r} is {bound:g}, a bound of the "
+                        f"{outcome.family.name} range, so its constant has no finite estimate; drop it with noconstant"
                     )
                 for c, comp in enumerate(outcome.components):
                     for el in comp.elements:

@@ -23,14 +23,14 @@ def fit_model(
     spec,
     data,
     *,
-    points: int | dict = 7,
+    points: int | dict | None = None,
     draws: int | dict | None = None,
     method: str | dict | None = None,
     redistribution: str | dict | None = None,
     t_df: int | dict | None = None,
     covariance: str | None = None,
-    adaptive: bool = True,
-    skip: int = 15,
+    adaptive: bool | None = None,
+    skip: int | None = None,
     gl_points: int = 30,
     max_iter: int = 300,
     init: dict | np.ndarray | None = None,
@@ -41,9 +41,11 @@ def fit_model(
     """Parse, validate, compile and maximize. Integration arguments
     accept a single value or a per-level dict; ``fixed`` pins named
     parameters (estimation scale) during maximization, and they get no
-    standard errors. A setting that no level would read is a
-    ``ValueError``: ``draws`` where no level integrates by quasi-Monte
-    Carlo, ``t_df`` where no level has a t kernel.
+    standard errors. ``points``, ``skip`` and ``adaptive`` left at None
+    mean 7, 15 and True. A setting that no level would read is a
+    ``ValueError``: ``points`` or ``adaptive`` where no level integrates
+    by quadrature, ``draws`` or ``skip`` where none integrates by
+    quasi-Monte Carlo, ``t_df`` where no level has a t kernel.
     """
     model_spec = _as_spec(spec)
     if covariance is not None:
@@ -60,14 +62,20 @@ def fit_model(
         method=method,
         redistribution=redistribution,
         t_df=t_df,
-        adaptive=adaptive,
-        skip=skip,
+        adaptive=True if adaptive is None else adaptive,
+        skip=15 if skip is None else skip,
     )
     levels = plan.levels.values()
-    if draws not in (None, {}) and all(lp.method != "qmc" for lp in levels):
-        raise ValueError("draws (--draws) is set, but no level integrates by quasi-Monte Carlo, so none would read it")
-    if t_df not in (None, {}) and all(lp.dist != "t" for lp in levels):
-        raise ValueError("t_df (--df) is set, but no level has a t kernel, so none would read it")
+    quadrature, qmc = (any(lp.method == kind for lp in levels) for kind in ("aghq", "qmc"))
+    for what, value, reader, read in (
+        ("points (--points)", points, "integrates by quadrature", quadrature),
+        ("adaptive (--no-adaptive)", adaptive, "integrates by quadrature", quadrature),
+        ("draws (--draws)", draws, "integrates by quasi-Monte Carlo", qmc),
+        ("skip (--skip)", skip, "integrates by quasi-Monte Carlo", qmc),
+        ("t_df (--df)", t_df, "has a t kernel", any(lp.dist == "t" for lp in levels)),
+    ):
+        if value not in (None, {}) and not read:
+            raise ValueError(f"{what} is set, but no level {reader}, so none would read it")
     evaluator = LikelihoodEvaluator(program, plan)
 
     theta0 = initial_values(program)
@@ -139,14 +147,14 @@ class MixedModel:
         self,
         spec,
         *,
-        points=7,
+        points=None,
         draws=None,
         method=None,
         redistribution=None,
         t_df=None,
         covariance=None,
-        adaptive=True,
-        skip=15,
+        adaptive=None,
+        skip=None,
         gl_points=30,
         max_iter=300,
         threads=1,

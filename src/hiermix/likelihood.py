@@ -49,12 +49,15 @@ S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
 with n rows, residuals r = y - a, their mean r-bar and
 Q = sum((r - r-bar)^2), it is
 -n (log(2 pi) / 2 + log sigma) - (Q + n (r-bar - L)^2) / (2 sigma^2).
-These unit sums are computed once
-per entry point (``_unit_sums``: once per ``logl`` call, per ``refresh``
-and per pass) and handed down the level recursion, and each chunk adds
-their units x columns form into its row sums (``_collapsed``). Which
-outcomes take this path follows from the model alone; the two forms
-differ by rounding.
+Where each outcome's rows and intercepts sit is fixed when the evaluator
+is built, in one record per outcome (``_Segments``). One routine forms
+either family's unit sums from it, once per entry point (``_unit_sums``:
+once per ``logl`` call, per ``refresh`` and per pass), and they are
+handed down the level recursion; at each chunk one walk over an
+outcome's intercepts gives L at its units (``_row_sums``), and their
+units x columns form is added into the row sums. Which outcomes take
+this path follows from the model alone; the two forms differ by
+rounding.
 
 The chunk shape is fixed when the evaluator is built. A chunk's
 evaluation makes new arrays of about 0.5 MB each, every time. Under
@@ -176,10 +179,12 @@ class IntegrationPlan:
                     raise ValueError(f"level {name!r}: quadrature with a t kernel needs df > 2")
             if lp.method == "aghq" and lp.q < 1:
                 raise ValueError(f"level {name!r}: need at least one quadrature point")
-            if lp.method == "aghq" and lp.adaptive and lp.q < 2:
-                # one node at the posterior mode carries no information on
-                # the posterior's spread, so the adaptation collapses it
-                raise ValueError(f"level {name!r}: adaptive quadrature needs at least 2 points")
+            if lp.method == "aghq" and lp.adaptive and lp.q < 3:
+                # the adaptation cannot measure the posterior's spread: one
+                # node gives it a variance of 0, and two, one scale either
+                # side of the shift, give their scale's square wherever
+                # their weights balance, so every scale is a fixed point
+                raise ValueError(f"level {name!r}: adaptive quadrature needs at least 3 points")
             if lp.method == "qmc" and lp.m < 1:
                 raise ValueError(f"level {name!r}: need at least one draw")
 
@@ -268,6 +273,24 @@ class _LevelState:
             self.parent = up
             self.parent_starts = np.flatnonzero(np.diff(np.sort(up), prepend=-1))
         self.active: np.ndarray | None = None  # units with rows anywhere below them
+
+
+class _Segments(NamedTuple):
+    """An outcome's rows by innermost unit, fixed when the evaluator is
+    built: a segment is the rows of one unit, consecutive in the rows'
+    order. For an outcome with ``intercepts`` also where they sit (for
+    another, ``intercepts`` is empty), and the parameter slots its unit
+    sums' derivatives are formed in (``_unit_sums``).
+    """
+
+    starts: np.ndarray  # each segment's first row (``reduceat``)
+    units: np.ndarray | slice  # each segment's innermost unit
+    row_segment: np.ndarray  # each row's segment
+    n: np.ndarray  # rows per segment, as floats
+    intercepts: list  # per intercept: (latent name, its unit per segment)
+    inner: int  # how many of the intercepts sit at the innermost level
+    slots: np.ndarray  # the row part's slots (its ``design``), then the family's own not among them
+    own: np.ndarray  # where the family's own slots (``rp``'s spline coefficients, the ancillaries) sit in ``slots``
 
 
 class _ExpLinearSums(NamedTuple):
@@ -384,9 +407,6 @@ class LikelihoodEvaluator:
             scaled = [st.info for st in self.level_states if not st.adaptive]
             self.tau_scaled = [info.re_slots[0] for info in scaled]
             self.scaled_index = {info.latent_names[0]: i for i, info in enumerate(scaled)}
-            # outcome -> how many of its intercepts sit at the innermost level
-            inner = self.level_states[-1].info.latent_names[0]
-            self.inner_counts = {k: [name for name, _ in at].count(inner) for k, (_, at) in self.intercept_units.items()}
         # Allocate and free one untouched 16 MiB block. Under glibc, freeing
         # a block that malloc mapped on its own raises M_MMAP_THRESHOLD to
         # its size and M_TRIM_THRESHOLD to twice that, for blocks up to
@@ -409,37 +429,45 @@ class LikelihoodEvaluator:
     # -- structural precomputation ------------------------------------
 
     def _prepare_segments(self) -> None:
-        """Row segments per innermost unit for every outcome, and which
-        units at each level have rows below them.
+        """Each outcome's ``_Segments`` (None where it has no rows), the
+        outcomes with intercepts (``per_unit``), and which units at each
+        level have rows below them.
         """
         program = self.program
         self.n_rows = sum(co.rows.size for co in program.outcomes)
         if not self.level_states:
             return
-        inner = self.level_states[-1]
-        self.segments: list = []  # per outcome: (reduceat starts, unit ordinal per segment)
-        # outcome with intercepts -> (segment of each row, [(latent name,
-        # unit ordinal at its level per segment)])
-        self.intercept_units: dict = {}
+        h, inner = program.hierarchy, self.level_states[-1]
+        self.segments: list[_Segments | None] = []
+        self.per_unit = [k for k, co in enumerate(program.outcomes) if co.rows.size and co.intercepts is not None]
         has_rows = np.zeros(inner.n_units, dtype=bool)
-        for k, co in enumerate(program.outcomes):
+        for co in program.outcomes:
             if co.rows.size == 0:
                 self.segments.append(None)
                 continue
             ordinals = co.units[inner.info.name]
             starts = np.concatenate(([0], np.flatnonzero(np.diff(ordinals) != 0) + 1))
             units = ordinals[starts]
-            self.segments.append((starts, _index_or_all(units, inner.n_units)))
             has_rows[units] = True
-            if co.intercepts is None:
-                continue
-            h = program.hierarchy
-            at_level = [
+            n = np.diff(starts, append=co.rows.size)
+            intercepts = [
                 (info.name, _index_or_all(co.units[info.level][starts], h.n_units(h.levels.index(info.level))))
-                for info in co.intercepts
+                for info in co.intercepts or ()
             ]
-            row_segment = np.repeat(np.arange(starts.size), np.diff(starts, append=co.rows.size))
-            self.intercept_units[k] = row_segment, at_level
+            own = co.spline_slots + co.anc_slots
+            slots = co.design[0] + [s for s in own if s not in co.design[0]]
+            self.segments.append(
+                _Segments(
+                    starts=starts,
+                    units=_index_or_all(units, inner.n_units),
+                    row_segment=np.repeat(np.arange(starts.size), n),
+                    n=n.astype(float),
+                    intercepts=intercepts,
+                    inner=sum(name in inner.info.latent_names for name, _ in intercepts),
+                    slots=np.array(slots, dtype=int),
+                    own=np.array([slots.index(s) for s in own], dtype=int),
+                )
+            )
         inner.active = has_rows
         for pos in range(len(self.level_states) - 1, 0, -1):
             st, outer = self.level_states[pos], self.level_states[pos - 1]
@@ -448,44 +476,70 @@ class LikelihoodEvaluator:
 
     def _unit_sums(self, theta: np.ndarray, k: int, derivatives: bool = False):
         """The sums of outcome k, which has intercepts, over each
-        innermost unit's rows, so that the unit's conditional
-        log-likelihood at summed intercept values L follows from them
-        alone (see the module docstring): ``_ExpLinearSums``, in which
-        taking out m keeps exp(a - m) <= 1, so that nothing overflows that
-        the rows would not; or ``_GaussianSums``. With ``derivatives``,
-        also its ``_OutcomeTerms``.
+        innermost unit's rows (its ``_Segments``), so that the unit's
+        conditional log-likelihood at summed intercept values L follows
+        from them alone (see the module docstring): ``_ExpLinearSums``, in
+        which taking out m keeps exp(a - m) <= 1, so that nothing
+        overflows that the rows would not; or ``_GaussianSums``. With
+        ``derivatives``, also its ``_OutcomeTerms``, in all p parameter
+        slots. A Gaussian outcome's, with r = y - a, r-bar its mean over a
+        unit's rows, x the rows' compiled ``design``, Sx = sum(x),
+        Sxx = sum(x x') and Sxr = sum((r - r-bar) x), in the row part's
+        slots and ln_sd (sigma^2 = V), with feature f = r-bar - L, are:
+        (Sxr + f Sx) / V and -n + (Q + n f^2) / V; -Sxx / V,
+        -2 (Sxr + f Sx) / V and -2 (Q + n f^2) / V; in L, n f / V and
+        -n / V; and across, -Sx / V and -2 n f / V.
         """
-        co = self.program.outcomes[k]
-        starts = self.segments[k][0]
-        row_segment = self.intercept_units[k][0]
-        if co.family.per_cluster == "gaussian":
-            return self._gaussian_sums(theta, k, derivatives)
+        co, seg, p = self.program.outcomes[k], self.segments[k], theta.size
+        starts, x, shape = seg.starts, co.design[1], (seg.starts.size, p)
         a, anc = row_part(self.program, k, theta)
+        if co.family.per_cluster == "gaussian":
+            (sigma,) = anc
+            r = co.response - a
+            mean = np.add.reduceat(r, starts) / seg.n
+            dev = r - mean[seg.row_segment]
+            K = -seg.n * (0.5 * _LOG_2PI + np.log(sigma))
+            Q = np.add.reduceat(dev * dev, starts)
+            sums = _GaussianSums(*(v[:, None] for v in (K, seg.n, mean, Q / (2.0 * sigma * sigma))), math.sqrt(2.0) * sigma)
+            if not derivatives:
+                return sums
+            sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
+            h2, n, d, s = 1.0 / (sigma * sigma), seg.n, seg.slots[: x.shape[1]], co.anc_slots[0]
+            a, b, c, e, f = (np.zeros(shape) for _ in range(5))
+            A, B, C = (np.zeros(shape + (p,)) for _ in range(3))
+            a[:, d], a[:, s] = sxr * h2, Q * h2 - n
+            b[:, d] = sx * h2
+            c[:, s] = n * h2
+            A[:, d[:, None], d] -= h2 * sxx
+            A[:, d, s] = A[:, s, d] = -2.0 * h2 * sxr
+            A[:, s, s] = -2.0 * h2 * Q
+            B[:, d, s] = B[:, s, d] = -2.0 * h2 * sx
+            C[:, s, s] = -2.0 * h2 * n
+            e[:, d] = -h2 * sx
+            f[:, s] = -2.0 * h2 * n
+            curvature = -h2 * n
+            return sums, _OutcomeTerms((a, b, c), (A, B, C), (e, f), (0.0, -curvature[:, None, None]), (curvature, 0.0))
         if co.rp is not None:  # rp's own parameters are its spline coefficients
             anc = theta[co.spline_slots]
         lin, b, c, *anc = co.family.exp_linear(co.response, anc, co.event, co.entry, derivatives, co.rp)
         m = np.maximum.reduceat(a, starts)
-        e = np.exp(a - m[row_segment])
+        e = np.exp(a - m[seg.row_segment])
         w = c * e
         K, D, S = (np.add.reduceat(v, starts)[:, None] for v in (lin + b * a, b, w))
         sums = _ExpLinearSums(K, D, S, m[:, None])
         if not derivatives:
             return sums
         # per row, with W = C exp(a - m), the derivatives of A + B a and of
-        # W in the row part's slots (first) and the family's own, its
-        # ancillary or ``rp``'s spline coefficients, which the row part's
-        # may share; per unit, those of W over S, 0 where S is
-        design, x = co.design
+        # W in the outcome's slots (``_Segments``), the row part's first; per
+        # unit, those of W over S, 0 where S is, then placed in all p slots
         d1a, d2a, d1c, d2c = anc
-        own = [] if d1a is None else co.spline_slots + co.anc_slots
-        slots = design + [s for s in own if s not in design]
-        q, o = len(design), np.array([slots.index(s) for s in own], dtype=int)
-        alpha, w1 = np.zeros((2, b.size, len(slots)))
-        w2 = np.zeros((b.size, len(slots), len(slots)))
+        q, o, slots = x.shape[1], seg.own, seg.slots
+        alpha, w1 = np.zeros((2, b.size, slots.size))
+        w2 = np.zeros((b.size, slots.size, slots.size))
         alpha[:, :q] = b[:, None] * x
         w1[:, :q] = w[:, None] * x
         w2[:, :q, :q] = w1[:, :q, None] * x[:, None, :]
-        if own:
+        if o.size:
             alpha[:, o] += d1a
         if d1c is not None:
             c1 = d1c * e[:, None]
@@ -496,58 +550,14 @@ class LikelihoodEvaluator:
             w2[:, o[:, None], o] += d2c * e[:, None, None]
         alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (alpha, w1, w2))
         positive = S[:, 0] > 0
-        r1 = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
-        r2 = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
-        p = theta.size
-        in_slots = _in_slots(slots, p)
-        alpha2 = _in_slots(own, p)(np.add.reduceat(d2a, starts)) if own else np.zeros((len(starts), p, p))
-        r1 = -in_slots(r1)
-        hess = (alpha2, -in_slots(r2), None)
-        return sums, _OutcomeTerms((in_slots(alpha), r1, None), hess, (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
-
-    def _gaussian_sums(self, theta: np.ndarray, k: int, derivatives: bool):
-        """``_unit_sums`` of a Gaussian outcome. With r = y - a, r-bar its
-        mean over a unit's rows, x the rows' compiled ``design``,
-        Sx = sum(x), Sxx = sum(x x') and Sxr = sum((r - r-bar) x), the
-        derivatives of its conditional log-likelihood at L, in the row
-        part's slots and ln_sd (sigma^2 = V), with feature f = r-bar - L,
-        are: (Sxr + f Sx) / V and -n + (Q + n f^2) / V; -Sxx / V,
-        -2 (Sxr + f Sx) / V and -2 (Q + n f^2) / V; in L, n f / V and
-        -n / V; and across, -Sx / V and -2 n f / V.
-        """
-        co = self.program.outcomes[k]
-        starts = self.segments[k][0]
-        row_segment = self.intercept_units[k][0]
-        n = np.diff(starts, append=co.rows.size).astype(float)
-        a, (sigma,) = row_part(self.program, k, theta)
-        r = co.response - a
-        mean = np.add.reduceat(r, starts) / n
-        dev = r - mean[row_segment]
-        K = -n * (0.5 * _LOG_2PI + np.log(sigma))
-        Q = np.add.reduceat(dev * dev, starts)
-        sums = _GaussianSums(*(v[:, None] for v in (K, n, mean, Q / (2.0 * sigma * sigma))), math.sqrt(2.0) * sigma)
-        if not derivatives:
-            return sums
-        slots, x = co.design
-        sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
-        h2 = 1.0 / (sigma * sigma)
-        s = co.anc_slots[0]
-        p = theta.size
-        in_slots = _in_slots(slots, p)
-        a, b, c, e, f = (np.zeros((len(starts), p)) for _ in range(5))
-        A, B, C = (np.zeros((len(starts), p, p)) for _ in range(3))
-        a[:, slots], a[:, s] = sxr * h2, Q * h2 - n
-        b[:, slots] = sx * h2
-        c[:, s] = n * h2
-        A += in_slots(-h2 * sxx)
-        A[:, slots, s] = A[:, s, slots] = -2.0 * h2 * sxr
-        A[:, s, s] = -2.0 * h2 * Q
-        B[:, slots, s] = B[:, s, slots] = -2.0 * h2 * sx
-        C[:, s, s] = -2.0 * h2 * n
-        e[:, slots] = -h2 * sx
-        f[:, s] = -2.0 * h2 * n
-        curvature = -h2 * n
-        return sums, _OutcomeTerms((a, b, c), (A, B, C), (e, f), (0.0, -curvature[:, None, None]), (curvature, 0.0))
+        a1, r1, r2, a2 = np.zeros(shape), np.zeros(shape), np.zeros(shape + (p,)), np.zeros(shape + (p,))
+        a1[:, slots] = alpha
+        r1[:, slots] = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
+        r2[:, slots[:, None], slots] = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
+        if o.size:
+            a2[:, slots[o, None], slots[o]] = np.add.reduceat(d2a, starts)
+        r1 = -r1
+        return sums, _OutcomeTerms((a1, r1, None), (a2, -r2, None), (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
@@ -595,7 +605,7 @@ class LikelihoodEvaluator:
         intercepts: computed once per entry point and handed down the
         level recursion.
         """
-        return {k: self._unit_sums(theta, k) for k in self.intercept_units}
+        return {k: self._unit_sums(theta, k) for k in self.per_unit}
 
     def _logl(self, theta: np.ndarray) -> float:
         """The value of ``logl``, uncounted."""
@@ -621,7 +631,7 @@ class LikelihoodEvaluator:
     # For a model in the scope of ``exact``, the conditional log-likelihood
     # of an innermost cell at node u is a sum over outcomes k of
     # l_k(theta, L_k), with L_k the sum of k's intercept values there
-    # (``_collapsed``). Given each outcome's ``_OutcomeTerms``, its score
+    # (``_row_sums``). Given each outcome's ``_OutcomeTerms``, its score
     # and Hessian in the parameters at a node are polynomials in the
     # outcome's feature there. A level's log scale tau enters in one of
     # two ways. On scaled nodes (QMC and non-adaptive quadrature) a node
@@ -694,7 +704,7 @@ class LikelihoodEvaluator:
         p = theta.size
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sums, terms = {}, {}
-            for k in self.intercept_units:
+            for k in self.per_unit:
                 sums[k], terms[k] = self._unit_sums(theta, k, derivatives=True)
             unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta, 0, [], sums, terms))
         act = self.level_states[0].active
@@ -860,7 +870,7 @@ class LikelihoodEvaluator:
         units u0 to u1: its segments' values there, 0 at units without
         rows of k. A float passes unchanged.
         """
-        seg = self.segments[k][1]
+        seg = self.segments[k].units
         if isinstance(seg, slice):  # every unit has rows of k
             rows, at = slice(u0, u1), None
         else:  # the segments of units u0 to u1, and their units among them
@@ -932,8 +942,9 @@ class LikelihoodEvaluator:
         """``_inner_derivatives`` on the scaled innermost nodes u (M,),
         which every cell shares, and the units to redo node by node.
         ``_node_terms``' leaves are node polynomials: an outcome's feature
-        (``_coefficient``) and its intercept sum, n u at the innermost
-        level and a per-cell constant outside. Every mean is a per-cell
+        (from ``_row_sums``) and its intercept sum, n u at the innermost
+        level, n the count in its ``_Segments``, and a per-cell constant
+        outside. Every mean is a per-cell
         sum of moments E[u^a e^(b u)] from one contraction
         (``_node_moments``), and the covariance the raw second moments
         less the means' products times 2 - W, W the weights' sum, which
@@ -951,7 +962,7 @@ class LikelihoodEvaluator:
         def leaves(k, place):
             _, scaled, f = feats[k]
             L = [None if v is None else _NodePoly({(0, 0): place(v[:, ::m, None])}) for v in scaled]
-            n = self.inner_counts[k]
+            n = self.segments[k].inner
             L[inner] = _NodePoly({(1, 0): float(n)}) if n else None
             return _NodePoly({key: place(c) for key, c in f.items()}), L
 
@@ -978,8 +989,8 @@ class LikelihoodEvaluator:
     def _block_derivatives(self, theta, w, u, feats: dict, terms: dict, u0: int, u1: int) -> tuple:
         """``_inner_derivatives`` of the innermost units u0 to u1, whose
         weights and node values are w and u, node by node. ``_node_terms``'
-        leaves are the features (``_collapsed``) and intercept sums
-        (``_scaled_values``) at the cells' nodes, and a product's mean is w
+        leaves are the features and intercept sums at the cells' nodes
+        (from ``_row_sums``), and a product's mean is w
         times its factors but the last, dotted with the last over the node
         axis alone (``np.vecdot``), so that no cell's value depends on the
         block it falls in; the covariance comes from features centred node
@@ -1043,18 +1054,23 @@ class LikelihoodEvaluator:
         c0 to c1. The columns, one per (combination, node), are evaluated
         in chunks of ``chunk_columns``: a chunk is whole combinations, or
         nodes of one combination, which is then yielded after its last
-        chunk. With ``terms``, a chunk is whole combinations, and
-        ``features`` maps each outcome to its feature at the chunk's
-        columns (see ``_collapsed``), to the sums of its intercept values
-        at each level with scaled nodes (``_scaled_values``) and, where the
+        chunk. An outcome with intercepts is evaluated from its unit sums
+        at L, the sum of its intercept values at its units, taken in one
+        walk over its intercepts (``_Segments``). With ``terms``, a chunk
+        is whole combinations, and ``features`` maps each such outcome to
+        its feature at the chunk's columns (``_ExpLinearSums.at``,
+        ``_GaussianSums.at``), to the sums of its intercept values at each
+        level with scaled nodes, from the same walk, and, where the
         innermost level's nodes are scaled, to its feature as a node
-        polynomial (``_coefficient``), else None; without ``terms`` it is
+        polynomial, from the sum of its intercept values outside that
+        level (``node_feature``), else None; without ``terms`` it is
         empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
         if terms is not None:
             width = max(m, width - width % m)
+            inner = st.info.latent_names[0]
         combos = st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
         n_active = int(st.active.sum())
@@ -1075,79 +1091,37 @@ class LikelihoodEvaluator:
             ctx = EvalContext(self.program, theta, vals)
             part = out[:, j0 - c0 * m : j1 - c0 * m]
             features = {}
-            for k, segments in enumerate(self.segments):
-                if segments is None:
+            for k, seg in enumerate(self.segments):
+                if seg is None:
                     continue
-                starts, seg_units = segments
                 if k in sums:
-                    intercepts = self.intercept_units[k][1]
-                    unit_ll, f = self._collapsed(sums[k], intercepts, vals)
+                    L, scaled, outside = None, None if terms is None else [None] * len(self.tau_scaled), 0.0
+                    for name, units in seg.intercepts:
+                        v = vals[name] if isinstance(units, slice) else vals[name][units]
+                        L = v if L is None else L + v
+                        if terms is None:
+                            continue
+                        i = self.scaled_index.get(name)
+                        if i is not None:
+                            scaled[i] = v if scaled[i] is None else scaled[i] + v
+                        if name != inner:  # the same at each of a combination's m nodes
+                            outside = outside + v[:, ::m]
+                    unit_ll, f = sums[k].at(L)
+                    unit_ll[np.isnan(unit_ll)] = -np.inf  # as at the rows
                     if terms is not None:
-                        coef = None if st.adaptive else self._coefficient(sums[k], intercepts, vals, m)
-                        features[k] = f, self._scaled_values(intercepts, vals), coef
+                        features[k] = f, scaled, None if st.adaptive else sums[k].node_feature(outside, seg.inner)
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll)
                     if nan.any():  # rare; copying every chunk costs more than the test
                         ll = np.where(nan, -np.inf, ll)
                     # one column when ll is the same in every column; += spreads it
-                    unit_ll = np.add.reduceat(ll, starts, axis=0)
-                part[seg_units] += unit_ll
+                    unit_ll = np.add.reduceat(ll, seg.starts, axis=0)
+                part[seg.units] += unit_ll
             self.cond_evals += n_active * (j1 - j0)
             j0 = j1
             if j1 % m == 0:
                 yield c0, c1, out.reshape(st.n_units, c1 - c0, m), features
-
-    @staticmethod
-    def _intercept_values(intercepts: list, vals: dict):
-        """Yield (latent name, values at the outcome's units) for each of
-        an outcome's intercepts."""
-        for name, units in intercepts:
-            v = vals[name]
-            if not isinstance(units, slice):  # an outer level's values at each unit
-                v = v[units]
-            yield name, v
-
-    @classmethod
-    def _collapsed(cls, stats, intercepts: list, vals: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The conditional log-likelihood of one outcome's units at the
-        columns of a chunk, from its unit sums ``stats`` (see
-        ``_unit_sums``) at L, the sum of each unit's intercept values
-        there; and its feature there (``_ExpLinearSums.at``,
-        ``_GaussianSums.at``).
-        """
-        L = None
-        for _, v in cls._intercept_values(intercepts, vals):
-            L = v if L is None else L + v
-        ll, feature = stats.at(L)
-        ll[np.isnan(ll)] = -np.inf  # as at the rows
-        return ll, feature
-
-    def _coefficient(self, stats, intercepts: list, vals: dict, m: int) -> _NodePoly:
-        """An outcome's feature on scaled innermost nodes at the
-        combinations of a chunk of whole ones, as a node polynomial with
-        per-cell coefficients: ``stats.node_feature`` at the sum of its
-        intercept values outside the innermost level, which are the same
-        at each of a combination's m nodes.
-        """
-        inner = self.level_states[-1].info.latent_names[0]
-        outer = [(name, units) for name, units in intercepts if name != inner]
-        total = 0.0
-        for _, v in self._intercept_values(outer, {name: vals[name][:, ::m] for name, _ in outer}):
-            total = total + v
-        return stats.node_feature(total, len(intercepts) - len(outer))
-
-    def _scaled_values(self, intercepts: list, vals: dict) -> list:
-        """The sum of an outcome's intercept values at each level with
-        scaled nodes, (units, columns) each, or None at a level where it
-        has none: their derivatives in the levels' log scales.
-        """
-        out = [None] * len(self.tau_scaled)
-        for name, v in self._intercept_values(intercepts, vals):
-            i = self.scaled_index.get(name)
-            if i is not None:
-                out[i] = v if out[i] is None else out[i] + v
-        return out
 
     def _into_parents(self, pos: int, vals: np.ndarray, *derivs) -> tuple:
         """Sum per-unit values (n_units, n) of level ``pos``, and with them
@@ -1214,19 +1188,6 @@ class LikelihoodEvaluator:
             "adaptation_sweeps": dict(self.sweeps),
             "wall_time_s": self.wall_time,
         }
-
-
-def _in_slots(slots: list, p: int):
-    """A map from per-unit arrays (units, q) or (units, q, q) in the
-    slots ``slots`` to arrays in all p slots, 0 elsewhere.
-    """
-
-    def place(v):
-        out = np.zeros(v.shape[:1] + (p,) * (v.ndim - 1))
-        out[(slice(None), *np.ix_(*[slots] * (v.ndim - 1)))] = v
-        return out
-
-    return place
 
 
 def _unit_totals(values: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Helpers that only the tests use: reference per-row log-likelihoods of
 the non-survival families (``scipy.stats``), reference survival
 log-likelihoods (closed forms built on the engine's family hazards, and
-a Gauss-Legendre hazard quadrature for any log-hazard function),
-one-shot marginal log-likelihoods and profiles from a fresh
+a Gauss-Legendre hazard quadrature for any log-hazard function), the
+closed-form marginal log-likelihood of Gaussian mixed models, one-shot
+marginal log-likelihoods and profiles from a fresh
 ``LikelihoodEvaluator``, and mean-variance adaptation with the matrix
 step at every dimension.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -87,6 +90,42 @@ def hazard_quadrature_logl(y, d, log_hazard, t0=0.0, q_gl: int = 30):
         lh = float(np.asarray(log_hazard(np.asarray([y])), dtype=float).ravel()[0])
         out += d * lh
     return out
+
+
+def gaussian_marginal(y, X, beta, sd, levels, outcome=None) -> float:
+    """Closed-form marginal log-likelihood of a Gaussian mixed model with
+    nested levels: y = X beta + sum over levels of Z b + e, where each
+    unit of a level has effects b ~ N(0, Sigma), shared by its rows, and
+    e_i ~ N(0, sd[outcome_i]^2) independently, ``outcome`` giving each
+    row's outcome (all 0 by default). ``levels`` lists, outermost first,
+    (unit of each row, Z columns (rows, r), Sigma (r, r)). Rows of
+    different outermost units are independent, so the multivariate
+    normal log density is summed over those blocks (over rows without
+    levels).
+    """
+    y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
+    resid = y - X @ np.asarray(beta, dtype=float)
+    rows_outcome = np.zeros(y.size, dtype=int) if outcome is None else np.asarray(outcome, dtype=int)
+    var = np.asarray(sd, dtype=float)[rows_outcome] ** 2
+    levels = [(np.asarray(u), np.asarray(Z, dtype=float).reshape(y.size, -1), np.atleast_2d(S)) for u, Z, S in levels]
+    blocks = levels[0][0] if levels else np.arange(y.size)
+    total = 0.0
+    for block in np.unique(blocks):
+        rows = np.flatnonzero(blocks == block)
+        V = np.diag(var[rows])
+        for units, Z, Sigma in levels:
+            V += (units[rows, None] == units[None, rows]) * (Z[rows] @ Sigma @ Z[rows].T)
+        _, logdet = np.linalg.slogdet(V)
+        r = resid[rows]
+        total += -0.5 * (rows.size * math.log(2.0 * math.pi) + logdet + r @ np.linalg.solve(V, r))
+    return total
+
+
+def intercept_levels(units: list, sds) -> list:
+    """``gaussian_marginal``'s levels of random intercepts: one per map
+    from rows to units in ``units``, outermost first, with sd ``sds``.
+    """
+    return [(u, np.ones((len(u), 1)), [[sd * sd]]) for u, sd in zip(units, sds)]
 
 
 def marginal_logl(program, plan, theta) -> float:

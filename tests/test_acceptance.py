@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hiermix as hm
-from oracles import hazard_quadrature_logl, surv_logl
+from oracles import gaussian_marginal, hazard_quadrature_logl, intercept_levels, surv_logl
 from hiermix.data import as_frame, load_csv
 from hiermix.dsl import parse_model_spec
 from hiermix.integrate import gh_rule
@@ -39,25 +39,6 @@ def lmm_data(seed=20260808, g=50, n=6):
     return {"id": cid, "x": x, "y": y}
 
 
-def lmm_closed_form(data, theta):
-    """Marginal of the random-intercept linear mixed model: per cluster
-    y ~ N(X beta, sb^2 J + s^2 I).
-    """
-    cid, x, y = data["id"], np.asarray(data["x"]), np.asarray(data["y"])
-    beta = theta[:2]
-    s, sb = math.exp(theta[2]), math.exp(theta[3])
-    total = 0.0
-    for g in np.unique(cid):
-        m = cid == g
-        yy = y[m]
-        X = np.column_stack([x[m], np.ones(int(m.sum()))])
-        V = sb**2 * np.ones((m.sum(), m.sum())) + s**2 * np.eye(int(m.sum()))
-        r = yy - X @ beta
-        _, ld = np.linalg.slogdet(V)
-        total += -0.5 * (m.sum() * math.log(2 * math.pi) + ld + r @ np.linalg.solve(V, r))
-    return total
-
-
 @pytest.fixture(scope="module")
 def lmm_fit():
     data = lmm_data()
@@ -68,11 +49,17 @@ def lmm_fit():
 def test_criterion_1_gaussian_oracle(lmm_fit):
     start = time.time()
     data, result = lmm_fit
+    X = np.column_stack([data["x"], np.ones(data["x"].size)])
+
+    def closed_form(theta):  # x, _cons, ln_sd, ln_sd(M1)
+        sd, sd_id = np.exp(theta[2:])
+        return gaussian_marginal(data["y"], X, theta[:2], [sd], intercept_levels([data["id"]], [sd_id]))
+
     # likelihood equality at the fitted point
-    logl_diff = abs(result.logl - lmm_closed_form(data, result.theta))
+    logl_diff = abs(result.logl - closed_form(result.theta))
     # independent route to the ML estimates: quasi-Newton on the closed form
     oracle = minimize(
-        lambda th: -lmm_closed_form(data, th),
+        lambda th: -closed_form(th),
         np.zeros(4),
         method="BFGS",
         options={"gtol": 1e-10, "maxiter": 500},
@@ -228,7 +215,7 @@ def test_criterion_6_joint_independence_oracle():
     )
     data = {n: frame.col(n) for n in frame.names}
     fit_joint = hm.fit_model(joint, data, points=9, fixed={"alpha": 0.0})
-    fit_surv = hm.fit_model("(stime trt, family(exponential, failure(died)))", data, points=9)
+    fit_surv = hm.fit_model("(stime trt, family(exponential, failure(died)))", data)
     fit_long = hm.fit_model("(logb fp(1)@slope M1[id], family(gaussian) timevar(time))", data, points=9)
     diff = abs(fit_joint.logl - (fit_surv.logl + fit_long.logl))
     elapsed = time.time() - start

@@ -457,7 +457,7 @@ class TestExitCodes:
             (["--max-iter", "-3"], "max_iter must be at least 0"),
             (["--points", "0"], "quadrature point"),
             (["--method", "qmc", "--points", "0"], "need at least one quadrature point"),
-            (["--points", "1"], "adaptive quadrature needs at least 2 points"),
+            (["--points", "1"], "adaptive quadrature needs at least 3 points"),
             (["--draws", "0", "--method", "qmc"], "draw"),
             # a setting that a quadrature level would not read, or that
             # names a level without latent effects, is refused, not ignored
@@ -611,6 +611,21 @@ FAILURE_TABLE = {
     "draws_below_one_without_qmc": (None, WEIBULL, 3, "need at least one draw", "--draws", "0"),
     "df_with_normal_quadrature": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--df", "5"),
     "df_with_normal_qmc": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--method", "qmc", "--df", "5"),
+    "skip_without_qmc": (None, WEIBULL, 3, "skip (--skip) is set, but no level integrates by quasi-Monte Carlo", "--skip", "5"),
+    "points_without_quadrature": (
+        None, WEIBULL, 3, "points (--points) is set, but no level integrates by quadrature", "--method", "qmc", "--points", "9"
+    ),
+    "no_adaptive_without_quadrature": (
+        None, WEIBULL, 3, "adaptive (--no-adaptive) is set, but no level integrates by quadrature", "--method", "qmc", "--no-adaptive"
+    ),
+    # count and binary responses all at a bound of their range: the
+    # constant has no finite estimate
+    "bernoulli_all_0": (_column(2, lambda i, v: 0.0), "(d x M1[id], family(bernoulli))", 3, "every response in 'd' is 0"),
+    "bernoulli_all_1": (_column(2, lambda i, v: 1.0), "(d x M1[id], family(bernoulli))", 3, "every response in 'd' is 1"),
+    "poisson_all_0": (_column(2, lambda i, v: 0.0), "(d x M1[id], family(poisson))", 3, "every response in 'd' is 0"),
+    "negbinomial_all_0": (_column(2, lambda i, v: 0.0), "(d x M1[id], family(negbinomial))", 3, "every response in 'd' is 0"),
+    "binomial_all_0": (_column(2, lambda i, v: 0.0), "(d x M1[id], family(binomial, k(3)))", 3, "every response in 'd' is 0"),
+    "binomial_all_k": (_column(2, lambda i, v: 3.0), "(d x M1[id], family(binomial, k(3)))", 3, "every response in 'd' is 3"),
 }
 
 

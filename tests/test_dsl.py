@@ -395,3 +395,15 @@ class TestValidateSpec:
         assert any("no events" in e and "infect" in e for e in report.errors)
         with pytest.raises(SpecValidationError, match="no events"):
             hm.fit_model(spec, frame)
+
+    @pytest.mark.parametrize("family,bound", [("poisson", 0.0), ("bernoulli", 1.0), ("binomial, k(2)", 2.0)])
+    def test_responses_at_a_bound_need_noconstant(self, family, bound):
+        # every response at a bound: the constant has no finite estimate,
+        # and only an outcome without one is accepted
+        frame = self.make_frame()
+        frame.columns["infect"][:] = bound
+        refused = validate_spec(parse_model_spec(f"(infect age M1[patient], family({family}))"), frame)
+        assert [e for e in refused.errors if f"every response in 'infect' is {bound:g}" in e]
+        assert validate_spec(parse_model_spec(f"(infect age M1[patient], family({family}) noconstant)"), frame).ok
+        frame.columns["infect"][0] = 1.0 - bound % 2
+        assert validate_spec(parse_model_spec(f"(infect age M1[patient], family({family}))"), frame).ok

@@ -83,9 +83,11 @@ class TestEstimatorApi:
     def test_one_point_adaptive_quadrature_is_an_error(self):
         # a single adaptive node cannot measure the posterior's spread: on
         # 80 Bernoulli clusters of 8 such a fit ended "no ascent step
-        # found" with sd(M1) near 0. A non-adaptive single point is allowed
-        with pytest.raises(ValueError, match="adaptive quadrature needs at least 2 points"):
-            fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=1)
+        # found" with sd(M1) near 0; two keep whatever scale they start
+        # from. A non-adaptive single point is allowed
+        for points in (1, 2):
+            with pytest.raises(ValueError, match="adaptive quadrature needs at least 3 points"):
+                fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=points)
         fit = fit_model("(y x M1[id], family(gaussian))", cluster_data(), points=1, adaptive=False)
         assert fit.settings["id"] == "aghq points 1 (non-adaptive) kernel normal"
 
@@ -158,7 +160,7 @@ class TestEstimatorApi:
         )
         data = {n: frame.col(n) for n in frame.names}
         fit_joint = fit_model(joint, data, points=9, fixed={"alpha": 0.0})
-        fit_surv = fit_model("(stime trt, family(exponential, failure(died)))", data, points=9)
+        fit_surv = fit_model("(stime trt, family(exponential, failure(died)))", data)
         fit_long = fit_model("(logb fp(1)@slope M1[id], family(gaussian) timevar(time))", data, points=9)
         assert fit_joint.se("alpha") is None
         pairs = [("stime:trt", fit_surv, "trt"), ("stime:_cons", fit_surv, "_cons")]
