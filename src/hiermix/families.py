@@ -503,7 +503,8 @@ class Family:
         cum = self._base_cum_hazard(y, anc)
         later = entry > 0
         t0 = np.where(later, entry, 1.0)
-        if later.any():
+        entered = later.any()
+        if entered:
             cum = cum - np.where(later, self._base_cum_hazard(t0, anc), 0.0)
         terms = log_h0, events.astype(float), cum
         if not derivatives:
@@ -512,8 +513,10 @@ class Family:
             return terms + (None,) * 4
 
         def over_entry(f):  # f at y less f at the entry time, where there is one
-            at_y, at_t0 = f(y), f(t0)
-            return tuple(a - np.where(later, b, 0.0) for a, b in zip(at_y, at_t0))
+            at_y = f(y)
+            if not entered:
+                return at_y
+            return tuple(a - np.where(later, b, 0.0) for a, b in zip(at_y, f(t0)))
 
         g = anc[0]
         if self.name == "weibull":  # ancillary ln(g): A = ln g + (g - 1) ln t, C = t^g
@@ -523,8 +526,9 @@ class Family:
 
             def cum_derivs(t):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    d1 = g * t**g * np.log(t)
-                    return d1, d1 + g * d1 * np.log(t)
+                    log_t = np.log(t)
+                    d1 = g * t**g * log_t
+                    return d1, d1 + g * d1 * log_t
 
         else:  # gompertz, ancillary g: A = g t, C = expm1(g t) / g
             d1a, d2a = np.where(events, y, 0.0), np.zeros_like(y)

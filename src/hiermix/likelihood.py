@@ -21,18 +21,22 @@ on, so the shapes always match; a cell that fell back in its latest
 adaptation, and every cell at the evaluator's first, start from the
 prior.
 
-At the innermost level the conditional log-likelihood is a rows x
+At the innermost level the conditional log-likelihood is a units x
 columns array, one column per (outer-node combination, node). Its
-columns are evaluated in chunks of about ``_CHUNK_VALUES`` (2^16) rows x
-columns, so that the temporaries of one evaluation stay cache-sized
-however many draws a level has. A chunk is as many whole combinations
-as fit; where one combination's nodes do not fit, it is a run of nodes
-inside one combination, whose row sums gather over its chunks. A model
-whose rows x columns fit the budget runs as one chunk. Every operation
-acts on each column alone, so the chunking never changes a result.
+columns are evaluated in chunks whose arrays hold about
+``_CHUNK_VALUES`` (2^16) values each, so that the temporaries of one
+evaluation stay cache-sized however many draws a level has: innermost
+units x columns, and rows x columns for an outcome evaluated row by
+row. A chunk is as many whole combinations as fit; where one
+combination's nodes do not fit, it is a run of nodes inside one
+combination, whose row sums gather over its chunks. A model whose
+arrays fit the budget runs as one chunk. Every operation acts on each
+column alone, so the chunking never changes a result.
 Node axes are reduced, over whole combinations, with ``logsumexp``,
 which repeats the arithmetic of ``scipy.special.logsumexp`` for real
-input without its generic array-API overhead.
+input without its generic array-API overhead, and forms each
+exponential once; a derivative pass takes the posterior weights from
+the same call, from those exponentials.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
 plus random intercepts, under a Poisson or Gaussian family, whose time
@@ -109,27 +113,38 @@ __all__ = [
 ]
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
+def logsumexp(a: np.ndarray, weights: bool = False):
     """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
+    Each exp(a - max) is formed once: the ties are the zeros of a - max,
+    zeroed after the exponential, so that s sums the rest.
+
+    With ``weights``, also (value, weights): the posterior weights
+    exp(a - value) of each row, the same exponentials with the ties set
+    back to 1 over their row total m + s. On a row whose value is not
+    finite (its maximum is +-inf or NaN) every weight is NaN.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_max = a.max(axis=1, keepdims=True)
-        ties = a == a_max
+        e = a - a_max
+        ties = e == 0.0
         m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
-        rest = a.copy()
-        rest[ties] = -np.inf
-        rest -= a_max
-        np.exp(rest, out=rest)
-        s = rest.sum(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e[ties] = 0.0
+        s = e.sum(axis=1, keepdims=True)
+        total = s + m if weights else None
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         bad = ~np.isfinite(out)
         if bad.any():
             out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-    return out
+        if not weights:
+            return out
+        e[ties] = 1.0
+        e /= total
+    return out, e
 
 
 @dataclass
@@ -204,7 +219,8 @@ def default_plan(
     kernels. Every argument takes a single value or a per-level dict.
     A setting that would be silently ignored is an error: a per-level
     dict that names a level without latent effects, and a point or draw
-    count below 1 for any level, whichever method it takes.
+    count below 1 for any level, whichever method it takes. So is one
+    draw on a quasi-Monte Carlo level, whose scale it leaves unidentified.
     """
 
     def per_level(value, name, fallback):
@@ -232,6 +248,11 @@ def default_plan(
             raise ValueError(f"level {li.name!r}: need at least one quadrature point")
         if m < 1:
             raise ValueError(f"level {li.name!r}: need at least one draw")
+        if meth == "qmc" and m == 1:
+            raise ValueError(
+                f"level {li.name!r}: quasi-Monte Carlo needs at least 2 draws; with one, every unit takes the same "
+                "latent value, which the constant absorbs, so the level's scale is not identified"
+            )
         plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adaptive)
     plan.validate(program)
     return plan
@@ -291,6 +312,8 @@ class _Segments(NamedTuple):
     inner: int  # how many of the intercepts sit at the innermost level
     slots: np.ndarray  # the row part's slots (its ``design``), then the family's own not among them
     own: np.ndarray  # where the family's own slots (``rp``'s spline coefficients, the ancillaries) sit in ``slots``
+    design: np.ndarray  # the row part's compiled design, transposed: (columns, rows), each row contiguous
+    place: np.ndarray  # where each per-unit sum of an exp-linear outcome's derivatives goes (``_unit_sums``)
 
 
 class _ExpLinearSums(NamedTuple):
@@ -434,7 +457,6 @@ class LikelihoodEvaluator:
         level have rows below them.
         """
         program = self.program
-        self.n_rows = sum(co.rows.size for co in program.outcomes)
         if not self.level_states:
             return
         h, inner = program.hierarchy, self.level_states[-1]
@@ -456,6 +478,7 @@ class LikelihoodEvaluator:
             ]
             own = co.spline_slots + co.anc_slots
             slots = co.design[0] + [s for s in own if s not in co.design[0]]
+            slots, own = np.array(slots, dtype=int), np.array([slots.index(s) for s in own], dtype=int)
             self.segments.append(
                 _Segments(
                     starts=starts,
@@ -464,8 +487,10 @@ class LikelihoodEvaluator:
                     n=n.astype(float),
                     intercepts=intercepts,
                     inner=sum(name in inner.info.latent_names for name, _ in intercepts),
-                    slots=np.array(slots, dtype=int),
-                    own=np.array([slots.index(s) for s in own], dtype=int),
+                    slots=slots,
+                    own=own,
+                    design=np.ascontiguousarray(co.design[1].T),
+                    place=_placement(slots, own, program.n_params),
                 )
             )
         inner.active = has_rows
@@ -488,10 +513,15 @@ class LikelihoodEvaluator:
         slots and ln_sd (sigma^2 = V), with feature f = r-bar - L, are:
         (Sxr + f Sx) / V and -n + (Q + n f^2) / V; -Sxx / V,
         -2 (Sxr + f Sx) / V and -2 (Q + n f^2) / V; in L, n f / V and
-        -n / V; and across, -Sx / V and -2 n f / V.
+        -n / V; and across, -Sx / V and -2 n f / V. Either family forms
+        its per-row products in one (features, rows) table from the
+        transposed design in its ``_Segments``, with each feature's rows
+        contiguous, and sums it per unit in one ``reduceat``, which adds
+        a unit's rows in their order as a sum over each product alone
+        would.
         """
         co, seg, p = self.program.outcomes[k], self.segments[k], theta.size
-        starts, x, shape = seg.starts, co.design[1], (seg.starts.size, p)
+        starts, xt, shape = seg.starts, seg.design, (seg.starts.size, p)
         a, anc = row_part(self.program, k, theta)
         if co.family.per_cluster == "gaussian":
             (sigma,) = anc
@@ -503,8 +533,15 @@ class LikelihoodEvaluator:
             sums = _GaussianSums(*(v[:, None] for v in (K, seg.n, mean, Q / (2.0 * sigma * sigma))), math.sqrt(2.0) * sigma)
             if not derivatives:
                 return sums
-            sx, sxx, sxr = (np.add.reduceat(v, starts) for v in (x, x[:, :, None] * x[:, None, :], dev[:, None] * x))
-            h2, n, d, s = 1.0 / (sigma * sigma), seg.n, seg.slots[: x.shape[1]], co.anc_slots[0]
+            # per row x, x x' and (r - r-bar) x: one (features, rows) table
+            q = xt.shape[0]
+            table = np.empty((q * (q + 2), xt.shape[1]))
+            table[:q] = xt
+            np.multiply(xt[:, None], xt, out=table[q : q * (q + 1)].reshape(q, q, -1))
+            np.multiply(dev, xt, out=table[q * (q + 1) :])
+            unit = np.add.reduceat(table.T, starts)
+            sx, sxx, sxr = unit[:, :q], unit[:, q : q * (q + 1)].reshape(-1, q, q), unit[:, q * (q + 1) :]
+            h2, n, d, s = 1.0 / (sigma * sigma), seg.n, seg.slots[:q], co.anc_slots[0]
             a, b, c, e, f = (np.zeros(shape) for _ in range(5))
             A, B, C = (np.zeros(shape + (p,)) for _ in range(3))
             a[:, d], a[:, s] = sxr * h2, Q * h2 - n
@@ -530,47 +567,59 @@ class LikelihoodEvaluator:
         if not derivatives:
             return sums
         # per row, with W = C exp(a - m), the derivatives of A + B a and of
-        # W in the outcome's slots (``_Segments``), the row part's first; per
-        # unit, those of W over S, 0 where S is, then placed in all p slots
+        # W in the outcome's slots (``_Segments``), the row part's first, and
+        # the second of A in the family's own: one (features, rows) table;
+        # per unit, its sums, those of W over S (0 where S is), placed in
+        # all p slots
         d1a, d2a, d1c, d2c = anc
-        q, o, slots = x.shape[1], seg.own, seg.slots
-        alpha, w1 = np.zeros((2, b.size, slots.size))
-        w2 = np.zeros((b.size, slots.size, slots.size))
-        alpha[:, :q] = b[:, None] * x
-        w1[:, :q] = w[:, None] * x
-        w2[:, :q, :q] = w1[:, :q, None] * x[:, None, :]
+        q, o, ns = xt.shape[0], seg.own, seg.slots.size
+        nw = ns * (ns + 2)
+        table = np.zeros((nw + o.size * o.size, b.size))
+        alpha, w1, w2 = table[:ns], table[ns : 2 * ns], table[2 * ns : nw].reshape(ns, ns, -1)
+        np.multiply(b, xt, out=alpha[:q])
+        np.multiply(w, xt, out=w1[:q])
+        np.multiply(w1[:q, None], xt, out=w2[:q, :q])
         if o.size:
-            alpha[:, o] += d1a
+            alpha[o] += d1a.T
+            table[nw:] = d2a.reshape(b.size, -1).T
         if d1c is not None:
-            c1 = d1c * e[:, None]
-            w1[:, o] += c1
-            cross = c1[:, :, None] * x[:, None, :]
-            w2[:, o, :q] += cross
-            w2[:, :q, o] += np.swapaxes(cross, 1, 2)
-            w2[:, o[:, None], o] += d2c * e[:, None, None]
-        alpha, w1, w2 = (np.add.reduceat(v, starts) for v in (alpha, w1, w2))
+            c1 = d1c.T * e
+            w1[o] += c1
+            cross = c1[:, None] * xt
+            w2[o, :q] += cross
+            w2[:q, o] += cross.swapaxes(0, 1)
+            w2[o[:, None], o] += np.moveaxis(d2c, 0, -1) * e
+        unit = np.add.reduceat(table.T, starts)
         positive = S[:, 0] > 0
-        a1, r1, r2, a2 = np.zeros(shape), np.zeros(shape), np.zeros(shape + (p,)), np.zeros(shape + (p,))
-        a1[:, slots] = alpha
-        r1[:, slots] = np.divide(w1, S, out=np.zeros_like(w1), where=positive[:, None])
-        r2[:, slots[:, None], slots] = np.divide(w2, S[:, :, None], out=np.zeros_like(w2), where=positive[:, None, None])
-        if o.size:
-            a2[:, slots[o, None], slots[o]] = np.add.reduceat(d2a, starts)
-        r1 = -r1
-        return sums, _OutcomeTerms((a1, r1, None), (a2, -r2, None), (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
+        ratios = unit[:, ns:nw]
+        np.divide(ratios, S, out=ratios, where=positive[:, None])
+        ratios[~positive] = 0.0
+        out = np.zeros((starts.size, 2 * p * (p + 1)))
+        out[:, seg.place] = unit
+        r = out[:, p : p * (p + 2)]
+        np.negative(r, out=r)
+        a1, r1 = out[:, :p], out[:, p : 2 * p]
+        r2, a2 = (out[:, k : k + p * p].reshape(-1, p, p) for k in (2 * p, p * (p + 2)))
+        return sums, _OutcomeTerms((a1, r1, None), (a2, r2, None), (None, r1), (sums.D[:, :, None], -1.0), (0.0, -1.0))
 
     def level_chol(self, st: _LevelState, theta: np.ndarray) -> np.ndarray:
         return st.kernel.build_chol(theta[st.info.re_slots])
 
     def _plan_chunks(self) -> None:
         """The fixed shape of the innermost evaluation: columns per chunk,
-        within _CHUNK_VALUES rows x columns, rounded down to whole
-        outer-node combinations when one combination's nodes fit; at
-        least one.
+        within _CHUNK_VALUES values in each array a chunk makes, rounded
+        down to whole outer-node combinations when one combination's
+        nodes fit; at least one. Those arrays are innermost units x
+        columns (the row sums, and the values of the outcomes summed per
+        unit) and, for the outcomes evaluated row by row, their rows x
+        columns.
         """
-        nodes = self.level_states[-1].m if self.level_states else 1
-        chunk = max(1, _CHUNK_VALUES // max(1, self.n_rows))
-        self.chunk_columns = chunk - chunk % nodes if chunk >= nodes else chunk
+        if not self.level_states:
+            return
+        st = self.level_states[-1]
+        rows = sum(co.rows.size for k, co in enumerate(self.program.outcomes) if k not in self.per_unit)
+        chunk = max(1, _CHUNK_VALUES // max(st.n_units, rows))
+        self.chunk_columns = chunk - chunk % st.m if chunk >= st.m else chunk
 
     # -- public entry points --------------------------------------------
 
@@ -678,10 +727,13 @@ class LikelihoodEvaluator:
         log-likelihood is the one ``logl`` gives, bit for bit, and
         ``maximize`` may take a value from either; where it is -inf, the
         score and information are NaN, and so is either where a unit's
-        share of it is not finite or its sum leaves the float range. Each
-        is summed over the outermost units with ``math.fsum``
-        (``_unit_totals``), and inner units are added in order of value,
-        so the result does not depend on how units are labelled. A level
+        share of it is not finite or its sum leaves the float range. The
+        log-likelihood is summed over the outermost units with
+        ``math.fsum`` (``_unit_totals``), each score and information entry
+        over them in ascending order of its values (one sort, then
+        pairwise summation), and inner units are added in order of value
+        (``_into_parents``), so the result depends neither on how units
+        are labelled nor on the order of the rows. A level
         that still has to adapt adapts first, as in ``logl``. Counted in
         ``derivative_passes``, not as a ``logl`` call; its time and its
         active units x node columns count in ``wall_time_s`` and
@@ -711,8 +763,15 @@ class LikelihoodEvaluator:
         logl = float(_unit_totals(unit_logl[act])[0])
         if not math.isfinite(logl):
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
-        info = -_unit_totals(unit_hess[act]).reshape(p, p)
-        return logl, _unit_totals(unit_score[act]), 0.5 * (info + info.T)
+        # each entry summed over the units in ascending order of its values
+        units = unit_score[act]
+        columns = np.concatenate((units.T, unit_hess[act].reshape(len(units), -1).T))
+        columns.sort(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = columns.sum(axis=1)
+        score, info = (v if np.isfinite(v).all() else np.full(v.size, np.nan) for v in (totals[:p], -totals[p:]))
+        info = info.reshape(p, p)
+        return logl, score, 0.5 * (info + info.T)
 
     # -- level-by-level integration ---------------------------------------
     #
@@ -808,32 +867,24 @@ class LikelihoodEvaluator:
             parts = []
             for c0, c1, ll, feats in self._row_sums(theta, outer, x, sums, terms):
                 logp = (corr3[:, c0:c1] + ll).reshape(-1, st.m)
-                lse = logsumexp(logp)
-                part = [lse.reshape(st.n_units, c1 - c0)]
-                if terms is not None:
-                    w = self._weights(logp, lse).reshape(ll.shape)
-                    u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
-                    part.extend(self._inner_derivatives(theta, w, u, feats, terms))
-                parts.append(part)
+                if terms is None:
+                    parts.append([logsumexp(logp).reshape(st.n_units, c1 - c0)])
+                    continue
+                lse, w = logsumexp(logp, weights=True)
+                u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
+                derivs = self._inner_derivatives(theta, w.reshape(ll.shape), u, feats, terms)
+                parts.append([lse.reshape(st.n_units, c1 - c0), *derivs])
             out = [np.concatenate(v, axis=1) for v in zip(*parts)]
         else:
             cond, *derivs = self._conditional(theta, pos, outer, x, sums, terms)
             logp = corr + cond
-            lse = logsumexp(logp)
-            out = [lse.reshape(st.n_units, -1)]
-            if terms is not None:
-                w = self._weights(logp, lse)
+            if terms is None:
+                out = [logsumexp(logp).reshape(st.n_units, -1)]
+            else:
+                lse, w = logsumexp(logp, weights=True)
                 derivs = self._outer_derivatives(pos, theta, w, x, *derivs)
-                out += [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
+                out = [lse.reshape(st.n_units, -1)] + [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
         return tuple(np.where(st.active.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0) for v in out)
-
-    @staticmethod
-    def _weights(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
-        """Posterior weights (cells, M) from the cells' log terms and
-        their logsumexp."""
-        w = logp - lse[:, None]
-        np.exp(w, out=w)
-        return w
 
     def _inner_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
         """Score (units, C, p) and Hessian (units, C, p, p) of the log
@@ -1203,6 +1254,21 @@ def _unit_totals(values: np.ndarray) -> np.ndarray:
     except OverflowError:
         pass
     return np.full(values.shape[1], np.nan)
+
+
+def _placement(slots: np.ndarray, own: np.ndarray, p: int) -> np.ndarray:
+    """Where ``_unit_sums`` puts the per-unit sums of an exp-linear
+    outcome's derivative table, whose features are the slots' first
+    derivatives of A + B a and of W, W's second, then A's second in the
+    family's own slots, among p + p + p^2 + p^2 per-unit values: the
+    score's constant, the first derivatives of W over S, the second, and
+    the own slots' second derivatives of A, each in all p slots.
+    """
+
+    def pairs(s):
+        return (s[:, None] * p + s).ravel()
+
+    return np.concatenate((slots, p + slots, 2 * p + pairs(slots), p * (p + 2) + pairs(slots[own])))
 
 
 def _index_or_all(units: np.ndarray, n_units: int):

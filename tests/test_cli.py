@@ -609,6 +609,8 @@ FAILURE_TABLE = {
     # integration settings that no level reads
     "draws_without_qmc": (None, WEIBULL, 3, "draws (--draws) is set, but no level integrates by quasi-Monte Carlo", "--draws", "100"),
     "draws_below_one_without_qmc": (None, WEIBULL, 3, "need at least one draw", "--draws", "0"),
+    # one draw gives every cluster the same frailty, which _cons absorbs
+    "one_qmc_draw": (None, WEIBULL, 3, "quasi-Monte Carlo needs at least 2 draws", "--method", "qmc", "--draws", "1"),
     "df_with_normal_quadrature": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--df", "5"),
     "df_with_normal_qmc": (None, WEIBULL, 3, "t_df (--df) is set, but no level has a t kernel", "--method", "qmc", "--df", "5"),
     "skip_without_qmc": (None, WEIBULL, 3, "skip (--skip) is set, but no level integrates by quasi-Monte Carlo", "--skip", "5"),

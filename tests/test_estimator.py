@@ -62,6 +62,21 @@ class TestEstimatorApi:
         with pytest.raises(ValueError, match="at least one draw"):
             fit_model("(y x M1[id], family(gaussian))", cluster_data(), method="qmc", draws=0)
 
+    def test_one_qmc_draw_is_an_error(self):
+        # one draw gives every unit the same latent value, which the
+        # constant absorbs: on these 10 clusters x 4 rows such fits ended
+        # "verified" with standard errors up to 1e6. Two draws fit
+        rng = np.random.default_rng(1)
+        ids = np.repeat(np.arange(10) + 1.0, 4)
+        x = rng.normal(size=40)
+        y = 1 + 0.5 * x + np.repeat(rng.normal(size=10), 4) + rng.normal(size=40)
+        t = rng.exponential(size=40) + 0.01
+        data = {"id": ids, "x": x, "y": y, "t": t, "d": (rng.random(40) < 0.7).astype(float)}
+        for spec in ("(t x M1[id], family(weibull, failure(d)))", "(y x M1[id], family(gaussian))"):
+            with pytest.raises(ValueError, match="quasi-Monte Carlo needs at least 2 draws"):
+                fit_model(spec, data, method="qmc", draws=1)
+            assert fit_model(spec, data, method="qmc", draws=2).converged
+
     @pytest.mark.parametrize(
         "options,message",
         [

@@ -411,6 +411,31 @@ class TestLogsumexp:
             assert logsumexp(a).tobytes() == expect
 
     def test_edge_rows(self):
+        a, one = self.edge_rows()
+        with np.errstate(all="ignore"):
+            expect = scipy.special.logsumexp(a, axis=1)
+        assert logsumexp(a).tobytes() == expect.tobytes()
+        with np.errstate(all="ignore"):
+            expect = scipy.special.logsumexp(one, axis=1)
+        assert logsumexp(one).tobytes() == expect.tobytes()
+
+    def test_weights(self):
+        # the value keeps its bytes; the weights are exp(a - value) on rows
+        # with a finite value, and NaN throughout the others
+        rng = np.random.default_rng(21)
+        rows = [rng.normal(0.0, 30.0, shape) for shape in [(40, 1), (40, 5), (300, 200)]]
+        for a in rows + list(self.edge_rows()):
+            value, w = logsumexp(a, weights=True)
+            assert value.tobytes() == logsumexp(a).tobytes()
+            finite = np.isfinite(value)
+            with np.errstate(all="ignore"):
+                expect = np.exp(a[finite] - value[finite, None])
+            np.testing.assert_allclose(w[finite], expect, rtol=1e-13, atol=0.0)
+            assert np.all(np.abs(w[finite].sum(axis=1) - 1.0) <= 1e-13)
+            assert np.isnan(w[~finite]).all()
+
+    @staticmethod
+    def edge_rows() -> tuple[np.ndarray, np.ndarray]:
         inf, nan = np.inf, np.nan
         a = np.array(
             [
@@ -424,13 +449,7 @@ class TestLogsumexp:
                 [-inf, 3.0, -inf, -inf],
             ]
         )
-        with np.errstate(all="ignore"):
-            expect = scipy.special.logsumexp(a, axis=1)
-        assert logsumexp(a).tobytes() == expect.tobytes()
-        one = np.array([[-inf], [inf], [nan], [-3.25]])
-        with np.errstate(all="ignore"):
-            expect = scipy.special.logsumexp(one, axis=1)
-        assert logsumexp(one).tobytes() == expect.tobytes()
+        return a, np.array([[-inf], [inf], [nan], [-3.25]])
 
 
 def _row_twin(spec: str, cols: dict) -> tuple[str, dict]:
@@ -512,7 +531,8 @@ def _joint(link):
 
 
 class TestChunkedEvaluation:
-    """Evaluating the innermost level in column chunks changes no bit."""
+    """Evaluating the innermost level in column chunks changes no bit of
+    a value, an adaptation or a derivative pass."""
 
     @pytest.mark.parametrize(
         "build",
@@ -537,17 +557,23 @@ class TestChunkedEvaluation:
             for shift in (0.0, 0.02):
                 ev.refresh(theta + shift)
                 out.append(ev.logl(theta + shift))
+                if ev.exact:
+                    out.append(b"".join(np.asarray(v).tobytes() for v in ev.derivatives(theta + shift)))
             return out
 
+        default = likelihood._CHUNK_VALUES
         monkeypatch.setattr(likelihood, "_CHUNK_VALUES", 1 << 40)
         whole = values()
-        assert np.all(np.isfinite(whole))
+        assert np.all(np.isfinite([v for v in whole if isinstance(v, float)]))
         # one-column chunks and seven-column ones, which split an
         # outer-node combination, then chunks of two whole combinations
-        # and a shorter last one
-        rows = sum(co.rows.size for co in prog.outcomes)
-        nodes = LikelihoodEvaluator(prog, plan).level_states[-1].m
-        for chunk in (1, 7 * rows, int(2.5 * nodes * rows)):
+        # and a shorter last one, then the default budget. A chunk's
+        # largest arrays are innermost units or the rows evaluated row by
+        # row, times its columns
+        ev = LikelihoodEvaluator(prog, plan)
+        inner = ev.level_states[-1]
+        size = max(inner.n_units, sum(co.rows.size for k, co in enumerate(prog.outcomes) if k not in ev.per_unit))
+        for chunk in (1, 7 * size, int(2.5 * inner.m * size), default):
             monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
             assert values() == whole
 
@@ -719,8 +745,9 @@ def test_scalar_ancillary_hook_fits_like_the_builtin_gaussian():
 
 def _frailty_chunks(twin: bool = False):
     """A QMC t-frailty model one parameter vector of which spans three
-    chunks at the default budgets, the last narrower: 300 rows x 500
-    draws, 218 columns per chunk."""
+    chunks at the default budgets, the last narrower: summed per cluster,
+    100 clusters x 1500 draws, 655 columns per chunk; its twin, 300 rows x
+    500 draws, 218 columns per chunk."""
     spec = "(t trt M1[id], family(weibull, failure(d)))"
     data = hm.simulate(
         spec + ", redistribution(t) df(5)",
@@ -735,7 +762,7 @@ def _frailty_chunks(twin: bool = False):
         spec, cols = _row_twin(spec, cols)
     prog = make(cols, spec)
     assert (prog.outcomes[0].intercepts is None) == twin
-    return spec, cols, prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=500)
+    return spec, cols, prog, default_plan(prog, method="qmc", redistribution="t", t_df=5, draws=500 if twin else 1500)
 
 
 class TestWorkspace:
@@ -1309,6 +1336,29 @@ class TestExactDerivatives:
             score_at = lambda x: ev.derivatives(x)[1]
             assert _relative_gap(-info, _extrapolated(_jacobian, score_at, theta, 1)) <= 1e-6
             assert _relative_gap(-info, _extrapolated(optim.fd_hessian, ev.logl, theta, 2)) <= 1e-5
+
+    @pytest.mark.parametrize("build", [_frailty_t5, _rp], ids=["frailty_t5_qmc", "rp_aghq"])
+    def test_pass_invariant_to_row_order_and_labels(self, build):
+        # a unit's sums add its rows in their canonical order, and each
+        # score and information entry adds the units in ascending order of
+        # its values: shuffled rows and relabelled clusters give the same
+        # pass bit for bit, on adaptive nodes after the same refresh
+        prog, plan = build()
+        theta = initial_values(prog) + 0.05
+        cols = {name: prog.frame.col(name) for name in prog.frame.names}
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(len(cols["id"]))
+        ids = np.unique(cols["id"])
+        relabel = dict(zip(ids, 1000.0 + rng.permutation(ids.size)))
+        variants = [cols, {**cols, "id": np.array([relabel[v] for v in cols["id"]])}]
+        variants.append({name: col[perm] for name, col in variants[1].items()})
+        passes = []
+        for variant in variants:
+            ev = LikelihoodEvaluator(compile_program(prog.spec, as_frame(variant)), plan)
+            ev.refresh(theta)
+            passes.append(b"".join(np.asarray(v).tobytes() for v in ev.derivatives(theta)))
+        assert passes[1] == passes[0]
+        assert passes[2] == passes[0]
 
     def test_non_finite_derivatives_end_the_fit(self):
         prog, _, (plan, _), start = _per_cluster_pair("exponential_entry_aghq")

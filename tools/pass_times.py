@@ -1,6 +1,6 @@
 """Time the likelihood's entry points of two checkouts at one parameter vector.
 
-    python tools/pass_times.py PARENT CHANGE [--tiny] [--rounds N] [--calls N] [--repeats N]
+    python tools/pass_times.py PARENT CHANGE [--tiny] [--cases A,B] [--rounds N] [--calls N] [--repeats N]
 
 The cases are the first data set of every in-process workload of a
 checkout's ``perfbench/workloads.py``, set up as ``perfbench/run.py
@@ -11,7 +11,9 @@ the options the workload's fit passes, and ``derivatives`` (where the
 model has exact derivatives), ``logl`` and ``refresh`` are timed at the
 parent's optimum of that data set, the same vector on both sides;
 ``--tiny`` takes the workloads' TINY sizes and their start values
-instead, so that nothing is fitted.
+instead, so that nothing is fitted. ``--cases`` times only the named
+cases (say ``--cases frailty_qmc,rp_replicates``); an unknown name is an
+error.
 
 Each round runs the timing once per side, each in a subprocess of its
 own that imports that side's ``src/hiermix`` and ``perfbench/``, pins
@@ -57,17 +59,23 @@ class _Recorder:
         raise RuntimeError("recorded, not fitted")
 
 
-def cases(checkout: Path, tiny: bool, workdir: str) -> dict:
+def cases(checkout: Path, tiny: bool, workdir: str, names: list | None) -> dict:
     """Case name -> (spec, data columns, ``default_plan`` options), with
-    the checkout's code on ``sys.path``.
+    the checkout's code on ``sys.path``; only the cases ``names`` where
+    given.
     """
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import hiermix
     import numpy as np
     from workloads import TINY, WORKLOADS
 
+    unknown = sorted(set(names or ()) - WORKLOADS.keys())
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; the cases are {sorted(WORKLOADS)}")
     out = {}
     for name, (cls, size) in WORKLOADS.items():
+        if names and name not in names:
+            continue
         recorder = _Recorder(hiermix)
         workload = cls(recorder, TINY[name] if tiny else size)
         item = workload.setup(np.random.default_rng(SEED), workdir)[0]
@@ -92,13 +100,13 @@ def evaluator(spec, data, options):
     return LikelihoodEvaluator(program, default_plan(program, **options))
 
 
-def optimum(checkout: Path, tiny: bool) -> dict:
+def optimum(checkout: Path, tiny: bool, names: list | None) -> dict:
     """Case -> the vector to time at: the fitted optimum, or with
     ``tiny`` the start values."""
     import numpy as np
 
     with tempfile.TemporaryDirectory(prefix="pass_times_") as workdir:
-        found = cases(checkout, tiny, workdir)
+        found = cases(checkout, tiny, workdir, names)
         import hiermix
         from hiermix.optim import initial_values
 
@@ -112,14 +120,14 @@ def optimum(checkout: Path, tiny: bool) -> dict:
     return out
 
 
-def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int) -> dict:
+def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int, names: list | None) -> dict:
     """'case/entry point' -> seconds per call, pinned to one CPU."""
     import numpy as np
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     out = {}
     with tempfile.TemporaryDirectory(prefix="pass_times_") as workdir:
-        for name, (spec, data, options) in cases(checkout, tiny, workdir).items():
+        for name, (spec, data, options) in cases(checkout, tiny, workdir, names).items():
             ev = evaluator(spec, data, options)
             theta = np.array(thetas[name])
             ev.refresh(theta)
@@ -151,6 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
     parser.add_argument("change", type=Path, nargs="?", help="checkout of the change")
     parser.add_argument("--tiny", action="store_true", help="the workloads' TINY sizes, at their start values")
+    parser.add_argument("--cases", help="comma-separated cases to time (default: every case)")
     parser.add_argument("--rounds", type=int, default=5, help="subprocesses per side (default 5)")
     parser.add_argument("--calls", type=int, default=20, help="calls per timed batch (default 20)")
     parser.add_argument("--repeats", type=int, default=5, help="batches per entry point (default 5)")
@@ -158,22 +167,23 @@ def main(argv=None) -> int:
     parser.add_argument("--time", type=Path, help=argparse.SUPPRESS)  # a timing subprocess of one side
     parser.add_argument("--thetas", type=Path, help=argparse.SUPPRESS)  # its vectors
     args = parser.parse_args(argv)
+    names = args.cases.split(",") if args.cases else None
     if args.optimum is not None:
-        print(json.dumps(optimum(args.optimum.resolve(), args.tiny)))
+        print(json.dumps(optimum(args.optimum.resolve(), args.tiny, names)))
         return 0
     if args.time is not None:
         thetas = json.loads(args.thetas.read_text())
-        print(json.dumps(time_side(args.time.resolve(), args.tiny, thetas, args.calls, args.repeats)))
+        print(json.dumps(time_side(args.time.resolve(), args.tiny, thetas, args.calls, args.repeats, names)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("give the PARENT and CHANGE checkouts")
     parent, change = args.parent.resolve(), args.change.resolve()
-    tiny = ["--tiny"] if args.tiny else []
+    shared = (["--tiny"] if args.tiny else []) + (["--cases", args.cases] if args.cases else [])
     times: dict = {parent: [], change: []}
     with tempfile.TemporaryDirectory(prefix="pass_times_") as workdir:
         thetas = Path(workdir) / "thetas.json"
-        thetas.write_text(json.dumps(run(parent, ["--optimum", str(parent)] + tiny)))
-        batch = ["--thetas", str(thetas), "--calls", str(args.calls), "--repeats", str(args.repeats)] + tiny
+        thetas.write_text(json.dumps(run(parent, ["--optimum", str(parent)] + shared)))
+        batch = ["--thetas", str(thetas), "--calls", str(args.calls), "--repeats", str(args.repeats)] + shared
         for r in range(args.rounds):
             for side in (parent, change) if r % 2 == 0 else (change, parent):
                 times[side].append(run(side, ["--time", str(side)] + batch))
