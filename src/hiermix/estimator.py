@@ -42,10 +42,10 @@ def fit_model(
     accept a single value or a per-level dict; ``fixed`` pins named
     parameters (estimation scale) during maximization, and they get no
     standard errors. ``points``, ``skip`` and ``adaptive`` left at None
-    mean 7, 15 and True. A setting that no level would read is a
-    ``ValueError``: ``points`` or ``adaptive`` where no level integrates
-    by quadrature, ``draws`` or ``skip`` where none integrates by
-    quasi-Monte Carlo, ``t_df`` where no level has a t kernel.
+    take ``default_plan``'s defaults. A setting that no level would read
+    is a ``ValueError``: ``points`` or ``adaptive`` where no level
+    integrates by quadrature, ``draws`` or ``skip`` where none integrates
+    by quasi-Monte Carlo, ``t_df`` where no level has a t kernel.
     """
     model_spec = _as_spec(spec)
     if covariance is not None:
@@ -62,8 +62,8 @@ def fit_model(
         method=method,
         redistribution=redistribution,
         t_df=t_df,
-        adaptive=True if adaptive is None else adaptive,
-        skip=15 if skip is None else skip,
+        adaptive=adaptive,
+        skip=skip,
     )
     levels = plan.levels.values()
     quadrature, qmc = (any(lp.method == kind for lp in levels) for kind in ("aghq", "qmc"))

@@ -4,7 +4,9 @@ Gauss-Hermite rules are normalized against the standard normal kernel,
 Halton sets provide deterministic quasi-Monte Carlo uniforms, and
 ReKernel maps a flat parameter block to a Cholesky scale for either a
 normal or a multivariate-t random-effect distribution. Mean-variance
-adaptation recentres a rule on the per-cluster posterior.
+adaptation recentres a rule on the per-cluster posterior; it places
+(``place_nodes``), weighs (``log_correction``) and reduces
+(``logsumexp``) the nodes with the integration's (``likelihood``) code.
 """
 
 from __future__ import annotations
@@ -233,6 +235,55 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     return z
 
 
+def logsumexp(a: np.ndarray, weights: bool = False):
+    """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
+    operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
+    is taken out, its m ties contribute log(m), the rest log1p(s / m),
+    and rows whose result is not finite fall back to the direct formula.
+    Each exp(a - max) is formed once: the ties are the zeros of a - max,
+    zeroed after the exponential, so that s sums the rest.
+
+    With ``weights``, also (value, weights): the posterior weights
+    exp(a - value) of each row, the same exponentials with the ties set
+    back to 1 over their row total m + s. On a row whose value is not
+    finite (its maximum is +-inf or NaN) every weight is NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        e = a - a_max
+        ties = e == 0.0
+        m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
+        np.exp(e, out=e)
+        e[ties] = 0.0
+        s = e.sum(axis=1, keepdims=True)
+        total = s + m if weights else None
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+        if not weights:
+            return out
+        e[ties] = 1.0
+        e /= total
+    return out, e
+
+
+def place_nodes(nodes: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A unit rule's nodes a (M, r) placed at every cell's shift mu (K, r)
+    and scale factor lam (K, r, r): x = mu + lam a (K, M, r), and the
+    log-determinants log |lam| (K, 1) of the change of variables."""
+    x = mu[:, None, :] + np.einsum("mr,usr->ums", nodes, lam)
+    return x, np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)[:, None]
+
+
+def log_correction(grid: tuple, kernel: ReKernel, chol: np.ndarray, x: np.ndarray, logdet) -> np.ndarray:
+    """Log weight + prior log density - standard-normal log density +
+    ``logdet`` at Gauss-Hermite nodes x placed by a change of variables of
+    that log-determinant: a cell's log integral is logsumexp(this + cond)."""
+    return grid[1] + kernel.log_density(x, chol) - grid[2] + logdet
+
+
 def adapt_locations(
     log_conditional,
     kernel: ReKernel,
@@ -250,13 +301,16 @@ def adapt_locations(
     nodes. ``grid`` is the Gauss-Hermite grid of ``gh_grid``.
     ``log_conditional`` maps node locations (K, M, dim) to the
     conditional log-likelihood (K, M) of each cell; cells not marked in
-    ``active`` keep the prior. The scale may shrink at most 4x per step
-    in any direction, relative to the scale of the step before, so a
-    posterior sharper than the grid's spacing cannot collapse the rule
-    onto one node. Cells whose posterior moments are not finite fall
-    back to (0, prior scale) and are flagged. A one-dimensional level
-    takes this step as scalar arithmetic (``_scalar_scale_step``), with
-    the same results as the matrix step of the others (``_scale_step``).
+    ``active`` keep the prior. Each sweep places, weighs and reduces the
+    nodes as the integration does. A cell falls back to (0, prior scale)
+    and is flagged where its log integral is not finite (a node at NaN
+    or +inf, or every node at -inf), which the integration reads as a
+    non-finite value, or its scale step fails. The scale may shrink at
+    most 4x per step in any direction, relative to the scale of the step
+    before, so a posterior sharper than the grid's spacing cannot
+    collapse the rule onto one node. A one-dimensional level takes this
+    step as scalar arithmetic (``_scalar_scale_step``), with the same
+    results as the matrix step of the others (``_scale_step``).
 
     Every active cell starts at (0, prior scale), or, given ``start``,
     the result of an earlier adaptation of the same cells (a tuple as
@@ -270,13 +324,9 @@ def adapt_locations(
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
-    nodes, logw, log_std = grid
     k, r = len(active), kernel.dim
-    mu = np.zeros((k, r))
-    lam = np.broadcast_to(chol[None], (k, r, r)).copy()
-    iters = np.zeros(k, dtype=int)
-    flagged = np.zeros(k, dtype=bool)
-    active = np.array(active, dtype=bool)
+    mu, lam = np.zeros((k, r)), np.broadcast_to(chol[None], (k, r, r)).copy()
+    iters, flagged, active = np.zeros(k, dtype=int), np.zeros(k, dtype=bool), np.array(active, dtype=bool)
     if start is not None:
         warm = active & ~start[3]
         mu[warm], lam[warm] = start[0][warm], start[1][warm]
@@ -284,24 +334,17 @@ def adapt_locations(
     for _ in range(max_iter):
         if not np.any(active):
             break
-        x = mu[:, None, :] + np.einsum("mr,usr->ums", nodes, lam)
+        x, logdet = place_nodes(grid[0], mu, lam)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            logpost = logw[None] + log_conditional(x) + kernel.log_density(x, chol) - log_std[None]
-        finite_top = np.max(np.where(np.isfinite(logpost), logpost, -np.inf), axis=1)
-        bad = ~np.isfinite(finite_top)
-        w = np.exp(logpost - np.where(bad, 0.0, finite_top)[:, None])
-        w = np.where(np.isfinite(w), w, 0.0)
-        norm = w.sum(axis=1)
-        bad |= norm <= 0
-        w = w / np.where(norm > 0, norm, 1.0)[:, None]
+            value, w = logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=True)
+        bad = ~np.isfinite(value)
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
         cov = np.einsum("um,umr,ums->urs", w, centred, centred)
         lam_new = scale_step(lam, cov, np.flatnonzero(active & ~bad), bad)
         newly_bad = bad & active
         if np.any(newly_bad):
-            mu_new[newly_bad] = 0.0
-            lam_new[newly_bad] = chol
+            mu_new[newly_bad], lam_new[newly_bad] = 0.0, chol
             flagged |= newly_bad
             active &= ~newly_bad
         delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))

@@ -14,12 +14,14 @@ iteration, and each adaptation is warm-started, as in Rabe-Hesketh,
 Skrondal & Pickles (2005): the evaluator keeps each level's latest
 per-cell shifts and scales (``adapted``), where the next adaptation of
 that level starts, and the nodes they place (``placed``), which calls
-read until then. For an inner level of nested quadrature, re-adapted at
-every step of the outer level's adaptation, that is the result at the
-previous outer step. Cells keep one canonical order from construction
-on, so the shapes always match; a cell that fell back in its latest
-adaptation, and every cell at the evaluator's first, start from the
-prior.
+read until then, placed, weighed and reduced with the adaptation's own
+code (``integrate``): a cell falls back exactly where a call reads its
+log integral as not finite. For an inner level of nested quadrature,
+re-adapted at every step of the outer level's adaptation, that is the
+result at the previous outer step. Cells keep one canonical order from
+construction on, so the shapes always match; a cell that fell back in
+its latest adaptation, and every cell at the evaluator's first, start
+from the prior.
 
 At the innermost level the conditional log-likelihood is a units x
 columns array, one column per (outer-node combination, node). Its
@@ -32,9 +34,9 @@ combination's nodes do not fit, it is a run of nodes inside one
 combination, whose row sums gather over its chunks. A model whose
 arrays fit the budget runs as one chunk. Every operation acts on each
 column alone, so the chunking never changes a result.
-Node axes are reduced, over whole combinations, with ``logsumexp``,
-which repeats the arithmetic of ``scipy.special.logsumexp`` for real
-input without its generic array-API overhead, and forms each
+Node axes are reduced, over whole combinations, with ``integrate``'s
+``logsumexp``, which repeats the arithmetic of ``scipy.special.logsumexp``
+for real input without its generic array-API overhead, and forms each
 exponential once; a derivative pass takes the posterior weights from
 the same call, from those exponentials.
 
@@ -100,7 +102,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
+from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws, log_correction, logsumexp
+from .integrate import place_nodes
 from .predictor import EvalContext, Program, outcome_logl, row_part
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -111,40 +114,6 @@ __all__ = [
     "default_plan",
     "LikelihoodEvaluator",
 ]
-
-
-def logsumexp(a: np.ndarray, weights: bool = False):
-    """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
-    operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
-    is taken out, its m ties contribute log(m), the rest log1p(s / m),
-    and rows whose result is not finite fall back to the direct formula.
-    Each exp(a - max) is formed once: the ties are the zeros of a - max,
-    zeroed after the exponential, so that s sums the rest.
-
-    With ``weights``, also (value, weights): the posterior weights
-    exp(a - value) of each row, the same exponentials with the ties set
-    back to 1 over their row total m + s. On a row whose value is not
-    finite (its maximum is +-inf or NaN) every weight is NaN.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        e = a - a_max
-        ties = e == 0.0
-        m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
-        np.exp(e, out=e)
-        e[ties] = 0.0
-        s = e.sum(axis=1, keepdims=True)
-        total = s + m if weights else None
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-        if not weights:
-            return out
-        e[ties] = 1.0
-        e /= total
-    return out, e
 
 
 @dataclass
@@ -206,17 +175,19 @@ class IntegrationPlan:
 
 def default_plan(
     program: Program,
-    points: int | dict = 7,
+    points: int | dict | None = None,
     draws: int | dict | None = None,
     method: str | dict | None = None,
     redistribution: str | dict | None = None,
     t_df: int | dict | None = None,
-    adaptive: bool = True,
-    skip: int = 15,
+    adaptive: bool | None = None,
+    skip: int | None = None,
 ) -> IntegrationPlan:
     """Per-level defaults: adaptive quadrature with 7 points for normal
     kernels, quasi-Monte Carlo with 150 draws per dimension for t
-    kernels. Every argument takes a single value or a per-level dict.
+    kernels; None takes ``LevelPlan``'s or ``IntegrationPlan``'s field
+    default. Every argument but ``adaptive`` and ``skip`` takes a single
+    value or a per-level dict.
     A setting that would be silently ignored is an error: a per-level
     dict that names a level without latent effects, and a point or draw
     count below 1 for any level, whichever method it takes. So is one
@@ -234,15 +205,15 @@ def default_plan(
         extra = [n for n in value if n not in latent] if isinstance(value, dict) else []
         if extra:
             raise ValueError(f"{what} names levels without latent effects: {extra}; the levels with them are {latent}")
-    spec = program.spec
-    plan = IntegrationPlan(skip=skip)
+    spec, adaptive = program.spec, LevelPlan.adaptive if adaptive is None else adaptive
+    plan = IntegrationPlan(skip=IntegrationPlan.skip if skip is None else skip)
     for li in program.levels:
         if li.dim == 0:
             continue
         dist = per_level(redistribution, li.name, spec.re_distribution)
         df = per_level(t_df, li.name, spec.t_df)
         meth = per_level(method, li.name, "qmc" if dist == "t" else "aghq")
-        q = per_level(points, li.name, 7)
+        q = per_level(points, li.name, LevelPlan.q)
         m = per_level(draws, li.name, 150 * li.dim)
         if q < 1:
             raise ValueError(f"level {li.name!r}: need at least one quadrature point")
@@ -277,11 +248,11 @@ class _LevelState:
         # one unit-scale rule, (M, r) nodes and (M,) log-weights: a Gauss-Hermite grid
         # (and the standard-normal log density there) or the kernel's QMC draws, each 1/M
         if plan.method == "aghq":
-            self.nodes, self.logw, self.log_std = gh_grid(gh_rule(plan.q), info.dim)
+            self.grid = gh_grid(gh_rule(plan.q), info.dim)
         else:
             need = info.dim + (1 if plan.dist == "t" else 0)
-            self.nodes = kernel_draws(self.kernel, halton(plan.m, need, skip))
-            self.logw, self.log_std = np.full(plan.m, -math.log(plan.m)), None
+            self.grid = kernel_draws(self.kernel, halton(plan.m, need, skip)), np.full(plan.m, -math.log(plan.m)), None
+        self.nodes, self.logw, _ = self.grid
         self.m = len(self.logw)
         self.adaptive = plan.method == "aghq" and plan.adaptive
         self.n_units = hierarchy.n_units(info.lidx)
@@ -757,7 +728,8 @@ class LikelihoodEvaluator:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sums, terms = {}, {}
             for k in self.per_unit:
-                sums[k], terms[k] = self._unit_sums(theta, k, derivatives=True)
+                sums[k], unit_terms = self._unit_sums(theta, k, derivatives=True)
+                terms[k] = _OutcomeTerms(*(tuple(self._by_unit(k, v) for v in pair) for pair in unit_terms))
             unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta, 0, [], sums, terms))
         act = self.level_states[0].active
         logl = float(_unit_totals(unit_logl[act])[0])
@@ -798,11 +770,10 @@ class LikelihoodEvaluator:
         chol = self.level_chol(st, theta)
         if st.adaptive:
             x, logdet = self.placed[pos]
-            return x, st.logw[None] + st.kernel.log_density(x, chol) - st.log_std[None] + logdet
-        x = st.nodes @ chol.T
-        corr = st.logw
+            return x, log_correction(st.grid, st.kernel, chol, x, logdet)
+        x, corr = st.nodes @ chol.T, st.logw
         if st.plan.method == "aghq" and st.plan.dist == "t":
-            corr = corr + st.kernel.log_density(x, chol) - st.log_std + float(np.log(np.diag(chol)).sum())
+            corr = log_correction(st.grid, st.kernel, chol, x, float(np.log(np.diag(chol)).sum()))
         return np.broadcast_to(x[None], (st.n_cells,) + x.shape), np.broadcast_to(corr[None], (st.n_cells, st.m))
 
     def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> None:
@@ -820,12 +791,11 @@ class LikelihoodEvaluator:
                 lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
                 st.kernel,
                 self.level_chol(st, theta),
-                (st.nodes, st.logw, st.log_std),
+                st.grid,
                 np.repeat(st.active, st.n_combos),
                 start=self.adapted.get(pos),
             )
-            logdet = np.log(np.diagonal(lam, axis1=1, axis2=2)).sum(axis=1)
-            self.placed[pos] = mu[:, None, :] + np.einsum("mr,usr->ums", st.nodes, lam), logdet[:, None]
+            self.placed[pos] = place_nodes(st.nodes, mu, lam)
             self.sweeps[st.info.name] += int(iters.max(initial=0))
         if pos + 1 < len(self.level_states):
             self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
@@ -916,29 +886,16 @@ class LikelihoodEvaluator:
         parts = [self._block_derivatives(theta, w[b0:b1], u[b0:b1], feats, terms, b0, b1) for b0, b1 in ends]
         return parts[0] if len(parts) == 1 else tuple(np.concatenate(v) for v in zip(*parts))
 
-    def _placer(self, k: int, u0: int, u1: int):
-        """A map from outcome k's per-segment values to the innermost
-        units u0 to u1: its segments' values there, 0 at units without
-        rows of k. A float passes unchanged.
-        """
-        seg = self.segments[k].units
-        if isinstance(seg, slice):  # every unit has rows of k
-            rows, at = slice(u0, u1), None
-        else:  # the segments of units u0 to u1, and their units among them
-            rows = slice(*np.searchsorted(seg, [u0, u1]))
-            at = seg[rows] - u0
-
-        def place(v):
-            if not isinstance(v, np.ndarray):
-                return v
-            v = v[rows]
-            if at is None:
-                return v
-            out = np.zeros((u1 - u0,) + v.shape[1:])
-            out[at] = v
-            return out
-
-        return place
+    def _by_unit(self, k: int, v):
+        """Outcome k's per-segment values v placed by innermost unit, 0 at
+        units without rows of k; unchanged where every unit has rows of k,
+        or where v is a float."""
+        units = self.segments[k].units
+        if isinstance(units, slice) or not isinstance(v, np.ndarray):
+            return v
+        out = np.zeros((self.level_states[-1].n_units,) + v.shape[1:])
+        out[units] = v
+        return out
 
     def _node_terms(self, leaves, terms: dict, u0: int, u1: int, p: int) -> tuple:
         """The innermost node features of units u0 to u1, for both
@@ -948,9 +905,10 @@ class LikelihoodEvaluator:
         mean conditional Hessian at its indices, a coefficient being a
         float or per-unit values shaped as a cell's entries there (a part
         without factors adds the coefficient itself); with a score
-        coefficient c, its one factor is a feature. ``leaves(k, place)``
-        gives outcome k's feature f and its intercept sum L_i at each
-        scaled level (or None), node arrays or node polynomials alike.
+        coefficient c, its one factor is a feature. ``leaves(k)`` gives
+        outcome k's feature f and its intercept sum L_i at each scaled
+        level (or None) at units u0 to u1, node arrays or node polynomials
+        alike. Per-unit values are placed by innermost unit when formed.
         Per outcome: A; f (b, B); f^2 (c, C) where the family has it; at
         each scaled level i, e' E[f L_i] + e E[L_i] and, at each level j
         from i on, h' E[f L_i L_j] + h E[L_i L_j]. Then each level's node
@@ -967,9 +925,10 @@ class LikelihoodEvaluator:
             return [(..., tau[i], tau[j])] + ([(..., tau[j], tau[i])] if j != i else [])
 
         for k in terms:
-            place = self._placer(k, u0, u1)
-            (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (tuple(map(place, pair)) for pair in terms[k])
-            f, L = leaves(k, place)
+            (ak, b, c), (A, B, C), (e, e1), (v0, v1), (h0, h1) = (
+                tuple(v[u0:u1] if isinstance(v, np.ndarray) else v for v in pair) for pair in terms[k]
+            )
+            f, L = leaves(k)
             a += ak
             entries += [([(A, ())], whole, None), ([(B, (f,))], whole, b)]
             if c is not None:
@@ -1010,12 +969,12 @@ class LikelihoodEvaluator:
         n_units, combos, m = w.shape
         inner = len(self.tau_scaled) - 1  # the innermost level's place among the scaled levels
 
-        def leaves(k, place):
+        def leaves(k):
             _, scaled, f = feats[k]
-            L = [None if v is None else _NodePoly({(0, 0): place(v[:, ::m, None])}) for v in scaled]
+            L = [None if v is None else _NodePoly({(0, 0): v[:, ::m, None]}) for v in scaled]
             n = self.segments[k].inner
             L[inner] = _NodePoly({(1, 0): float(n)}) if n else None
-            return _NodePoly({key: place(c) for key, c in f.items()}), L
+            return f, L
 
         a, entries = self._node_terms(leaves, terms, 0, n_units, theta.size)
         products = {id(fs): functools.reduce(operator.mul, fs) for parts, _, _ in entries for _, fs in parts if fs}
@@ -1051,11 +1010,11 @@ class LikelihoodEvaluator:
         st = self.level_states[-1]
         p, shape = theta.size, (-1,) + w.shape[1:]
 
-        def leaves(k, place):
+        def leaves(k):
             f, scaled, _ = feats[k]
-            f = place(f.reshape(shape))
+            f = f.reshape(shape)[u0:u1]
             f[w == 0.0] = 0.0  # no inf * 0 where a node has no weight
-            return f, [None if v is None else place(v.reshape(shape)) for v in scaled]
+            return f, [None if v is None else v.reshape(shape)[u0:u1] for v in scaled]
 
         a, entries = self._node_terms(leaves, terms, u0, u1, p)
         if st.adaptive:
@@ -1077,7 +1036,10 @@ class LikelihoodEvaluator:
     def _outer_derivatives(self, pos: int, theta, w, x, score, hess) -> tuple:
         """Score and Hessian of the log integral of every cell of level
         ``pos``, given the posterior weights w (cells, M) and the sums of
-        the child cells' scores and Hessians at each node.
+        the child cells' scores and Hessians at each node. An adaptive
+        level adds the log-scale derivatives of the prior log density at
+        its frozen nodes x to the node scores and, weighted by w, to the
+        mean Hessians.
         """
         st = self.level_states[pos]
         void = w == 0.0
@@ -1085,18 +1047,11 @@ class LikelihoodEvaluator:
             score[void], hess[void] = 0.0, 0.0
         mean_hess = np.einsum("cj,cjab->cab", w, hess)
         if st.adaptive:
-            self._prior_terms(st, theta, w, x[..., 0], score, mean_hess)
+            d1, d2 = st.kernel.scale_derivatives(x[..., 0], self.level_chol(st, theta))
+            slot = st.info.re_slots[0]
+            score[..., slot] += d1
+            mean_hess[..., slot, slot] += np.einsum("...j,...j->...", w, d2)
         return _louis(w, score, mean_hess)
-
-    def _prior_terms(self, st: _LevelState, theta, w, u, score, mean_hess) -> None:
-        """Add the log-scale derivatives of the prior log density at the
-        frozen adaptive nodes u of level ``st`` to the node scores and,
-        weighted by w, to the mean Hessians.
-        """
-        d1, d2 = st.kernel.scale_derivatives(u, self.level_chol(st, theta))
-        slot = st.info.re_slots[0]
-        score[..., slot] += d1
-        mean_hess[..., slot, slot] += np.einsum("...j,...j->...", w, d2)
 
     def _row_sums(self, theta, outer: list, x: np.ndarray, sums: dict, terms=None):
         """Yield (c0, c1, ll, features) over the outer-node combinations,
@@ -1114,8 +1069,8 @@ class LikelihoodEvaluator:
         level with scaled nodes, from the same walk, and, where the
         innermost level's nodes are scaled, to its feature as a node
         polynomial, from the sum of its intercept values outside that
-        level (``node_feature``), else None; without ``terms`` it is
-        empty.
+        level (``node_feature``), else an empty one, each placed by
+        innermost unit (``_by_unit``); without ``terms`` it is empty.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
@@ -1159,8 +1114,10 @@ class LikelihoodEvaluator:
                             outside = outside + v[:, ::m]
                     unit_ll, f = sums[k].at(L)
                     unit_ll[np.isnan(unit_ll)] = -np.inf  # as at the rows
-                    if terms is not None:
-                        features[k] = f, scaled, None if st.adaptive else sums[k].node_feature(outside, seg.inner)
+                    if terms is not None:  # placed by innermost unit
+                        place = functools.partial(self._by_unit, k)
+                        poly = {} if st.adaptive else sums[k].node_feature(outside, seg.inner)
+                        features[k] = place(f), [*map(place, scaled)], _NodePoly(zip(poly, map(place, poly.values())))
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll)

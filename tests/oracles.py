@@ -143,68 +143,6 @@ def profile_report(program, plan, theta) -> dict:
     return ev.profile_report()
 
 
-def adapt_locations_matrix(log_conditional, kernel, chol, grid, active, tol=1e-8, max_iter=20, start=None):
-    """``integrate.adapt_locations`` with the matrix moment step (batched
-    solves, eigendecomposition and Cholesky factorization) at every
-    dimension, one included: the reference for its scalar step.
-    """
-    nodes, logw, log_std = grid
-    k, r = len(active), kernel.dim
-    mu = np.zeros((k, r))
-    lam = np.broadcast_to(chol[None], (k, r, r)).copy()
-    iters = np.zeros(k, dtype=int)
-    flagged = np.zeros(k, dtype=bool)
-    active = np.array(active, dtype=bool)
-    if start is not None:
-        warm = active & ~start[3]
-        mu[warm], lam[warm] = start[0][warm], start[1][warm]
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        x = mu[:, None, :] + np.einsum("mr,usr->ums", nodes, lam)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            logpost = logw[None] + log_conditional(x) + kernel.log_density(x, chol) - log_std[None]
-        finite_top = np.max(np.where(np.isfinite(logpost), logpost, -np.inf), axis=1)
-        bad = ~np.isfinite(finite_top)
-        w = np.exp(logpost - np.where(bad, 0.0, finite_top)[:, None])
-        w = np.where(np.isfinite(w), w, 0.0)
-        norm = w.sum(axis=1)
-        bad |= norm <= 0
-        w = w / np.where(norm > 0, norm, 1.0)[:, None]
-        mu_new = np.einsum("um,umr->ur", w, x)
-        centred = x - mu_new[:, None, :]
-        cov = np.einsum("um,umr,ums->urs", w, centred, centred)
-        ok = np.flatnonzero(active & ~bad)
-        fin = ok[np.all(np.isfinite(cov[ok]), axis=(1, 2))]
-        rel = np.linalg.solve(lam[fin], np.linalg.solve(lam[fin], cov[fin]).transpose(0, 2, 1))
-        e, u = np.linalg.eigh(rel)
-        low = e.min(axis=1) < 1.0 / 16.0
-        shrunk = fin[low]
-        floored = (u[low] * np.maximum(e[low], 1.0 / 16.0)[:, None, :]) @ u[low].transpose(0, 2, 1)
-        cov[shrunk] = lam[shrunk] @ floored @ lam[shrunk].transpose(0, 2, 1)
-        lam_new = lam.copy()
-        try:
-            lam_new[ok] = np.linalg.cholesky(cov[ok])
-        except np.linalg.LinAlgError:
-            for g in ok:
-                try:
-                    lam_new[g] = np.linalg.cholesky(cov[g])
-                except np.linalg.LinAlgError:
-                    bad[g] = True
-        newly_bad = bad & active
-        if np.any(newly_bad):
-            mu_new[newly_bad] = 0.0
-            lam_new[newly_bad] = chol
-            flagged |= newly_bad
-            active &= ~newly_bad
-        delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
-        mu = np.where(active[:, None], mu_new, mu)
-        lam = np.where(active[:, None, None], lam_new, lam)
-        iters[active] += 1
-        active &= delta >= tol
-    return mu, lam, iters, flagged, active
-
-
 def record_evaluator_calls(monkeypatch) -> list:
     """Patch ``LikelihoodEvaluator.refresh``, ``derivatives`` and ``logl``
     to append their names, call by call, to the returned list.

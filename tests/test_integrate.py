@@ -1,10 +1,12 @@
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import adapt_locations_matrix
 from scipy.stats import norm
 
+from hiermix import integrate
 from hiermix.integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
 
 
@@ -263,6 +265,34 @@ class TestAdaptLocations:
         np.testing.assert_array_equal(mu, [0.0])
         np.testing.assert_array_equal(lam, chol)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_nodes_make_a_cell_fall_back(self, bad):
+        # a cell whose conditional is NaN or +inf at some of its nodes has no
+        # finite log integral, which the integration would read as a
+        # non-finite value: it falls back, flagged, to (0, prior scale),
+        # and the cells beside it adapt as they do when it is finite
+        rng = np.random.default_rng(15)
+        parts = [conjugate(rng.normal(m, 0.5, size=6), 0.25, 0.81) for m in (-1.0, 0.4, 2.0)]
+        chol, grid, active = np.array([[0.9]]), gh_grid(gh_rule(7), 1), np.ones(3, dtype=bool)
+
+        def finite(x):
+            return np.stack([p[0](x[g]) for g, p in enumerate(parts)])
+
+        def broken(x):
+            out = finite(x)
+            out[1, ::2] = bad
+            return out
+
+        mu, lam, _, flagged, _ = adapt_locations(broken, ReKernel(1), chol, grid, active)
+        clean = adapt_locations(finite, ReKernel(1), chol, grid, active)
+        np.testing.assert_array_equal(flagged, [False, True, False])
+        assert not clean[3].any()
+        np.testing.assert_array_equal(mu[1], [0.0])
+        np.testing.assert_array_equal(lam[1], chol)
+        for g in (0, 2):
+            assert mu[g].tobytes() == clean[0][g].tobytes() and lam[g].tobytes() == clean[1][g].tobytes()
+            assert abs(mu[g, 0] - parts[g][1]) < 1e-8 and abs(lam[g, 0, 0] - parts[g][2]) < 1e-8
+
     def test_start_warm_and_flagged_cells_cold(self):
         # cell 0 adapts, cell 1 falls back, cell 2 is inactive; adapted
         # again under a new prior scale from that result, cells 1 and 2
@@ -353,10 +383,11 @@ class TestScalarMomentStep:
     def test_matches_matrix_step(self, case):
         # a one-dimensional level's scalar step gives the matrix step's
         # shifts, scales, iteration counts, fallback and capped flags, bit
-        # for bit
+        # for bit: the same loop run again with the matrix step in its place
         log_conditional, kernel, chol, grid, active, max_iter, start = case
         got = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
-        expect = adapt_locations_matrix(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
+        with mock.patch.object(integrate, "_scalar_scale_step", integrate._scale_step):
+            expect = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
         assert got[0].shape == expect[0].shape and got[1].shape == expect[1].shape
         assert got[0].tobytes() == expect[0].tobytes()
         assert got[1].tobytes() == expect[1].tobytes()

@@ -496,6 +496,15 @@ def _rp(twin: bool = False):
     return prog, default_plan(prog, points=9)
 
 
+def _nested_trials():
+    """10 trials (``id``) x 10 patients x 3 rows under 5-point adaptive
+    quadrature at both levels, summed per patient."""
+    data = three_level_data(10, 10, 3, (0.8, 0.7, 0.6), seed=2)
+    data["id"] = data.pop("trial")
+    prog = make(data, "(y x M1[id] M2[id>pat], family(gaussian))")
+    return prog, default_plan(prog, points=5)
+
+
 def _nested_qmc():
     prog, _, _, _ = cross_method_model()
     plan = IntegrationPlan(levels={"trial": LevelPlan(method="aghq", q=5), "pat": LevelPlan(method="qmc", m=303)})
@@ -1337,13 +1346,21 @@ class TestExactDerivatives:
             assert _relative_gap(-info, _extrapolated(_jacobian, score_at, theta, 1)) <= 1e-6
             assert _relative_gap(-info, _extrapolated(optim.fd_hessian, ev.logl, theta, 2)) <= 1e-5
 
-    @pytest.mark.parametrize("build", [_frailty_t5, _rp], ids=["frailty_t5_qmc", "rp_aghq"])
-    def test_pass_invariant_to_row_order_and_labels(self, build):
+    @pytest.mark.parametrize(
+        "build,chunk",
+        [(_frailty_t5, None), (_rp, None), (_nested_trials, 1)],
+        ids=["frailty_t5_qmc", "rp_aghq", "nested_aghq_unit_blocks"],
+    )
+    def test_pass_invariant_to_row_order_and_labels(self, build, chunk, monkeypatch):
         # a unit's sums add its rows in their canonical order, and each
         # score and information entry adds the units in ascending order of
         # its values: shuffled rows and relabelled clusters give the same
-        # pass bit for bit, on adaptive nodes after the same refresh
+        # pass bit for bit, on adaptive nodes after the same refresh. On
+        # the nested model relabelled trials leave the patients' ids out
+        # of the rows' order, here in blocks of one patient
         prog, plan = build()
+        if chunk is not None:
+            monkeypatch.setattr(likelihood, "_CHUNK_VALUES", chunk)
         theta = initial_values(prog) + 0.05
         cols = {name: prog.frame.col(name) for name in prog.frame.names}
         rng = np.random.default_rng(5)
@@ -1492,13 +1509,19 @@ class TestNestedExactDerivatives:
             ("(y x M1[id] M2[id>sub], family(gaussian))", dict(method="qmc", draws=20)),
             ("(t x M1[id] M2[id>sub], family(weibull, failure(d)))", dict(method={"id": "aghq", "sub": "qmc"}, draws=15)),
             ("(t x M1[id], family(weibull, failure(d)))", dict(method="qmc", redistribution="t", t_df=5, draws=101)),
+            ("(k x M1[id] M2[id>sub], family(poisson))", dict(relabel=True)),
         ],
-        ids=["gaussian_qmc", "weibull_aghq_qmc", "weibull_t5_qmc"],
+        ids=["gaussian_qmc", "weibull_aghq_qmc", "weibull_t5_qmc", "poisson_aghq_relabelled"],
     )
     def test_unit_blocks_change_no_bit(self, spec, options, monkeypatch):
         # the innermost node features are formed for blocks of units; one unit
-        # per block gives the same pass, bit for bit
-        prog = make(_nested_columns(7, [5], np.random.default_rng(3)), spec)
+        # per block gives the same pass, bit for bit, also on adaptive nodes
+        # where the inner ids, relabelled at random, do not follow the outer
+        cols, options = _nested_columns(7, [5], np.random.default_rng(3)), dict(options)
+        if options.pop("relabel", False):
+            ids, at = np.unique(cols["sub"], return_inverse=True)
+            cols["sub"] = np.random.default_rng(4).permutation(ids)[at]
+        prog = make(cols, spec)
         ev = LikelihoodEvaluator(prog, default_plan(prog, points=3, **options))
         theta = initial_values(prog) + 0.05
         ev.refresh(theta)
