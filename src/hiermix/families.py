@@ -499,44 +499,39 @@ class Family:
         events = event != 0
         if self.name == "rp":
             return _rp_exp_linear(spline, y, np.asarray(anc, dtype=float), events, derivatives)
-        log_h0 = np.where(events, self.base_log_hazard(y, anc), 0.0)
-        cum = self._base_cum_hazard(y, anc)
         later = entry > 0
         t0 = np.where(later, entry, 1.0)
         entered = later.any()
-        if entered:
-            cum = cum - np.where(later, self._base_cum_hazard(t0, anc), 0.0)
-        terms = log_h0, events.astype(float), cum
+        times = (y, t0) if entered else (y,)
+
+        def over_entry(at_y, at_t0=None):  # at y less at the entry time, where there is one
+            return at_y if at_t0 is None else at_y - np.where(later, at_t0, 0.0)
+
+        if self.name == "weibull":  # ln t and t^g once per time: A = ln g + (g - 1) ln t, C = t^g
+            g = anc[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = [(np.log(t), t**g) for t in times]
+            log_h0, cums = np.log(g) + (g - 1.0) * powers[0][0], [t_g for _, t_g in powers]
+        else:
+            log_h0, cums = self.base_log_hazard(y, anc), [self._base_cum_hazard(t, anc) for t in times]
+        terms = np.where(events, log_h0, 0.0), events.astype(float), over_entry(*cums)
         if not derivatives:
             return terms
         if self.name == "exponential":
             return terms + (None,) * 4
-
-        def over_entry(f):  # f at y less f at the entry time, where there is one
-            at_y = f(y)
-            if not entered:
-                return at_y
-            return tuple(a - np.where(later, b, 0.0) for a, b in zip(at_y, f(t0)))
-
         g = anc[0]
-        if self.name == "weibull":  # ancillary ln(g): A = ln g + (g - 1) ln t, C = t^g
-            log_y = np.log(y)
-            d1a = np.where(events, 1.0 + g * log_y, 0.0)
-            d2a = np.where(events, g * log_y, 0.0)
-
-            def cum_derivs(t):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    log_t = np.log(t)
-                    d1 = g * t**g * log_t
-                    return d1, d1 + g * d1 * log_t
-
+        if self.name == "weibull":  # in the ancillary ln(g)
+            log_y = powers[0][0]
+            d1a, d2a = np.where(events, 1.0 + g * log_y, 0.0), np.where(events, g * log_y, 0.0)
+            derivs = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for log_t, t_g in powers:
+                    d1 = g * t_g * log_t
+                    derivs.append((d1, d1 + g * d1 * log_t))
         else:  # gompertz, ancillary g: A = g t, C = expm1(g t) / g
             d1a, d2a = np.where(events, y, 0.0), np.zeros_like(y)
-
-            def cum_derivs(t):
-                return _gompertz_scaled_expm1_derivs(g, t)
-
-        d1c, d2c = over_entry(cum_derivs)
+            derivs = [_gompertz_scaled_expm1_derivs(g, t) for t in times]
+        d1c, d2c = (over_entry(*at) for at in zip(*derivs))
         return terms + (d1a[:, None], d2a[:, None, None], d1c[:, None], d2c[:, None, None])
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "gh_grid",
     "halton",
     "kernel_draws",
+    "Adaptation",
     "adapt_locations",
 ]
 
@@ -284,6 +286,17 @@ def log_correction(grid: tuple, kernel: ReKernel, chol: np.ndarray, x: np.ndarra
     return grid[1] + kernel.log_density(x, chol) - grid[2] + logdet
 
 
+class Adaptation(NamedTuple):
+    """The result of ``adapt_locations``, one entry per cell."""
+
+    shift: np.ndarray  # (K, dim)
+    scale: np.ndarray  # (K, dim, dim) scale factors
+    iterations: np.ndarray  # (K,) sweeps that updated the cell
+    fallback: np.ndarray  # (K,) flagged: at (0, prior scale)
+    capped: np.ndarray  # (K,) stopped at max_iter with the last step at or above tol
+    value: np.ndarray  # (K,) log integral at the returned shift and scale
+
+
 def adapt_locations(
     log_conditional,
     kernel: ReKernel,
@@ -292,8 +305,8 @@ def adapt_locations(
     active: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20,
-    start: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    start: Adaptation | None = None,
+) -> Adaptation:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
 
@@ -302,25 +315,29 @@ def adapt_locations(
     ``log_conditional`` maps node locations (K, M, dim) to the
     conditional log-likelihood (K, M) of each cell; cells not marked in
     ``active`` keep the prior. Each sweep places, weighs and reduces the
-    nodes as the integration does. A cell falls back to (0, prior scale)
-    and is flagged where its log integral is not finite (a node at NaN
-    or +inf, or every node at -inf), which the integration reads as a
-    non-finite value, or its scale step fails. The scale may shrink at
-    most 4x per step in any direction, relative to the scale of the step
-    before, so a posterior sharper than the grid's spacing cannot
-    collapse the rule onto one node. A one-dimensional level takes this
-    step as scalar arithmetic (``_scalar_scale_step``), with the same
-    results as the matrix step of the others (``_scale_step``).
+    nodes of every cell as the integration does. A cell falls back to
+    (0, prior scale) and is flagged where its log integral is not finite
+    (a node at NaN or +inf, or every node at -inf), which the
+    integration reads as a non-finite value, or its scale step fails.
+    The scale may shrink at most 4x per step in any direction, relative
+    to the scale of the step before, so a posterior sharper than the
+    grid's spacing cannot collapse the rule onto one node. A
+    one-dimensional level takes this step as scalar arithmetic
+    (``_scalar_scale_step``), with the same results as the matrix step
+    of the others (``_scale_step``).
+
+    A cell whose step falls below ``tol`` keeps the shift and scale that
+    sweep evaluated, not the step after, so that the sweep's log integral
+    is the cell's ``value``. Only where the last sweep left some cell at
+    a rule it did not evaluate (a cell fell back, or ``max_iter`` left
+    capped cells, which took their last step) is every cell evaluated
+    once more, with no update. ``value`` is thus, bit for bit,
+    logsumexp(``log_correction`` + conditional) at the returned rule.
 
     Every active cell starts at (0, prior scale), or, given ``start``,
-    the result of an earlier adaptation of the same cells (a tuple as
-    returned here), at that result's shift and scale: a warm start.
-    A cell flagged there starts at (0, prior scale) again.
-
-    Returns the shifts (K, dim), scale factors (K, dim, dim), iteration
-    counts (K,), fallback flags (K,) and capped flags (K,): the cells
-    stopped at ``max_iter`` with their last step still at or above
-    ``tol``.
+    the result of an earlier adaptation of the same cells, at that
+    result's shift and scale: a warm start. A cell flagged there starts
+    at (0, prior scale) again.
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
@@ -328,31 +345,40 @@ def adapt_locations(
     mu, lam = np.zeros((k, r)), np.broadcast_to(chol[None], (k, r, r)).copy()
     iters, flagged, active = np.zeros(k, dtype=int), np.zeros(k, dtype=bool), np.array(active, dtype=bool)
     if start is not None:
-        warm = active & ~start[3]
-        mu[warm], lam[warm] = start[0][warm], start[1][warm]
+        warm = active & ~start.fallback
+        mu[warm], lam[warm] = start.shift[warm], start.scale[warm]
     scale_step = _scalar_scale_step if r == 1 else _scale_step
+
+    def evaluate(weights: bool):
+        x, logdet = place_nodes(grid[0], mu, lam)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return x, logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=weights)
+
+    stale = True  # some cell's rule is not the one the last sweep evaluated
     for _ in range(max_iter):
         if not np.any(active):
             break
-        x, logdet = place_nodes(grid[0], mu, lam)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value, w = logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=True)
+        x, (value, w) = evaluate(weights=True)
         bad = ~np.isfinite(value)
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
         cov = np.einsum("um,umr,ums->urs", w, centred, centred)
         lam_new = scale_step(lam, cov, np.flatnonzero(active & ~bad), bad)
         newly_bad = bad & active
-        if np.any(newly_bad):
+        if newly_bad.any():
             mu_new[newly_bad], lam_new[newly_bad] = 0.0, chol
             flagged |= newly_bad
             active &= ~newly_bad
-        delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
-        mu = np.where(active[:, None], mu_new, mu)
-        lam = np.where(active[:, None, None], lam_new, lam)
         iters[active] += 1
+        delta = np.maximum(np.max(np.abs(mu_new - mu), axis=1), np.max(np.abs(lam_new - lam), axis=(1, 2)))
         active &= delta >= tol
-    return mu, lam, iters, flagged, active
+        moved = active | newly_bad
+        mu = np.where(moved[:, None], mu_new, mu)
+        lam = np.where(moved[:, None, None], lam_new, lam)
+        stale = bool(moved.any())
+    if stale:
+        value = evaluate(weights=False)[1]
+    return Adaptation(mu, lam, iters, flagged, active, value)
 
 
 def _scale_step(lam, cov, ok, bad):

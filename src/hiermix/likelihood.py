@@ -15,13 +15,18 @@ Skrondal & Pickles (2005): the evaluator keeps each level's latest
 per-cell shifts and scales (``adapted``), where the next adaptation of
 that level starts, and the nodes they place (``placed``), which calls
 read until then, placed, weighed and reduced with the adaptation's own
-code (``integrate``): a cell falls back exactly where a call reads its
-log integral as not finite. For an inner level of nested quadrature,
-re-adapted at every step of the outer level's adaptation, that is the
-result at the previous outer step. Cells keep one canonical order from
-construction on, so the shapes always match; a cell that fell back in
-its latest adaptation, and every cell at the evaluator's first, start
-from the prior.
+code (``integrate``): a cell falls back, to the prior's rule, where a
+call at the rule being adapted would read its log integral as not
+finite. An inner level of nested quadrature is re-adapted at every
+evaluation of the outer level's adaptation, from its result at the
+previous one. An adaptation ends at the rule its last evaluation was
+at (``adapt_locations``), so the outer level's last evaluation leaves
+the inner levels adapted at its final nodes, and each evaluation reads
+the inner levels' integrals from their adaptations' last evaluations,
+bit for bit those a call computes, instead of integrating them again.
+Cells keep one canonical order from construction on, so the shapes
+always match; a cell that fell back in its latest adaptation, and every
+cell at the evaluator's first, start from the prior.
 
 At the innermost level the conditional log-likelihood is a units x
 columns array, one column per (outer-node combination, node). Its
@@ -103,7 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws, log_correction, logsumexp
-from .integrate import place_nodes
+from .integrate import Adaptation, place_nodes
 from .predictor import EvalContext, Program, outcome_logl, row_part
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -412,7 +417,7 @@ class LikelihoodEvaluator:
         # grow. The thresholds are process-wide and only rise; other
         # allocators just free the block.
         np.empty(1 << 21)
-        self.adapted: dict[int, tuple] = {}  # level position -> latest adapt_locations result
+        self.adapted: dict[int, Adaptation] = {}  # level position -> latest adapt_locations result
         self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
@@ -776,29 +781,39 @@ class LikelihoodEvaluator:
             corr = log_correction(st.grid, st.kernel, chol, x, float(np.log(np.diag(chol)).sum()))
         return np.broadcast_to(x[None], (st.n_cells,) + x.shape), np.broadcast_to(corr[None], (st.n_cells, st.m))
 
-    def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> None:
-        """Adapt level ``pos`` at the given outer nodes, re-adapting the
-        levels inside it at each trial location, then once more at the
-        final one, and keep the nodes it places (``placed``). Each adaptation
+    def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> np.ndarray | None:
+        """Adapt level ``pos`` at the given outer nodes, and keep the nodes
+        it places (``placed``). Each evaluation of an adaptive level
+        adapts the levels inside it at the nodes evaluated, and its last
+        one is at the rule it keeps (``adapt_locations``), so the inner
+        levels are left adapted at its final nodes; a non-adaptive level
+        adapts the levels inside it at its own nodes. Each adaptation
         starts warm, from the level's latest result: the previous
-        refresh's, or, for an inner level, the one at the previous trial
-        location of the outer level. Only the first adaptation of an
+        refresh's, or, for an inner level, the one at the previous
+        evaluation of the outer level. Only the first adaptation of an
         evaluator, and a cell that fell back, start from the prior.
+
+        Returns an adaptive level's log integral per unit and outer-node
+        combination (n_units, n_combos), as ``_integrate`` computes it at
+        the kept rule, bit for bit: the ``value`` of the adaptation's last
+        evaluation. None for a level that is not adaptive.
         """
         st = self.level_states[pos]
-        if st.adaptive:
-            self.adapted[pos] = mu, lam, iters, *_ = adapt_locations(
-                lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
-                st.kernel,
-                self.level_chol(st, theta),
-                st.grid,
-                np.repeat(st.active, st.n_combos),
-                start=self.adapted.get(pos),
-            )
-            self.placed[pos] = place_nodes(st.nodes, mu, lam)
-            self.sweeps[st.info.name] += int(iters.max(initial=0))
-        if pos + 1 < len(self.level_states):
-            self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
+        if not st.adaptive:
+            if pos + 1 < len(self.level_states):
+                self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
+            return None
+        self.adapted[pos] = fit = adapt_locations(
+            lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
+            st.kernel,
+            self.level_chol(st, theta),
+            st.grid,
+            np.repeat(st.active, st.n_combos),
+            start=self.adapted.get(pos),
+        )
+        self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
+        self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
+        return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0)
 
     def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
         st = self.level_states[pos]
@@ -808,7 +823,10 @@ class LikelihoodEvaluator:
         """Conditional log-likelihood (cells, M) of everything inside each
         cell of level ``pos``, at its node locations ``x``; with
         ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
-        there, for a level outside the innermost.
+        there, for a level outside the innermost. With ``refresh``, the
+        levels inside are adapted at ``x`` first (``_adapt``), and an
+        adaptive child level's integrals are its adaptation's values, not
+        integrated again.
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
@@ -817,9 +835,8 @@ class LikelihoodEvaluator:
                 cond[:, c0:c1] = ll
             return (cond.reshape(-1, st.m),)
         inner_outer = outer + [self._as_outer(pos, x)]
-        if refresh:
-            self._adapt(theta, pos + 1, inner_outer, sums)
-        child = self._integrate(theta, pos + 1, inner_outer, sums, terms)
+        value = self._adapt(theta, pos + 1, inner_outer, sums) if refresh else None
+        child = (value,) if value is not None else self._integrate(theta, pos + 1, inner_outer, sums, terms)
         return tuple(v.reshape((-1, st.m) + v.shape[2:]) for v in self._into_parents(pos + 1, *child))
 
     def _integrate(self, theta, pos: int, outer: list, sums: dict, terms=None) -> tuple:
@@ -1161,7 +1178,8 @@ class LikelihoodEvaluator:
         iteration limit with their step still at or above its tolerance;
         ``adaptation_sweeps`` counts, per
         adaptive level, the passes over its cells of every adaptation
-        since the evaluator was built.
+        since the evaluator was built; an adaptation's closing evaluation,
+        with no update, is not one.
         """
         levels = {}
         for st in self.level_states:
@@ -1175,14 +1193,14 @@ class LikelihoodEvaluator:
         per_call = self.cond_evals / calls if calls else 0
         # keyed by (level, unit ordinal, outer-node combination)
         iterations, fallbacks, capped = {}, [], []
-        for pos, (_, _, iters, flagged, stopped) in sorted(self.adapted.items()):
+        for pos, fit in sorted(self.adapted.items()):
             st = self.level_states[pos]
             for cell in np.flatnonzero(np.repeat(st.active, st.n_combos)):
                 key = (st.info.name, *divmod(int(cell), st.n_combos))
-                iterations[key] = int(iters[cell])
-                if flagged[cell]:
+                iterations[key] = int(fit.iterations[cell])
+                if fit.fallback[cell]:
                     fallbacks.append(key)
-                if stopped[cell]:
+                if fit.capped[cell]:
                     capped.append(key)
         return {
             "levels": levels,

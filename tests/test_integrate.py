@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from scipy.stats import norm
 
 from hiermix import integrate
-from hiermix.integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws
+from hiermix.integrate import (
+    Adaptation,
+    ReKernel,
+    adapt_locations,
+    gh_grid,
+    gh_rule,
+    halton,
+    kernel_draws,
+    log_correction,
+    logsumexp,
+    place_nodes,
+)
 
 
 def normal_moment(k: int) -> float:
@@ -179,8 +190,8 @@ class TestKernelDraws:
 def adapt_one(logcond, kern, chol, q):
     """Adapt a single cell: ``logcond`` maps nodes (M, dim) to (M,)."""
     grid = gh_grid(gh_rule(q), kern.dim)
-    mu, lam, iters, flagged, _ = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
-    return mu[0], lam[0], iters[0], flagged[0]
+    fit = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
+    return fit.shift[0], fit.scale[0], fit.iterations[0], fit.fallback[0]
 
 
 def conjugate(y, s2, sb2):
@@ -238,13 +249,14 @@ class TestAdaptLocations:
         rng = np.random.default_rng(12)
         ys = [rng.normal(m, 0.5, size=6) for m in (-1.0, 0.3, 2.0)]
         parts = [conjugate(y, 0.25, 1.0) for y in ys]
-        mu, lam, _, flagged, _ = adapt_locations(
+        fit = adapt_locations(
             lambda x: np.stack([p[0](x[g]) for g, p in enumerate(parts)]),
             ReKernel(1),
             np.eye(1),
             gh_grid(gh_rule(7), 1),
             np.array([True, False, True]),
         )
+        mu, lam, flagged = fit.shift, fit.scale, fit.fallback
         assert not flagged.any()
         for g in (0, 2):
             assert abs(mu[g, 0] - parts[g][1]) < 1e-8
@@ -283,14 +295,15 @@ class TestAdaptLocations:
             out[1, ::2] = bad
             return out
 
-        mu, lam, _, flagged, _ = adapt_locations(broken, ReKernel(1), chol, grid, active)
+        fit = adapt_locations(broken, ReKernel(1), chol, grid, active)
         clean = adapt_locations(finite, ReKernel(1), chol, grid, active)
-        np.testing.assert_array_equal(flagged, [False, True, False])
-        assert not clean[3].any()
+        mu, lam = fit.shift, fit.scale
+        np.testing.assert_array_equal(fit.fallback, [False, True, False])
+        assert not clean.fallback.any()
         np.testing.assert_array_equal(mu[1], [0.0])
         np.testing.assert_array_equal(lam[1], chol)
         for g in (0, 2):
-            assert mu[g].tobytes() == clean[0][g].tobytes() and lam[g].tobytes() == clean[1][g].tobytes()
+            assert mu[g].tobytes() == clean.shift[g].tobytes() and lam[g].tobytes() == clean.scale[g].tobytes()
             assert abs(mu[g, 0] - parts[g][1]) < 1e-8 and abs(lam[g, 0, 0] - parts[g][2]) < 1e-8
 
     def test_start_warm_and_flagged_cells_cold(self):
@@ -310,20 +323,71 @@ class TestAdaptLocations:
             return out
 
         first = adapt_locations(broken, ReKernel(1), np.array([[0.7]]), grid, active)
-        np.testing.assert_array_equal(first[3], [False, True, False])
+        np.testing.assert_array_equal(first.fallback, [False, True, False])
         chol = np.array([[1.3]])
         warm = adapt_locations(finite, ReKernel(1), chol, grid, active, start=first)
         cold = adapt_locations(finite, ReKernel(1), chol, grid, active)
-        assert not warm[3].any()
+        assert not warm.fallback.any()
         for g in (1, 2):
-            assert warm[2][g] == cold[2][g]
-            assert warm[0][g].tobytes() == cold[0][g].tobytes() and warm[1][g].tobytes() == cold[1][g].tobytes()
-        np.testing.assert_array_equal(warm[1][2], chol)
+            assert warm.iterations[g] == cold.iterations[g]
+            assert warm.shift[g].tobytes() == cold.shift[g].tobytes()
+            assert warm.scale[g].tobytes() == cold.scale[g].tobytes()
+        np.testing.assert_array_equal(warm.scale[2], chol)
         for g in (0, 1):
-            assert abs(warm[0][g, 0] - parts[g][1]) < 1e-8 and abs(warm[1][g, 0, 0] - parts[g][2]) < 1e-8
+            assert abs(warm.shift[g, 0] - parts[g][1]) < 1e-8 and abs(warm.scale[g, 0, 0] - parts[g][2]) < 1e-8
         # from a converged result, every active cell stops at its first pass
         again = adapt_locations(finite, ReKernel(1), chol, grid, active, start=warm)
-        np.testing.assert_array_equal(again[2], [1, 1, 0])
+        np.testing.assert_array_equal(again.iterations, [1, 1, 0])
+
+    def test_converged_cells_keep_the_rule_last_evaluated(self):
+        # a cell whose step falls below tol keeps the shift and scale that
+        # sweep evaluated; with every cell converged no further evaluation
+        # runs, and the value is that sweep's log integral, bit for bit
+        rng = np.random.default_rng(16)
+        parts = [conjugate(rng.normal(m, 0.5, size=6), 0.25, 0.81) for m in (-1.0, 0.4, 2.0)]
+        chol, grid, kernel = np.array([[0.9]]), gh_grid(gh_rule(7), 1), ReKernel(1)
+        seen = []
+
+        def log_conditional(x):
+            seen.append(x.copy())
+            return np.stack([p[0](x[g]) for g, p in enumerate(parts)])
+
+        fit = adapt_locations(log_conditional, kernel, chol, grid, np.ones(3, dtype=bool))
+        assert not fit.fallback.any() and not fit.capped.any()
+        assert len(seen) == fit.iterations.max()
+        x, logdet = place_nodes(grid[0], fit.shift, fit.scale)
+        assert x.tobytes() == seen[-1].tobytes()
+        expect = logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x))
+        assert fit.value.tobytes() == expect.tobytes()
+
+    def test_value_after_a_last_sweep_that_moved_cells(self):
+        # cell 0 is capped by max_iter, cell 1 falls back in the last sweep
+        # (its conditional is NaN beyond 1.2, which the prior's nodes do not
+        # reach and the next sweep's do) and cell 2 is inactive: every cell
+        # is evaluated once more at the rule returned, with no update
+        chol, grid, kernel = np.array([[0.3]]), gh_grid(gh_rule(7), 1), ReKernel(1)
+        centre = np.array([[2.0], [3.0], [0.0]])
+        calls = []
+
+        def log_conditional(x):
+            calls.append(1)
+            out = -0.5 * 40.0 * (x[..., 0] - centre) ** 2
+            out[1, x[1, :, 0] > 1.2] = np.nan
+            return out
+
+        fit = adapt_locations(log_conditional, kernel, chol, grid, np.array([True, True, False]), max_iter=2)
+        np.testing.assert_array_equal(fit.capped, [True, False, False])
+        np.testing.assert_array_equal(fit.fallback, [False, True, False])
+        np.testing.assert_array_equal(fit.iterations, [2, 1, 0])
+        assert len(calls) == 3
+        for g in (1, 2):
+            np.testing.assert_array_equal(fit.shift[g], [0.0])
+            np.testing.assert_array_equal(fit.scale[g], chol)
+        x, logdet = place_nodes(grid[0], fit.shift, fit.scale)
+        with np.errstate(invalid="ignore"):
+            expect = logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x))
+        assert np.isfinite(expect).all()
+        assert fit.value.tobytes() == expect.tobytes()
 
     def test_t_kernel_requires_df_above_two(self):
         kern = ReKernel(1, dist="t", df=2)
@@ -360,7 +424,8 @@ def _adaptation_cases(draw) -> tuple:
     if draw(st.booleans()):
         mu = per_cell(within(-3.0, 3.0))[:, None]
         lam = np.exp(per_cell(within(-6.0, 2.0)))[:, None, None]
-        start = (mu, lam, np.zeros(k, dtype=int), per_cell(st.booleans()), np.zeros(k, dtype=bool))
+        flagged = per_cell(st.booleans())
+        start = Adaptation(mu, lam, np.zeros(k, dtype=int), flagged, np.zeros(k, dtype=bool), np.zeros(k))
 
     def log_conditional(x):
         b, sharp = x[..., 0], np.exp(log_sharp)[:, None]
@@ -382,14 +447,12 @@ class TestScalarMomentStep:
     @given(case=_adaptation_cases())
     def test_matches_matrix_step(self, case):
         # a one-dimensional level's scalar step gives the matrix step's
-        # shifts, scales, iteration counts, fallback and capped flags, bit
-        # for bit: the same loop run again with the matrix step in its place
+        # shifts, scales, iteration counts, fallback and capped flags and
+        # values, bit for bit: the same loop run again with the matrix step
+        # in its place
         log_conditional, kernel, chol, grid, active, max_iter, start = case
         got = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
         with mock.patch.object(integrate, "_scalar_scale_step", integrate._scale_step):
             expect = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
-        assert got[0].shape == expect[0].shape and got[1].shape == expect[1].shape
-        assert got[0].tobytes() == expect[0].tobytes()
-        assert got[1].tobytes() == expect[1].tobytes()
-        for g, e in zip(got[2:], expect[2:]):
-            np.testing.assert_array_equal(g, e)
+        for name, g, e in zip(Adaptation._fields, got, expect):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes(), name

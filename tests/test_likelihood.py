@@ -929,7 +929,7 @@ class TestWarmAdaptation:
 
     @pytest.mark.parametrize(
         "build,per_refresh",
-        [(_nested_aghq, {"trial": 1, "pat": 2}), (_poisson_aghq, {"id": 1})],
+        [(_nested_aghq, {"trial": 1, "pat": 1}), (_poisson_aghq, {"id": 1})],
         ids=["nested_gaussian", "poisson"],
     )
     def test_warm_refresh_matches_cold(self, build, per_refresh):
@@ -955,6 +955,45 @@ class TestWarmAdaptation:
         assert not rep["adaptation_fallbacks"]
         assert {name: n - sweeps[name] for name, n in rep["adaptation_sweeps"].items()} == per_refresh
 
+    @pytest.mark.parametrize("case", ["nested_gaussian", "poisson_nested_aghq", "poisson_nested_aghq_qmc"])
+    def test_nested_refresh_reads_inner_values(self, case, monkeypatch):
+        # the outer adaptation's last evaluation is at the rule it keeps,
+        # and the inner sums it read there are those of an evaluation at the
+        # inner rule kept, bit for bit; an adaptive inner level is not
+        # integrated again, a QMC one is
+        if case == "nested_gaussian":
+            prog, plan = _nested_aghq()
+        else:
+            build, spec, options = _PER_CLUSTER[case]
+            prog = make(build(), spec)
+            plan = default_plan(prog, **options)
+        ev = LikelihoodEvaluator(prog, plan)
+        theta = initial_values(prog)
+        ev.refresh(theta)  # from the prior: the next refresh starts warm
+        theta = theta + np.linspace(-0.05, 0.05, theta.size)
+        conditional, integrate_level = ev._conditional, ev._integrate
+        seen, inner_integrals = [], []
+
+        def spy_conditional(theta, pos, outer, x, sums, terms=None, refresh=False):
+            out = conditional(theta, pos, outer, x, sums, terms, refresh)
+            if refresh and pos == 0:
+                seen.append((x, out[0]))
+            return out
+
+        def spy_integrate(theta, pos, *args):
+            inner_integrals.append(pos)
+            return integrate_level(theta, pos, *args)
+
+        monkeypatch.setattr(ev, "_conditional", spy_conditional)
+        monkeypatch.setattr(ev, "_integrate", spy_integrate)
+        ev.refresh(theta)
+        monkeypatch.undo()
+        assert bool(inner_integrals) == (case == "poisson_nested_aghq_qmc")
+        x, cond = seen[-1]
+        assert x.tobytes() == ev.placed[0][0].tobytes()
+        again = ev._conditional(theta, 0, [], x, ev._all_sums(theta))[0]
+        assert cond.tobytes() == again.tobytes()
+
     def test_fallback_cell_restarts_cold(self):
         prog, plan = _poisson_aghq(outlier=True)
         slot = prog.slot_index
@@ -968,13 +1007,13 @@ class TestWarmAdaptation:
         warm.refresh(theta)
         cold = LikelihoodEvaluator(prog, plan)
         cold.refresh(theta)
-        (mu_w, lam_w, it_w, fb_w, _), (mu_c, lam_c, it_c, fb_c, _) = warm.adapted[0], cold.adapted[0]
-        assert not fb_w.any() and not fb_c.any()
+        w, c = warm.adapted[0], cold.adapted[0]
+        assert not w.fallback.any() and not c.fallback.any()
         # the flagged cell started at (0, the current prior scale), as a
         # cold start does, not at the scale it fell back to: same bits
-        assert mu_w[0].tobytes() == mu_c[0].tobytes()
-        assert lam_w[0].tobytes() == lam_c[0].tobytes()
-        assert it_w[0] == it_c[0] > 1
+        assert w.shift[0].tobytes() == c.shift[0].tobytes()
+        assert w.scale[0].tobytes() == c.scale[0].tobytes()
+        assert w.iterations[0] == c.iterations[0] > 1
         expect = cold.logl(theta)
         assert abs(warm.logl(theta) - expect) <= 1e-10 * abs(expect)
 

@@ -57,7 +57,7 @@ def test_a_changed_byte_is_flagged(monkeypatch):
         cov=np.eye(2),
         message="converged",
         iterations=5,
-        profile={"likelihood_calls": 60, "derivative_passes": 0},
+        profile={"likelihood_calls": 60, "derivative_passes": 0, "adaptation_sweeps": {}, "conditional_evaluations": 9},
     )
     fit = SimpleNamespace(failed=None, doc=b"", result=result)
     parent = {"a#0": tool.describe(fit), "b#0": tool.describe(document(-12.5, [(0.4, 0.1)]))}
@@ -68,15 +68,21 @@ def test_a_changed_byte_is_flagged(monkeypatch):
     assert tool.differences(parent, {"a#0": parent["a#0"]}) == ["b#0: fitted on the parent side only"]
 
 
-def fit_record(tool, theta, logl, se, iterations=5, calls=60, passes=0):
-    """The record of a converged in-process fit."""
+def fit_record(tool, theta, logl, se, iterations=5, calls=60, passes=0, sweeps=None, evaluations=900):
+    """The record of a converged in-process fit; ``sweeps`` maps each
+    adaptive level to its adaptation sweeps."""
     result = SimpleNamespace(
         theta=np.array(theta),
         logl=logl,
         cov=np.diag(np.square(se)),
         message="converged",
         iterations=iterations,
-        profile={"likelihood_calls": calls, "derivative_passes": passes},
+        profile={
+            "likelihood_calls": calls,
+            "derivative_passes": passes,
+            "adaptation_sweeps": sweeps or {},
+            "conditional_evaluations": evaluations,
+        },
     )
     return tool.describe(SimpleNamespace(failed=None, doc=b"", result=result))
 
@@ -89,6 +95,38 @@ def test_a_changed_pass_count_is_flagged():
     change = {"a#0": fit_record(tool, [0.4], -3.0, [0.5], calls=0, passes=7)}
     assert tool.differences(parent, change) == ["a#0: differs in derivative_passes"]
     assert tool.beyond_tolerance(parent, change) == []
+
+
+def test_work_counts_print_and_more_sweeps_differ(monkeypatch, capsys):
+    # fewer sweeps or evaluations print both sides' counts and differ in
+    # nothing; a rise in sweeps on any level is also a difference
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tool = load_tool()
+    record = functools.partial(fit_record, tool, [0.4], -3.0, [0.5])
+    parent = {
+        "a#0": record(sweeps={"trial": 17, "pat": 48}, evaluations=11550),
+        "b#0": record(sweeps={"id": 24}, evaluations=25900),
+        "c#0": tool.describe(document(-12.5, [(0.4, 0.1)])),
+    }
+    fewer = {**parent, "a#0": record(sweeps={"trial": 17, "pat": 42}, evaluations=8100)}
+    assert tool.differences(parent, fewer) == []
+    assert tool.deviations(parent, fewer) == [] and tool.beyond_tolerance(parent, fewer) == []
+    assert tool.work(parent, fewer) == [
+        "a#0: adaptation_sweeps {'trial': 17, 'pat': 48} -> {'trial': 17, 'pat': 42}, "
+        "conditional_evaluations 11550 -> 8100"
+    ]
+    more = {**fewer, "b#0": record(sweeps={"id": 25}, evaluations=25900)}
+    assert tool.differences(parent, more) == ["b#0: differs in adaptation_sweeps"]
+    assert tool.work(parent, more)[1] == (
+        "b#0: adaptation_sweeps {'id': 24} -> {'id': 25}, conditional_evaluations 25900 -> 25900"
+    )
+    for change, status in ((fewer, 0), (more, 1)):
+        sides = iter([parent, change])
+        monkeypatch.setattr(tool, "run_side", lambda checkout, tiny: next(sides))
+        assert tool.main([str(ROOT), str(ROOT)]) == status
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [tool.work(parent, fewer)[0], "all 3 fits identical (0 failed on both sides)"]
+    assert out[3:6] == ["b#0: differs in adaptation_sweeps", *tool.work(parent, more)]
 
 
 def test_deviations_of_a_differing_fit(monkeypatch):

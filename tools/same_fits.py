@@ -17,13 +17,18 @@ quadrature with a t kernel.
 The in-process fits are compared on theta, log-likelihood, covariance,
 message, iteration count, ``likelihood_calls`` and ``derivative_passes``
 (an exact-derivative fit makes likelihood calls only at the line-search
-points of adaptive quadrature); the command-line fits (``rp_replicates``) on the bytes of their result
-documents and on the log-likelihood, estimates, standard errors and
-iteration count read from them (``workloads.parse_document``); a fit
-that fails must fail with the same reason. The script prints one line
-per fit that differs, or "all N fits identical" and how many of them
-failed on both sides, then each checkout's ``src/hiermix`` line count,
-and exits 1 on any difference. For each differing
+points of adaptive quadrature). Their ``adaptation_sweeps`` and
+``conditional_evaluations`` count work, not results, and are not
+compared; a fit whose sweeps rose on any level, though, differs in
+``adaptation_sweeps``. The command-line fits (``rp_replicates``) are
+compared on the bytes of their result documents and on the
+log-likelihood, estimates, standard errors and iteration count read
+from them (``workloads.parse_document``); a fit that fails must fail
+with the same reason. The script prints one line per fit that differs,
+or "all N fits identical" and how many of them failed on both sides,
+then each checkout's ``src/hiermix`` line count, and exits 1 on any
+difference. For each in-process fit whose work counts differ it prints
+both sides' counts, and for each differing
 fit that has numbers on both sides it then prints how far they moved:
 the log-likelihood's relative difference, the largest |change in theta|
 (a document's estimates) over the parent's standard error, the largest
@@ -57,6 +62,8 @@ SEED = 5
 LOGL_RTOL, THETA_ATOL, SE_RTOL = 1e-10, 1e-7, 1e-6
 # fits run single-threaded, as in perfbench/run.py
 BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+# an in-process fit's work counts: printed where they differ, not compared
+WORK = ("adaptation_sweeps", "conditional_evaluations")
 
 
 def fit_panels(checkout: Path, tiny: bool) -> dict:
@@ -100,6 +107,7 @@ def describe(fit) -> dict:
             iterations=res.iterations,
             likelihood_calls=res.profile["likelihood_calls"],
             derivative_passes=res.profile["derivative_passes"],
+            **{name: res.profile[name] for name in WORK},
         )
     return record
 
@@ -121,17 +129,42 @@ def read(doc: bytes) -> dict:
     )
 
 
+def swept_more(a: dict, b: dict) -> bool:
+    """Whether record b's adaptations swept some level more often than a's."""
+    before, after = a.get("adaptation_sweeps", {}), b.get("adaptation_sweeps", {})
+    return any(n > before.get(level, 0) for level, n in after.items())
+
+
 def differences(parent: dict, change: dict) -> list[str]:
-    """One line per fit whose records differ, naming the fields."""
+    """One line per fit whose records differ, naming the fields; of the
+    work counts, only a rise in ``adaptation_sweeps`` is a difference.
+    """
     lines = []
     for key in sorted(parent.keys() | change.keys()):
         if key not in parent or key not in change:
             lines.append(f"{key}: fitted on the {'change' if key in change else 'parent'} side only")
             continue
         a, b = parent[key], change[key]
-        fields = [f for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
+        fields = [f for f in sorted(a.keys() | b.keys()) if f not in WORK and a.get(f) != b.get(f)]
+        if swept_more(a, b):
+            fields.append("adaptation_sweeps")
         if fields:
             lines.append(f"{key}: differs in {', '.join(fields)}")
+    return lines
+
+
+def results(record: dict) -> dict:
+    """A fit's record less its work counts."""
+    return {field: value for field, value in record.items() if field not in WORK}
+
+
+def work(parent: dict, change: dict) -> list[str]:
+    """One line per fit whose work counts differ, with both sides'."""
+    lines = []
+    for key in sorted(parent.keys() & change.keys()):
+        a, b = parent[key], change[key]
+        if any(a.get(name) != b.get(name) for name in WORK):
+            lines.append(f"{key}: " + ", ".join(f"{name} {a.get(name)} -> {b.get(name)}" for name in WORK))
     return lines
 
 
@@ -159,7 +192,7 @@ def deviations(parent: dict, change: dict) -> list[str]:
     lines = []
     for key in sorted(parent.keys() & change.keys()):
         a, b = parent[key], change[key]
-        if a == b or "logl" not in a or "logl" not in b:
+        if results(a) == results(b) or "logl" not in a or "logl" not in b:
             continue
         (la, ta, sa), (lb, tb, sb) = numbers(a), numbers(b)
         has_se = sa > 0
@@ -239,7 +272,7 @@ def main(argv=None) -> int:
         parser.error("give the PARENT and CHANGE checkouts")
     parent, change = (run_side(side.resolve(), args.tiny) for side in (args.parent, args.change))
     lines = differences(parent, change)
-    for line in lines + deviations(parent, change):
+    for line in lines + work(parent, change) + deviations(parent, change):
         print(line)
     if not lines:
         failed = sum(record["failed"] is not None for record in parent.values())
