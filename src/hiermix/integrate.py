@@ -294,7 +294,7 @@ class Adaptation(NamedTuple):
     iterations: np.ndarray  # (K,) sweeps that updated the cell
     fallback: np.ndarray  # (K,) flagged: at (0, prior scale)
     capped: np.ndarray  # (K,) stopped at max_iter with the last step at or above tol
-    value: np.ndarray  # (K,) log integral at the returned shift and scale
+    value: np.ndarray | None  # (K,) log integral at the returned shift and scale; None where not read
 
 
 def adapt_locations(
@@ -306,6 +306,7 @@ def adapt_locations(
     tol: float = 1e-8,
     max_iter: int = 20,
     start: Adaptation | None = None,
+    value: bool = True,
 ) -> Adaptation:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
@@ -333,11 +334,17 @@ def adapt_locations(
     capped cells, which took their last step) is every cell evaluated
     once more, with no update. ``value`` is thus, bit for bit,
     logsumexp(``log_correction`` + conditional) at the returned rule.
+    Where the caller does not read it (``value`` false), no closing
+    evaluation runs and ``value`` is None.
 
-    Every active cell starts at (0, prior scale), or, given ``start``,
-    the result of an earlier adaptation of the same cells, at that
-    result's shift and scale: a warm start. A cell flagged there starts
-    at (0, prior scale) again.
+    Every active cell starts at (0, prior scale), or, given ``start``, at
+    its shift and scale there: the result of an earlier adaptation of the
+    same cells (a warm start), or a rule the caller knows, such as the
+    cells' exact posterior where it has a closed form (of ``start`` only
+    shift, scale and fallback are read). A cell flagged as a fallback
+    there starts at (0, prior scale). A cell started at the mean and
+    scale of a normal posterior converges at its first sweep, whose rule
+    integrates it exactly.
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")
@@ -354,12 +361,12 @@ def adapt_locations(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return x, logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=weights)
 
-    stale = True  # some cell's rule is not the one the last sweep evaluated
+    stale = value  # some cell's rule is not the one the last sweep evaluated, and value is read
     for _ in range(max_iter):
         if not np.any(active):
             break
-        x, (value, w) = evaluate(weights=True)
-        bad = ~np.isfinite(value)
+        x, (last, w) = evaluate(weights=True)
+        bad = ~np.isfinite(last)
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
         cov = np.einsum("um,umr,ums->urs", w, centred, centred)
@@ -375,10 +382,10 @@ def adapt_locations(
         moved = active | newly_bad
         mu = np.where(moved[:, None], mu_new, mu)
         lam = np.where(moved[:, None, None], lam_new, lam)
-        stale = bool(moved.any())
+        stale = value and bool(moved.any())
     if stale:
-        value = evaluate(weights=False)[1]
-    return Adaptation(mu, lam, iters, flagged, active, value)
+        last = evaluate(weights=False)[1]
+    return Adaptation(mu, lam, iters, flagged, active, last if value else None)
 
 
 def _scale_step(lam, cov, ok, bad):

@@ -10,23 +10,33 @@ its own nodes, and summed into the parent units (the recursive nested
 quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
 
 Adaptive levels are re-adapted by ``refresh``, once per Newton
-iteration, and each adaptation is warm-started, as in Rabe-Hesketh,
-Skrondal & Pickles (2005): the evaluator keeps each level's latest
-per-cell shifts and scales (``adapted``), where the next adaptation of
-that level starts, and the nodes they place (``placed``), which calls
-read until then, placed, weighed and reduced with the adaptation's own
-code (``integrate``): a cell falls back, to the prior's rule, where a
-call at the rule being adapted would read its log integral as not
-finite. An inner level of nested quadrature is re-adapted at every
-evaluation of the outer level's adaptation, from its result at the
-previous one. An adaptation ends at the rule its last evaluation was
-at (``adapt_locations``), so the outer level's last evaluation leaves
-the inner levels adapted at its final nodes, and each evaluation reads
-the inner levels' integrals from their adaptations' last evaluations,
-bit for bit those a call computes, instead of integrating them again.
-Cells keep one canonical order from construction on, so the shapes
-always match; a cell that fell back in its latest adaptation, and every
-cell at the evaluator's first, start from the prior.
+iteration. The evaluator keeps each level's latest per-cell shifts and
+scales (``adapted``) and the nodes they place (``placed``), which calls
+read until the next refresh, placed, weighed and reduced with the
+adaptation's own code (``integrate``): a cell falls back, to the
+prior's rule, where a call at the rule being adapted would read its log
+integral as not finite. An inner level of nested quadrature is
+re-adapted at every evaluation of the outer level's adaptation. An
+adaptation ends at the rule its last evaluation was at
+(``adapt_locations``), so the outer level's last evaluation leaves the
+inner levels adapted at its final nodes, and each evaluation reads the
+inner levels' integrals from their adaptations' last evaluations, bit
+for bit those a call computes, instead of integrating them again; an
+outermost level's closing evaluation, which nothing would read, is not
+run.
+
+Where every outcome's conditional log-likelihood is quadratic in every
+latent value (Gaussian outcomes summed per unit, one intercept at every
+level, normal kernels: ``_posterior_scope``), each adaptation starts at
+the cells' exact posterior, formed in closed form once per refresh
+(``_precisions``, ``_posterior``); its first sweep then finds a step of
+rounding size and ends. Every other model's adaptation is
+warm-started, as in Rabe-Hesketh, Skrondal & Pickles (2005): from the
+level's previous result, that of the previous refresh or, for an inner
+level, that at the previous evaluation of the outer level's
+adaptation. Cells keep one canonical order from construction on, so the
+shapes always match; a cell that fell back in its latest adaptation,
+and every cell at the evaluator's first, start from the prior.
 
 At the innermost level the conditional log-likelihood is a units x
 columns array, one column per (outer-node combination, node). Its
@@ -400,6 +410,7 @@ class LikelihoodEvaluator:
         self._prepare_segments()
         self._plan_chunks()
         self.exact = self._exact_scope()
+        self.posterior_start = self._posterior_scope()
         if self.exact:
             # the log-scale slots of the levels whose nodes scale with them,
             # and the position there of each one's latent effect
@@ -758,10 +769,12 @@ class LikelihoodEvaluator:
     # is logsumexp over its nodes of (weight correction + conditional
     # log-likelihood), and the conditional at a node of an outer level is
     # the sum of its child units' integrals. Adaptation is frozen within
-    # one evaluation. ``sums`` are the outcomes' ``_unit_sums`` at theta. A
-    # pass of ``derivatives`` also hands down the outcomes'
-    # ``_OutcomeTerms`` (``terms``), and every cell then carries its score
-    # and Hessian with its value (see "exact derivatives" above).
+    # one evaluation. ``sums`` are the outcomes' ``_unit_sums`` at theta,
+    # keyed by outcome, and the levels' ``_precisions`` once an
+    # adaptation has formed them. A pass of ``derivatives`` also hands
+    # down the outcomes' ``_OutcomeTerms`` (``terms``), and every cell
+    # then carries its score and Hessian with its value (see "exact
+    # derivatives" above).
 
     def _nodes(self, pos: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node locations (cells, M, r) and log-corrections (cells, M) of
@@ -787,33 +800,112 @@ class LikelihoodEvaluator:
         adapts the levels inside it at the nodes evaluated, and its last
         one is at the rule it keeps (``adapt_locations``), so the inner
         levels are left adapted at its final nodes; a non-adaptive level
-        adapts the levels inside it at its own nodes. Each adaptation
-        starts warm, from the level's latest result: the previous
-        refresh's, or, for an inner level, the one at the previous
-        evaluation of the outer level. Only the first adaptation of an
-        evaluator, and a cell that fell back, start from the prior.
+        adapts the levels inside it at its own nodes. An adaptation starts
+        at the cells' exact posterior where the model gives it in closed
+        form (``_posterior``), else warm, from the level's latest result:
+        the previous refresh's, or, for an inner level, the one at the
+        previous evaluation of the outer level. Only the first adaptation
+        of an evaluator, and a cell that fell back, start from the prior.
 
-        Returns an adaptive level's log integral per unit and outer-node
-        combination (n_units, n_combos), as ``_integrate`` computes it at
-        the kept rule, bit for bit: the ``value`` of the adaptation's last
-        evaluation. None for a level that is not adaptive.
+        Returns the log integral per unit and outer-node combination
+        (n_units, n_combos) of an adaptive level inside an adaptive one,
+        whose adaptation reads it, as ``_integrate`` computes it at the
+        kept rule, bit for bit: the ``value`` of the adaptation's last
+        evaluation. None for any other level, whose adaptation then skips
+        its closing evaluation.
         """
         st = self.level_states[pos]
         if not st.adaptive:
             if pos + 1 < len(self.level_states):
                 self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
             return None
+        # only an inner level's values are read, by its parent's adaptation
+        read = pos > 0 and self.level_states[pos - 1].adaptive
         self.adapted[pos] = fit = adapt_locations(
             lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
             st.kernel,
             self.level_chol(st, theta),
             st.grid,
             np.repeat(st.active, st.n_combos),
-            start=self.adapted.get(pos),
+            start=self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos),
+            value=read,
         )
         self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
         self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
-        return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0)
+        return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
+
+    def _posterior_scope(self) -> bool:
+        """Whether adaptations start at the cells' exact posterior
+        (``_posterior``): some level is adaptive, every latent level has
+        one dimension and a normal kernel, and every outcome with rows is
+        Gaussian, summed per unit, with exactly one intercept at every
+        latent level. No option selects it.
+        """
+        levels = self.level_states
+        if not any(st.adaptive for st in levels) or any(st.info.dim != 1 or st.plan.dist != "normal" for st in levels):
+            return False
+        names = sorted(st.info.latent_names[0] for st in levels)
+        return all(
+            self.program.outcomes[k].family.per_cluster == "gaussian" and sorted(n for n, _ in seg.intercepts) == names
+            for k, seg in enumerate(self.segments)
+            if seg is not None
+        )
+
+    def _precisions(self, theta: np.ndarray, sums: dict) -> list:
+        """Per latent level, the precision w and mean m that the rows
+        below each unit give the sum of its own and its ancestors'
+        intercepts; w is 0 at units without rows below them. An innermost unit has w = sum_k n_k / sigma_k^2
+        over the outcomes and m the w-weighted mean of their mean residuals
+        r-bar (``_GaussianSums``). Integrating a unit's own value, of scale
+        tau, out passes its parent the precision 1 / (1/w + tau^2) about the
+        same m, and a parent sums its children's precisions and
+        precision-weighted means in order of value (``_into_parents``), so
+        that the sums do not depend on how units are labelled.
+        """
+        inner = self.level_states[-1]
+        w, wm = np.zeros(inner.n_units), np.zeros(inner.n_units)
+        for k in self.per_unit:
+            g, units = sums[k], self.segments[k].units
+            wk = g.n[:, 0] / (0.5 * g.scale * g.scale)
+            w[units] += wk
+            wm[units] += wk * g.mean[:, 0]
+        out = [None] * len(self.level_states)
+        for pos in range(len(self.level_states) - 1, -1, -1):
+            m = np.divide(wm, w, out=np.zeros_like(w), where=w > 0.0)
+            out[pos] = w, m
+            if pos:
+                tau = self.level_chol(self.level_states[pos], theta)[0, 0]
+                passed = 1.0 / (1.0 / w + tau * tau)
+                (parents,) = self._into_parents(pos, np.stack((passed, passed * m), axis=1))
+                w, wm = parents[:, 0], parents[:, 1]
+        return out
+
+    def _posterior(self, theta, pos: int, outer: list, sums: dict) -> Adaptation:
+        """The start of level ``pos``'s adaptation at the outer nodes
+        ``outer``: every cell's exact posterior (Liu & Pierce 1994,
+        *Biometrika* 81:624), at which the adaptation's first sweep finds a
+        step of rounding size. A cell of a unit with precision w and mean m
+        (``_precisions``, formed once per entry point and kept in ``sums``),
+        at level scale tau and with o the sum of its ancestors' node values
+        at its combination, which ``_row_sums`` adds into L, has the mean
+        w (m - o) / P and the scale 1 / sqrt(P), P = w + 1/tau^2. A cell
+        where either is not finite or the scale is 0 is flagged, so that
+        it starts from the prior.
+        """
+        if "precisions" not in sums:
+            sums["precisions"] = self._precisions(theta, sums)
+        st = self.level_states[pos]
+        w, m = sums["precisions"][pos]
+        tau = self.level_chol(st, theta)[0, 0]
+        o, units = np.zeros((st.n_units, st.n_combos)), np.arange(st.n_units)
+        for j in range(pos - 1, -1, -1):
+            units = self.level_states[j + 1].parent[units]
+            o += outer[j][units][:, np.arange(st.n_combos) // (st.n_combos // outer[j].shape[1]), 0]
+        precision = (w + 1.0 / (tau * tau))[:, None]
+        shift = (w[:, None] * (m[:, None] - o) / precision).reshape(-1, 1)
+        scale = np.broadcast_to(1.0 / np.sqrt(precision), o.shape).reshape(-1, 1, 1)
+        exact = np.isfinite(shift[:, 0]) & np.isfinite(scale[:, 0, 0]) & (scale[:, 0, 0] > 0.0)
+        return Adaptation(shift, scale, None, ~exact, None, None)
 
     def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
         st = self.level_states[pos]

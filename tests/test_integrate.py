@@ -388,6 +388,14 @@ class TestAdaptLocations:
             expect = logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x))
         assert np.isfinite(expect).all()
         assert fit.value.tobytes() == expect.tobytes()
+        # a caller that does not read the value gets the same rule without
+        # the closing evaluation
+        calls.clear()
+        active = np.array([True, True, False])
+        unread = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=2, value=False)
+        assert len(calls) == 2 and unread.value is None
+        for name, got, want in zip(Adaptation._fields[:5], unread, fit):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_t_kernel_requires_df_above_two(self):
         kern = ReKernel(1, dist="t", df=2)

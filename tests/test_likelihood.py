@@ -354,18 +354,39 @@ class TestPlans:
 
 class TestProfileReport:
     def test_capped_cells_are_listed(self):
-        # posteriors far in the prior's tail: every cell stops at the
+        # posteriors far in the prior's tail: counts of thousands put every
+        # cluster's intercept about 150 prior scales out, under a posterior
+        # far narrower than the prior, so every cell stops at the
         # 20-iteration limit, unconverged and not flagged as a fallback
-        prog = make(gaussian_cluster_data(), "(y x M1[id], family(gaussian))")
+        data = gaussian_cluster_data()
+        prog = make(dict(data, y=np.round(np.exp(data["y"] + 7.0))), "(y x M1[id], family(poisson))")
         plan = default_plan(prog, points=15)
         far, near = LikelihoodEvaluator(prog, plan), LikelihoodEvaluator(prog, plan)
-        far.refresh(np.array([2.7, -2.82, -2.69, -2.87]))
+        far.refresh(np.array([2.7, -2.82, -2.87]))
         report = far.profile_report()
         assert report["adaptation_fallbacks"] == []
         assert report["adaptation_capped"] == [("id", unit, 0) for unit in range(12)]
         assert all(report["adaptation_iterations"][key] == 20 for key in report["adaptation_capped"])
         near.refresh(initial_values(prog))
         assert near.profile_report()["adaptation_capped"] == []
+
+    def test_far_gaussian_cells_start_at_their_posterior(self):
+        # the same far-off posteriors under a Gaussian outcome, where they
+        # are normal and known in closed form: every cell starts there and
+        # converges at its first sweep, and the log-likelihood is the
+        # closed form's (iterated from the prior, all 12 cells capped and
+        # it read -92118.45 against -39645.55)
+        data = gaussian_cluster_data()
+        prog = make(data, "(y x M1[id], family(gaussian))")
+        theta = np.array([2.7, -2.82, -2.69, -2.87])
+        ev = LikelihoodEvaluator(prog, default_plan(prog, points=15))
+        ev.refresh(theta)
+        expect = cluster_marginal(data, theta)
+        assert abs(ev.logl(theta) - expect) <= 1e-8 * abs(expect)
+        report = ev.profile_report()
+        assert report["adaptation_capped"] == [] and report["adaptation_fallbacks"] == []
+        assert report["adaptation_sweeps"] == {"id": 1}
+        assert set(report["adaptation_iterations"].values()) == {1}
 
     def test_node_counts_two_effects(self):
         rng = np.random.default_rng(12)
@@ -944,10 +965,17 @@ class TestWarmAdaptation:
         cold.refresh(moved)
         expect = cold.logl(moved)
         assert abs(warm.logl(moved) - expect) <= 1e-10 * abs(expect)
-        # from the previous refresh's result: fewer passes than from the prior
         sweeps = warm.profile_report()["adaptation_sweeps"]
         cold_sweeps = cold.profile_report()["adaptation_sweeps"]
-        assert all(sweeps[name] - first[name] < cold_sweeps[name] for name in sweeps)
+        if warm.posterior_start:
+            # every adaptation, warm or cold, starts at the cells' exact
+            # posterior and takes one sweep
+            assert first == cold_sweeps == per_refresh
+            assert {name: n - first[name] for name, n in sweeps.items()} == per_refresh
+            assert set(cold.profile_report()["adaptation_iterations"].values()) == {1}
+        else:
+            # from the previous refresh's result: fewer passes than from the prior
+            assert all(sweeps[name] - first[name] < cold_sweeps[name] for name in sweeps)
         # at an unchanged theta every cell is converged at its first pass
         warm.refresh(moved)
         rep = warm.profile_report()
@@ -1187,10 +1215,17 @@ class TestPerClusterPath:
         scales += data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 1000.0]), min_size=4, max_size=4))
         offsets = data.draw(hnp.arrays(float, (5, prog.n_params), elements=st.floats(-1.0, 1.0)))
         adapt_at, *vectors = start + np.asarray(scales)[:, None] * offsets
-        values = {}
+        values, first = {}, None
         for name, p, pl in (("per_cluster", prog, plan), ("rows", twin, twin_plan)):
             ev = LikelihoodEvaluator(p, pl)
-            ev.refresh(adapt_at)
+            if first is not None and first.posterior_start:
+                # an exact start adapts the per-cluster form to a rule up to
+                # the tolerance away from the row form's iterated one: give
+                # the twin that rule, so that both forms evaluate at one rule
+                ev.adapted, ev.placed = dict(first.adapted), dict(first.placed)
+            else:
+                ev.refresh(adapt_at)
+            first = first or ev
             values[name] = np.array([ev.logl(x) for x in vectors])
             # on two threads, as maximize's pool evaluates probes: the same bits
             with optim._thread_pool(2) as pool:
@@ -1668,6 +1703,8 @@ class TestGaussianIntercepts:
         assert abs(marginal_logl(prog, plan, theta) - exact) <= 1e-10 * abs(exact)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta)
+        # every adaptation starts at the cells' exact posterior: one sweep
+        assert set(ev.profile_report()["adaptation_iterations"].values()) == {1}
         value, score, info = ev.derivatives(theta)
         assert _relative_gap(score, _extrapolated(optim.fd_gradient, oracle, theta, 1)) <= 1e-6
         assert _relative_gap(-info, _extrapolated(_second_differences, oracle, theta, 2)) <= 1e-6

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "pass_times.py"
 # one round of one call per entry point, this checkout on both sides
@@ -18,11 +20,42 @@ def test_one_checkout_times_its_tiny_cases():
     assert header.split() == ["case/entry", "point", "parent", "ms", "change", "ms", "ratio"]
     times = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
     # every workload fitted in-process, and rp_replicates fitted here
-    # in-process: exact models time their pass as well
+    # in-process: exact models time their pass as well, and every case a
+    # refresh that re-adapts
     for case in ("frailty_qmc", "nested3_aghq", "rp_replicates"):
-        assert {f"{case}/{entry}" for entry in ("derivatives", "logl", "refresh")} <= times.keys()
-    assert {"joint_ev/logl", "joint_ev/refresh"} <= times.keys() and "joint_ev/derivatives" not in times
+        assert {f"{case}/{entry}" for entry in ("derivatives", "logl", "refresh", "readapt")} <= times.keys()
+    assert {"joint_ev/logl", "joint_ev/refresh", "joint_ev/readapt"} <= times.keys()
+    assert "joint_ev/derivatives" not in times
     assert all(value > 0 for row in times.values() for value in row)
+
+
+def test_readapt_alternates_between_two_vectors(monkeypatch):
+    # each readapt call refreshes at the other vector: the timed one and
+    # the one READAPT_STEP away in every coordinate, in turn
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import pass_times
+
+    seen = []
+
+    class Evaluator:
+        exact = False
+
+        def refresh(self, theta):
+            seen.append(theta.copy())
+
+        def logl(self, theta):
+            return 0.0
+
+    monkeypatch.setattr(pass_times, "cases", lambda *args: {"case": ("spec", {}, {})})
+    monkeypatch.setattr(pass_times, "evaluator", lambda *args: Evaluator())
+    monkeypatch.setattr(pass_times.os, "sched_setaffinity", lambda *args: None)
+    theta = np.array([0.5, -1.0])
+    times = pass_times.time_side(ROOT, True, {"case": theta.tolist()}, calls=2, repeats=2, names=None)
+    assert set(times) == {"case/logl", "case/refresh", "case/readapt"}
+    # one refresh to adapt, 4 timed at the vector, then 4 that alternate
+    assert len(seen) == 9 and all(np.array_equal(v, theta) for v in seen[:5])
+    for i, v in enumerate(seen[5:]):
+        np.testing.assert_array_equal(v, theta + pass_times.READAPT_STEP if i % 2 == 0 else theta)
 
 
 def test_cases_times_only_the_named_cases():

@@ -11,9 +11,14 @@ the options the workload's fit passes, and ``derivatives`` (where the
 model has exact derivatives), ``logl`` and ``refresh`` are timed at the
 parent's optimum of that data set, the same vector on both sides;
 ``--tiny`` takes the workloads' TINY sizes and their start values
-instead, so that nothing is fitted. ``--cases`` times only the named
-cases (say ``--cases frailty_qmc,rp_replicates``); an unknown name is an
-error.
+instead, so that nothing is fitted. A ``refresh`` at the vector it has
+just adapted to finds every cell converged at its first sweep, so one
+more entry, ``readapt``, times ``refresh`` alternating between the
+vector and a nearby one, ``READAPT_STEP`` away in every coordinate (the
+size of a middle Newton step of a ``nested3_aghq`` fit), so that each
+call re-adapts the cells as a fit's refresh does. ``--cases`` times
+only the named cases (say ``--cases frailty_qmc,rp_replicates``); an
+unknown name is an error.
 
 Each round runs the timing once per side, each in a subprocess of its
 own that imports that side's ``src/hiermix`` and ``perfbench/``, pins
@@ -29,6 +34,7 @@ ratio of the change's to the parent's. It only reads ``perfbench/``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -39,6 +45,8 @@ import time
 from pathlib import Path
 
 SEED = 5
+# the nearby vector of ``readapt``: this far from the timed one in every coordinate
+READAPT_STEP = 0.05
 # timed single-threaded, as perfbench/run.py fits
 BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -132,7 +140,8 @@ def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int
             theta = np.array(thetas[name])
             ev.refresh(theta)
             entries = {"derivatives": ev.derivatives} if ev.exact else {}
-            entries.update(logl=ev.logl, refresh=ev.refresh)
+            vectors = itertools.cycle((theta + READAPT_STEP, theta))
+            entries.update(logl=ev.logl, refresh=ev.refresh, readapt=lambda _: ev.refresh(next(vectors)))
             for entry, fn in entries.items():
                 best = float("inf")
                 for _ in range(repeats):
