@@ -10,6 +10,7 @@ command-line usage error included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -278,7 +279,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built once per process: parsing leaves
+    it as it was."""
     parser = _Parser(
         prog="hiermix",
         description="Fit multilevel, multivariate mixed-effects and survival models by maximum marginal likelihood.",
@@ -297,8 +301,12 @@ def main(argv=None) -> int:
     p_check.add_argument("--points2", help="escalated quadrature points (default: points + 8)")
     p_check.add_argument("--draws2", help="escalated draw count (default: draws * 4)")
     p_check.set_defaults(func=cmd_check)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, SpecSyntaxError, SpecValidationError, DataError, SimulationError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

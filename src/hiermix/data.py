@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,10 @@ class DataFrame:
 def load_csv(path, columns: list[str] | None = None) -> DataFrame:
     """Read a comma-delimited file with a header row.
 
-    Empty cells become missing. Non-numeric cells are an error when the
-    column is in ``columns`` (or later, when first referenced). A
-    non-empty header name that appears twice is an error.
+    A cell is read by ``float()`` once stripped; empty cells and "."
+    become missing. Non-numeric cells are an error, naming a column's
+    first, when the column is in ``columns`` (or later, when first
+    referenced). A non-empty header name that appears twice is an error.
     """
     try:
         fh = open(path, newline="")
@@ -66,29 +68,25 @@ def load_csv(path, columns: list[str] | None = None) -> DataFrame:
         for j, name in enumerate(header):
             if name and name in header[:j]:
                 raise DataError(f"{path}: column {name!r} appears twice in the header")
-        raw: list[list[str]] = [[] for _ in header]
+        rows = []
         for i, cells in enumerate(reader):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             if len(cells) != len(header):
                 raise DataError(f"{path}: row {i + 1} has {len(cells)} fields, header has {len(header)}")
-            for j, cell in enumerate(cells):
-                raw[j].append(cell.strip())
+            rows.append(cells)
     cols: dict[str, np.ndarray] = {}
     bad: dict[str, tuple[int, str]] = {}
-    for name, cells in zip(header, raw):
-        vals = np.empty(len(cells))
+    for name, cells in zip(header, zip(*rows) if rows else [()] * len(header)):
+        vals = []
         for i, cell in enumerate(cells):
-            if cell == "" or cell == ".":
-                vals[i] = np.nan
-            else:
-                try:
-                    vals[i] = float(cell)
-                except ValueError:
-                    if name not in bad:
-                        bad[name] = (i + 1, cell)
-                    vals[i] = np.nan
-        cols[name] = vals
+            cell = cell.strip()
+            try:
+                vals.append(float(cell) if cell and cell != "." else math.nan)
+            except ValueError:
+                bad.setdefault(name, (i + 1, cell))
+                vals.append(math.nan)
+        cols[name] = np.array(vals, dtype=float)
     frame = DataFrame(cols, bad)
     if columns:
         for name in columns:

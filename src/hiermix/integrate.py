@@ -343,8 +343,10 @@ def adapt_locations(
     cells' exact posterior where it has a closed form (of ``start`` only
     shift, scale and fallback are read). A cell flagged as a fallback
     there starts at (0, prior scale). A cell started at the mean and
-    scale of a normal posterior converges at its first sweep, whose rule
-    integrates it exactly.
+    scale of a normal posterior finds a step of rounding size at its
+    first sweep and keeps that start, whose rule integrates it exactly;
+    so ``likelihood`` places a level there without a sweep where every
+    active cell's closed-form start is finite.
     """
     if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
         raise ValueError("mean-variance adaptation needs t df > 2")

@@ -13,27 +13,33 @@ Adaptive levels are re-adapted by ``refresh``, once per Newton
 iteration. The evaluator keeps each level's latest per-cell shifts and
 scales (``adapted``) and the nodes they place (``placed``), which calls
 read until the next refresh, placed, weighed and reduced with the
-adaptation's own code (``integrate``): a cell falls back, to the
-prior's rule, where a call at the rule being adapted would read its log
-integral as not finite. An inner level of nested quadrature is
-re-adapted at every evaluation of the outer level's adaptation. An
-adaptation ends at the rule its last evaluation was at
-(``adapt_locations``), so the outer level's last evaluation leaves the
-inner levels adapted at its final nodes, and each evaluation reads the
-inner levels' integrals from their adaptations' last evaluations, bit
-for bit those a call computes, instead of integrating them again; an
-outermost level's closing evaluation, which nothing would read, is not
-run.
+adaptation's own code (``integrate``).
 
 Where every outcome's conditional log-likelihood is quadratic in every
 latent value (Gaussian outcomes summed per unit, one intercept at every
-level, normal kernels: ``_posterior_scope``), each adaptation starts at
-the cells' exact posterior, formed in closed form once per refresh
-(``_precisions``, ``_posterior``); its first sweep then finds a step of
-rounding size and ends. Every other model's adaptation is
-warm-started, as in Rabe-Hesketh, Skrondal & Pickles (2005): from the
-level's previous result, that of the previous refresh or, for an inner
-level, that at the previous evaluation of the outer level's
+level, normal kernels: ``_posterior_scope``), the adapted rule is the
+cells' exact posterior, formed in closed form once per refresh
+(``_precisions``, ``_posterior``). Each level's nodes are placed there,
+outermost level first and each inner level at the outer level's placed
+nodes: a refresh runs no sweep and evaluates no conditional. The rule
+placed is a fixed point of the mean-variance sweeps, which, started
+there, find a step of rounding size and keep it. A level where some
+active cell's closed-form start is not finite adapts by sweeps from it
+instead, that cell from the prior.
+
+Every other model adapts by sweeps (``adapt_locations``): a cell falls
+back, to the prior's rule, where a call at the rule being adapted would
+read its log integral as not finite. An inner level of nested
+quadrature is re-adapted at every evaluation of the outer level's
+adaptation. An adaptation ends at the rule its last evaluation was at,
+so the outer level's last evaluation leaves the inner levels adapted at
+its final nodes, and each evaluation reads the inner levels' integrals
+from their adaptations' last evaluations, bit for bit those a call
+computes, instead of integrating them again; an outermost level's
+closing evaluation, which nothing would read, is not run. The sweeps
+are warm-started, as in Rabe-Hesketh, Skrondal & Pickles (2005): from
+the level's previous result, that of the previous refresh or, for an
+inner level, that at the previous evaluation of the outer level's
 adaptation. Cells keep one canonical order from construction on, so the
 shapes always match; a cell that fell back in its latest adaptation,
 and every cell at the evaluator's first, start from the prior.
@@ -279,7 +285,15 @@ class _LevelState:
                 up = hierarchy.parent[lvl][up]
             self.parent = up
             self.parent_starts = np.flatnonzero(np.diff(np.sort(up), prepend=-1))
+        # per latent level outside, innermost first: its unit above each
+        # unit, as a column, and its node column at each combination, in
+        # its nodes (units, combinations x nodes, dim) (``_posterior``)
+        combos = np.arange(self.n_combos)
+        self.ancestors = [] if outer is None else [(up[:, None], combos)] + [
+            (units[up], columns[combos // outer.m]) for units, columns in outer.ancestors
+        ]
         self.active: np.ndarray | None = None  # units with rows anywhere below them
+        self.cells: np.ndarray | None = None  # cells of those units
 
 
 class _Segments(NamedTuple):
@@ -428,7 +442,7 @@ class LikelihoodEvaluator:
         # grow. The thresholds are process-wide and only rise; other
         # allocators just free the block.
         np.empty(1 << 21)
-        self.adapted: dict[int, Adaptation] = {}  # level position -> latest adapt_locations result
+        self.adapted: dict[int, Adaptation] = {}  # level position -> latest adaptation, swept or placed
         self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
@@ -485,6 +499,8 @@ class LikelihoodEvaluator:
             st, outer = self.level_states[pos], self.level_states[pos - 1]
             outer.active = np.zeros(outer.n_units, dtype=bool)
             outer.active[st.parent[st.active]] = True
+        for st in self.level_states:
+            st.cells = np.repeat(st.active, st.n_combos)
 
     def _unit_sums(self, theta: np.ndarray, k: int, derivatives: bool = False):
         """The sums of outcome k, which has intercepts, over each
@@ -611,9 +627,10 @@ class LikelihoodEvaluator:
     # -- public entry points --------------------------------------------
 
     def refresh(self, theta: np.ndarray) -> bool:
-        """Recompute the per-cell adaptive transforms at theta, starting
-        from the previous ones (see ``_adapt``). Returns whether any level
-        is adaptive, i.e. whether the objective may have changed.
+        """Recompute the per-cell adaptive transforms at theta: placed at
+        the cells' closed-form posterior, or adapted by sweeps from the
+        previous ones (see ``_adapt``). Returns whether any level is
+        adaptive, i.e. whether the objective may have changed.
         """
         theta = np.asarray(theta, dtype=float)
         if not any(st.adaptive for st in self.level_states):
@@ -794,48 +811,56 @@ class LikelihoodEvaluator:
             corr = log_correction(st.grid, st.kernel, chol, x, float(np.log(np.diag(chol)).sum()))
         return np.broadcast_to(x[None], (st.n_cells,) + x.shape), np.broadcast_to(corr[None], (st.n_cells, st.m))
 
-    def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict) -> np.ndarray | None:
-        """Adapt level ``pos`` at the given outer nodes, and keep the nodes
-        it places (``placed``). Each evaluation of an adaptive level
-        adapts the levels inside it at the nodes evaluated, and its last
-        one is at the rule it keeps (``adapt_locations``), so the inner
-        levels are left adapted at its final nodes; a non-adaptive level
-        adapts the levels inside it at its own nodes. An adaptation starts
-        at the cells' exact posterior where the model gives it in closed
-        form (``_posterior``), else warm, from the level's latest result:
-        the previous refresh's, or, for an inner level, the one at the
-        previous evaluation of the outer level. Only the first adaptation
-        of an evaluator, and a cell that fell back, start from the prior.
+    def _adapt(self, theta: np.ndarray, pos: int, outer: list, sums: dict, read: bool = False) -> np.ndarray | None:
+        """Adapt level ``pos`` at the given outer nodes, keep the nodes it
+        places (``placed``), and leave the levels inside it adapted at them.
 
-        Returns the log integral per unit and outer-node combination
-        (n_units, n_combos) of an adaptive level inside an adaptive one,
-        whose adaptation reads it, as ``_integrate`` computes it at the
-        kept rule, bit for bit: the ``value`` of the adaptation's last
-        evaluation. None for any other level, whose adaptation then skips
-        its closing evaluation.
+        In the scope of ``posterior_start`` the level is placed at its
+        cells' closed-form posterior (``_posterior``): no sweep runs, no
+        conditional is evaluated and every cell reports 0 iterations; the
+        levels inside are then placed at its nodes. A level where some
+        active cell's closed-form start is not finite adapts by sweeps from
+        it instead (``adapt_locations``), that cell from the prior. Every
+        other model's level sweeps warm, from its latest result: the
+        previous refresh's, or, for an inner level, the one at the previous
+        evaluation of the outer level (from the prior at the evaluator's
+        first adaptation, and for a cell that fell back). Each evaluation
+        of a sweep adapts the levels inside at the nodes evaluated, and the
+        last is at the rule kept; a non-adaptive level adapts them at its
+        own nodes.
+
+        With ``read`` (an adaptive level inside a sweeping one), a level
+        that swept returns its log integral per unit and outer-node
+        combination (n_units, n_combos), bit for bit ``_integrate``'s at
+        the kept rule: its adaptation's last ``value``. Otherwise it
+        returns None, and its reader integrates a placed level; without
+        ``read`` the adaptation skips its closing evaluation.
         """
         st = self.level_states[pos]
-        if not st.adaptive:
-            if pos + 1 < len(self.level_states):
-                self._adapt(theta, pos + 1, outer + [self._as_outer(pos, self._nodes(pos, theta)[0])], sums)
-            return None
-        # only an inner level's values are read, by its parent's adaptation
-        read = pos > 0 and self.level_states[pos - 1].adaptive
-        self.adapted[pos] = fit = adapt_locations(
-            lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
-            st.kernel,
-            self.level_chol(st, theta),
-            st.grid,
-            np.repeat(st.active, st.n_combos),
-            start=self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos),
-            value=read,
-        )
-        self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
-        self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
-        return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
+        if st.adaptive:
+            start = self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos)
+            if not self.posterior_start or start.fallback.any():
+                self.adapted[pos] = fit = adapt_locations(
+                    lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
+                    st.kernel,
+                    self.level_chol(st, theta),
+                    st.grid,
+                    st.cells,
+                    start=start,
+                    value=read,
+                )
+                self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
+                self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
+                return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
+            self.adapted[pos] = start
+            self.placed[pos] = place_nodes(st.nodes, start.shift, start.scale)
+        if pos + 1 < len(self.level_states):
+            x = self.placed[pos][0] if st.adaptive else self._nodes(pos, theta)[0]
+            self._adapt(theta, pos + 1, outer + [self._as_outer(pos, x)], sums)
+        return None
 
     def _posterior_scope(self) -> bool:
-        """Whether adaptations start at the cells' exact posterior
+        """Whether adaptive levels are placed at the cells' exact posterior
         (``_posterior``): some level is adaptive, every latent level has
         one dimension and a normal kernel, and every outcome with rows is
         Gaussian, summed per unit, with exactly one intercept at every
@@ -854,13 +879,14 @@ class LikelihoodEvaluator:
     def _precisions(self, theta: np.ndarray, sums: dict) -> list:
         """Per latent level, the precision w and mean m that the rows
         below each unit give the sum of its own and its ancestors'
-        intercepts; w is 0 at units without rows below them. An innermost unit has w = sum_k n_k / sigma_k^2
-        over the outcomes and m the w-weighted mean of their mean residuals
-        r-bar (``_GaussianSums``). Integrating a unit's own value, of scale
-        tau, out passes its parent the precision 1 / (1/w + tau^2) about the
-        same m, and a parent sums its children's precisions and
-        precision-weighted means in order of value (``_into_parents``), so
-        that the sums do not depend on how units are labelled.
+        intercepts; w is 0 at units without rows below them. An innermost
+        unit has w = sum_k n_k / sigma_k^2 over the outcomes and m the
+        w-weighted mean of their mean residuals r-bar (``_GaussianSums``).
+        Integrating a unit's own value, of scale tau, out passes its parent
+        the precision 1 / (1/w + tau^2) about the same m, and a parent sums
+        its children's precisions and precision-weighted means in order of
+        value, each sorted apart, as ``_into_parents`` sorts its columns,
+        so that the sums do not depend on how units are labelled.
         """
         inner = self.level_states[-1]
         w, wm = np.zeros(inner.n_units), np.zeros(inner.n_units)
@@ -874,38 +900,42 @@ class LikelihoodEvaluator:
             m = np.divide(wm, w, out=np.zeros_like(w), where=w > 0.0)
             out[pos] = w, m
             if pos:
-                tau = self.level_chol(self.level_states[pos], theta)[0, 0]
+                st = self.level_states[pos]
+                tau = self.level_chol(st, theta)[0, 0]
                 passed = 1.0 / (1.0 / w + tau * tau)
-                (parents,) = self._into_parents(pos, np.stack((passed, passed * m), axis=1))
-                w, wm = parents[:, 0], parents[:, 1]
+                w, wm = [np.add.reduceat(v[np.lexsort((v, st.parent))], st.parent_starts) for v in (passed, passed * m)]
         return out
 
     def _posterior(self, theta, pos: int, outer: list, sums: dict) -> Adaptation:
-        """The start of level ``pos``'s adaptation at the outer nodes
-        ``outer``: every cell's exact posterior (Liu & Pierce 1994,
-        *Biometrika* 81:624), at which the adaptation's first sweep finds a
-        step of rounding size. A cell of a unit with precision w and mean m
-        (``_precisions``, formed once per entry point and kept in ``sums``),
-        at level scale tau and with o the sum of its ancestors' node values
-        at its combination, which ``_row_sums`` adds into L, has the mean
-        w (m - o) / P and the scale 1 / sqrt(P), P = w + 1/tau^2. A cell
-        where either is not finite or the scale is 0 is flagged, so that
-        it starts from the prior.
+        """Level ``pos``'s cells' exact posterior at the outer nodes
+        ``outer`` (Liu & Pierce 1994, *Biometrika* 81:624), as an
+        adaptation at which every cell has taken 0 sweeps: the rule that
+        ``_adapt`` places, and at which ``adapt_locations``, started there,
+        finds a step of rounding size. A cell of a unit with precision w
+        and mean m (``_precisions``, formed once per entry point and kept
+        in ``sums``), at level scale tau and with o the sum of its
+        ancestors' node values at its combination (``ancestors``), which
+        ``_row_sums`` adds into L, has the mean w (m - o) / P and the scale
+        1 / sqrt(P), P = w + 1/tau^2. An inactive cell is at (0, tau), as
+        ``adapt_locations`` leaves it; an active one where either value is
+        not finite or the scale is 0 is flagged as a fallback, so that an
+        adaptation started here starts it from the prior.
         """
         if "precisions" not in sums:
             sums["precisions"] = self._precisions(theta, sums)
         st = self.level_states[pos]
         w, m = sums["precisions"][pos]
         tau = self.level_chol(st, theta)[0, 0]
-        o, units = np.zeros((st.n_units, st.n_combos)), np.arange(st.n_units)
-        for j in range(pos - 1, -1, -1):
-            units = self.level_states[j + 1].parent[units]
-            o += outer[j][units][:, np.arange(st.n_combos) // (st.n_combos // outer[j].shape[1]), 0]
+        o = np.zeros((st.n_units, st.n_combos))
+        for (units, combos), x in zip(st.ancestors, reversed(outer)):
+            o += x[units, combos, 0]
         precision = (w + 1.0 / (tau * tau))[:, None]
         shift = (w[:, None] * (m[:, None] - o) / precision).reshape(-1, 1)
-        scale = np.broadcast_to(1.0 / np.sqrt(precision), o.shape).reshape(-1, 1, 1)
+        scale = np.repeat(1.0 / np.sqrt(precision), st.n_combos, axis=1).reshape(-1, 1, 1)
+        shift[~st.cells], scale[~st.cells] = 0.0, tau
         exact = np.isfinite(shift[:, 0]) & np.isfinite(scale[:, 0, 0]) & (scale[:, 0, 0] > 0.0)
-        return Adaptation(shift, scale, None, ~exact, None, None)
+        iterations, capped = np.zeros(st.n_cells, dtype=int), np.zeros(st.n_cells, dtype=bool)
+        return Adaptation(shift, scale, iterations, st.cells & ~exact, capped, None)
 
     def _as_outer(self, pos: int, x: np.ndarray) -> np.ndarray:
         st = self.level_states[pos]
@@ -916,9 +946,9 @@ class LikelihoodEvaluator:
         cell of level ``pos``, at its node locations ``x``; with
         ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
         there, for a level outside the innermost. With ``refresh``, the
-        levels inside are adapted at ``x`` first (``_adapt``), and an
-        adaptive child level's integrals are its adaptation's values, not
-        integrated again.
+        levels inside are adapted at ``x`` first (``_adapt``), and the
+        integrals of an adaptive child level that swept are its
+        adaptation's values, not integrated again.
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
@@ -927,7 +957,7 @@ class LikelihoodEvaluator:
                 cond[:, c0:c1] = ll
             return (cond.reshape(-1, st.m),)
         inner_outer = outer + [self._as_outer(pos, x)]
-        value = self._adapt(theta, pos + 1, inner_outer, sums) if refresh else None
+        value = self._adapt(theta, pos + 1, inner_outer, sums, read=True) if refresh else None
         child = (value,) if value is not None else self._integrate(theta, pos + 1, inner_outer, sums, terms)
         return tuple(v.reshape((-1, st.m) + v.shape[2:]) for v in self._into_parents(pos + 1, *child))
 
@@ -1268,10 +1298,11 @@ class LikelihoodEvaluator:
         ``adaptation_capped`` describe the latest adaptation of each cell,
         the last listing the cells it left at ``adapt_locations``'
         iteration limit with their step still at or above its tolerance;
-        ``adaptation_sweeps`` counts, per
-        adaptive level, the passes over its cells of every adaptation
-        since the evaluator was built; an adaptation's closing evaluation,
-        with no update, is not one.
+        a cell placed at its closed-form posterior took 0 iterations.
+        ``adaptation_sweeps`` counts, per adaptive level, the passes over
+        its cells of every adaptation since the evaluator was built; an
+        adaptation's closing evaluation, with no update, is not one, and a
+        placement adds none.
         """
         levels = {}
         for st in self.level_states:
@@ -1287,7 +1318,7 @@ class LikelihoodEvaluator:
         iterations, fallbacks, capped = {}, [], []
         for pos, fit in sorted(self.adapted.items()):
             st = self.level_states[pos]
-            for cell in np.flatnonzero(np.repeat(st.active, st.n_combos)):
+            for cell in np.flatnonzero(st.cells):
                 key = (st.info.name, *divmod(int(cell), st.n_combos))
                 iterations[key] = int(fit.iterations[cell])
                 if fit.fallback[cell]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hiermix as hm
+import hiermix.cli as cli
 import hiermix.optim as optim
 from hiermix.cli import main
 from hiermix.data import load_csv
@@ -536,6 +537,21 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}\nusage: hiermix")
+
+    def test_one_parser_serves_every_call(self, frailty_csv, tmp_path, capsys):
+        # the parser is built once per process and a call leaves it as it
+        # was: a usage error reads the same bytes before and after a fit,
+        # and as from a parser built afresh
+        argv = ["fit", "--spec", SPEC, "--data", "d.csv", "--bogus", "1"]
+        assert main(argv) == 3
+        before = capsys.readouterr().err
+        assert main(["fit", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(tmp_path / "a.txt"), "--quiet"]) == 0
+        assert main(argv) == 3
+        assert capsys.readouterr().err == before
+        assert cli._parser() is cli._parser()
+        with pytest.raises(cli._UsageError) as fresh:
+            cli._parser.__wrapped__().parse_args(argv)
+        assert before == f"error: {fresh.value}\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -51,6 +52,23 @@ class TestLoadCsv:
         p.write_text("y,x\n1,\n,2\n")
         frame = load_csv(p)
         assert np.isnan(frame.col("x")[0]) and np.isnan(frame.col("y")[1])
+
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        # padded cells, "." and blanks, and float()'s own forms; a column's
+        # first bad cell is the one reported, and a header-only file still
+        # has its columns
+        p = tmp_path / "forms.csv"
+        p.write_text("a,b,c\n 1e3 ,.,x\n-0.0,  ,y\n1_5,inf,3\n")
+        frame = load_csv(p)
+        a, b = frame.col("a"), frame.col("b")
+        assert a.tolist() == [1000.0, 0.0, 15.0] and math.copysign(1.0, a[1]) == -1.0
+        assert np.isnan(b[:2]).all() and b[2] == np.inf
+        assert a.dtype == b.dtype == np.float64
+        with pytest.raises(DataError, match="column 'c' has non-numeric value 'x' at data row 1"):
+            frame.col("c")
+        p.write_text("a,b\n")
+        frame = load_csv(p)
+        assert frame.names == ["a", "b"] and frame.col("a").shape == (0,) and frame.col("a").dtype == np.float64
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

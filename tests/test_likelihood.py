@@ -21,6 +21,7 @@ import hiermix.likelihood as likelihood
 import hiermix.optim as optim
 from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
+from hiermix.integrate import adapt_locations
 from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, logsumexp
 from hiermix.cli import main
 from hiermix.optim import initial_values
@@ -352,6 +353,35 @@ class TestPlans:
             default_plan(prog, skip=-20)
 
 
+def _assert_placed_at_a_fixed_point(ev: LikelihoodEvaluator, theta: np.ndarray) -> None:
+    """Assert that every level of an evaluator refreshed at theta was
+    placed at its cells' closed-form posterior, with 0 sweeps, at a fixed
+    point of the sweeps: ``adapt_locations`` started at the placed rule,
+    with the levels inside it at theirs, returns that rule bit for bit,
+    with 1 iteration at every active cell; and that a refresh at theta
+    places the same nodes and adds 0 to ``conditional_evaluations``."""
+    sums, outer = ev._all_sums(theta), []
+    for pos, st in enumerate(ev.level_states):
+        placed = ev.adapted[pos]
+        assert not placed.iterations.any() and not placed.fallback.any() and not placed.capped.any()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fit = adapt_locations(
+                lambda x: ev._conditional(theta, pos, outer, x, sums)[0],
+                st.kernel,
+                ev.level_chol(st, theta),
+                st.grid,
+                st.cells,
+                start=placed,
+            )
+        assert fit.shift.tobytes() == placed.shift.tobytes() and fit.scale.tobytes() == placed.scale.tobytes()
+        assert (fit.iterations == st.cells).all() and not fit.fallback.any() and not fit.capped.any()
+        outer = outer + [ev._as_outer(pos, ev.placed[pos][0])]
+    evaluations, nodes = ev.profile_report()["conditional_evaluations"], [x.tobytes() for x, _ in ev.placed.values()]
+    ev.refresh(theta)
+    assert ev.profile_report()["conditional_evaluations"] == evaluations
+    assert [x.tobytes() for x, _ in ev.placed.values()] == nodes
+
+
 class TestProfileReport:
     def test_capped_cells_are_listed(self):
         # posteriors far in the prior's tail: counts of thousands put every
@@ -372,10 +402,10 @@ class TestProfileReport:
 
     def test_far_gaussian_cells_start_at_their_posterior(self):
         # the same far-off posteriors under a Gaussian outcome, where they
-        # are normal and known in closed form: every cell starts there and
-        # converges at its first sweep, and the log-likelihood is the
-        # closed form's (iterated from the prior, all 12 cells capped and
-        # it read -92118.45 against -39645.55)
+        # are normal and known in closed form: every cell is placed there,
+        # a fixed point of the sweeps, without a sweep, and the
+        # log-likelihood is the closed form's (iterated from the prior, all
+        # 12 cells capped and it read -92118.45 against -39645.55)
         data = gaussian_cluster_data()
         prog = make(data, "(y x M1[id], family(gaussian))")
         theta = np.array([2.7, -2.82, -2.69, -2.87])
@@ -385,8 +415,34 @@ class TestProfileReport:
         assert abs(ev.logl(theta) - expect) <= 1e-8 * abs(expect)
         report = ev.profile_report()
         assert report["adaptation_capped"] == [] and report["adaptation_fallbacks"] == []
+        assert report["adaptation_sweeps"] == {"id": 0}
+        assert set(report["adaptation_iterations"].values()) == {0}
+        _assert_placed_at_a_fixed_point(ev, theta)
+
+    def test_non_finite_closed_form_start_sweeps(self):
+        # cluster 3's residuals sum past the float range, so its
+        # closed-form start is not finite: the level adapts by sweeps, its
+        # other cells starting at their posterior, where their first sweep
+        # keeps them, and that cell from the prior, where its log integral
+        # is -inf and it falls back
+        data = gaussian_cluster_data()
+        y = np.where(data["id"] == 3.0, 1.7e308, data["y"])
+        prog = make(dict(data, y=y), "(y x M1[id], family(gaussian))")
+        theta = np.array([0.5, 1.0, math.log(0.6), math.log(0.8)])
+        ev = LikelihoodEvaluator(prog, default_plan(prog))
+        assert ev.posterior_start
+        ev.refresh(theta)
+        with np.errstate(over="ignore"):
+            start = ev._posterior(theta, 0, [], ev._all_sums(theta))
+        assert np.flatnonzero(start.fallback).tolist() == [2]
+        report = ev.profile_report()
         assert report["adaptation_sweeps"] == {"id": 1}
-        assert set(report["adaptation_iterations"].values()) == {1}
+        assert report["adaptation_fallbacks"] == [("id", 2, 0)] and report["adaptation_capped"] == []
+        assert report["adaptation_iterations"] == {("id", unit, 0): int(unit != 2) for unit in range(12)}
+        fit, kept = ev.adapted[0], ~start.fallback
+        assert fit.shift[kept].tobytes() == start.shift[kept].tobytes()
+        assert fit.scale[kept].tobytes() == start.scale[kept].tobytes()
+        assert ev.logl(theta) == -np.inf
 
     def test_node_counts_two_effects(self):
         rng = np.random.default_rng(12)
@@ -950,7 +1006,7 @@ class TestWarmAdaptation:
 
     @pytest.mark.parametrize(
         "build,per_refresh",
-        [(_nested_aghq, {"trial": 1, "pat": 1}), (_poisson_aghq, {"id": 1})],
+        [(_nested_aghq, {"trial": 0, "pat": 0}), (_poisson_aghq, {"id": 1})],
         ids=["nested_gaussian", "poisson"],
     )
     def test_warm_refresh_matches_cold(self, build, per_refresh):
@@ -968,14 +1024,17 @@ class TestWarmAdaptation:
         sweeps = warm.profile_report()["adaptation_sweeps"]
         cold_sweeps = cold.profile_report()["adaptation_sweeps"]
         if warm.posterior_start:
-            # every adaptation, warm or cold, starts at the cells' exact
-            # posterior and takes one sweep
-            assert first == cold_sweeps == per_refresh
-            assert {name: n - first[name] for name, n in sweeps.items()} == per_refresh
-            assert set(cold.profile_report()["adaptation_iterations"].values()) == {1}
-        else:
-            # from the previous refresh's result: fewer passes than from the prior
-            assert all(sweeps[name] - first[name] < cold_sweeps[name] for name in sweeps)
+            # every adaptation, warm or cold, places the cells at their
+            # exact posterior, the same nodes, without a sweep, at a fixed
+            # point of the sweeps; a refresh at an unchanged theta
+            # evaluates nothing
+            assert first == sweeps == cold_sweeps == per_refresh
+            assert [x.tobytes() for x, _ in warm.placed.values()] == [x.tobytes() for x, _ in cold.placed.values()]
+            _assert_placed_at_a_fixed_point(cold, moved)
+            _assert_placed_at_a_fixed_point(warm, moved)
+            return
+        # from the previous refresh's result: fewer passes than from the prior
+        assert all(sweeps[name] - first[name] < cold_sweeps[name] for name in sweeps)
         # at an unchanged theta every cell is converged at its first pass
         warm.refresh(moved)
         rep = warm.profile_report()
@@ -1014,8 +1073,17 @@ class TestWarmAdaptation:
 
         monkeypatch.setattr(ev, "_conditional", spy_conditional)
         monkeypatch.setattr(ev, "_integrate", spy_integrate)
+        evaluations = ev.profile_report()["conditional_evaluations"]
         ev.refresh(theta)
         monkeypatch.undo()
+        if ev.posterior_start:
+            # every level is placed at its cells' closed-form posterior: the
+            # outer level does not sweep, so it reads no inner value, and
+            # nothing is evaluated or integrated
+            assert seen == [] and inner_integrals == []
+            assert ev.profile_report()["conditional_evaluations"] == evaluations
+            _assert_placed_at_a_fixed_point(ev, theta)
+            return
         assert bool(inner_integrals) == (case == "poisson_nested_aghq_qmc")
         x, cond = seen[-1]
         assert x.tobytes() == ev.placed[0][0].tobytes()
@@ -1354,10 +1422,25 @@ class TestExactDerivatives:
             assert np.isfinite(score).all() and np.isfinite(info).all()
             assert _relative_gap(score, optim.fd_gradient(rows.logl, theta)) <= 1e-6
             assert _relative_gap(-info, _score_jacobian(ev, theta)) <= 1e-6
-            # the seven-point Hessian's own error, truncation far from where
-            # the quadrature was adapted or rounding where the information
-            # is small beside the log-likelihood, reaches 7e-6 of it here
-            assert _relative_gap(-info, optim.fd_hessian(rows.logl, theta)) <= 1e-5
+            # extrapolated: the seven-point Hessian's own error, truncation
+            # far from where the quadrature was adapted or rounding where
+            # the information is small beside the log-likelihood, reaches
+            # 1.16e-5 of it (test_far_joint_vector)
+            assert _relative_gap(-info, _extrapolated(optim.fd_hessian, rows.logl, theta, 2)) <= 1e-5
+
+    def test_far_joint_vector(self):
+        # every coordinate 1.75 from the start values (scale 2, offsets
+        # 0.875) on shared QMC nodes: the twin's seven-point Hessian misses
+        # the exact information by 1.16e-5 of it, its extrapolation by
+        # 2.0e-8, and the differences of the exact score by 1.6e-7
+        prog, twin, (plan, twin_plan), start = _per_cluster_pair("joint_weibull_poisson_t_qmc")
+        ev, rows = LikelihoodEvaluator(prog, plan), LikelihoodEvaluator(twin, twin_plan)
+        theta = start + 2.0 * 0.875
+        value, score, info = ev.derivatives(theta)
+        assert value == ev.logl(theta) and np.isfinite(score).all() and np.isfinite(info).all()
+        assert _relative_gap(score, optim.fd_gradient(rows.logl, theta)) <= 1e-6
+        assert _relative_gap(-info, _score_jacobian(ev, theta)) <= 1e-6
+        assert _relative_gap(-info, _extrapolated(optim.fd_hessian, rows.logl, theta, 2)) <= 1e-5
 
     def test_pass_is_counted_apart_from_logl(self):
         prog, _, (plan, _), start = _per_cluster_pair("weibull_t_qmc")
@@ -1703,8 +1786,9 @@ class TestGaussianIntercepts:
         assert abs(marginal_logl(prog, plan, theta) - exact) <= 1e-10 * abs(exact)
         ev = LikelihoodEvaluator(prog, plan)
         ev.refresh(theta)
-        # every adaptation starts at the cells' exact posterior: one sweep
-        assert set(ev.profile_report()["adaptation_iterations"].values()) == {1}
+        # every level is placed at its cells' exact posterior, without a
+        # sweep, at a fixed point of the sweeps
+        _assert_placed_at_a_fixed_point(ev, theta)
         value, score, info = ev.derivatives(theta)
         assert _relative_gap(score, _extrapolated(optim.fd_gradient, oracle, theta, 1)) <= 1e-6
         assert _relative_gap(-info, _extrapolated(_second_differences, oracle, theta, 2)) <= 1e-6

@@ -129,6 +129,27 @@ def test_work_counts_print_and_more_sweeps_differ(monkeypatch, capsys):
     assert out[3:6] == ["b#0: differs in adaptation_sweeps", *tool.work(parent, more)]
 
 
+def test_more_conditional_evaluations_differ(monkeypatch, capsys):
+    # an inner level integrated again after its adaptation has swept
+    # leaves the sweeps and every result as they were: only the
+    # conditional evaluations rise, and that is a difference
+    tool = load_tool()
+    record = functools.partial(fit_record, tool, [0.4], -3.0, [0.5])
+    parent = {"a#0": record(sweeps={"id": 23, "sub": 96}, evaluations=48150)}
+    change = {"a#0": record(sweeps={"id": 23, "sub": 96}, evaluations=58500)}
+    assert tool.differences(parent, change) == ["a#0: differs in conditional_evaluations"]
+    assert tool.differences(change, parent) == []
+    both = {"a#0": record(sweeps={"id": 24, "sub": 96}, evaluations=58500)}
+    assert tool.differences(parent, both) == ["a#0: differs in adaptation_sweeps, conditional_evaluations"]
+    sides = iter([parent, change])
+    monkeypatch.setattr(tool, "run_side", lambda checkout, tiny: next(sides))
+    assert tool.main([str(ROOT), str(ROOT)]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "a#0: differs in conditional_evaluations",
+        "a#0: adaptation_sweeps {'id': 23, 'sub': 96} -> {'id': 23, 'sub': 96}, conditional_evaluations 48150 -> 58500",
+    ]
+
+
 def test_deviations_of_a_differing_fit(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tool = load_tool()

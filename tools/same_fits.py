@@ -19,9 +19,11 @@ message, iteration count, ``likelihood_calls`` and ``derivative_passes``
 (an exact-derivative fit makes likelihood calls only at the line-search
 points of adaptive quadrature). Their ``adaptation_sweeps`` and
 ``conditional_evaluations`` count work, not results, and are not
-compared; a fit whose sweeps rose on any level, though, differs in
-``adaptation_sweeps``. The command-line fits (``rp_replicates``) are
-compared on the bytes of their result documents and on the
+compared, but a rise in either is a difference: a fit whose sweeps rose
+on any level differs in ``adaptation_sweeps``, and one with more
+conditional evaluations in ``conditional_evaluations``. The
+command-line fits (``rp_replicates``) are compared on the bytes of
+their result documents and on the
 log-likelihood, estimates, standard errors and iteration count read
 from them (``workloads.parse_document``); a fit that fails must fail
 with the same reason. The script prints one line per fit that differs,
@@ -62,7 +64,7 @@ SEED = 5
 LOGL_RTOL, THETA_ATOL, SE_RTOL = 1e-10, 1e-7, 1e-6
 # fits run single-threaded, as in perfbench/run.py
 BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-# an in-process fit's work counts: printed where they differ, not compared
+# an in-process fit's work counts: printed where they differ, a difference only where they rise
 WORK = ("adaptation_sweeps", "conditional_evaluations")
 
 
@@ -129,15 +131,20 @@ def read(doc: bytes) -> dict:
     )
 
 
-def swept_more(a: dict, b: dict) -> bool:
-    """Whether record b's adaptations swept some level more often than a's."""
+def more_work(a: dict, b: dict) -> list[str]:
+    """The work counts that rose from record a to record b:
+    ``adaptation_sweeps`` where some level swept more often,
+    ``conditional_evaluations`` where there are more of them."""
     before, after = a.get("adaptation_sweeps", {}), b.get("adaptation_sweeps", {})
-    return any(n > before.get(level, 0) for level, n in after.items())
+    rose = ["adaptation_sweeps"] if any(n > before.get(level, 0) for level, n in after.items()) else []
+    if b.get("conditional_evaluations", 0) > a.get("conditional_evaluations", 0):
+        rose.append("conditional_evaluations")
+    return rose
 
 
 def differences(parent: dict, change: dict) -> list[str]:
     """One line per fit whose records differ, naming the fields; of the
-    work counts, only a rise in ``adaptation_sweeps`` is a difference.
+    work counts, only a rise is a difference (``more_work``).
     """
     lines = []
     for key in sorted(parent.keys() | change.keys()):
@@ -146,8 +153,7 @@ def differences(parent: dict, change: dict) -> list[str]:
             continue
         a, b = parent[key], change[key]
         fields = [f for f in sorted(a.keys() | b.keys()) if f not in WORK and a.get(f) != b.get(f)]
-        if swept_more(a, b):
-            fields.append("adaptation_sweeps")
+        fields += more_work(a, b)
         if fields:
             lines.append(f"{key}: differs in {', '.join(fields)}")
     return lines
