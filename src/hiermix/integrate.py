@@ -242,32 +242,47 @@ def logsumexp(a: np.ndarray, weights: bool = False):
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
     and rows whose result is not finite fall back to the direct formula.
-    Each exp(a - max) is formed once: the ties are the zeros of a - max,
-    zeroed after the exponential, so that s sums the rest.
+    The array is consumed: each exp(a - max) is formed once, in its
+    place. The ties are the zeros of a - max, zeroed after the
+    exponential, so that s sums the rest. They are counted once over
+    the whole array: where every row maximum is finite, each row has at
+    least one, and a count equal to the number of rows means one per
+    row, at the row's ``argmax``, with m = 1. Otherwise they are counted
+    row by row. The direct formula is applied to copies of the rows
+    whose maximum is not finite, taken first: a row with a finite
+    maximum has a finite result, or +inf where its maximum is within
+    log(m + s) of the largest float, which the direct formula gives too.
 
     With ``weights``, also (value, weights): the posterior weights
-    exp(a - value) of each row, the same exponentials with the ties set
-    back to 1 over their row total m + s. On a row whose value is not
-    finite (its maximum is +-inf or NaN) every weight is NaN.
+    exp(a - value) of each row, the same exponentials, in the same
+    array, with the ties set back to 1, times the reciprocal of their
+    row total m + s. On a row whose value is not finite (its maximum is
+    +-inf or NaN) every weight is NaN.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        e = a - a_max
+        rows = np.arange(a.shape[0])
+        top = a.argmax(axis=1)  # the first maximum, or the first NaN
+        a_max = a[rows, top][:, None]
+        finite = np.isfinite(a_max[:, 0])
+        direct = None if finite.all() else a[~finite]
+        e = np.subtract(a, a_max, out=a)
         ties = e == 0.0
-        m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
+        if direct is None and np.count_nonzero(ties) == len(rows):
+            m, ties = 1.0, (rows, top)
+        else:
+            m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
         np.exp(e, out=e)
         e[ties] = 0.0
         s = e.sum(axis=1, keepdims=True)
         total = s + m if weights else None
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+        if direct is not None:
+            out[~finite] = np.log(np.sum(np.exp(direct), axis=1))
         if not weights:
             return out
         e[ties] = 1.0
-        e /= total
+        e *= 1.0 / total
     return out, e
 
 

@@ -58,8 +58,11 @@ column alone, so the chunking never changes a result.
 Node axes are reduced, over whole combinations, with ``integrate``'s
 ``logsumexp``, which repeats the arithmetic of ``scipy.special.logsumexp``
 for real input without its generic array-API overhead, and forms each
-exponential once; a derivative pass takes the posterior weights from
-the same call, from those exponentials.
+exponential once, in the array it reduces; a derivative pass takes the
+posterior weights from the same call, from those exponentials. At the
+innermost level a chunk's conditional is built in one array, its
+log-corrections are added into it, and ``logsumexp`` turns it into the
+weights.
 
 An outcome that ``compile_program`` gives ``intercepts`` (a row part a
 plus random intercepts, under a Poisson or Gaussian family, whose time
@@ -72,8 +75,12 @@ a includes the spline s(log y) times its coefficients, A is
 [event] log(s'(log y) gamma / y), B = [event] and C = 1), so the unit's is
 K + D L - S exp(L + m), with K = sum(A + B a), D = sum(B),
 S = sum(C exp(a - m)) and m = max(a) over its rows (Duchateau & Janssen
-2008, *The Frailty Model*, ch. 2). A Gaussian unit's is quadratic in L:
-with n rows, residuals r = y - a, their mean r-bar and
+2008, *The Frailty Model*, ch. 2). On nodes that every cell shares (QMC
+draws and non-adaptive quadrature), L is a per-cell sum l outside the
+innermost level plus a per-node sum v at it, and S exp(L + m) is formed
+as S exp(m + l + top) times exp(v - top), top the largest v at the
+level: one exponential per cell and one per node. A Gaussian unit's is
+quadratic in L: with n rows, residuals r = y - a, their mean r-bar and
 Q = sum((r - r-bar)^2), it is
 -n (log(2 pi) / 2 + log sigma) - (Q + n (r-bar - L)^2) / (2 sigma^2).
 Where each outcome's rows and intercepts sit is fixed when the evaluator
@@ -326,13 +333,38 @@ class _ExpLinearSums(NamedTuple):
     S: np.ndarray  # sum(C exp(a - m))
     m: np.ndarray  # max(a)
 
-    def at(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, L: np.ndarray, shared: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """K + D L - S exp(L + m) at summed intercepts L (units, columns);
-        and the feature S exp(L + m).
+        and the feature f = S exp(L + m).
+
+        On innermost nodes that every cell shares, ``shared`` is (l, v,
+        top): the sum l of the intercept values outside the innermost
+        level per cell (units, C) or 0, the sum v of those at it at each
+        of a combination's nodes in L's columns, and v's largest value
+        top over all of the level's nodes. f is then the product of a
+        per-cell factor S exp(m + l + top) and a per-node factor
+        exp(v - top): one exponential per cell and one per node. Taking
+        out the level's top, which depends on theta alone, keeps the split
+        the same in every chunk and every per-node factor at most 1, so
+        that a cell's factor overflows where S exp(L + m) would at its top
+        node. Where either factor is 0 or not finite, f is formed at that
+        cell and node as without ``shared``, so that it is infinite, and
+        finite, where that form is.
         """
-        e = L + self.m
-        np.exp(e, out=e)
-        e *= self.S
+        if shared is None:
+            e = L + self.m
+            np.exp(e, out=e)
+            e *= self.S
+        else:
+            l, v, top = shared
+            cells = np.broadcast_to(self.S * np.exp(self.m + l + top), (len(L), L.shape[1] // v.size))
+            nodes = np.exp(v - top)
+            e = (cells[:, :, None] * nodes).reshape(L.shape)
+            cell_ok, node_ok = ((factor > 0.0) & (factor < np.inf) for factor in (cells, nodes))
+            if not (cell_ok.all() and node_ok.all()):
+                redo = ~(cell_ok[:, :, None] & node_ok).reshape(L.shape)
+                m, S = (np.broadcast_to(x, L.shape)[redo] for x in (self.m, self.S))
+                e[redo] = np.exp(L[redo] + m) * S
         ll = L * self.D
         ll += self.K
         ll -= e
@@ -358,9 +390,10 @@ class _GaussianSums(NamedTuple):
     Q: np.ndarray  # sum((r - r-bar)^2) / (2 sigma^2)
     scale: float  # sqrt(2) sigma
 
-    def at(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, L: np.ndarray, shared: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """K - Q - n ((r-bar - L) / scale)^2 at summed intercepts L, as
-        ``_ExpLinearSums.at``; and the feature r-bar - L. Dividing before
+        ``_ExpLinearSums.at``, which takes no exponential here and so
+        reads no ``shared``; and the feature r-bar - L. Dividing before
         squaring keeps a large L finite wherever the rows' standardized
         residuals are.
         """
@@ -975,7 +1008,8 @@ class LikelihoodEvaluator:
             corr3 = corr.reshape(st.n_units, -1, st.m)
             parts = []
             for c0, c1, ll, feats in self._row_sums(theta, outer, x, sums, terms):
-                logp = (corr3[:, c0:c1] + ll).reshape(-1, st.m)
+                ll += corr3[:, c0:c1]  # the chunk's one buffer, which logsumexp turns into weights
+                logp = ll.reshape(-1, st.m)
                 if terms is None:
                     parts.append([logsumexp(logp).reshape(st.n_units, c1 - c0)])
                     continue
@@ -1210,31 +1244,47 @@ class LikelihoodEvaluator:
         polynomial, from the sum of its intercept values outside that
         level (``node_feature``), else an empty one, each placed by
         innermost unit (``_by_unit``); without ``terms`` it is empty.
+
+        Where the innermost level's nodes are shared by every cell, an
+        exp-linear outcome's S exp(L + m) takes one exponential per cell
+        and one per node (``_ExpLinearSums.at``). A chunk's ll is one
+        array, the reader's to overwrite: the values of the first outcome
+        where it covers every innermost unit in order, else zeros, with
+        each other outcome's added in. An outcome's NaN values count as
+        -inf, as at the rows; per unit, only rows whose maximum is NaN are
+        looked into.
         """
         st = self.level_states[-1]
         m, width = st.m, self.chunk_columns
         if terms is not None:
             width = max(m, width - width % m)
-            inner = st.info.latent_names[0]
+        inner = st.info.latent_names
         combos = st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
+        if not st.adaptive:
+            # the nodes every cell shares: each outcome's sum of its
+            # intercepts there, and the largest (``_ExpLinearSums.at``)
+            node_sums = {}
+            for k in self.per_unit:
+                names = [name for name, _ in self.segments[k].intercepts if name in inner]
+                node_sums[k] = sum((cells[0, 0, :, inner.index(name)] for name in names), np.zeros(m))
+            tops = {k: v.max() for k, v in node_sums.items()}
         n_active = int(st.active.sum())
         j0, end = 0, combos * m
         while j0 < end:
             j1 = min(j0 + width, end if width >= m else j0 - j0 % m + m)
             c0, c1, nodes = j0 // m, (j1 - 1) // m + 1, slice(j0 % m, (j1 - 1) % m + 1)
             if not nodes.start:  # else a later chunk of one combination: keep its sums
-                out = np.zeros((st.n_units, (c1 - c0) * m))
+                out = None if j1 % m == 0 else np.zeros((st.n_units, (c1 - c0) * m))
             vals = {}
             for ost, xo in zip(self.level_states, outer):
                 # node of the outer level at each combination of the chunk
                 idx = np.arange(c0, c1) // (combos // xo.shape[1])
                 for j, name in enumerate(ost.info.latent_names):
                     vals[name] = np.repeat(xo[:, idx, j], (j1 - j0) // (c1 - c0), axis=1)
-            for j, name in enumerate(st.info.latent_names):
+            for j, name in enumerate(inner):
                 vals[name] = cells[:, c0:c1, nodes, j].reshape(st.n_units, j1 - j0)
             ctx = EvalContext(self.program, theta, vals)
-            part = out[:, j0 - c0 * m : j1 - c0 * m]
             features = {}
             for k, seg in enumerate(self.segments):
                 if seg is None:
@@ -1244,15 +1294,13 @@ class LikelihoodEvaluator:
                     for name, units in seg.intercepts:
                         v = vals[name] if isinstance(units, slice) else vals[name][units]
                         L = v if L is None else L + v
-                        if terms is None:
-                            continue
-                        i = self.scaled_index.get(name)
-                        if i is not None:
-                            scaled[i] = v if scaled[i] is None else scaled[i] + v
-                        if name != inner:  # the same at each of a combination's m nodes
+                        if not st.adaptive and name not in inner:  # the same at each of a combination's m nodes
                             outside = outside + v[:, ::m]
-                    unit_ll, f = sums[k].at(L)
-                    unit_ll[np.isnan(unit_ll)] = -np.inf  # as at the rows
+                        if terms is not None and (i := self.scaled_index.get(name)) is not None:
+                            scaled[i] = v if scaled[i] is None else scaled[i] + v
+                    shared = None if st.adaptive else (outside, node_sums[k][nodes], tops[k])
+                    unit_ll, f = sums[k].at(L, shared)
+                    _nan_as_neginf(unit_ll)  # as at the rows
                     if terms is not None:  # placed by innermost unit
                         place = functools.partial(self._by_unit, k)
                         poly = {} if st.adaptive else sums[k].node_feature(outside, seg.inner)
@@ -1264,7 +1312,12 @@ class LikelihoodEvaluator:
                         ll = np.where(nan, -np.inf, ll)
                     # one column when ll is the same in every column; += spreads it
                     unit_ll = np.add.reduceat(ll, seg.starts, axis=0)
-                part[seg.units] += unit_ll
+                if out is None:  # whole combinations: start from these values where they are every unit's
+                    if isinstance(seg.units, slice) and unit_ll.shape[1] == j1 - j0:
+                        out = unit_ll
+                        continue
+                    out = np.zeros((st.n_units, j1 - j0))
+                out[:, j0 - c0 * m : j1 - c0 * m][seg.units] += unit_ll
             self.cond_evals += n_active * (j1 - j0)
             j0 = j1
             if j1 % m == 0:
@@ -1337,6 +1390,17 @@ class LikelihoodEvaluator:
             "adaptation_sweeps": dict(self.sweeps),
             "wall_time_s": self.wall_time,
         }
+
+
+def _nan_as_neginf(a: np.ndarray) -> None:
+    """Set the NaN values of a 2-D array to -inf. The maximum of an array
+    or a row that holds a NaN is NaN: only then are the rows whose
+    maximum is NaN looked into."""
+    if math.isnan(a.max()):
+        rows = np.isnan(a.max(axis=1))
+        sub = a[rows]
+        sub[np.isnan(sub)] = -np.inf
+        a[rows] = sub
 
 
 def _unit_totals(values: np.ndarray) -> np.ndarray:

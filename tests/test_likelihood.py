@@ -502,13 +502,33 @@ class TestLogsumexp:
         rng = np.random.default_rng(21)
         rows = [rng.normal(0.0, 30.0, shape) for shape in [(40, 1), (40, 5), (300, 200)]]
         for a in rows + list(self.edge_rows()):
-            value, w = logsumexp(a, weights=True)
-            assert value.tobytes() == logsumexp(a).tobytes()
+            value, w = logsumexp(a.copy(), weights=True)
+            assert value.tobytes() == logsumexp(a.copy()).tobytes()
             finite = np.isfinite(value)
             with np.errstate(all="ignore"):
                 expect = np.exp(a[finite] - value[finite, None])
             np.testing.assert_allclose(w[finite], expect, rtol=1e-13, atol=0.0)
             assert np.all(np.abs(w[finite].sum(axis=1) - 1.0) <= 1e-13)
+            assert np.isnan(w[~finite]).all()
+
+    def test_ties_counted_per_row_past_a_row_without_a_finite_maximum(self):
+        # a NaN row and an all -inf row have no tie, a row of three tied
+        # maxima has three: over the whole array as many ties as rows,
+        # although the ordinary rows alone have one each
+        nan, inf = np.nan, np.inf
+        arrays = [
+            np.array([[1.0, nan, 2.0, 0.0], [-inf] * 4, [4.0, 4.0, 4.0, -0.7], [0.5, -1.0, 2.0, 1.5], [3.0, 1.0, -2.0, 0.0]]),
+            np.array([[nan, 1.0, 2.0, 0.0], [2.0, 5.0, 5.0, -0.7], [0.5, -1.0, 2.0, 1.5], [3.0, 1.0, -2.0, 0.0]]),
+        ]
+        for a in arrays:
+            with np.errstate(all="ignore"):
+                assert np.count_nonzero(a - np.max(a, axis=1, keepdims=True) == 0.0) == len(a)
+                expect = scipy.special.logsumexp(a, axis=1)
+            assert logsumexp(a.copy()).tobytes() == expect.tobytes()
+            value, w = logsumexp(a.copy(), weights=True)
+            assert value.tobytes() == expect.tobytes()
+            finite = np.isfinite(value)
+            np.testing.assert_allclose(w[finite], np.exp(a[finite] - value[finite, None]), rtol=1e-13, atol=0.0)
             assert np.isnan(w[~finite]).all()
 
     @staticmethod
@@ -1306,6 +1326,32 @@ class TestPerClusterPath:
         # either form: only where it is -inf is compared
         near = np.isfinite(expect) & (np.asarray(scales[1:]) <= 2.0)
         assert np.all(np.abs(got[near] - expect[near]) <= 1e-12 * np.abs(expect[near])), (got, expect)
+
+    def test_nan_unit_values_read_as_neginf(self):
+        # as at the rows: a unit's NaN value at a node is -inf, and every
+        # other value, +inf included, is kept
+        inf, nan = np.inf, np.nan
+        a = np.array([[1.0, nan, 2.0], [0.5, -1.0, inf], [nan, nan, -inf], [3.0, -inf, 0.0]])
+        expect = np.where(np.isnan(a), -inf, a)
+        likelihood._nan_as_neginf(a)
+        assert a.tobytes() == expect.tobytes()
+
+    def test_overflowing_cells_are_formed_node_by_node(self):
+        # at _cons + 700, e^m overflows, so on the shared QMC nodes every
+        # cell's factor of S e^(L + m) does; at ln_sd(M1) = 1.5 the t(5)
+        # draws reach far enough below 0 that S e^(L + m) stays finite at
+        # some nodes, so the value is finite, as the twin's, only where
+        # such cells are formed node by node
+        prog, twin, (plan, twin_plan), start = _per_cluster_pair("weibull_t_qmc")
+        names = prog.slot_names()
+        theta = start.copy()
+        theta[names.index("_cons")] += 700.0
+        theta[names.index("ln_sd(M1)")] = 1.5
+        ev = LikelihoodEvaluator(prog, plan)
+        got, expect = ev.logl(theta), LikelihoodEvaluator(twin, twin_plan).logl(theta)
+        assert math.isfinite(got) and math.isfinite(expect)
+        assert abs(got - expect) <= 1e-12 * abs(expect), (got, expect)
+        assert ev.derivatives(theta)[0] == got
 
     def test_fit_matches_row_twin(self):
         prog, twin, (plan, twin_plan), _ = _per_cluster_pair("weibull_t_qmc")

@@ -17,8 +17,11 @@ def test_one_checkout_times_its_tiny_cases():
     proc = subprocess.run(TINY, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["case/entry", "point", "parent", "ms", "change", "ms", "ratio"]
+    assert header.split() == ["case/entry", "point", "parent", "ms", "q1", "q3", "change", "ms", "q1", "q3", "ratio"]
     times = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    # one round per side, although both sides are this checkout: each
+    # side's quartiles are its one time
+    assert all(row[0] == row[1] == row[2] and row[3] == row[4] == row[5] for row in times.values())
     # every workload fitted in-process, and rp_replicates fitted here
     # in-process: exact models time their pass as well, and every case a
     # refresh that re-adapts
@@ -66,3 +69,25 @@ def test_cases_times_only_the_named_cases():
     proc = subprocess.run(TINY + ["--cases", "frailty_qmc,no_such_case"], capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert "unknown cases ['no_such_case']" in proc.stderr
+
+
+def test_quartiles_show_each_sides_spread(monkeypatch, capsys):
+    # each side's median with its quartiles over the rounds, as
+    # tools/bench_pairs.py takes them, and the ratio of the medians
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import pass_times
+
+    rounds = {"parent": iter([1.0, 2.0, 3.0, 4.0, 5.0]), "change": iter([0.9, 1.1, 1.0, 1.4, 0.8])}
+
+    def run(checkout, argv):
+        if "--optimum" in argv:
+            return {}
+        return {"case/logl": next(rounds[checkout.name]) * 1e-3}
+
+    monkeypatch.setattr(pass_times, "run", run)
+    assert pass_times.main([str(ROOT / "parent"), str(ROOT / "change"), "--rounds", "5"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    name, *values = row.split()
+    assert name == "case/logl"
+    np.testing.assert_allclose([float(v) for v in values], [3.0, 2.0, 4.0, 1.0, 0.9, 1.1, 1.0 / 3.0], atol=5e-4)
+    assert pass_times.quartiles([2.5]) == (2.5, 2.5, 2.5)

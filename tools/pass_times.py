@@ -27,8 +27,11 @@ first alternates from round to round, starting with the parent. A
 subprocess reports, per entry point, the least mean time of
 ``--repeats`` batches of ``--calls`` calls, after one ``refresh`` that
 adapts the evaluator at the vector. The script prints, per case and
-entry point, each side's median over the rounds in milliseconds and the
-ratio of the change's to the parent's. It only reads ``perfbench/``.
+entry point, each side's median over the rounds in milliseconds with its
+quartiles beside it, taken as ``tools/bench_pairs.py`` takes them (one
+round is its own quartiles), so that the spread behind a ratio shows,
+and the ratio of the change's median to the parent's. It only reads
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -153,6 +156,13 @@ def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int
     return out
 
 
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3) of a side's times over the rounds."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def run(checkout: Path, argv: list) -> dict:
     """The JSON line of a subprocess of this script, run in ``checkout``."""
     env = dict(os.environ, **BLAS_THREADS)
@@ -188,18 +198,19 @@ def main(argv=None) -> int:
         parser.error("give the PARENT and CHANGE checkouts")
     parent, change = args.parent.resolve(), args.change.resolve()
     shared = (["--tiny"] if args.tiny else []) + (["--cases", args.cases] if args.cases else [])
-    times: dict = {parent: [], change: []}
+    times = {"parent": [], "change": []}  # by side, not by path: the two may be one checkout
     with tempfile.TemporaryDirectory(prefix="pass_times_") as workdir:
         thetas = Path(workdir) / "thetas.json"
         thetas.write_text(json.dumps(run(parent, ["--optimum", str(parent)] + shared)))
         batch = ["--thetas", str(thetas), "--calls", str(args.calls), "--repeats", str(args.repeats)] + shared
         for r in range(args.rounds):
-            for side in (parent, change) if r % 2 == 0 else (change, parent):
-                times[side].append(run(side, ["--time", str(side)] + batch))
-    print(f"{'case/entry point':<34} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
-    for key in times[parent][0]:
-        a, b = (statistics.median(side_run[key] for side_run in times[side]) * 1e3 for side in (parent, change))
-        print(f"{key:<34} {a:10.4f} {b:10.4f} {b / a:7.3f}")
+            for side, path in (("parent", parent), ("change", change))[:: 1 if r % 2 == 0 else -1]:
+                times[side].append(run(path, ["--time", str(path)] + batch))
+    spread = f"{'q1':>8} {'q3':>8}"
+    print(f"{'case/entry point':<34} {'parent ms':>10} {spread} {'change ms':>10} {spread} {'ratio':>7}")
+    for key in times["parent"][0]:
+        (a1, a, a3), (b1, b, b3) = (quartiles([one[key] * 1e3 for one in runs]) for runs in times.values())
+        print(f"{key:<34} {a:10.4f} {a1:8.4f} {a3:8.4f} {b:10.4f} {b1:8.4f} {b3:8.4f} {b / a:7.3f}")
     return 0
 
 
