@@ -10,6 +10,7 @@ and carry their cluster path in brackets, ``M1[trial>patient]``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 
@@ -272,6 +273,15 @@ def _parse_int(text: str, pos: int, what: str) -> int:
     if v != int(v) or v <= 0:
         raise SpecSyntaxError(f"{what} must be a positive integer, got {text!r}", pos)
     return int(v)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` read by ``operator.index``: one that is not an integer, a
+    whole float included, is a ValueError naming the setting ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,11 @@ def fit_model(
     threads: int = 1,
     verbose: bool = False,
 ) -> FitResult:
-    """Parse, validate, compile and maximize. Integration arguments
-    accept a single value or a per-level dict; ``fixed`` pins named
-    parameters (estimation scale) during maximization, and they get no
-    standard errors. ``points``, ``skip`` and ``adaptive`` left at None
-    take ``default_plan``'s defaults. A setting that no level would read
-    is a ``ValueError``: ``points`` or ``adaptive`` where no level
-    integrates by quadrature, ``draws`` or ``skip`` where none integrates
-    by quasi-Monte Carlo, ``t_df`` where no level has a t kernel.
+    """Parse, validate, compile and maximize. The integration and
+    kernel settings, ``covariance`` included, become the plan of
+    ``default_plan``, which checks them; ``fixed`` pins named parameters
+    (estimation scale) during maximization, and they get no standard
+    errors.
     """
     model_spec = _as_spec(spec)
     if covariance is not None:
@@ -65,17 +62,6 @@ def fit_model(
         adaptive=adaptive,
         skip=skip,
     )
-    levels = plan.levels.values()
-    quadrature, qmc = (any(lp.method == kind for lp in levels) for kind in ("aghq", "qmc"))
-    for what, value, reader, read in (
-        ("points (--points)", points, "integrates by quadrature", quadrature),
-        ("adaptive (--no-adaptive)", adaptive, "integrates by quadrature", quadrature),
-        ("draws (--draws)", draws, "integrates by quasi-Monte Carlo", qmc),
-        ("skip (--skip)", skip, "integrates by quasi-Monte Carlo", qmc),
-        ("t_df (--df)", t_df, "has a t kernel", any(lp.dist == "t" for lp in levels)),
-    ):
-        if value not in (None, {}) and not read:
-            raise ValueError(f"{what} is set, but no level {reader}, so none would read it")
     evaluator = LikelihoodEvaluator(program, plan)
 
     theta0 = initial_values(program)

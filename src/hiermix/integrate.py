@@ -7,6 +7,9 @@ normal or a multivariate-t random-effect distribution. Mean-variance
 adaptation recentres a rule on the per-cluster posterior; it places
 (``place_nodes``), weighs (``log_correction``) and reduces
 (``logsumexp``) the nodes with the integration's (``likelihood``) code.
+Point and draw counts, skips, kernels and covariance structures arrive
+checked: ``likelihood.default_plan`` checks a fit's settings and the
+specification parser a model's.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ def gh_rule(q: int) -> GhRule:
     e^{-x^2} weight, rescaled to the standard normal kernel (nodes by
     sqrt(2), weights by 1/sqrt(pi)).
     """
-    if q < 1:
-        raise ValueError("need at least one quadrature point")
     if q == 1:
         return GhRule(np.zeros(1), np.ones(1))
     off = np.sqrt(np.arange(1, q) / 2.0)
@@ -129,10 +130,6 @@ def halton(m: int, r: int, skip: int = 0) -> HaltonSet:
     """First m Halton points in r dimensions, bases the first r primes,
     starting after ``skip`` burn-in points.
     """
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 draws and r >= 1 dimensions")
-    if skip < 0:
-        raise ValueError(f"the Halton skip must be at least 0, got {skip}")
     bases = _first_primes(r)
     idx = np.arange(skip + 1, skip + m + 1)
     cols = [_radical_inverse(idx, b) for b in bases]
@@ -144,18 +141,11 @@ class ReKernel:
 
     Parameterized by a Cholesky factor with log-scale diagonal; the
     sub-diagonal is free when the structure is unstructured and absent
-    when independent. ``dist`` is "normal" or "t" (with ``df`` > 0; the
-    adaptive/quadrature paths additionally require df > 2).
+    when independent. ``dist`` is "normal" or "t" (with an integer ``df``
+    > 0, and > 2 under quadrature).
     """
 
     def __init__(self, dim: int, dist: str = "normal", df: int | None = None, structure: str = "independent"):
-        if dist not in ("normal", "t"):
-            raise ValueError(f"unknown random-effect distribution {dist!r}")
-        if dist == "t":
-            if df is None or df < 1:
-                raise ValueError("t distribution needs a positive integer df")
-        if structure not in ("independent", "unstructured"):
-            raise ValueError(f"unknown covariance structure {structure!r}")
         self.dim = dim
         self.dist = dist
         self.df = df
@@ -363,8 +353,6 @@ def adapt_locations(
     so ``likelihood`` places a level there without a sweep where every
     active cell's closed-form start is finite.
     """
-    if kernel.dist == "t" and kernel.df is not None and kernel.df <= 2:
-        raise ValueError("mean-variance adaptation needs t df > 2")
     k, r = len(active), kernel.dim
     mu, lam = np.zeros((k, r)), np.broadcast_to(chol[None], (k, r, r)).copy()
     iters, flagged, active = np.zeros(k, dtype=int), np.zeros(k, dtype=bool), np.array(active, dtype=bool)

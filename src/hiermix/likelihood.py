@@ -131,6 +131,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws, log_correction, logsumexp
+from .dsl import _integer
 from .integrate import Adaptation, place_nodes
 from .predictor import EvalContext, Program, outcome_logl, row_part
 
@@ -166,40 +167,6 @@ class IntegrationPlan:
     levels: dict[str, LevelPlan] = field(default_factory=dict)
     skip: int = 15
 
-    def validate(self, program: Program) -> None:
-        if self.skip < 0:
-            raise ValueError(f"the Halton skip must be at least 0, got {self.skip}")
-        needed = [li.name for li in program.levels if li.dim > 0]
-        missing = [n for n in needed if n not in self.levels]
-        extra = [n for n in self.levels if n not in needed]
-        if missing or extra:
-            raise ValueError(f"integration plan must cover exactly {needed}; missing {missing}, extra {extra}")
-        for name in needed:
-            lp = self.levels[name]
-            dim = program.level(name).dim
-            if lp.method not in ("aghq", "qmc"):
-                raise ValueError(f"level {name!r}: unknown method {lp.method!r}")
-            if lp.dist == "t":
-                if lp.df is None or lp.df < 1:
-                    raise ValueError(f"level {name!r}: t kernel needs a positive df")
-                if lp.method == "aghq" and dim > 2:
-                    raise ValueError(
-                        f"level {name!r}: the reweighted quadrature path for t kernels is limited to 2 "
-                        f"random effects (level has {dim}); use qmc"
-                    )
-                if lp.method == "aghq" and lp.df <= 2:
-                    raise ValueError(f"level {name!r}: quadrature with a t kernel needs df > 2")
-            if lp.method == "aghq" and lp.q < 1:
-                raise ValueError(f"level {name!r}: need at least one quadrature point")
-            if lp.method == "aghq" and lp.adaptive and lp.q < 3:
-                # the adaptation cannot measure the posterior's spread: one
-                # node gives it a variance of 0, and two, one scale either
-                # side of the shift, give their scale's square wherever
-                # their weights balance, so every scale is a fixed point
-                raise ValueError(f"level {name!r}: adaptive quadrature needs at least 3 points")
-            if lp.method == "qmc" and lp.m < 1:
-                raise ValueError(f"level {name!r}: need at least one draw")
-
 
 def default_plan(
     program: Program,
@@ -211,15 +178,12 @@ def default_plan(
     adaptive: bool | None = None,
     skip: int | None = None,
 ) -> IntegrationPlan:
-    """Per-level defaults: adaptive quadrature with 7 points for normal
-    kernels, quasi-Monte Carlo with 150 draws per dimension for t
-    kernels; None takes ``LevelPlan``'s or ``IntegrationPlan``'s field
-    default. Every argument but ``adaptive`` and ``skip`` takes a single
-    value or a per-level dict.
-    A setting that would be silently ignored is an error: a per-level
-    dict that names a level without latent effects, and a point or draw
-    count below 1 for any level, whichever method it takes. So is one
-    draw on a quasi-Monte Carlo level, whose scale it leaves unidentified.
+    """The plan of ``fit_model``'s integration settings, and the one check
+    of them and of ``program.spec.covariance``: a ValueError for each rule
+    of README's "Library use". Every argument but ``adaptive`` and ``skip``
+    takes a single value or a per-level dict. Left at None: adaptive
+    quadrature at 7 points for a normal kernel, QMC at 150 draws per
+    dimension for a t kernel, and a skip of 15.
     """
 
     def per_level(value, name, fallback):
@@ -233,16 +197,19 @@ def default_plan(
         extra = [n for n in value if n not in latent] if isinstance(value, dict) else []
         if extra:
             raise ValueError(f"{what} names levels without latent effects: {extra}; the levels with them are {latent}")
-    spec, adaptive = program.spec, LevelPlan.adaptive if adaptive is None else adaptive
-    plan = IntegrationPlan(skip=IntegrationPlan.skip if skip is None else skip)
+    spec, adapt = program.spec, LevelPlan.adaptive if adaptive is None else adaptive
+    if spec.covariance not in ("independent", "unstructured"):
+        raise ValueError(f"unknown covariance structure {spec.covariance!r}")
+    plan = IntegrationPlan(skip=IntegrationPlan.skip if skip is None else _integer(skip, "skip"))
     for li in program.levels:
         if li.dim == 0:
             continue
         dist = per_level(redistribution, li.name, spec.re_distribution)
         df = per_level(t_df, li.name, spec.t_df)
+        df = df if df is None else _integer(df, "t_df")
         meth = per_level(method, li.name, "qmc" if dist == "t" else "aghq")
-        q = per_level(points, li.name, LevelPlan.q)
-        m = per_level(draws, li.name, 150 * li.dim)
+        q = _integer(per_level(points, li.name, LevelPlan.q), "points")
+        m = _integer(per_level(draws, li.name, 150 * li.dim), "draws")
         if q < 1:
             raise ValueError(f"level {li.name!r}: need at least one quadrature point")
         if m < 1:
@@ -252,8 +219,39 @@ def default_plan(
                 f"level {li.name!r}: quasi-Monte Carlo needs at least 2 draws; with one, every unit takes the same "
                 "latent value, which the constant absorbs, so the level's scale is not identified"
             )
-        plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adaptive)
-    plan.validate(program)
+        if meth not in ("aghq", "qmc"):
+            raise ValueError(f"level {li.name!r}: unknown method {meth!r}")
+        if dist not in ("normal", "t"):
+            raise ValueError(f"level {li.name!r}: unknown random-effect distribution {dist!r}")
+        if dist == "t":
+            if df is None or df < 1:
+                raise ValueError(f"level {li.name!r}: t kernel needs a positive df")
+            if meth == "aghq" and li.dim > 2:
+                raise ValueError(
+                    f"level {li.name!r}: the reweighted quadrature path for t kernels is limited to 2 "
+                    f"random effects (level has {li.dim}); use qmc"
+                )
+            if meth == "aghq" and df <= 2:
+                raise ValueError(f"level {li.name!r}: quadrature with a t kernel needs df > 2")
+        if meth == "aghq" and adapt and q < 3:
+            # the adaptation cannot measure the posterior's spread: one
+            # node gives it a variance of 0, and two, one scale either
+            # side of the shift, give their scale's square wherever
+            # their weights balance, so every scale is a fixed point
+            raise ValueError(f"level {li.name!r}: adaptive quadrature needs at least 3 points")
+        plan.levels[li.name] = LevelPlan(method=meth, q=q, m=m, dist=dist, df=df, adaptive=adapt)
+    if plan.skip < 0:  # Halton index 0 gives the uniform 0, a draw at -inf
+        raise ValueError(f"the Halton skip must be at least 0, got {plan.skip}")
+    kinds = {kind for lp in plan.levels.values() for kind in (lp.method, lp.dist)}
+    for what, value, reader, kind in (
+        ("points (--points)", points, "integrates by quadrature", "aghq"),
+        ("adaptive (--no-adaptive)", adaptive, "integrates by quadrature", "aghq"),
+        ("draws (--draws)", draws, "integrates by quasi-Monte Carlo", "qmc"),
+        ("skip (--skip)", skip, "integrates by quasi-Monte Carlo", "qmc"),
+        ("t_df (--df)", t_df, "has a t kernel", "t"),
+    ):
+        if value not in (None, {}) and kind not in kinds:
+            raise ValueError(f"{what} is set, but no level {reader}, so none would read it")
     return plan
 
 
@@ -444,7 +442,6 @@ class LikelihoodEvaluator:
     """
 
     def __init__(self, program: Program, plan: IntegrationPlan):
-        plan.validate(program)
         self.program = program
         self.plan = plan
         structure = program.spec.covariance

@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dsl import _integer
+
 if TYPE_CHECKING:
     from .likelihood import IntegrationPlan
 
@@ -283,6 +285,7 @@ def maximize(
     found" there, since its gradient carries truncation error of that
     size.
     """
+    threads, max_iter = _integer(threads, "threads"), _integer(max_iter, "max_iter")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if max_iter < 0:

@@ -35,7 +35,7 @@ import numpy as np
 from . import families as fam_mod
 from .basis import FpBasis, RcsBasis, default_knots, rcs_eval
 from .data import DataFrame, Hierarchy, OutcomeRows, build_hierarchy, split_outcome_rows
-from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, ValidationReport, _time_indexed
+from .dsl import Covariate, EVLink, Intercept, Latent, ModelSpec, TimeFn, ValidationReport, _integer, _time_indexed
 from .families import Family, gauss_legendre, make_family
 
 __all__ = [
@@ -226,6 +226,7 @@ def compile_program(
     frame lends its hierarchy and outcome rows instead of building them
     again.
     """
+    gl_points = _integer(gl_points, "gl_points")
     if gl_points < 1:
         raise CompileError(f"the Gauss-Legendre rule needs at least one node, got gl_points={gl_points}")
     if report is None:

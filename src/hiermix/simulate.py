@@ -11,6 +11,8 @@ record, and single-record survival values on the subject's first row.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .data import DataFrame
@@ -26,6 +28,13 @@ _COVARIATE_PARAMS = {"normal": ("mean", "sd"), "bernoulli": ("p",), "uniform": (
 
 class SimulationError(ValueError):
     pass
+
+
+def _count(value, what: str) -> int:
+    """A unit or record count, a positive integer as ``operator.index`` reads it."""
+    if not hasattr(value, "__index__") or operator.index(value) < 1:
+        raise SimulationError(f"{what} must be a positive integer, got {value!r}")
+    return operator.index(value)
 
 
 def simulate(
@@ -60,7 +69,7 @@ def simulate(
         raise SimulationError(
             f"levels names levels the specification does not have: {extra}; its levels are {list(model_spec.levels)}"
         )
-    counts = [int(levels[name]) for name in model_spec.levels]
+    counts = [_count(levels[name], f"levels: the unit count for {name!r}") for name in model_spec.levels]
     outcome_cfg = outcomes or [{} for _ in model_spec.outcomes]
     if not isinstance(outcome_cfg, (list, tuple)) or not all(isinstance(cfg, dict) for cfg in outcome_cfg):
         raise SimulationError(f"outcomes must be a list with one settings dict per outcome, got {outcomes!r}")
@@ -88,7 +97,7 @@ def simulate(
         if fam.is_null:
             continue
         if fam.is_survival:
-            surv_records[k] = int(cfg.get("records", 1))
+            surv_records[k] = _count(cfg.get("records", 1), f"outcome {k + 1} ({outcome.response}): records")
         else:
             times = cfg.get("times")
             if times is None:

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import hiermix as hm
 from hiermix.data import as_frame
 from hiermix.dsl import SpecValidationError, parse_model_spec
 from hiermix.estimator import MixedModel, fit_model
+from hiermix.simulate import SimulationError
 
 
 def cluster_data(seed=0, g=25, n=4):
@@ -205,6 +208,158 @@ class TestEstimatorApi:
         assert "chol(M1,M2)" in r_un.names
         assert "chol(M1,M2)" not in r_ind.names
         assert any(row["name"] == "corr(M1,M2)" for row in r_un.table)
+
+
+ONE = "(y x M1[id], family(gaussian))"
+THREE = "(y M1[id] a#M2[id] b#M3[id], family(gaussian))"
+# One row per rule of a fit's settings (README, "Library use"): the
+# model, fit_model's options, the same settings as fit flags, a fragment
+# of fit_model's message and one of the command line's where it differs.
+# A "was:" comment tells what fit_model did with the row's setting before
+# counts had to be integers
+SETTING_RULES = {
+    # was: 7 points fitted, reported "aghq points 6.5"
+    "points_not_integer": (
+        ONE, dict(points=6.5), ["--points", "6.5"], "points must be an integer, got 6.5", "invalid literal for int()"
+    ),
+    # was: IndexError
+    "points_whole_float": (
+        ONE, dict(points=7.0), ["--points", "7.0"], "points must be an integer, got 7.0", "invalid literal for int()"
+    ),
+    # was: TypeError
+    "draws_not_integer": (
+        ONE, dict(method="qmc", draws=100.5), ["--method", "qmc", "--draws", "100.5"], "draws must be an integer",
+        "invalid literal for int()",
+    ),
+    # was: used as given
+    "skip_not_integer": (
+        ONE, dict(method="qmc", skip=2.5), ["--method", "qmc", "--skip", "2.5"], "skip must be an integer", "argument --skip"
+    ),
+    # was: used as given
+    "t_df_not_integer": (
+        ONE, dict(redistribution="t", t_df=5.5), ["--redistribution", "t", "--df", "5.5"], "t_df must be an integer",
+        "invalid literal for int()",
+    ),
+    # was: TypeError
+    "max_iter_not_integer": (
+        ONE, dict(max_iter=2.5), ["--max-iter", "2.5"], "max_iter must be an integer", "argument --max-iter"
+    ),
+    # was: TypeError
+    "gl_points_not_integer": (
+        ONE, dict(gl_points=2.5), ["--gl-points", "2.5"], "gl_points must be an integer", "argument --gl-points"
+    ),
+    # was: accepted
+    "threads_not_integer": (
+        ONE, dict(threads=2.5), ["--threads", "2.5"], "threads must be an integer", "argument --threads"
+    ),
+    "level_without_latent_effects": (
+        ONE, dict(points={"id": 5, "typo": 9}), ["--points", "id=5,typo=9"], "points names levels without latent effects",
+        None,
+    ),
+    "unknown_covariance": (
+        ONE, dict(covariance="banded"), ["--covariance", "banded"], "unknown covariance structure 'banded'",
+        "argument --covariance: invalid choice: 'banded'",
+    ),
+    "points_below_one": (
+        ONE, dict(method="qmc", points=0), ["--method", "qmc", "--points", "0"], "need at least one quadrature point", None
+    ),
+    "draws_below_one": (ONE, dict(draws=0), ["--draws", "0"], "need at least one draw", None),
+    "one_qmc_draw": (
+        ONE, dict(method="qmc", draws=1), ["--method", "qmc", "--draws", "1"], "quasi-Monte Carlo needs at least 2 draws",
+        None,
+    ),
+    "unknown_method": (ONE, dict(method="simpson"), ["--method", "simpson"], "unknown method 'simpson'", None),
+    "unknown_distribution": (
+        ONE, dict(redistribution="cauchy"), ["--redistribution", "cauchy"], "unknown random-effect distribution 'cauchy'",
+        None,
+    ),
+    "t_kernel_without_df": (ONE, dict(redistribution="t"), ["--redistribution", "t"], "t kernel needs a positive df", None),
+    "t_kernel_zero_df": (
+        ONE, dict(redistribution="t", t_df=0), ["--redistribution", "t", "--df", "0"], "t kernel needs a positive df", None
+    ),
+    "t_quadrature_three_effects": (
+        THREE, dict(method="aghq", redistribution="t", t_df=5), ["--method", "aghq", "--redistribution", "t", "--df", "5"],
+        "limited to 2 random effects (level has 3)", None,
+    ),
+    "t_quadrature_df_two": (
+        ONE, dict(method="aghq", redistribution="t", t_df=2), ["--method", "aghq", "--redistribution", "t", "--df", "2"],
+        "quadrature with a t kernel needs df > 2", None,
+    ),
+    "adaptive_points_below_three": (
+        ONE, dict(points=2), ["--points", "2"], "adaptive quadrature needs at least 3 points", None
+    ),
+    "negative_skip": (
+        ONE, dict(method="qmc", skip=-1), ["--method", "qmc", "--skip", "-1"], "the Halton skip must be at least 0", None
+    ),
+    "unread_points": (
+        ONE, dict(method="qmc", points=9), ["--method", "qmc", "--points", "9"],
+        "points (--points) is set, but no level integrates by quadrature", None,
+    ),
+    "unread_adaptive": (
+        ONE, dict(method="qmc", adaptive=False), ["--method", "qmc", "--no-adaptive"],
+        "adaptive (--no-adaptive) is set, but no level integrates by quadrature", None,
+    ),
+    "unread_draws": (
+        ONE, dict(draws=100), ["--draws", "100"], "draws (--draws) is set, but no level integrates by quasi-Monte Carlo",
+        None,
+    ),
+    "unread_skip": (
+        ONE, dict(skip=5), ["--skip", "5"], "skip (--skip) is set, but no level integrates by quasi-Monte Carlo", None
+    ),
+    "unread_t_df": (ONE, dict(t_df=5), ["--df", "5"], "t_df (--df) is set, but no level has a t kernel", None),
+    "negative_max_iter": (ONE, dict(max_iter=-3), ["--max-iter", "-3"], "max_iter must be at least 0", None),
+    "zero_threads": (ONE, dict(threads=0), ["--threads", "0"], "threads must be at least 1", None),
+    "zero_gl_points": (
+        ONE, dict(gl_points=0), ["--gl-points", "0"], "the Gauss-Legendre rule needs at least one node", None
+    ),
+}
+WEIBULL = "(t x M1[id], family(weibull, failure(d)))"
+# simulation counts that are not positive integers; every row was: 10
+# clusters simulated, 2 records, numpy's "negative dimensions are not
+# allowed" and DataError "all responses missing", in this order
+SIMULATION_COUNTS = {
+    "fractional_units": ({"id": 10.7}, 2, "levels: the unit count for 'id' must be a positive integer, got 10.7"),
+    "fractional_records": ({"id": 30}, 2.5, "outcome 1 (t): records must be a positive integer, got 2.5"),
+    "negative_units": ({"id": -3}, 2, "levels: the unit count for 'id' must be a positive integer, got -3"),
+    "no_units": ({"id": 0}, 2, "levels: the unit count for 'id' must be a positive integer, got 0"),
+}
+
+
+def refused_on_the_command_line(argv, message, capsys):
+    """Run the command line, which must exit 3 with one message line."""
+    from hiermix.cli import main
+
+    assert main(argv) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0], errors
+
+
+class TestSettingRules:
+    @pytest.mark.parametrize("case", SETTING_RULES)
+    def test_fit_setting_is_refused(self, case, tmp_path, capsys):
+        spec, options, flags, message, cli_message = SETTING_RULES[case]
+        rng = np.random.default_rng(3)
+        data = {**cluster_data(g=6, n=3), "a": rng.normal(size=18), "b": rng.normal(size=18)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_model(spec, data, **options)
+        path = tmp_path / "d.csv"
+        rows = zip(*data.values())
+        path.write_text(",".join(data) + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+        argv = ["fit", "--spec", spec, "--data", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        refused_on_the_command_line(argv + flags, cli_message or message, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", SIMULATION_COUNTS)
+    def test_simulation_count_is_refused(self, case, tmp_path, capsys):
+        levels, records, message = SIMULATION_COUNTS[case]
+        theta = {"x": 0.3, "_cons": -0.5, "ln_gamma": 0.2, "ln_sd(M1)": -0.5}
+        outcomes = [{"censoring": 5.0, "records": records}]
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            hm.simulate(WEIBULL, theta, levels=levels, outcomes=outcomes)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"spec": WEIBULL, "theta": theta, "levels": levels, "outcomes": outcomes}))
+        refused_on_the_command_line(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")], message, capsys)
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestRandomEffectRecovery:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from scipy.stats import norm
 
 from hiermix import integrate
+from hiermix.estimator import fit_model
 from hiermix.integrate import (
     Adaptation,
     ReKernel,
@@ -19,6 +20,14 @@ from hiermix.integrate import (
     logsumexp,
     place_nodes,
 )
+
+
+def refused_fit(**settings):
+    """Fit 4 clusters of 2 rows with integration settings that the fit's
+    plan (``likelihood.default_plan``, which checks what reaches the
+    rules and kernels here) must refuse before fitting."""
+    data = {"id": np.repeat([1.0, 2.0, 3.0, 4.0], 2), "y": np.linspace(-1.0, 1.0, 8)}
+    fit_model("(y M1[id], family(gaussian))", data, **settings)
 
 
 def normal_moment(k: int) -> float:
@@ -109,7 +118,7 @@ class TestHalton:
         # index 0 and below would give 0 and repeated points, which
         # ndtri turns into -inf draws
         with pytest.raises(ValueError, match="skip"):
-            halton(30, 1, skip=-20)
+            refused_fit(method="qmc", skip=-20)
 
 
 class TestScaleDerivatives:
@@ -398,9 +407,9 @@ class TestAdaptLocations:
             assert got.tobytes() == want.tobytes(), name
 
     def test_t_kernel_requires_df_above_two(self):
-        kern = ReKernel(1, dist="t", df=2)
+        # the adaptation's moments need a finite kernel variance
         with pytest.raises(ValueError):
-            adapt_one(lambda x: np.zeros(len(x)), kern, np.eye(1), 5)
+            refused_fit(method="aghq", redistribution="t", t_df=2)
 
 
 @st.composite

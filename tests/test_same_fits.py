@@ -27,8 +27,9 @@ def test_one_checkout_fits_its_tiny_panels_identically():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("all ") and "fits identical" in proc.stdout
-    lines = load_tool().line_count(ROOT)
-    assert proc.stdout.splitlines()[1] == f"src/hiermix lines: parent {lines}, change {lines} (+0)"
+    lines = sum(load_tool().module_lines(ROOT).values())
+    # the same checkout on both sides: no module's count differs
+    assert proc.stdout.splitlines()[1:] == [f"src/hiermix lines: parent {lines}, change {lines} (+0)"]
 
 
 def test_line_count_matches_wc(tmp_path):
@@ -37,7 +38,25 @@ def test_line_count_matches_wc(tmp_path):
     (package / "a.py").write_text("x = 1\ny = 2\n")
     (package / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
     (package / "notes.txt").write_text("not\ncounted\n")
-    assert load_tool().line_count(tmp_path) == 2
+    assert load_tool().module_lines(tmp_path) == {"a.py": 2, "b.py": 0}
+
+
+def test_moved_lines_name_each_changed_module(monkeypatch, capsys):
+    tool = load_tool()
+    parent = {"a.py": 10, "b.py": 7, "gone.py": 3}
+    change = {"a.py": 4, "b.py": 7, "new.py": 5}
+    moved = ["  a.py: parent 10, change 4 (-6)", "  gone.py: parent 3, change 0 (-3)", "  new.py: parent 0, change 5 (+5)"]
+    assert tool.moved_lines(parent, change) == moved
+    # printed after the total, and only for the modules whose count differs
+    sides = iter([parent, change])
+    monkeypatch.setattr(tool, "module_lines", lambda checkout: next(sides))
+    monkeypatch.setattr(tool, "run_side", lambda checkout, tiny: {})
+    assert tool.main([str(ROOT), str(ROOT)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "all 0 fits identical (0 failed on both sides)",
+        "src/hiermix lines: parent 20, change 16 (-4)",
+        *moved,
+    ]
 
 
 def document(logl, estimates, iterations=5):

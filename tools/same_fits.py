@@ -28,7 +28,8 @@ log-likelihood, estimates, standard errors and iteration count read
 from them (``workloads.parse_document``); a fit that fails must fail
 with the same reason. The script prints one line per fit that differs,
 or "all N fits identical" and how many of them failed on both sides,
-then each checkout's ``src/hiermix`` line count, and exits 1 on any
+then each checkout's ``src/hiermix`` line count and, one line each, the
+two counts of every module whose count differs, and exits 1 on any
 difference. For each in-process fit whose work counts differ it prints
 both sides' counts, and for each differing
 fit that has numbers on both sides it then prints how far they moved:
@@ -247,9 +248,20 @@ def beyond_tolerance(parent: dict, change: dict) -> list[str]:
     return lines
 
 
-def line_count(checkout: Path) -> int:
-    """Lines in the checkout's ``src/hiermix`` Python files, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "hiermix").glob("*.py"))
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Lines in each of the checkout's ``src/hiermix`` Python files, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (checkout / "src" / "hiermix").glob("*.py")}
+
+
+def moved_lines(parent: dict[str, int], change: dict[str, int]) -> list[str]:
+    """One line per module whose line count differs (0 where a side has
+    no such module), in name order."""
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name, 0), change.get(name, 0)
+        if a != b:
+            lines.append(f"  {name}: parent {a}, change {b} ({b - a:+d})")
+    return lines
 
 
 def run_side(checkout: Path, tiny: bool) -> dict:
@@ -283,8 +295,11 @@ def main(argv=None) -> int:
     if not lines:
         failed = sum(record["failed"] is not None for record in parent.values())
         print(f"all {len(parent)} fits identical ({failed} failed on both sides)")
-    lines_parent, lines_change = (line_count(side) for side in (args.parent, args.change))
+    modules_parent, modules_change = (module_lines(side) for side in (args.parent, args.change))
+    lines_parent, lines_change = sum(modules_parent.values()), sum(modules_change.values())
     print(f"src/hiermix lines: parent {lines_parent}, change {lines_change} ({lines_change - lines_parent:+d})")
+    for line in moved_lines(modules_parent, modules_change):
+        print(line)
     if not args.tolerance or not lines:
         return 1 if lines else 0
     beyond = beyond_tolerance(parent, change)
