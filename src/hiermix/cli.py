@@ -106,19 +106,25 @@ def estimates_csv(result: FitResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _per_level(text: str | None, cast):
-    """Parse '7' or 'patient=7,trial=15' into a value or dict."""
-    if text is None:
-        return None
-    if "=" not in text:
-        return cast(text)
-    out = {}
-    for chunk in text.split(","):
-        name, _, val = chunk.partition("=")
-        if not name or not val:
-            raise ValueError(f"bad per-level setting {chunk!r}, expected level=value")
-        out[name.strip()] = cast(val.strip())
-    return out
+def _per_level(cast):
+    """The argparse type of a per-level flag: '7' or 'patient=7,trial=15'
+    into a value or a dict, each value read by ``cast``. A value that
+    ``cast`` refuses is a usage error that names the flag, as argparse's
+    own types give ("argument --points: invalid int value: '6.5'")."""
+
+    def parse(text: str):
+        if "=" not in text:
+            return cast(text)
+        out = {}
+        for chunk in text.split(","):
+            name, _, val = chunk.partition("=")
+            if not name or not val:
+                raise argparse.ArgumentTypeError(f"bad per-level setting {chunk!r}, expected level=value")
+            out[name.strip()] = cast(val.strip())
+        return out
+
+    parse.__name__ = cast.__name__  # the type argparse names
+    return parse
 
 
 def _load_spec(args) -> tuple:
@@ -139,16 +145,14 @@ def _load_spec(args) -> tuple:
 def _fit_from_args(args, points=None, draws=None):
     spec, spec_text = _load_spec(args)
     frame = load_csv(args.data)
-    if points is None:
-        points = _per_level(args.points, int)
     result = fit_model(
         spec,
         frame,
-        points=points,
-        draws=draws if draws is not None else _per_level(args.draws, int),
-        method=_per_level(args.method, str),
-        redistribution=_per_level(args.redistribution, str),
-        t_df=_per_level(args.df, int),
+        points=args.points if points is None else points,
+        draws=args.draws if draws is None else draws,
+        method=args.method,
+        redistribution=args.redistribution,
+        t_df=args.df,
         adaptive=False if args.no_adaptive else None,
         skip=args.skip,
         gl_points=args.gl_points,
@@ -171,12 +175,13 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="model specification text")
     p.add_argument("--spec-file", help="file with the specification text")
     p.add_argument("--data", required=True, help="CSV data file")
-    p.add_argument("--points", help="quadrature points per dimension (default 7; int or level=int,...)")
-    p.add_argument("--draws", help="Monte Carlo draws (int or level=int,...)")
+    integer, text = _per_level(int), _per_level(str)
+    p.add_argument("--points", type=integer, help="quadrature points per dimension (default 7; int or level=int,...)")
+    p.add_argument("--draws", type=integer, help="Monte Carlo draws (int or level=int,...)")
     p.add_argument("--skip", type=int, help="Halton burn-in count of QMC levels (default 15)")
-    p.add_argument("--method", help="integration method per level: aghq|qmc or level=method,...")
-    p.add_argument("--redistribution", help="random-effect distribution: normal|t (or level=...)")
-    p.add_argument("--df", help="degrees of freedom for t random effects (int or level=int,...)")
+    p.add_argument("--method", type=text, help="integration method per level: aghq|qmc or level=method,...")
+    p.add_argument("--redistribution", type=text, help="random-effect distribution: normal|t (or level=...)")
+    p.add_argument("--df", type=integer, help="degrees of freedom for t random effects (int or level=int,...)")
     p.add_argument("--covariance", choices=["independent", "unstructured"], help="override the covariance structure")
     p.add_argument("--no-adaptive", action="store_true", help="disable mean-variance adaptation of quadrature levels")
     p.add_argument("--gl-points", type=int, default=30, help="Gauss-Legendre nodes for cumulative hazards")
@@ -240,8 +245,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     base, spec_text = _fit_from_args(args)
-    points2 = _per_level(args.points2, int)
-    draws2 = _per_level(args.draws2, int)
+    points2, draws2 = args.points2, args.draws2
     if points2 is None:
         points2 = {n: lp.q + 8 for n, lp in base.plan.levels.items() if lp.method == "aghq"} or None
     if draws2 is None:
@@ -298,8 +302,8 @@ def _parser() -> _Parser:
     p_sim.set_defaults(func=cmd_simulate)
     p_check = sub.add_parser("check", help="refit at escalated resolution and report estimate shifts")
     _add_fit_flags(p_check)
-    p_check.add_argument("--points2", help="escalated quadrature points (default: points + 8)")
-    p_check.add_argument("--draws2", help="escalated draw count (default: draws * 4)")
+    p_check.add_argument("--points2", type=_per_level(int), help="escalated quadrature points (default: points + 8)")
+    p_check.add_argument("--draws2", type=_per_level(int), help="escalated draw count (default: draws * 4)")
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -14,6 +14,7 @@ specification parser a model's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -227,7 +228,7 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     return z
 
 
-def logsumexp(a: np.ndarray, weights: bool = False):
+def logsumexp(a: np.ndarray, weights: bool | str = False):
     """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
@@ -247,7 +248,9 @@ def logsumexp(a: np.ndarray, weights: bool = False):
     exp(a - value) of each row, the same exponentials, in the same
     array, with the ties set back to 1, times the reciprocal of their
     row total m + s. On a row whose value is not finite (its maximum is
-    +-inf or NaN) every weight is NaN.
+    +-inf or NaN) every weight is NaN. With ``weights="later"``, (value,
+    weigh) instead: ``weigh()`` forms those weights when called, once,
+    so that a caller that may never read them does not pay for them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rows = np.arange(a.shape[0])
@@ -263,17 +266,25 @@ def logsumexp(a: np.ndarray, weights: bool = False):
             m = ties.sum(axis=1, keepdims=True, dtype=a.dtype)
         np.exp(e, out=e)
         e[ties] = 0.0
-        s = e.sum(axis=1, keepdims=True)
-        total = s + m if weights else None
-        s = np.where(s == 0, s, s / m)
+        rest = e.sum(axis=1, keepdims=True)
+        s = np.where(rest == 0, rest, rest / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         if direct is not None:
             out[~finite] = np.log(np.sum(np.exp(direct), axis=1))
-        if not weights:
-            return out
-        e[ties] = 1.0
-        e *= 1.0 / total
-    return out, e
+    if not weights:
+        return out
+    if weights == "later":
+        return out, functools.partial(_weigh, e, ties, rest, m)
+    return out, _weigh(e, ties, rest, m)
+
+
+def _weigh(e: np.ndarray, ties, rest: np.ndarray, m) -> np.ndarray:
+    """``logsumexp``'s weights, formed in e: the ties set back to 1, times
+    the reciprocal of the row total. That total is at least 1, or NaN on
+    a row without a finite maximum, so nothing here divides by zero or
+    overflows."""
+    e[ties] = 1.0
+    return np.multiply(e, 1.0 / (rest + m), out=e)
 
 
 def place_nodes(nodes: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +310,8 @@ class Adaptation(NamedTuple):
     iterations: np.ndarray  # (K,) sweeps that updated the cell
     fallback: np.ndarray  # (K,) flagged: at (0, prior scale)
     capped: np.ndarray  # (K,) stopped at max_iter with the last step at or above tol
-    value: np.ndarray | None  # (K,) log integral at the returned shift and scale; None where not read
+    value: np.ndarray | None  # (K,) log integral at the returned shift and scale, or None (see ``adapt_locations``)
+    weights: np.ndarray | None = None  # (K, M) posterior weights there, where ``value`` is given
 
 
 def adapt_locations(
@@ -312,6 +324,7 @@ def adapt_locations(
     max_iter: int = 20,
     start: Adaptation | None = None,
     value: bool = True,
+    first: tuple | None = None,
 ) -> Adaptation:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
@@ -334,13 +347,20 @@ def adapt_locations(
 
     A cell whose step falls below ``tol`` keeps the shift and scale that
     sweep evaluated, not the step after, so that the sweep's log integral
-    is the cell's ``value``. Only where the last sweep left some cell at
-    a rule it did not evaluate (a cell fell back, or ``max_iter`` left
-    capped cells, which took their last step) is every cell evaluated
-    once more, with no update. ``value`` is thus, bit for bit,
+    is the cell's ``value`` and its posterior weights the cell's
+    ``weights``. Only where the last sweep left some cell at a rule it
+    did not evaluate (a cell fell back, or ``max_iter`` left capped
+    cells, which took their last step) is every cell evaluated once
+    more, with no update. ``value`` is thus, bit for bit,
     logsumexp(``log_correction`` + conditional) at the returned rule.
     Where the caller does not read it (``value`` false), no closing
-    evaluation runs and ``value`` is None.
+    evaluation runs, and ``value`` and ``weights`` are None where it
+    would have.
+
+    ``first``, where given, is the (value, weights) that an evaluation
+    at the start rule gives, as ``logsumexp(..., weights=True)`` forms
+    them: the first sweep takes them instead of evaluating. Its caller
+    holds them from an earlier evaluation at the same rule.
 
     Every active cell starts at (0, prior scale), or, given ``start``, at
     its shift and scale there: the result of an earlier adaptation of the
@@ -361,16 +381,19 @@ def adapt_locations(
         mu[warm], lam[warm] = start.shift[warm], start.scale[warm]
     scale_step = _scalar_scale_step if r == 1 else _scale_step
 
-    def evaluate(weights: bool):
+    def evaluate():
         x, logdet = place_nodes(grid[0], mu, lam)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return x, logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=weights)
+            return x, logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=True)
 
-    stale = value  # some cell's rule is not the one the last sweep evaluated, and value is read
+    moved = None  # the cells that the last sweep moved off the rule it evaluated
     for _ in range(max_iter):
         if not np.any(active):
             break
-        x, (last, w) = evaluate(weights=True)
+        if first is None:
+            x, (last, w) = evaluate()
+        else:  # the start rule's evaluation, which the caller holds
+            x, (last, w), first = place_nodes(grid[0], mu, lam)[0], first, None
         bad = ~np.isfinite(last)
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
@@ -387,10 +410,10 @@ def adapt_locations(
         moved = active | newly_bad
         mu = np.where(moved[:, None], mu_new, mu)
         lam = np.where(moved[:, None, None], lam_new, lam)
-        stale = value and bool(moved.any())
-    if stale:
-        last = evaluate(weights=False)[1]
-    return Adaptation(mu, lam, iters, flagged, active, last if value else None)
+    stale = moved is None or bool(moved.any())  # some cell's rule is not the one the last evaluation was at
+    if stale and value:
+        (last, w), stale = evaluate()[1], False
+    return Adaptation(mu, lam, iters, flagged, active, *((None, None) if stale else (last, w)))
 
 
 def _scale_step(lam, cov, ok, bad):

@@ -86,7 +86,8 @@ Q = sum((r - r-bar)^2), it is
 Where each outcome's rows and intercepts sit is fixed when the evaluator
 is built, in one record per outcome (``_Segments``). One routine forms
 either family's unit sums from it, once per entry point (``_unit_sums``:
-once per ``logl`` call, per ``refresh`` and per pass), and they are
+once per ``logl`` call, per ``refresh`` and per pass; a refresh at the
+theta of the kept evaluation below reads that evaluation's), and they are
 handed down the level recursion; at each chunk one walk over an
 outcome's intercepts gives L at its units (``_row_sums``), and their
 units x columns form is added into the row sums. Which outcomes take
@@ -101,6 +102,27 @@ evaluator frees one untouched 16 MiB block first, which raises glibc's
 dynamic mmap and trim thresholds so that those arrays come from the
 heap and stay mapped (see ``LikelihoodEvaluator.__init__``). On other
 allocators the block does nothing.
+
+The evaluator keeps the latest evaluation of an adaptive innermost level
+(``_entry``): the unit sums it read, each cell's log integral, the
+posterior weights (a ``logl`` call's are formed only if read) and, where
+a pass may read them, each outcome's features, keyed by the bytes of
+theta, of the outer levels' nodes and of the level's rule at its active
+cells (``_key``). The next entry point reads it where the key matches. A
+refresh at its theta takes its unit sums, and the level's adaptation
+takes it as its first sweep where every active cell starts at the rule
+it was made at: so the refresh after an accepted line-search point
+starts from that point's ``logl`` call or rounding-floor pass. A call or
+a pass at the rule a refresh's last sweep evaluated reads the log
+integrals there, and a pass the weights and features as well, instead of
+evaluating the level again. Each read gives the bits an evaluation
+would, since the same operations would run on the same inputs. A cell
+that fell back restarts from the prior at the new theta's scale, so an
+adaptation with one does not read it; nor does an outer level's sweep,
+whose evaluations re-adapt the levels inside (the innermost level's
+adaptation inside its first evaluation may). An evaluation at another
+theta is dropped as an entry point starts, and a model without an
+adaptive innermost level keeps nothing.
 
 ``LikelihoodEvaluator.logl`` takes one parameter vector and returns a
 float; the probes of a finite-difference derivative are one call each
@@ -181,7 +203,8 @@ def default_plan(
     """The plan of ``fit_model``'s integration settings, and the one check
     of them and of ``program.spec.covariance``: a ValueError for each rule
     of README's "Library use". Every argument but ``adaptive`` and ``skip``
-    takes a single value or a per-level dict. Left at None: adaptive
+    takes a single value or a per-level dict; ``adaptive`` is a bool
+    (numpy's included) or None. Left at None: adaptive
     quadrature at 7 points for a normal kernel, QMC at 150 draws per
     dimension for a t kernel, and a skip of 15.
     """
@@ -197,7 +220,9 @@ def default_plan(
         extra = [n for n in value if n not in latent] if isinstance(value, dict) else []
         if extra:
             raise ValueError(f"{what} names levels without latent effects: {extra}; the levels with them are {latent}")
-    spec, adapt = program.spec, LevelPlan.adaptive if adaptive is None else adaptive
+    if adaptive is not None and not isinstance(adaptive, (bool, np.bool_)):
+        raise ValueError(f"adaptive must be a bool or None, got {adaptive!r}")
+    spec, adapt = program.spec, LevelPlan.adaptive if adaptive is None else bool(adaptive)
     if spec.covariance not in ("independent", "unstructured"):
         raise ValueError(f"unknown covariance structure {spec.covariance!r}")
     plan = IntegrationPlan(skip=IntegrationPlan.skip if skip is None else _integer(skip, "skip"))
@@ -426,6 +451,32 @@ class _OutcomeTerms(NamedTuple):
     curve: tuple  # (h, h')
 
 
+class _Innermost:
+    """An evaluation of the adaptive innermost level, as
+    ``LikelihoodEvaluator`` keeps its latest (``_entry``): its key
+    (``_key``, whose first part is theta's bytes), the unit sums it read, each
+    cell's log integral (units, combinations) with units without rows not
+    yet zeroed, the posterior weights per chunk of combinations (arrays,
+    or functions that form them: ``logsumexp(..., weights="later")``),
+    and per chunk (c0, c1, ``_row_sums``' raw features) where a pass may
+    read them, else None.
+    """
+
+    __slots__ = ("key", "sums", "value", "features", "_weights")
+
+    def __init__(self, key: tuple, sums: dict, value: np.ndarray, weights: list, features):
+        self.key, self.sums, self.value, self.features, self._weights = key, sums, value, features, weights
+
+    def weights(self) -> np.ndarray:
+        """The cells' posterior weights (units, combinations, M), formed
+        at the first read."""
+        if isinstance(self._weights, list):
+            parts = [w if isinstance(w, np.ndarray) else w() for w in self._weights]
+            parts = [w.reshape(len(self.value), -1, w.shape[-1]) for w in parts]
+            self._weights = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return self._weights
+
+
 # rows x columns of one conditional evaluation at the innermost level
 _CHUNK_VALUES = 1 << 16
 # the most that the square of a cell's raw-moment spread may exceed the
@@ -455,6 +506,12 @@ class LikelihoodEvaluator:
         self._plan_chunks()
         self.exact = self._exact_scope()
         self.posterior_start = self._posterior_scope()
+        # whether an adaptive innermost level's evaluations keep the features
+        # a pass reads: its chunks must be whole combinations, as a pass's are
+        inner = self.level_states[-1] if self.level_states else None
+        self._keeps_features = self.exact and inner.adaptive and self.chunk_columns >= inner.m
+        # the innermost cells whose rule an evaluation's key holds (``_key``)
+        self._rule_cells = None if inner is None else slice(None) if inner.cells.all() else inner.cells
         if self.exact:
             # the log-scale slots of the levels whose nodes scale with them,
             # and the position there of each one's latent effect
@@ -473,6 +530,8 @@ class LikelihoodEvaluator:
         # allocators just free the block.
         np.empty(1 << 21)
         self.adapted: dict[int, Adaptation] = {}  # level position -> latest adaptation, swept or placed
+        self._entry: _Innermost | None = None  # the latest evaluation of an adaptive innermost level
+        self._inner_rule = b""  # the bytes of that level's latest rule (``_rule``)
         self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
@@ -686,9 +745,35 @@ class LikelihoodEvaluator:
     def _all_sums(self, theta: np.ndarray) -> dict:
         """Outcome -> its ``_unit_sums`` at theta, for every outcome with
         intercepts: computed once per entry point and handed down the
-        level recursion.
+        level recursion; those of the kept evaluation (``_entry``) where
+        it was at theta.
         """
-        return {k: self._unit_sums(theta, k) for k in self.per_unit}
+        entry = self._kept(theta)
+        return entry.sums if entry is not None else {k: self._unit_sums(theta, k) for k in self.per_unit}
+
+    def _kept(self, theta: np.ndarray) -> _Innermost | None:
+        """The kept evaluation (``_entry``) where it was at theta. One at
+        another theta is dropped as an entry point starts, since nothing
+        would read it, so that its arrays are freed before the entry
+        point makes its own."""
+        entry = self._entry  # read once: threaded probes share the evaluator
+        if entry is not None and entry.key[0] != theta.tobytes():
+            self._entry = entry = None
+        return entry
+
+    def _key(self, theta: np.ndarray, outer: list) -> tuple:
+        """The key of an evaluation of the adaptive innermost level at its
+        latest adaptation: the bytes of theta, of the outer levels' nodes
+        and of the level's rule (``_rule``), which are all it reads.
+        """
+        return theta.tobytes(), *(x.tobytes() for x in outer), self._inner_rule
+
+    def _rule(self, fit: Adaptation) -> bytes:
+        """The bytes of an adaptation's shifts and scales at the active
+        cells, formed once per adaptation of the innermost level. An
+        inactive cell's values are never read."""
+        cells = self._rule_cells
+        return fit.shift[cells].tobytes() + fit.scale[cells].tobytes()
 
     def _logl(self, theta: np.ndarray) -> float:
         """The value of ``logl``, uncounted."""
@@ -788,6 +873,7 @@ class LikelihoodEvaluator:
     def _derivative_pass(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The pass of ``derivatives``, uncounted."""
         p = theta.size
+        self._kept(theta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sums, terms = {}, {}
             for k in self.per_unit:
@@ -857,7 +943,10 @@ class LikelihoodEvaluator:
         first adaptation, and for a cell that fell back). Each evaluation
         of a sweep adapts the levels inside at the nodes evaluated, and the
         last is at the rule kept; a non-adaptive level adapts them at its
-        own nodes.
+        own nodes. The innermost level's adaptation takes the kept
+        evaluation (``_entry``) as its first sweep where that is at its
+        start rule with no active cell restarting from the prior, and
+        keeps its last evaluation where that is at the rule kept.
 
         With ``read`` (an adaptive level inside a sweeping one), a level
         that swept returns its log integral per unit and outer-node
@@ -870,20 +959,42 @@ class LikelihoodEvaluator:
         if st.adaptive:
             start = self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos)
             if not self.posterior_start or start.fallback.any():
+                innermost, entry, first, last = pos + 1 == len(self.level_states), self._entry, None, []
+
+                def conditional(x):  # at the innermost level, keeping its features in ``last``
+                    cond, *last[:] = self._conditional(theta, pos, outer, x, sums, refresh=True)
+                    return cond
+
+                # the entry is the first sweep's where it is at the start
+                # rule, the latest adaptation's, and no active cell restarts
+                # from the prior
+                if innermost and entry is not None and entry.key == self._key(theta, outer):
+                    if start is not None and not self.posterior_start and not start.fallback[st.cells].any():
+                        first = entry.value.reshape(-1), entry.weights().reshape(-1, st.m)
                 self.adapted[pos] = fit = adapt_locations(
-                    lambda x: self._conditional(theta, pos, outer, x, sums, refresh=True)[0],
+                    conditional,
                     st.kernel,
                     self.level_chol(st, theta),
                     st.grid,
                     st.cells,
                     start=start,
                     value=read,
+                    first=first,
                 )
                 self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
                 self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
+                if innermost:
+                    self._inner_rule = self._rule(fit)
+                key = innermost and fit.value is not None and self._key(theta, outer)
+                if key and (entry is None or entry.key != key):  # else the adaptation ended at its first sweep
+                    value = fit.value.reshape(st.n_units, -1)
+                    features = last[0] if self._keeps_features else None
+                    self._entry = _Innermost(key, sums, value, [fit.weights], features)
                 return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
             self.adapted[pos] = start
             self.placed[pos] = place_nodes(st.nodes, start.shift, start.scale)
+            if pos + 1 == len(self.level_states):
+                self._inner_rule = self._rule(start)
         if pos + 1 < len(self.level_states):
             x = self.placed[pos][0] if st.adaptive else self._nodes(pos, theta)[0]
             self._adapt(theta, pos + 1, outer + [self._as_outer(pos, x)], sums)
@@ -975,17 +1086,20 @@ class LikelihoodEvaluator:
         """Conditional log-likelihood (cells, M) of everything inside each
         cell of level ``pos``, at its node locations ``x``; with
         ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
-        there, for a level outside the innermost. With ``refresh``, the
-        levels inside are adapted at ``x`` first (``_adapt``), and the
-        integrals of an adaptive child level that swept are its
-        adaptation's values, not integrated again.
+        there, for a level outside the innermost, and at the innermost
+        level, per chunk of combinations, (c0, c1, ``_row_sums``' raw
+        features). With ``refresh``, the levels inside are adapted at
+        ``x`` first (``_adapt``), and the integrals of an adaptive child
+        level that swept are its adaptation's values, not integrated
+        again.
         """
         st = self.level_states[pos]
         if pos + 1 == len(self.level_states):
-            cond = np.empty((st.n_units, st.n_combos, st.m))
-            for c0, c1, ll, _ in self._row_sums(theta, outer, x, sums):
+            cond, features = np.empty((st.n_units, st.n_combos, st.m)), []
+            for c0, c1, ll, raw in self._row_sums(theta, outer, x, sums):
                 cond[:, c0:c1] = ll
-            return (cond.reshape(-1, st.m),)
+                features.append((c0, c1, raw))
+            return cond.reshape(-1, st.m), features
         inner_outer = outer + [self._as_outer(pos, x)]
         value = self._adapt(theta, pos + 1, inner_outer, sums, read=True) if refresh else None
         child = (value,) if value is not None else self._integrate(theta, pos + 1, inner_outer, sums, terms)
@@ -1000,22 +1114,10 @@ class LikelihoodEvaluator:
         st = self.level_states[pos]
         if st.adaptive and pos not in self.adapted:
             self._adapt(theta, pos, outer, sums)
-        x, corr = self._nodes(pos, theta)
         if pos + 1 == len(self.level_states):
-            corr3 = corr.reshape(st.n_units, -1, st.m)
-            parts = []
-            for c0, c1, ll, feats in self._row_sums(theta, outer, x, sums, terms):
-                ll += corr3[:, c0:c1]  # the chunk's one buffer, which logsumexp turns into weights
-                logp = ll.reshape(-1, st.m)
-                if terms is None:
-                    parts.append([logsumexp(logp).reshape(st.n_units, c1 - c0)])
-                    continue
-                lse, w = logsumexp(logp, weights=True)
-                u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
-                derivs = self._inner_derivatives(theta, w.reshape(ll.shape), u, feats, terms)
-                parts.append([lse.reshape(st.n_units, c1 - c0), *derivs])
-            out = [np.concatenate(v, axis=1) for v in zip(*parts)]
+            out = self._innermost(theta, outer, sums, terms)
         else:
+            x, corr = self._nodes(pos, theta)
             cond, *derivs = self._conditional(theta, pos, outer, x, sums, terms)
             logp = corr + cond
             if terms is None:
@@ -1025,6 +1127,68 @@ class LikelihoodEvaluator:
                 derivs = self._outer_derivatives(pos, theta, w, x, *derivs)
                 out = [lse.reshape(st.n_units, -1)] + [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
         return tuple(np.where(st.active.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0) for v in out)
+
+    def _innermost(self, theta, outer: list, sums: dict, terms) -> list:
+        """``_integrate`` at the innermost level, before units without rows
+        are zeroed: [log integral] or, with ``terms``, [log integral,
+        score, Hessian], per unit and combination. On an adaptive level
+        the evaluation is kept (``_entry``), and one at the same key
+        (``_key``) is read instead of evaluated again: its log integrals,
+        and for a pass its weights and features, at the level's placed
+        nodes, with no conditional, log-correction or ``logsumexp``. A
+        ``logl`` call's weights are formed only if read.
+        """
+        pos = len(self.level_states) - 1
+        st = self.level_states[pos]
+        key = st.adaptive and self._key(theta, outer)
+        entry, chunks = self._entry, []
+        if key and entry is not None and entry.key == key and (terms is None or entry.features is not None):
+            value = entry.value
+            if terms is not None:
+                w, x = entry.weights(), self.placed[pos][0]
+                for c0, c1, raw in entry.features:
+                    chunks.append((c0, c1, np.ascontiguousarray(w[:, c0:c1]), x, self._features(raw, sums)))
+        else:
+            self._entry = None  # its arrays are freed before this evaluation makes its own
+            x, corr = self._nodes(pos, theta)
+            corr3 = corr.reshape(st.n_units, -1, st.m)
+            values, weights, features = [], [], []
+            for c0, c1, ll, raw in self._row_sums(theta, outer, x, sums, terms):
+                ll += corr3[:, c0:c1]  # the chunk's one buffer, which logsumexp turns into weights
+                lse = logsumexp(ll.reshape(-1, st.m), weights=True if terms is not None else "later" if key else False)
+                lse, w = lse if isinstance(lse, tuple) else (lse, None)
+                values.append(lse.reshape(st.n_units, c1 - c0))
+                weights.append(w)
+                features.append((c0, c1, raw))
+                if terms is not None:
+                    chunks.append((c0, c1, w.reshape(ll.shape), x, self._features(raw, sums)))
+            value = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
+            if key:
+                kept = features if terms is not None or self._keeps_features else None
+                self._entry = _Innermost(key, sums, value, weights, kept)
+        if terms is None:
+            return [value]
+        derivs = []
+        for c0, c1, w, x, feats in chunks:
+            u = x.reshape(st.n_units, -1, st.m)[:, c0:c1]
+            derivs.append(self._inner_derivatives(theta, w, u, feats, terms))
+        return [value, *(np.concatenate(v, axis=1) for v in zip(*derivs))]
+
+    def _features(self, raw: dict, sums: dict) -> dict:
+        """Each outcome's features for ``_inner_derivatives`` from
+        ``_row_sums``' raw ones, placed by innermost unit (``_by_unit``):
+        its feature at the chunk's columns, the sums of its intercept
+        values at each level with scaled nodes and, where the innermost
+        level's nodes are scaled, its feature as a node polynomial, from
+        the sum of its intercept values outside that level
+        (``node_feature``), else an empty one.
+        """
+        out = {}
+        for k, (f, scaled, outside) in raw.items():
+            place = functools.partial(self._by_unit, k)
+            poly = {} if self.level_states[-1].adaptive else sums[k].node_feature(outside, self.segments[k].inner)
+            out[k] = place(f), [*map(place, scaled)], _NodePoly(zip(poly, map(place, poly.values())))
+        return out
 
     def _inner_derivatives(self, theta, w, u, feats: dict, terms: dict) -> tuple:
         """Score (units, C, p) and Hessian (units, C, p, p) of the log
@@ -1182,8 +1346,9 @@ class LikelihoodEvaluator:
 
         def leaves(k):
             f, scaled, _ = feats[k]
-            f = f.reshape(shape)[u0:u1]
-            f[w == 0.0] = 0.0  # no inf * 0 where a node has no weight
+            # no inf * 0 where a node has no weight; a new array, which the
+            # covariance below centres in place, so that f is left as it was
+            f = np.where(w == 0.0, 0.0, f.reshape(shape)[u0:u1])
             return f, [None if v is None else v.reshape(shape)[u0:u1] for v in scaled]
 
         a, entries = self._node_terms(leaves, terms, u0, u1, p)
@@ -1236,11 +1401,12 @@ class LikelihoodEvaluator:
         is whole combinations, and ``features`` maps each such outcome to
         its feature at the chunk's columns (``_ExpLinearSums.at``,
         ``_GaussianSums.at``), to the sums of its intercept values at each
-        level with scaled nodes, from the same walk, and, where the
-        innermost level's nodes are scaled, to its feature as a node
-        polynomial, from the sum of its intercept values outside that
-        level (``node_feature``), else an empty one, each placed by
-        innermost unit (``_by_unit``); without ``terms`` it is empty.
+        level with scaled nodes, from the same walk, and to the sum of
+        those outside the innermost level at each combination, by the
+        outcome's units (``_features`` places them); so it does on an
+        adaptive innermost level of an exact model whose chunks are whole
+        combinations, whose evaluations a pass may read
+        (``_keeps_features``). Otherwise it is empty.
 
         Where the innermost level's nodes are shared by every cell, an
         exp-linear outcome's S exp(L + m) takes one exponential per cell
@@ -1255,6 +1421,7 @@ class LikelihoodEvaluator:
         m, width = st.m, self.chunk_columns
         if terms is not None:
             width = max(m, width - width % m)
+        keep = terms is not None or self._keeps_features
         inner = st.info.latent_names
         combos = st.n_combos
         cells = x.reshape(st.n_units, combos, m, st.info.dim)
@@ -1287,21 +1454,19 @@ class LikelihoodEvaluator:
                 if seg is None:
                     continue
                 if k in sums:
-                    L, scaled, outside = None, None if terms is None else [None] * len(self.tau_scaled), 0.0
+                    L, scaled, outside = None, [None] * len(self.tau_scaled) if keep else None, 0.0
                     for name, units in seg.intercepts:
                         v = vals[name] if isinstance(units, slice) else vals[name][units]
                         L = v if L is None else L + v
                         if not st.adaptive and name not in inner:  # the same at each of a combination's m nodes
                             outside = outside + v[:, ::m]
-                        if terms is not None and (i := self.scaled_index.get(name)) is not None:
+                        if keep and (i := self.scaled_index.get(name)) is not None:
                             scaled[i] = v if scaled[i] is None else scaled[i] + v
                     shared = None if st.adaptive else (outside, node_sums[k][nodes], tops[k])
                     unit_ll, f = sums[k].at(L, shared)
                     _nan_as_neginf(unit_ll)  # as at the rows
-                    if terms is not None:  # placed by innermost unit
-                        place = functools.partial(self._by_unit, k)
-                        poly = {} if st.adaptive else sums[k].node_feature(outside, seg.inner)
-                        features[k] = place(f), [*map(place, scaled)], _NodePoly(zip(poly, map(place, poly.values())))
+                    if keep:
+                        features[k] = f, scaled, outside
                 else:
                     ll = outcome_logl(ctx, k)
                     nan = np.isnan(ll)

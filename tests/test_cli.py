@@ -731,6 +731,20 @@ class TestCheckCommand:
         escalated = out.read_text().split("escalated:")[1]
         assert expect in escalated
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--points2", "9.5"], ["--points2", "id=9.5"], ["--method", "qmc", "--draws2", "80.5"], ["--draws2", "id=x"]],
+        ids=["points2", "points2_per_level", "draws2", "draws2_per_level"],
+    )
+    def test_escalated_count_not_an_integer_names_its_flag(self, frailty_csv, tmp_path, flags, capsys):
+        # was: "error: invalid literal for int() with base 10", after the
+        # base fit, which did not name the flag
+        out = tmp_path / "check.txt"
+        assert main(["check", "--spec", SPEC, "--data", str(frailty_csv), "--out", str(out), "--quiet"] + flags) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: argument {flags[-2]}: invalid int value: {flags[-1]!r}"]
+        assert not out.exists()
+
     def test_near_zero_frailty_shift_lands_on_sd(self, tmp_path):
         # a nearly degenerate frailty variance is the resolution-sensitive
         # parameter: escalating the rule moves sd(M1) the most

@@ -218,18 +218,30 @@ THREE = "(y M1[id] a#M2[id] b#M3[id], family(gaussian))"
 # A "was:" comment tells what fit_model did with the row's setting before
 # counts had to be integers
 SETTING_RULES = {
-    # was: 7 points fitted, reported "aghq points 6.5"
+    # was: 7 points fitted, reported "aghq points 6.5"; on the command
+    # line each per-level count read "invalid literal for int()", which
+    # did not name the flag
     "points_not_integer": (
-        ONE, dict(points=6.5), ["--points", "6.5"], "points must be an integer, got 6.5", "invalid literal for int()"
+        ONE, dict(points=6.5), ["--points", "6.5"], "points must be an integer, got 6.5",
+        "argument --points: invalid int value: '6.5'",
     ),
     # was: IndexError
     "points_whole_float": (
-        ONE, dict(points=7.0), ["--points", "7.0"], "points must be an integer, got 7.0", "invalid literal for int()"
+        ONE, dict(points=7.0), ["--points", "7.0"], "points must be an integer, got 7.0",
+        "argument --points: invalid int value: '7.0'",
+    ),
+    "points_per_level_not_integer": (
+        ONE, dict(points={"id": 6.5}), ["--points", "id=6.5"], "points must be an integer, got 6.5",
+        "argument --points: invalid int value: 'id=6.5'",
     ),
     # was: TypeError
     "draws_not_integer": (
         ONE, dict(method="qmc", draws=100.5), ["--method", "qmc", "--draws", "100.5"], "draws must be an integer",
-        "invalid literal for int()",
+        "argument --draws: invalid int value: '100.5'",
+    ),
+    "draws_per_level_not_integer": (
+        ONE, dict(method="qmc", draws={"id": 100.5}), ["--method", "qmc", "--draws", "id=100.5"],
+        "draws must be an integer", "argument --draws: invalid int value: 'id=100.5'",
     ),
     # was: used as given
     "skip_not_integer": (
@@ -238,7 +250,11 @@ SETTING_RULES = {
     # was: used as given
     "t_df_not_integer": (
         ONE, dict(redistribution="t", t_df=5.5), ["--redistribution", "t", "--df", "5.5"], "t_df must be an integer",
-        "invalid literal for int()",
+        "argument --df: invalid int value: '5.5'",
+    ),
+    "t_df_per_level_not_integer": (
+        ONE, dict(redistribution="t", t_df={"id": 5.5}), ["--redistribution", "t", "--df", "id=5.5"],
+        "t_df must be an integer", "argument --df: invalid int value: 'id=5.5'",
     ),
     # was: TypeError
     "max_iter_not_integer": (
@@ -335,6 +351,23 @@ def refused_on_the_command_line(argv, message, capsys):
 
 
 class TestSettingRules:
+    @pytest.mark.parametrize("value", ["no", 0, 1, 1.0, None])
+    def test_adaptive_takes_a_bool_or_none(self, value):
+        # was: adaptive="no" fitted adaptive quadrature and adaptive=0
+        # non-adaptive; no flag takes a value for it, so this is a
+        # fit_model rule only (the command line's --no-adaptive is False)
+        data = cluster_data(g=6, n=3)
+        if value is None:
+            assert fit_model(ONE, data, adaptive=value).settings["id"] == "aghq points 7 (adaptive) kernel normal"
+            return
+        with pytest.raises(ValueError, match=re.escape(f"adaptive must be a bool or None, got {value!r}")):
+            fit_model(ONE, data, adaptive=value)
+
+    @pytest.mark.parametrize("value", [np.bool_(False), False])
+    def test_adaptive_takes_numpy_bools(self, value):
+        data = cluster_data(g=6, n=3)
+        assert fit_model(ONE, data, adaptive=value).settings["id"] == "aghq points 7 (non-adaptive) kernel normal"
+
     @pytest.mark.parametrize("case", SETTING_RULES)
     def test_fit_setting_is_refused(self, case, tmp_path, capsys):
         spec, options, flags, message, cli_message = SETTING_RULES[case]

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import os
@@ -1010,6 +1011,115 @@ def _poisson_aghq(outlier: bool = False):
         x[cid == 1.0], y[cid == 1.0] = 1000.0, 2.0
     prog = make({"id": cid, "x": x, "y": y}, "(y x M1[id], family(poisson))")
     return prog, default_plan(prog, points=7)
+
+
+def _kept_evaluation_case(case: str):
+    """A model for ``TestKeptEvaluation``, its plan and the second vector
+    of its sequence: 0.02 from the start values in every coordinate, or,
+    for ``fallback``, where the outlying cluster's conditional overflows
+    at every node, so that the refresh there leaves it fallen back."""
+    if case in ("rp", "rp_rows"):
+        prog, plan = _rp(twin=case == "rp_rows")
+    elif case == "fallback":
+        prog, plan = _poisson_aghq(outlier=True)
+    else:
+        build, spec, options = _PER_CLUSTER[case]
+        prog = make(build(), spec)
+        plan = default_plan(prog, **options)
+    theta = initial_values(prog) + 0.02
+    if case == "fallback":
+        theta = np.zeros(prog.n_params)
+        theta[[prog.slot_index("x"), prog.slot_index("ln_sd(M1)")]] = 1.0, math.log(0.6)
+    return prog, plan, theta
+
+
+class TestKeptEvaluation:
+    """The evaluator keeps the latest evaluation of an adaptive innermost
+    level, keyed by theta, the outer nodes and the level's rule, and the
+    next entry point reads it where its key matches: a refresh as its
+    unit sums and its first sweep, a pass or a call as the level's
+    integrals. The kept evaluation is never stale: every result equals,
+    bit for bit, that of a copy of the evaluator with nothing kept, and
+    each read saves exactly one innermost evaluation."""
+
+    # logl, refresh and the pass (logl without exact derivatives) at the
+    # start values v0 and a second vector v1, interleaved: the same theta
+    # at a new rule (logl v0 after the refresh at v1) and a new theta at
+    # the same rule (logl v1 before its refresh, refresh v0 after logl v1)
+    STEPS = [
+        ("refresh", 0, 0),  # the first adaptation, from the prior
+        ("logl", 0, 1),  # the refresh's last sweep
+        ("pass", 0, 1),
+        ("logl", 1, 0),
+        ("refresh", 1, 1),  # its first sweep is logl v1's evaluation
+        ("refresh", 1, 1),  # its first sweep is the last refresh's last one
+        ("logl", 0, 0),
+        ("pass", 1, 0),
+        ("pass", 1, 1),  # the pass just made
+        ("logl", 1, 1),
+        ("refresh", 0, 0),
+        ("pass", 0, 1),
+    ]
+
+    @pytest.mark.parametrize("case", ["rp", "rp_rows", "poisson_nested_aghq", "fallback", "poisson_nested_aghq_qmc"])
+    def test_matches_an_evaluator_that_keeps_nothing(self, case):
+        prog, plan, v1 = _kept_evaluation_case(case)
+        ev = LikelihoodEvaluator(prog, plan)
+        vectors = initial_values(prog), v1
+        inner = ev.level_states[-1]
+        one = int(inner.active.sum()) * inner.n_combos * inner.m  # one innermost evaluation
+        assert ev.exact == (case != "rp_rows")
+        for step, (name, which, reads) in enumerate(self.STEPS):
+            if case == "fallback" and step == 5:
+                # the refresh at v1 left the outlying cluster fallen back,
+                # and it restarts from the prior at v1's scale: no first sweep
+                assert ev.profile_report()["adaptation_fallbacks"] == [("id", 0, 0)]
+                reads = 0
+            if case == "poisson_nested_aghq_qmc":
+                reads = 0  # a QMC innermost level: nothing is kept
+            name = "derivatives" if name == "pass" and ev.exact else "logl" if name == "pass" else name
+            theta = vectors[which]
+            fresh = copy.deepcopy(ev)
+            fresh._entry = None
+            got, expect = (getattr(e, name)(theta) for e in (ev, fresh))
+            bits = [[np.asarray(v).tobytes() for v in (r if isinstance(r, tuple) else (r,))] for r in (got, expect)]
+            assert bits[0] == bits[1], (step, name)
+            for pos, fit in ev.adapted.items():
+                for field in ("shift", "scale", "iterations", "fallback", "capped"):
+                    assert getattr(fit, field).tobytes() == getattr(fresh.adapted[pos], field).tobytes(), (step, field)
+                assert ev.placed[pos][0].tobytes() == fresh.placed[pos][0].tobytes()
+            saved = fresh.profile_report()["conditional_evaluations"] - ev.profile_report()["conditional_evaluations"]
+            assert saved == reads * one, (step, name)
+            assert (ev._entry is None) == (case == "poisson_nested_aghq_qmc")
+
+    def test_concurrent_calls_share_the_kept_evaluation(self):
+        # a finite-difference fit's threads call logl on one evaluator: more
+        # threads than cores, switching often, each at its own vector and
+        # again at it, so that each reads, replaces and drops the kept
+        # evaluation under the others; every value is the serial one
+        prog, plan, _ = _kept_evaluation_case("rp_rows")
+        thetas = [initial_values(prog) + 0.01 * i for i in range(4)]
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(thetas[0])
+        expect = [ev.logl(th) for th in thetas]
+        got = [[] for _ in thetas]
+
+        def work(i):
+            for _ in range(6):
+                got[i].append(ev.logl(thetas[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(len(thetas))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [[v] * 6 for v in expect]
 
 
 class TestWarmAdaptation:

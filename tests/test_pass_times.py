@@ -1,11 +1,13 @@
 """``tools/pass_times.py``: the likelihood's entry points timed in two
 checkouts at one parameter vector."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "pass_times.py"
@@ -26,8 +28,9 @@ def test_one_checkout_times_its_tiny_cases():
     # in-process: exact models time their pass as well, and every case a
     # refresh that re-adapts
     for case in ("frailty_qmc", "nested3_aghq", "rp_replicates"):
-        assert {f"{case}/{entry}" for entry in ("derivatives", "logl", "refresh", "readapt")} <= times.keys()
-    assert {"joint_ev/logl", "joint_ev/refresh", "joint_ev/readapt"} <= times.keys()
+        entries = ("derivatives", "logl", "refresh", "readapt", "iteration")
+        assert {f"{case}/{entry}" for entry in entries} <= times.keys()
+    assert {"joint_ev/logl", "joint_ev/refresh", "joint_ev/readapt", "joint_ev/iteration"} <= times.keys()
     assert "joint_ev/derivatives" not in times
     assert all(value > 0 for row in times.values() for value in row)
 
@@ -40,6 +43,8 @@ def test_readapt_alternates_between_two_vectors(monkeypatch):
 
     seen = []
 
+    logls = []
+
     class Evaluator:
         exact = False
 
@@ -47,6 +52,7 @@ def test_readapt_alternates_between_two_vectors(monkeypatch):
             seen.append(theta.copy())
 
         def logl(self, theta):
+            logls.append(theta.copy())
             return 0.0
 
     monkeypatch.setattr(pass_times, "cases", lambda *args: {"case": ("spec", {}, {})})
@@ -54,11 +60,43 @@ def test_readapt_alternates_between_two_vectors(monkeypatch):
     monkeypatch.setattr(pass_times.os, "sched_setaffinity", lambda *args: None)
     theta = np.array([0.5, -1.0])
     times = pass_times.time_side(ROOT, True, {"case": theta.tolist()}, calls=2, repeats=2, names=None)
-    assert set(times) == {"case/logl", "case/refresh", "case/readapt"}
-    # one refresh to adapt, 4 timed at the vector, then 4 that alternate
-    assert len(seen) == 9 and all(np.array_equal(v, theta) for v in seen[:5])
+    assert set(times) == {"case/logl", "case/refresh", "case/readapt", "case/iteration"}
+    # one refresh to adapt, 4 timed at the vector, then 4 that alternate,
+    # then the 4 iterations' refreshes, which alternate as well
+    assert len(seen) == 13 and all(np.array_equal(v, theta) for v in seen[:5])
     for i, v in enumerate(seen[5:]):
         np.testing.assert_array_equal(v, theta + pass_times.READAPT_STEP if i % 2 == 0 else theta)
+    # the 4 timed logl calls alternate between the vector PROBE_STEP away
+    # and the timed one, so that none reads the evaluation before it
+    for i, v in enumerate(logls[:4]):
+        np.testing.assert_array_equal(v, theta + pass_times.PROBE_STEP if i % 2 == 0 else theta)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_iteration_runs_an_adaptive_newton_iteration(exact, monkeypatch):
+    # logl at the accepted point, the refresh there, then the pass (or
+    # logl without exact derivatives), all at one vector, which alternates
+    # between the vector READAPT_STEP away and the timed one
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import pass_times
+
+    calls = []
+
+    class Evaluator:
+        def __init__(self):
+            self.exact = exact
+
+        def __getattr__(self, name):
+            return lambda theta: calls.append((name, theta.copy()))
+
+    theta = np.array([0.5, -1.0])
+    vectors = itertools.cycle((theta + pass_times.READAPT_STEP, theta))
+    for _ in range(2):
+        pass_times.iteration(Evaluator(), vectors, theta)
+    last = "derivatives" if exact else "logl"
+    assert [name for name, _ in calls] == ["logl", "refresh", last] * 2
+    for i, (_, v) in enumerate(calls):
+        np.testing.assert_array_equal(v, theta + pass_times.READAPT_STEP if i < 3 else theta)
 
 
 def test_cases_times_only_the_named_cases():

@@ -11,12 +11,22 @@ the options the workload's fit passes, and ``derivatives`` (where the
 model has exact derivatives), ``logl`` and ``refresh`` are timed at the
 parent's optimum of that data set, the same vector on both sides;
 ``--tiny`` takes the workloads' TINY sizes and their start values
-instead, so that nothing is fitted. A ``refresh`` at the vector it has
+instead, so that nothing is fitted. ``derivatives`` and ``logl``
+alternate between the vector and one ``PROBE_STEP`` away in every
+coordinate, at the rule adapted there, as a fit's line-search points and
+finite-difference probes do: the evaluator keeps its latest evaluation,
+and a call at the vector of the call before would read it instead of
+evaluating. A ``refresh`` at the vector it has
 just adapted to finds every cell converged at its first sweep, so one
 more entry, ``readapt``, times ``refresh`` alternating between the
 vector and a nearby one, ``READAPT_STEP`` away in every coordinate (the
 size of a middle Newton step of a ``nested3_aghq`` fit), so that each
-call re-adapts the cells as a fit's refresh does. ``--cases`` times
+call re-adapts the cells as a fit's refresh does. Another,
+``iteration``, times what ``optim.maximize`` runs per iteration of an
+adaptive fit at the same alternating vectors: ``logl`` (the accepted
+line-search point), ``refresh`` and ``derivatives`` (``logl`` on a model
+without exact derivatives), all three at one vector per call, so that
+what one entry point reuses from another shows. ``--cases`` times
 only the named cases (say ``--cases frailty_qmc,rp_replicates``); an
 unknown name is an error.
 
@@ -37,6 +47,7 @@ and the ratio of the change's median to the parent's. It only reads
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -50,6 +61,8 @@ from pathlib import Path
 SEED = 5
 # the nearby vector of ``readapt``: this far from the timed one in every coordinate
 READAPT_STEP = 0.05
+# the second vector of ``logl`` and ``derivatives``: this far from the timed one in every coordinate
+PROBE_STEP = 1e-6
 # timed single-threaded, as perfbench/run.py fits
 BLAS_THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -142,9 +155,12 @@ def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int
             ev = evaluator(spec, data, options)
             theta = np.array(thetas[name])
             ev.refresh(theta)
-            entries = {"derivatives": ev.derivatives} if ev.exact else {}
+            probes = itertools.cycle((theta + PROBE_STEP, theta))
+            entries = {"derivatives": lambda _: ev.derivatives(next(probes))} if ev.exact else {}
             vectors = itertools.cycle((theta + READAPT_STEP, theta))
-            entries.update(logl=ev.logl, refresh=ev.refresh, readapt=lambda _: ev.refresh(next(vectors)))
+            entries.update(logl=lambda _: ev.logl(next(probes)), refresh=ev.refresh)
+            entries["readapt"] = lambda _: ev.refresh(next(vectors))
+            entries["iteration"] = functools.partial(iteration, ev, itertools.cycle((theta + READAPT_STEP, theta)))
             for entry, fn in entries.items():
                 best = float("inf")
                 for _ in range(repeats):
@@ -154,6 +170,17 @@ def time_side(checkout: Path, tiny: bool, thetas: dict, calls: int, repeats: int
                     best = min(best, (time.perf_counter() - start) / calls)
                 out[f"{name}/{entry}"] = best
     return out
+
+
+def iteration(ev, vectors, _) -> None:
+    """One adaptive Newton iteration's evaluations at the next vector:
+    the accepted point's ``logl``, the ``refresh`` there and the value
+    and derivatives after it (a pass, or ``logl`` without exact
+    derivatives)."""
+    theta = next(vectors)
+    ev.logl(theta)
+    ev.refresh(theta)
+    (ev.derivatives if ev.exact else ev.logl)(theta)
 
 
 def quartiles(values: list) -> tuple:
