@@ -228,7 +228,7 @@ def kernel_draws(kernel: ReKernel, uniforms: HaltonSet) -> np.ndarray:
     return z
 
 
-def logsumexp(a: np.ndarray, weights: bool | str = False):
+def logsumexp(a: np.ndarray, weights: bool = False):
     """log(sum(exp(a), axis=1)) of a 2-D float array, operation for
     operation as ``scipy.special.logsumexp(a, axis=1)``: the row maximum
     is taken out, its m ties contribute log(m), the rest log1p(s / m),
@@ -248,10 +248,22 @@ def logsumexp(a: np.ndarray, weights: bool | str = False):
     exp(a - value) of each row, the same exponentials, in the same
     array, with the ties set back to 1, times the reciprocal of their
     row total m + s. On a row whose value is not finite (its maximum is
-    +-inf or NaN) every weight is NaN. With ``weights="later"``, (value,
-    weigh) instead: ``weigh()`` forms those weights when called, once,
-    so that a caller that may never read them does not pay for them.
+    +-inf or NaN) every weight is NaN.
     """
+    out, parts = _logsumexp(a)
+    return (out, _weigh(*parts)) if weights else out
+
+
+def logsumexp_deferred(a: np.ndarray) -> tuple:
+    """``logsumexp(a, weights=True)``, with a function in place of the
+    weights that forms them, in a, when called (once): for a caller that
+    may never read them, which then does not pay for them."""
+    out, parts = _logsumexp(a)
+    return out, functools.partial(_weigh, *parts)
+
+
+def _logsumexp(a: np.ndarray) -> tuple:
+    """``logsumexp``'s value, and what its weights are formed from."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rows = np.arange(a.shape[0])
         top = a.argmax(axis=1)  # the first maximum, or the first NaN
@@ -271,11 +283,7 @@ def logsumexp(a: np.ndarray, weights: bool | str = False):
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         if direct is not None:
             out[~finite] = np.log(np.sum(np.exp(direct), axis=1))
-    if not weights:
-        return out
-    if weights == "later":
-        return out, functools.partial(_weigh, e, ties, rest, m)
-    return out, _weigh(e, ties, rest, m)
+    return out, (e, ties, rest, m)
 
 
 def _weigh(e: np.ndarray, ties, rest: np.ndarray, m) -> np.ndarray:

@@ -87,7 +87,7 @@ Where each outcome's rows and intercepts sit is fixed when the evaluator
 is built, in one record per outcome (``_Segments``). One routine forms
 either family's unit sums from it, once per entry point (``_unit_sums``:
 once per ``logl`` call, per ``refresh`` and per pass; a refresh at the
-theta of the kept evaluation below reads that evaluation's), and they are
+theta of the latest entry point reads that one's, see below), and they are
 handed down the level recursion; at each chunk one walk over an
 outcome's intercepts gives L at its units (``_row_sums``), and their
 units x columns form is added into the row sums. Which outcomes take
@@ -103,26 +103,31 @@ dynamic mmap and trim thresholds so that those arrays come from the
 heap and stay mapped (see ``LikelihoodEvaluator.__init__``). On other
 allocators the block does nothing.
 
-The evaluator keeps the latest evaluation of an adaptive innermost level
-(``_entry``): the unit sums it read, each cell's log integral, the
+A model with an adaptive level keeps the unit sums of its latest entry
+point (``_sums``), which a refresh at the same theta takes. Where the
+innermost level adapts by sweeps (``_keeps``: adaptive, and not placed
+at a closed-form posterior), the evaluator also keeps its latest
+evaluation of that level (``_entry``): each cell's log integral, the
 posterior weights (a ``logl`` call's are formed only if read) and, where
 a pass may read them, each outcome's features, keyed by the bytes of
 theta, of the outer levels' nodes and of the level's rule at its active
-cells (``_key``). The next entry point reads it where the key matches. A
-refresh at its theta takes its unit sums, and the level's adaptation
-takes it as its first sweep where every active cell starts at the rule
-it was made at: so the refresh after an accepted line-search point
-starts from that point's ``logl`` call or rounding-floor pass. A call or
-a pass at the rule a refresh's last sweep evaluated reads the log
-integrals there, and a pass the weights and features as well, instead of
-evaluating the level again. Each read gives the bits an evaluation
-would, since the same operations would run on the same inputs. A cell
-that fell back restarts from the prior at the new theta's scale, so an
-adaptation with one does not read it; nor does an outer level's sweep,
-whose evaluations re-adapt the levels inside (the innermost level's
-adaptation inside its first evaluation may). An evaluation at another
-theta is dropped as an entry point starts, and a model without an
-adaptive innermost level keeps nothing.
+cells (``_key``). Between entry points it thus holds, per innermost
+cell and node, one weight and, on exact models, a feature per outcome:
+the size of one sweep's arrays. The next entry point reads it where the
+key matches. The level's adaptation takes it as its first sweep where
+every active cell starts at the rule it was made at: so the refresh
+after an accepted line-search point starts from that point's ``logl``
+call or rounding-floor pass. A call or a pass at the rule a refresh's
+last sweep evaluated reads the log integrals there, and a pass the
+weights and features as well, instead of evaluating the level again.
+Each read gives the bits an evaluation would, since the same operations
+would run on the same inputs. A cell that fell back restarts from the
+prior at the new theta's scale, so an adaptation with one does not read
+it; nor does an outer level's sweep, whose evaluations re-adapt the
+levels inside (the innermost level's adaptation inside its first
+evaluation may). An evaluation at another theta is dropped as an entry
+point starts. Any other model keeps no evaluation, and a pass forms each
+chunk's derivatives before the next chunk's conditional.
 
 ``LikelihoodEvaluator.logl`` takes one parameter vector and returns a
 float; the probes of a finite-difference derivative are one call each
@@ -154,7 +159,7 @@ import numpy as np
 
 from .integrate import ReKernel, adapt_locations, gh_grid, gh_rule, halton, kernel_draws, log_correction, logsumexp
 from .dsl import _integer
-from .integrate import Adaptation, place_nodes
+from .integrate import Adaptation, logsumexp_deferred, place_nodes
 from .predictor import EvalContext, Program, outcome_logl, row_part
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -454,27 +459,33 @@ class _OutcomeTerms(NamedTuple):
 class _Innermost:
     """An evaluation of the adaptive innermost level, as
     ``LikelihoodEvaluator`` keeps its latest (``_entry``): its key
-    (``_key``, whose first part is theta's bytes), the unit sums it read, each
-    cell's log integral (units, combinations) with units without rows not
-    yet zeroed, the posterior weights per chunk of combinations (arrays,
-    or functions that form them: ``logsumexp(..., weights="later")``),
-    and per chunk (c0, c1, ``_row_sums``' raw features) where a pass may
-    read them, else None.
+    (``_key``, whose first part is theta's bytes), each cell's log
+    integral (units, combinations) with units without rows not yet
+    zeroed, and per chunk of combinations (c0, c1, the chunk's posterior
+    weights, ``_row_sums``' raw features or None). A ``logl`` call's
+    weights stay a function that forms them (``logsumexp_deferred``)
+    until read. ``features``: whether the chunks hold their features, as
+    a pass reads them.
     """
 
-    __slots__ = ("key", "sums", "value", "features", "_weights")
+    __slots__ = ("key", "value", "chunks", "features")
 
-    def __init__(self, key: tuple, sums: dict, value: np.ndarray, weights: list, features):
-        self.key, self.sums, self.value, self.features, self._weights = key, sums, value, features, weights
+    def __init__(self, key: tuple, value: np.ndarray, chunks: list, features: bool):
+        self.key, self.value, self.chunks, self.features = key, value, chunks, features
 
-    def weights(self) -> np.ndarray:
-        """The cells' posterior weights (units, combinations, M), formed
-        at the first read."""
-        if isinstance(self._weights, list):
-            parts = [w if isinstance(w, np.ndarray) else w() for w in self._weights]
-            parts = [w.reshape(len(self.value), -1, w.shape[-1]) for w in parts]
-            self._weights = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return self._weights
+    def weights(self, i: int) -> np.ndarray:
+        """Chunk i's posterior weights (units, c1 - c0, M), formed at the
+        first read."""
+        c0, c1, w, raw = self.chunks[i]
+        if callable(w):
+            w = w().reshape(len(self.value), c1 - c0, -1)
+            self.chunks[i] = c0, c1, w, raw
+        return w
+
+    def all_weights(self) -> np.ndarray:
+        """Every cell's posterior weights (units, combinations, M)."""
+        parts = [self.weights(i) for i in range(len(self.chunks))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 # rows x columns of one conditional evaluation at the innermost level
@@ -506,10 +517,15 @@ class LikelihoodEvaluator:
         self._plan_chunks()
         self.exact = self._exact_scope()
         self.posterior_start = self._posterior_scope()
-        # whether an adaptive innermost level's evaluations keep the features
-        # a pass reads: its chunks must be whole combinations, as a pass's are
+        # whether the evaluations of an innermost level that adapts by
+        # sweeps are kept (``_entry``), and with them the features a pass
+        # reads: its chunks must then be whole combinations, as a pass's are
         inner = self.level_states[-1] if self.level_states else None
-        self._keeps_features = self.exact and inner.adaptive and self.chunk_columns >= inner.m
+        self._keeps = inner is not None and inner.adaptive and not self.posterior_start
+        self._keeps_features = self._keeps and self.exact and self.chunk_columns >= inner.m
+        # whether some level adapts: ``refresh`` then adapts it, and reads
+        # the latest entry point's unit sums (``_sums``)
+        self._refreshes = any(st.adaptive for st in self.level_states)
         # the innermost cells whose rule an evaluation's key holds (``_key``)
         self._rule_cells = None if inner is None else slice(None) if inner.cells.all() else inner.cells
         if self.exact:
@@ -530,8 +546,9 @@ class LikelihoodEvaluator:
         # allocators just free the block.
         np.empty(1 << 21)
         self.adapted: dict[int, Adaptation] = {}  # level position -> latest adaptation, swept or placed
-        self._entry: _Innermost | None = None  # the latest evaluation of an adaptive innermost level
+        self._entry: _Innermost | None = None  # the latest evaluation of the innermost level, where kept
         self._inner_rule = b""  # the bytes of that level's latest rule (``_rule``)
+        self._sums: tuple | None = None  # (theta's bytes, ``_all_sums``) at the latest entry point, where kept
         self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
         self.n_calls = 0
@@ -722,7 +739,7 @@ class LikelihoodEvaluator:
         adaptive, i.e. whether the objective may have changed.
         """
         theta = np.asarray(theta, dtype=float)
-        if not any(st.adaptive for st in self.level_states):
+        if not self._refreshes:
             return False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self._adapt(theta, 0, [], self._all_sums(theta))
@@ -745,21 +762,30 @@ class LikelihoodEvaluator:
     def _all_sums(self, theta: np.ndarray) -> dict:
         """Outcome -> its ``_unit_sums`` at theta, for every outcome with
         intercepts: computed once per entry point and handed down the
-        level recursion; those of the kept evaluation (``_entry``) where
-        it was at theta.
+        level recursion; the latest entry point's where that was at theta
+        (``_kept_sums``).
         """
-        entry = self._kept(theta)
-        return entry.sums if entry is not None else {k: self._unit_sums(theta, k) for k in self.per_unit}
+        sums = self._kept_sums(theta)
+        if sums is None:
+            sums = {k: self._unit_sums(theta, k) for k in self.per_unit}
+            self._keep_sums(theta, sums)
+        return sums
 
-    def _kept(self, theta: np.ndarray) -> _Innermost | None:
-        """The kept evaluation (``_entry``) where it was at theta. One at
-        another theta is dropped as an entry point starts, since nothing
-        would read it, so that its arrays are freed before the entry
-        point makes its own."""
-        entry = self._entry  # read once: threaded probes share the evaluator
-        if entry is not None and entry.key[0] != theta.tobytes():
-            self._entry = entry = None
-        return entry
+    def _kept_sums(self, theta: np.ndarray) -> dict | None:
+        """The unit sums kept at theta (``_sums``), or None. The kept
+        evaluation (``_entry``) at another theta is dropped as an entry
+        point starts, since nothing would read it, so that its arrays are
+        freed before the entry point makes its own."""
+        key, entry, kept = theta.tobytes(), self._entry, self._sums  # read once: threaded probes share the evaluator
+        if entry is not None and entry.key[0] != key:
+            self._entry = None
+        return kept[1] if kept is not None and kept[0] == key else None
+
+    def _keep_sums(self, theta: np.ndarray, sums: dict) -> None:
+        """Keep an entry point's unit sums for a refresh at the same theta,
+        on a model with an adaptive level."""
+        if self._refreshes:
+            self._sums = theta.tobytes(), sums
 
     def _key(self, theta: np.ndarray, outer: list) -> tuple:
         """The key of an evaluation of the adaptive innermost level at its
@@ -873,12 +899,13 @@ class LikelihoodEvaluator:
     def _derivative_pass(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The pass of ``derivatives``, uncounted."""
         p = theta.size
-        self._kept(theta)
+        self._kept_sums(theta)  # drops an evaluation kept at another theta
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sums, terms = {}, {}
             for k in self.per_unit:
                 sums[k], unit_terms = self._unit_sums(theta, k, derivatives=True)
                 terms[k] = _OutcomeTerms(*(tuple(self._by_unit(k, v) for v in pair) for pair in unit_terms))
+            self._keep_sums(theta, sums)
             unit_logl, unit_score, unit_hess = (v[:, 0] for v in self._integrate(theta, 0, [], sums, terms))
         act = self.level_states[0].active
         logl = float(_unit_totals(unit_logl[act])[0])
@@ -959,7 +986,7 @@ class LikelihoodEvaluator:
         if st.adaptive:
             start = self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos)
             if not self.posterior_start or start.fallback.any():
-                innermost, entry, first, last = pos + 1 == len(self.level_states), self._entry, None, []
+                kept, entry, first, last = self._keeps and pos + 1 == len(self.level_states), self._entry, None, []
 
                 def conditional(x):  # at the innermost level, keeping its features in ``last``
                     cond, *last[:] = self._conditional(theta, pos, outer, x, sums, refresh=True)
@@ -968,9 +995,9 @@ class LikelihoodEvaluator:
                 # the entry is the first sweep's where it is at the start
                 # rule, the latest adaptation's, and no active cell restarts
                 # from the prior
-                if innermost and entry is not None and entry.key == self._key(theta, outer):
-                    if start is not None and not self.posterior_start and not start.fallback[st.cells].any():
-                        first = entry.value.reshape(-1), entry.weights().reshape(-1, st.m)
+                if kept and entry is not None and entry.key == self._key(theta, outer):
+                    if start is not None and not start.fallback[st.cells].any():
+                        first = entry.value.reshape(-1), entry.all_weights().reshape(-1, st.m)
                 self.adapted[pos] = fit = adapt_locations(
                     conditional,
                     st.kernel,
@@ -983,18 +1010,19 @@ class LikelihoodEvaluator:
                 )
                 self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
                 self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
-                if innermost:
+                if kept:
                     self._inner_rule = self._rule(fit)
-                key = innermost and fit.value is not None and self._key(theta, outer)
+                key = kept and fit.value is not None and self._key(theta, outer)
                 if key and (entry is None or entry.key != key):  # else the adaptation ended at its first sweep
-                    value = fit.value.reshape(st.n_units, -1)
-                    features = last[0] if self._keeps_features else None
-                    self._entry = _Innermost(key, sums, value, [fit.weights], features)
+                    w, value = fit.weights.reshape(st.n_units, -1, st.m), fit.value.reshape(st.n_units, -1)
+                    if self._keeps_features:
+                        chunks = [(c0, c1, w[:, c0:c1], raw) for c0, c1, raw in last[0]]
+                    else:
+                        chunks = [(0, st.n_combos, w, None)]
+                    self._entry = _Innermost(key, value, chunks, self._keeps_features)
                 return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
             self.adapted[pos] = start
             self.placed[pos] = place_nodes(st.nodes, start.shift, start.scale)
-            if pos + 1 == len(self.level_states):
-                self._inner_rule = self._rule(start)
         if pos + 1 < len(self.level_states):
             x = self.placed[pos][0] if st.adaptive else self._nodes(pos, theta)[0]
             self._adapt(theta, pos + 1, outer + [self._as_outer(pos, x)], sums)
@@ -1131,8 +1159,9 @@ class LikelihoodEvaluator:
     def _innermost(self, theta, outer: list, sums: dict, terms) -> list:
         """``_integrate`` at the innermost level, before units without rows
         are zeroed: [log integral] or, with ``terms``, [log integral,
-        score, Hessian], per unit and combination. On an adaptive level
-        the evaluation is kept (``_entry``), and one at the same key
+        score, Hessian], per unit and combination, the derivatives formed
+        chunk by chunk. Where the level's evaluations are kept
+        (``_keeps``), this one is (``_entry``), and one at the same key
         (``_key``) is read instead of evaluated again: its log integrals,
         and for a pass its weights and features, at the level's placed
         nodes, with no conditional, log-correction or ``logsumexp``. A
@@ -1140,38 +1169,40 @@ class LikelihoodEvaluator:
         """
         pos = len(self.level_states) - 1
         st = self.level_states[pos]
-        key = st.adaptive and self._key(theta, outer)
-        entry, chunks = self._entry, []
-        if key and entry is not None and entry.key == key and (terms is None or entry.features is not None):
+        key = self._keeps and self._key(theta, outer)
+        entry, derivs = self._entry, []
+        if key and entry is not None and entry.key == key and (terms is None or entry.features):
             value = entry.value
             if terms is not None:
-                w, x = entry.weights(), self.placed[pos][0]
-                for c0, c1, raw in entry.features:
-                    chunks.append((c0, c1, np.ascontiguousarray(w[:, c0:c1]), x, self._features(raw, sums)))
+                u = self.placed[pos][0].reshape(st.n_units, -1, st.m)
+                for i, (c0, c1, _, raw) in enumerate(entry.chunks):
+                    w = np.ascontiguousarray(entry.weights(i))
+                    derivs.append(self._inner_derivatives(theta, w, u[:, c0:c1], self._features(raw, sums), terms))
         else:
             self._entry = None  # its arrays are freed before this evaluation makes its own
             x, corr = self._nodes(pos, theta)
             corr3 = corr.reshape(st.n_units, -1, st.m)
-            values, weights, features = [], [], []
+            values, chunks, features = [], [], terms is not None or self._keeps_features
             for c0, c1, ll, raw in self._row_sums(theta, outer, x, sums, terms):
                 ll += corr3[:, c0:c1]  # the chunk's one buffer, which logsumexp turns into weights
-                lse = logsumexp(ll.reshape(-1, st.m), weights=True if terms is not None else "later" if key else False)
-                lse, w = lse if isinstance(lse, tuple) else (lse, None)
-                values.append(lse.reshape(st.n_units, c1 - c0))
-                weights.append(w)
-                features.append((c0, c1, raw))
+                logp = ll.reshape(-1, st.m)
                 if terms is not None:
-                    chunks.append((c0, c1, w.reshape(ll.shape), x, self._features(raw, sums)))
+                    lse, w = logsumexp(logp, weights=True)
+                    w = w.reshape(ll.shape)
+                    u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
+                    derivs.append(self._inner_derivatives(theta, w, u, self._features(raw, sums), terms))
+                elif key:
+                    lse, w = logsumexp_deferred(logp)
+                else:
+                    lse = logsumexp(logp)
+                values.append(lse.reshape(st.n_units, c1 - c0))
+                if key:  # a pass's features, or a call's where a pass may read them
+                    chunks.append((c0, c1, w, raw if features else None))
             value = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
             if key:
-                kept = features if terms is not None or self._keeps_features else None
-                self._entry = _Innermost(key, sums, value, weights, kept)
+                self._entry = _Innermost(key, value, chunks, features)
         if terms is None:
             return [value]
-        derivs = []
-        for c0, c1, w, x, feats in chunks:
-            u = x.reshape(st.n_units, -1, st.m)[:, c0:c1]
-            derivs.append(self._inner_derivatives(theta, w, u, feats, terms))
         return [value, *(np.concatenate(v, axis=1) for v in zip(*derivs))]
 
     def _features(self, raw: dict, sums: dict) -> dict:

@@ -22,7 +22,7 @@ import hiermix.likelihood as likelihood
 import hiermix.optim as optim
 from hiermix.data import as_frame
 from hiermix.dsl import parse_model_spec
-from hiermix.integrate import adapt_locations
+from hiermix.integrate import adapt_locations, logsumexp_deferred
 from hiermix.likelihood import IntegrationPlan, LevelPlan, LikelihoodEvaluator, default_plan, logsumexp
 from hiermix.cli import main
 from hiermix.optim import initial_values
@@ -503,6 +503,10 @@ class TestLogsumexp:
             np.testing.assert_allclose(w[finite], expect, rtol=1e-13, atol=0.0)
             assert np.all(np.abs(w[finite].sum(axis=1) - 1.0) <= 1e-13)
             assert np.isnan(w[~finite]).all()
+            # deferred, the same value and, once formed, the same weights
+            later, weigh = logsumexp_deferred(a.copy())
+            assert later.tobytes() == value.tobytes()
+            assert weigh().tobytes() == w.tobytes()
 
     def test_ties_counted_per_row_past_a_row_without_a_finite_maximum(self):
         # a NaN row and an all -inf row have no tie, a row of three tied
@@ -690,6 +694,31 @@ class TestChunkedEvaluation:
             tracemalloc.stop()
         assert np.isfinite(value)
         assert peak < 64 * 2**20
+
+    def test_one_pass_peak_memory(self):
+        # 50 patients x 2000 draws at each of 15 trial nodes: 11.4 MiB in
+        # each units x columns array, 0.8 MiB in a chunk of one trial node's
+        # columns. A pass forms each chunk's derivatives before the next
+        # chunk and keeps no weights or features of a level that does not
+        # adapt, so its peak is a few chunks' arrays (24 MiB when it held
+        # every chunk's weights and features to the end)
+        prog, theta, _, _ = cross_method_model()
+        plan = IntegrationPlan(levels={"trial": LevelPlan(method="aghq", q=15), "pat": LevelPlan(method="qmc", m=2000)})
+        ev = LikelihoodEvaluator(prog, plan)
+        ev.refresh(theta)
+        inner = ev.level_states[-1]
+        chunk = inner.n_units * max(inner.m, ev.chunk_columns) * 8
+        assert ev.exact and inner.n_units * inner.n_combos * inner.m * 8 > 12 * chunk
+        ev.derivatives(theta)
+        tracemalloc.start()
+        try:
+            value, _, _ = ev.derivatives(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 8 * chunk
+        assert ev._entry is None
 
     def test_refresh_reports_adaptation(self):
         data = gaussian_cluster_data(g=5, n=2)
@@ -1020,6 +1049,8 @@ def _kept_evaluation_case(case: str):
     at every node, so that the refresh there leaves it fallen back."""
     if case in ("rp", "rp_rows"):
         prog, plan = _rp(twin=case == "rp_rows")
+    elif case == "nested_gaussian":
+        prog, plan = _nested_trials()
     elif case == "fallback":
         prog, plan = _poisson_aghq(outlier=True)
     else:
@@ -1040,7 +1071,9 @@ class TestKeptEvaluation:
     unit sums and its first sweep, a pass or a call as the level's
     integrals. The kept evaluation is never stale: every result equals,
     bit for bit, that of a copy of the evaluator with nothing kept, and
-    each read saves exactly one innermost evaluation."""
+    each read saves exactly one innermost evaluation. A model whose
+    levels are placed at their closed-form posterior keeps only the unit
+    sums, for a refresh at the same theta."""
 
     # logl, refresh and the pass (logl without exact derivatives) at the
     # start values v0 and a second vector v1, interleaved: the same theta
@@ -1061,7 +1094,9 @@ class TestKeptEvaluation:
         ("pass", 0, 1),
     ]
 
-    @pytest.mark.parametrize("case", ["rp", "rp_rows", "poisson_nested_aghq", "fallback", "poisson_nested_aghq_qmc"])
+    @pytest.mark.parametrize(
+        "case", ["rp", "rp_rows", "poisson_nested_aghq", "fallback", "poisson_nested_aghq_qmc", "nested_gaussian"]
+    )
     def test_matches_an_evaluator_that_keeps_nothing(self, case):
         prog, plan, v1 = _kept_evaluation_case(case)
         ev = LikelihoodEvaluator(prog, plan)
@@ -1075,12 +1110,12 @@ class TestKeptEvaluation:
                 # and it restarts from the prior at v1's scale: no first sweep
                 assert ev.profile_report()["adaptation_fallbacks"] == [("id", 0, 0)]
                 reads = 0
-            if case == "poisson_nested_aghq_qmc":
-                reads = 0  # a QMC innermost level: nothing is kept
+            if case in ("poisson_nested_aghq_qmc", "nested_gaussian"):
+                reads = 0  # a QMC innermost level, or levels placed without sweeps: no evaluation is kept
             name = "derivatives" if name == "pass" and ev.exact else "logl" if name == "pass" else name
             theta = vectors[which]
             fresh = copy.deepcopy(ev)
-            fresh._entry = None
+            fresh._entry = fresh._sums = None
             got, expect = (getattr(e, name)(theta) for e in (ev, fresh))
             bits = [[np.asarray(v).tobytes() for v in (r if isinstance(r, tuple) else (r,))] for r in (got, expect)]
             assert bits[0] == bits[1], (step, name)
@@ -1090,7 +1125,8 @@ class TestKeptEvaluation:
                 assert ev.placed[pos][0].tobytes() == fresh.placed[pos][0].tobytes()
             saved = fresh.profile_report()["conditional_evaluations"] - ev.profile_report()["conditional_evaluations"]
             assert saved == reads * one, (step, name)
-            assert (ev._entry is None) == (case == "poisson_nested_aghq_qmc")
+            assert (ev._entry is None) == (case in ("poisson_nested_aghq_qmc", "nested_gaussian"))
+            assert ev._sums[0] == theta.tobytes()
 
     def test_concurrent_calls_share_the_kept_evaluation(self):
         # a finite-difference fit's threads call logl on one evaluator: more
