@@ -277,11 +277,14 @@ def _parse_int(text: str, pos: int, what: str) -> int:
 
 def _integer(value, what: str) -> int:
     """``value`` read by ``operator.index``: one that is not an integer, a
-    whole float included, is a ValueError naming the setting ``what``."""
+    whole float or a bool included, is a ValueError naming the setting
+    ``what``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

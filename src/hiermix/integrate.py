@@ -4,9 +4,10 @@ Gauss-Hermite rules are normalized against the standard normal kernel,
 Halton sets provide deterministic quasi-Monte Carlo uniforms, and
 ReKernel maps a flat parameter block to a Cholesky scale for either a
 normal or a multivariate-t random-effect distribution. Mean-variance
-adaptation recentres a rule on the per-cluster posterior; it places
-(``place_nodes``), weighs (``log_correction``) and reduces
-(``logsumexp``) the nodes with the integration's (``likelihood``) code.
+adaptation recentres a rule on the per-cluster posterior; it places the
+nodes (``place_nodes``) and takes each cell's log integral and posterior
+weights there from its caller, which weighs (``log_correction``) and
+reduces (``logsumexp``) them as it integrates (``likelihood``).
 Point and draw counts, skips, kernels and covariance structures arrive
 checked: ``likelihood.default_plan`` checks a fit's settings and the
 specification parser a model's.
@@ -319,56 +320,46 @@ class Adaptation(NamedTuple):
     fallback: np.ndarray  # (K,) flagged: at (0, prior scale)
     capped: np.ndarray  # (K,) stopped at max_iter with the last step at or above tol
     value: np.ndarray | None  # (K,) log integral at the returned shift and scale, or None (see ``adapt_locations``)
-    weights: np.ndarray | None = None  # (K, M) posterior weights there, where ``value`` is given
 
 
 def adapt_locations(
-    log_conditional,
-    kernel: ReKernel,
+    integral,
     chol: np.ndarray,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
+    nodes: np.ndarray,
     active: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20,
     start: Adaptation | None = None,
     value: bool = True,
-    first: tuple | None = None,
 ) -> Adaptation:
     """Mean-variance adaptation (Pinheiro & Bates 1995) of a Gauss-Hermite
     grid to the posterior of every cell's random effects at once.
 
     A cell is one cluster, or one cluster at one combination of outer
-    nodes. ``grid`` is the Gauss-Hermite grid of ``gh_grid``.
-    ``log_conditional`` maps node locations (K, M, dim) to the
-    conditional log-likelihood (K, M) of each cell; cells not marked in
-    ``active`` keep the prior. Each sweep places, weighs and reduces the
-    nodes of every cell as the integration does. A cell falls back to
-    (0, prior scale) and is flagged where its log integral is not finite
-    (a node at NaN or +inf, or every node at -inf), which the
-    integration reads as a non-finite value, or its scale step fails.
-    The scale may shrink at most 4x per step in any direction, relative
-    to the scale of the step before, so a posterior sharper than the
-    grid's spacing cannot collapse the rule onto one node. A
-    one-dimensional level takes this step as scalar arithmetic
+    nodes. ``nodes`` (M, r) are the grid's unit-scale nodes (``gh_grid``)
+    and ``chol`` (r, r) the prior's scale. Each sweep places the nodes of
+    every cell (``place_nodes``) and reads, from ``integral(x, logdet)``,
+    each cell's log integral (K,) and posterior weights (K, M) at the
+    placed nodes x (K, M, r) with log-determinants logdet (K, 1): the
+    caller's integration, so that a sweep gives the bits a call at that
+    rule would. Cells not marked in ``active`` keep the prior. A cell
+    falls back to (0, prior scale) and is flagged where its log integral
+    is not finite, which the integration reads as a non-finite value, or
+    its scale step fails. The scale may shrink at most 4x per step in any
+    direction, relative to the scale of the step before, so a posterior
+    sharper than the grid's spacing cannot collapse the rule onto one
+    node. A one-dimensional level takes this step as scalar arithmetic
     (``_scalar_scale_step``), with the same results as the matrix step
     of the others (``_scale_step``).
 
     A cell whose step falls below ``tol`` keeps the shift and scale that
     sweep evaluated, not the step after, so that the sweep's log integral
-    is the cell's ``value`` and its posterior weights the cell's
-    ``weights``. Only where the last sweep left some cell at a rule it
-    did not evaluate (a cell fell back, or ``max_iter`` left capped
-    cells, which took their last step) is every cell evaluated once
-    more, with no update. ``value`` is thus, bit for bit,
-    logsumexp(``log_correction`` + conditional) at the returned rule.
-    Where the caller does not read it (``value`` false), no closing
-    evaluation runs, and ``value`` and ``weights`` are None where it
-    would have.
-
-    ``first``, where given, is the (value, weights) that an evaluation
-    at the start rule gives, as ``logsumexp(..., weights=True)`` forms
-    them: the first sweep takes them instead of evaluating. Its caller
-    holds them from an earlier evaluation at the same rule.
+    is the cell's ``value``. Only where the last sweep left some cell at
+    a rule it did not evaluate (a cell fell back, or ``max_iter`` left
+    capped cells, which took their last step) is ``integral`` evaluated
+    once more, with no update. ``value`` is thus ``integral``'s at the
+    returned rule. Where the caller does not read it (``value`` false),
+    no closing evaluation runs, and ``value`` is None where it would have.
 
     Every active cell starts at (0, prior scale), or, given ``start``, at
     its shift and scale there: the result of an earlier adaptation of the
@@ -381,27 +372,19 @@ def adapt_locations(
     so ``likelihood`` places a level there without a sweep where every
     active cell's closed-form start is finite.
     """
-    k, r = len(active), kernel.dim
+    k, r = len(active), chol.shape[0]
     mu, lam = np.zeros((k, r)), np.broadcast_to(chol[None], (k, r, r)).copy()
     iters, flagged, active = np.zeros(k, dtype=int), np.zeros(k, dtype=bool), np.array(active, dtype=bool)
     if start is not None:
         warm = active & ~start.fallback
         mu[warm], lam[warm] = start.shift[warm], start.scale[warm]
     scale_step = _scalar_scale_step if r == 1 else _scale_step
-
-    def evaluate():
-        x, logdet = place_nodes(grid[0], mu, lam)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return x, logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=True)
-
     moved = None  # the cells that the last sweep moved off the rule it evaluated
     for _ in range(max_iter):
         if not np.any(active):
             break
-        if first is None:
-            x, (last, w) = evaluate()
-        else:  # the start rule's evaluation, which the caller holds
-            x, (last, w), first = place_nodes(grid[0], mu, lam)[0], first, None
+        x, logdet = place_nodes(nodes, mu, lam)
+        last, w = integral(x, logdet)
         bad = ~np.isfinite(last)
         mu_new = np.einsum("um,umr->ur", w, x)
         centred = x - mu_new[:, None, :]
@@ -420,8 +403,8 @@ def adapt_locations(
         lam = np.where(moved[:, None, None], lam_new, lam)
     stale = moved is None or bool(moved.any())  # some cell's rule is not the one the last evaluation was at
     if stale and value:
-        (last, w), stale = evaluate()[1], False
-    return Adaptation(mu, lam, iters, flagged, active, *((None, None) if stale else (last, w)))
+        last, stale = integral(*place_nodes(nodes, mu, lam))[0], False
+    return Adaptation(mu, lam, iters, flagged, active, None if stale else last)
 
 
 def _scale_step(lam, cov, ok, bad):

@@ -12,8 +12,8 @@ quadrature of Rabe-Hesketh, Skrondal & Pickles 2005).
 Adaptive levels are re-adapted by ``refresh``, once per Newton
 iteration. The evaluator keeps each level's latest per-cell shifts and
 scales (``adapted``) and the nodes they place (``placed``), which calls
-read until the next refresh, placed, weighed and reduced with the
-adaptation's own code (``integrate``).
+read until the next refresh; the adaptation's sweeps integrate a level
+with the calls' own code (``_integral``).
 
 Where every outcome's conditional log-likelihood is quadratic in every
 latent value (Gaussian outcomes summed per unit, one intercept at every
@@ -106,28 +106,26 @@ allocators the block does nothing.
 A model with an adaptive level keeps the unit sums of its latest entry
 point (``_sums``), which a refresh at the same theta takes. Where the
 innermost level adapts by sweeps (``_keeps``: adaptive, and not placed
-at a closed-form posterior), the evaluator also keeps its latest
-evaluation of that level (``_entry``): each cell's log integral, the
-posterior weights (a ``logl`` call's are formed only if read) and, where
-a pass may read them, each outcome's features, keyed by the bytes of
-theta, of the outer levels' nodes and of the level's rule at its active
-cells (``_key``). Between entry points it thus holds, per innermost
-cell and node, one weight and, on exact models, a feature per outcome:
-the size of one sweep's arrays. The next entry point reads it where the
-key matches. The level's adaptation takes it as its first sweep where
-every active cell starts at the rule it was made at: so the refresh
-after an accepted line-search point starts from that point's ``logl``
-call or rounding-floor pass. A call or a pass at the rule a refresh's
-last sweep evaluated reads the log integrals there, and a pass the
-weights and features as well, instead of evaluating the level again.
-Each read gives the bits an evaluation would, since the same operations
-would run on the same inputs. A cell that fell back restarts from the
-prior at the new theta's scale, so an adaptation with one does not read
-it; nor does an outer level's sweep, whose evaluations re-adapt the
-levels inside (the innermost level's adaptation inside its first
-evaluation may). An evaluation at another theta is dropped as an entry
-point starts. Any other model keeps no evaluation, and a pass forms each
-chunk's derivatives before the next chunk's conditional.
+at a closed-form posterior), its adaptation evaluates it with the
+routine that calls and passes use (``_innermost``, through
+``_integral``), and that routine keeps its latest evaluation
+(``_entry``) under one rule: the evaluation is keyed by the bytes of
+theta, of the outer levels' nodes and of the level's own nodes and
+log-determinants at its active cells (``_key``), which are all it reads,
+and any later evaluation with the same key reads it instead of
+evaluating again: a sweep, a call or a pass. It holds each cell's log
+integral, the posterior weights (a ``logl`` call's are formed only if
+read; a sweep's, which it reads at once, eagerly) and, where a pass may
+read them, each outcome's features. Between entry points it thus holds,
+per innermost cell and node, one weight and, on exact models, a feature
+per outcome: the size of one sweep's arrays. So the refresh after an
+accepted line-search point takes that point's ``logl`` call or
+rounding-floor pass as its first sweep, and the call or pass after a
+refresh reads its last sweep. Each read gives the bits an evaluation
+would, since the same operations would run on the same inputs. An
+evaluation at another theta is dropped as an entry point starts. Any
+other model keeps no evaluation, and a pass forms each chunk's
+derivatives before the next chunk's conditional.
 
 ``LikelihoodEvaluator.logl`` takes one parameter vector and returns a
 float; the probes of a finite-difference derivative are one call each
@@ -458,14 +456,14 @@ class _OutcomeTerms(NamedTuple):
 
 class _Innermost:
     """An evaluation of the adaptive innermost level, as
-    ``LikelihoodEvaluator`` keeps its latest (``_entry``): its key
-    (``_key``, whose first part is theta's bytes), each cell's log
-    integral (units, combinations) with units without rows not yet
-    zeroed, and per chunk of combinations (c0, c1, the chunk's posterior
-    weights, ``_row_sums``' raw features or None). A ``logl`` call's
-    weights stay a function that forms them (``logsumexp_deferred``)
-    until read. ``features``: whether the chunks hold their features, as
-    a pass reads them.
+    ``LikelihoodEvaluator`` keeps its latest (``_entry``) and a sweep
+    reads it: its key (``_key``, whose first part is theta's bytes; False
+    where it is not kept), each cell's log integral (units,
+    combinations) with units without rows not yet zeroed, and per chunk
+    of combinations (c0, c1, the chunk's posterior weights, ``_row_sums``'
+    raw features or None). A ``logl`` call's weights stay a function that
+    forms them (``logsumexp_deferred``) until read. ``features``: whether
+    the chunks hold their features, as a pass reads them.
     """
 
     __slots__ = ("key", "value", "chunks", "features")
@@ -526,8 +524,8 @@ class LikelihoodEvaluator:
         # whether some level adapts: ``refresh`` then adapts it, and reads
         # the latest entry point's unit sums (``_sums``)
         self._refreshes = any(st.adaptive for st in self.level_states)
-        # the innermost cells whose rule an evaluation's key holds (``_key``)
-        self._rule_cells = None if inner is None else slice(None) if inner.cells.all() else inner.cells
+        # the innermost cells whose nodes an evaluation's key holds (``_key``)
+        self._key_cells = None if inner is None else slice(None) if inner.cells.all() else inner.cells
         if self.exact:
             # the log-scale slots of the levels whose nodes scale with them,
             # and the position there of each one's latent effect
@@ -547,7 +545,6 @@ class LikelihoodEvaluator:
         np.empty(1 << 21)
         self.adapted: dict[int, Adaptation] = {}  # level position -> latest adaptation, swept or placed
         self._entry: _Innermost | None = None  # the latest evaluation of the innermost level, where kept
-        self._inner_rule = b""  # the bytes of that level's latest rule (``_rule``)
         self._sums: tuple | None = None  # (theta's bytes, ``_all_sums``) at the latest entry point, where kept
         self.placed: dict[int, tuple] = {}  # level position -> its nodes x = mu + a lam, log-determinants
         self.sweeps = {st.info.name: 0 for st in self.level_states if st.adaptive}
@@ -787,19 +784,15 @@ class LikelihoodEvaluator:
         if self._refreshes:
             self._sums = theta.tobytes(), sums
 
-    def _key(self, theta: np.ndarray, outer: list) -> tuple:
+    def _key(self, theta: np.ndarray, outer: list, x: np.ndarray, logdet: np.ndarray) -> tuple:
         """The key of an evaluation of the adaptive innermost level at its
-        latest adaptation: the bytes of theta, of the outer levels' nodes
-        and of the level's rule (``_rule``), which are all it reads.
+        nodes x with log-determinants logdet: the bytes of theta, of the
+        outer levels' nodes and of its own nodes and log-determinants at
+        the active cells, which are all it reads. An inactive cell's
+        values are never read.
         """
-        return theta.tobytes(), *(x.tobytes() for x in outer), self._inner_rule
-
-    def _rule(self, fit: Adaptation) -> bytes:
-        """The bytes of an adaptation's shifts and scales at the active
-        cells, formed once per adaptation of the innermost level. An
-        inactive cell's values are never read."""
-        cells = self._rule_cells
-        return fit.shift[cells].tobytes() + fit.scale[cells].tobytes()
+        cells = self._key_cells
+        return theta.tobytes(), *(o.tobytes() for o in outer), x[cells].tobytes(), logdet[cells].tobytes()
 
     def _logl(self, theta: np.ndarray) -> float:
         """The value of ``logl``, uncounted."""
@@ -936,18 +929,20 @@ class LikelihoodEvaluator:
     # then carries its score and Hessian with its value (see "exact
     # derivatives" above).
 
-    def _nodes(self, pos: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _nodes(self, pos: int, theta: np.ndarray, at: tuple | None = None, chol=None) -> tuple:
         """Node locations (cells, M, r) and log-corrections (cells, M) of
         every cell of level ``pos``, such that a cell's integral is
         logsumexp(corr + conditional): an adaptive level's latest placed
-        nodes, where only the prior depends on theta, or the unit rule
-        scaled by the Cholesky factor (reweighted to a t kernel on
-        Gauss-Hermite nodes).
+        nodes, or the nodes and log-determinants ``at`` that a sweep of its
+        adaptation places, where only the prior depends on theta; or the
+        unit rule scaled by the Cholesky factor (reweighted to a t kernel
+        on Gauss-Hermite nodes). ``chol``: the level's Cholesky factor at
+        theta, where an adaptation holds it for all of its sweeps.
         """
         st = self.level_states[pos]
-        chol = self.level_chol(st, theta)
+        chol = self.level_chol(st, theta) if chol is None else chol
         if st.adaptive:
-            x, logdet = self.placed[pos]
+            x, logdet = self.placed[pos] if at is None else at
             return x, log_correction(st.grid, st.kernel, chol, x, logdet)
         x, corr = st.nodes @ chol.T, st.logw
         if st.plan.method == "aghq" and st.plan.dist == "t":
@@ -968,12 +963,9 @@ class LikelihoodEvaluator:
         previous refresh's, or, for an inner level, the one at the previous
         evaluation of the outer level (from the prior at the evaluator's
         first adaptation, and for a cell that fell back). Each evaluation
-        of a sweep adapts the levels inside at the nodes evaluated, and the
-        last is at the rule kept; a non-adaptive level adapts them at its
-        own nodes. The innermost level's adaptation takes the kept
-        evaluation (``_entry``) as its first sweep where that is at its
-        start rule with no active cell restarting from the prior, and
-        keeps its last evaluation where that is at the rule kept.
+        of a sweep (``_integral``) adapts the levels inside at the nodes
+        evaluated, and the last is at the rule kept; a non-adaptive level
+        adapts them at its own nodes.
 
         With ``read`` (an adaptive level inside a sweeping one), a level
         that swept returns its log integral per unit and outer-node
@@ -986,40 +978,11 @@ class LikelihoodEvaluator:
         if st.adaptive:
             start = self._posterior(theta, pos, outer, sums) if self.posterior_start else self.adapted.get(pos)
             if not self.posterior_start or start.fallback.any():
-                kept, entry, first, last = self._keeps and pos + 1 == len(self.level_states), self._entry, None, []
-
-                def conditional(x):  # at the innermost level, keeping its features in ``last``
-                    cond, *last[:] = self._conditional(theta, pos, outer, x, sums, refresh=True)
-                    return cond
-
-                # the entry is the first sweep's where it is at the start
-                # rule, the latest adaptation's, and no active cell restarts
-                # from the prior
-                if kept and entry is not None and entry.key == self._key(theta, outer):
-                    if start is not None and not start.fallback[st.cells].any():
-                        first = entry.value.reshape(-1), entry.all_weights().reshape(-1, st.m)
-                self.adapted[pos] = fit = adapt_locations(
-                    conditional,
-                    st.kernel,
-                    self.level_chol(st, theta),
-                    st.grid,
-                    st.cells,
-                    start=start,
-                    value=read,
-                    first=first,
-                )
+                chol = self.level_chol(st, theta)
+                integral = self._integral(theta, pos, outer, sums, chol)
+                self.adapted[pos] = fit = adapt_locations(integral, chol, st.nodes, st.cells, start=start, value=read)
                 self.placed[pos] = place_nodes(st.nodes, fit.shift, fit.scale)
                 self.sweeps[st.info.name] += int(fit.iterations.max(initial=0))
-                if kept:
-                    self._inner_rule = self._rule(fit)
-                key = kept and fit.value is not None and self._key(theta, outer)
-                if key and (entry is None or entry.key != key):  # else the adaptation ended at its first sweep
-                    w, value = fit.weights.reshape(st.n_units, -1, st.m), fit.value.reshape(st.n_units, -1)
-                    if self._keeps_features:
-                        chunks = [(c0, c1, w[:, c0:c1], raw) for c0, c1, raw in last[0]]
-                    else:
-                        chunks = [(0, st.n_combos, w, None)]
-                    self._entry = _Innermost(key, value, chunks, self._keeps_features)
                 return np.where(st.active[:, None], fit.value.reshape(st.n_units, -1), 0.0) if read else None
             self.adapted[pos] = start
             self.placed[pos] = place_nodes(st.nodes, start.shift, start.scale)
@@ -1027,6 +990,25 @@ class LikelihoodEvaluator:
             x = self.placed[pos][0] if st.adaptive else self._nodes(pos, theta)[0]
             self._adapt(theta, pos + 1, outer + [self._as_outer(pos, x)], sums)
         return None
+
+    def _integral(self, theta, pos: int, outer: list, sums: dict, chol: np.ndarray):
+        """The integral that an adaptation of level ``pos`` at the outer
+        nodes ``outer`` sweeps (``adapt_locations``), whose Cholesky factor
+        at theta is ``chol``: at nodes x with log-determinants logdet, each
+        cell's log integral and posterior weights. At the innermost level
+        it is ``_innermost`` at those nodes, which keeps and reads its
+        evaluations as a call's; at an outer level, the log-corrections
+        plus the conditional of the levels inside, adapted at x first
+        (``_conditional`` with ``refresh``), reduced with their weights.
+        """
+        if pos + 1 == len(self.level_states):
+            return lambda x, logdet: self._innermost(theta, outer, sums, None, (x, logdet), chol)
+
+        def integral(x, logdet):
+            corr = self._nodes(pos, theta, (x, logdet), chol)[1]
+            return logsumexp(corr + self._conditional(theta, pos, outer, x, sums, refresh=True)[0], weights=True)
+
+        return integral
 
     def _posterior_scope(self) -> bool:
         """Whether adaptive levels are placed at the cells' exact posterior
@@ -1112,22 +1094,14 @@ class LikelihoodEvaluator:
 
     def _conditional(self, theta, pos: int, outer: list, x: np.ndarray, sums: dict, terms=None, refresh=False):
         """Conditional log-likelihood (cells, M) of everything inside each
-        cell of level ``pos``, at its node locations ``x``; with
-        ``terms``, also its score (cells, M, p) and Hessian (cells, M, p, p)
-        there, for a level outside the innermost, and at the innermost
-        level, per chunk of combinations, (c0, c1, ``_row_sums``' raw
-        features). With ``refresh``, the levels inside are adapted at
-        ``x`` first (``_adapt``), and the integrals of an adaptive child
-        level that swept are its adaptation's values, not integrated
-        again.
+        cell of level ``pos``, a level outside the innermost, at its node
+        locations ``x``; with ``terms``, also its score (cells, M, p) and
+        Hessian (cells, M, p, p) there. With ``refresh``, the levels inside
+        are adapted at ``x`` first (``_adapt``), and the integrals of an
+        adaptive child level that swept are its adaptation's values, not
+        integrated again.
         """
         st = self.level_states[pos]
-        if pos + 1 == len(self.level_states):
-            cond, features = np.empty((st.n_units, st.n_combos, st.m)), []
-            for c0, c1, ll, raw in self._row_sums(theta, outer, x, sums):
-                cond[:, c0:c1] = ll
-                features.append((c0, c1, raw))
-            return cond.reshape(-1, st.m), features
         inner_outer = outer + [self._as_outer(pos, x)]
         value = self._adapt(theta, pos + 1, inner_outer, sums, read=True) if refresh else None
         child = (value,) if value is not None else self._integrate(theta, pos + 1, inner_outer, sums, terms)
@@ -1156,54 +1130,61 @@ class LikelihoodEvaluator:
                 out = [lse.reshape(st.n_units, -1)] + [v.reshape((st.n_units, -1) + v.shape[1:]) for v in derivs]
         return tuple(np.where(st.active.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0) for v in out)
 
-    def _innermost(self, theta, outer: list, sums: dict, terms) -> list:
+    def _innermost(self, theta, outer: list, sums: dict, terms, at: tuple | None = None, chol=None):
         """``_integrate`` at the innermost level, before units without rows
         are zeroed: [log integral] or, with ``terms``, [log integral,
         score, Hessian], per unit and combination, the derivatives formed
-        chunk by chunk. Where the level's evaluations are kept
-        (``_keeps``), this one is (``_entry``), and one at the same key
-        (``_key``) is read instead of evaluated again: its log integrals,
-        and for a pass its weights and features, at the level's placed
-        nodes, with no conditional, log-correction or ``logsumexp``. A
-        ``logl`` call's weights are formed only if read.
+        chunk by chunk, at the level's placed nodes. Given the nodes and
+        log-determinants ``at`` of a sweep of the level's adaptation
+        (``_integral``, which gives the ``chol`` of ``_nodes``), it is each
+        cell's log integral (cells,) and posterior weights (cells, M) there
+        instead. Where the level's evaluations are kept (``_keeps``), this
+        one is (``_entry``), and one at the same key (``_key``) is read
+        instead of evaluated again: its log integrals, and for a pass or a
+        sweep its weights, for a pass with its features, with no
+        conditional, log-correction or ``logsumexp``. A ``logl`` call's
+        weights are formed only if read.
         """
         pos = len(self.level_states) - 1
-        st = self.level_states[pos]
-        key = self._keeps and self._key(theta, outer)
+        st, sweep = self.level_states[pos], at is not None
+        at = self.placed.get(pos) if at is None else at  # None on a level that does not adapt
+        key = self._keeps and self._key(theta, outer, *at)
         entry, derivs = self._entry, []
         if key and entry is not None and entry.key == key and (terms is None or entry.features):
-            value = entry.value
             if terms is not None:
-                u = self.placed[pos][0].reshape(st.n_units, -1, st.m)
+                u = at[0].reshape(st.n_units, -1, st.m)
                 for i, (c0, c1, _, raw) in enumerate(entry.chunks):
                     w = np.ascontiguousarray(entry.weights(i))
                     derivs.append(self._inner_derivatives(theta, w, u[:, c0:c1], self._features(raw, sums), terms))
         else:
             self._entry = None  # its arrays are freed before this evaluation makes its own
-            x, corr = self._nodes(pos, theta)
+            x, corr = self._nodes(pos, theta, at, chol)
             corr3 = corr.reshape(st.n_units, -1, st.m)
             values, chunks, features = [], [], terms is not None or self._keeps_features
             for c0, c1, ll, raw in self._row_sums(theta, outer, x, sums, terms):
                 ll += corr3[:, c0:c1]  # the chunk's one buffer, which logsumexp turns into weights
                 logp = ll.reshape(-1, st.m)
-                if terms is not None:
+                if terms is not None or sweep:
                     lse, w = logsumexp(logp, weights=True)
                     w = w.reshape(ll.shape)
-                    u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
-                    derivs.append(self._inner_derivatives(theta, w, u, self._features(raw, sums), terms))
                 elif key:
                     lse, w = logsumexp_deferred(logp)
                 else:
                     lse = logsumexp(logp)
+                if terms is not None:
+                    u = x.reshape(ll.shape[:1] + (-1, st.m))[:, c0:c1]
+                    derivs.append(self._inner_derivatives(theta, w, u, self._features(raw, sums), terms))
                 values.append(lse.reshape(st.n_units, c1 - c0))
-                if key:  # a pass's features, or a call's where a pass may read them
+                if key or sweep:  # kept, or read by the sweep; a call's features where a pass may read them
                     chunks.append((c0, c1, w, raw if features else None))
-            value = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
+            entry = _Innermost(key, values[0] if len(values) == 1 else np.concatenate(values, axis=1), chunks, features)
             if key:
-                self._entry = _Innermost(key, value, chunks, features)
+                self._entry = entry
+        if sweep:
+            return entry.value.reshape(-1), entry.all_weights().reshape(-1, st.m)
         if terms is None:
-            return [value]
-        return [value, *(np.concatenate(v, axis=1) for v in zip(*derivs))]
+            return [entry.value]
+        return [entry.value, *(np.concatenate(v, axis=1) for v in zip(*derivs))]
 
     def _features(self, raw: dict, sums: dict) -> dict:
         """Each outcome's features for ``_inner_derivatives`` from

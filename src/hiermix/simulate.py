@@ -31,8 +31,9 @@ class SimulationError(ValueError):
 
 
 def _count(value, what: str) -> int:
-    """A unit or record count, a positive integer as ``operator.index`` reads it."""
-    if not hasattr(value, "__index__") or operator.index(value) < 1:
+    """A unit or record count, a positive integer as ``operator.index`` reads
+    it; a bool is not one."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 1:
         raise SimulationError(f"{what} must be a positive integer, got {value!r}")
     return operator.index(value)
 

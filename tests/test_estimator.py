@@ -338,6 +338,9 @@ SIMULATION_COUNTS = {
     "fractional_records": ({"id": 30}, 2.5, "outcome 1 (t): records must be a positive integer, got 2.5"),
     "negative_units": ({"id": -3}, 2, "levels: the unit count for 'id' must be a positive integer, got -3"),
     "no_units": ({"id": 0}, 2, "levels: the unit count for 'id' must be a positive integer, got 0"),
+    # was: one cluster simulated (a config's "id": true too), and one record
+    "bool_units": ({"id": True}, 2, "levels: the unit count for 'id' must be a positive integer, got True"),
+    "bool_records": ({"id": 30}, True, "outcome 1 (t): records must be a positive integer, got True"),
 }
 
 
@@ -362,6 +365,28 @@ class TestSettingRules:
             return
         with pytest.raises(ValueError, match=re.escape(f"adaptive must be a bool or None, got {value!r}")):
             fit_model(ONE, data, adaptive=value)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(redistribution="t", t_df=True),
+            dict(points=True, adaptive=False),
+            dict(method="qmc", draws=True),
+            dict(method="qmc", skip=True),
+            dict(max_iter=True),
+            dict(threads=True),
+            dict(gl_points=True),
+        ],
+        ids=["t_df", "points", "draws", "skip", "max_iter", "threads", "gl_points"],
+    )
+    def test_a_count_is_not_a_bool(self, options):
+        # was: t_df=True fitted a t(1) (Cauchy) kernel ("qmc draws 150
+        # kernel t(1)"), points=True one point, skip=True a skip of 1 and
+        # max_iter=True one iteration; no flag takes a bool, so this is a
+        # fit_model rule only
+        name = next(iter(options.keys() - {"redistribution", "adaptive", "method"}))
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got True")):
+            fit_model(ONE, cluster_data(g=6, n=3), **options)
 
     @pytest.mark.parametrize("value", [np.bool_(False), False])
     def test_adaptive_takes_numpy_bools(self, value):

@@ -196,10 +196,23 @@ class TestKernelDraws:
         np.testing.assert_allclose(kern.log_density(b, chol)[0], expected, rtol=1e-12)
 
 
+def adapt(log_conditional, kernel, chol, grid, active, **options):
+    """``adapt_locations`` of the cells whose conditional log-likelihood
+    at nodes (K, M, dim) is ``log_conditional`` (K, M), integrated as the
+    likelihood integrates a level: ``log_correction`` plus the
+    conditional, reduced by ``logsumexp`` with its weights."""
+
+    def integral(x, logdet):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return logsumexp(log_correction(grid, kernel, chol, x, logdet) + log_conditional(x), weights=True)
+
+    return adapt_locations(integral, chol, grid[0], active, **options)
+
+
 def adapt_one(logcond, kern, chol, q):
     """Adapt a single cell: ``logcond`` maps nodes (M, dim) to (M,)."""
     grid = gh_grid(gh_rule(q), kern.dim)
-    fit = adapt_locations(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
+    fit = adapt(lambda x: logcond(x[0])[None], kern, chol, grid, np.ones(1, bool))
     return fit.shift[0], fit.scale[0], fit.iterations[0], fit.fallback[0]
 
 
@@ -258,7 +271,7 @@ class TestAdaptLocations:
         rng = np.random.default_rng(12)
         ys = [rng.normal(m, 0.5, size=6) for m in (-1.0, 0.3, 2.0)]
         parts = [conjugate(y, 0.25, 1.0) for y in ys]
-        fit = adapt_locations(
+        fit = adapt(
             lambda x: np.stack([p[0](x[g]) for g, p in enumerate(parts)]),
             ReKernel(1),
             np.eye(1),
@@ -304,8 +317,8 @@ class TestAdaptLocations:
             out[1, ::2] = bad
             return out
 
-        fit = adapt_locations(broken, ReKernel(1), chol, grid, active)
-        clean = adapt_locations(finite, ReKernel(1), chol, grid, active)
+        fit = adapt(broken, ReKernel(1), chol, grid, active)
+        clean = adapt(finite, ReKernel(1), chol, grid, active)
         mu, lam = fit.shift, fit.scale
         np.testing.assert_array_equal(fit.fallback, [False, True, False])
         assert not clean.fallback.any()
@@ -331,11 +344,11 @@ class TestAdaptLocations:
             out[1] = np.nan
             return out
 
-        first = adapt_locations(broken, ReKernel(1), np.array([[0.7]]), grid, active)
+        first = adapt(broken, ReKernel(1), np.array([[0.7]]), grid, active)
         np.testing.assert_array_equal(first.fallback, [False, True, False])
         chol = np.array([[1.3]])
-        warm = adapt_locations(finite, ReKernel(1), chol, grid, active, start=first)
-        cold = adapt_locations(finite, ReKernel(1), chol, grid, active)
+        warm = adapt(finite, ReKernel(1), chol, grid, active, start=first)
+        cold = adapt(finite, ReKernel(1), chol, grid, active)
         assert not warm.fallback.any()
         for g in (1, 2):
             assert warm.iterations[g] == cold.iterations[g]
@@ -345,7 +358,7 @@ class TestAdaptLocations:
         for g in (0, 1):
             assert abs(warm.shift[g, 0] - parts[g][1]) < 1e-8 and abs(warm.scale[g, 0, 0] - parts[g][2]) < 1e-8
         # from a converged result, every active cell stops at its first pass
-        again = adapt_locations(finite, ReKernel(1), chol, grid, active, start=warm)
+        again = adapt(finite, ReKernel(1), chol, grid, active, start=warm)
         np.testing.assert_array_equal(again.iterations, [1, 1, 0])
 
     def test_converged_cells_keep_the_rule_last_evaluated(self):
@@ -361,7 +374,7 @@ class TestAdaptLocations:
             seen.append(x.copy())
             return np.stack([p[0](x[g]) for g, p in enumerate(parts)])
 
-        fit = adapt_locations(log_conditional, kernel, chol, grid, np.ones(3, dtype=bool))
+        fit = adapt(log_conditional, kernel, chol, grid, np.ones(3, dtype=bool))
         assert not fit.fallback.any() and not fit.capped.any()
         assert len(seen) == fit.iterations.max()
         x, logdet = place_nodes(grid[0], fit.shift, fit.scale)
@@ -384,7 +397,7 @@ class TestAdaptLocations:
             out[1, x[1, :, 0] > 1.2] = np.nan
             return out
 
-        fit = adapt_locations(log_conditional, kernel, chol, grid, np.array([True, True, False]), max_iter=2)
+        fit = adapt(log_conditional, kernel, chol, grid, np.array([True, True, False]), max_iter=2)
         np.testing.assert_array_equal(fit.capped, [True, False, False])
         np.testing.assert_array_equal(fit.fallback, [False, True, False])
         np.testing.assert_array_equal(fit.iterations, [2, 1, 0])
@@ -401,7 +414,7 @@ class TestAdaptLocations:
         # the closing evaluation
         calls.clear()
         active = np.array([True, True, False])
-        unread = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=2, value=False)
+        unread = adapt(log_conditional, kernel, chol, grid, active, max_iter=2, value=False)
         assert len(calls) == 2 and unread.value is None
         for name, got, want in zip(Adaptation._fields[:5], unread, fit):
             assert got.tobytes() == want.tobytes(), name
@@ -468,8 +481,8 @@ class TestScalarMomentStep:
         # values, bit for bit: the same loop run again with the matrix step
         # in its place
         log_conditional, kernel, chol, grid, active, max_iter, start = case
-        got = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
+        got = adapt(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
         with mock.patch.object(integrate, "_scalar_scale_step", integrate._scale_step):
-            expect = adapt_locations(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
+            expect = adapt(log_conditional, kernel, chol, grid, active, max_iter=max_iter, start=start)
         for name, g, e in zip(Adaptation._fields, got, expect):
             assert g.shape == e.shape and g.tobytes() == e.tobytes(), name

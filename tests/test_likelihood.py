@@ -358,14 +358,8 @@ def _assert_placed_at_a_fixed_point(ev: LikelihoodEvaluator, theta: np.ndarray) 
         placed = ev.adapted[pos]
         assert not placed.iterations.any() and not placed.fallback.any() and not placed.capped.any()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fit = adapt_locations(
-                lambda x: ev._conditional(theta, pos, outer, x, sums)[0],
-                st.kernel,
-                ev.level_chol(st, theta),
-                st.grid,
-                st.cells,
-                start=placed,
-            )
+            chol = ev.level_chol(st, theta)
+            fit = adapt_locations(ev._integral(theta, pos, outer, sums, chol), chol, st.nodes, st.cells, start=placed)
         assert fit.shift.tobytes() == placed.shift.tobytes() and fit.scale.tobytes() == placed.scale.tobytes()
         assert (fit.iterations == st.cells).all() and not fit.fallback.any() and not fit.capped.any()
         outer = outer + [ev._as_outer(pos, ev.placed[pos][0])]
@@ -655,6 +649,9 @@ class TestChunkedEvaluation:
         theta = initial_values(prog)
 
         def values():
+            # an adaptive innermost level's sweeps are evaluated in the
+            # same chunks, their weights joined across them: each level's
+            # placed nodes and sweeps are compared too
             ev = LikelihoodEvaluator(prog, plan)
             out = []
             for shift in (0.0, 0.02):
@@ -662,6 +659,8 @@ class TestChunkedEvaluation:
                 out.append(ev.logl(theta + shift))
                 if ev.exact:
                     out.append(b"".join(np.asarray(v).tobytes() for v in ev.derivatives(theta + shift)))
+                out.append([ev.placed[pos][0].tobytes() for pos in sorted(ev.placed)])
+                out.append(ev.profile_report()["adaptation_sweeps"])
             return out
 
         default = likelihood._CHUNK_VALUES
@@ -1053,6 +1052,9 @@ def _kept_evaluation_case(case: str):
         prog, plan = _nested_trials()
     elif case == "fallback":
         prog, plan = _poisson_aghq(outlier=True)
+    elif case == "two_dimensional":
+        prog = make(gaussian_cluster_data(g=38, n=3), "(y M1[id] x#M2[id], family(gaussian))")
+        plan = default_plan(prog, points=5)
     else:
         build, spec, options = _PER_CLUSTER[case]
         prog = make(build(), spec)
@@ -1066,8 +1068,8 @@ def _kept_evaluation_case(case: str):
 
 class TestKeptEvaluation:
     """The evaluator keeps the latest evaluation of an adaptive innermost
-    level, keyed by theta, the outer nodes and the level's rule, and the
-    next entry point reads it where its key matches: a refresh as its
+    level, keyed by theta, the outer nodes and the level's own nodes, and
+    any later evaluation reads it where its key matches: a refresh as its
     unit sums and its first sweep, a pass or a call as the level's
     integrals. The kept evaluation is never stale: every result equals,
     bit for bit, that of a copy of the evaluator with nothing kept, and
@@ -1095,7 +1097,19 @@ class TestKeptEvaluation:
     ]
 
     @pytest.mark.parametrize(
-        "case", ["rp", "rp_rows", "poisson_nested_aghq", "fallback", "poisson_nested_aghq_qmc", "nested_gaussian"]
+        "case",
+        [
+            "rp",
+            "rp_rows",
+            "poisson_nested_aghq",
+            "fallback",
+            "poisson_nested_aghq_qmc",
+            "nested_gaussian",
+            # keys over nodes of two dimensions
+            "two_dimensional",
+            # a t kernel's log-correction on Gauss-Hermite nodes
+            "joint_weibull_poisson_t_aghq",
+        ],
     )
     def test_matches_an_evaluator_that_keeps_nothing(self, case):
         prog, plan, v1 = _kept_evaluation_case(case)
@@ -1103,13 +1117,13 @@ class TestKeptEvaluation:
         vectors = initial_values(prog), v1
         inner = ev.level_states[-1]
         one = int(inner.active.sum()) * inner.n_combos * inner.m  # one innermost evaluation
-        assert ev.exact == (case != "rp_rows")
+        assert ev.exact == (case not in ("rp_rows", "two_dimensional"))
         for step, (name, which, reads) in enumerate(self.STEPS):
             if case == "fallback" and step == 5:
                 # the refresh at v1 left the outlying cluster fallen back,
-                # and it restarts from the prior at v1's scale: no first sweep
+                # and it restarts from the prior at v1's scale: the rule of
+                # that refresh's last sweep, whose evaluation is read
                 assert ev.profile_report()["adaptation_fallbacks"] == [("id", 0, 0)]
-                reads = 0
             if case in ("poisson_nested_aghq_qmc", "nested_gaussian"):
                 reads = 0  # a QMC innermost level, or levels placed without sweeps: no evaluation is kept
             name = "derivatives" if name == "pass" and ev.exact else "logl" if name == "pass" else name

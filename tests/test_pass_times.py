@@ -19,8 +19,10 @@ def test_one_checkout_times_its_tiny_cases():
     proc = subprocess.run(TINY, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["case/entry", "point", "parent", "ms", "q1", "q3", "change", "ms", "q1", "q3", "ratio"]
-    times = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    assert header.split() == ["case/entry", "point", "parent", "ms", "q1", "q3", "change", "ms", "q1", "q3", "ratio", "won"]
+    times = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
+    # one round: the change won it or not
+    assert {row.split()[-1] for row in rows} <= {"0", "1"}
     # one round per side, although both sides are this checkout: each
     # side's quartiles are its one time
     assert all(row[0] == row[1] == row[2] and row[3] == row[4] == row[5] for row in times.values())
@@ -127,5 +129,24 @@ def test_quartiles_show_each_sides_spread(monkeypatch, capsys):
     header, row = capsys.readouterr().out.splitlines()
     name, *values = row.split()
     assert name == "case/logl"
-    np.testing.assert_allclose([float(v) for v in values], [3.0, 2.0, 4.0, 1.0, 0.9, 1.1, 1.0 / 3.0], atol=5e-4)
+    np.testing.assert_allclose([float(v) for v in values], [3.0, 2.0, 4.0, 1.0, 0.9, 1.1, 1.0 / 3.0, 5], atol=5e-4)
     assert pass_times.quartiles([2.5]) == (2.5, 2.5, 2.5)
+
+
+def test_won_counts_the_rounds_the_change_was_faster(monkeypatch, capsys):
+    # per entry, the rounds whose change time is below the parent's time
+    # in the same round; a tie counts for neither side
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import pass_times
+
+    rounds = {"parent": iter([1.0, 2.0, 3.0, 4.0]), "change": iter([0.5, 2.0, 3.5, 3.0])}
+
+    def run(checkout, argv):
+        if "--optimum" in argv:
+            return {}
+        return {"case/logl": next(rounds[checkout.name]) * 1e-3}
+
+    monkeypatch.setattr(pass_times, "run", run)
+    assert pass_times.main([str(ROOT / "parent"), str(ROOT / "change"), "--rounds", "4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "won" and row.split()[-1] == "2"

@@ -40,8 +40,11 @@ adapts the evaluator at the vector. The script prints, per case and
 entry point, each side's median over the rounds in milliseconds with its
 quartiles beside it, taken as ``tools/bench_pairs.py`` takes them (one
 round is its own quartiles), so that the spread behind a ratio shows,
-and the ratio of the change's median to the parent's. It only reads
-``perfbench/``.
+the ratio of the change's median to the parent's and, under ``won``,
+the number of rounds in which the change was faster than the parent,
+ties counting for neither side, as ``tools/bench_pairs.py`` counts its
+pairs: a ratio below 1 that the change won in few rounds is noise. It
+only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -234,10 +237,11 @@ def main(argv=None) -> int:
             for side, path in (("parent", parent), ("change", change))[:: 1 if r % 2 == 0 else -1]:
                 times[side].append(run(path, ["--time", str(path)] + batch))
     spread = f"{'q1':>8} {'q3':>8}"
-    print(f"{'case/entry point':<34} {'parent ms':>10} {spread} {'change ms':>10} {spread} {'ratio':>7}")
+    print(f"{'case/entry point':<34} {'parent ms':>10} {spread} {'change ms':>10} {spread} {'ratio':>7} {'won':>4}")
     for key in times["parent"][0]:
         (a1, a, a3), (b1, b, b3) = (quartiles([one[key] * 1e3 for one in runs]) for runs in times.values())
-        print(f"{key:<34} {a:10.4f} {a1:8.4f} {a3:8.4f} {b:10.4f} {b1:8.4f} {b3:8.4f} {b / a:7.3f}")
+        won = sum(c[key] < p[key] for p, c in zip(times["parent"], times["change"]))
+        print(f"{key:<34} {a:10.4f} {a1:8.4f} {a3:8.4f} {b:10.4f} {b1:8.4f} {b3:8.4f} {b / a:7.3f} {won:4d}")
     return 0
 
 
